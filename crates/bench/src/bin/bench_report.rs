@@ -1,13 +1,14 @@
-//! Performance report for the two PR-level optimisations: incremental
-//! (delta-aware) windowed recognition and batched queue transfer.
+//! Performance report: windowed recognition, batched queue transfer, shard
+//! scaling and crash recovery.
 //!
 //! The recognition benchmark sweeps the window-overlap ratio step/WM over
-//! {1, 1/2, 1/4, 1/8} and measures the mean per-query recognition time with
-//! incremental evaluation on and off. Ratio 1 means disjoint windows (no
-//! reusable work — incremental mode must not regress); ratio 1/8 means 7/8
-//! of each window is shared with the previous query (maximal reuse). Full
-//! re-evaluation is the engine's behaviour before the incremental rewrite,
-//! so the "full" column doubles as the pre-PR baseline.
+//! {1, 1/2, 1/4, 1/8} and measures the mean per-query recognition time of
+//! the RTEC engine plus its window-cycle allocation accounting. Ratio 1
+//! means disjoint windows (no reusable work); ratio 1/8 means 7/8 of each
+//! window is shared with the previous query (maximal reuse). The engine has
+//! one evaluation path; the numbers of the interpreted and full-recompute
+//! paths it replaced are kept in the `"history"` note of
+//! `BENCH_recognition.json`.
 //!
 //! The streams benchmark pushes a fixed item count through a bounded queue
 //! with a producer thread and measures throughput for per-item transfer
@@ -22,10 +23,9 @@
 //! under the threaded runtime, sweeping the replica count of the two
 //! partitioned stages (RTEC sharded by `region`, crowd tasks sharded by
 //! `(query_time, region)`) from 1 up to the core count — always including
-//! the 4-replica point — and reports SDEs/s. A second A/B toggles parallel
-//! stratum evaluation inside a single RTEC engine against the serial
-//! reference order. Wall-clock speedup from sharding requires real cores;
-//! the report records the host's core count alongside the numbers.
+//! the 4-replica point — and reports SDEs/s. Wall-clock speedup from
+//! sharding requires real cores; the report records the host's core count
+//! alongside the numbers.
 //!
 //! Results are written to `BENCH_recognition.json`, `BENCH_streams.json`
 //! and `BENCH_parallel.json` in the current directory (run from the repo
@@ -35,9 +35,9 @@
 //! cargo run --release -p insight-bench --bin bench_report [--quick] [--check]
 //! ```
 //!
-//! `--check` exits non-zero if either optimisation *regresses* by more than
-//! 25% against its reference path — a CI smoke guard, deliberately lenient
-//! to tolerate noisy shared runners.
+//! `--check` exits non-zero if a guarded number *regresses* by more than 25%
+//! against its reference path or absolute floor — a CI smoke guard,
+//! deliberately lenient to tolerate noisy shared runners.
 
 use insight_bench::ResultsWriter;
 use insight_core::pipeline::{build_pipeline_with, PipelineOptions};
@@ -61,51 +61,12 @@ use std::time::Instant;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// One step/WM ratio measured in both evaluation modes.
+/// One step/WM ratio of the recognition sweep.
 struct RatioPoint {
     label: &'static str,
     ratio: f64,
     step: i64,
-    queries: usize,
-    full_ms: f64,
-    incremental_ms: f64,
-    /// Incremental evaluation through the pre-compiled execution plan.
-    compiled_ms: f64,
-    /// Mean window-cycle allocation count per query on the compiled arm
-    /// (retained-buffer capacity growth + solver-scratch growth; includes
-    /// the cold start, so steady state is better read from `allocs_last`).
-    allocs_per_window: f64,
-    /// Window-cycle allocation count of the first measured query — the cold
-    /// start that sizes the retained tables.
-    allocs_first: u64,
-    /// Window-cycle allocation count of the *last* measured query. On a
-    /// synthetic steady-state stream this is 0 (the zero-alloc tests pin
-    /// that); on real traffic the working set keeps evolving, so the check
-    /// asserts decay from `allocs_first` instead of strict zero.
-    allocs_last: u64,
-    /// Mean per-query time spent refilling and re-indexing the retained
-    /// stores (compiled arm).
-    cache_rebuild_ms: f64,
-}
-
-impl RatioPoint {
-    fn speedup(&self) -> f64 {
-        if self.incremental_ms > 0.0 {
-            self.full_ms / self.incremental_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Compiled-plan speedup over the interpreted incremental engine at the
-    /// same settings.
-    fn compiled_speedup(&self) -> f64 {
-        if self.compiled_ms > 0.0 {
-            self.incremental_ms / self.compiled_ms
-        } else {
-            f64::INFINITY
-        }
-    }
+    run: MeasuredRun,
 }
 
 /// One queue batch size and its measured throughput.
@@ -149,40 +110,38 @@ struct RecoveryPoint {
     paired_delta_ms: f64,
 }
 
-/// One measured recognition sweep: wall-clock mean plus the compiled data
-/// plane's allocation and cache-maintenance accounting.
+/// One measured recognition sweep: wall-clock mean plus the engine's
+/// window-cycle allocation and cache-maintenance accounting.
 struct MeasuredRun {
     mean_ms: f64,
     queries: usize,
-    /// Mean `QueryTiming::window_allocations` per query (cold start
-    /// included).
+    /// Mean `QueryTiming::window_allocations` per query (retained-buffer
+    /// capacity growth + solver-scratch growth; includes the cold start, so
+    /// steady state is better read from `allocs_last`).
     allocs_per_window: f64,
-    /// `window_allocations` of the first measured query (cold start).
+    /// `window_allocations` of the first measured query — the cold start
+    /// that sizes the retained tables.
     allocs_first: u64,
-    /// `window_allocations` of the last measured query (steady state).
+    /// `window_allocations` of the *last* measured query. On a synthetic
+    /// steady-state stream this is 0 (the zero-alloc tests pin that); on
+    /// real traffic the working set keeps evolving, so the check asserts
+    /// decay from `allocs_first` instead of strict zero.
     allocs_last: u64,
     /// Mean `QueryTiming::cache_rebuild` per query, in ms.
     cache_rebuild_ms: f64,
 }
 
 /// Mean per-query wall-clock recognition time (ms) over `n_queries` fully
-/// populated windows, with incremental evaluation, parallel stratum
-/// evaluation and the pre-compiled execution plan toggled as requested.
+/// populated windows.
 fn mean_query_ms(
     scenario: &Scenario,
     wm: i64,
     step: i64,
     n_queries: usize,
-    incremental: bool,
-    parallel_strata: bool,
-    compiled: bool,
 ) -> Result<MeasuredRun, Box<dyn std::error::Error>> {
     let window = WindowConfig::new(wm, step)?;
     let mut rec =
         TrafficRecognizer::from_deployment(TrafficRulesConfig::default(), window, &scenario.scats)?;
-    rec.set_incremental(incremental);
-    rec.set_parallel_strata(parallel_strata);
-    rec.set_compiled(compiled);
     let (start, end) = scenario.window();
 
     let mut sde_idx = 0usize;
@@ -469,6 +428,29 @@ fn ingest_point(
     }
 }
 
+/// The last numbers of the evaluation paths this engine replaced (standard
+/// profile, PR 10 host, ms per query), kept so the trajectory survives their
+/// removal: `full` re-evaluated the whole window every query, `interpreted`
+/// was the delta-aware AST interpreter, `compiled` the plan over slot-indexed
+/// retained state — the path that is now the engine, whose series `query_ms`
+/// continues.
+const RECOGNITION_HISTORY: &str = r#"{
+    "note": "paths removed when the compiled slot-state engine became the only one; query_ms continues the compiled_ms series",
+    "last_measured": [
+      {"step_over_wm": "1", "full_ms": 15.875, "interpreted_ms": 15.546, "compiled_ms": 9.297},
+      {"step_over_wm": "1/2", "full_ms": 15.340, "interpreted_ms": 13.053, "compiled_ms": 7.416},
+      {"step_over_wm": "1/4", "full_ms": 13.852, "interpreted_ms": 8.394, "compiled_ms": 4.733},
+      {"step_over_wm": "1/8", "full_ms": 13.477, "interpreted_ms": 6.111, "compiled_ms": 3.025}
+    ]
+  }"#;
+
+/// The last parallel-strata A/B before strata went serial and `rtec::pool`
+/// was removed (standard profile, 1 core: every stratum ran inline).
+const PARALLEL_HISTORY: &str = r#"{
+    "note": "parallel stratum evaluation and its worker pool were removed: region engines already fill the cores",
+    "last_strata_ab": {"queries": 6, "wm_s": 1200, "step_s": 300, "serial_ms": 9.519, "parallel_ms": 9.258, "speedup": 1.028, "pool": {"threads_spawned": 0, "tasks_dispatched": 0}}
+  }"#;
+
 fn write_json(path: &str, body: &str) -> std::io::Result<()> {
     std::fs::write(path, body)?;
     eprintln!("wrote {path}");
@@ -480,7 +462,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let check = std::env::args().any(|a| a == "--check");
     let profile = if quick { "quick" } else { "standard" };
 
-    // ---- recognition: incremental vs full re-evaluation --------------------
+    // ---- recognition: per-query time over the window-overlap sweep ---------
     let wm: i64 = if quick { 480 } else { 1200 };
     let n_queries = if quick { 4 } else { 6 };
     // Enough data for the widest sweep: WM plus n_queries steps at ratio 1.
@@ -494,68 +476,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     out.line(format!("  {} SDEs total", scenario.sdes.len()));
     out.line(String::new());
     out.line(format!(
-        "{:>9} {:>8} {:>9} {:>12} {:>14} {:>9} {:>13} {:>9} {:>9} {:>12}",
-        "step/WM",
-        "step s",
-        "queries",
-        "full (ms)",
-        "incr (ms)",
-        "speedup",
-        "compiled (ms)",
-        "c-speedup",
-        "allocs/w",
-        "rebuild (ms)"
+        "{:>9} {:>8} {:>9} {:>12} {:>9} {:>12}",
+        "step/WM", "step s", "queries", "query (ms)", "allocs/w", "rebuild (ms)"
     ));
 
     // Warm-up: the first evaluation of a fresh process pays one-off costs
     // (lazy allocator pools, page faults on the engine's tables) that
     // otherwise land entirely on the first measured point and read as a
     // phantom regression there.
-    let _ = mean_query_ms(&scenario, wm, wm, n_queries, false, false, false)?;
-    let _ = mean_query_ms(&scenario, wm, wm, n_queries, true, false, false)?;
-    let _ = mean_query_ms(&scenario, wm, wm, n_queries, true, false, true)?;
+    let _ = mean_query_ms(&scenario, wm, wm, n_queries)?;
 
     let ratios: &[(&'static str, i64)] = &[("1", 1), ("1/2", 2), ("1/4", 4), ("1/8", 8)];
     let mut points = Vec::new();
     for &(label, den) in ratios {
         let step = wm / den;
-        let full = mean_query_ms(&scenario, wm, step, n_queries, false, false, false)?;
-        let incr = mean_query_ms(&scenario, wm, step, n_queries, true, false, false)?;
-        let compiled = mean_query_ms(&scenario, wm, step, n_queries, true, false, true)?;
-        let p = RatioPoint {
-            label,
-            ratio: 1.0 / den as f64,
-            step,
-            queries: full.queries,
-            full_ms: full.mean_ms,
-            incremental_ms: incr.mean_ms,
-            compiled_ms: compiled.mean_ms,
-            allocs_per_window: compiled.allocs_per_window,
-            allocs_first: compiled.allocs_first,
-            allocs_last: compiled.allocs_last,
-            cache_rebuild_ms: compiled.cache_rebuild_ms,
-        };
+        let run = mean_query_ms(&scenario, wm, step, n_queries)?;
         out.line(format!(
-            "{:>9} {:>8} {:>9} {:>12.3} {:>14.3} {:>8.2}x {:>13.3} {:>8.2}x {:>9.1} {:>12.3}",
-            p.label,
-            p.step,
-            p.queries,
-            p.full_ms,
-            p.incremental_ms,
-            p.speedup(),
-            p.compiled_ms,
-            p.compiled_speedup(),
-            p.allocs_per_window,
-            p.cache_rebuild_ms
+            "{:>9} {:>8} {:>9} {:>12.3} {:>9.1} {:>12.3}",
+            label, step, run.queries, run.mean_ms, run.allocs_per_window, run.cache_rebuild_ms
         ));
-        points.push(p);
+        points.push(RatioPoint { label, ratio: 1.0 / den as f64, step, run });
     }
 
     let mut rec_json = String::new();
     write!(
         rec_json,
-        "{{\n  \"benchmark\": \"incremental_recognition\",\n  \"profile\": \"{profile}\",\n  \
-         \"baseline\": \"full per-window re-evaluation (engine behaviour before the incremental rewrite)\",\n  \
+        "{{\n  \"benchmark\": \"windowed_recognition\",\n  \"profile\": \"{profile}\",\n  \
          \"scenario\": {{\"preset\": \"small\", \"duration_s\": {duration}, \"sdes\": {}}},\n  \
          \"wm_s\": {wm},\n  \"points\": [\n",
         scenario.sdes.len()
@@ -564,27 +510,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         writeln!(
             rec_json,
             "    {{\"step_over_wm\": \"{}\", \"ratio\": {}, \"step_s\": {}, \"queries\": {}, \
-             \"full_ms\": {:.3}, \"incremental_ms\": {:.3}, \"speedup\": {:.3}, \
-             \"compiled_ms\": {:.3}, \"compiled_speedup\": {:.3}, \
-             \"allocs_per_window\": {:.1}, \"allocs_first\": {}, \"allocs_last\": {}, \
-             \"cache_rebuild_ms\": {:.3}}}{}",
+             \"query_ms\": {:.3}, \"allocs_per_window\": {:.1}, \"allocs_first\": {}, \
+             \"allocs_last\": {}, \"cache_rebuild_ms\": {:.3}}}{}",
             p.label,
             p.ratio,
             p.step,
-            p.queries,
-            p.full_ms,
-            p.incremental_ms,
-            p.speedup(),
-            p.compiled_ms,
-            p.compiled_speedup(),
-            p.allocs_per_window,
-            p.allocs_first,
-            p.allocs_last,
-            p.cache_rebuild_ms,
+            p.run.queries,
+            p.run.mean_ms,
+            p.run.allocs_per_window,
+            p.run.allocs_first,
+            p.run.allocs_last,
+            p.run.cache_rebuild_ms,
             if i + 1 < points.len() { "," } else { "" }
         )?;
     }
-    rec_json.push_str("  ]\n}\n");
+    write!(rec_json, "  ],\n  \"history\": {RECOGNITION_HISTORY}\n}}\n")?;
     write_json("BENCH_recognition.json", &rec_json)?;
 
     // ---- streams: per-item vs batched queue transfer ------------------------
@@ -722,13 +662,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     str_json.push_str("    ]\n  }\n}\n");
     write_json("BENCH_streams.json", &str_json)?;
 
-    // ---- shard-parallel stages: replica scaling + strata A/B ----------------
+    // ---- shard-parallel stages: replica scaling ------------------------------
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // Sweep 1..=cores, but always include the 4-replica point so the report
     // is comparable across hosts; cap at 8 (the RTEC stage shards by the 4
     // regions, so scaling flattens well before that).
     let max_replicas = cores.clamp(4, 8);
-    let pipe_duration: i64 = if quick { 1200 } else { 2400 };
+    // Both profiles run the same stream: with one engine path a 1200 s run
+    // is ~6 ms end to end, too short for sharding to amortise the thread
+    // start-up and partition plumbing the floors below compare it with.
+    let pipe_duration: i64 = 2400;
     // Even the quick profile needs best-of-5: the shard points are compared
     // against each other (monotonicity check below), so a single noisy run
     // is not enough, and at ~10 ms per run the minimum of 5 is what it
@@ -820,41 +763,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     }
 
-    // Parallel vs serial stratum evaluation inside one engine, incremental
-    // mode on in both arms. Reuses the recognition scenario at the 1/4
-    // overlap ratio.
-    // Both arms are only a couple of milliseconds, so they get the same
-    // best-of-reps treatment as the shard sweep — a single pair of runs
-    // regularly differs by more than the check's guard band on pure noise.
-    let ab_step = wm / 4;
-    let mut serial_strata_ms = f64::INFINITY;
-    let mut parallel_strata_ms = f64::INFINITY;
-    let mut ab_queries = 0usize;
-    let (spawned_before, dispatched_before) = insight_rtec::pool::stats();
-    for _ in 0..pipe_reps {
-        let serial = mean_query_ms(&scenario, wm, ab_step, n_queries, true, false, false)?;
-        let parallel = mean_query_ms(&scenario, wm, ab_step, n_queries, true, true, false)?;
-        serial_strata_ms = serial_strata_ms.min(serial.mean_ms);
-        parallel_strata_ms = parallel_strata_ms.min(parallel.mean_ms);
-        ab_queries = serial.queries;
-    }
-    let (spawned_after, dispatched_after) = insight_rtec::pool::stats();
-    // The persistent pool spawns at most cores-1 threads once per process;
-    // before it, every window spawned a scoped thread per stratum. The
-    // deltas across the parallel arm are the direct evidence.
-    let pool_spawned = spawned_after - spawned_before;
-    let pool_dispatched = dispatched_after - dispatched_before;
-    out.line(String::new());
-    out.line(format!(
-        "strata A/B ({ab_queries} queries, WM {wm} s / step {ab_step} s): serial {serial_strata_ms:.3} ms, \
-         parallel {parallel_strata_ms:.3} ms, speedup {:.2}x",
-        serial_strata_ms / parallel_strata_ms
-    ));
-    out.line(format!(
-        "  worker pool: {pool_spawned} thread(s) spawned, {pool_dispatched} task(s) dispatched \
-         across the parallel arm (inline fallback on 1 core)"
-    ));
-
     let mut par_json = String::new();
     write!(
         par_json,
@@ -884,14 +792,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if i + 1 < shard_points.len() { "," } else { "" }
         )?;
     }
-    write!(
-        par_json,
-        "  ],\n  \"strata_ab\": {{\"queries\": {ab_queries}, \"wm_s\": {wm}, \"step_s\": {ab_step}, \
-         \"serial_ms\": {serial_strata_ms:.3}, \"parallel_ms\": {parallel_strata_ms:.3}, \
-         \"speedup\": {:.3}, \
-         \"pool\": {{\"threads_spawned\": {pool_spawned}, \"tasks_dispatched\": {pool_dispatched}}}}}\n}}\n",
-        serial_strata_ms / parallel_strata_ms
-    )?;
+    write!(par_json, "  ],\n  \"history\": {PARALLEL_HISTORY}\n}}\n")?;
     write_json("BENCH_parallel.json", &par_json)?;
 
     // ---- crash recovery: checkpoint overhead + recovery latency -------------
@@ -1067,46 +968,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if check {
         let mut failures = Vec::new();
-        for p in &points {
-            if p.incremental_ms > p.full_ms * 1.25 {
-                failures.push(format!(
-                    "recognition regression at step/WM={}: incremental {:.3} ms vs full {:.3} ms",
-                    p.label, p.incremental_ms, p.full_ms
-                ));
-            }
-        }
-        // The compiled plan must at least hold its own against the
-        // interpreter where incremental reuse is highest (step/WM = 1/8, the
-        // paper's overlapping-window regime); the band absorbs scheduler
-        // noise on loaded hosts, the committed BENCH_recognition.json
-        // carries the real numbers.
-        for p in points.iter().filter(|p| p.label == "1/8") {
-            if p.compiled_ms > p.incremental_ms * 1.25 {
-                failures.push(format!(
-                    "compiled-plan regression at step/WM={}: compiled {:.3} ms vs interpreted \
-                     {:.3} ms",
-                    p.label, p.compiled_ms, p.incremental_ms
-                ));
-            }
-        }
-        // The slot-indexed data plane must hold its measured win over the
-        // pre-slot compiled path at disjoint windows. The committed
-        // BENCH_recognition.json before the rework carried 10.511 ms at
-        // step/WM = 1 on the standard profile; the floor demands at least
-        // the 10% improvement the rework measured, minus the usual noise
-        // band on loaded hosts. The quick profile runs a different window
-        // size, so the absolute floor only applies to the standard sweep.
+        // Absolute floor at disjoint windows. The committed
+        // BENCH_recognition.json before the slot-indexed data plane carried
+        // 10.511 ms at step/WM = 1 on the standard profile; the floor
+        // demands at least the 10% improvement that rework measured, minus
+        // the usual noise band on loaded hosts. The quick profile runs a
+        // different window size, so the floor only applies to the standard
+        // sweep.
         if !quick {
             const PRE_SLOT_RATIO1_MS: f64 = 10.511;
             for p in points.iter().filter(|p| p.label == "1") {
                 let floor = PRE_SLOT_RATIO1_MS * 0.90;
-                if p.compiled_ms > floor * 1.25 {
+                if p.run.mean_ms > floor * 1.25 {
                     failures.push(format!(
-                        "slot-state regression at step/WM={}: compiled {:.3} ms vs the \
-                         {floor:.3} ms floor (pre-slot baseline {PRE_SLOT_RATIO1_MS} ms - 10%)",
-                        p.label, p.compiled_ms
+                        "recognition regression at step/WM={}: {:.3} ms vs the {floor:.3} ms \
+                         floor (pre-slot baseline {PRE_SLOT_RATIO1_MS} ms - 10%)",
+                        p.label, p.run.mean_ms
                     ));
                 }
+            }
+        }
+        // Overlap must pay: at step/WM = 1/8 seven eighths of each window
+        // are reused, so a query there may not cost more than one over
+        // disjoint windows (it measures ~3x cheaper; the band is noise).
+        if let (Some(disjoint), Some(overlap)) =
+            (points.iter().find(|p| p.label == "1"), points.iter().find(|p| p.label == "1/8"))
+        {
+            if overlap.run.mean_ms > disjoint.run.mean_ms * 1.25 {
+                failures.push(format!(
+                    "incremental reuse regression: {:.3} ms at step/WM=1/8 vs {:.3} ms at 1",
+                    overlap.run.mean_ms, disjoint.run.mean_ms
+                ));
             }
         }
         // Window-cycle allocations must decay sharply after the cold start:
@@ -1117,11 +1009,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // window allocating half the cold start or more means the retained
         // state is being rebuilt instead of reused.
         for p in &points {
-            if p.allocs_last.saturating_mul(2) >= p.allocs_first.max(1) {
+            let r = &p.run;
+            if r.allocs_last.saturating_mul(2) >= r.allocs_first.max(1) {
                 failures.push(format!(
                     "window-cycle allocations did not decay at step/WM={}: cold start {} vs \
                      last window {} (mean {:.1}/window over the sweep)",
-                    p.label, p.allocs_first, p.allocs_last, p.allocs_per_window
+                    p.label, r.allocs_first, r.allocs_last, r.allocs_per_window
                 ));
             }
         }
@@ -1191,19 +1084,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ));
             }
         }
-        // The partition plumbing itself (stamping, merge) must stay well
-        // under the guard band relative to the whole run — this is what the
-        // per-core-efficiency fix is measured by on any host. Producer queue
-        // stalls are reported in the table but *not* counted as plumbing:
-        // a blocked producer is backpressure doing its job (it burns no CPU
-        // and the consumer keeps draining), and on the bounded `sde` queue
-        // the feeds spend most of the run parked by design.
+        // The partition plumbing itself (stamping, merge) must stay cheap —
+        // this is what the per-core-efficiency fix is measured by on any
+        // host. The bound is per SDE, not a share of the run: a share moves
+        // whenever another layer gets faster (it doubled when the RTEC
+        // stage's cost halved) without the plumbing having changed. Clean
+        // runs measure 0.4–1 µs per SDE; an accidental per-item deep clone or
+        // lock costs several. Producer queue stalls are reported in the
+        // table but *not* counted as plumbing: a blocked producer is
+        // backpressure doing its job (it burns no CPU and the consumer keeps
+        // draining), and on the bounded `sde` queue the feeds spend most of
+        // the run parked by design.
+        const PLUMBING_NS_PER_SDE: f64 = 3000.0;
         for p in &shard_points[1..] {
             let overhead_ms = p.overhead.partition_ms + p.overhead.merge_ms;
-            if overhead_ms > p.elapsed_ms * 0.25 {
+            let ns_per_sde = overhead_ms * 1e6 / n_sdes as f64;
+            if ns_per_sde > PLUMBING_NS_PER_SDE {
                 failures.push(format!(
-                    "partition overhead at replicas={}: {:.2} ms of {:.1} ms elapsed (> 25%)",
-                    p.replicas, overhead_ms, p.elapsed_ms
+                    "partition overhead at replicas={}: {:.2} ms over {n_sdes} SDEs = {:.0} ns/SDE \
+                     (> {PLUMBING_NS_PER_SDE} ns)",
+                    p.replicas, overhead_ms, ns_per_sde
                 ));
             }
         }
@@ -1226,27 +1126,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     sa, a.replicas, sb, b.replicas
                 ));
             }
-        }
-        // Parallel strata must not be a slowdown: ≥ 1.0x on real cores, and
-        // within measurement noise of break-even on a single core, where the
-        // pool runs every stratum inline — the spawn/dispatch counters prove
-        // no thread churn is left to pay for. Clean 1-core runs measure
-        // 1.00-1.04x; the 0.95 floor is the same load-spike margin as the
-        // shard floor above.
-        let strata_speedup = serial_strata_ms / parallel_strata_ms;
-        let strata_floor = if cores > 1 { 1.0 } else { 0.95 };
-        if strata_speedup < strata_floor {
-            failures.push(format!(
-                "parallel strata regression: {parallel_strata_ms:.3} ms vs serial \
-                 {serial_strata_ms:.3} ms (speedup {strata_speedup:.3}x < {strata_floor:.2} \
-                 on {cores} core(s))"
-            ));
-        }
-        if cores == 1 && (pool_spawned > 0 || pool_dispatched > 0) {
-            failures.push(format!(
-                "strata pool spawned {pool_spawned} thread(s) / dispatched {pool_dispatched} \
-                 task(s) on a 1-core host — the inline fallback did not engage"
-            ));
         }
         // Checkpointing at the default cadence must cost at most 5% of
         // throughput on top of the armed supervisor, measured by the paired

@@ -16,6 +16,10 @@
 //! On the first disagreement the harness builds a minimal
 //! [`DivergenceReport`] (replayable seed included), persists it for CI
 //! artifact upload, and returns it as the error.
+//!
+//! [`Harness::check_restored`] is the second, oracle-free check: the live
+//! (incremental) engine against a relay of engines restored from a snapshot
+//! before every query, which re-derive each window in full.
 
 use crate::diff::{write_report, DivergenceReport, EventDiff, FluentDiff, Side};
 use crate::oracle::{BuiltinFn, Oracle};
@@ -74,9 +78,6 @@ impl CheckStats {
     }
 }
 
-/// A post-build engine configuration hook (e.g. flipping compiled mode).
-type EngineHook = Box<dyn Fn(&mut Engine) + Send + Sync>;
-
 /// Builds matched engine/oracle pairs and runs differential checks.
 pub struct Harness {
     rules: RuleSet,
@@ -84,20 +85,12 @@ pub struct Harness {
     relations: Vec<(String, Vec<Vec<Term>>)>,
     builtins: Vec<(String, BuiltinFn)>,
     initially: Vec<(String, Vec<Term>, Term)>,
-    engine_config: Option<EngineHook>,
 }
 
 impl Harness {
     /// A harness for one rule set over one query grid.
     pub fn new(rules: RuleSet, grid: QueryGrid) -> Harness {
-        Harness {
-            rules,
-            grid,
-            relations: Vec::new(),
-            builtins: Vec::new(),
-            initially: Vec::new(),
-            engine_config: None,
-        }
+        Harness { rules, grid, relations: Vec::new(), builtins: Vec::new(), initially: Vec::new() }
     }
 
     /// The query grid under test.
@@ -127,19 +120,6 @@ impl Harness {
         self
     }
 
-    /// Installs a hook applied to every engine the harness builds (after
-    /// relations, builtins and initial state). Used to flip evaluation modes
-    /// — e.g. `set_compiled(true)` or `set_incremental(false)` — so the same
-    /// differential runs against any engine configuration. The oracle side is
-    /// untouched by design: it has no modes to configure.
-    pub fn configure_engine<F>(mut self, f: F) -> Harness
-    where
-        F: Fn(&mut Engine) + Send + Sync + 'static,
-    {
-        self.engine_config = Some(Box::new(f));
-        self
-    }
-
     fn build_engine(&self) -> Engine {
         let window = WindowConfig::new(self.grid.wm, self.grid.step).expect("valid grid window");
         let mut engine = Engine::new(self.rules.clone(), window);
@@ -152,9 +132,6 @@ impl Harness {
         }
         for (name, args, value) in &self.initially {
             engine.set_initially(name, args.clone(), value.clone()).expect("declared fluent");
-        }
-        if let Some(cfg) = &self.engine_config {
-            cfg(&mut engine);
         }
         engine
     }
@@ -299,40 +276,38 @@ impl Harness {
         Ok(stats)
     }
 
-    /// Runs the same stream through two engines built from this harness —
-    /// one per configuration hook — and requires identical recognitions at
-    /// every query: equal derived-event sets and `holdsAt` agreement at
-    /// every time-point of every window. Unlike [`Harness::check`] there is
-    /// no oracle involved, so this directly pins two engine modes against
-    /// each other (e.g. compiled vs. interpreted). `Err` carries a
+    /// Runs the stream through a live engine and, beside it, a *relay* of
+    /// engines: before every query the relay engine is replaced by a freshly
+    /// built one restored from its predecessor's snapshot. Restoring
+    /// discards every cached point and derivation, so each relay query
+    /// re-derives its window in full from the snapshot alone, while the live
+    /// engine evaluates incrementally. Identical recognitions at every query
+    /// — equal derived-event sets and `holdsAt` agreement at every
+    /// time-point of every window — therefore pin both *incremental == full
+    /// re-derivation* and *snapshot → restore → continue == live* with a
+    /// crash at every query. No oracle is involved, so streams whose rules
+    /// read fluents at times outside the window (where any windowed engine
+    /// answers from truncated knowledge) are in scope. `Err` carries a
     /// replayable description of the first divergence.
-    pub fn compare_engine_modes<F, G>(
-        &self,
-        stream: &Stream,
-        configure_a: F,
-        configure_b: G,
-    ) -> Result<CheckStats, String>
-    where
-        F: Fn(&mut Engine),
-        G: Fn(&mut Engine),
-    {
-        let mut a = self.build_engine();
-        let mut b = self.build_engine();
-        configure_a(&mut a);
-        configure_b(&mut b);
+    pub fn check_restored(&self, stream: &Stream) -> Result<CheckStats, String> {
+        let mut live = self.build_engine();
+        let mut relay = self.build_engine();
         for ev in &stream.events {
-            a.add_stamped_event(ev.clone()).unwrap();
-            b.add_stamped_event(ev.clone()).unwrap();
+            live.add_stamped_event(ev.clone()).unwrap();
+            relay.add_stamped_event(ev.clone()).unwrap();
         }
         for ob in &stream.obs {
-            a.add_stamped_obs(ob.clone()).unwrap();
-            b.add_stamped_obs(ob.clone()).unwrap();
+            live.add_stamped_obs(ob.clone()).unwrap();
+            relay.add_stamped_obs(ob.clone()).unwrap();
         }
         let mut stats = CheckStats::default();
         let fluent_names: BTreeSet<Symbol> = self.rules.derived_fluents().iter().copied().collect();
         for &q in &self.grid.queries() {
-            let ra = a.query(q).map_err(|e| format!("engine A query {q}: {e}"))?;
-            let rb = b.query(q).map_err(|e| format!("engine B query {q}: {e}"))?;
+            let snapshot = relay.snapshot_state();
+            relay = self.build_engine();
+            relay.restore_state(&snapshot).map_err(|e| format!("restore before q={q}: {e}"))?;
+            let ra = live.query(q).map_err(|e| format!("live query {q}: {e}"))?;
+            let rb = relay.query(q).map_err(|e| format!("restored query {q}: {e}"))?;
             stats.queries += 1;
             let start = q - self.grid.wm;
 
@@ -347,7 +322,7 @@ impl Harness {
             stats.events_compared += evs_a.len().max(evs_b.len());
             if evs_a != evs_b {
                 return Err(format!(
-                    "[{} seed {}] derived events diverge at q={q}: A has {}, B has {}",
+                    "[{} seed {}] derived events diverge at q={q}: live has {}, restored has {}",
                     stream.label,
                     stream.seed,
                     evs_a.len(),
@@ -370,7 +345,7 @@ impl Harness {
                         if ha != hb {
                             return Err(format!(
                                 "[{} seed {}] {name_str}({args:?})={value:?} diverges at \
-                                 t={t} (q={q}): A={ha}, B={hb}",
+                                 t={t} (q={q}): live={ha}, restored={hb}",
                                 stream.label, stream.seed
                             ));
                         }

@@ -1,18 +1,33 @@
-//! The tentpole differential suite: the windowed `insight_rtec::Engine`
-//! against the naive full-history oracle, over ≥ 256 seeded SDE streams per
-//! run.
+//! The one differential suite: the windowed `insight_rtec::Engine` against
+//! the naive full-history oracle, over ≥ 512 seeded SDE streams per run.
 //!
-//! Two proptests (128 cases each by default; `PROPTEST_CASES=512` in the
+//! Four proptests (128 cases each by default; `PROPTEST_CASES=512` in the
 //! nightly CI variant) cover the fixture rule set under adversarial arrival
-//! schedules and three different query grids; deterministic tests pin the
-//! two hardest schedules (occurrences exactly on the `Qi − WM` boundary,
-//! arrivals beyond the working memory) and run the *real* Dublin traffic
-//! rule library over perturbed scenario traces.
+//! schedules and three different query grids, and **fuzzed rule sets**
+//! ([`insight_datagen::adversarial::fuzz_ruleset`]: mixed pivotable and
+//! non-pivotable bodies, negation over lower strata, multi-stratum chains,
+//! unused fluents) under default and late-heavy arrivals; deterministic
+//! tests pin the two hardest schedules (occurrences exactly on the
+//! `Qi − WM` boundary, arrivals beyond the working memory) and run the
+//! *real* Dublin traffic rule library over perturbed scenario traces.
+//!
+//! Where the oracle cannot referee — rules reading fluents at times outside
+//! the window, which any windowed engine answers from truncated knowledge
+//! (designed §4.2 loss) — the live incremental engine is held against
+//! [`Harness::check_restored`]'s relay of restored engines, which re-derive
+//! every window in full. The same relay runs over the fixture streams
+//! (relations, builtins, statically-determined fluents: the clamp-reuse and
+//! interval-algebra paths the fuzzer does not draw).
+//!
+//! Failures replay from the printed seed; the pinned families run per CI
+//! seed job, reproducible locally with `CONFORMANCE_SEED={0,77,777}`.
 
 use insight_conformance::{
     fixture_grid, fixture_harness, fixture_stream, seed_offset, Harness, StimulusConfig, Stream,
 };
-use insight_datagen::adversarial::{perturb_sdes, LatenessMix, QueryGrid};
+use insight_datagen::adversarial::{
+    fuzz_ruleset, perturb_sdes, FuzzCase, FuzzConfig, LatenessMix, QueryGrid,
+};
 use insight_datagen::scenario::{Scenario, ScenarioConfig};
 use insight_traffic::config::TrafficRulesConfig;
 use insight_traffic::geo::close_builtin;
@@ -30,7 +45,62 @@ fn run(harness: &Harness, stream: &Stream) {
     }
 }
 
+fn fuzz_grid() -> QueryGrid {
+    QueryGrid { first: 100, step: 50, wm: 100, last: 500 }
+}
+
+fn stream_of(case: &FuzzCase) -> Stream {
+    Stream {
+        label: case.label.clone(),
+        seed: case.seed,
+        events: case.events.clone(),
+        obs: case.obs.clone(),
+    }
+}
+
+/// One fuzzed seed: engine against the oracle, then live engine against the
+/// restore relay.
+///
+/// The oracle leg uses the caller's config (which must keep
+/// `aux_lookback = 0`: out-of-window `holdsAt` references are answered from
+/// truncated knowledge by *any* windowed engine — designed §4.2 loss, not a
+/// bug). The relay leg reruns the same seed with a real lookback, so
+/// non-pivotable conditions genuinely roam the past — event-argument
+/// `holdsAt` reads that flip when their time leaves the window with no
+/// input delta: both engines share the same windowed knowledge, so they
+/// must still agree tick-for-tick.
+fn check_fuzz_case(seed: u64, grid: QueryGrid, cfg: &FuzzConfig) {
+    let case = fuzz_ruleset(seed, &grid, cfg);
+    run(&Harness::new(case.rules.clone(), grid), &stream_of(&case));
+
+    let deep = FuzzConfig { aux_lookback: grid.wm / 2, ..*cfg };
+    let deep_case = fuzz_ruleset(seed, &grid, &deep);
+    Harness::new(deep_case.rules.clone(), grid)
+        .check_restored(&stream_of(&deep_case))
+        .unwrap_or_else(|e| panic!("live vs restored: {e}"));
+}
+
 proptest! {
+    /// Fuzzed rule sets under the default lateness mix.
+    #[test]
+    fn fuzzed_rule_sets_match_oracle(seed in any::<u64>()) {
+        check_fuzz_case(seed, fuzz_grid(), &FuzzConfig::default());
+    }
+
+    /// Fuzzed rule sets under late-heavy arrivals (amendment and loss paths)
+    /// and a tumbling grid, where every window re-derives from scratch
+    /// rather than from deltas.
+    #[test]
+    fn fuzzed_rule_sets_survive_late_arrivals(seed in any::<u64>(), tumbling in any::<bool>()) {
+        let grid = if tumbling {
+            QueryGrid { first: 80, step: 80, wm: 80, last: 480 }
+        } else {
+            fuzz_grid()
+        };
+        let mix = LatenessMix { on_time: 0.3, within_wm: 0.3, beyond_wm: 0.2, boundary: 0.2 };
+        check_fuzz_case(seed, grid, &FuzzConfig { mix, ..FuzzConfig::default() });
+    }
+
     /// The default overlapping grid (WM = 2·step) under a seed-drawn
     /// lateness mix, duplicates included.
     #[test]
@@ -61,6 +131,32 @@ proptest! {
         let cfg = StimulusConfig::default();
         let harness = fixture_harness(grid);
         run(&harness, &fixture_stream(seed, grid, &cfg));
+    }
+}
+
+/// A pinned family of fuzzed cases per CI seed job.
+#[test]
+fn pinned_fuzz_family_matches_oracle() {
+    let base = 3000 + seed_offset() * 100_000;
+    for seed in base..base + 12 {
+        check_fuzz_case(seed, fuzz_grid(), &FuzzConfig::default());
+    }
+}
+
+/// The fixture rule set (relations, builtins, statically-determined fluents
+/// — vocabulary the fuzzer does not draw), pinned per CI seed job: against
+/// the oracle, and live against the restore relay (static-fluent
+/// clamp-reuse vs full re-solve).
+#[test]
+fn pinned_fixture_family_matches_oracle_and_restore_relay() {
+    let grid = fixture_grid();
+    let harness = fixture_harness(grid);
+    let cfg = StimulusConfig::default();
+    let base = 4000 + seed_offset() * 100_000;
+    for seed in base..base + 8 {
+        let stream = fixture_stream(seed, grid, &cfg);
+        run(&harness, &stream);
+        harness.check_restored(&stream).unwrap_or_else(|e| panic!("live vs restored: {e}"));
     }
 }
 

@@ -29,6 +29,7 @@
 use crate::items::item_to_sde;
 use insight_datagen::regions::Region;
 use insight_datagen::scenario::Scenario;
+use insight_rtec::compile::CompiledPlan;
 use insight_rtec::window::WindowConfig;
 use insight_streams::chaos::{ChaosConfig, ChaosSource, ChaosStats, KillAt, KillSwitch};
 use insight_streams::checkpoint::{Checkpointable, StateBlob};
@@ -92,18 +93,18 @@ pub struct RtecProcessor {
     eval_counters: Option<EvalCounters>,
 }
 
-/// Per-region evaluation-effort counters: strata actually re-evaluated,
-/// fluent groundings recomputed, window-cycle heap allocations and store
-/// refill/re-index time (ns). Clean cache hits add nothing, so these expose
-/// how much work delta-awareness saved; the allocation counter reads 0 per
-/// window once the slot-indexed data plane's retained state has sized to
-/// the working set.
+/// Per-region evaluation-effort metrics: strata actually re-evaluated,
+/// fluent groundings recomputed, window-cycle heap allocations, and the
+/// per-window store refill/re-index time. Clean cache hits add nothing, so
+/// the counters expose how much work delta-awareness saved; the allocation
+/// counter stops growing once the engine's retained state has sized to the
+/// working set.
 #[derive(Clone)]
 struct EvalCounters {
     strata: Arc<Counter>,
     groundings: Arc<Counter>,
     allocations: Arc<Counter>,
-    rebuild_ns: Arc<Counter>,
+    rebuild_ns: Arc<Histogram>,
 }
 
 impl RtecProcessor {
@@ -159,7 +160,8 @@ impl RtecProcessor {
                         .counter(&format!("rtec.{}.groundings_recomputed", self.region)),
                     allocations: registry
                         .counter(&format!("rtec.{}.window_allocations", self.region)),
-                    rebuild_ns: registry.counter(&format!("rtec.{}.cache_rebuild_ns", self.region)),
+                    rebuild_ns: registry
+                        .histogram(&format!("rtec.{}.cache_rebuild_ns", self.region)),
                 });
             }
         }
@@ -180,8 +182,7 @@ impl RtecProcessor {
             c.strata.add(result.raw.timing.strata_evaluated as u64);
             c.groundings.add(result.raw.timing.groundings_recomputed as u64);
             c.allocations.add(result.raw.timing.window_allocations);
-            c.rebuild_ns
-                .add(result.raw.timing.cache_rebuild.as_nanos().min(u64::MAX as u128) as u64);
+            c.rebuild_ns.record(result.raw.timing.cache_rebuild);
         }
         let mut item = DataItem::new()
             .with("kind", "recognition")
@@ -349,6 +350,10 @@ impl Checkpointable for RtecProcessor {
 /// is what makes the recognition output shard-count-invariant.
 pub struct MultiRegionRtecProcessor {
     rules: Arc<TrafficRulesConfig>,
+    /// The rule library compiled once at build time; every replica's region
+    /// engines — including those of a replica rebuilt by the `Restart`
+    /// supervisor — evaluate this one plan (it holds no window state).
+    plan: Arc<CompiledPlan>,
     window: WindowConfig,
     /// Intersection metadata per region, shared across replicas.
     infos: Arc<HashMap<Region, Vec<IntersectionInfo>>>,
@@ -359,63 +364,45 @@ pub struct MultiRegionRtecProcessor {
     /// Items that failed SDE schema validation, counted stage-wide (a
     /// malformed item has no trustworthy region).
     malformed: Option<Arc<Counter>>,
-    /// Shared compiled execution plan; `Some` switches every region worker
-    /// to compiled evaluation.
-    plan: Option<Arc<insight_rtec::compile::CompiledPlan>>,
 }
 
 impl MultiRegionRtecProcessor {
     /// A replica serving queries at `first_query, first_query + step, …` per
-    /// region (step taken from `window`).
+    /// region (step taken from `window`). `plan` must be the compiled form
+    /// of `rules` (see [`TrafficRecognizer::with_plan`]).
     pub fn new(
         rules: Arc<TrafficRulesConfig>,
+        plan: Arc<CompiledPlan>,
         window: WindowConfig,
         infos: Arc<HashMap<Region, Vec<IntersectionInfo>>>,
         first_query: i64,
     ) -> MultiRegionRtecProcessor {
         MultiRegionRtecProcessor {
             rules,
+            plan,
             window,
             infos,
             first_query,
             states: BTreeMap::new(),
             malformed: None,
-            plan: None,
         }
-    }
-
-    /// Installs a pre-compiled execution plan: every lazily created region
-    /// worker switches its engine to compiled evaluation, sharing this one
-    /// `Arc` (the plan holds no window state, so replicas and regions can
-    /// all read it concurrently).
-    pub fn with_compiled_plan(
-        mut self,
-        plan: Option<Arc<insight_rtec::compile::CompiledPlan>>,
-    ) -> MultiRegionRtecProcessor {
-        self.plan = plan;
-        self
     }
 
     fn state_for(&mut self, region: Region) -> Result<&mut RtecProcessor, StreamsError> {
         if !self.states.contains_key(&region) {
             let infos = self.infos.get(&region).map(Vec::as_slice).unwrap_or(&[]);
-            let mut recognizer =
-                TrafficRecognizer::new((*self.rules).clone(), self.window, infos, &[]).map_err(
-                    |e| StreamsError::ProcessorFailed {
-                        process: format!("rtec[{region}]"),
-                        processor: None,
-                        message: e.to_string(),
-                    },
-                )?;
-            if let Some(plan) = &self.plan {
-                recognizer.set_compiled_plan(Arc::clone(plan)).map_err(|e| {
-                    StreamsError::ProcessorFailed {
-                        process: format!("rtec[{region}]"),
-                        processor: None,
-                        message: format!("installing shared compiled plan: {e}"),
-                    }
-                })?;
-            }
+            let recognizer = TrafficRecognizer::with_plan(
+                Arc::clone(&self.plan),
+                (*self.rules).clone(),
+                self.window,
+                infos,
+                &[],
+            )
+            .map_err(|e| StreamsError::ProcessorFailed {
+                process: format!("rtec[{region}]"),
+                processor: None,
+                message: e.to_string(),
+            })?;
             self.states.insert(
                 region,
                 RtecProcessor::new(recognizer, self.first_query, self.window.step(), region),
@@ -1089,12 +1076,6 @@ pub struct PipelineOptions {
     /// Deterministic kill injection on the crowd-EM stage, same contract as
     /// [`PipelineOptions::kill_rtec_at`].
     pub kill_crowd_em_at: Option<(u64, KillSwitch)>,
-    /// Run every region engine on the pre-compiled RTEC execution plan
-    /// (see [`insight_rtec::compile::CompiledPlan`]). The plan is compiled
-    /// once at build time and the one `Arc` is shared by all replicas'
-    /// region workers; checkpoints are unaffected (the plan is derived
-    /// state, rebuilt rather than serialised).
-    pub compiled_rtec: bool,
 }
 
 impl Default for PipelineOptions {
@@ -1114,7 +1095,6 @@ impl PipelineOptions {
             restarts: None,
             kill_rtec_at: None,
             kill_crowd_em_at: None,
-            compiled_rtec: false,
         }
     }
 
@@ -1277,23 +1257,17 @@ fn build_pipeline_inner(
     // Event processing: one sharded RTEC stage partitioned by region. Every
     // item of a region lands on the same replica, so each region engine
     // sees its full stream in FIFO order (see [`MultiRegionRtecProcessor`]).
-    // Validate the rule set once here so a bad configuration fails at build
-    // time rather than inside a replica; when the compiled mode is on, this
-    // is also where the one shared execution plan is compiled.
-    let mut probe = TrafficRecognizer::new(rules.clone(), window, &[], &[]).map_err(|e| {
-        StreamsError::ProcessorFailed {
+    // Compile the rule set once here: a bad configuration fails at build
+    // time rather than inside a replica, and every region engine of every
+    // replica shares the one execution plan.
+    let plan = TrafficRecognizer::new(rules.clone(), window, &[], &[])
+        .map_err(|e| StreamsError::ProcessorFailed {
             process: "rtec".into(),
             processor: None,
             message: e.to_string(),
-        }
-    })?;
-    let shared_plan = if options.compiled_rtec {
-        probe.set_compiled(true);
-        probe.compiled_plan().cloned()
-    } else {
-        None
-    };
-    drop(probe);
+        })?
+        .plan()
+        .clone();
     let mut infos_by_region: HashMap<Region, Vec<IntersectionInfo>> = HashMap::new();
     for i in scenario.scats.intersections() {
         infos_by_region.entry(i.region).or_default().push(IntersectionInfo {
@@ -1348,17 +1322,14 @@ fn build_pipeline_inner(
         .processor_factory({
             let rules = rules_shared.clone();
             let infos = infos.clone();
-            let plan = shared_plan.clone();
             move || {
-                Box::new(
-                    MultiRegionRtecProcessor::new(
-                        rules.clone(),
-                        window,
-                        infos.clone(),
-                        first_query,
-                    )
-                    .with_compiled_plan(plan.clone()),
-                )
+                Box::new(MultiRegionRtecProcessor::new(
+                    rules.clone(),
+                    plan.clone(),
+                    window,
+                    infos.clone(),
+                    first_query,
+                ))
             }
         })
         .output(Output::Queue("recognitions".into()))
@@ -1470,13 +1441,8 @@ mod tests {
     fn pipeline_metrics_capture_stages_queues_and_rtec_timings() {
         let scenario = Scenario::generate(ScenarioConfig::small(1200, 77)).unwrap();
         let window = WindowConfig::new(600, 300).unwrap();
-        // Compiled evaluation: the allocation and cache-rebuild counters
-        // asserted below account for the compiled data plane (they read 0 on
-        // the interpreted path, which `pipeline_runs_end_to_end` covers).
-        let options = PipelineOptions { compiled_rtec: true, ..PipelineOptions::standard() };
         let (topology, sink) =
-            build_pipeline_with(&scenario, TrafficRulesConfig::default(), window, &options)
-                .unwrap();
+            build_pipeline(&scenario, TrafficRulesConfig::default(), window).unwrap();
         let runtime = Runtime::new(topology);
         let metrics = runtime.metrics();
         runtime.run().unwrap();
@@ -1532,8 +1498,8 @@ mod tests {
             "grounding-recompute counters registered"
         );
 
-        // The slot-indexed data plane's allocation and cache-maintenance
-        // accounting flows through the same per-region counters.
+        // The engine's allocation and cache-maintenance accounting flows
+        // through the same per-region metrics.
         assert!(
             snap.counters
                 .keys()
@@ -1541,17 +1507,54 @@ mod tests {
             "window-allocation counters registered"
         );
         let rebuild_ns: u64 = snap
-            .counters
+            .histograms
             .iter()
             .filter(|(name, _)| name.starts_with("rtec.") && name.ends_with(".cache_rebuild_ns"))
-            .map(|(_, v)| *v)
+            .map(|(_, h)| h.sum_ns)
             .sum();
-        assert!(rebuild_ns > 0, "compiled windows spend time refilling retained stores");
+        assert!(rebuild_ns > 0, "windows spend time refilling retained stores");
 
         // Every summary carries its own recognition latency.
         for item in sink.items() {
             assert!(item.get_i64("recognition_ns").unwrap_or(-1) >= 0);
         }
+    }
+
+    /// Runs the default topology and returns the `window_allocations`
+    /// counters summed over the regions.
+    fn window_allocations(scenario: &Scenario) -> u64 {
+        let window = WindowConfig::new(600, 300).unwrap();
+        let (topology, _sink) =
+            build_pipeline(scenario, TrafficRulesConfig::default(), window).unwrap();
+        let runtime = Runtime::new(topology);
+        let metrics = runtime.metrics();
+        runtime.run().unwrap();
+        let snap = metrics.snapshot();
+        snap.counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("rtec.") && name.ends_with(".window_allocations"))
+            .map(|(_, v)| *v)
+            .sum()
+    }
+
+    #[test]
+    fn window_allocations_stop_growing_after_the_first_windows() {
+        // The same two-hour Dublin trace run in full (24 windows per region)
+        // and cut off halfway. The first windows size the engines' retained
+        // state to the working set; after that a window allocates only when
+        // traffic brings a grounding it has never seen, so the second hour
+        // adds a small fraction of what the first one did. An engine that
+        // rebuilt its window state per query would double the count.
+        let mut scenario = Scenario::generate(ScenarioConfig::small(7200, 77)).unwrap();
+        let full = window_allocations(&scenario);
+        let (start, end) = scenario.window();
+        scenario.sdes.retain(|s| s.arrival <= start + (end - start) / 2);
+        let first_half = window_allocations(&scenario);
+        assert!(first_half > 0, "the cold start sizes the retained tables");
+        assert!(
+            full <= first_half + first_half / 4,
+            "window allocations kept growing: {first_half} after one hour, {full} after two"
+        );
     }
 
     #[test]
@@ -1667,37 +1670,6 @@ mod tests {
                 "recognition output must not depend on shard counts ({options:?})"
             );
         }
-    }
-
-    #[test]
-    fn compiled_pipeline_output_identical_to_interpreted() {
-        // One shared execution plan across all replicas' region engines must
-        // be output-invisible — including under checkpoint supervision,
-        // where restored workers rebuild the plan rather than restore it.
-        let canonical = |options: &PipelineOptions| {
-            let scenario = Scenario::generate(ScenarioConfig::small(1200, 77)).unwrap();
-            let window = WindowConfig::new(600, 300).unwrap();
-            let (topology, sink) =
-                build_pipeline_with(&scenario, TrafficRulesConfig::default(), window, options)
-                    .unwrap();
-            Runtime::new(topology).run().unwrap();
-            crate::replay::canonical_recognitions(&sink.items())
-        };
-        let base = canonical(&PipelineOptions::standard());
-        assert!(!base.is_empty());
-        assert_eq!(
-            canonical(&PipelineOptions { compiled_rtec: true, ..PipelineOptions::standard() }),
-            base,
-            "compiled evaluation changed the pipeline output"
-        );
-        assert_eq!(
-            canonical(&PipelineOptions {
-                compiled_rtec: true,
-                ..PipelineOptions::recovering(8, 2)
-            }),
-            base,
-            "compiled evaluation changed the supervised pipeline output"
-        );
     }
 
     #[test]

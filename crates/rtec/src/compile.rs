@@ -1,46 +1,46 @@
 //! Compile-once lowering of a stratified [`RuleSet`] into an immutable
-//! execution plan.
+//! execution plan, and the solver that runs it.
 //!
-//! The interpreter walks the rule AST on every grounding of every window:
-//! each body atom re-resolves its event kind, fluent name, relation or
-//! builtin through a `HashMap<Symbol, _>` lookup, re-discriminates input
-//! fluents from derived ones, and re-allocates a `Bindings` environment, a
-//! role vector and an evidence-span stack per rule per window. Once deltas
-//! are small (PR 4), those fixed costs dominate.
+//! Walking the rule AST per grounding per window would re-resolve every
+//! event kind, fluent name, relation and builtin through a
+//! `HashMap<Symbol, _>` lookup and re-allocate a `Bindings` environment and
+//! an evidence-span stack per rule per window; once window deltas are small
+//! those fixed costs dominate.
 //!
 //! [`CompiledPlan::compile`] pays them **once**: every symbol a rule body
 //! can touch is resolved to a dense integer *slot* ([`SlotMap`]), strata are
-//! flattened into a topologically-ordered instruction array grouped by
-//! dependency level, and each rule body is lowered into [`CAtom`] programs —
-//! the PR 4 pivot plans specialised into compiled form, with the
-//! delta-bounding role baked into each `Happens` operand. The plan is
-//! immutable and `Arc`-shared: shard replicas and region engines built from
-//! the same rule set reuse one plan, and checkpoint snapshots exclude it
-//! entirely (it is derived state, rebuilt deterministically from the rule
+//! flattened into a topologically-ordered instruction array, and each rule
+//! body is lowered into [`CAtom`] programs — one full-solve program plus one
+//! delta-bounded pivot program per `happensAt` atom, with the
+//! delta-bounding role baked into each `Happens` operand. The plan owns its
+//! rule set, is immutable and `Arc`-shared: shard replicas and region
+//! engines built from the same rule set reuse one plan
+//! ([`crate::engine::Engine::with_plan`]), and checkpoint snapshots exclude
+//! it entirely (it is derived state, rebuilt deterministically from the rule
 //! set on restore).
 //!
-//! At query time the compiled solver ([`solve_c`]) runs over slot-indexed
-//! window stores ([`CEventStore`], [`CObsStore`], [`CFluentStore`]) — array
+//! At query time the solver ([`solve_c`]) runs over slot-indexed window
+//! stores ([`CEventStore`], [`CObsStore`], [`CFluentStore`]) — array
 //! indexing and binary search only, no string or hash lookups and no
 //! interner locks — and draws all of its scratch (bindings, evidence spans,
-//! binding trail, builtin argument buffer, inertia point splits) from a
-//! per-thread [`SolveScratch`] arena that never allocates in steady state.
+//! binding trail, builtin argument buffer) from a per-thread
+//! [`SolveScratch`] arena that never allocates in steady state.
 //! [`scratch_allocations`] exposes the arena's growth counter so tests can
 //! assert the zero-allocation property per window.
 
 use crate::dsl::RuleSet;
-use crate::engine::{eval_guard, resolve, term_time, BuiltinFn, FluentEntry, HappensRole};
-use crate::event::{Event, FluentObs};
-use crate::interval::{Interval, IntervalArena, IntervalList, IvRange};
+use crate::engine::BuiltinFn;
+use crate::interval::{IntervalArena, IntervalList, IvRange};
 use crate::pattern::{
     match_args_trail, undo_trail, ArgPat, Bindings, EventPattern, FluentPattern, VarId,
 };
-use crate::rule::{BodyAtom, GuardExpr, IntervalExpr, StaticRule, ValRef};
+use crate::rule::{BodyAtom, GuardExpr, IntervalExpr, NumExpr, StaticRule, ValRef};
 use crate::stratify::{body_deps, HeadKind};
 use crate::term::{Symbol, Term};
 use crate::time::{Time, TIME_MAX, TIME_MIN};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Index of a pre-resolved symbol in a [`CompiledPlan`]'s dense tables.
@@ -57,12 +57,12 @@ const NO_SLOT: u32 = u32::MAX;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SlotMap {
     table: Vec<u32>,
-    symbols: Vec<Symbol>,
+    len: u32,
 }
 
 impl SlotMap {
     fn new() -> SlotMap {
-        SlotMap { table: Vec::new(), symbols: Vec::new() }
+        SlotMap { table: Vec::new(), len: 0 }
     }
 
     fn intern(&mut self, sym: Symbol) -> SlotId {
@@ -73,9 +73,9 @@ impl SlotMap {
         if self.table[idx] != NO_SLOT {
             return self.table[idx];
         }
-        let slot = u32::try_from(self.symbols.len()).expect("slot overflow");
+        let slot = self.len;
         self.table[idx] = slot;
-        self.symbols.push(sym);
+        self.len += 1;
         slot
     }
 
@@ -89,12 +89,7 @@ impl SlotMap {
 
     /// Number of slots assigned.
     pub(crate) fn len(&self) -> usize {
-        self.symbols.len()
-    }
-
-    /// The symbol occupying `slot`.
-    pub(crate) fn symbol(&self, slot: SlotId) -> Symbol {
-        self.symbols[slot as usize]
+        self.len as usize
     }
 }
 
@@ -102,9 +97,22 @@ impl SlotMap {
 // Lowered rule bodies
 // ---------------------------------------------------------------------------
 
-/// One lowered body atom: the interpreter's [`BodyAtom`] with every name
-/// pre-resolved to a slot, input/derived fluent discrimination done at
-/// compile time, and the PR 4 delta-bounding role baked in.
+/// Role of a `Happens` atom inside one pivot program of a [`CBody`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HappensRole {
+    /// The pivot: its event time must be `>= frontier`.
+    Pivot,
+    /// A happens atom preceding the pivot in the original body: its event
+    /// time must be `< frontier` (so the union over all pivot programs
+    /// partitions the delta-reachable derivations without duplicates).
+    Before,
+    /// No time restriction.
+    Free,
+}
+
+/// One lowered body atom: a [`BodyAtom`] with every name pre-resolved to a
+/// slot, input/derived fluent discrimination done at compile time, and the
+/// delta-bounding role baked in.
 #[derive(Debug, Clone)]
 pub(crate) enum CAtom {
     /// `happensAt(kind(args…), T)` with its pivot role fixed per program.
@@ -159,9 +167,9 @@ pub(crate) enum CAtom {
 }
 
 /// One lowered body: the full-solve program plus one delta-bounded pivot
-/// program per `happensAt` atom (the compiled form of the PR 4 pivot
-/// plans — same partitioning contract, fixed operand slots, no per-window
-/// cloning or role-vector allocation).
+/// program per `happensAt` atom. Pivoting is safe — pattern atoms only *add*
+/// bindings and all other atoms keep their relative order, so binding
+/// prerequisites still hold with the pivot moved to the front.
 #[derive(Debug, Clone)]
 pub(crate) struct CBody {
     /// All atoms in body order, every role `Free` (full re-solve).
@@ -203,11 +211,9 @@ pub(crate) struct CStatic {
 // ---------------------------------------------------------------------------
 
 /// One instruction of the flat stratum array: everything the evaluator needs
-/// to run one stratum, with all per-engine precomputation folded in.
+/// to run one stratum, precomputed.
 #[derive(Debug, Clone)]
 pub(crate) struct StratumInstr {
-    /// Index of the stratum in the rule set's stratification (merge order).
-    pub si: u32,
     /// The head symbol.
     pub symbol: Symbol,
     /// The head symbol's slot.
@@ -218,47 +224,64 @@ pub(crate) struct StratumInstr {
     pub rules: Vec<u32>,
     /// Slots of the stratum's direct body dependencies (frontier reads).
     pub dep_slots: Vec<SlotId>,
-    /// Whether delta-bounded (pivoted) evaluation is complete for every rule.
+    /// Whether delta-bounded (pivoted) evaluation is complete for every
+    /// rule (see [`body_pivotable`]). Strata with rules that read fluents at
+    /// times taken from event arguments or relation tuples re-solve fully
+    /// whenever the window start has advanced: such a read can flip with
+    /// *no* input delta once its time falls behind the new window start
+    /// (e.g. a negated `holdsAt` at an expired time-point becomes true), so
+    /// neither cached derivations nor a clean-dependency skip are sound.
     pub pivotable: bool,
     /// For static strata: whether the rule domains are free of event/fluent
-    /// atoms (clamp-reuse is sound when clean).
+    /// atoms. Pure relation/guard domains can be clamp-reused when clean;
+    /// event-driven domains must be re-solved because expiry can shrink
+    /// them silently.
     pub static_pure: bool,
 }
 
 /// An immutable, `Arc`-shared execution plan compiled once from a
-/// [`RuleSet`].
+/// [`RuleSet`], which it owns.
 ///
-/// The plan owns no window state: engines evaluate against it concurrently
-/// (PR 5 shard replicas and region engines share one plan), and it is
-/// excluded from checkpoint snapshots — restoring an engine rebuilds the
-/// plan deterministically from the same rule set (see
-/// [`CompiledPlan::signature`]).
+/// The plan holds no window state: engines evaluate against it concurrently
+/// (shard replicas and region engines share one plan), and it is excluded
+/// from checkpoint snapshots — a restored engine is rebuilt over the same
+/// plan, or over one recompiled deterministically from the same rule set
+/// (see [`CompiledPlan::signature`]).
 pub struct CompiledPlan {
+    pub(crate) rules: RuleSet,
     pub(crate) slots: SlotMap,
-    /// Flat instruction array in level-major topological order.
+    /// One instruction per stratum, in stratification (topological) order.
     pub(crate) instrs: Vec<StratumInstr>,
-    /// Ranges into `instrs`, one per dependency level.
-    pub(crate) levels: Vec<std::ops::Range<usize>>,
     /// Lowered bodies per event rule, aligned with `RuleSet::ev_rules`.
     pub(crate) ev_bodies: Vec<CBody>,
     /// Lowered bodies per simple-fluent rule, aligned with `sf_rules`.
     pub(crate) sf_bodies: Vec<CBody>,
     /// Lowered static rules, aligned with `static_rules`.
     pub(crate) static_bodies: Vec<CStatic>,
-    /// Relation symbols in dense-index order.
+    /// Relation symbols in dense-index order (sorted).
     pub(crate) relation_syms: Vec<Symbol>,
-    /// Builtin symbols in dense-index order.
+    /// Builtin symbols in dense-index order (sorted).
     pub(crate) builtin_syms: Vec<Symbol>,
-    /// Rule counts of the source rule set (for sharing validation).
-    rule_counts: (usize, usize, usize),
     signature: u64,
+}
+
+static PLANS_COMPILED: AtomicU64 = AtomicU64::new(0);
+
+/// Number of plans this process has compiled so far. Nothing compiles behind
+/// the caller's back — only [`CompiledPlan::compile`] does, directly or
+/// through [`crate::engine::Engine::new`] — so a topology that shares its
+/// plan moves this counter by exactly one, however many engines it builds
+/// (or rebuilds after a crash) over it.
+pub fn plans_compiled() -> u64 {
+    PLANS_COMPILED.load(Ordering::Relaxed)
 }
 
 impl CompiledPlan {
     /// Compiles `rules` into an immutable execution plan. The pass is
     /// deterministic: compiling the same rule set twice yields plans with
     /// identical instruction arrays and identical [`CompiledPlan::signature`]s.
-    pub fn compile(rules: &RuleSet) -> Arc<CompiledPlan> {
+    pub fn compile(rules: RuleSet) -> Arc<CompiledPlan> {
+        PLANS_COMPILED.fetch_add(1, Ordering::Relaxed);
         let mut slots = SlotMap::new();
         // Head symbols first (stratum order), then declared inputs (sorted)
         // — a deterministic assignment independent of HashMap iteration.
@@ -283,16 +306,17 @@ impl CompiledPlan {
 
         let lower_body = |body: &[BodyAtom]| -> CBody {
             let full: Vec<CAtom> =
-                body.iter().map(|a| lower_atom(a, rules, &slots, &rel_idx, &bi_idx)).collect();
+                body.iter().map(|a| lower_atom(a, &rules, &slots, &rel_idx, &bi_idx)).collect();
             let mut pivots = Vec::new();
             for (pi, atom) in full.iter().enumerate() {
                 if !matches!(atom, CAtom::Happens { .. }) {
                     continue;
                 }
-                // Same partitioning as the interpreter's pivot plans: the
-                // pivot moves to the front (pattern atoms only add bindings,
-                // so prerequisites still hold), earlier happens atoms become
-                // `Before`, everything else stays `Free`.
+                // Program `pi` enumerates exactly the derivations whose
+                // *first* happens atom (in body order) at or after the
+                // frontier is atom `pi`: the pivot moves to the front,
+                // earlier happens atoms become `Before`, everything else
+                // stays `Free`.
                 let mut prog = Vec::with_capacity(full.len());
                 prog.push(with_role(atom.clone(), HappensRole::Pivot));
                 for (j, a) in full.iter().enumerate() {
@@ -320,15 +344,17 @@ impl CompiledPlan {
                 domain: r
                     .domain
                     .iter()
-                    .map(|a| lower_atom(a, rules, &slots, &rel_idx, &bi_idx))
+                    .map(|a| lower_atom(a, &rules, &slots, &rel_idx, &bi_idx))
                     .collect(),
                 expr: lower_expr(&r.expr, &slots),
             })
             .collect();
 
-        // Per-stratum metadata, mirroring Engine::new's precomputation.
-        let mut instr_by_si: Vec<StratumInstr> = Vec::with_capacity(rules.strata.len());
-        for (si, s) in rules.strata.iter().enumerate() {
+        // Stratification orders strata topologically, so evaluating the
+        // instruction array front to back sees every derived dependency
+        // before its readers.
+        let mut instrs: Vec<StratumInstr> = Vec::with_capacity(rules.strata.len());
+        for s in &rules.strata {
             let mut deps: HashSet<Symbol> = HashSet::new();
             let mut pivotable = true;
             let mut static_pure = true;
@@ -360,8 +386,7 @@ impl CompiledPlan {
             }
             let mut dep_slots: Vec<SlotId> = deps.iter().filter_map(|&d| slots.slot(d)).collect();
             dep_slots.sort_unstable();
-            instr_by_si.push(StratumInstr {
-                si: si as u32,
+            instrs.push(StratumInstr {
                 symbol: s.symbol,
                 slot: slots.slot(s.symbol).expect("head symbol interned above"),
                 kind: s.kind,
@@ -372,48 +397,24 @@ impl CompiledPlan {
             });
         }
 
-        // Dependency depth per stratum (identical to Engine::new), then a
-        // level-major flat instruction array.
-        let sym_to_idx: HashMap<Symbol, usize> =
-            rules.strata.iter().enumerate().map(|(i, s)| (s.symbol, i)).collect();
-        let mut level = vec![0usize; rules.strata.len()];
-        for i in 0..rules.strata.len() {
-            level[i] = instr_by_si[i]
-                .dep_slots
-                .iter()
-                .filter_map(|&d| sym_to_idx.get(&slots.symbol(d)).copied().filter(|&j| j < i))
-                .map(|j| level[j] + 1)
-                .max()
-                .unwrap_or(0);
-        }
-        let depth = level.iter().copied().max().map_or(0, |m| m + 1);
-        let mut instrs: Vec<StratumInstr> = Vec::with_capacity(instr_by_si.len());
-        let mut levels: Vec<std::ops::Range<usize>> = Vec::with_capacity(depth);
-        for l in 0..depth {
-            let begin = instrs.len();
-            for (i, instr) in instr_by_si.iter().enumerate() {
-                if level[i] == l {
-                    instrs.push(instr.clone());
-                }
-            }
-            levels.push(begin..instrs.len());
-        }
-
-        let rule_counts = (rules.sf_rules.len(), rules.ev_rules.len(), rules.static_rules.len());
         let mut plan = CompiledPlan {
+            rules,
             slots,
             instrs,
-            levels,
             ev_bodies,
             sf_bodies,
             static_bodies,
             relation_syms,
             builtin_syms,
-            rule_counts,
             signature: 0,
         };
         plan.signature = plan.fingerprint();
         Arc::new(plan)
+    }
+
+    /// The rule set this plan was compiled from.
+    pub fn ruleset(&self) -> &RuleSet {
+        &self.rules
     }
 
     /// A deterministic fingerprint of the plan's structure: two plans
@@ -433,46 +434,6 @@ impl CompiledPlan {
         self.instrs.len()
     }
 
-    /// Number of dependency levels (independent strata share a level).
-    pub fn n_levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Validates that this plan was compiled from a rule set with the same
-    /// stratification as `rules` (used when sharing one plan across shard
-    /// replicas / region engines).
-    pub(crate) fn matches(&self, rules: &RuleSet) -> Result<(), String> {
-        if rules.strata.len() != self.instrs.len() {
-            return Err(format!(
-                "plan has {} strata, rule set has {}",
-                self.instrs.len(),
-                rules.strata.len()
-            ));
-        }
-        let counts = (rules.sf_rules.len(), rules.ev_rules.len(), rules.static_rules.len());
-        if counts != self.rule_counts {
-            return Err(format!(
-                "plan rule counts {:?} do not match rule set {:?}",
-                self.rule_counts, counts
-            ));
-        }
-        for instr in &self.instrs {
-            let s = &rules.strata[instr.si as usize];
-            if s.symbol != instr.symbol || s.kind != instr.kind {
-                return Err(format!(
-                    "stratum {} is `{}` in the plan but `{}` in the rule set",
-                    instr.si, instr.symbol, s.symbol
-                ));
-            }
-            if s.rule_indices.len() != instr.rules.len()
-                || s.rule_indices.iter().zip(&instr.rules).any(|(&a, &b)| a as u32 != b)
-            {
-                return Err(format!("stratum `{}` has different rule indices", instr.symbol));
-            }
-        }
-        Ok(())
-    }
-
     fn fingerprint(&self) -> u64 {
         // FNV-1a over the structural facts that define the plan.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -490,7 +451,6 @@ impl CompiledPlan {
                 HeadKind::SimpleFluent => 1,
                 HeadKind::StaticFluent => 2,
             }]);
-            eat(&instr.si.to_le_bytes());
             eat(&instr.slot.to_le_bytes());
             for &r in &instr.rules {
                 eat(&r.to_le_bytes());
@@ -499,10 +459,6 @@ impl CompiledPlan {
                 eat(&d.to_le_bytes());
             }
             eat(&[u8::from(instr.pivotable), u8::from(instr.static_pure)]);
-        }
-        for (i, range) in self.levels.iter().enumerate() {
-            eat(&(i as u32).to_le_bytes());
-            eat(&(range.len() as u32).to_le_bytes());
         }
         h
     }
@@ -513,15 +469,16 @@ impl std::fmt::Debug for CompiledPlan {
         f.debug_struct("CompiledPlan")
             .field("slots", &self.slots.len())
             .field("strata", &self.instrs.len())
-            .field("levels", &self.levels.len())
             .field("signature", &format_args!("{:016x}", self.signature))
             .finish()
     }
 }
 
-/// Whether pivoted (delta-bounded) evaluation is complete for `body` —
-/// the same predicate the interpreter uses (see `engine::body_pivotable`),
-/// duplicated here so the compile pass is self-contained.
+/// Whether pivoted (delta-bounded) evaluation is complete for `body`: every
+/// `Holds` atom must read its fluent at a time bound by a preceding
+/// `happensAt` condition. A time taken from an event argument or a relation
+/// tuple can reach upstream changes that no happens-time bound sees, so such
+/// rules must be fully re-solved when their stratum is dirty.
 fn body_pivotable(body: &[BodyAtom]) -> bool {
     let mut happens_times: Vec<VarId> = Vec::new();
     for atom in body {
@@ -600,8 +557,8 @@ fn lower_expr(expr: &IntervalExpr, slots: &SlotMap) -> CIntervalExpr {
 /// Events of one kind, sorted by time. Argument terms live in a per-kind
 /// pool (`items` holds `(time, offset, len)` triples) so refilling the store
 /// each window reuses capacity instead of cloning a `Vec<Term>` per event; a
-/// sorted `(first-arg, index)` side table replaces the interpreter's per-kind
-/// `HashMap<Term, Vec<u32>>` (binary search instead of hashing).
+/// sorted `(first-arg, index)` side table narrows joins on a bound leading
+/// argument by binary search.
 #[derive(Default)]
 pub(crate) struct CEventKind {
     items: Vec<(Time, u32, u16)>,
@@ -702,26 +659,6 @@ impl CEventStore {
         self.kinds[slot as usize].rebuild();
     }
 
-    pub(crate) fn build(n_slots: usize, events: Vec<Event>, slots: &SlotMap) -> CEventStore {
-        let mut store = CEventStore::new(n_slots);
-        for e in events {
-            let slot = slots.slot(e.kind).expect("declared input event has a slot");
-            store.push(slot, e.time, &e.args);
-        }
-        store.rebuild_all();
-        store
-    }
-
-    pub(crate) fn add_derived(&mut self, slot: SlotId, events: &[Event]) {
-        if events.is_empty() {
-            return;
-        }
-        for e in events {
-            self.kinds[slot as usize].push(e.time, &e.args);
-        }
-        self.kinds[slot as usize].rebuild();
-    }
-
     pub(crate) fn visit_caps(&self, f: &mut impl FnMut(usize)) {
         for k in &self.kinds {
             k.visit_caps(f);
@@ -804,16 +741,6 @@ impl CObsStore {
                 k.sort();
             }
         }
-    }
-
-    pub(crate) fn build(n_slots: usize, obs: Vec<FluentObs>, slots: &SlotMap) -> CObsStore {
-        let mut store = CObsStore::new(n_slots);
-        for o in obs {
-            let slot = slots.slot(o.name).expect("declared input fluent has a slot");
-            store.push(slot, o.time, &o.args, &o.value);
-        }
-        store.sort_all();
-        store
     }
 
     pub(crate) fn visit_caps(&self, f: &mut impl FnMut(usize)) {
@@ -912,19 +839,6 @@ impl CFluentStore {
         self.slots[slot as usize].by_first.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
     }
 
-    /// Appends one stratum's output entries and rebuilds the slot's
-    /// first-arg index.
-    pub(crate) fn insert_entries<'a>(
-        &mut self,
-        slot: SlotId,
-        entries: impl Iterator<Item = &'a FluentEntry>,
-    ) {
-        for e in entries {
-            self.insert_entry(slot, &e.args, &e.value, &e.ivs);
-        }
-        self.finish_slot(slot);
-    }
-
     pub(crate) fn visit_caps(&self, f: &mut impl FnMut(usize)) {
         for s in &self.slots {
             s.visit_caps(f);
@@ -946,8 +860,8 @@ pub(crate) struct CCtx<'a> {
 // ---------------------------------------------------------------------------
 
 /// Reusable per-thread evaluation scratch: the bindings environment, the
-/// evidence-span stack, the binding trail, the builtin argument buffer and
-/// the inertia point-split buffers. All buffers retain their capacity across
+/// evidence-span stack, the binding trail and the builtin argument buffer.
+/// All buffers retain their capacity across
 /// windows, so steady-state evaluation performs **zero** allocations here —
 /// [`scratch_allocations`] counts every capacity growth so tests can prove
 /// it.
@@ -956,9 +870,6 @@ pub(crate) struct SolveScratch {
     pub(crate) spans: Vec<Time>,
     pub(crate) trail: Vec<VarId>,
     pub(crate) args_buf: Vec<Term>,
-    pub(crate) inits: Vec<Time>,
-    pub(crate) terms: Vec<Time>,
-    pub(crate) ivs: Vec<Interval>,
     active: bool,
     allocations: u64,
 }
@@ -970,24 +881,13 @@ impl SolveScratch {
             spans: Vec::new(),
             trail: Vec::new(),
             args_buf: Vec::new(),
-            inits: Vec::new(),
-            terms: Vec::new(),
-            ivs: Vec::new(),
             active: false,
             allocations: 0,
         }
     }
 
-    fn capacities(&self) -> [usize; 7] {
-        [
-            self.b.capacity(),
-            self.spans.capacity(),
-            self.trail.capacity(),
-            self.args_buf.capacity(),
-            self.inits.capacity(),
-            self.terms.capacity(),
-            self.ivs.capacity(),
-        ]
+    fn capacities(&self) -> [usize; 4] {
+        [self.b.capacity(), self.spans.capacity(), self.trail.capacity(), self.args_buf.capacity()]
     }
 }
 
@@ -1016,8 +916,8 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut SolveScratch) -> R) -> R {
 }
 
 /// Number of scratch-arena allocations (buffer growths) performed by the
-/// calling thread's compiled evaluation so far. Steady-state compiled
-/// windows leave this counter unchanged — the hot-path allocation
+/// calling thread's rule evaluation so far. Steady-state windows leave this
+/// counter unchanged — the hot-path allocation
 /// regression test asserts exactly that.
 pub fn scratch_allocations() -> u64 {
     SCRATCH.with(|cell| cell.borrow().allocations)
@@ -1027,10 +927,51 @@ pub fn scratch_allocations() -> u64 {
 // The compiled solver
 // ---------------------------------------------------------------------------
 
+pub(crate) fn term_time(t: &Term) -> Option<Time> {
+    t.as_i64()
+}
+
+fn resolve(v: &ValRef, b: &Bindings) -> Option<Term> {
+    match v {
+        ValRef::Const(t) => Some(t.clone()),
+        ValRef::Var(var) => b.get(*var).cloned(),
+    }
+}
+
+fn eval_num(e: &NumExpr, b: &Bindings) -> Option<f64> {
+    match e {
+        NumExpr::Var(v) => b.get(*v)?.as_f64(),
+        NumExpr::Const(c) => Some(*c),
+        NumExpr::Add(l, r) => Some(eval_num(l, b)? + eval_num(r, b)?),
+        NumExpr::Sub(l, r) => Some(eval_num(l, b)? - eval_num(r, b)?),
+        NumExpr::Mul(l, r) => Some(eval_num(l, b)? * eval_num(r, b)?),
+        NumExpr::Abs(x) => Some(eval_num(x, b)?.abs()),
+    }
+}
+
+fn eval_guard(g: &GuardExpr, b: &Bindings) -> bool {
+    match g {
+        GuardExpr::Cmp { lhs, op, rhs } => match (eval_num(lhs, b), eval_num(rhs, b)) {
+            (Some(l), Some(r)) => op.apply(l, r),
+            _ => false,
+        },
+        GuardExpr::TermEq(l, r) => match (resolve(l, b), resolve(r, b)) {
+            (Some(l), Some(r)) => l == r,
+            _ => false,
+        },
+        GuardExpr::TermNe(l, r) => match (resolve(l, b), resolve(r, b)) {
+            (Some(l), Some(r)) => l != r,
+            _ => false,
+        },
+        GuardExpr::And(gs) => gs.iter().all(|g| eval_guard(g, b)),
+        GuardExpr::Or(gs) => gs.iter().any(|g| eval_guard(g, b)),
+        GuardExpr::Not(g) => !eval_guard(g, b),
+    }
+}
+
 /// Solves one lowered body relative to a change frontier: the full program
 /// when the frontier is at or below the window start, otherwise one pivot
-/// program per happens atom (the PR 4 delta-bounding contract, with roles
-/// baked into the instruction stream instead of a per-call role vector).
+/// program per happens atom.
 pub(crate) fn solve_frontier_c(
     ctx: &CCtx<'_>,
     body: &CBody,
@@ -1067,30 +1008,6 @@ pub(crate) fn solve_domain_c(
         let SolveScratch { b, spans, trail, args_buf, .. } = s;
         solve_c(ctx, atoms, TIME_MIN, b, spans, trail, args_buf, out);
     });
-}
-
-/// Splits a set of `(time, is_initiation)` points into the scratch
-/// init/term buffers and builds the inertia intervals — the compiled
-/// equivalent of the interpreter's thread-local `POINT_SCRATCH`.
-pub(crate) fn intervals_from_points(
-    points: impl Iterator<Item = (Time, bool)>,
-    initially: bool,
-    start: Time,
-) -> crate::interval::IntervalList {
-    with_scratch(|s| {
-        s.inits.clear();
-        s.terms.clear();
-        for (t, init) in points {
-            if init {
-                s.inits.push(t);
-            } else {
-                s.terms.push(t);
-            }
-        }
-        let SolveScratch { inits, terms, ivs, .. } = s;
-        crate::interval::points_into(inits, terms, initially, start, ivs);
-        crate::interval::IntervalList::from_normalised(ivs)
-    })
 }
 
 /// Matches one event against a pattern + time variable using the binding
@@ -1158,11 +1075,12 @@ fn fluent_matches_c(
     hit
 }
 
-/// Depth-first resolution of one compiled program — the allocation-free
-/// twin of the interpreter's `solve_spanned`: roles come baked into the
-/// `Happens` operands, symbol lookups are slot-indexed array reads, newly
-/// bound variables go onto the shared trail, and builtin arguments resolve
-/// into a reusable buffer.
+/// Depth-first resolution of one compiled program, tracking the evidence
+/// times of the current partial solution in `spans` (every matched event
+/// time and every fluent read time). Allocation-free: roles come baked into
+/// the `Happens` operands, symbol lookups are slot-indexed array reads,
+/// newly bound variables go onto the shared trail, and builtin arguments
+/// resolve into a reusable buffer.
 #[allow(clippy::too_many_arguments)]
 fn solve_c(
     ctx: &CCtx<'_>,
@@ -1386,49 +1304,11 @@ fn solve_c(
     }
 }
 
-/// Evaluates a lowered interval expression under one solution environment —
-/// the compiled twin of the interpreter's `eval_interval_expr`, probing
-/// entries through the trail instead of cloning the environment per entry.
-pub(crate) fn eval_interval_expr_c(
-    expr: &CIntervalExpr,
-    b: &mut Bindings,
-    trail: &mut Vec<VarId>,
-    fluents: &CFluentStore,
-) -> crate::interval::IntervalList {
-    match expr {
-        CIntervalExpr::Fluent { slot, pat } => {
-            let fs = &fluents.slots[*slot as usize];
-            let mut acc: Vec<&IntervalList> = Vec::new();
-            for i in 0..fs.len() {
-                if fluent_matches_c(pat, fs.args(i), fs.value(i), b, trail) {
-                    acc.push(fs.ivs(i));
-                }
-            }
-            IntervalList::union_all(acc)
-        }
-        CIntervalExpr::Union(es) => {
-            let lists: Vec<IntervalList> =
-                es.iter().map(|e| eval_interval_expr_c(e, b, trail, fluents)).collect();
-            IntervalList::union_all(lists.iter())
-        }
-        CIntervalExpr::Intersect(es) => {
-            let lists: Vec<IntervalList> =
-                es.iter().map(|e| eval_interval_expr_c(e, b, trail, fluents)).collect();
-            IntervalList::intersect_all(lists.iter())
-        }
-        CIntervalExpr::RelComp(base, subs) => {
-            let base_l = eval_interval_expr_c(base, b, trail, fluents);
-            let sub_ls: Vec<IntervalList> =
-                subs.iter().map(|e| eval_interval_expr_c(e, b, trail, fluents)).collect();
-            IntervalList::relative_complement_all(&base_l, sub_ls.iter())
-        }
-    }
-}
-
-/// Arena-backed twin of [`eval_interval_expr_c`]: every node writes its
-/// (normalised, contiguous) result into `arena` scratch and returns an
-/// index range, so expression evaluation allocates nothing once the arena
-/// and `ranges` buffer are warm. The caller owns the arena lifetime — mark
+/// Evaluates a lowered interval expression under one solution environment.
+/// Every node writes its (normalised, contiguous) result into `arena`
+/// scratch and returns an index range, so expression evaluation allocates
+/// nothing once the arena and `ranges` buffer are warm; entries are probed
+/// through the trail instead of cloning the environment. The caller owns the arena lifetime — mark
 /// before, truncate after consuming the returned range.
 pub(crate) fn eval_interval_expr_into(
     expr: &CIntervalExpr,

@@ -84,12 +84,6 @@ pub enum RtecError {
         /// Description of the problem.
         detail: String,
     },
-    /// A shared [`crate::compile::CompiledPlan`] was installed into an engine
-    /// whose rule set it was not compiled from.
-    PlanMismatch {
-        /// Description of the mismatch.
-        detail: String,
-    },
 }
 
 impl fmt::Display for RtecError {
@@ -128,9 +122,6 @@ impl fmt::Display for RtecError {
             ),
             RtecError::CorruptState { detail } => {
                 write!(f, "corrupt engine state snapshot: {detail}")
-            }
-            RtecError::PlanMismatch { detail } => {
-                write!(f, "compiled plan does not fit this engine's rule set: {detail}")
             }
         }
     }

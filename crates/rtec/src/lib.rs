@@ -68,7 +68,6 @@ pub mod error;
 pub mod event;
 pub mod interval;
 pub mod pattern;
-pub mod pool;
 pub mod pretty;
 pub mod rule;
 mod slotstate;

@@ -1,20 +1,18 @@
-//! Retained slot-indexed window state for the compiled engine.
+//! Retained slot-indexed window state of the engine.
 //!
-//! The interpreter (and the first compiled engine) rebuilt its per-window
-//! caches from scratch every query: four fresh `HashMap`s keyed by symbols
-//! and `Vec<Term>` groundings, fresh SDE-buffer indexes, and a fresh
-//! `Arc<Vec<Interval>>` per fluent grounding. This module replaces all of
-//! that — for the compiled path only — with state that is *retained and
-//! compacted* across queries:
+//! Rebuilding per-window caches from scratch every query — fresh `HashMap`s
+//! keyed by symbols and `Vec<Term>` groundings, fresh SDE-buffer indexes, a
+//! fresh `Arc<Vec<Interval>>` per fluent grounding — makes allocation the
+//! dominant cost of a small-delta window. This module holds the state that
+//! is instead *retained and compacted* across queries:
 //!
 //! - per-stratum grounding tables ([`SfTable`], [`EvTable`], [`StTable`])
 //!   whose entries are generation-stamped instead of being moved between an
 //!   "old" and a "new" map. A window cycle bumps the generation, touches the
 //!   groundings the delta reaches, and leaves everything else in place.
 //!   Grounding keys live in per-table `Term` pools (no per-key `Vec`), and a
-//!   sorted order index keeps iteration deterministic — the same
-//!   sorted-by-key order the interpreter gets from its `BTreeSet`, so both
-//!   engines emit identical output order regardless of table history.
+//!   sorted order index keeps iteration deterministic — sorted by key, so
+//!   output order is independent of table history.
 //! - double-buffered derivation sides in [`EvTable`]: survivors are copied
 //!   from the previous side's pool into the next side's pool (compaction),
 //!   then the sides swap. Capacity is reused; steady state allocates
@@ -25,11 +23,12 @@
 //!   actually changed (and even then the previous `Arc` is reused when the
 //!   contents come out equal).
 //!
-//! Everything here is *derived state*: like the compiled plan, it is
-//! excluded from checkpoint snapshots and rebuilt on restore (the engine
-//! re-seeds the previous-window intervals from its canonical caches and
-//! marks itself dirty, so a restored engine answers queries exactly like a
-//! cold one).
+//! This is the engine's one canonical evaluation state. A checkpoint
+//! serialises only the part inertia needs — the current simple-fluent
+//! outputs — and restore seeds a fresh [`CycleState`] with them; the cached
+//! points and derivations are re-derived by the full evaluation the next
+//! query then runs, so a restored engine answers queries exactly like a
+//! cold one.
 //!
 //! [`CycleState::begin_caps`]/[`CycleState::end_caps`] implement the
 //! allocation accounting: every retained buffer's capacity is snapshotted
@@ -37,14 +36,20 @@
 //! allocation. After warm-up a steady-state cycle reports **zero** — the
 //! regression test in `tests/zero_alloc.rs` pins exactly that.
 
+use crate::compile::CompiledPlan;
 use crate::interval::{Interval, IntervalArena, IntervalList, IvRange};
 use crate::pattern::VarId;
+use crate::stratify::HeadKind;
 use crate::term::Term;
 use crate::time::Time;
 
 /// One cached initiation (`init == true`) or termination point of a simple
-/// fluent grounding, with the evidence span of the rule body that produced
-/// it (the same validity contract as the interpreter's `CachedPoint`).
+/// fluent grounding, with the *evidence span* of the rule body that produced
+/// it — the min/max of every event/fluent time on the solution path. The
+/// point stays valid exactly while its whole span is inside the window
+/// (`span_min > window_start`) and below the change frontier
+/// (`span_max < frontier`), because everything the body consulted at those
+/// times is unchanged.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CPoint {
     pub init: bool,
@@ -54,7 +59,8 @@ pub(crate) struct CPoint {
 }
 
 /// One cached derivation of a derived event: head args as a range into the
-/// owning side's term pool, plus occurrence time and evidence span.
+/// owning side's term pool, plus occurrence time and evidence span (same
+/// validity contract as [`CPoint`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CDeriv {
     pub off: u32,
@@ -73,9 +79,8 @@ pub(crate) struct MatRef {
     pub len: u16,
 }
 
-/// Compares a pooled grounding key against a probe `(args, value)` — the
-/// same lexicographic `(Vec<Term>, Term)` order the interpreter's `BTreeSet`
-/// universe uses.
+/// Compares a pooled grounding key against a probe `(args, value)`,
+/// lexicographically by args then value.
 fn key_cmp(
     pool: &[Term],
     off: u32,
@@ -99,8 +104,8 @@ pub(crate) struct SfGrounding {
     pub key_len: u16,
     pub value: Term,
     /// Generation whose `pts`/`out` this grounding holds; participates in
-    /// generation `g` exactly when `data_gen + 1 == g` (the interpreter's
-    /// "key present in last window's caches").
+    /// generation `g` exactly when `data_gen + 1 == g` (it was live in the
+    /// previous window).
     pub data_gen: u64,
     /// Generation last touched by fresh solve output.
     pub touch_gen: u64,
@@ -128,7 +133,6 @@ pub(crate) struct SfTable {
     pub terms: Vec<Time>,
     pub ivs: Vec<Interval>,
     pub key_buf: Vec<Term>,
-    pub arena: IntervalArena,
 }
 
 impl SfTable {
@@ -223,7 +227,6 @@ impl SfTable {
         f(self.terms.capacity());
         f(self.ivs.capacity());
         f(self.key_buf.capacity());
-        f(self.arena.capacity());
         for g in &self.gs {
             f(g.pts.capacity());
         }
@@ -239,8 +242,6 @@ impl SfTable {
 /// previous side's pool into the next's).
 #[derive(Default)]
 pub(crate) struct EvTable {
-    /// Generation `cur`/`mat_cur` reflect.
-    pub data_gen: u64,
     pub cur: Vec<CDeriv>,
     pub next: Vec<CDeriv>,
     pub pool_cur: Vec<Term>,
@@ -256,8 +257,8 @@ impl EvTable {
     }
 
     /// Builds `mat_next` from `next`: the deduplicated `(time, args)` pairs
-    /// with `time > start`, sorted — the compiled twin of
-    /// `materialized_events`, without the owned `Event`s.
+    /// with `time > start`, sorted — the concrete event set visible
+    /// downstream.
     pub fn build_mat_next(&mut self, start: Time) {
         self.mat_next.clear();
         for d in &self.next {
@@ -280,8 +281,8 @@ impl EvTable {
     }
 
     /// Earliest divergence between the previous window's materialised events
-    /// (viewed with `time > start`) and the next side's — the compiled twin
-    /// of `first_event_divergence` over pooled refs.
+    /// (viewed with `time > start`) and the next side's; `TIME_MAX` when
+    /// identical.
     pub fn mat_divergence(&self, start: Time) -> Time {
         let old = &self.mat_cur[self.mat_cur.partition_point(|m| m.time <= start)..];
         let new = &self.mat_next;
@@ -307,14 +308,13 @@ impl EvTable {
 
     /// Swaps the sides after a window: `next` becomes the retained current
     /// state, the old side's buffers are cleared in place for reuse.
-    pub fn swap_sides(&mut self, gen: u64) {
+    pub fn swap_sides(&mut self) {
         std::mem::swap(&mut self.cur, &mut self.next);
         std::mem::swap(&mut self.pool_cur, &mut self.pool_next);
         std::mem::swap(&mut self.mat_cur, &mut self.mat_next);
         self.next.clear();
         self.pool_next.clear();
         self.mat_next.clear();
-        self.data_gen = gen;
     }
 
     fn visit_caps(&self, f: &mut impl FnMut(usize)) {
@@ -428,44 +428,57 @@ impl StratumState {
     }
 }
 
-/// All retained compiled-path window state of one engine: slot-indexed
-/// frontiers and SDE stores, per-stratum grounding tables, and the
-/// capacity-accounting scratch. Derived state — never serialised, rebuilt
-/// after restore or a mode toggle.
+/// All retained window state of one engine: slot-indexed frontiers and SDE
+/// stores, per-stratum grounding tables, and the capacity-accounting
+/// scratch.
 pub(crate) struct CycleState {
-    /// Window-cycle generation; bumped once per compiled query.
+    /// Window-cycle generation; bumped once per query.
     pub gen: u64,
-    /// Whether the tables reflect the engine's canonical caches (false after
-    /// restore, interpreter queries or arena toggles; the next compiled
-    /// query reseeds).
-    pub synced: bool,
-    /// Plan shape this state was built for (`n_slots`, `n_strata`).
-    pub shape: (usize, usize),
     pub frontiers: Vec<Time>,
     pub events: crate::compile::CEventStore,
     pub obs: crate::compile::CObsStore,
     pub fluents: crate::compile::CFluentStore,
-    pub strata: Vec<Option<StratumState>>,
+    /// One table per stratum, aligned with the plan's instruction array.
+    pub strata: Vec<StratumState>,
     /// Capacity snapshot taken by [`CycleState::begin_caps`].
     caps: Vec<usize>,
-    /// Cumulative count of retained-buffer growth events observed.
-    pub allocs: u64,
 }
 
 impl CycleState {
-    pub fn new(n_slots: usize, n_strata: usize) -> CycleState {
+    /// Empty state shaped for `plan`.
+    pub fn new(plan: &CompiledPlan) -> CycleState {
+        let n_slots = plan.n_slots();
         CycleState {
             gen: 0,
-            synced: false,
-            shape: (n_slots, n_strata),
             frontiers: Vec::new(),
             events: crate::compile::CEventStore::new(n_slots),
             obs: crate::compile::CObsStore::new(n_slots),
             fluents: crate::compile::CFluentStore::new(n_slots),
-            strata: Vec::with_capacity(n_strata),
+            strata: plan
+                .instrs
+                .iter()
+                .map(|instr| match instr.kind {
+                    HeadKind::Event => StratumState::Ev(EvTable::default()),
+                    HeadKind::SimpleFluent => StratumState::Sf(SfTable::default()),
+                    HeadKind::StaticFluent => StratumState::St(StTable::default()),
+                })
+                .collect(),
             caps: Vec::new(),
-            allocs: 0,
         }
+    }
+
+    /// Installs `ivs` as the current output of grounding `(args, value)` of
+    /// simple-fluent stratum `si`, as if the last window had computed it:
+    /// inertia carries it into the next query (`initially` declarations and
+    /// checkpoint restore).
+    pub fn seed_fluent(&mut self, si: usize, args: &[Term], value: &Term, ivs: IntervalList) {
+        let StratumState::Sf(t) = &mut self.strata[si] else {
+            panic!("stratum {si} does not derive a simple fluent");
+        };
+        let gid = t.lookup_or_insert(args, value);
+        let g = &mut t.gs[gid as usize];
+        g.out = ivs;
+        g.data_gen = self.gen;
     }
 
     fn visit_caps(&self, f: &mut impl FnMut(usize)) {
@@ -473,7 +486,7 @@ impl CycleState {
         self.events.visit_caps(f);
         self.obs.visit_caps(f);
         self.fluents.visit_caps(f);
-        for s in self.strata.iter().flatten() {
+        for s in &self.strata {
             s.visit_caps(f);
         }
     }
@@ -487,8 +500,7 @@ impl CycleState {
     }
 
     /// Counts the buffers that grew (or appeared) since
-    /// [`CycleState::begin_caps`] — the cycle's allocation count — and adds
-    /// it to the cumulative counter.
+    /// [`CycleState::begin_caps`] — the cycle's allocation count.
     pub fn end_caps(&mut self) -> u64 {
         let caps = std::mem::take(&mut self.caps);
         let mut grew = 0u64;
@@ -502,7 +514,6 @@ impl CycleState {
             i += 1;
         });
         self.caps = caps;
-        self.allocs += grew;
         grew
     }
 }

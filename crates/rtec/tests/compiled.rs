@@ -1,9 +1,9 @@
-//! Compile-pass edge cases and compiled/interpreted equivalence checks.
+//! Compile-pass and plan-sharing edge cases.
 //!
-//! The heavy three-way differential (compiled == interpreter == oracle on
-//! fuzzed rule sets) lives in the conformance crate; these tests pin the
-//! corners of the compiled path itself: empty plans, never-queried heads,
-//! beyond-WM lateness, the `set_initially` error path, plan sharing and the
+//! The heavy differential (engine == oracle on fuzzed rule sets and fixture
+//! streams) lives in the conformance crate; these tests pin the corners of
+//! the execution plan itself: empty plans, never-queried heads, beyond-WM
+//! lateness, the `set_initially` error path, plan sharing and the
 //! determinism of plan rebuilds across checkpoint restore.
 
 use insight_rtec::dsl::RuleSet;
@@ -60,35 +60,6 @@ fn two_level_ruleset() -> RuleSet {
     b.build().unwrap()
 }
 
-/// Drives two engines with the same input schedule and asserts identical
-/// recognitions at every query.
-fn assert_twin_equal(
-    mut a: Engine,
-    mut b: Engine,
-    events: &[Stamped<Event>],
-    queries: &[Time],
-    fluent_names: &[&str],
-) {
-    for e in events {
-        a.add_stamped_event(e.clone()).unwrap();
-        b.add_stamped_event(e.clone()).unwrap();
-    }
-    for &q in queries {
-        let ra = a.query(q).unwrap();
-        let rb = b.query(q).unwrap();
-        assert_eq!(ra.derived_events, rb.derived_events, "derived events diverge at q={q}");
-        for name in fluent_names {
-            let mut ea: Vec<_> =
-                ra.fluent_entries(name).iter().map(|e| (&e.args, &e.value, &e.ivs)).collect();
-            let mut eb: Vec<_> =
-                rb.fluent_entries(name).iter().map(|e| (&e.args, &e.value, &e.ivs)).collect();
-            ea.sort_by(|x, y| (x.0, x.1).cmp(&(y.0, y.1)));
-            eb.sort_by(|x, y| (x.0, x.1).cmp(&(y.0, y.1)));
-            assert_eq!(ea, eb, "fluent `{name}` diverges at q={q}");
-        }
-    }
-}
-
 fn stream() -> Vec<Stamped<Event>> {
     let mut evs = Vec::new();
     for (kind, dev, t) in [
@@ -110,32 +81,28 @@ fn stream() -> Vec<Stamped<Event>> {
 }
 
 #[test]
-fn compiled_matches_interpreter_across_windows() {
-    let w = WindowConfig::new(50, 25).unwrap();
-    let mut interp = Engine::new(two_level_ruleset(), w);
-    interp.set_parallel_strata(false);
-    let mut comp = Engine::new(two_level_ruleset(), w);
-    comp.set_parallel_strata(false);
-    comp.set_compiled(true);
-    assert!(comp.is_compiled());
-    assert_twin_equal(interp, comp, &stream(), &[25, 50, 75, 100, 125], &["on", "hot"]);
-}
-
-#[test]
-fn compiled_matches_interpreter_full_mode_and_parallel() {
-    let w = WindowConfig::new(60, 20).unwrap();
-    let mut interp = Engine::new(two_level_ruleset(), w);
-    interp.set_incremental(false);
-    let mut comp = Engine::new(two_level_ruleset(), w);
-    comp.set_incremental(false);
-    comp.set_compiled(true);
-    assert_twin_equal(interp, comp, &stream(), &[20, 40, 60, 80, 100, 120], &["on", "hot"]);
-
-    let interp_p = Engine::new(two_level_ruleset(), w);
-    let mut comp_p = Engine::new(two_level_ruleset(), w);
-    comp_p.set_compiled(true);
-    // Parallel strata on both: independent fluents share a level.
-    assert_twin_equal(interp_p, comp_p, &stream(), &[20, 40, 60, 80, 100, 120], &["on", "hot"]);
+fn two_level_join_fires_across_windows() {
+    let mut e = Engine::new(two_level_ruleset(), WindowConfig::new(50, 25).unwrap());
+    for ev in stream() {
+        e.add_stamped_event(ev).unwrap();
+    }
+    // `flip` needs `hot` to hold at the switch-on: a@10 (hot since 5) and
+    // b@70 (hot since 60); a@55 comes after `cool a`@40, b@12 before any
+    // heat, and the late `heat b`@20 arrives after its window has passed.
+    let expect = [
+        (25, vec![("a", 10)]),
+        (50, vec![("a", 10)]),
+        (75, vec![("b", 70)]),
+        (100, vec![("b", 70)]),
+        (125, vec![]),
+    ];
+    for (q, flips) in expect {
+        let rec = e.query(q).unwrap();
+        let got: Vec<(Term, Time)> =
+            rec.events_of("flip").iter().map(|e| (e.args[0].clone(), e.time)).collect();
+        let want: Vec<(Term, Time)> = flips.into_iter().map(|(d, t)| (Term::sym(d), t)).collect();
+        assert_eq!(got, want, "flip events at q={q}");
+    }
 }
 
 #[test]
@@ -144,10 +111,7 @@ fn empty_ruleset_compiles_to_empty_plan() {
     b.declare_event("ping", 1);
     let rs = b.build().unwrap();
     let mut e = Engine::new(rs, WindowConfig::new(10, 10).unwrap());
-    e.set_compiled(true);
-    let plan = e.compiled_plan().unwrap();
-    assert_eq!(plan.n_strata(), 0);
-    assert_eq!(plan.n_levels(), 0);
+    assert_eq!(e.plan().n_strata(), 0);
     e.add_event(Event::new("ping", [Term::int(1)], 3)).unwrap();
     let rec = e.query(10).unwrap();
     assert!(rec.derived_events.is_empty());
@@ -172,7 +136,6 @@ fn never_queried_head_fluent_still_evaluates() {
     );
     let rs = b.build().unwrap();
     let mut e = Engine::new(rs, WindowConfig::new(20, 20).unwrap());
-    e.set_compiled(true);
     e.add_event(Event::new("go", [Term::sym("x")], 4)).unwrap();
     let rec = e.query(20).unwrap();
     assert!(rec.holds_at("busy", &[Term::sym("x")], &Term::truth(), 10));
@@ -181,33 +144,23 @@ fn never_queried_head_fluent_still_evaluates() {
 }
 
 #[test]
-fn beyond_wm_delayed_events_are_lost_in_both_modes() {
+fn beyond_wm_delayed_events_are_lost() {
     // An event occurring at t=5 but arriving at t=70 misses every window
-    // containing t=5 (WM=20): both engines must drop it identically.
-    let w = WindowConfig::new(20, 20).unwrap();
-    let mk = || {
-        let mut e = Engine::new(two_level_ruleset(), w);
-        e.add_event(Event::new("heat", [Term::sym("a")], 2)).unwrap();
-        e.add_stamped_event(Stamped::arriving_at(Event::new("switch_on", [Term::sym("a")], 5), 70))
-            .unwrap();
-        e
-    };
-    let mut interp = mk();
-    let mut comp = mk();
-    comp.set_compiled(true);
+    // containing t=5 (WM=20): it must never fire a rule.
+    let mut e = Engine::new(two_level_ruleset(), WindowConfig::new(20, 20).unwrap());
+    e.add_event(Event::new("heat", [Term::sym("a")], 2)).unwrap();
+    e.add_stamped_event(Stamped::arriving_at(Event::new("switch_on", [Term::sym("a")], 5), 70))
+        .unwrap();
     for q in [20, 40, 60, 80] {
-        let ra = interp.query(q).unwrap();
-        let rb = comp.query(q).unwrap();
-        assert_eq!(ra.derived_events, rb.derived_events);
-        assert!(rb.events_of("flip").is_empty(), "lost event must not fire rules at q={q}");
-        assert!(rb.fluent_entries("on").is_empty());
+        let rec = e.query(q).unwrap();
+        assert!(rec.events_of("flip").is_empty(), "lost event must not fire rules at q={q}");
+        assert!(rec.fluent_entries("on").is_empty());
     }
 }
 
 #[test]
-fn set_initially_after_start_fails_in_compiled_mode() {
+fn set_initially_after_start_fails() {
     let mut e = Engine::new(two_level_ruleset(), WindowConfig::new(10, 10).unwrap());
-    e.set_compiled(true);
     e.set_initially("on", vec![Term::sym("a")], Term::truth()).unwrap();
     e.query(10).unwrap();
     let err = e.set_initially("on", vec![Term::sym("b")], Term::truth()).unwrap_err();
@@ -216,12 +169,11 @@ fn set_initially_after_start_fails_in_compiled_mode() {
 
 #[test]
 fn plan_rebuild_is_deterministic() {
-    let p1 = CompiledPlan::compile(&two_level_ruleset());
-    let p2 = CompiledPlan::compile(&two_level_ruleset());
+    let p1 = CompiledPlan::compile(two_level_ruleset());
+    let p2 = CompiledPlan::compile(two_level_ruleset());
     assert_eq!(p1.signature(), p2.signature());
     assert_eq!(p1.n_slots(), p2.n_slots());
     assert_eq!(p1.n_strata(), p2.n_strata());
-    assert_eq!(p1.n_levels(), p2.n_levels());
 }
 
 #[test]
@@ -229,9 +181,8 @@ fn restore_rebuilds_plan_and_preserves_results() {
     let w = WindowConfig::new(50, 25).unwrap();
     let events = stream();
 
-    // Uninterrupted compiled engine: the reference.
+    // Uninterrupted engine: the reference.
     let mut reference = Engine::new(two_level_ruleset(), w);
-    reference.set_compiled(true);
     for e in &events {
         reference.add_stamped_event(e.clone()).unwrap();
     }
@@ -240,10 +191,9 @@ fn restore_rebuilds_plan_and_preserves_results() {
         expected.push(reference.query(q).unwrap().derived_events.clone());
     }
 
-    // Crash after the second query; restore into a fresh compiled engine.
+    // Crash after the second query; restore into a freshly built engine.
     let mut original = Engine::new(two_level_ruleset(), w);
-    original.set_compiled(true);
-    let sig_before = original.compiled_plan().unwrap().signature();
+    let sig_before = original.plan().signature();
     for e in &events {
         original.add_stamped_event(e.clone()).unwrap();
     }
@@ -254,35 +204,20 @@ fn restore_rebuilds_plan_and_preserves_results() {
     assert!(!snapshot.contains("plan"), "plan must be excluded from checkpoints");
 
     let mut restored = Engine::new(two_level_ruleset(), w);
-    restored.set_compiled(true);
     restored.restore_state(&snapshot).unwrap();
-    let sig_after = restored.compiled_plan().unwrap().signature();
+    let sig_after = restored.plan().signature();
     assert_eq!(sig_before, sig_after, "restored engine must rebuild the identical plan");
     assert_eq!(restored.query(75).unwrap().derived_events, expected[2]);
     assert_eq!(restored.query(100).unwrap().derived_events, expected[3]);
 }
 
 #[test]
-fn shared_plan_rejects_foreign_rule_set() {
-    let plan = CompiledPlan::compile(&two_level_ruleset());
-    let mut other = RuleSetBuilder::new();
-    other.declare_event("tick", 0);
-    let rs = other.build().unwrap();
-    let mut e = Engine::new(rs, WindowConfig::new(10, 10).unwrap());
-    let err = e.set_compiled_plan(plan).unwrap_err();
-    assert!(matches!(err, RtecError::PlanMismatch { .. }));
-    assert!(!e.is_compiled());
-}
-
-#[test]
 fn one_arc_plan_shared_across_replica_engines() {
-    let plan = CompiledPlan::compile(&two_level_ruleset());
+    let plan = CompiledPlan::compile(two_level_ruleset());
     let w = WindowConfig::new(50, 25).unwrap();
-    let mut a = Engine::new(two_level_ruleset(), w);
-    let mut b = Engine::new(two_level_ruleset(), w);
-    a.set_compiled_plan(Arc::clone(&plan)).unwrap();
-    b.set_compiled_plan(Arc::clone(&plan)).unwrap();
-    assert!(Arc::strong_count(&plan) >= 3, "replicas share one plan allocation");
+    let mut a = Engine::with_plan(Arc::clone(&plan), w);
+    let mut b = Engine::with_plan(Arc::clone(&plan), w);
+    assert!(Arc::ptr_eq(a.plan(), b.plan()), "replicas share one plan allocation");
     for e in stream() {
         a.add_stamped_event(e.clone()).unwrap();
         b.add_stamped_event(e).unwrap();
@@ -293,73 +228,63 @@ fn one_arc_plan_shared_across_replica_engines() {
 }
 
 #[test]
-fn compiled_handles_guards_relations_and_negation() {
-    // A rule set exercising the remaining compiled operand kinds: a relation
-    // join, a numeric guard and negation-as-failure on a derived fluent.
-    let build = || {
-        let mut b = RuleSetBuilder::new();
-        b.declare_event("reading", 2).declare_relation("watched", 1);
-        let d = b.var("D");
-        let v = b.var("V");
-        let t = b.var("T");
-        b.initiated(
-            fluent("alarm", [pat(d)], val(true)),
-            t,
-            [
-                happens(event_pat("reading", [pat(d), pat(v)]), t),
-                relation("watched", [pat(d)]),
-                guard(cmp(v, CmpOp::Gt, 10.0)),
-            ],
-        );
-        let d2 = b.var("D2");
-        let v2 = b.var("V2");
-        let t2 = b.var("T2");
-        b.terminated(
-            fluent("alarm", [pat(d2)], val(true)),
-            t2,
-            [
-                happens(event_pat("reading", [pat(d2), pat(v2)]), t2),
-                guard(cmp(v2, CmpOp::Le, 10.0)),
-            ],
-        );
-        let d3 = b.var("D3");
-        let t3 = b.var("T3");
-        b.derived_event(
-            event_head("quiet", [pat(d3)]),
-            t3,
-            [
-                happens(event_pat("reading", [pat(d3), any()]), t3),
-                not_holds(fluent_pat("alarm", [pat(d3)], val(true)), t3),
-            ],
-        );
-        let mut engine = Engine::new(b.build().unwrap(), WindowConfig::new(40, 20).unwrap());
-        engine.set_relation("watched", vec![vec![Term::sym("s1")], vec![Term::sym("s2")]]).unwrap();
-        engine
-    };
-    let mut interp = build();
-    let mut comp = build();
-    comp.set_compiled(true);
-    let evs = [
-        ("s1", 5, 3),
-        ("s1", 20, 12),
-        ("s2", 25, 40),
-        ("s1", 30, 2),
-        ("s3", 35, 99),
-        ("s2", 55, 1),
+fn guards_relations_and_negation() {
+    // A rule set exercising the remaining operand kinds: a relation join, a
+    // numeric guard and negation-as-failure on a derived fluent.
+    let mut b = RuleSetBuilder::new();
+    b.declare_event("reading", 2).declare_relation("watched", 1);
+    let d = b.var("D");
+    let v = b.var("V");
+    let t = b.var("T");
+    b.initiated(
+        fluent("alarm", [pat(d)], val(true)),
+        t,
+        [
+            happens(event_pat("reading", [pat(d), pat(v)]), t),
+            relation("watched", [pat(d)]),
+            guard(cmp(v, CmpOp::Gt, 10.0)),
+        ],
+    );
+    let d2 = b.var("D2");
+    let v2 = b.var("V2");
+    let t2 = b.var("T2");
+    b.terminated(
+        fluent("alarm", [pat(d2)], val(true)),
+        t2,
+        [happens(event_pat("reading", [pat(d2), pat(v2)]), t2), guard(cmp(v2, CmpOp::Le, 10.0))],
+    );
+    let d3 = b.var("D3");
+    let t3 = b.var("T3");
+    b.derived_event(
+        event_head("quiet", [pat(d3)]),
+        t3,
+        [
+            happens(event_pat("reading", [pat(d3), any()]), t3),
+            not_holds(fluent_pat("alarm", [pat(d3)], val(true)), t3),
+        ],
+    );
+    let mut e = Engine::new(b.build().unwrap(), WindowConfig::new(40, 20).unwrap());
+    e.set_relation("watched", vec![vec![Term::sym("s1")], vec![Term::sym("s2")]]).unwrap();
+    for (dev, t, v) in
+        [("s1", 5, 3), ("s1", 20, 12), ("s2", 25, 40), ("s1", 30, 2), ("s3", 35, 99), ("s2", 55, 1)]
+    {
+        e.add_event(Event::new("reading", [Term::sym(dev), Term::int(v)], t)).unwrap();
+    }
+    // alarm(s1) = [20, 30), alarm(s2) = [25, 55); s3 is not watched. A
+    // reading is quiet when its device's alarm does not hold at that instant.
+    let expect = [
+        (20, vec![("s1", 5)]),
+        (40, vec![("s1", 5), ("s1", 30), ("s3", 35)]),
+        (60, vec![("s1", 30), ("s3", 35), ("s2", 55)]),
+        (80, vec![("s2", 55)]),
     ];
-    for (dev, t, v) in evs {
-        let e = Event::new("reading", [Term::sym(dev), Term::int(v)], t);
-        interp.add_event(e.clone()).unwrap();
-        comp.add_event(e).unwrap();
+    for (q, quiet) in expect {
+        let rec = e.query(q).unwrap();
+        let got: Vec<(Term, Time)> =
+            rec.events_of("quiet").iter().map(|e| (e.args[0].clone(), e.time)).collect();
+        let want: Vec<(Term, Time)> = quiet.into_iter().map(|(d, t)| (Term::sym(d), t)).collect();
+        assert_eq!(got, want, "quiet events at q={q}");
     }
-    for q in [20, 40, 60, 80] {
-        let ra = interp.query(q).unwrap();
-        let rb = comp.query(q).unwrap();
-        assert_eq!(ra.derived_events, rb.derived_events, "q={q}");
-        let mut ea: Vec<_> = ra.fluent_entries("alarm").iter().map(|e| (&e.args, &e.ivs)).collect();
-        let mut eb: Vec<_> = rb.fluent_entries("alarm").iter().map(|e| (&e.args, &e.ivs)).collect();
-        ea.sort_by(|x, y| x.0.cmp(y.0));
-        eb.sort_by(|x, y| x.0.cmp(y.0));
-        assert_eq!(ea, eb, "q={q}");
-    }
+    let rec = e.query(100).unwrap();
+    assert!(rec.fluent_entries("alarm").is_empty(), "both alarms ended before (60, 100]");
 }

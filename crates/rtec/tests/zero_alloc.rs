@@ -1,6 +1,6 @@
-//! Steady-state zero-allocation regression test for the compiled solver.
+//! Steady-state zero-allocation regression test for the engine.
 //!
-//! The compiled plan's solver runs out of a thread-local scratch arena
+//! The plan's solver runs out of a thread-local scratch arena
 //! ([`insight_rtec::compile::scratch_allocations`] counts every capacity
 //! growth of its buffers). After a warm-up window has sized the arena, further
 //! windows over a stream with the same working-set shape must not grow any
@@ -40,19 +40,14 @@ fn ruleset() -> RuleSet {
     b.build().unwrap()
 }
 
-/// Runs a steady-state stream through the slot-indexed compiled path and
-/// pins the *full window cycle* — refill, rebuild, solve, merge — at zero
-/// allocations once the retained tables have sized to the working set.
+/// Runs a steady-state stream through the engine and pins the *full window
+/// cycle* — refill, rebuild, solve, publish — at zero allocations once the
+/// retained tables have sized to the working set.
 /// `QueryTiming::window_allocations` counts retained-buffer capacity growth
 /// plus solver-scratch growth on the querying thread (output materialisation
 /// is outside the counter by definition).
 fn assert_full_cycle_allocation_free(wm: Time, step: Time) {
     let mut e = Engine::new(ruleset(), WindowConfig::new(wm, step).unwrap());
-    // Pool threads own their own scratch arenas; keep the cycle on this
-    // thread so the counter sees every allocation.
-    e.set_parallel_strata(false);
-    e.set_compiled(true);
-    assert!(e.is_arena(), "slot-indexed state is the default compiled path");
 
     let pairs: i64 = (step / 2).min(20);
     let feed = |e: &mut Engine, base: Time| {
@@ -104,10 +99,6 @@ fn overlapping_window_cycle_is_allocation_free() {
 #[test]
 fn steady_state_windows_do_not_allocate_scratch() {
     let mut e = Engine::new(ruleset(), WindowConfig::new(100, 50).unwrap());
-    // Parallel strata would move solving onto pool threads whose thread-local
-    // arenas this test thread cannot observe; keep everything here.
-    e.set_parallel_strata(false);
-    e.set_compiled(true);
 
     let feed = |e: &mut Engine, base: Time| {
         for i in 0..20i64 {
@@ -134,7 +125,7 @@ fn steady_state_windows_do_not_allocate_scratch() {
     assert_eq!(
         after - before,
         0,
-        "compiled solver scratch grew during steady-state windows ({} allocations)",
+        "solver scratch grew during steady-state windows ({} allocations)",
         after - before
     );
 }

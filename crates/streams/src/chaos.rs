@@ -322,7 +322,9 @@ impl KillSwitch {
 /// switch) passes items through: replayed and resumed traffic never re-fires
 /// the kill. `at == 0` never fires. The trigger is `>=` rather than `==`, so
 /// a kill point landing inside an already-skipped stretch still fires on the
-/// next item instead of being missed.
+/// next item instead of being missed — which also means several replicas
+/// sharing the switch can be at or past the kill point at once; the one that
+/// flips the fired flag dies, the others pass their item through.
 pub struct KillAt {
     at: u64,
     switch: KillSwitch,
@@ -357,8 +359,13 @@ impl Processor for KillAt {
             return Ok(Some(item));
         }
         let n = self.switch.seen.fetch_add(1, Ordering::SeqCst) + 1;
-        if n >= self.at {
-            self.switch.fired.store(true, Ordering::SeqCst);
+        if n >= self.at
+            && self
+                .switch
+                .fired
+                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+        {
             panic!("chaos: injected kill at item {n}");
         }
         Ok(Some(item))
@@ -491,6 +498,60 @@ mod tests {
             assert!(rebuilt.process(DataItem::new().with("n", i as i64), &mut ctx).is_ok());
         }
         assert_eq!(switch.seen(), 3, "counting stopped at the kill");
+    }
+
+    #[test]
+    fn kill_at_strikes_one_replica_when_several_cross_the_kill_point_together() {
+        const REPLICAS: u64 = 4;
+        const ITEMS: u64 = 2000;
+        // Every replica hammers the shared switch flat out, so whenever the
+        // count crosses the kill point several of them are between the
+        // fired check and the claim.
+        let rounds: Vec<(usize, u64)> = (0..100)
+            .map(|_| {
+                let switch = KillSwitch::new();
+                let barrier = std::sync::Barrier::new(REPLICAS as usize);
+                let kills = std::thread::scope(|scope| {
+                    let replicas: Vec<_> = (0..REPLICAS)
+                        .map(|_| {
+                            scope.spawn(|| {
+                                let mut k =
+                                    KillAt::with_switch(REPLICAS * ITEMS / 2, switch.clone());
+                                let mut ctx =
+                                    Context::new(crate::service::ServiceRegistry::default(), "t");
+                                barrier.wait();
+                                (0..ITEMS)
+                                    .filter(|&i| {
+                                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                                            || {
+                                                k.process(
+                                                    DataItem::new().with("n", i as i64),
+                                                    &mut ctx,
+                                                )
+                                            },
+                                        ))
+                                        .is_err()
+                                    })
+                                    .count()
+                            })
+                        })
+                        .collect();
+                    replicas.into_iter().map(|r| r.join().expect("replica thread")).sum()
+                });
+                assert!(switch.fired());
+                (kills, switch.seen())
+            })
+            .collect();
+        for (round, (kills, seen)) in rounds.into_iter().enumerate() {
+            assert_eq!(kills, 1, "round {round}: the kill struck {kills} replicas");
+            // Every replica that raced past the fired check counted its
+            // item; nothing is counted once the kill is visible.
+            let at = REPLICAS * ITEMS / 2;
+            assert!(
+                (at..at + REPLICAS).contains(&seen),
+                "round {round}: {seen} items counted, kill point {at}, {REPLICAS} replicas"
+            );
+        }
     }
 
     #[test]

@@ -44,13 +44,16 @@ impl DistributedRecognition {
 
 impl DistributedRecognizer {
     /// Partitions a deployment into the four regions and builds one
-    /// recogniser each. Regions without intersections are omitted.
+    /// recogniser each. Regions without intersections are omitted. All
+    /// regions run the same rule library, so it is compiled **once** and the
+    /// one plan is shared — region-local data (relations, window state)
+    /// stays per-engine.
     pub fn from_deployment(
         config: TrafficRulesConfig,
         window: WindowConfig,
         scats: &ScatsDeployment,
     ) -> Result<DistributedRecognizer, RtecError> {
-        let mut partitions = Vec::new();
+        let mut partitions: Vec<(Region, TrafficRecognizer)> = Vec::new();
         for region in Region::ALL {
             let infos: Vec<IntersectionInfo> = scats
                 .intersections()
@@ -61,7 +64,17 @@ impl DistributedRecognizer {
             if infos.is_empty() {
                 continue;
             }
-            partitions.push((region, TrafficRecognizer::new(config.clone(), window, &infos, &[])?));
+            let rec = match partitions.first() {
+                None => TrafficRecognizer::new(config.clone(), window, &infos, &[])?,
+                Some((_, first)) => TrafficRecognizer::with_plan(
+                    first.plan().clone(),
+                    config.clone(),
+                    window,
+                    &infos,
+                    &[],
+                )?,
+            };
+            partitions.push((region, rec));
         }
         Ok(DistributedRecognizer { partitions })
     }
@@ -69,46 +82,6 @@ impl DistributedRecognizer {
     /// Number of active regions.
     pub fn regions(&self) -> usize {
         self.partitions.len()
-    }
-
-    /// Enables or disables incremental (delta-aware) evaluation on every
-    /// region engine.
-    pub fn set_incremental(&mut self, on: bool) {
-        for (_, rec) in &mut self.partitions {
-            rec.set_incremental(on);
-        }
-    }
-
-    /// Enables or disables parallel stratum evaluation on every region
-    /// engine.
-    pub fn set_parallel_strata(&mut self, on: bool) {
-        for (_, rec) in &mut self.partitions {
-            rec.set_parallel_strata(on);
-        }
-    }
-
-    /// Switches every region engine to (or from) compiled evaluation. All
-    /// regions run the same rule library, so the plan is compiled **once**
-    /// and the one `Arc` is shared across the replicas — region-local data
-    /// (relations, window state) stays per-engine.
-    pub fn set_compiled(&mut self, on: bool) -> Result<(), RtecError> {
-        if !on {
-            for (_, rec) in &mut self.partitions {
-                rec.set_compiled(false);
-            }
-            return Ok(());
-        }
-        let mut shared = None;
-        for (_, rec) in &mut self.partitions {
-            match &shared {
-                None => {
-                    rec.set_compiled(true);
-                    shared = rec.compiled_plan().cloned();
-                }
-                Some(plan) => rec.set_compiled_plan(std::sync::Arc::clone(plan))?,
-            }
-        }
-        Ok(())
     }
 
     /// Routes one SDE to the engine of its region. SDEs of regions without
@@ -211,47 +184,18 @@ mod tests {
     }
 
     #[test]
-    fn compiled_replicas_share_one_plan_and_match_interpreted() {
+    fn region_engines_share_one_plan() {
         let scenario = Scenario::generate(ScenarioConfig::small(1200, 17)).unwrap();
-        let build = || {
-            DistributedRecognizer::from_deployment(
-                TrafficRulesConfig::default(),
-                WindowConfig::new(600, 600).unwrap(),
-                &scenario.scats,
-            )
-            .unwrap()
-        };
-        let mut interp = build();
-        let mut comp = build();
-        comp.set_compiled(true).unwrap();
-
-        // Every region engine holds the same Arc allocation.
-        let first = comp.partitions[0].1.compiled_plan().unwrap().clone();
-        for (_, rec) in &comp.partitions {
-            let plan = rec.compiled_plan().expect("every region runs compiled");
-            assert!(std::sync::Arc::ptr_eq(plan, &first), "regions must share one plan allocation");
-        }
-
-        for sde in &scenario.sdes {
-            interp.ingest(sde).unwrap();
-            comp.ingest(sde).unwrap();
-        }
-        let (_, end) = scenario.window();
-        for q in [end, end + 600] {
-            let ra = interp.query(q).unwrap();
-            let rb = comp.query(q).unwrap();
-            assert_eq!(ra.per_region.len(), rb.per_region.len());
-            for ((reg_a, rec_a), (reg_b, rec_b)) in ra.per_region.iter().zip(&rb.per_region) {
-                assert_eq!(reg_a, reg_b);
-                assert_eq!(rec_a.sde_count(), rec_b.sde_count());
-                assert_eq!(
-                    rec_a.congested_intersections(),
-                    rec_b.congested_intersections(),
-                    "region {reg_a:?} diverges at q={q}"
-                );
-                assert_eq!(rec_a.bus_congestions(), rec_b.bus_congestions());
-                assert_eq!(rec_a.noisy_buses(), rec_b.noisy_buses());
-            }
+        let d = DistributedRecognizer::from_deployment(
+            TrafficRulesConfig::default(),
+            WindowConfig::new(600, 600).unwrap(),
+            &scenario.scats,
+        )
+        .unwrap();
+        assert!(d.regions() > 1, "the scenario spans several regions");
+        let first = d.partitions[0].1.plan();
+        for (_, rec) in &d.partitions {
+            assert!(std::sync::Arc::ptr_eq(rec.plan(), first), "regions share one allocation");
         }
     }
 

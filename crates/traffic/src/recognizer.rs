@@ -6,6 +6,7 @@ use crate::rules::{build_ruleset, ce, rel};
 use crate::sde;
 use insight_datagen::scats::ScatsDeployment;
 use insight_datagen::stream::Sde;
+use insight_rtec::compile::CompiledPlan;
 use insight_rtec::engine::{Engine, Recognition};
 use insight_rtec::error::RtecError;
 use insight_rtec::event::Event;
@@ -13,6 +14,7 @@ use insight_rtec::interval::IntervalList;
 use insight_rtec::term::Term;
 use insight_rtec::time::Time;
 use insight_rtec::window::WindowConfig;
+use std::sync::Arc;
 
 /// An instrumented intersection as the recogniser needs it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,9 +34,9 @@ pub struct TrafficRecognizer {
 }
 
 impl TrafficRecognizer {
-    /// Builds a recogniser for the given intersections. The areas of
-    /// interest default to the intersection locations (the paper's choice);
-    /// `extra_areas` adds more.
+    /// Builds a recogniser for the given intersections, compiling the rule
+    /// library `config` selects. The areas of interest default to the
+    /// intersection locations (the paper's choice); `extra_areas` adds more.
     pub fn new(
         config: TrafficRulesConfig,
         window: WindowConfig,
@@ -47,8 +49,24 @@ impl TrafficRecognizer {
             // spatial join over the `area` relation.
             config.shared_spatial_join = false;
         }
-        let ruleset = build_ruleset(&config)?;
-        let mut engine = Engine::new(ruleset, window);
+        let plan = CompiledPlan::compile(build_ruleset(&config)?);
+        TrafficRecognizer::with_plan(plan, config, window, intersections, extra_areas)
+    }
+
+    /// Builds a recogniser over an already compiled rule library, so that
+    /// recognisers serving different intersections (region engines, shard
+    /// replicas, a replica rebuilt after a crash) share one plan. `plan` and
+    /// `config` must belong together: take both from a recogniser built by
+    /// [`TrafficRecognizer::new`] ([`TrafficRecognizer::plan`],
+    /// [`TrafficRecognizer::config`]).
+    pub fn with_plan(
+        plan: Arc<CompiledPlan>,
+        config: TrafficRulesConfig,
+        window: WindowConfig,
+        intersections: &[IntersectionInfo],
+        extra_areas: &[(f64, f64)],
+    ) -> Result<TrafficRecognizer, RtecError> {
+        let mut engine = Engine::with_plan(plan, window);
         engine.register_builtin("close", close_builtin(config.close_threshold_m))?;
         engine.set_relation(
             rel::SCATS_INTERSECTION,
@@ -112,48 +130,10 @@ impl TrafficRecognizer {
         &self.config
     }
 
-    /// Enables or disables incremental (delta-aware) evaluation on the
-    /// underlying engine. Disabling re-evaluates the full window at every
-    /// query — the reference behaviour, useful for A/B benchmarks.
-    pub fn set_incremental(&mut self, on: bool) {
-        self.engine.set_incremental(on);
-    }
-
-    /// Enables or disables parallel evaluation of independent strata on the
-    /// underlying engine. Off by default; the serial order is the reference
-    /// behaviour for A/B benchmarks.
-    pub fn set_parallel_strata(&mut self, on: bool) {
-        self.engine.set_parallel_strata(on);
-    }
-
-    /// Switches the underlying engine to (or from) the pre-compiled
-    /// execution plan (see [`insight_rtec::compile::CompiledPlan`]). The
-    /// plan is compiled once, on the first switch.
-    pub fn set_compiled(&mut self, on: bool) {
-        self.engine.set_compiled(on);
-    }
-
-    /// Selects the compiled engine's data plane: the slot-indexed retained
-    /// state with arena-backed intervals (the default) or the legacy
-    /// per-window rebuild path — the arena-off A/B reference.
-    pub fn set_arena(&mut self, on: bool) {
-        self.engine.set_arena(on);
-    }
-
-    /// Installs a compiled plan shared with other recognisers over the same
-    /// rule library (e.g. the region replicas of
-    /// [`crate::distributed::DistributedRecognizer`]) and switches the
-    /// engine to compiled evaluation.
-    pub fn set_compiled_plan(
-        &mut self,
-        plan: std::sync::Arc<insight_rtec::compile::CompiledPlan>,
-    ) -> Result<(), RtecError> {
-        self.engine.set_compiled_plan(plan)
-    }
-
-    /// The installed compiled plan, if the recogniser runs compiled.
-    pub fn compiled_plan(&self) -> Option<&std::sync::Arc<insight_rtec::compile::CompiledPlan>> {
-        self.engine.compiled_plan()
+    /// The compiled rule library this recogniser runs (see
+    /// [`TrafficRecognizer::with_plan`]).
+    pub fn plan(&self) -> &Arc<CompiledPlan> {
+        self.engine.plan()
     }
 
     /// Serialises the underlying engine's windowed recognition state (see
