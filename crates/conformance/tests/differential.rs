@@ -6,7 +6,11 @@
 //! schedules and three different query grids, and **fuzzed rule sets**
 //! ([`insight_datagen::adversarial::fuzz_ruleset`]: mixed pivotable and
 //! non-pivotable bodies, negation over lower strata, multi-stratum chains,
-//! unused fluents) under default and late-heavy arrivals; deterministic
+//! unused fluents) under default and late-heavy arrivals, plus **fuzzed
+//! joins** ([`insight_datagen::adversarial::fuzz_join_ruleset`]: what the
+//! join planner reorders and re-routes — multi-event joins under
+//! time-difference guards, relations probed by column, band and scan, a
+//! builtin between guards, negation after a hoisted guard); deterministic
 //! tests pin the two hardest schedules (occurrences exactly on the
 //! `Qi − WM` boundary, arrivals beyond the working memory) and run the
 //! *real* Dublin traffic rule library over perturbed scenario traces.
@@ -23,23 +27,25 @@
 //! seed job, reproducible locally with `CONFORMANCE_SEED={0,77,777}`.
 
 use insight_conformance::{
-    fixture_grid, fixture_harness, fixture_stream, seed_offset, Harness, StimulusConfig, Stream,
+    fixture_grid, fixture_harness, fixture_stream, seed_offset, CheckStats, Harness,
+    StimulusConfig, Stream,
 };
 use insight_datagen::adversarial::{
-    fuzz_ruleset, perturb_sdes, FuzzCase, FuzzConfig, LatenessMix, QueryGrid,
+    fuzz_join_ruleset, fuzz_ruleset, perturb_sdes, FuzzCase, FuzzConfig, LatenessMix, QueryGrid,
 };
 use insight_datagen::scenario::{Scenario, ScenarioConfig};
 use insight_traffic::config::TrafficRulesConfig;
-use insight_traffic::geo::close_builtin;
+use insight_traffic::geo::{close_box_tuples, close_builtin};
 use insight_traffic::rules::{build_ruleset, rel};
 use insight_traffic::sde::to_rtec;
 use proptest::prelude::*;
 
-fn run(harness: &Harness, stream: &Stream) {
+fn run(harness: &Harness, stream: &Stream) -> CheckStats {
     match harness.check(stream) {
         Ok(stats) => {
             assert!(stats.queries > 0, "no queries executed");
             assert!(stats.ticks > 0, "no time-points compared");
+            stats
         }
         Err(report) => panic!("{report}"),
     }
@@ -49,6 +55,11 @@ fn fuzz_grid() -> QueryGrid {
     QueryGrid { first: 100, step: 50, wm: 100, last: 500 }
 }
 
+/// WM = step: every window re-derives from scratch rather than from deltas.
+fn tumbling_grid() -> QueryGrid {
+    QueryGrid { first: 80, step: 80, wm: 80, last: 480 }
+}
+
 fn stream_of(case: &FuzzCase) -> Stream {
     Stream {
         label: case.label.clone(),
@@ -56,6 +67,34 @@ fn stream_of(case: &FuzzCase) -> Stream {
         events: case.events.clone(),
         obs: case.obs.clone(),
     }
+}
+
+/// A harness loaded with the relations and builtins a fuzzed case brings.
+fn harness_of(case: &FuzzCase, grid: QueryGrid) -> Harness {
+    let mut harness = Harness::new(case.rules.clone(), grid);
+    for (name, tuples) in &case.relations {
+        harness = harness.relation(name, tuples.clone());
+    }
+    for &(ref name, f) in &case.builtins {
+        harness = harness.builtin(name, f);
+    }
+    harness
+}
+
+const LATE_HEAVY: LatenessMix =
+    LatenessMix { on_time: 0.3, within_wm: 0.3, beyond_wm: 0.2, boundary: 0.2 };
+
+/// One fuzzed join seed: the planned engine against the oracle's brute-force
+/// nested loops (body order, no indexes, no ranges), then the live engine
+/// (pivot programs) against the restore relay (full programs).
+fn check_join_case(seed: u64, grid: QueryGrid, mix: LatenessMix) -> CheckStats {
+    // A denser stream than the single-anchor fuzzer's: joins need partners.
+    let cfg = FuzzConfig { mix, n_points: 200, ..FuzzConfig::default() };
+    let case = fuzz_join_ruleset(seed, &grid, &cfg);
+    let harness = harness_of(&case, grid);
+    let stats = run(&harness, &stream_of(&case));
+    harness.check_restored(&stream_of(&case)).unwrap_or_else(|e| panic!("live vs restored: {e}"));
+    stats
 }
 
 /// One fuzzed seed: engine against the oracle, then live engine against the
@@ -92,13 +131,20 @@ proptest! {
     /// rather than from deltas.
     #[test]
     fn fuzzed_rule_sets_survive_late_arrivals(seed in any::<u64>(), tumbling in any::<bool>()) {
-        let grid = if tumbling {
-            QueryGrid { first: 80, step: 80, wm: 80, last: 480 }
-        } else {
-            fuzz_grid()
-        };
-        let mix = LatenessMix { on_time: 0.3, within_wm: 0.3, beyond_wm: 0.2, boundary: 0.2 };
-        check_fuzz_case(seed, grid, &FuzzConfig { mix, ..FuzzConfig::default() });
+        let grid = if tumbling { tumbling_grid() } else { fuzz_grid() };
+        check_fuzz_case(seed, grid, &FuzzConfig { mix: LATE_HEAVY, ..FuzzConfig::default() });
+    }
+
+    /// Fuzzed joins on the overlapping and the tumbling grid, on-time and
+    /// late-heavy.
+    #[test]
+    fn fuzzed_joins_match_oracle(
+        seed in any::<u64>(),
+        tumbling in any::<bool>(),
+        late_heavy in any::<bool>(),
+    ) {
+        let grid = if tumbling { tumbling_grid() } else { fuzz_grid() };
+        check_join_case(seed, grid, if late_heavy { LATE_HEAVY } else { LatenessMix::default() });
     }
 
     /// The default overlapping grid (WM = 2·step) under a seed-drawn
@@ -141,6 +187,24 @@ fn pinned_fuzz_family_matches_oracle() {
     for seed in base..base + 12 {
         check_fuzz_case(seed, fuzz_grid(), &FuzzConfig::default());
     }
+}
+
+/// A pinned family of fuzzed joins per CI seed job: every seed on both grids
+/// and both lateness mixes.
+#[test]
+fn pinned_join_family_matches_oracle() {
+    let base = 5000 + seed_offset() * 100_000;
+    let mut stats = Vec::new();
+    for seed in base..base + 24 {
+        for grid in [fuzz_grid(), tumbling_grid()] {
+            for mix in [LatenessMix::default(), LATE_HEAVY] {
+                stats.push(check_join_case(seed, grid, mix));
+            }
+        }
+    }
+    // Not vacuous: the joins do fire, by the thousand.
+    let total = CheckStats::merge(stats);
+    assert!(total.events_compared > 2_000, "only {} joined events compared", total.events_compared);
 }
 
 /// The fixture rule set (relations, builtins, statically-determined fluents
@@ -235,10 +299,15 @@ fn traffic_scenario_streams_match_oracle() {
                 vec![insight_rtec::term::Term::float(i.lon), insight_rtec::term::Term::float(i.lat)]
             })
             .collect();
+        let close_box = close_box_tuples(
+            config.close_threshold_m,
+            scenario.scats.intersections().iter().map(|i| i.lat),
+        );
         let harness = Harness::new(rules, grid)
             .builtin("close", move |args| close(args))
             .relation(rel::SCATS_INTERSECTION, intersections)
-            .relation(rel::AREA, areas);
+            .relation(rel::AREA, areas)
+            .relation(rel::CLOSE_BOX, close_box);
         run(&harness, &stream);
     }
 }

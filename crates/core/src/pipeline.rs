@@ -94,16 +94,19 @@ pub struct RtecProcessor {
 }
 
 /// Per-region evaluation-effort metrics: strata actually re-evaluated,
-/// fluent groundings recomputed, window-cycle heap allocations, and the
-/// per-window store refill/re-index time. Clean cache hits add nothing, so
-/// the counters expose how much work delta-awareness saved; the allocation
-/// counter stops growing once the engine's retained state has sized to the
-/// working set.
+/// fluent groundings recomputed, window-cycle heap allocations, the solver's
+/// counted work (steps taken, candidates examined — exact per trace, unlike
+/// any timer) and the per-window store refill/re-index time. Clean cache
+/// hits add nothing, so the counters expose how much work delta-awareness
+/// saved; the allocation counter stops growing once the engine's retained
+/// state has sized to the working set.
 #[derive(Clone)]
 struct EvalCounters {
     strata: Arc<Counter>,
     groundings: Arc<Counter>,
     allocations: Arc<Counter>,
+    solver_steps: Arc<Counter>,
+    candidates: Arc<Counter>,
     rebuild_ns: Arc<Histogram>,
 }
 
@@ -160,6 +163,8 @@ impl RtecProcessor {
                         .counter(&format!("rtec.{}.groundings_recomputed", self.region)),
                     allocations: registry
                         .counter(&format!("rtec.{}.window_allocations", self.region)),
+                    solver_steps: registry.counter(&format!("rtec.{}.solver_steps", self.region)),
+                    candidates: registry.counter(&format!("rtec.{}.candidates", self.region)),
                     rebuild_ns: registry
                         .histogram(&format!("rtec.{}.cache_rebuild_ns", self.region)),
                 });
@@ -182,6 +187,8 @@ impl RtecProcessor {
             c.strata.add(result.raw.timing.strata_evaluated as u64);
             c.groundings.add(result.raw.timing.groundings_recomputed as u64);
             c.allocations.add(result.raw.timing.window_allocations);
+            c.solver_steps.add(result.raw.timing.solver_steps);
+            c.candidates.add(result.raw.timing.candidates_examined);
             c.rebuild_ns.record(result.raw.timing.cache_rebuild);
         }
         let mut item = DataItem::new()
@@ -1506,6 +1513,15 @@ mod tests {
                 .any(|name| name.starts_with("rtec.") && name.ends_with(".window_allocations")),
             "window-allocation counters registered"
         );
+        for work in [".solver_steps", ".candidates"] {
+            let total: u64 = snap
+                .counters
+                .iter()
+                .filter(|(name, _)| name.starts_with("rtec.") && name.ends_with(work))
+                .map(|(_, v)| *v)
+                .sum();
+            assert!(total > 0, "counted solver work ({work}) recorded per region");
+        }
         let rebuild_ns: u64 = snap
             .histograms
             .iter()

@@ -197,6 +197,8 @@ mod tests {
         )
         .unwrap();
         e.set_relation(rel::AREA, vec![vec![Term::float(LON), Term::float(LAT)]]).unwrap();
+        let close_box = insight_traffic::geo::close_box_tuples(250.0, [LAT]);
+        e.set_relation(rel::CLOSE_BOX, close_box).unwrap();
         // Ongoing congestion + a rising density trend (30 -> 95 veh/km).
         e.add_event(Event::new(
             "traffic",

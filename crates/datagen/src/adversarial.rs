@@ -11,11 +11,12 @@
 
 use crate::stream::Sde;
 use insight_rtec::dsl::{
-    cmp, event_head, event_pat, fluent, fluent_pat, guard, happens, holds, not_holds, pat, term_ne,
-    val, RuleSet, RuleSetBuilder,
+    any, builtin, cmp, event_head, event_pat, fluent, fluent_pat, guard, happens, holds, not_holds,
+    pat, relation, term_ne, val, RuleSet, RuleSetBuilder,
 };
 use insight_rtec::event::{Event, FluentObs, Stamped};
-use insight_rtec::rule::CmpOp;
+use insight_rtec::pattern::VarId;
+use insight_rtec::rule::{BodyAtom, CmpOp, GuardExpr, NumExpr, ValRef};
 use insight_rtec::term::Term;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -316,6 +317,9 @@ impl Default for FuzzConfig {
     }
 }
 
+/// A boolean builtin a fuzzed rule set calls.
+pub type FuzzBuiltin = fn(&[Term]) -> bool;
+
 /// A fuzzed rule set plus the seeded stream that exercises it.
 #[derive(Debug, Clone)]
 pub struct FuzzCase {
@@ -329,6 +333,12 @@ pub struct FuzzCase {
     pub events: Vec<Stamped<Event>>,
     /// Stamped input fluent observations (co-timed with events).
     pub obs: Vec<Stamped<FluentObs>>,
+    /// Relation tables the rule set joins (`(name, tuples)`; empty for
+    /// [`fuzz_ruleset`]). A relation the rule set declares may be missing
+    /// here: it is never set and must behave as empty.
+    pub relations: Vec<(String, Vec<Vec<Term>>)>,
+    /// Boolean builtins the rule set calls (`(name, implementation)`).
+    pub builtins: Vec<(String, FuzzBuiltin)>,
 }
 
 const FUZZ_IDS: i64 = 4;
@@ -518,6 +528,284 @@ pub fn fuzz_ruleset(seed: u64, grid: &QueryGrid, cfg: &FuzzConfig) -> FuzzCase {
         rules,
         events,
         obs,
+        relations: Vec::new(),
+        builtins: Vec::new(),
+    }
+}
+
+/// Numbers the join fuzzer draws event values and relation columns from:
+/// few enough that equality joins hit, with every integer also present as a
+/// float (`2` and `2.0` are equal to a guard and different to a pattern).
+fn join_value(rng: &mut StdRng) -> Term {
+    const POOL: [f64; 6] = [-1.5, 0.0, 1.0, 2.0, 2.5, 4.0];
+    let v = POOL[rng.random_range(0..POOL.len())];
+    if v.fract() == 0.0 && rng.random_bool(0.5) {
+        Term::int(v as i64)
+    } else {
+        Term::float(v)
+    }
+}
+
+/// `jz_even(A)`: the one builtin of the join fuzzer — `A` is a number whose
+/// integer part is even.
+fn jz_even(args: &[Term]) -> bool {
+    matches!(args, [a] if a.as_f64().is_some_and(|v| v.is_finite() && (v.trunc() as i64) % 2 == 0))
+}
+
+/// Generates a seeded rule set of **joins** — the bodies a join planner
+/// reorders and re-routes — with the stream, relations and builtin that
+/// exercise it. Every derived event `jz_d{k}` draws one shape:
+///
+/// * two or three `happensAt` conditions joined on `Id` (or not at all) under
+///   time-difference guards `Tj − Ti op c` — `op` any of `<, ≤, >, ≥`, `c`
+///   integer, fractional, negative or zero (zero-width and empty windows
+///   included), sometimes as one `abs(Tj − Ti) ≤ c`;
+/// * a relation probed on a non-first column, on several bound columns, or
+///   through `abs(X − V) ≤ D` band guards over its numeric columns (mixed
+///   `Int`/`Float` values, duplicate rows, sometimes an empty table and
+///   sometimes a declared relation that is never set at all; `D` read from
+///   a second, one-tuple relation), with the boolean builtin
+///   between the guards;
+/// * a negated `holdsAt` on the derived fluent `jz_on`, or a positive read of
+///   the input fluent `jz_g` that feeds the head (and sometimes a guard),
+///   ahead of guards typed after it; comparisons nested under `or`/`not`.
+///
+/// The conditions after the `happensAt` anchors are shuffled (respecting
+/// what must be bound first), so guards land at random body positions.
+pub fn fuzz_join_ruleset(seed: u64, grid: &QueryGrid, cfg: &FuzzConfig) -> FuzzCase {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x101a_b1e5);
+    let ne = rng.random_range(2..=3usize);
+    let nd = rng.random_range(2..=4usize);
+
+    let mut b = RuleSetBuilder::new();
+    for i in 0..ne {
+        b.declare_event(&format!("jz_e{i}"), 2);
+    }
+    b.declare_input_fluent("jz_g", 2);
+    b.declare_relation("jz_site", 3).declare_relation("jz_box", 1);
+    b.declare_builtin("jz_even", 1);
+
+    // `jz_on(Id)`: a derived fluent for the negated reads.
+    let (id, t) = (b.var("OnId"), b.var("OnT"));
+    b.initiated(
+        fluent("jz_on", [pat(id)], val(true)),
+        t,
+        [happens(event_pat("jz_e0", [pat(id), any()]), t)],
+    );
+    let (id, t) = (b.var("OffId"), b.var("OffT"));
+    b.terminated(
+        fluent("jz_on", [pat(id)], val(true)),
+        t,
+        [happens(event_pat("jz_e1", [pat(id), any()]), t)],
+    );
+
+    let span = grid.wm.max(2);
+    let constant = |rng: &mut StdRng| -> f64 {
+        match rng.random_range(0..5u32) {
+            0 => 0.0,
+            1 => -(rng.random_range(1..span / 2) as f64),
+            2 => rng.random_range(1..span) as f64 + 0.5,
+            _ => rng.random_range(1..span) as f64,
+        }
+    };
+    let any_op = |rng: &mut StdRng| {
+        [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][rng.random_range(0..4usize)]
+    };
+    let abs_le = |x: VarId, y: VarId, d: NumExpr, strict: bool| {
+        let op = if strict { CmpOp::Lt } else { CmpOp::Le };
+        guard(cmp(NumExpr::Abs(Box::new(NumExpr::sub(x.into(), y.into()))), op, d))
+    };
+
+    for k in 0..nd {
+        let v = |b: &mut RuleSetBuilder, name: &str| b.var(&format!("{name}{k}"));
+        let n_anchors = rng.random_range(1..=3usize);
+        let same_id = rng.random_bool(0.7);
+        let id = v(&mut b, "Id");
+        let mut anchors: Vec<BodyAtom> = Vec::new();
+        let mut times: Vec<VarId> = Vec::new();
+        let mut vals: Vec<VarId> = Vec::new();
+        for a in 0..n_anchors {
+            let kind = format!("jz_e{}", rng.random_range(0..ne));
+            let t = v(&mut b, &format!("T{a}_"));
+            let val_var = v(&mut b, &format!("V{a}_"));
+            let id_pat =
+                if a == 0 || same_id { pat(id) } else { pat(v(&mut b, &format!("Id{a}_"))) };
+            anchors.push(happens(event_pat(&kind, [id_pat, pat(val_var)]), t));
+            times.push(t);
+            vals.push(val_var);
+        }
+        let head_time = times[rng.random_range(0..times.len())];
+        let mut head_args = vec![pat(id)];
+
+        // Conditions after the anchors, each with the variables it needs
+        // bound first (beyond what the anchors bind) and those it binds.
+        let mut tail: Vec<(BodyAtom, Vec<VarId>, Vec<VarId>)> = Vec::new();
+        for w in times.windows(2) {
+            let diff = || NumExpr::sub(w[1].into(), w[0].into());
+            match rng.random_range(0..10u32) {
+                0..=2 => {
+                    let c = constant(&mut rng).abs();
+                    tail.push((abs_le(w[1], w[0], c.into(), rng.random_bool(0.5)), vec![], vec![]));
+                }
+                // A window `lo ⋚ Tj − Ti ⋚ lo + width` that events can
+                // actually fall into (width 0: a single tick or nothing).
+                3..=7 => {
+                    let lo = [-3.0, 0.0, 0.5, 5.0][rng.random_range(0..4usize)];
+                    let width = [0.0, 0.5, 20.0, 45.5, 60.0][rng.random_range(0..5usize)];
+                    let (above, below) = if rng.random_bool(0.5) {
+                        (CmpOp::Gt, CmpOp::Lt)
+                    } else {
+                        (CmpOp::Ge, CmpOp::Le)
+                    };
+                    tail.push((guard(cmp(diff(), above, lo)), vec![], vec![]));
+                    tail.push((guard(cmp(diff(), below, lo + width)), vec![], vec![]));
+                }
+                // Anything goes, contradictions included.
+                _ => {
+                    for _ in 0..rng.random_range(1..=2usize) {
+                        let g = guard(cmp(diff(), any_op(&mut rng), constant(&mut rng)));
+                        tail.push((g, vec![], vec![]));
+                    }
+                }
+            }
+        }
+        if rng.random_bool(0.6) {
+            // The relation, by one of its access paths.
+            let (x, y) = (v(&mut b, "X"), v(&mut b, "Y"));
+            match rng.random_range(0..3u32) {
+                // Equality on a non-first column.
+                0 => {
+                    tail.push((relation("jz_site", [any(), pat(vals[0]), pat(y)]), vec![], vec![y]))
+                }
+                // Several bound columns.
+                1 => tail.push((
+                    relation("jz_site", [pat(id), pat(vals[0]), pat(y)]),
+                    vec![],
+                    vec![y],
+                )),
+                // Band guards over the numeric columns, the builtin between.
+                _ => {
+                    let d = v(&mut b, "D");
+                    let key = if rng.random_bool(0.5) { any() } else { pat(id) };
+                    tail.push((relation("jz_box", [pat(d)]), vec![], vec![d]));
+                    tail.push((relation("jz_site", [key, pat(x), pat(y)]), vec![], vec![x, y]));
+                    let strict = rng.random_bool(0.3);
+                    tail.push((abs_le(x, vals[0], d.into(), strict), vec![x, d], vec![]));
+                    if rng.random_bool(0.5) {
+                        tail.push((builtin("jz_even", [ValRef::Var(x)]), vec![x], vec![]));
+                    }
+                    if rng.random_bool(0.4) {
+                        let other = *vals.last().expect("an anchor");
+                        tail.push((abs_le(other, y, d.into(), false), vec![y, d], vec![]));
+                    }
+                    head_args.push(pat(x));
+                }
+            }
+            if rng.random_bool(0.5) {
+                head_args.push(pat(y));
+            }
+        }
+        match rng.random_range(0..3u32) {
+            0 => tail.push((
+                not_holds(fluent_pat("jz_on", [pat(id)], val(true)), head_time),
+                vec![],
+                vec![],
+            )),
+            1 => {
+                // A read that only feeds the head: the planner sinks it.
+                let gv = v(&mut b, "G");
+                tail.push((
+                    holds(fluent_pat("jz_g", [pat(id), pat(gv)], val(true)), times[0]),
+                    vec![],
+                    vec![gv],
+                ));
+                head_args.push(pat(gv));
+                // …unless a guard needs what it binds.
+                if rng.random_bool(0.4) {
+                    tail.push((guard(cmp(gv, CmpOp::Ge, 1.0)), vec![gv], vec![]));
+                }
+            }
+            _ => {}
+        }
+        // A comparison under `or`/`not` asserts nothing a probe may rely on.
+        if times.len() > 1 && rng.random_bool(0.3) {
+            let narrow = cmp(NumExpr::sub(times[1].into(), times[0].into()), CmpOp::Lt, 3.0);
+            let g = if rng.random_bool(0.5) {
+                GuardExpr::Not(Box::new(narrow))
+            } else {
+                GuardExpr::Or(vec![narrow, cmp(vals[0], CmpOp::Gt, 1.0)])
+            };
+            tail.push((guard(g), vec![], vec![]));
+        }
+
+        // Random topological shuffle of the tail.
+        let mut bound: Vec<VarId> = Vec::new();
+        let mut body = anchors;
+        while !tail.is_empty() {
+            let ready: Vec<usize> = (0..tail.len())
+                .filter(|&i| tail[i].1.iter().all(|need| bound.contains(need)))
+                .collect();
+            let (atom, _, binds) = tail.remove(ready[rng.random_range(0..ready.len())]);
+            bound.extend(binds);
+            body.push(atom);
+        }
+        b.derived_event(event_head(&format!("jz_d{k}"), head_args), head_time, body);
+    }
+    let rules = b.build().expect("fuzzed join rule set must be well-formed");
+
+    // Relations: duplicate rows, mixed numeric types, sometimes nothing —
+    // set to no tuples, or declared and never set.
+    let mut site: Vec<Vec<Term>> = Vec::new();
+    let mut site_set = true;
+    if rng.random_bool(0.15) {
+        site_set = rng.random_bool(0.5);
+    } else {
+        for _ in 0..rng.random_range(1..=8usize) {
+            let row = vec![
+                Term::int(rng.random_range(0..FUZZ_IDS)),
+                join_value(&mut rng),
+                join_value(&mut rng),
+            ];
+            if rng.random_bool(0.2) {
+                site.push(row.clone());
+            }
+            site.push(row);
+        }
+    }
+    let width = [Term::int(0), Term::int(1), Term::float(0.5), Term::float(2.0)];
+    let mut relations = Vec::new();
+    if site_set {
+        relations.push(("jz_site".to_string(), site));
+    }
+    relations
+        .push(("jz_box".to_string(), vec![vec![width[rng.random_range(0..width.len())].clone()]]));
+
+    let points = adversarial_points(seed ^ 0xfeed, cfg.n_points, grid, &cfg.mix);
+    let mut events = Vec::with_capacity(points.len());
+    let mut obs = Vec::new();
+    for p in &points {
+        let kind = format!("jz_e{}", rng.random_range(0..ne));
+        let id = Term::int(rng.random_range(0..FUZZ_IDS));
+        events.push(Stamped::arriving_at(
+            Event::new(kind.as_str(), [id.clone(), join_value(&mut rng)], p.time),
+            p.arrival,
+        ));
+        if rng.random_bool(0.4) {
+            obs.push(Stamped::arriving_at(
+                FluentObs::new("jz_g", [id, join_value(&mut rng)], Term::truth(), p.time),
+                p.arrival,
+            ));
+        }
+    }
+
+    FuzzCase {
+        label: format!("join-e{ne}-d{nd}"),
+        seed,
+        rules,
+        events,
+        obs,
+        relations,
+        builtins: vec![("jz_even".to_string(), jz_even as FuzzBuiltin)],
     }
 }
 
@@ -638,6 +926,72 @@ mod tests {
         assert!(saw_negation, "some fuzzed body uses negation");
         assert!(saw_non_pivot, "some fuzzed body is non-pivotable");
         assert!(saw_chain, "some derived event chains on a derived event");
+    }
+
+    #[test]
+    fn fuzzed_joins_cover_what_a_join_planner_must_get_right() {
+        let g = grid();
+        let cfg = FuzzConfig::default();
+        let a = fuzz_join_ruleset(5, &g, &cfg);
+        let b = fuzz_join_ruleset(5, &g, &cfg);
+        assert_eq!(a.label, b.label);
+        assert_eq!(a.relations, b.relations);
+        assert_eq!(a.events.len(), b.events.len());
+
+        let (mut three_way, mut guard_before_condition, mut fractional, mut negative) =
+            (false, false, false, false);
+        let (mut zero, mut abs, mut negated_after_guard, mut empty_site, mut mixed) =
+            (false, false, false, false, false);
+        let mut unset_site = false;
+        for seed in 0..64 {
+            let case = fuzz_join_ruleset(seed, &g, &cfg);
+            let site = case.relations.iter().find(|(name, _)| name == "jz_site");
+            unset_site |= site.is_none();
+            empty_site |= site.is_some_and(|(_, rows)| rows.is_empty());
+            let site = site.map_or(&[][..], |(_, rows)| rows);
+            mixed |= site.iter().any(|r| matches!(r[1], Term::Int(_)))
+                && site.iter().any(|r| matches!(r[1], Term::Float(_)));
+            for r in case.rules.ev_rules() {
+                let happens = r.body.iter().filter(|a| matches!(a, BodyAtom::Happens { .. }));
+                three_way |= happens.count() == 3;
+                let mut seen_guard = false;
+                for atom in &r.body {
+                    match atom {
+                        BodyAtom::Guard(GuardExpr::Cmp { lhs, rhs, .. }) => {
+                            seen_guard = true;
+                            abs |= matches!(lhs, NumExpr::Abs(_));
+                            if let NumExpr::Const(c) = rhs {
+                                fractional |= c.fract() != 0.0;
+                                negative |= *c < 0.0;
+                                zero |= *c == 0.0;
+                            }
+                        }
+                        BodyAtom::Holds { negated, .. } if seen_guard => {
+                            guard_before_condition = true;
+                            negated_after_guard |= *negated;
+                        }
+                        BodyAtom::Relation { .. } | BodyAtom::Builtin { .. } if seen_guard => {
+                            guard_before_condition = true;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        for (what, seen) in [
+            ("three-way join", three_way),
+            ("guard ahead of a later condition", guard_before_condition),
+            ("fractional constant", fractional),
+            ("negative constant", negative),
+            ("zero constant", zero),
+            ("abs guard", abs),
+            ("negated holdsAt after a guard", negated_after_guard),
+            ("empty relation", empty_site),
+            ("declared relation never set", unset_site),
+            ("mixed Int/Float column", mixed),
+        ] {
+            assert!(seen, "no fuzzed join drew: {what}");
+        }
     }
 
     #[test]

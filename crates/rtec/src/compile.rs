@@ -12,7 +12,11 @@
 //! flattened into a topologically-ordered instruction array, and each rule
 //! body is lowered into [`CAtom`] programs — one full-solve program plus one
 //! delta-bounded pivot program per `happensAt` atom, with the
-//! delta-bounding role baked into each `Happens` operand. The plan owns its
+//! delta-bounding role baked into each `Happens` operand — which the join
+//! planner ([`crate::planner`]) then schedules, bounds and routes: filters
+//! run as soon as their variables are bound, guards narrow the probes of the
+//! atoms they constrain, and every atom carries the one access path it will
+//! ever use. The plan owns its
 //! rule set, is immutable and `Arc`-shared: shard replicas and region
 //! engines built from the same rule set reuse one plan
 //! ([`crate::engine::Engine::with_plan`]), and checkpoint snapshots exclude
@@ -20,7 +24,8 @@
 //! set on restore).
 //!
 //! At query time the solver ([`solve_c`]) runs over slot-indexed window
-//! stores ([`CEventStore`], [`CObsStore`], [`CFluentStore`]) — array
+//! stores ([`CEventStore`], [`CObsStore`], [`CFluentStore`], [`CRelation`])
+//! that carry exactly the indexes the plan's access paths name — array
 //! indexing and binary search only, no string or hash lookups and no
 //! interner locks — and draws all of its scratch (bindings, evidence spans,
 //! binding trail, builtin argument buffer) from a per-thread
@@ -34,6 +39,7 @@ use crate::interval::{IntervalArena, IntervalList, IvRange};
 use crate::pattern::{
     match_args_trail, undo_trail, ArgPat, Bindings, EventPattern, FluentPattern, VarId,
 };
+use crate::planner::{fluent_access, plan_program, time_window, Access, IndexNeeds, VarRange};
 use crate::rule::{BodyAtom, GuardExpr, IntervalExpr, NumExpr, StaticRule, ValRef};
 use crate::stratify::{body_deps, HeadKind};
 use crate::term::{Symbol, Term};
@@ -111,8 +117,9 @@ pub(crate) enum HappensRole {
 }
 
 /// One lowered body atom: a [`BodyAtom`] with every name pre-resolved to a
-/// slot, input/derived fluent discrimination done at compile time, and the
-/// delta-bounding role baked in.
+/// slot, input/derived fluent discrimination done at compile time, the
+/// delta-bounding role baked in, and the access path the join planner chose
+/// for it.
 #[derive(Debug, Clone)]
 pub(crate) enum CAtom {
     /// `happensAt(kind(args…), T)` with its pivot role fixed per program.
@@ -125,6 +132,10 @@ pub(crate) enum CAtom {
         time: VarId,
         /// Delta-bounding role relative to the change frontier.
         role: HappensRole,
+        /// How the atom reaches its candidates.
+        access: Access,
+        /// Guard-derived bounds on `time`, intersected with the role range.
+        range: VarRange,
     },
     /// `[not] holdsAt(name(args…) = V, T)` on an *input* fluent.
     HoldsInput {
@@ -136,6 +147,8 @@ pub(crate) enum CAtom {
         time: VarId,
         /// Negation-as-failure flag.
         negated: bool,
+        /// How the atom reaches its candidates.
+        access: Access,
     },
     /// `[not] holdsAt(name(args…) = V, T)` on a *derived* fluent.
     HoldsDerived {
@@ -147,6 +160,8 @@ pub(crate) enum CAtom {
         time: VarId,
         /// Negation-as-failure flag.
         negated: bool,
+        /// How the atom reaches its candidates.
+        access: Access,
     },
     /// A finite-relation membership condition.
     Relation {
@@ -154,6 +169,10 @@ pub(crate) enum CAtom {
         idx: u32,
         /// The argument pattern.
         args: Vec<ArgPat>,
+        /// How the atom reaches its candidates.
+        access: Access,
+        /// Guard-derived bounds on the column an [`Access::Range`] walks.
+        range: VarRange,
     },
     /// A registered boolean builtin.
     Builtin {
@@ -166,13 +185,69 @@ pub(crate) enum CAtom {
     Guard(GuardExpr),
 }
 
+fn pat_vars<'a>(args: &'a [ArgPat]) -> impl Iterator<Item = VarId> + 'a {
+    args.iter().filter_map(ArgPat::var)
+}
+
+impl CAtom {
+    /// The variables a match of this atom can newly bind.
+    pub(crate) fn binds(&self) -> Vec<VarId> {
+        match self {
+            CAtom::Happens { pat, time, .. } => {
+                pat_vars(&pat.args).chain(std::iter::once(*time)).collect()
+            }
+            CAtom::HoldsInput { pat, negated: false, .. }
+            | CAtom::HoldsDerived { pat, negated: false, .. } => {
+                pat_vars(&pat.args).chain(pat.value.var()).collect()
+            }
+            CAtom::Relation { args, .. } => pat_vars(args).collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Every variable the atom mentions.
+    pub(crate) fn mentions(&self) -> Vec<VarId> {
+        match self {
+            CAtom::HoldsInput { pat, time, .. } | CAtom::HoldsDerived { pat, time, .. } => {
+                pat_vars(&pat.args).chain(pat.value.var()).chain(std::iter::once(*time)).collect()
+            }
+            CAtom::Builtin { args, .. } => args
+                .iter()
+                .filter_map(|a| match a {
+                    ValRef::Var(v) => Some(*v),
+                    ValRef::Const(_) => None,
+                })
+                .collect(),
+            CAtom::Guard(g) => {
+                let mut vs = Vec::new();
+                g.collect_vars(&mut vs);
+                vs
+            }
+            CAtom::Happens { .. } | CAtom::Relation { .. } => self.binds(),
+        }
+    }
+
+    /// Installs the planner's choice for this atom.
+    pub(crate) fn set_probe(&mut self, to: Access, bounds: VarRange) {
+        match self {
+            CAtom::Happens { access, range, .. } | CAtom::Relation { access, range, .. } => {
+                *access = to;
+                *range = bounds;
+            }
+            CAtom::HoldsInput { access, .. } | CAtom::HoldsDerived { access, .. } => *access = to,
+            CAtom::Builtin { .. } | CAtom::Guard(_) => {}
+        }
+    }
+}
+
 /// One lowered body: the full-solve program plus one delta-bounded pivot
-/// program per `happensAt` atom. Pivoting is safe — pattern atoms only *add*
-/// bindings and all other atoms keep their relative order, so binding
-/// prerequisites still hold with the pivot moved to the front.
+/// program per `happensAt` atom, each planned on its own (moving the pivot to
+/// the front changes what is bound where, hence the access paths). Pivoting
+/// is safe — pattern atoms only *add* bindings, so binding prerequisites
+/// still hold with the pivot moved to the front.
 #[derive(Debug, Clone)]
 pub(crate) struct CBody {
-    /// All atoms in body order, every role `Free` (full re-solve).
+    /// Every atom of the body, every role `Free` (full re-solve).
     pub full: Vec<CAtom>,
     /// Pivot programs: program `k` enumerates exactly the derivations whose
     /// first at-or-after-frontier happens atom is body atom `k`.
@@ -188,6 +263,8 @@ pub(crate) enum CIntervalExpr {
         slot: SlotId,
         /// The fluent pattern.
         pat: FluentPattern,
+        /// How the leaf reaches its groundings.
+        access: Access,
     },
     /// `union_all`.
     Union(Vec<CIntervalExpr>),
@@ -200,7 +277,8 @@ pub(crate) enum CIntervalExpr {
 /// One lowered statically-determined fluent rule.
 #[derive(Debug, Clone)]
 pub(crate) struct CStatic {
-    /// Lowered domain atoms (all roles `Free`; statics always solve fully).
+    /// The planned domain program (all roles `Free`; statics always solve
+    /// fully).
     pub domain: Vec<CAtom>,
     /// Lowered interval expression.
     pub expr: CIntervalExpr,
@@ -262,6 +340,8 @@ pub struct CompiledPlan {
     pub(crate) relation_syms: Vec<Symbol>,
     /// Builtin symbols in dense-index order (sorted).
     pub(crate) builtin_syms: Vec<Symbol>,
+    /// The indexes the planned access paths name.
+    pub(crate) needs: IndexNeeds,
     signature: u64,
 }
 
@@ -304,11 +384,12 @@ impl CompiledPlan {
         let bi_idx: HashMap<Symbol, u32> =
             builtin_syms.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect();
 
-        let lower_body = |body: &[BodyAtom]| -> CBody {
-            let full: Vec<CAtom> =
+        let mut needs = IndexNeeds::new(slots.len(), relation_syms.len());
+        let mut lower_body = |body: &[BodyAtom]| -> CBody {
+            let lowered: Vec<CAtom> =
                 body.iter().map(|a| lower_atom(a, &rules, &slots, &rel_idx, &bi_idx)).collect();
             let mut pivots = Vec::new();
-            for (pi, atom) in full.iter().enumerate() {
+            for (pi, atom) in lowered.iter().enumerate() {
                 if !matches!(atom, CAtom::Happens { .. }) {
                     continue;
                 }
@@ -317,9 +398,9 @@ impl CompiledPlan {
                 // frontier is atom `pi`: the pivot moves to the front,
                 // earlier happens atoms become `Before`, everything else
                 // stays `Free`.
-                let mut prog = Vec::with_capacity(full.len());
+                let mut prog = Vec::with_capacity(lowered.len());
                 prog.push(with_role(atom.clone(), HappensRole::Pivot));
-                for (j, a) in full.iter().enumerate() {
+                for (j, a) in lowered.iter().enumerate() {
                     if j == pi {
                         continue;
                     }
@@ -330,9 +411,9 @@ impl CompiledPlan {
                     };
                     prog.push(with_role(a.clone(), role));
                 }
-                pivots.push(prog);
+                pivots.push(plan_program(prog, &mut needs));
             }
-            CBody { full, pivots }
+            CBody { full: plan_program(lowered, &mut needs), pivots }
         };
 
         let ev_bodies: Vec<CBody> = rules.ev_rules.iter().map(|r| lower_body(&r.body)).collect();
@@ -340,13 +421,19 @@ impl CompiledPlan {
         let static_bodies: Vec<CStatic> = rules
             .static_rules
             .iter()
-            .map(|r| CStatic {
-                domain: r
+            .map(|r| {
+                let domain: Vec<CAtom> = r
                     .domain
                     .iter()
                     .map(|a| lower_atom(a, &rules, &slots, &rel_idx, &bi_idx))
-                    .collect(),
-                expr: lower_expr(&r.expr, &slots),
+                    .collect();
+                // Validation guarantees the domain binds every variable the
+                // expression mentions.
+                let bound: HashSet<VarId> = domain.iter().flat_map(CAtom::binds).collect();
+                CStatic {
+                    domain: plan_program(domain, &mut needs),
+                    expr: lower_expr(&r.expr, &slots, &bound, &mut needs),
+                }
             })
             .collect();
 
@@ -406,6 +493,7 @@ impl CompiledPlan {
             static_bodies,
             relation_syms,
             builtin_syms,
+            needs,
             signature: 0,
         };
         plan.signature = plan.fingerprint();
@@ -460,6 +548,17 @@ impl CompiledPlan {
             }
             eat(&[u8::from(instr.pivotable), u8::from(instr.static_pure)]);
         }
+        // The planner's choices, as the indexes they ask the stores for.
+        let IndexNeeds { events, obs_first, fluents, rel_eq, rel_num } = &self.needs;
+        for cols in events.iter().chain(fluents).chain(rel_eq).chain(rel_num) {
+            eat(&(cols.len() as u16).to_le_bytes());
+            for c in cols {
+                eat(&c.to_le_bytes());
+            }
+        }
+        for &by_first in obs_first {
+            eat(&[u8::from(by_first)]);
+        }
         h
     }
 }
@@ -493,7 +592,9 @@ fn body_pivotable(body: &[BodyAtom]) -> bool {
 
 fn with_role(atom: CAtom, role: HappensRole) -> CAtom {
     match atom {
-        CAtom::Happens { slot, pat, time, .. } => CAtom::Happens { slot, pat, time, role },
+        CAtom::Happens { slot, pat, time, access, range, .. } => {
+            CAtom::Happens { slot, pat, time, role, access, range }
+        }
         other => other,
     }
 }
@@ -511,18 +612,23 @@ fn lower_atom(
             pat: pat.clone(),
             time: *time,
             role: HappensRole::Free,
+            access: Access::Scan,
+            range: VarRange::default(),
         },
         BodyAtom::Holds { pat, time, negated } => {
             let slot = slots.slot(pat.name).expect("fluent declared or derived");
+            let (pat, time, negated, access) = (pat.clone(), *time, *negated, Access::Scan);
             if rules.input_fluents.contains_key(&pat.name) {
-                CAtom::HoldsInput { slot, pat: pat.clone(), time: *time, negated: *negated }
+                CAtom::HoldsInput { slot, pat, time, negated, access }
             } else {
-                CAtom::HoldsDerived { slot, pat: pat.clone(), time: *time, negated: *negated }
+                CAtom::HoldsDerived { slot, pat, time, negated, access }
             }
         }
         BodyAtom::Relation { name, args } => CAtom::Relation {
             idx: *rel_idx.get(name).expect("relation declared"),
             args: args.clone(),
+            access: Access::Scan,
+            range: VarRange::default(),
         },
         BodyAtom::Builtin { name, args } => {
             CAtom::Builtin { idx: *bi_idx.get(name).expect("builtin declared"), args: args.clone() }
@@ -531,21 +637,31 @@ fn lower_atom(
     }
 }
 
-fn lower_expr(expr: &IntervalExpr, slots: &SlotMap) -> CIntervalExpr {
+fn lower_expr(
+    expr: &IntervalExpr,
+    slots: &SlotMap,
+    bound: &HashSet<VarId>,
+    needs: &mut IndexNeeds,
+) -> CIntervalExpr {
+    fn all(
+        es: &[IntervalExpr],
+        slots: &SlotMap,
+        bound: &HashSet<VarId>,
+        needs: &mut IndexNeeds,
+    ) -> Vec<CIntervalExpr> {
+        es.iter().map(|e| lower_expr(e, slots, bound, needs)).collect()
+    }
     match expr {
-        IntervalExpr::Fluent(pat) => CIntervalExpr::Fluent {
-            slot: slots.slot(pat.name).expect("fluent declared or derived"),
-            pat: pat.clone(),
-        },
-        IntervalExpr::Union(es) => {
-            CIntervalExpr::Union(es.iter().map(|e| lower_expr(e, slots)).collect())
+        IntervalExpr::Fluent(pat) => {
+            let slot = slots.slot(pat.name).expect("fluent declared or derived");
+            let access = fluent_access(slot, &pat.args, bound, needs);
+            CIntervalExpr::Fluent { slot, pat: pat.clone(), access }
         }
-        IntervalExpr::Intersect(es) => {
-            CIntervalExpr::Intersect(es.iter().map(|e| lower_expr(e, slots)).collect())
-        }
+        IntervalExpr::Union(es) => CIntervalExpr::Union(all(es, slots, bound, needs)),
+        IntervalExpr::Intersect(es) => CIntervalExpr::Intersect(all(es, slots, bound, needs)),
         IntervalExpr::RelComp(base, subs) => CIntervalExpr::RelComp(
-            Box::new(lower_expr(base, slots)),
-            subs.iter().map(|e| lower_expr(e, slots)).collect(),
+            Box::new(lower_expr(base, slots, bound, needs)),
+            all(subs, slots, bound, needs),
         ),
     }
 }
@@ -554,23 +670,65 @@ fn lower_expr(expr: &IntervalExpr, slots: &SlotMap) -> CIntervalExpr {
 // Slot-indexed window stores
 // ---------------------------------------------------------------------------
 
+/// A `(term, item index)` side table over one argument column, sorted by
+/// term: the equality index behind [`Access::Column`]. Terms are inline
+/// values, so the table is a permutation of the store plus one key each.
+struct ColIndex {
+    col: usize,
+    entries: Vec<(Term, u32)>,
+}
+
+impl ColIndex {
+    fn new(col: u16) -> ColIndex {
+        ColIndex { col: col as usize, entries: Vec::new() }
+    }
+
+    fn push(&mut self, args: &[Term], item: usize) {
+        if let Some(t) = args.get(self.col) {
+            self.entries.push((t.clone(), item as u32));
+        }
+    }
+
+    /// Stable: entries pushed in item order stay in item order per term.
+    fn sort(&mut self) {
+        self.entries.sort_by(|a, b| a.0.cmp(&b.0));
+    }
+
+    /// Item indices whose column term equals `t`: one binary search for
+    /// the start of the run, which the caller then walks.
+    fn equal<'a>(&'a self, t: &'a Term) -> impl Iterator<Item = usize> + 'a {
+        let a = self.entries.partition_point(|(k, _)| k < t);
+        self.entries[a..].iter().take_while(move |(k, _)| k == t).map(|&(_, i)| i as usize)
+    }
+}
+
 /// Events of one kind, sorted by time. Argument terms live in a per-kind
 /// pool (`items` holds `(time, offset, len)` triples) so refilling the store
-/// each window reuses capacity instead of cloning a `Vec<Term>` per event; a
-/// sorted `(first-arg, index)` side table narrows joins on a bound leading
+/// each window reuses capacity instead of cloning a `Vec<Term>` per event;
+/// one [`ColIndex`] per column the plan probes narrows joins on a bound
 /// argument by binary search.
-#[derive(Default)]
 pub(crate) struct CEventKind {
     items: Vec<(Time, u32, u16)>,
     pool: Vec<Term>,
-    by_first: Vec<(Term, u32)>,
+    /// Sorted by `(term, time)`, in the order the plan numbered them.
+    by_col: Vec<ColIndex>,
 }
 
 impl CEventKind {
+    fn new(cols: &[u16]) -> CEventKind {
+        CEventKind {
+            items: Vec::new(),
+            pool: Vec::new(),
+            by_col: cols.iter().map(|&c| ColIndex::new(c)).collect(),
+        }
+    }
+
     fn clear(&mut self) {
         self.items.clear();
         self.pool.clear();
-        self.by_first.clear();
+        for ix in &mut self.by_col {
+            ix.entries.clear();
+        }
     }
 
     fn push(&mut self, time: Time, args: &[Term]) {
@@ -581,15 +739,16 @@ impl CEventKind {
 
     fn rebuild(&mut self) {
         self.items.sort_by_key(|it| it.0);
-        self.by_first.clear();
-        for (i, &(_, off, len)) in self.items.iter().enumerate() {
-            if len > 0 {
-                self.by_first.push((self.pool[off as usize].clone(), i as u32));
+        let CEventKind { items, pool, by_col } = self;
+        for ix in by_col {
+            ix.entries.clear();
+            for (i, &(_, off, len)) in items.iter().enumerate() {
+                ix.push(&pool[off as usize..off as usize + len as usize], i);
             }
+            // Items are already time-sorted, so the stable sort by term
+            // keeps each term's run time-sorted too.
+            ix.sort();
         }
-        // Items are already time-sorted, so a stable sort by term keeps each
-        // term's index run time-sorted too.
-        self.by_first.sort_by(|a, b| a.0.cmp(&b.0));
     }
 
     fn is_empty(&self) -> bool {
@@ -605,22 +764,35 @@ impl CEventKind {
         &self.pool[off as usize..off as usize + len as usize]
     }
 
-    /// Indices of items whose first argument equals `t` and whose time is in
-    /// `[lo, hi]`.
-    fn first_range(&self, t: &Term, lo: Time, hi: Time) -> &[(Term, u32)] {
-        let a = self
-            .by_first
-            .partition_point(|(k, i)| k < t || (k == t && self.items[*i as usize].0 < lo));
-        let z = self
-            .by_first
-            .partition_point(|(k, i)| k < t || (k == t && self.items[*i as usize].0 <= hi));
-        &self.by_first[a..z]
+    /// Item indices whose time is in `[lo, hi]`, in time order.
+    fn time_range(&self, lo: Time, hi: Time) -> impl Iterator<Item = usize> + '_ {
+        let a = self.items.partition_point(|it| it.0 < lo);
+        (a..self.items.len()).take_while(move |&i| self.items[i].0 <= hi)
+    }
+
+    /// Item indices of index `index` whose column term equals `t` and whose
+    /// time is in `[lo, hi]`, in time order.
+    fn col_range<'a>(
+        &'a self,
+        index: u16,
+        t: &'a Term,
+        lo: Time,
+        hi: Time,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let entries = &self.by_col[index as usize].entries;
+        let a = entries.partition_point(|(k, i)| k < t || (k == t && self.time(*i as usize) < lo));
+        entries[a..]
+            .iter()
+            .take_while(move |(k, i)| k == t && self.time(*i as usize) <= hi)
+            .map(|&(_, i)| i as usize)
     }
 
     fn visit_caps(&self, f: &mut impl FnMut(usize)) {
         f(self.items.capacity());
         f(self.pool.capacity());
-        f(self.by_first.capacity());
+        for ix in &self.by_col {
+            f(ix.entries.capacity());
+        }
     }
 }
 
@@ -631,10 +803,9 @@ pub(crate) struct CEventStore {
 }
 
 impl CEventStore {
-    pub(crate) fn new(n_slots: usize) -> CEventStore {
-        let mut kinds: Vec<CEventKind> = Vec::with_capacity(n_slots);
-        kinds.resize_with(n_slots, CEventKind::default);
-        CEventStore { kinds }
+    /// One kind per slot, indexed on the columns `needs.events` names.
+    pub(crate) fn new(needs: &IndexNeeds) -> CEventStore {
+        CEventStore { kinds: needs.events.iter().map(|cols| CEventKind::new(cols)).collect() }
     }
 
     pub(crate) fn clear(&mut self) {
@@ -666,13 +837,15 @@ impl CEventStore {
     }
 }
 
-/// Input fluent observations of one name, sorted by time, with argument
-/// terms pooled per kind like [`CEventKind`].
-#[derive(Default)]
+/// Input fluent observations of one name with argument terms pooled per
+/// kind like [`CEventKind`], sorted by time — or by `(time, first argument)`
+/// when the plan reads the fluent with its first argument bound, so that
+/// `holdsAt(gps(Bus, …), T)` is one binary search.
 pub(crate) struct CObsKind {
-    /// `(time, args offset, args len, value)`, sorted by time.
+    /// `(time, args offset, args len, value)`.
     items: Vec<(Time, u32, u16, Term)>,
     pool: Vec<Term>,
+    by_first: bool,
 }
 
 impl CObsKind {
@@ -687,14 +860,35 @@ impl CObsKind {
         self.items.push((time, off, args.len() as u16, value.clone()));
     }
 
-    fn sort(&mut self) {
-        self.items.sort_by_key(|it| it.0);
+    fn first<'a>(pool: &'a [Term], it: &(Time, u32, u16, Term)) -> Option<&'a Term> {
+        (it.2 > 0).then(|| &pool[it.1 as usize])
     }
 
-    fn range_at(&self, t: Time) -> std::ops::Range<usize> {
-        let lo = self.items.partition_point(|it| it.0 < t);
-        let hi = self.items.partition_point(|it| it.0 <= t);
-        lo..hi
+    fn sort(&mut self) {
+        let CObsKind { items, pool, by_first } = self;
+        if *by_first {
+            items.sort_by(|a, b| {
+                a.0.cmp(&b.0).then_with(|| Self::first(pool, a).cmp(&Self::first(pool, b)))
+            });
+        } else {
+            items.sort_by_key(|it| it.0);
+        }
+    }
+
+    /// Observations at time `t` — with `first`, only those whose first
+    /// argument it is (the plan asked for the `(time, first)` order then).
+    fn at<'a>(&'a self, t: Time, first: Option<&'a Term>) -> impl Iterator<Item = usize> + 'a {
+        debug_assert!(first.is_none() || self.by_first, "the plan asked for this order");
+        let a = match first {
+            Some(_) => {
+                self.items.partition_point(|it| (it.0, Self::first(&self.pool, it)) < (t, first))
+            }
+            None => self.items.partition_point(|it| it.0 < t),
+        };
+        (a..self.items.len()).take_while(move |&i| {
+            let it = &self.items[i];
+            it.0 == t && (first.is_none() || Self::first(&self.pool, it) == first)
+        })
     }
 
     fn args(&self, i: usize) -> &[Term] {
@@ -719,10 +913,10 @@ pub(crate) struct CObsStore {
 }
 
 impl CObsStore {
-    pub(crate) fn new(n_slots: usize) -> CObsStore {
-        let mut kinds: Vec<CObsKind> = Vec::with_capacity(n_slots);
-        kinds.resize_with(n_slots, CObsKind::default);
-        CObsStore { kinds }
+    /// One kind per slot, ordered as `needs.obs_first` asks.
+    pub(crate) fn new(needs: &IndexNeeds) -> CObsStore {
+        let kind = |&by_first: &bool| CObsKind { items: Vec::new(), pool: Vec::new(), by_first };
+        CObsStore { kinds: needs.obs_first.iter().map(kind).collect() }
     }
 
     pub(crate) fn clear(&mut self) {
@@ -750,21 +944,22 @@ impl CObsStore {
     }
 }
 
-/// Derived fluent groundings of one name with a sorted first-arg side table
-/// and pooled argument terms.
-#[derive(Default)]
+/// Derived fluent groundings of one name with pooled argument terms and one
+/// [`ColIndex`] per column the plan probes.
 pub(crate) struct CFluentSlot {
     /// `(args offset, args len, value, intervals)` per grounding.
     entries: Vec<(u32, u16, Term, IntervalList)>,
     pool: Vec<Term>,
-    by_first: Vec<(Term, u32)>,
+    by_col: Vec<ColIndex>,
 }
 
 impl CFluentSlot {
     fn clear(&mut self) {
         self.entries.clear();
         self.pool.clear();
-        self.by_first.clear();
+        for ix in &mut self.by_col {
+            ix.entries.clear();
+        }
     }
 
     fn len(&self) -> usize {
@@ -784,16 +979,12 @@ impl CFluentSlot {
         &self.entries[i].3
     }
 
-    fn first_indices(&self, t: &Term) -> &[(Term, u32)] {
-        let a = self.by_first.partition_point(|(k, _)| k < t);
-        let z = self.by_first.partition_point(|(k, _)| k <= t);
-        &self.by_first[a..z]
-    }
-
     fn visit_caps(&self, f: &mut impl FnMut(usize)) {
         f(self.entries.capacity());
         f(self.pool.capacity());
-        f(self.by_first.capacity());
+        for ix in &self.by_col {
+            f(ix.entries.capacity());
+        }
     }
 }
 
@@ -804,10 +995,14 @@ pub(crate) struct CFluentStore {
 }
 
 impl CFluentStore {
-    pub(crate) fn new(n_slots: usize) -> CFluentStore {
-        let mut slots = Vec::with_capacity(n_slots);
-        slots.resize_with(n_slots, CFluentSlot::default);
-        CFluentStore { slots }
+    /// One slot per symbol, indexed on the columns `needs.fluents` names.
+    pub(crate) fn new(needs: &IndexNeeds) -> CFluentStore {
+        let slot = |cols: &Vec<u16>| CFluentSlot {
+            entries: Vec::new(),
+            pool: Vec::new(),
+            by_col: cols.iter().map(|&c| ColIndex::new(c)).collect(),
+        };
+        CFluentStore { slots: needs.fluents.iter().map(slot).collect() }
     }
 
     pub(crate) fn clear(&mut self) {
@@ -816,7 +1011,7 @@ impl CFluentStore {
         }
     }
 
-    /// Appends one grounding to a slot without rebuilding the index; call
+    /// Appends one grounding to a slot without sorting its indexes; call
     /// [`CFluentStore::finish_slot`] after the slot's stratum completes.
     pub(crate) fn insert_entry(
         &mut self,
@@ -826,17 +1021,19 @@ impl CFluentStore {
         ivs: &IntervalList,
     ) {
         let fs = &mut self.slots[slot as usize];
-        if let Some(first) = args.first() {
-            fs.by_first.push((first.clone(), fs.entries.len() as u32));
+        for ix in &mut fs.by_col {
+            ix.push(args, fs.entries.len());
         }
         let off = fs.pool.len() as u32;
         fs.pool.extend(args.iter().cloned());
         fs.entries.push((off, args.len() as u16, value.clone(), ivs.clone()));
     }
 
-    /// Sorts the slot's first-arg index (once per stratum, not per lookup).
+    /// Sorts the slot's indexes (once per stratum, not per lookup).
     pub(crate) fn finish_slot(&mut self, slot: SlotId) {
-        self.slots[slot as usize].by_first.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        for ix in &mut self.slots[slot as usize].by_col {
+            ix.sort();
+        }
     }
 
     pub(crate) fn visit_caps(&self, f: &mut impl FnMut(usize)) {
@@ -846,12 +1043,64 @@ impl CFluentStore {
     }
 }
 
+/// One finite relation with the indexes the plan names, built once when the
+/// tuples are set ([`crate::engine::Engine::set_relation`]); a relation that
+/// is never set is built from no tuples, so its indexes exist and are empty.
+pub(crate) struct CRelation {
+    tuples: Vec<Vec<Term>>,
+    /// Equality indexes, in the plan's numbering.
+    eq: Vec<ColIndex>,
+    /// Sorted `(value, tuple index)` per numeric column, in the plan's
+    /// numbering. A tuple whose column is not a number (or is NaN) is left
+    /// out: every comparison guard over it is false.
+    num: Vec<Vec<(f64, u32)>>,
+}
+
+impl CRelation {
+    /// Indexes `tuples` on the given equality and numeric columns.
+    pub(crate) fn build(tuples: Vec<Vec<Term>>, eq_cols: &[u16], num_cols: &[u16]) -> CRelation {
+        let eq = eq_cols
+            .iter()
+            .map(|&c| {
+                let mut ix = ColIndex::new(c);
+                for (i, t) in tuples.iter().enumerate() {
+                    ix.push(t, i);
+                }
+                ix.sort();
+                ix
+            })
+            .collect();
+        let num = num_cols
+            .iter()
+            .map(|&c| {
+                let mut col: Vec<(f64, u32)> = tuples
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, t)| Some((t.get(c as usize)?.as_f64()?, i as u32)))
+                    .filter(|(v, _)| !v.is_nan())
+                    .collect();
+                col.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                col
+            })
+            .collect();
+        CRelation { tuples, eq, num }
+    }
+
+    /// Tuples whose value in numeric index `index` is in `[lo, hi]`.
+    fn band(&self, index: u16, lo: f64, hi: f64) -> impl Iterator<Item = &[Term]> {
+        let col = &self.num[index as usize];
+        let a = col.partition_point(|e| e.0 < lo);
+        col[a..].iter().take_while(move |e| e.0 <= hi).map(|e| self.tuples[e.1 as usize].as_slice())
+    }
+}
+
 /// The compiled evaluation context: dense stores plus dense operand tables.
+#[derive(Clone, Copy)]
 pub(crate) struct CCtx<'a> {
     pub(crate) events: &'a CEventStore,
     pub(crate) obs: &'a CObsStore,
     pub(crate) fluents: &'a CFluentStore,
-    pub(crate) relations: &'a [Vec<Vec<Term>>],
+    pub(crate) relations: &'a [CRelation],
     pub(crate) builtins: &'a [Option<BuiltinFn>],
 }
 
@@ -859,17 +1108,44 @@ pub(crate) struct CCtx<'a> {
 // Per-thread scratch arena
 // ---------------------------------------------------------------------------
 
+/// Counted solver work: exact for a given plan and input, whatever the host
+/// does, so it can be gated where wall time cannot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SolveWork {
+    /// Solver steps: one per atom visited and one per solution delivered.
+    pub steps: u64,
+    /// Candidates examined: events, observations, derived-fluent groundings
+    /// and relation tuples a probe handed to the matcher.
+    pub candidates: u64,
+}
+
+impl std::ops::AddAssign for SolveWork {
+    fn add_assign(&mut self, o: SolveWork) {
+        self.steps += o.steps;
+        self.candidates += o.candidates;
+    }
+}
+
+impl std::ops::Sub for SolveWork {
+    type Output = SolveWork;
+    fn sub(self, o: SolveWork) -> SolveWork {
+        SolveWork { steps: self.steps - o.steps, candidates: self.candidates - o.candidates }
+    }
+}
+
 /// Reusable per-thread evaluation scratch: the bindings environment, the
 /// evidence-span stack, the binding trail and the builtin argument buffer.
 /// All buffers retain their capacity across
 /// windows, so steady-state evaluation performs **zero** allocations here —
 /// [`scratch_allocations`] counts every capacity growth so tests can prove
-/// it.
+/// it. The thread's [`SolveWork`] counters live here too: plain integers,
+/// bumped by the solver that has the scratch checked out.
 pub(crate) struct SolveScratch {
-    pub(crate) b: Bindings,
-    pub(crate) spans: Vec<Time>,
-    pub(crate) trail: Vec<VarId>,
-    pub(crate) args_buf: Vec<Term>,
+    b: Bindings,
+    spans: Vec<Time>,
+    trail: Vec<VarId>,
+    args_buf: Vec<Term>,
+    work: SolveWork,
     active: bool,
     allocations: u64,
 }
@@ -881,6 +1157,7 @@ impl SolveScratch {
             spans: Vec::new(),
             trail: Vec::new(),
             args_buf: Vec::new(),
+            work: SolveWork::default(),
             active: false,
             allocations: 0,
         }
@@ -898,7 +1175,7 @@ thread_local! {
 /// Runs `f` with this thread's solve scratch checked out. Balanced and
 /// non-reentrant by construction (`RefCell` + debug guard); capacity growth
 /// during `f` is charged to the allocation counter.
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut SolveScratch) -> R) -> R {
+fn with_scratch<R>(f: impl FnOnce(&mut SolveScratch) -> R) -> R {
     SCRATCH.with(|cell| {
         let mut s = cell.borrow_mut();
         debug_assert!(!s.active, "solve scratch checked out twice");
@@ -921,6 +1198,12 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut SolveScratch) -> R) -> R {
 /// regression test asserts exactly that.
 pub fn scratch_allocations() -> u64 {
     SCRATCH.with(|cell| cell.borrow().allocations)
+}
+
+/// The solver work the calling thread has done so far (every engine it has
+/// queried). Engines report per-query and per-stratum differences of it.
+pub(crate) fn solve_work() -> SolveWork {
+    SCRATCH.with(|cell| cell.borrow().work)
 }
 
 // ---------------------------------------------------------------------------
@@ -973,7 +1256,7 @@ fn eval_guard(g: &GuardExpr, b: &Bindings) -> bool {
 /// when the frontier is at or below the window start, otherwise one pivot
 /// program per happens atom.
 pub(crate) fn solve_frontier_c(
-    ctx: &CCtx<'_>,
+    ctx: CCtx<'_>,
     body: &CBody,
     n_vars: usize,
     frontier: Time,
@@ -982,14 +1265,10 @@ pub(crate) fn solve_frontier_c(
 ) {
     with_scratch(|s| {
         if frontier <= window_start {
-            s.b.reset(n_vars);
-            let SolveScratch { b, spans, trail, args_buf, .. } = s;
-            solve_c(ctx, &body.full, TIME_MIN, b, spans, trail, args_buf, out);
+            Solver::new(ctx, TIME_MIN, n_vars, s, out).solve_c(&body.full);
         } else {
             for prog in &body.pivots {
-                s.b.reset(n_vars);
-                let SolveScratch { b, spans, trail, args_buf, .. } = s;
-                solve_c(ctx, prog, frontier, b, spans, trail, args_buf, out);
+                Solver::new(ctx, frontier, n_vars, s, out).solve_c(prog);
             }
         }
     });
@@ -998,65 +1277,20 @@ pub(crate) fn solve_frontier_c(
 /// Fully solves a static rule's lowered domain program (statics never
 /// delta-bound — expiry can shrink event-driven domains silently).
 pub(crate) fn solve_domain_c(
-    ctx: &CCtx<'_>,
+    ctx: CCtx<'_>,
     atoms: &[CAtom],
     n_vars: usize,
     out: &mut dyn FnMut(&mut Bindings, &[Time]),
 ) {
-    with_scratch(|s| {
-        s.b.reset(n_vars);
-        let SolveScratch { b, spans, trail, args_buf, .. } = s;
-        solve_c(ctx, atoms, TIME_MIN, b, spans, trail, args_buf, out);
-    });
+    with_scratch(|s| Solver::new(ctx, TIME_MIN, n_vars, s, out).solve_c(atoms));
 }
 
-/// Matches one event against a pattern + time variable using the binding
-/// trail; on success calls `k`, then rolls everything back.
-fn with_event_match_c(
-    pat: &EventPattern,
-    time: VarId,
-    t: Time,
-    args: &[Term],
-    b: &mut Bindings,
-    trail: &mut Vec<VarId>,
-    k: &mut dyn FnMut(&mut Bindings, &mut Vec<VarId>),
-) {
-    let t_term = Term::Int(t);
-    let time_was_bound = b.is_bound(time);
-    if time_was_bound {
-        if b.get(time) != Some(&t_term) {
-            return;
-        }
-    } else if !b.bind(time, &t_term) {
-        return;
-    }
-    let mark = trail.len();
-    if match_args_trail(&pat.args, args, b, trail) {
-        k(b, trail);
-        undo_trail(trail, mark, b);
-    }
-    if !time_was_bound {
-        b.unbind(time);
-    }
-}
-
-/// Matches a fluent pattern against `(args, value)` using the trail; calls
-/// `k` on success and rolls back afterwards.
-fn with_fluent_match_c(
-    pat: &FluentPattern,
-    args: &[Term],
-    value: &Term,
-    b: &mut Bindings,
-    trail: &mut Vec<VarId>,
-    k: &mut dyn FnMut(&mut Bindings, &mut Vec<VarId>),
-) {
-    let mark = trail.len();
-    if match_args_trail(&pat.args, args, b, trail) {
-        if match_args_trail(std::slice::from_ref(&pat.value), std::slice::from_ref(value), b, trail)
-        {
-            k(b, trail);
-        }
-        undo_trail(trail, mark, b);
+/// The term a planned [`Access::Column`] probes with.
+fn probe_term<'b>(pat: &'b ArgPat, b: &'b Bindings) -> &'b Term {
+    match pat {
+        ArgPat::Const(c) => c,
+        ArgPat::Var(v) => b.get(*v).expect("the planner only probes bound columns"),
+        ArgPat::Any => unreachable!("the planner only probes bound columns"),
     }
 }
 
@@ -1069,236 +1303,249 @@ fn fluent_matches_c(
     trail: &mut Vec<VarId>,
 ) -> bool {
     let mark = trail.len();
-    let mut hit = false;
-    with_fluent_match_c(pat, args, value, b, trail, &mut |_, _| hit = true);
-    debug_assert_eq!(trail.len(), mark);
+    let hit = match_args_trail(&pat.args, args, b, trail)
+        && match_args_trail(
+            std::slice::from_ref(&pat.value),
+            std::slice::from_ref(value),
+            b,
+            trail,
+        );
+    undo_trail(trail, mark, b);
     hit
 }
 
-/// Depth-first resolution of one compiled program, tracking the evidence
-/// times of the current partial solution in `spans` (every matched event
-/// time and every fluent read time). Allocation-free: roles come baked into
-/// the `Happens` operands, symbol lookups are slot-indexed array reads,
-/// newly bound variables go onto the shared trail, and builtin arguments
-/// resolve into a reusable buffer.
-#[allow(clippy::too_many_arguments)]
-fn solve_c(
-    ctx: &CCtx<'_>,
-    atoms: &[CAtom],
+/// One depth-first resolution of a planned program over the thread's
+/// scratch. Allocation-free: roles and access paths come baked into the
+/// atoms, symbol lookups are slot-indexed array reads, newly bound variables
+/// go onto the shared trail, and builtin arguments resolve into a reusable
+/// buffer.
+struct Solver<'a, 'o> {
+    ctx: CCtx<'a>,
     frontier: Time,
-    b: &mut Bindings,
-    spans: &mut Vec<Time>,
-    trail: &mut Vec<VarId>,
-    args_buf: &mut Vec<Term>,
-    out: &mut dyn FnMut(&mut Bindings, &[Time]),
-) {
-    let Some((atom, rest)) = atoms.split_first() else {
-        out(b, spans);
-        return;
-    };
-    match atom {
-        CAtom::Happens { slot, pat, time, role } => {
-            let ks = &ctx.events.kinds[*slot as usize];
-            if ks.is_empty() {
+    s: &'a mut SolveScratch,
+    out: &'o mut dyn FnMut(&mut Bindings, &[Time]),
+}
+
+impl<'a, 'o> Solver<'a, 'o> {
+    fn new(
+        ctx: CCtx<'a>,
+        frontier: Time,
+        n_vars: usize,
+        s: &'a mut SolveScratch,
+        out: &'o mut dyn FnMut(&mut Bindings, &[Time]),
+    ) -> Solver<'a, 'o> {
+        s.b.reset(n_vars);
+        Solver { ctx, frontier, s, out }
+    }
+
+    /// Matches one event against a pattern + time variable; on success
+    /// solves `rest` under the extended environment, then rolls everything
+    /// back. The event time is on the evidence stack while `rest` runs.
+    fn try_event(
+        &mut self,
+        pat: &EventPattern,
+        time: VarId,
+        t: Time,
+        args: &[Term],
+        rest: &[CAtom],
+    ) {
+        self.s.work.candidates += 1;
+        let t_term = Term::Int(t);
+        let time_was_bound = self.s.b.is_bound(time);
+        if time_was_bound {
+            if self.s.b.get(time) != Some(&t_term) {
                 return;
             }
-            let (lo, hi) = match role {
-                HappensRole::Pivot => (frontier, TIME_MAX),
-                HappensRole::Before => (TIME_MIN, frontier.saturating_sub(1)),
-                HappensRole::Free => (TIME_MIN, TIME_MAX),
-            };
-            if lo > hi {
-                return;
+        } else if !self.s.b.bind(time, &t_term) {
+            return;
+        }
+        let mark = self.s.trail.len();
+        if match_args_trail(&pat.args, args, &mut self.s.b, &mut self.s.trail) {
+            self.s.spans.push(t);
+            self.solve_c(rest);
+            self.s.spans.pop();
+            undo_trail(&mut self.s.trail, mark, &mut self.s.b);
+        }
+        if !time_was_bound {
+            self.s.b.unbind(time);
+        }
+    }
+
+    /// Matches a fluent pattern against `(args, value)`; on success solves
+    /// `rest`, then rolls back.
+    fn try_fluent(&mut self, pat: &FluentPattern, args: &[Term], value: &Term, rest: &[CAtom]) {
+        let SolveScratch { b, trail, .. } = &mut *self.s;
+        let mark = trail.len();
+        if match_args_trail(&pat.args, args, b, trail) {
+            if match_args_trail(
+                std::slice::from_ref(&pat.value),
+                std::slice::from_ref(value),
+                b,
+                trail,
+            ) {
+                self.solve_c(rest);
             }
-            if let Some(t) = b.get(*time).and_then(term_time) {
-                if t < lo || t > hi {
+            undo_trail(&mut self.s.trail, mark, &mut self.s.b);
+        }
+    }
+
+    /// Resolves `atoms` left to right, tracking the evidence times of the
+    /// current partial solution (every matched event time and every fluent
+    /// read time) and delivering each complete solution to `out`. The
+    /// atom's planned [`Access`] is the only dispatch: nothing here asks
+    /// what happens to be bound.
+    fn solve_c(&mut self, atoms: &[CAtom]) {
+        self.s.work.steps += 1;
+        let Some((atom, rest)) = atoms.split_first() else {
+            (self.out)(&mut self.s.b, &self.s.spans);
+            return;
+        };
+        match atom {
+            CAtom::Happens { slot, pat, time, role, access, range } => {
+                let ks = &self.ctx.events.kinds[*slot as usize];
+                if ks.is_empty() {
                     return;
                 }
-                let a = ks.items.partition_point(|it| it.0 < t);
-                let z = ks.items.partition_point(|it| it.0 <= t);
-                for i in a..z {
-                    spans.push(ks.time(i));
-                    with_event_match_c(
-                        pat,
-                        *time,
-                        ks.time(i),
-                        ks.args(i),
-                        b,
-                        trail,
-                        &mut |b, trail| {
-                            solve_c(ctx, rest, frontier, b, spans, trail, args_buf, out)
-                        },
-                    );
-                    spans.pop();
+                let (role_lo, role_hi) = match role {
+                    HappensRole::Pivot => (self.frontier, TIME_MAX),
+                    HappensRole::Before => (TIME_MIN, self.frontier.saturating_sub(1)),
+                    HappensRole::Free => (TIME_MIN, TIME_MAX),
+                };
+                let Some((lo, hi)) = time_window(role_lo, role_hi, range, &self.s.b) else {
+                    return;
+                };
+                match *access {
+                    Access::Column { col, index } => {
+                        // Terms are fully inline (no heap), so this clone is
+                        // free; it releases the borrow of the environment.
+                        let key = probe_term(&pat.args[col as usize], &self.s.b).clone();
+                        for i in ks.col_range(index, &key, lo, hi) {
+                            self.try_event(pat, *time, ks.time(i), ks.args(i), rest);
+                        }
+                    }
+                    Access::Scan => {
+                        for i in ks.time_range(lo, hi) {
+                            self.try_event(pat, *time, ks.time(i), ks.args(i), rest);
+                        }
+                    }
+                    Access::Range { .. } => unreachable!("only relation columns are ranged"),
                 }
-            } else {
-                // Narrow by a bound first argument where possible. Terms are
-                // fully inline (no heap), so this clone is free.
-                let first_bound: Option<Term> = match pat.args.first() {
-                    Some(ArgPat::Const(c)) => Some(c.clone()),
-                    Some(ArgPat::Var(v)) => b.get(*v).cloned(),
+            }
+            CAtom::HoldsInput { slot, pat, time, negated, access } => {
+                let Some(t) = self.s.b.get(*time).and_then(term_time) else { return };
+                let ks = &self.ctx.obs.kinds[*slot as usize];
+                let first = match access {
+                    Access::Column { .. } => Some(probe_term(&pat.args[0], &self.s.b).clone()),
                     _ => None,
                 };
-                match first_bound {
-                    Some(first) => {
-                        for &(_, idx) in ks.first_range(&first, lo, hi) {
-                            let i = idx as usize;
-                            spans.push(ks.time(i));
-                            with_event_match_c(
-                                pat,
-                                *time,
-                                ks.time(i),
-                                ks.args(i),
-                                b,
-                                trail,
-                                &mut |b, trail| {
-                                    solve_c(ctx, rest, frontier, b, spans, trail, args_buf, out)
-                                },
-                            );
-                            spans.pop();
+                self.s.spans.push(t);
+                let mut exists = false;
+                for i in ks.at(t, first.as_ref()) {
+                    self.s.work.candidates += 1;
+                    if *negated {
+                        let SolveScratch { b, trail, .. } = &mut *self.s;
+                        exists = fluent_matches_c(pat, ks.args(i), ks.value(i), b, trail);
+                        if exists {
+                            break;
                         }
-                    }
-                    None => {
-                        let a = ks.items.partition_point(|it| it.0 < lo);
-                        let z = ks.items.partition_point(|it| it.0 <= hi);
-                        for i in a..z {
-                            spans.push(ks.time(i));
-                            with_event_match_c(
-                                pat,
-                                *time,
-                                ks.time(i),
-                                ks.args(i),
-                                b,
-                                trail,
-                                &mut |b, trail| {
-                                    solve_c(ctx, rest, frontier, b, spans, trail, args_buf, out)
-                                },
-                            );
-                            spans.pop();
-                        }
+                    } else {
+                        self.try_fluent(pat, ks.args(i), ks.value(i), rest);
                     }
                 }
-            }
-        }
-        CAtom::HoldsInput { slot, pat, time, negated } => {
-            let Some(t) = b.get(*time).and_then(term_time) else { return };
-            spans.push(t);
-            let ks = &ctx.obs.kinds[*slot as usize];
-            let candidates = ks.range_at(t);
-            if *negated {
-                let exists = candidates
-                    .clone()
-                    .any(|i| fluent_matches_c(pat, ks.args(i), ks.value(i), b, trail));
-                if !exists {
-                    solve_c(ctx, rest, frontier, b, spans, trail, args_buf, out);
+                if *negated && !exists {
+                    self.solve_c(rest);
                 }
-            } else {
-                for i in candidates {
-                    with_fluent_match_c(pat, ks.args(i), ks.value(i), b, trail, &mut |b, trail| {
-                        solve_c(ctx, rest, frontier, b, spans, trail, args_buf, out)
-                    });
-                }
+                self.s.spans.pop();
             }
-            spans.pop();
-        }
-        CAtom::HoldsDerived { slot, pat, time, negated } => {
-            let Some(t) = b.get(*time).and_then(term_time) else { return };
-            spans.push(t);
-            let fs = &ctx.fluents.slots[*slot as usize];
-            let first_bound: Option<Term> = match pat.args.first() {
-                Some(ArgPat::Const(c)) => Some(c.clone()),
-                Some(ArgPat::Var(v)) => b.get(*v).cloned(),
-                _ => None,
-            };
-            if *negated {
-                let exists = match &first_bound {
-                    Some(first) => fs.first_indices(first).iter().any(|&(_, idx)| {
-                        let i = idx as usize;
-                        fs.ivs(i).contains(t)
-                            && fluent_matches_c(pat, fs.args(i), fs.value(i), b, trail)
-                    }),
-                    None => (0..fs.len()).any(|i| {
-                        fs.ivs(i).contains(t)
-                            && fluent_matches_c(pat, fs.args(i), fs.value(i), b, trail)
-                    }),
+            CAtom::HoldsDerived { slot, pat, time, negated, access } => {
+                let Some(t) = self.s.b.get(*time).and_then(term_time) else { return };
+                let fs = &self.ctx.fluents.slots[*slot as usize];
+                self.s.spans.push(t);
+                // One body for both access paths. For a negated read it
+                // answers "does this grounding hold and match?" (the walk
+                // stops at the first that does); for a positive one it
+                // solves `rest` under each match and never stops the walk.
+                let visit = |this: &mut Self, i: usize| -> bool {
+                    this.s.work.candidates += 1;
+                    if !fs.ivs(i).contains(t) {
+                        return false;
+                    }
+                    if *negated {
+                        let SolveScratch { b, trail, .. } = &mut *this.s;
+                        fluent_matches_c(pat, fs.args(i), fs.value(i), b, trail)
+                    } else {
+                        this.try_fluent(pat, fs.args(i), fs.value(i), rest);
+                        false
+                    }
                 };
-                if !exists {
-                    solve_c(ctx, rest, frontier, b, spans, trail, args_buf, out);
+                let exists = match *access {
+                    Access::Column { col, index } => {
+                        let key = probe_term(&pat.args[col as usize], &self.s.b).clone();
+                        let mut hits = fs.by_col[index as usize].equal(&key);
+                        hits.any(|i| visit(self, i))
+                    }
+                    _ => (0..fs.len()).any(|i| visit(self, i)),
+                };
+                if *negated && !exists {
+                    self.solve_c(rest);
                 }
-            } else {
-                match &first_bound {
-                    Some(first) => {
-                        for &(_, idx) in fs.first_indices(first) {
-                            let i = idx as usize;
-                            if !fs.ivs(i).contains(t) {
-                                continue;
-                            }
-                            with_fluent_match_c(
-                                pat,
-                                fs.args(i),
-                                fs.value(i),
-                                b,
-                                trail,
-                                &mut |b, trail| {
-                                    solve_c(ctx, rest, frontier, b, spans, trail, args_buf, out)
-                                },
-                            );
+                self.s.spans.pop();
+            }
+            CAtom::Relation { idx, args, access, range } => {
+                let rel = &self.ctx.relations[*idx as usize];
+                let visit = |this: &mut Self, tuple: &[Term]| {
+                    this.s.work.candidates += 1;
+                    let mark = this.s.trail.len();
+                    if match_args_trail(args, tuple, &mut this.s.b, &mut this.s.trail) {
+                        this.solve_c(rest);
+                        undo_trail(&mut this.s.trail, mark, &mut this.s.b);
+                    }
+                };
+                match *access {
+                    Access::Column { col, index } => {
+                        let key = probe_term(&args[col as usize], &self.s.b).clone();
+                        for i in rel.eq[index as usize].equal(&key) {
+                            visit(self, &rel.tuples[i]);
                         }
                     }
-                    None => {
-                        for i in 0..fs.len() {
-                            if !fs.ivs(i).contains(t) {
-                                continue;
-                            }
-                            with_fluent_match_c(
-                                pat,
-                                fs.args(i),
-                                fs.value(i),
-                                b,
-                                trail,
-                                &mut |b, trail| {
-                                    solve_c(ctx, rest, frontier, b, spans, trail, args_buf, out)
-                                },
-                            );
+                    Access::Range { index } => {
+                        let (lo, hi) = range.band(&self.s.b);
+                        for tuple in rel.band(index, lo, hi) {
+                            visit(self, tuple);
+                        }
+                    }
+                    Access::Scan => {
+                        for tuple in &rel.tuples {
+                            visit(self, tuple);
                         }
                     }
                 }
             }
-            spans.pop();
-        }
-        CAtom::Relation { idx, args } => {
-            let tuples = &ctx.relations[*idx as usize];
-            let mark = trail.len();
-            for tuple in tuples {
-                if match_args_trail(args, tuple, b, trail) {
-                    solve_c(ctx, rest, frontier, b, spans, trail, args_buf, out);
-                    undo_trail(trail, mark, b);
-                }
-            }
-        }
-        CAtom::Builtin { idx, args } => {
-            let Some(f) = ctx.builtins[*idx as usize].as_ref() else { return };
-            args_buf.clear();
-            for a in args {
-                match resolve(a, b) {
-                    Some(t) => args_buf.push(t),
-                    None => {
-                        args_buf.clear();
-                        return;
+            CAtom::Builtin { idx, args } => {
+                let Some(f) = self.ctx.builtins[*idx as usize].as_ref() else { return };
+                let SolveScratch { b, args_buf, .. } = &mut *self.s;
+                args_buf.clear();
+                for a in args {
+                    match resolve(a, b) {
+                        Some(t) => args_buf.push(t),
+                        None => {
+                            args_buf.clear();
+                            return;
+                        }
                     }
                 }
+                let ok = f(args_buf);
+                // Cleared before recursing so a later builtin in `rest` can
+                // reuse the same buffer.
+                args_buf.clear();
+                if ok {
+                    self.solve_c(rest);
+                }
             }
-            let ok = f(args_buf);
-            // Cleared before recursing so a later builtin in `rest` can
-            // reuse the same buffer.
-            args_buf.clear();
-            if ok {
-                solve_c(ctx, rest, frontier, b, spans, trail, args_buf, out);
-            }
-        }
-        CAtom::Guard(g) => {
-            if eval_guard(g, b) {
-                solve_c(ctx, rest, frontier, b, spans, trail, args_buf, out);
+            CAtom::Guard(g) => {
+                if eval_guard(g, &self.s.b) {
+                    self.solve_c(rest);
+                }
             }
         }
     }
@@ -1317,22 +1564,31 @@ pub(crate) fn eval_interval_expr_into(
     fluents: &CFluentStore,
     arena: &mut IntervalArena,
     ranges: &mut Vec<IvRange>,
+    candidates: &mut u64,
 ) -> IvRange {
     match expr {
-        CIntervalExpr::Fluent { slot, pat } => {
+        CIntervalExpr::Fluent { slot, pat, access } => {
             let mark = arena.mark();
             let fs = &fluents.slots[*slot as usize];
-            for i in 0..fs.len() {
+            let mut visit = |i: usize, b: &mut Bindings| {
+                *candidates += 1;
                 if fluent_matches_c(pat, fs.args(i), fs.value(i), b, trail) {
                     arena.copy_in(fs.ivs(i).as_slice());
                 }
+            };
+            match *access {
+                Access::Column { col, index } => {
+                    let key = probe_term(&pat.args[col as usize], b).clone();
+                    fs.by_col[index as usize].equal(&key).for_each(|i| visit(i, b));
+                }
+                _ => (0..fs.len()).for_each(|i| visit(i, b)),
             }
             arena.union_finish(mark)
         }
         CIntervalExpr::Union(es) => {
             let mark = arena.mark();
             for e in es {
-                eval_interval_expr_into(e, b, trail, fluents, arena, ranges);
+                eval_interval_expr_into(e, b, trail, fluents, arena, ranges, candidates);
             }
             arena.union_finish(mark)
         }
@@ -1340,7 +1596,7 @@ pub(crate) fn eval_interval_expr_into(
             let mark = arena.mark();
             let rs = ranges.len();
             for e in es {
-                let r = eval_interval_expr_into(e, b, trail, fluents, arena, ranges);
+                let r = eval_interval_expr_into(e, b, trail, fluents, arena, ranges, candidates);
                 ranges.push(r);
             }
             let out = arena.intersect_all_into(mark, &ranges[rs..]);
@@ -1349,10 +1605,11 @@ pub(crate) fn eval_interval_expr_into(
         }
         CIntervalExpr::RelComp(base, subs) => {
             let mark = arena.mark();
-            let base_r = eval_interval_expr_into(base, b, trail, fluents, arena, ranges);
+            let base_r =
+                eval_interval_expr_into(base, b, trail, fluents, arena, ranges, candidates);
             let sub_mark = arena.mark();
             for e in subs {
-                eval_interval_expr_into(e, b, trail, fluents, arena, ranges);
+                eval_interval_expr_into(e, b, trail, fluents, arena, ranges, candidates);
             }
             let d = arena.relative_complement_all_into(base_r, sub_mark);
             arena.collapse(mark, d)

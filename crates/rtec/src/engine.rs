@@ -24,8 +24,8 @@
 //! window state ([`crate::slotstate`]), serially on the calling thread.
 
 use crate::compile::{
-    eval_interval_expr_into, scratch_allocations, solve_domain_c, solve_frontier_c, term_time,
-    CCtx, CEventStore, CFluentStore, CompiledPlan, StratumInstr,
+    eval_interval_expr_into, scratch_allocations, solve_domain_c, solve_frontier_c, solve_work,
+    term_time, CCtx, CEventStore, CFluentStore, CRelation, CompiledPlan, SolveWork, StratumInstr,
 };
 use crate::dsl::RuleSet;
 use crate::error::RtecError;
@@ -100,6 +100,10 @@ pub struct RecognitionStats {
     pub fluent_groundings: usize,
     /// Total maximal intervals across all groundings.
     pub intervals: usize,
+    /// Solver steps the query took ([`QueryTiming::solver_steps`]).
+    pub solver_steps: u64,
+    /// Candidates the query examined ([`QueryTiming::candidates_examined`]).
+    pub candidates_examined: u64,
 }
 
 /// Wall-clock timing of one recognition query, split by phase.
@@ -134,6 +138,26 @@ pub struct QueryTiming {
     /// stratum output back into them (the cache-maintenance share of the
     /// cycle; a subset of `windowing` + `evaluation`).
     pub cache_rebuild: Duration,
+    /// Solver steps: one per body atom visited and one per solution
+    /// delivered, summed over the strata. Counted work — exact for a given
+    /// plan and input, whatever the host is doing.
+    pub solver_steps: u64,
+    /// Events, observations, derived-fluent groundings and relation tuples
+    /// the access paths handed to the matcher, summed over the strata
+    /// (interval-expression leaves included).
+    pub candidates_examined: u64,
+}
+
+/// What one stratum has cost over every query its engine has answered
+/// ([`Engine::stratum_profile`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StratumProfile {
+    /// The head symbol the stratum derives.
+    pub symbol: Symbol,
+    /// Wall time inside the stratum's evaluation (publishing excluded).
+    pub time: Duration,
+    /// Counted solver work.
+    pub work: SolveWork,
 }
 
 /// The result of one recognition query.
@@ -183,6 +207,8 @@ impl Recognition {
     pub fn stats(&self) -> RecognitionStats {
         let mut stats = RecognitionStats {
             derived_events: self.derived_events.len(),
+            solver_steps: self.timing.solver_steps,
+            candidates_examined: self.timing.candidates_examined,
             ..RecognitionStats::default()
         };
         for name in self.fluents.names() {
@@ -222,8 +248,9 @@ pub struct Engine {
     window: WindowConfig,
     buffered_events: Vec<Seen<Event>>,
     buffered_obs: Vec<Seen<FluentObs>>,
-    /// Relation tuples, indexed like `plan.relation_syms`.
-    relations: Vec<Vec<Vec<Term>>>,
+    /// Relation tuples with the indexes the plan names, in
+    /// `plan.relation_syms` order.
+    relations: Vec<CRelation>,
     /// Builtin implementations, indexed like `plan.builtin_syms` (`None`
     /// until registered).
     builtins: Vec<Option<BuiltinFn>>,
@@ -237,6 +264,9 @@ pub struct Engine {
     /// query: every stratum must re-evaluate in full because those
     /// dependencies are outside frontier tracking.
     dirty_all: bool,
+    /// Cumulative per-stratum cost, aligned with the plan's instruction
+    /// array.
+    profile: Vec<StratumProfile>,
 }
 
 impl Engine {
@@ -255,12 +285,25 @@ impl Engine {
             window,
             buffered_events: Vec::new(),
             buffered_obs: Vec::new(),
-            relations: vec![Vec::new(); plan.relation_syms.len()],
+            // An unset relation is empty, but it still carries (empty)
+            // indexes: the plan's access paths address them by ordinal.
+            relations: (plan.needs.rel_eq.iter().zip(&plan.needs.rel_num))
+                .map(|(eq, num)| CRelation::build(Vec::new(), eq, num))
+                .collect(),
             builtins: vec![None; plan.builtin_syms.len()],
             state: CycleState::new(&plan),
             last_query: None,
             first_query: None,
             dirty_all: false,
+            profile: plan
+                .instrs
+                .iter()
+                .map(|i| StratumProfile {
+                    symbol: i.symbol,
+                    time: Duration::ZERO,
+                    work: SolveWork::default(),
+                })
+                .collect(),
             plan,
         }
     }
@@ -281,6 +324,13 @@ impl Engine {
         &self.plan.rules
     }
 
+    /// Cumulative evaluation time and counted solver work per stratum, in
+    /// evaluation order, over every query answered so far — where a window's
+    /// cost sits, by rule head.
+    pub fn stratum_profile(&self) -> &[StratumProfile] {
+        &self.profile
+    }
+
     /// Registers the implementation of a declared builtin predicate.
     pub fn register_builtin<F>(&mut self, name: &str, f: F) -> Result<(), RtecError>
     where
@@ -297,7 +347,8 @@ impl Engine {
         Ok(())
     }
 
-    /// Replaces the tuples of a declared relation.
+    /// Replaces the tuples of a declared relation, indexing them once on the
+    /// columns the plan's access paths probe.
     pub fn set_relation(&mut self, name: &str, tuples: Vec<Vec<Term>>) -> Result<(), RtecError> {
         let sym = Symbol::new(name);
         let idx = self
@@ -313,7 +364,8 @@ impl Engine {
                 used: bad.len(),
             });
         }
-        self.relations[idx] = tuples;
+        let needs = &self.plan.needs;
+        self.relations[idx] = CRelation::build(tuples, &needs.rel_eq[idx], &needs.rel_num[idx]);
         // Relation tuples are outside frontier tracking; invalidate caches.
         self.dirty_all = true;
         Ok(())
@@ -440,7 +492,9 @@ impl Engine {
         let window_advanced =
             self.last_query.is_some_and(|prev| self.window.window_start(prev) < start);
 
-        let Engine { plan, state, buffered_events, buffered_obs, relations, builtins, .. } = self;
+        let Engine {
+            plan, state, buffered_events, buffered_obs, relations, builtins, profile, ..
+        } = self;
         let plan: &CompiledPlan = plan;
         state.gen += 1;
         let cycle = Cycle { start, gen: state.gen, full_eval };
@@ -501,7 +555,10 @@ impl Engine {
         let mut derived_events: Vec<Event> = Vec::new();
         let mut strata_evaluated = 0usize;
         let mut groundings_recomputed = 0usize;
-        for (instr, table) in plan.instrs.iter().zip(strata.iter_mut()) {
+        let mut work = SolveWork::default();
+        for ((instr, table), profile) in
+            plan.instrs.iter().zip(strata.iter_mut()).zip(profile.iter_mut())
+        {
             // Everything strictly below the stratum frontier is untouched
             // by this query's delta.
             let mut frontier = if full_eval {
@@ -513,7 +570,13 @@ impl Engine {
                 frontier = TIME_MIN;
             }
             let ctx = CCtx { events, obs, fluents: cfluents, relations, builtins };
-            let out = eval_stratum(plan, instr, frontier, cycle, &ctx, table);
+            let (stratum_started, work_before) = (Instant::now(), solve_work());
+            let out = eval_stratum(plan, instr, frontier, cycle, ctx, table);
+            let mut stratum_work = solve_work() - work_before;
+            stratum_work.candidates += out.expr_candidates;
+            profile.time += stratum_started.elapsed();
+            profile.work += stratum_work;
+            work += stratum_work;
             strata_evaluated += usize::from(out.evaluated);
             groundings_recomputed += out.groundings;
             frontiers[instr.slot as usize] = out.frontier_out;
@@ -549,6 +612,8 @@ impl Engine {
                 groundings_recomputed,
                 window_allocations,
                 cache_rebuild,
+                solver_steps: work.steps,
+                candidates_examined: work.candidates,
             },
             fluents: fluents_out,
         })
@@ -894,6 +959,9 @@ struct StratumOut {
     /// The stratum's output change frontier: the earliest time at which its
     /// output differs from the previous window's (`TIME_MAX` = unchanged).
     frontier_out: Time,
+    /// Groundings visited by interval-expression leaves (the solver counts
+    /// its own candidates; expressions run inside its solution callback).
+    expr_candidates: u64,
 }
 
 /// Min/max of the evidence times on one solution path. Every rule body has
@@ -949,7 +1017,7 @@ fn eval_stratum(
     instr: &StratumInstr,
     frontier: Time,
     cycle: Cycle,
-    ctx: &CCtx<'_>,
+    ctx: CCtx<'_>,
     state: &mut StratumState,
 ) -> StratumOut {
     let Cycle { start, gen, full_eval } = cycle;
@@ -993,7 +1061,7 @@ fn eval_stratum(
             t.build_mat_next(start);
             let frontier_out = t.mat_divergence(start);
             t.swap_sides();
-            StratumOut { evaluated, groundings: 0, frontier_out }
+            StratumOut { evaluated, groundings: 0, frontier_out, expr_candidates: 0 }
         }
         StratumState::Sf(t) => {
             // Fresh initiation/termination points from the delta.
@@ -1105,7 +1173,7 @@ fn eval_stratum(
             t.ivs = ivs;
             t.fresh.clear();
             t.maybe_compact(gen);
-            StratumOut { evaluated, groundings, frontier_out: f_out }
+            StratumOut { evaluated, groundings, frontier_out: f_out, expr_candidates: 0 }
         }
         StratumState::St(t) => {
             if frontier == TIME_MAX && instr.static_pure {
@@ -1123,13 +1191,19 @@ fn eval_stratum(
                         g.data_gen = gen;
                     }
                 }
-                return StratumOut { evaluated: false, groundings: 0, frontier_out: TIME_MAX };
+                return StratumOut {
+                    evaluated: false,
+                    groundings: 0,
+                    frontier_out: TIME_MAX,
+                    expr_candidates: 0,
+                };
             }
             // Statics never delta-bound: expiry can shrink event-driven
             // domains silently, so the domain is always solved in full.
             let mut expr_trail = std::mem::take(&mut t.expr_trail);
             let mut ranges = std::mem::take(&mut t.ranges);
             let mut arena = std::mem::take(&mut t.arena);
+            let mut expr_candidates = 0u64;
             for &ri in &instr.rules {
                 let rule = &plan.rules.static_rules[ri as usize];
                 let body = &plan.static_bodies[ri as usize];
@@ -1142,6 +1216,7 @@ fn eval_stratum(
                         ctx.fluents,
                         &mut arena,
                         &mut ranges,
+                        &mut expr_candidates,
                     );
                     if !r.is_empty() {
                         let mut key = std::mem::take(&mut t.key_buf);
@@ -1191,7 +1266,7 @@ fn eval_stratum(
                     g.data_gen = gen;
                 }
             }
-            StratumOut { evaluated: true, groundings, frontier_out: f_out }
+            StratumOut { evaluated: true, groundings, frontier_out: f_out, expr_candidates }
         }
     }
 }
@@ -1650,6 +1725,67 @@ mod tests {
         let vs = rec.events_of("visit");
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].args, vec![Term::int(1), Term::int(100)]);
+    }
+
+    /// A relation that is declared but never set is empty: the joins over it
+    /// yield nothing, whichever access path the plan picked for them — and
+    /// setting it later is picked up by the next query.
+    #[test]
+    fn a_declared_but_unset_relation_is_empty_under_every_access_path() {
+        use crate::planner::Access;
+        let mut b = RuleSetBuilder::new();
+        b.declare_event("at", 2).declare_relation("site", 2);
+        let (id, p, s, t) = (b.var("Id"), b.var("P"), b.var("S"), b.var("T"));
+        // Equality probe on the bound second column.
+        b.derived_event(
+            event_head("onSite", [pat(id), pat(s)]),
+            t,
+            [happens(event_pat("at", [pat(id), pat(p)]), t), relation("site", [pat(s), pat(p)])],
+        );
+        // Guard-derived band on the first column.
+        b.derived_event(
+            event_head("nearSite", [pat(id), pat(s)]),
+            t,
+            [
+                happens(event_pat("at", [pat(id), pat(p)]), t),
+                relation("site", [pat(s), any()]),
+                guard(cmp(
+                    NumExpr::Abs(Box::new(NumExpr::sub(s.into(), p.into()))),
+                    CmpOp::Le,
+                    5.0,
+                )),
+            ],
+        );
+        // A plain scan.
+        b.derived_event(
+            event_head("anySite", [pat(id), pat(s)]),
+            t,
+            [happens(event_pat("at", [pat(id), pat(p)]), t), relation("site", [pat(s), any()])],
+        );
+        let mut e = Engine::new(b.build().unwrap(), WindowConfig::new(100, 100).unwrap());
+        let paths: Vec<Access> = (e.plan().ev_bodies.iter())
+            .map(|body| match body.full[1] {
+                crate::compile::CAtom::Relation { access, .. } => access,
+                _ => panic!("relation atom expected"),
+            })
+            .collect();
+        assert!(matches!(
+            paths[..],
+            [Access::Column { col: 1, .. }, Access::Range { .. }, Access::Scan]
+        ));
+
+        e.add_event(Event::new("at", [Term::int(1), Term::int(10)], 10)).unwrap();
+        let rec = e.query(100).unwrap();
+        for ce in ["onSite", "nearSite", "anySite"] {
+            assert!(rec.events_of(ce).is_empty(), "{ce} over an unset relation");
+        }
+
+        e.set_relation("site", vec![vec![Term::int(12), Term::int(10)]]).unwrap();
+        e.add_event(Event::new("at", [Term::int(2), Term::int(10)], 110)).unwrap();
+        let rec = e.query(200).unwrap();
+        for ce in ["onSite", "nearSite", "anySite"] {
+            assert_eq!(rec.events_of(ce).len(), 1, "{ce} once the relation is set");
+        }
     }
 
     #[test]

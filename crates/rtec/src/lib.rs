@@ -68,6 +68,7 @@ pub mod error;
 pub mod event;
 pub mod interval;
 pub mod pattern;
+mod planner;
 pub mod pretty;
 pub mod rule;
 mod slotstate;

@@ -447,13 +447,12 @@ pub(crate) struct CycleState {
 impl CycleState {
     /// Empty state shaped for `plan`.
     pub fn new(plan: &CompiledPlan) -> CycleState {
-        let n_slots = plan.n_slots();
         CycleState {
             gen: 0,
             frontiers: Vec::new(),
-            events: crate::compile::CEventStore::new(n_slots),
-            obs: crate::compile::CObsStore::new(n_slots),
-            fluents: crate::compile::CFluentStore::new(n_slots),
+            events: crate::compile::CEventStore::new(&plan.needs),
+            obs: crate::compile::CObsStore::new(&plan.needs),
+            fluents: crate::compile::CFluentStore::new(&plan.needs),
             strata: plan
                 .instrs
                 .iter()

@@ -1,7 +1,7 @@
 //! A typed facade over one RTEC engine running the traffic rule library.
 
 use crate::config::TrafficRulesConfig;
-use crate::geo::close_builtin;
+use crate::geo::{close_box_tuples, close_builtin};
 use crate::rules::{build_ruleset, ce, rel};
 use crate::sde;
 use insight_datagen::scats::ScatsDeployment;
@@ -80,6 +80,9 @@ impl TrafficRecognizer {
         areas
             .extend(extra_areas.iter().map(|&(lon, lat)| vec![Term::float(lon), Term::float(lat)]));
         engine.set_relation(rel::AREA, areas)?;
+        // The box `close` implies over every latitude either relation holds.
+        let lats = intersections.iter().map(|i| i.lat).chain(extra_areas.iter().map(|a| a.1));
+        engine.set_relation(rel::CLOSE_BOX, close_box_tuples(config.close_threshold_m, lats))?;
         Ok(TrafficRecognizer { engine, config })
     }
 
@@ -333,6 +336,29 @@ mod tests {
             + result.disagreements().len()
             + result.agreements().len();
         assert!(evidence > 0, "no CEs recognised over a rush-hour scenario");
+    }
+
+    /// `new` declares `scats_approach` / `scats_sensor_pair` when the config
+    /// asks for them but only `from_deployment` fills them in: left unset
+    /// they are empty, so the rules over them recognise nothing.
+    #[test]
+    fn relations_only_a_deployment_sets_are_empty_under_new() {
+        let scenario = Scenario::generate(ScenarioConfig::small(1800, 21)).unwrap();
+        let infos: Vec<IntersectionInfo> = (scenario.scats.intersections().iter())
+            .map(|i| IntersectionInfo { id: i.id as i64, lon: i.lon, lat: i.lat })
+            .collect();
+        let config = TrafficRulesConfig {
+            approach_congestion: true,
+            intersection_congestion_n: 2,
+            ..TrafficRulesConfig::default()
+        };
+        let mut rec = TrafficRecognizer::new(config, window(), &infos, &[]).unwrap();
+        for sde in &scenario.sdes {
+            rec.ingest(sde).unwrap();
+        }
+        let result = rec.query(scenario.window().1).unwrap();
+        assert!(result.sde_count() > 0);
+        assert!(result.congested_intersections().is_empty());
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! * `area(Lon, Lat)` — the areas of interest congestion is tracked for
 //!   (typically the SCATS intersection locations, the paper's choice) —
 //!
-//! plus the `close/4` builtin of [`crate::geo`].
+//! plus the `close/4` builtin of [`crate::geo`] and the one-tuple relation
+//! `close_box(DLon, DLat)` holding the bounding box that builtin implies
+//! ([`crate::geo::close_box`]; [`crate::recognizer::TrafficRecognizer`] sets
+//! all three from its intersections).
 
 use crate::config::{NoisyVariant, RecognitionMode, TrafficRulesConfig};
 use crate::sde::names;
@@ -18,7 +21,8 @@ use insight_rtec::dsl::{
     not_holds, pat, relation, term_ne, val, RuleSet, RuleSetBuilder,
 };
 use insight_rtec::error::RtecError;
-use insight_rtec::rule::{CmpOp, IntervalExpr, NumExpr, ValRef};
+use insight_rtec::pattern::VarId;
+use insight_rtec::rule::{BodyAtom, CmpOp, IntervalExpr, NumExpr, ValRef};
 use insight_rtec::term::Term;
 
 /// Names of the derived CEs and fluents.
@@ -76,6 +80,10 @@ pub mod rel {
     /// `scats_sensor_pair(Int, S1, S2)` — unordered sensor pairs per
     /// intersection; only needed when `intersection_congestion_n == 2`.
     pub const SCATS_SENSOR_PAIR: &str = "scats_sensor_pair";
+    /// `close_box(DLon, DLat)` — one tuple: the half-widths in degrees of the
+    /// bounding box `close` implies over the location relations
+    /// ([`crate::geo::close_box`]).
+    pub const CLOSE_BOX: &str = "close_box";
 }
 
 /// Builds the complete rule set for the configuration.
@@ -90,6 +98,7 @@ pub fn build_ruleset(config: &TrafficRulesConfig) -> Result<RuleSet, RtecError> 
     b.declare_input_fluent(names::GPS, 5);
     b.declare_relation(rel::SCATS_INTERSECTION, 3);
     b.declare_relation(rel::AREA, 2);
+    b.declare_relation(rel::CLOSE_BOX, 2);
     b.declare_builtin("close", 4);
 
     delay_increase(&mut b, config);
@@ -216,6 +225,32 @@ fn scats_int_congestion(b: &mut RuleSetBuilder) {
     );
 }
 
+/// `close(LonP, LatP, Lon, Lat)` over the locations `(Lon, Lat)` of a
+/// relation atom, preceded by the bounding box it implies — two ordinary
+/// guards against the `close_box` half-widths. The guards are entailed by
+/// the builtin, so the conjunction recognises exactly what `close` alone
+/// would; stating them lets the engine's planner reach the nearby locations
+/// through a sorted-column band instead of calling `close` on every tuple.
+fn close_to(
+    b: &mut RuleSetBuilder,
+    prefix: &str,
+    (lon_p, lat_p): (VarId, VarId),
+    location: BodyAtom,
+    (lon, lat): (VarId, VarId),
+) -> [BodyAtom; 5] {
+    let (d_lon, d_lat) = (b.var(&format!("{prefix}_DLon")), b.var(&format!("{prefix}_DLat")));
+    let within = |x: VarId, p: VarId, d: VarId| {
+        guard(cmp(NumExpr::Abs(Box::new(NumExpr::sub(x.into(), p.into()))), CmpOp::Le, d))
+    };
+    [
+        relation(rel::CLOSE_BOX, [pat(d_lon), pat(d_lat)]),
+        location,
+        within(lon, lon_p, d_lon),
+        within(lat, lat_p, d_lat),
+        builtin("close", [lon_p, lat_p, lon, lat].map(ValRef::Var)),
+    ]
+}
+
 /// The shared spatial join: `busNear*(Bus, Lon, Lat, Cong)` happens when a
 /// bus emission is close to a location of the given relation. Factoring
 /// this join into one derived event makes every dependent rule (the
@@ -233,26 +268,21 @@ fn bus_near(b: &mut RuleSetBuilder, head_name: &str, relation_name: &str) {
     } else {
         vec![pat(lon), pat(lat)]
     };
-    b.derived_event(
-        event_head(head_name, [pat(bus), pat(lon), pat(lat), pat(cong)]),
-        t,
-        [
-            happens(event_pat(names::MOVE, [pat(bus), any(), any(), any()]), t),
-            holds(
-                fluent_pat(
-                    names::GPS,
-                    [pat(bus), pat(lon_b), pat(lat_b), any(), pat(cong)],
-                    val(true),
-                ),
-                t,
-            ),
-            relation(relation_name, rel_args),
-            builtin(
-                "close",
-                [ValRef::Var(lon_b), ValRef::Var(lat_b), ValRef::Var(lon), ValRef::Var(lat)],
-            ),
-        ],
-    );
+    let mut body = vec![
+        happens(event_pat(names::MOVE, [pat(bus), any(), any(), any()]), t),
+        holds(
+            fluent_pat(names::GPS, [pat(bus), pat(lon_b), pat(lat_b), any(), pat(cong)], val(true)),
+            t,
+        ),
+    ];
+    body.extend(close_to(
+        b,
+        &prefix,
+        (lon_b, lat_b),
+        relation(relation_name, rel_args),
+        (lon, lat),
+    ));
+    b.derived_event(event_head(head_name, [pat(bus), pat(lon), pat(lat), pat(cong)]), t, body);
 }
 
 /// Rule-set (3) / (3′): `busCongestion(Lon, Lat) = true` over the areas of
@@ -493,17 +523,17 @@ fn citizen_congestion(b: &mut RuleSetBuilder) {
     let head = || fluent(ce::CITIZEN_CONGESTION, [pat(lon), pat(lat)], val(true));
     for (flag, initiate) in [(1i64, true), (0i64, false)] {
         let t = b.var(if initiate { "cc_Ti" } else { "cc_Tt" });
-        let body = [
-            happens(
-                event_pat(names::CITIZEN_REPORT, [pat(user), pat(lon_r), pat(lat_r), cnst(flag)]),
-                t,
-            ),
+        let mut body = vec![happens(
+            event_pat(names::CITIZEN_REPORT, [pat(user), pat(lon_r), pat(lat_r), cnst(flag)]),
+            t,
+        )];
+        body.extend(close_to(
+            b,
+            "cc",
+            (lon_r, lat_r),
             relation(rel::AREA, [pat(lon), pat(lat)]),
-            builtin(
-                "close",
-                [ValRef::Var(lon_r), ValRef::Var(lat_r), ValRef::Var(lon), ValRef::Var(lat)],
-            ),
-        ];
+            (lon, lat),
+        ));
         if initiate {
             b.initiated(head(), t, body);
         } else {
@@ -576,6 +606,8 @@ mod tests {
         )
         .unwrap();
         e.set_relation(rel::AREA, vec![vec![Term::float(INT_LON), Term::float(INT_LAT)]]).unwrap();
+        let close_box = crate::geo::close_box_tuples(config.close_threshold_m, [INT_LAT]);
+        e.set_relation(rel::CLOSE_BOX, close_box).unwrap();
         e
     }
 

@@ -1,0 +1,87 @@
+//! Counted solver work on the benchmark's Dublin trace, exact per seed.
+//!
+//! Wall time on a shared host drifts by a third; the number of solver steps
+//! and of candidates the access paths hand to the matcher does not move at
+//! all, so this is where a join-planning regression is caught. One pass:
+//! the 1 800 s trace of `benchmark/` (seed 42, 37 370 SDEs) through four
+//! region engines at WM 600 s / step 60 s, 124 windows.
+
+mod common;
+
+use insight_rtec::compile::SolveWork;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// The same pass before join planning (PR 15, counted on a scratch copy with
+/// the same driver): every body ran in the order it was typed, `holdsAt` on
+/// `gps` walked all observations of its second and the spatial join called
+/// `close` on every intersection of the region.
+const BEFORE: SolveWork = SolveWork { steps: 8_476_766, candidates: 17_684_157 };
+const CLOSE_CALLS_BEFORE: u64 = 5_586_143;
+
+#[test]
+fn dublin_pass_does_a_fifth_of_the_work_it_did_before_join_planning() {
+    let scenario = common::dublin_trace(1800, 42);
+    assert_eq!(scenario.sdes.len(), 37_370, "the benchmark's trace");
+
+    let calls = Arc::new(AtomicU64::new(0));
+    let hits = Arc::new(AtomicU64::new(0));
+    let close = insight_traffic::geo::close_builtin(common::rules().close_threshold_m);
+    let close = Arc::new(close);
+    let counting = {
+        let (calls, hits) = (calls.clone(), hits.clone());
+        move |args: &[insight_rtec::term::Term]| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            let hit = close(args);
+            hits.fetch_add(u64::from(hit), Ordering::Relaxed);
+            hit
+        }
+    };
+    let mut engines = common::region_engines(&scenario, &common::rules(), counting);
+
+    let mut work = SolveWork::default();
+    let mut windows = 0usize;
+    let mut window_time = Duration::ZERO;
+    common::drive(&scenario, &mut engines, |rec| {
+        windows += 1;
+        window_time += rec.timing.total;
+        work.steps += rec.timing.solver_steps;
+        work.candidates += rec.timing.candidates_examined;
+        assert_eq!(rec.stats().solver_steps, rec.timing.solver_steps);
+    });
+    let (calls, hits) = (calls.load(Ordering::Relaxed), hits.load(Ordering::Relaxed));
+    println!("{windows} windows, {work:?}, close: {calls} calls, {hits} hits");
+
+    assert_eq!(windows, 124);
+    // Exact: the plan and the trace are deterministic.
+    assert_eq!(work, SolveWork { steps: 874_947, candidates: 802_616 });
+    assert!(work.steps * 5 <= BEFORE.steps, "{} steps", work.steps);
+    assert!(work.candidates * 5 <= BEFORE.candidates, "{} candidates", work.candidates);
+    // `close` is the last condition of the one rule that calls it, so every
+    // hit is one busNearInt solution: the box guards leave it at most ten
+    // candidates per solution (285 before).
+    assert!(hits > 10_000 && calls <= 10 * hits, "{calls} calls for {hits} solutions");
+    assert!(calls * 25 <= CLOSE_CALLS_BEFORE);
+
+    // Per stratum, from the engines' own profile: the two joins that were
+    // 83 % of window time each do a tenth of the steps they did.
+    let mut by_rule: BTreeMap<&str, (Duration, SolveWork)> = BTreeMap::new();
+    for p in engines.iter().flat_map(|e| e.stratum_profile()) {
+        let row = by_rule.entry(p.symbol.as_str()).or_default();
+        row.0 += p.time;
+        row.1 += p.work;
+    }
+    println!("window time {window_time:?}, share of it by stratum:");
+    for (rule, (t, w)) in &by_rule {
+        let share = 100.0 * t.as_secs_f64() / window_time.as_secs_f64();
+        println!("{rule:>20} {share:>5.1} % {:>9} steps {:>9} candidates", w.steps, w.candidates);
+    }
+    let steps: u64 = by_rule.values().map(|r| r.1.steps).sum();
+    assert_eq!(steps, work.steps, "the per-stratum profile accounts for every step");
+    for (rule, before) in [("busNearInt", 5_692_590), ("delayIncrease", 2_539_486)] {
+        let now = by_rule[rule].1.steps;
+        assert!(now * 10 <= before, "{rule}: {now} steps, {before} before join planning");
+    }
+}

@@ -22,6 +22,8 @@ fn engine() -> Engine {
     )
     .unwrap();
     e.set_relation(rel::AREA, vec![vec![Term::float(-6.26), Term::float(53.35)]]).unwrap();
+    let close_box = insight_traffic::geo::close_box_tuples(250.0, [53.35]);
+    e.set_relation(rel::CLOSE_BOX, close_box).unwrap();
     e
 }
 

@@ -1,8 +1,8 @@
 //! Observability report: run the §3 Streams topology over a synthetic Dublin
 //! rush-hour scenario and print what the metrics layer saw — per-stage
 //! throughput and process latency, queue depths and backpressure stalls,
-//! RTEC per-window query latencies and crowd resolution counters — first as
-//! a human-readable table, then as the JSON snapshot.
+//! RTEC per-window query latencies and counted solver work, crowd resolution
+//! counters — first as human-readable tables, then as the JSON snapshot.
 //!
 //! ```sh
 //! cargo run --release --example metrics_report
@@ -53,6 +53,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let snapshot = metrics.snapshot();
     println!("\n{}", snapshot.render_table());
+
+    // What the RTEC solver did, counted rather than timed: the same numbers
+    // on every run of this scenario, on any host.
+    println!("{:<28} {:>10} {:>12} {:>12}", "rtec region", "windows", "solver steps", "candidates");
+    for (name, windows) in &snapshot.histograms {
+        let Some(region) = name.strip_prefix("rtec.").and_then(|n| n.strip_suffix(".window_ns"))
+        else {
+            continue;
+        };
+        let counter = |what: &str| {
+            snapshot.counters.get(&format!("rtec.{region}.{what}")).copied().unwrap_or(0)
+        };
+        println!(
+            "{region:<28} {:>10} {:>12} {:>12}",
+            windows.count,
+            counter("solver_steps"),
+            counter("candidates")
+        );
+    }
+    println!();
 
     println!("=== JSON snapshot ===");
     println!("{}", snapshot.to_json());
