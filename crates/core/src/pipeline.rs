@@ -19,7 +19,10 @@
 //! The RTEC processor buffers SDE items, and whenever the arrival time
 //! crosses the next query time it runs recognition and emits one summary
 //! item per window (CE counts + the disagreement locations to be
-//! crowdsourced).
+//! crowdsourced). Every stage hands a summary on in the call that finished
+//! it — the SDE that fires six queued queries leaves with six summaries —
+//! so a recognition reaches the sink as fast as the path carries it, not
+//! when the next burst of input pushes it out.
 //!
 //! Shard counts are controlled by [`PipelineOptions`]; the recognition
 //! output is identical (in the canonical form of
@@ -36,14 +39,14 @@ use insight_streams::checkpoint::{Checkpointable, StateBlob};
 use insight_streams::error::StreamsError;
 use insight_streams::fault::FaultPolicy;
 use insight_streams::item::DataItem;
-use insight_streams::metrics::{Counter, Histogram, MetricsRegistry};
+use insight_streams::metrics::{Counter, Histogram, MetricsRegistry, StageMetrics};
 use insight_streams::processor::{Context, Processor};
 use insight_streams::sink::CollectSink;
 use insight_streams::source::VecSource;
 use insight_streams::topology::{Input, Output, Topology};
 use insight_traffic::recognizer::{IntersectionInfo, TrafficRecognizer};
 use insight_traffic::TrafficRulesConfig;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -69,6 +72,19 @@ use std::time::Instant;
 /// scheduler ([`insight_streams::replay::ReplayRuntime`]) relies on exactly
 /// this property to assert byte-identical recognitions across
 /// interleavings.
+///
+/// # Faults
+///
+/// A call that fires several queries advances the query cursor with each
+/// one and fails as a whole if any of them does, and a failed call's emitted
+/// summaries are discarded by the runtime. So under a policy that rolls the
+/// state back — `Retry` on a position-exact checkpoint, `Restart` from a
+/// checkpoint (the pipeline's `recovering` options) — the re-run fires all of
+/// them again and nothing is lost; under `Skip` or `DeadLetter`, which keep
+/// the state a failed call left behind, the summaries of the queries that
+/// had already succeeded in that call are lost with it. A query fails only
+/// on a misconfigured or misused engine (`RtecError`), never on data, so
+/// there is nothing for those two policies to skip past.
 pub struct RtecProcessor {
     recognizer: TrafficRecognizer,
     next_query: i64,
@@ -83,7 +99,6 @@ pub struct RtecProcessor {
     /// Highest arrival time seen on any input item, bounding the queries
     /// flushed at end-of-stream.
     max_arrival: i64,
-    pending: VecDeque<DataItem>,
     /// Per-window RTEC query latency, fetched lazily from the runtime's
     /// metrics service (absent when the processor runs outside a runtime).
     window_ns: Option<Arc<Histogram>>,
@@ -127,7 +142,6 @@ impl RtecProcessor {
             bus_watermark: i64::MIN,
             scats_watermark: i64::MIN,
             max_arrival: i64::MIN,
-            pending: VecDeque::new(),
             window_ns: None,
             malformed: None,
             eval_counters: None,
@@ -173,7 +187,8 @@ impl RtecProcessor {
         self.eval_counters.clone()
     }
 
-    fn run_query(&mut self, q: i64, ctx: &Context) -> Result<(), StreamsError> {
+    /// Runs query `q` and emits its summary.
+    fn run_query(&mut self, q: i64, ctx: &mut Context) -> Result<(), StreamsError> {
         let result = self.recognizer.query(q).map_err(|e| StreamsError::ProcessorFailed {
             process: format!("rtec-{}", self.region),
             processor: None,
@@ -207,7 +222,7 @@ impl RtecProcessor {
             item.set("disagreement_lon", lon);
             item.set("disagreement_lat", lat);
         }
-        self.pending.push_back(item);
+        ctx.emit(item);
         self.last_query = q;
         Ok(())
     }
@@ -237,10 +252,13 @@ impl Processor for RtecProcessor {
                         message: e.to_string(),
                     })?;
                 }
-                // Fire every query both classes have strictly passed; SDEs
-                // already ingested with later arrivals are invisible to
-                // those queries, so ingestion order never leaks into the
-                // result.
+                // Fire every query both classes have strictly passed — one
+                // SCATS report can settle several — and emit each summary
+                // now; SDEs already ingested with later arrivals are
+                // invisible to those queries, so ingestion order never leaks
+                // into the result. If query k of the call fails, the cursor
+                // has moved past the k − 1 before it and the runtime drops
+                // what a failed call emitted (see "Faults" above).
                 while self.bus_watermark.min(self.scats_watermark) > self.next_query {
                     let q = self.next_query;
                     self.run_query(q, ctx)?;
@@ -257,7 +275,7 @@ impl Processor for RtecProcessor {
                 }
             }
         }
-        Ok(self.pending.pop_front())
+        Ok(None)
     }
 
     fn finish(&mut self, ctx: &mut Context) -> Result<Vec<DataItem>, StreamsError> {
@@ -274,7 +292,7 @@ impl Processor for RtecProcessor {
         if q > self.last_query {
             self.run_query(q, ctx)?;
         }
-        Ok(self.pending.drain(..).collect())
+        Ok(Vec::new())
     }
 
     fn as_checkpointable(&mut self) -> Option<&mut dyn Checkpointable> {
@@ -282,14 +300,14 @@ impl Processor for RtecProcessor {
     }
 }
 
-/// Serialises a queue of items one JSON object per line (the reverse of
+/// Serialises items one JSON object per line (the reverse of
 /// [`items_from_lines`]); items round-trip exactly, floats included, via the
 /// shortest-round-trip encoding of [`insight_streams::json`].
-fn items_to_lines(items: &VecDeque<DataItem>) -> String {
-    items.iter().map(DataItem::to_json).collect::<Vec<_>>().join("\n")
+fn items_to_lines<'a>(items: impl Iterator<Item = &'a DataItem>) -> String {
+    items.map(DataItem::to_json).collect::<Vec<_>>().join("\n")
 }
 
-fn items_from_lines(lines: &str) -> Result<VecDeque<DataItem>, StreamsError> {
+fn items_from_lines(lines: &str) -> Result<Vec<DataItem>, StreamsError> {
     lines.lines().map(DataItem::from_json).collect()
 }
 
@@ -298,10 +316,10 @@ fn corrupt(detail: String) -> StreamsError {
 }
 
 /// The worker's semantic state is the engine snapshot plus the query grid
-/// cursor, the per-class arrival watermarks and the queue of summaries not
-/// yet emitted; the configuration (`step`, `region`) is rebuilt by the
-/// processor factory and only recorded to detect a blob restored into the
-/// wrong worker.
+/// cursor and the per-class arrival watermarks — a summary leaves in the
+/// call that produced it, so there is no output to carry across a barrier;
+/// the configuration (`step`, `region`) is rebuilt by the processor factory
+/// and only recorded to detect a blob restored into the wrong worker.
 impl Checkpointable for RtecProcessor {
     fn snapshot(&mut self) -> StateBlob {
         let mut blob = StateBlob::new();
@@ -312,7 +330,6 @@ impl Checkpointable for RtecProcessor {
         blob.set("bus_watermark", self.bus_watermark);
         blob.set("scats_watermark", self.scats_watermark);
         blob.set("max_arrival", self.max_arrival);
-        blob.set("pending", items_to_lines(&self.pending));
         blob
     }
 
@@ -332,7 +349,6 @@ impl Checkpointable for RtecProcessor {
         self.bus_watermark = blob.require_i64("bus_watermark")?;
         self.scats_watermark = blob.require_i64("scats_watermark")?;
         self.max_arrival = blob.require_i64("max_arrival")?;
-        self.pending = items_from_lines(blob.require_str("pending")?)?;
         Ok(())
     }
 }
@@ -455,11 +471,10 @@ impl Processor for MultiRegionRtecProcessor {
     }
 
     fn finish(&mut self, ctx: &mut Context) -> Result<Vec<DataItem>, StreamsError> {
-        let mut out = Vec::new();
         for state in self.states.values_mut() {
-            out.extend(state.finish(ctx)?);
+            state.finish(ctx)?;
         }
-        Ok(out)
+        Ok(Vec::new())
     }
 
     fn as_checkpointable(&mut self) -> Option<&mut dyn Checkpointable> {
@@ -510,6 +525,127 @@ impl Checkpointable for MultiRegionRtecProcessor {
     }
 }
 
+/// The canonical-order gate of the crowd stages.
+///
+/// Crowd resolution is stateful — participant selection, simulated answers
+/// and the EM estimate all depend on the *order* of calls — while summaries
+/// reach the crowd stages from one producer per region in
+/// scheduler-determined interleaving. To keep the verdicts a pure function
+/// of the region streams, summaries carrying a disagreement are held here
+/// and handed back in canonical `(query_time, region)` order, an entry only
+/// once every declared region's **query-time watermark** has reached its
+/// query time (each region emits summaries in strictly increasing query
+/// time, and the sharded stages preserve per-region FIFO order end to end,
+/// so the watermark proves no earlier-keyed summary can still arrive).
+/// Summaries without a disagreement touch no crowd state and are not held.
+struct CanonicalGate {
+    /// The regions expected to produce summaries; the gate waits for all of
+    /// them. Empty ⇒ nothing is released before end-of-stream.
+    regions: Vec<String>,
+    /// Per-region highest `query_time` seen so far.
+    watermarks: HashMap<String, i64>,
+    /// Disagreement summaries awaiting their turn, keyed by
+    /// `(query_time, region)`.
+    held: BTreeMap<(i64, String), Vec<DataItem>>,
+    /// The owning stage's instruments (`None` until first used, and outside
+    /// a runtime).
+    stage: Option<Arc<StageMetrics>>,
+}
+
+impl CanonicalGate {
+    fn new() -> CanonicalGate {
+        CanonicalGate {
+            regions: Vec::new(),
+            watermarks: HashMap::new(),
+            held: BTreeMap::new(),
+            stage: None,
+        }
+    }
+
+    /// Advances the item's region watermark and holds the item if it carries
+    /// a disagreement; anything else is handed straight back.
+    fn admit(&mut self, item: DataItem) -> Option<DataItem> {
+        let (Some(region), Some(q)) = (item.get_str("region"), item.get_i64("query_time")) else {
+            return Some(item);
+        };
+        let region = region.to_string();
+        let wm = self.watermarks.entry(region.clone()).or_insert(i64::MIN);
+        *wm = (*wm).max(q);
+        if !item.contains("disagreement_lon") {
+            return Some(item);
+        }
+        self.held.entry((q, region)).or_default().push(item);
+        None
+    }
+
+    /// Removes every held summary the watermark frontier — the lowest
+    /// per-region watermark, once every declared region has reported — has
+    /// reached, in canonical order; `everything` ignores the frontier (the
+    /// knowledge is complete at end-of-stream).
+    fn take_ready(&mut self, everything: bool, ctx: &Context) -> Vec<DataItem> {
+        let frontier = if everything {
+            Some(i64::MAX)
+        } else if self.regions.is_empty() {
+            None
+        } else {
+            self.regions
+                .iter()
+                .map(|r| self.watermarks.get(r).copied())
+                .try_fold(i64::MAX, |acc, wm| wm.map(|w| acc.min(w)))
+        };
+        let mut ready = Vec::new();
+        if let Some(frontier) = frontier {
+            while let Some(entry) = self.held.first_entry() {
+                if entry.key().0 > frontier {
+                    break;
+                }
+                ready.append(&mut entry.remove());
+            }
+        }
+        if self.stage.is_none() {
+            self.stage = ctx.stage_metrics();
+        }
+        if let Some(stage) = &self.stage {
+            let held: usize = self.held.values().map(Vec::len).sum();
+            stage.held.set(held as i64);
+        }
+        ready
+    }
+
+    /// Watermarks and held summaries. Held entries are keyed by attributes
+    /// the items themselves carry, so restoring re-derives the map keys; the
+    /// declared `regions` are configuration, rebuilt by the processor factory.
+    fn snapshot_into(&self, blob: &mut StateBlob) {
+        let mut watermarks: Vec<String> =
+            self.watermarks.iter().map(|(r, wm)| format!("{r}={wm}")).collect();
+        watermarks.sort_unstable();
+        blob.set("watermarks", watermarks.join("\n"));
+        blob.set("held", items_to_lines(self.held.values().flatten()));
+    }
+
+    fn restore_from(&mut self, blob: &StateBlob) -> Result<(), StreamsError> {
+        self.watermarks.clear();
+        for line in blob.require_str("watermarks")?.lines() {
+            let (region, wm) = line
+                .split_once('=')
+                .ok_or_else(|| corrupt(format!("bad watermark entry `{line}`")))?;
+            let wm =
+                wm.parse::<i64>().map_err(|_| corrupt(format!("bad watermark value `{line}`")))?;
+            self.watermarks.insert(region.to_string(), wm);
+        }
+        self.held.clear();
+        for item in items_from_lines(blob.require_str("held")?)? {
+            let (Some(region), Some(q)) =
+                (item.get_str("region").map(str::to_string), item.get_i64("query_time"))
+            else {
+                return Err(corrupt("held summary lost its (query_time, region) key".into()));
+            };
+            self.held.entry((q, region)).or_default().push(item);
+        }
+        Ok(())
+    }
+}
+
 /// Embeds the crowdsourcing component as a Streams processor: recognition
 /// summaries carrying an open source disagreement trigger a crowd query
 /// (the §3 "crowdsourcing processes" — query generation + response
@@ -523,31 +659,15 @@ impl Checkpointable for MultiRegionRtecProcessor {
 ///
 /// # Schedule-independence
 ///
-/// [`crate::crowdbridge::CrowdBridge::resolve`] is stateful — participant
-/// selection and simulated answers depend on the *order* of resolve calls —
-/// while the `recognitions` queue merges one producer per region in
-/// scheduler-determined order. To keep crowd verdicts a pure function of
-/// the region streams, summaries carrying a disagreement are buffered and
-/// resolved in canonical `(query_time, region)` order, releasing an entry
-/// only once every declared region's **query-time watermark** has reached
-/// its query time (each region emits summaries in strictly increasing query
-/// time, so the watermark proves no earlier-keyed summary can still
-/// arrive). Whatever the gate still holds at end-of-stream is resolved, in
-/// the same canonical order, in `finish`. Summaries without a disagreement
-/// never touch the bridge and pass through immediately.
+/// [`crate::crowdbridge::CrowdBridge::resolve`] is stateful, so disagreement
+/// summaries are resolved in the canonical order of a [`CanonicalGate`];
+/// every summary the gate lets through is resolved and emitted in the call
+/// whose watermark let it through, and whatever it still holds at
+/// end-of-stream in `finish`.
 pub struct CrowdProcessor<F> {
     bridge: crate::crowdbridge::CrowdBridge,
     truth_of: F,
-    /// The regions expected to produce summaries; the resolve gate waits
-    /// for all of them. Empty ⇒ every resolution happens at end-of-stream.
-    regions: Vec<String>,
-    /// Per-region highest `query_time` seen so far.
-    watermarks: HashMap<String, i64>,
-    /// Disagreement summaries awaiting ordered resolution, keyed by
-    /// `(query_time, region)`.
-    held: BTreeMap<(i64, String), Vec<DataItem>>,
-    /// Items ready to leave the stage (one per `process` call).
-    pending: VecDeque<DataItem>,
+    gate: CanonicalGate,
     /// Latency of each `resolve` call; lazily fetched from the metrics service.
     resolve_ns: Option<Arc<Histogram>>,
     resolutions: Option<Arc<Counter>>,
@@ -565,10 +685,7 @@ where
         CrowdProcessor {
             bridge,
             truth_of,
-            regions: Vec::new(),
-            watermarks: HashMap::new(),
-            held: BTreeMap::new(),
-            pending: VecDeque::new(),
+            gate: CanonicalGate::new(),
             resolve_ns: None,
             resolutions: None,
             fallbacks: None,
@@ -582,34 +699,15 @@ where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.regions = regions.into_iter().map(Into::into).collect();
+        self.gate.regions = regions.into_iter().map(Into::into).collect();
         self
     }
 
-    /// The lowest per-region watermark — summaries keyed at or below it are
-    /// complete. `None` while some declared region has not reported yet.
-    fn safe_frontier(&self) -> Option<i64> {
-        if self.regions.is_empty() {
-            return None;
-        }
-        self.regions
-            .iter()
-            .map(|r| self.watermarks.get(r).copied())
-            .try_fold(i64::MAX, |acc, wm| wm.map(|w| acc.min(w)))
-    }
-
-    /// Resolves and releases every held summary whose key the watermark
-    /// frontier has passed.
-    fn release_ready(&mut self, ctx: &Context) {
-        let Some(frontier) = self.safe_frontier() else { return };
-        while let Some(entry) = self.held.first_entry() {
-            if entry.key().0 > frontier {
-                break;
-            }
-            for item in entry.remove() {
-                let resolved = self.resolve(item, ctx);
-                self.pending.push_back(resolved);
-            }
+    /// Resolves and emits what the gate lets through.
+    fn release(&mut self, everything: bool, ctx: &mut Context) {
+        for item in self.gate.take_ready(everything, ctx) {
+            let resolved = self.resolve(item, ctx);
+            ctx.emit(resolved);
         }
     }
 
@@ -671,34 +769,17 @@ where
         item: DataItem,
         ctx: &mut Context,
     ) -> Result<Option<DataItem>, StreamsError> {
-        match (item.get_str("region").map(str::to_string), item.get_i64("query_time")) {
-            (Some(region), Some(q)) => {
-                let wm = self.watermarks.entry(region.clone()).or_insert(i64::MIN);
-                *wm = (*wm).max(q);
-                if item.contains("disagreement_lon") {
-                    self.held.entry((q, region)).or_default().push(item);
-                } else {
-                    // No disagreement: nothing touches the bridge state, so
-                    // the summary can pass through unordered.
-                    self.pending.push_back(item);
-                }
-            }
-            _ => self.pending.push_back(item),
+        // A summary the gate does not hold leaves first, then whatever its
+        // watermark released.
+        if let Some(unordered) = self.gate.admit(item) {
+            ctx.emit(unordered);
         }
-        self.release_ready(ctx);
-        Ok(self.pending.pop_front())
+        self.release(false, ctx);
+        Ok(None)
     }
 
     fn finish(&mut self, ctx: &mut Context) -> Result<Vec<DataItem>, StreamsError> {
-        // Resolve whatever the watermark gate still holds, in the same
-        // canonical (query_time, region) order the in-stream path uses.
-        let held = std::mem::take(&mut self.held);
-        for (_, items) in held {
-            for item in items {
-                let resolved = self.resolve(item, ctx);
-                self.pending.push_back(resolved);
-            }
-        }
+        self.release(true, ctx);
         // Publish the engine's cumulative counters once the stream ends;
         // the engine aggregates internally, so a final copy is exact.
         if let Ok(registry) = ctx.services().get::<MetricsRegistry>("metrics") {
@@ -708,7 +789,7 @@ where
             registry.counter("crowd.answers").add(stats.answers);
             registry.counter("crowd.deadline_misses").add(stats.deadline_misses);
         }
-        Ok(self.pending.drain(..).collect())
+        Ok(Vec::new())
     }
 }
 
@@ -845,24 +926,14 @@ impl Processor for CrowdTaskProcessor {
 /// # Schedule-independence
 ///
 /// The EM state evolves with every merge, so merge order must not depend on
-/// the schedule. The same watermark gate as [`CrowdProcessor`] is used:
-/// summaries are buffered and released in canonical key order once every
-/// declared region's query-time watermark has passed their key (each region
-/// emits summaries in strictly increasing query time, and the sharded
-/// stages preserve per-region FIFO order end to end), with the remainder
-/// flushed — in the same canonical order — at end-of-stream.
+/// the schedule: disagreement summaries pass a [`CanonicalGate`], and every
+/// summary it lets through is merged and emitted in the call whose
+/// watermark let it through — the fourth region's summary for a query time
+/// releases all four — with the remainder flushed, in the same canonical
+/// order, at end-of-stream.
 pub struct CrowdEmProcessor {
     bridge: crate::crowdbridge::CrowdBridge,
-    /// The regions expected to produce summaries; the merge gate waits for
-    /// all of them. Empty ⇒ every merge happens at end-of-stream.
-    regions: Vec<String>,
-    /// Per-region highest `query_time` seen so far.
-    watermarks: HashMap<String, i64>,
-    /// Disagreement summaries awaiting ordered EM merges, keyed by
-    /// `(query_time, region)`.
-    held: BTreeMap<(i64, String), Vec<DataItem>>,
-    /// Items ready to leave the stage (one per `process` call).
-    pending: VecDeque<DataItem>,
+    gate: CanonicalGate,
     resolve_ns: Option<Arc<Histogram>>,
     resolutions: Option<Arc<Counter>>,
     fallbacks: Option<Arc<Counter>>,
@@ -875,10 +946,7 @@ impl CrowdEmProcessor {
     pub fn new(bridge: crate::crowdbridge::CrowdBridge) -> CrowdEmProcessor {
         CrowdEmProcessor {
             bridge,
-            regions: Vec::new(),
-            watermarks: HashMap::new(),
-            held: BTreeMap::new(),
-            pending: VecDeque::new(),
+            gate: CanonicalGate::new(),
             resolve_ns: None,
             resolutions: None,
             fallbacks: None,
@@ -891,34 +959,15 @@ impl CrowdEmProcessor {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.regions = regions.into_iter().map(Into::into).collect();
+        self.gate.regions = regions.into_iter().map(Into::into).collect();
         self
     }
 
-    /// The lowest per-region watermark — summaries keyed at or below it are
-    /// complete. `None` while some declared region has not reported yet.
-    fn safe_frontier(&self) -> Option<i64> {
-        if self.regions.is_empty() {
-            return None;
-        }
-        self.regions
-            .iter()
-            .map(|r| self.watermarks.get(r).copied())
-            .try_fold(i64::MAX, |acc, wm| wm.map(|w| acc.min(w)))
-    }
-
-    /// Merges and releases every held summary whose key the watermark
-    /// frontier has passed.
-    fn release_ready(&mut self, ctx: &Context) {
-        let Some(frontier) = self.safe_frontier() else { return };
-        while let Some(entry) = self.held.first_entry() {
-            if entry.key().0 > frontier {
-                break;
-            }
-            for item in entry.remove() {
-                let merged = self.merge(item, ctx);
-                self.pending.push_back(merged);
-            }
+    /// Merges and emits what the gate lets through.
+    fn release(&mut self, everything: bool, ctx: &mut Context) {
+        for item in self.gate.take_ready(everything, ctx) {
+            let merged = self.merge(item, ctx);
+            ctx.emit(merged);
         }
     }
 
@@ -976,35 +1025,18 @@ impl Processor for CrowdEmProcessor {
         item: DataItem,
         ctx: &mut Context,
     ) -> Result<Option<DataItem>, StreamsError> {
-        match (item.get_str("region").map(str::to_string), item.get_i64("query_time")) {
-            (Some(region), Some(q)) => {
-                let wm = self.watermarks.entry(region.clone()).or_insert(i64::MIN);
-                *wm = (*wm).max(q);
-                if item.contains("disagreement_lon") {
-                    self.held.entry((q, region)).or_default().push(item);
-                } else {
-                    // No disagreement: nothing touches the EM state, so the
-                    // summary can pass through unordered.
-                    self.pending.push_back(item);
-                }
-            }
-            _ => self.pending.push_back(item),
+        // A summary the gate does not hold leaves first, then whatever its
+        // watermark released.
+        if let Some(unordered) = self.gate.admit(item) {
+            ctx.emit(unordered);
         }
-        self.release_ready(ctx);
-        Ok(self.pending.pop_front())
+        self.release(false, ctx);
+        Ok(None)
     }
 
     fn finish(&mut self, ctx: &mut Context) -> Result<Vec<DataItem>, StreamsError> {
-        // Merge whatever the watermark gate still holds, in the same
-        // canonical (query_time, region) order the in-stream path uses.
-        let held = std::mem::take(&mut self.held);
-        for (_, items) in held {
-            for item in items {
-                let merged = self.merge(item, ctx);
-                self.pending.push_back(merged);
-            }
-        }
-        Ok(self.pending.drain(..).collect())
+        self.release(true, ctx);
+        Ok(Vec::new())
     }
 
     fn as_checkpointable(&mut self) -> Option<&mut dyn Checkpointable> {
@@ -1012,47 +1044,20 @@ impl Processor for CrowdEmProcessor {
     }
 }
 
-/// The evolving state is the EM estimator, the per-region watermarks and
-/// the held/pending item queues. Held entries are keyed by attributes the
-/// items themselves carry (`query_time`, `region`), so restoring re-derives
-/// the map keys from the items; the declared `regions` gate is
-/// configuration, rebuilt by the processor factory.
+/// The evolving state is the EM estimator and the gate (per-region
+/// watermarks, held summaries). A released summary leaves with the call
+/// that released it, so nothing else waits across a barrier.
 impl Checkpointable for CrowdEmProcessor {
     fn snapshot(&mut self) -> StateBlob {
         let mut blob = StateBlob::new();
         blob.set("em", self.bridge.export_em_state());
-        let mut watermarks: Vec<String> =
-            self.watermarks.iter().map(|(r, wm)| format!("{r}={wm}")).collect();
-        watermarks.sort_unstable();
-        blob.set("watermarks", watermarks.join("\n"));
-        let held: VecDeque<DataItem> = self.held.values().flatten().cloned().collect();
-        blob.set("held", items_to_lines(&held));
-        blob.set("pending", items_to_lines(&self.pending));
+        self.gate.snapshot_into(&mut blob);
         blob
     }
 
     fn restore(&mut self, blob: &StateBlob) -> Result<(), StreamsError> {
         self.bridge.import_em_state(blob.require_str("em")?).map_err(|e| corrupt(e.to_string()))?;
-        self.watermarks.clear();
-        for line in blob.require_str("watermarks")?.lines() {
-            let (region, wm) = line
-                .split_once('=')
-                .ok_or_else(|| corrupt(format!("bad watermark entry `{line}`")))?;
-            let wm =
-                wm.parse::<i64>().map_err(|_| corrupt(format!("bad watermark value `{line}`")))?;
-            self.watermarks.insert(region.to_string(), wm);
-        }
-        self.held.clear();
-        for item in items_from_lines(blob.require_str("held")?)? {
-            let (Some(region), Some(q)) =
-                (item.get_str("region").map(str::to_string), item.get_i64("query_time"))
-            else {
-                return Err(corrupt("held summary lost its (query_time, region) key".into()));
-            };
-            self.held.entry((q, region)).or_default().push(item);
-        }
-        self.pending = items_from_lines(blob.require_str("pending")?)?;
-        Ok(())
+        self.gate.restore_from(blob)
     }
 }
 

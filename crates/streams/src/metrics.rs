@@ -239,13 +239,27 @@ impl HistogramSnapshot {
 
 /// Per-processor instruments: item flow, per-call latency and fault
 /// supervision outcomes (see [`crate::fault::FaultPolicy`]).
+///
+/// Data and punctuation are counted apart. The data counts are a property
+/// of the stream and the same on every run; how much punctuation a sharded
+/// stage exchanges depends on how often its partitioner ran out of input
+/// (see [`crate::partition`]), which is up to the schedule.
 #[derive(Debug, Default)]
 pub struct StageMetrics {
-    /// Items entering the stage.
+    /// Data items entering the stage.
     pub items_in: Counter,
-    /// Items leaving the stage (after filtering/fan-out).
+    /// Data items leaving the stage (after filtering/fan-out).
     pub items_out: Counter,
-    /// Latency of each `process`/`finish` call.
+    /// Punctuation (watermarks, end-of-shard markers) entering the stage.
+    pub punctuation_in: Counter,
+    /// Punctuation leaving the stage.
+    pub punctuation_out: Counter,
+    /// Items the stage's processors buffer behind a frontier that has not
+    /// passed them yet (the order-restoring merge, the crowd EM gate), with
+    /// the high-water mark. Zero at rest: an item held while nothing is in
+    /// flight upstream is a stage waiting for input that may never come.
+    pub held: Gauge,
+    /// Latency of each `process`/`finish` call, punctuation included.
     pub process_ns: Histogram,
     /// Failed processor invocations (errors and panics; each re-attempt
     /// under `Retry` that fails counts again).
@@ -347,6 +361,10 @@ impl MetricsRegistry {
                         StageSnapshot {
                             items_in: m.items_in.get(),
                             items_out: m.items_out.get(),
+                            punctuation_in: m.punctuation_in.get(),
+                            punctuation_out: m.punctuation_out.get(),
+                            held: m.held.get(),
+                            held_high_water: m.held.high_water(),
                             process_ns: m.process_ns.snapshot(),
                             faults: m.faults.get(),
                             panics: m.panics.get(),
@@ -402,11 +420,19 @@ impl MetricsRegistry {
 /// Plain-data copy of one stage's instruments.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StageSnapshot {
-    /// Items entering the stage.
+    /// Data items entering the stage.
     pub items_in: u64,
-    /// Items leaving the stage.
+    /// Data items leaving the stage.
     pub items_out: u64,
-    /// Per-call latency distribution.
+    /// Punctuation entering the stage (schedule-dependent).
+    pub punctuation_in: u64,
+    /// Punctuation leaving the stage (schedule-dependent).
+    pub punctuation_out: u64,
+    /// Items buffered behind a frontier at snapshot time.
+    pub held: i64,
+    /// Most items ever buffered behind a frontier (schedule-dependent).
+    pub held_high_water: i64,
+    /// Per-call latency distribution (punctuation calls included).
     pub process_ns: HistogramSnapshot,
     /// Failed processor invocations (errors + panics).
     pub faults: u64,
@@ -433,6 +459,10 @@ impl StageSnapshot {
     pub fn merge(&mut self, other: &StageSnapshot) {
         self.items_in += other.items_in;
         self.items_out += other.items_out;
+        self.punctuation_in += other.punctuation_in;
+        self.punctuation_out += other.punctuation_out;
+        self.held += other.held;
+        self.held_high_water += other.held_high_water;
         self.process_ns.merge(&other.process_ns);
         self.faults += other.faults;
         self.panics += other.panics;
@@ -504,9 +534,9 @@ impl MetricsSnapshot {
     /// they are excluded from the combined totals). Unreplicated stages pass
     /// through unchanged with an empty replica map.
     ///
-    /// Note: shard `items_in` counts include the periodic watermark
-    /// broadcasts every replica observes, so combined totals can slightly
-    /// exceed the stage's logical input count.
+    /// Shard `items_in` counts data only, so the combined total equals the
+    /// stage's logical input count; the watermarks every replica also sees
+    /// are in `punctuation_in`.
     pub fn rollup_stages(&self) -> BTreeMap<String, StageRollup> {
         let mut out: BTreeMap<String, StageRollup> = BTreeMap::new();
         for (name, snap) in &self.stages {
@@ -552,9 +582,13 @@ impl MetricsSnapshot {
             ));
             s.process_ns.json_into(&mut out);
             out.push_str(&format!(
-                ",\"faults\":{},\"panics\":{},\"retries\":{},\"skipped\":{},\"dead_letters\":{},\"checkpoints\":{},\"restores\":{},\"replayed_items\":{},\"recovery_ns\":{}}}",
+                ",\"faults\":{},\"panics\":{},\"retries\":{},\"skipped\":{},\"dead_letters\":{},\"checkpoints\":{},\"restores\":{},\"replayed_items\":{},\"recovery_ns\":{}",
                 s.faults, s.panics, s.retries, s.skipped, s.dead_letters,
                 s.checkpoints, s.restores, s.replayed_items, s.recovery_ns
+            ));
+            out.push_str(&format!(
+                ",\"punctuation_in\":{},\"punctuation_out\":{},\"held\":{},\"held_high_water\":{}}}",
+                s.punctuation_in, s.punctuation_out, s.held, s.held_high_water
             ));
         }
         out.push_str("},\"queues\":{");
@@ -643,6 +677,24 @@ impl MetricsSnapshot {
                     s.restores,
                     s.replayed_items,
                     ms(s.recovery_ns as f64),
+                ));
+            }
+        }
+        let punctuated: Vec<(&String, &StageSnapshot)> = self
+            .stages
+            .iter()
+            .filter(|(_, s)| s.punctuation_in + s.punctuation_out > 0 || s.held_high_water > 0)
+            .collect();
+        if !punctuated.is_empty() {
+            out.push('\n');
+            out.push_str(&format!(
+                "{:<28} {:>10} {:>10} {:>10} {:>10}\n",
+                "punctuation", "in", "out", "held", "held hwm"
+            ));
+            for (name, s) in punctuated {
+                out.push_str(&format!(
+                    "{:<28} {:>10} {:>10} {:>10} {:>10}\n",
+                    name, s.punctuation_in, s.punctuation_out, s.held, s.held_high_water,
                 ));
             }
         }

@@ -12,47 +12,85 @@
 //! ```
 //!
 //! * **`P[part]`** ([`PartitionStamp`]) stamps every item with a monotone
-//!   sequence number and a shard id (a stable hash of the partition-key
-//!   values), and the runtime routes it to exactly that shard's queue.
+//!   sequence number, and the runtime routes it to the queue of the shard its
+//!   partition-key values select (a stable hash, or the declared hints).
 //! * **`P[0]`‥`P[n-1]`** ([`ReplicaShell`]) each own a private clone of the
 //!   processor chain. The shell hides the partition bookkeeping from the user
-//!   chain and re-stamps whatever the chain emits.
+//!   chain and re-stamps whatever the chain emits: the `k` outputs of the
+//!   input with sequence number `s` leave as `(s, 0)`‥`(s, k-1)`
+//!   ([`SEQ_ATTR`], [`SUB_ATTR`]).
 //! * **`P[merge]`** ([`MergeProcessor`]) restores the *exact* input order: it
-//!   buffers per shard and releases the globally smallest sequence number
-//!   once every shard is known to be past it.
+//!   buffers per shard and releases the globally smallest `(seq, sub)` pair
+//!   once every shard is known to be past its sequence number.
 //!
 //! ## Determinism
 //!
-//! The merge emits data items in strictly increasing sequence order, which
-//! *is* the partitioner's input order — independent of thread scheduling and
-//! of the shard count. A replicated stage with a stateless chain is therefore
-//! byte-identical to the unreplicated stage for any `n`. Items a chain emits
-//! from `finish` carry no sequence number; the merge appends them after all
+//! The merge emits data items in strictly increasing `(seq, sub)` order,
+//! which *is* the partitioner's input order with each input's outputs in the
+//! order its chain produced them — independent of thread scheduling and of
+//! the shard count. A replicated stage with a stateless chain is therefore
+//! byte-identical to the unreplicated stage for any `n`, whether the chain
+//! emits zero, one or several items per input. Items a chain emits from
+//! `finish` carry no sequence number; the merge appends them after all
 //! sequenced data, grouped by shard index (each shard's trailing items keep
 //! their FIFO order), so they too are schedule-independent — but their
 //! grouping depends on the shard count, which is why stages with stateful
 //! end-of-stream output should be compared in canonical (sorted) form across
 //! shard counts.
 //!
-//! Progress does not depend on luck: sequence numbers of items *filtered*
-//! inside a replica never reach the merge, so the partitioner broadcasts a
-//! low **watermark** item to every shard every [`WM_EVERY`]` × shards`
-//! routed items ("all sequence numbers below `w` are settled"), and each
-//! replica forwards it with its shard id attached. The cadence scales with
-//! the shard count so the *merge-side* watermark traffic (one forwarded
-//! watermark per shard per broadcast) stays a constant fraction of the data
-//! traffic — a fixed cadence floods the merge at small shard counts, which
-//! is exactly the non-monotonic scaling bug this bounds. A replica that finishes cleanly sends a
-//! final **fin** marker releasing its shard entirely. The merge itself never
-//! blocks — it always drains its input and buffers internally — so the
-//! expanded sub-graph is acyclic and deadlock-free even when watermarks or
-//! fin markers are lost to a faulted replica: queue end-of-stream still
-//! reaches the merge, whose `finish` drains every buffer in sequence order.
+//! ## Punctuation
+//!
+//! A shard's *frontier* is the smallest sequence number it might still
+//! emit. Data raises it: queues are FIFO and a replica finishes one input
+//! before it starts the next, so `(s, j + 1)` reaches the merge before
+//! anything of that shard with a larger sequence number, and an item
+//! `(s, j)` proves its shard is past every sequence number below `s` (each
+//! sequence number is routed to exactly one shard, so no other shard's item
+//! ties with it). But sequence numbers of items *filtered* inside a replica
+//! never reach the merge, and a shard that receives nothing says nothing.
+//! So the partitioner also sends **punctuation**: a watermark item
+//! `{__wm: w, __shard: i}` to every shard `i`, stating that every sequence
+//! number below `w` has been routed. Each replica forwards it behind
+//! whatever preceded it in its FIFO, and the merge raises that shard's
+//! frontier to `w`. A replica that finishes cleanly sends a final **fin**
+//! marker releasing its shard entirely. Punctuation carries a monotone lower
+//! bound and never data, so *when* it is sent can delay a release but cannot
+//! change what is released or in which order.
+//!
+//! The partitioner punctuates on two occasions:
+//!
+//! * **Quiescence.** When its input has nothing for it and everything it
+//!   produced has been handed on — the moment a worker is about to wait for
+//!   input — and it has routed anything since its last watermark, it
+//!   broadcasts one (`Worker::on_idle` in the runtime). An item the merge
+//!   buffers is then released as soon as the stage has nothing older in
+//!   flight, not when the next input happens to push a watermark out.
+//!   Quiescence is the input's own answer to a non-blocking ask — an empty
+//!   queue, or [`Polled::Pending`](crate::source::Polled) from a source the
+//!   stage pulls directly; no clock is involved, so the deterministic replay
+//!   scheduler reproduces it. The one input that cannot give that answer is
+//!   a source that waits inside its default
+//!   [`poll_batch`](crate::source::Source::poll_batch): while it waits the
+//!   worker is inside the call and the flood bound below is all the merge
+//!   has. Override `poll_batch`, or put a feed process and a queue in front.
+//! * **Under flood**, where the input edge never runs dry, after every
+//!   [`WM_EVERY`]` × shards` routed items. This bounds how much the merge
+//!   buffers. The cadence scales with the shard count so the *merge-side*
+//!   watermark traffic (one forwarded watermark per shard per broadcast)
+//!   stays a constant fraction of the data traffic — a fixed cadence floods
+//!   the merge at small shard counts, which is exactly the non-monotonic
+//!   scaling bug this bounds.
+//!
+//! The merge itself never blocks — it always drains its input and buffers
+//! internally — so the expanded sub-graph is acyclic and deadlock-free even
+//! when watermarks or fin markers are lost to a faulted replica: queue
+//! end-of-stream still reaches the merge, whose `finish` drains every buffer
+//! in `(seq, sub)` order.
 //!
 //! ## Reserved attributes
 //!
 //! The bookkeeping travels *in* the items, in attributes prefixed `__`
-//! ([`SEQ_ATTR`], [`SHARD_ATTR`], [`WM_ATTR`], [`FIN_ATTR`],
+//! ([`SEQ_ATTR`], [`SUB_ATTR`], [`SHARD_ATTR`], [`WM_ATTR`], [`FIN_ATTR`],
 //! [`FIN_ITEM_ATTR`]). The `__` prefix is reserved: user chains inside a
 //! replicated stage never see these attributes (the shell strips them on the
 //! way in and re-attaches them on the way out), but items *dead-lettered* by
@@ -63,15 +101,21 @@ use crate::checkpoint::{Checkpointable, StateBlob};
 use crate::error::StreamsError;
 use crate::fault::FaultPolicy;
 use crate::item::DataItem;
-use crate::processor::{Context, Processor};
+use crate::metrics::StageMetrics;
+use crate::processor::{drive_chain, Context, Processor};
 use crate::topology::{
     Input, Output, ProcessDef, SharedProcessorFactory, Topology, DEFAULT_QUEUE_CAPACITY,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Monotone per-partitioner sequence number (`i64`).
 pub const SEQ_ATTR: &str = "__seq";
+/// Position of an item among the outputs its replica chain produced for one
+/// input (`i64`); absent on the first, so a chain that maps one item to one
+/// item pays nothing for it.
+pub const SUB_ATTR: &str = "__sub";
 /// Shard index the item was routed to / emitted by (`i64`).
 pub const SHARD_ATTR: &str = "__shard";
 /// Low watermark: all sequence numbers `< value` are settled (`i64`).
@@ -81,13 +125,27 @@ pub const FIN_ATTR: &str = "__fin";
 /// Marks an item emitted by a replica chain's `finish` (no sequence number).
 pub const FIN_ITEM_ATTR: &str = "__fin_item";
 
-/// Base watermark cadence: the partitioner broadcasts a watermark to every
-/// shard after `WM_EVERY × shards` routed items, bounding how long the merge
-/// must buffer past sequence numbers whose items were filtered inside a
-/// replica. Scaling by the shard count keeps the merge's watermark traffic
-/// (`shards` forwarded copies per broadcast) at a constant ≈ `1/WM_EVERY` of
-/// its data traffic for every shard count.
+/// Base watermark cadence under flood: a partitioner whose input never runs
+/// dry broadcasts a watermark to every shard after `WM_EVERY × shards` routed
+/// items, bounding how much the merge buffers past sequence numbers whose
+/// items were filtered inside a replica. Scaling by the shard count keeps
+/// the merge's watermark traffic (`shards` forwarded copies per broadcast)
+/// at a constant ≈ `1/WM_EVERY` of its data traffic for every shard count.
 pub const WM_EVERY: usize = 32;
+
+/// Whether `item` is punctuation of the partition protocol — a watermark or
+/// an end-of-shard marker — rather than data. Stage metrics count the two
+/// apart (see [`StageMetrics`]).
+pub fn is_punctuation(item: &DataItem) -> bool {
+    item.len() <= 2 && (item.contains(WM_ATTR) || item.contains(FIN_ATTR))
+}
+
+/// The watermark `{__wm: wm, __shard: shard}`. It is built per shard,
+/// already attributed, so replicas forward it untouched: a shared item each
+/// replica stamped would cost an attribute-map copy per hop.
+fn watermark(wm: i64, shard: usize) -> DataItem {
+    DataItem::new().with(WM_ATTR, wm).with(SHARD_ATTR, shard as i64)
+}
 
 /// Stable shard assignment: FNV-1a over the rendered partition-key values.
 ///
@@ -156,7 +214,7 @@ pub fn shard_for_hinted(
 
 /// The synthesized `P[part]` processor: stamps [`SEQ_ATTR`] on every item.
 /// The runtime's shard dispatch computes the keyed route itself (see
-/// [`Dispatch::Shard`]) and handles the periodic watermark broadcast, so the
+/// [`Dispatch::Shard`]) and sends the watermark punctuation, so the
 /// shard assignment never round-trips through the attribute map — the
 /// [`SHARD_ATTR`] stamp appears only on replica *outputs*, where the merge
 /// needs it for progress attribution.
@@ -202,19 +260,41 @@ impl Checkpointable for PartitionStamp {
 /// The synthesized `P[i]` processor: wraps one private clone of the user's
 /// processor chain, hiding the partition bookkeeping from it.
 ///
+/// One call walks the input through the whole inner chain — every output of
+/// an inner processor traverses the processors after it — and hands on all
+/// `k` survivors, stamped `(seq, 0)`‥`(seq, k-1)`.
+///
 /// Faults inside the inner chain surface as faults of the shell (processor
 /// index 0 of `P[i]`), so the replica's fault policy governs the *whole*
-/// chain invocation — Skip drops the item (its sequence number is settled by
-/// the next watermark), Retry re-runs the shell on the preserved input,
-/// DeadLetter records the item including its `__` bookkeeping attributes.
+/// chain invocation — Skip drops the input with everything it produced (its
+/// sequence number is settled by the next watermark), Retry re-runs the
+/// shell on the preserved input, DeadLetter records the item including its
+/// `__` bookkeeping attributes.
 pub(crate) struct ReplicaShell {
     inner: Vec<Box<dyn Processor>>,
     index: usize,
+    /// Walk stack and survivor list of the current call (reused).
+    work: Vec<(usize, DataItem)>,
+    outs: Vec<DataItem>,
 }
 
 impl ReplicaShell {
     pub(crate) fn new(inner: Vec<Box<dyn Processor>>, index: usize) -> ReplicaShell {
-        ReplicaShell { inner, index }
+        ReplicaShell { inner, index, work: Vec::new(), outs: Vec::new() }
+    }
+
+    /// Walks `item` through `inner[from..]`, collecting survivors in `outs`.
+    fn walk(&mut self, from: usize, item: DataItem, ctx: &mut Context) -> Result<(), StreamsError> {
+        let outs = &mut self.outs;
+        drive_chain(
+            &mut self.inner,
+            from,
+            item,
+            ctx,
+            &mut self.work,
+            |p, item, ctx, _| p.process(item, ctx),
+            |out| outs.push(out),
+        )
     }
 }
 
@@ -224,10 +304,9 @@ impl Processor for ReplicaShell {
         mut item: DataItem,
         ctx: &mut Context,
     ) -> Result<Option<DataItem>, StreamsError> {
-        // Watermarks pass through untouched by the user chain; the shell only
-        // attributes them to its shard so the merge knows who forwarded them.
+        // Watermarks arrive attributed to this shard and pass through
+        // untouched, behind whatever this replica emitted before them.
         if item.contains(WM_ATTR) {
-            item.set(SHARD_ATTR, self.index as i64);
             return Ok(Some(item));
         }
         let seq = item.remove(SEQ_ATTR).and_then(|v| v.as_i64()).ok_or_else(|| {
@@ -236,37 +315,41 @@ impl Processor for ReplicaShell {
             }
         })?;
         item.remove(SHARD_ATTR);
-        let mut cur = item;
-        for p in &mut self.inner {
-            match p.process(cur, ctx)? {
-                Some(next) => cur = next,
-                None => return Ok(None),
+        // A previous call that panicked mid-walk left its scratch behind.
+        self.work.clear();
+        self.outs.clear();
+        self.walk(0, item, ctx)?;
+        for (sub, mut out) in self.outs.drain(..).enumerate() {
+            out.set(SEQ_ATTR, seq);
+            if sub > 0 {
+                out.set(SUB_ATTR, sub as i64);
             }
+            out.set(SHARD_ATTR, self.index as i64);
+            ctx.emit(out);
         }
-        cur.set(SEQ_ATTR, seq);
-        cur.set(SHARD_ATTR, self.index as i64);
-        Ok(Some(cur))
+        Ok(None)
     }
 
     fn finish(&mut self, ctx: &mut Context) -> Result<Vec<DataItem>, StreamsError> {
         // Inner finishes cascade like the runtime's own chain flush: trailing
         // items of inner processor i traverse inner processors i+1‥.
-        let mut out = Vec::new();
+        self.work.clear();
+        self.outs.clear();
         for i in 0..self.inner.len() {
-            'item: for mut item in self.inner[i].finish(ctx)? {
-                for p in &mut self.inner[i + 1..] {
-                    match p.process(item, ctx)? {
-                        Some(next) => item = next,
-                        None => continue 'item,
-                    }
-                }
-                item.set(FIN_ITEM_ATTR, true);
-                item.set(SHARD_ATTR, self.index as i64);
-                out.push(item);
+            let returned = self.inner[i].finish(ctx)?;
+            let trailing: Vec<DataItem> = ctx.take_emitted().chain(returned).collect();
+            for item in trailing {
+                self.walk(i + 1, item, ctx)?;
             }
         }
+        let index = self.index as i64;
+        let mut out: Vec<DataItem> = self
+            .outs
+            .drain(..)
+            .map(|item| item.with(FIN_ITEM_ATTR, true).with(SHARD_ATTR, index))
+            .collect();
         // The fin marker is last, after this shard's trailing items.
-        out.push(DataItem::new().with(FIN_ATTR, true).with(SHARD_ATTR, self.index as i64));
+        out.push(DataItem::new().with(FIN_ATTR, true).with(SHARD_ATTR, index));
         Ok(out)
     }
 
@@ -308,20 +391,22 @@ impl Checkpointable for ReplicaShell {
 /// into the partitioner's input order (see the module docs for the
 /// determinism argument).
 ///
-/// A shard's *frontier* is the smallest sequence number it might still emit:
-/// a data item with sequence `s` raises it to `s + 1`, a watermark `w` raises
+/// A shard's *frontier* is the smallest sequence number it might still emit
+/// first: a data item with sequence `s` raises it to `s + 1` (what may still
+/// follow from that shard is `(s, j + 1)`, which sorts after every other
+/// shard's items below `s + 1` and before all above), a watermark `w` raises
 /// it to `w`, a fin marker settles the shard entirely. The globally smallest
-/// buffered sequence number is released once every shard is fin or past it;
-/// sequence numbers are unique, so no tie-break is needed.
+/// buffered `(seq, sub)` is released once every shard is fin or past its
+/// sequence number, and everything releasable leaves in the call that made
+/// it so.
 pub(crate) struct MergeProcessor {
-    buffers: Vec<BTreeMap<i64, DataItem>>,
+    buffers: Vec<BTreeMap<(i64, i64), DataItem>>,
     frontier: Vec<i64>,
     fin: Vec<bool>,
     trailing: Vec<Vec<DataItem>>,
-    /// Released items not yet emitted: `process` returns at most one item per
-    /// call, so a watermark releasing a burst parks the rest here and
-    /// subsequent calls (or `finish`) drain it.
-    ready: VecDeque<DataItem>,
+    /// The owning stage's instruments (`None` until first used, and when the
+    /// processor runs outside a runtime).
+    stage: Option<Arc<StageMetrics>>,
 }
 
 impl MergeProcessor {
@@ -331,7 +416,7 @@ impl MergeProcessor {
             frontier: vec![0; shards],
             fin: vec![false; shards],
             trailing: (0..shards).map(|_| Vec::new()).collect(),
-            ready: VecDeque::new(),
+            stage: None,
         }
     }
 
@@ -348,23 +433,31 @@ impl MergeProcessor {
         Ok(shard)
     }
 
-    /// Moves every releasable buffered item (in global sequence order) into
-    /// the ready queue.
-    fn collect_ready(&mut self) {
-        while let Some((shard, seq)) = self
+    /// Emits every releasable buffered item, in global `(seq, sub)` order.
+    fn release(&mut self, ctx: &mut Context) {
+        while let Some((shard, key)) = self
             .buffers
             .iter()
             .enumerate()
-            .filter_map(|(j, b)| b.keys().next().map(|&s| (j, s)))
-            .min_by_key(|&(_, s)| s)
+            .filter_map(|(j, b)| b.keys().next().map(|&k| (j, k)))
+            .min_by_key(|&(_, k)| k)
         {
-            let releasable =
-                self.fin.iter().zip(&self.frontier).all(|(&fin, &frontier)| fin || frontier > seq);
+            let releasable = self
+                .fin
+                .iter()
+                .zip(&self.frontier)
+                .all(|(&fin, &frontier)| fin || frontier > key.0);
             if !releasable {
                 break;
             }
-            let item = self.buffers[shard].remove(&seq).expect("first key exists");
-            self.ready.push_back(item);
+            ctx.emit(self.buffers[shard].remove(&key).expect("first key exists"));
+        }
+        if self.stage.is_none() {
+            self.stage = ctx.stage_metrics();
+        }
+        if let Some(stage) = &self.stage {
+            let held: usize = self.buffers.iter().map(BTreeMap::len).sum();
+            stage.held.set(held as i64);
         }
     }
 }
@@ -373,7 +466,7 @@ impl Processor for MergeProcessor {
     fn process(
         &mut self,
         mut item: DataItem,
-        _ctx: &mut Context,
+        ctx: &mut Context,
     ) -> Result<Option<DataItem>, StreamsError> {
         let shard = self.shard_of(&item)?;
         if let Some(wm) = item.get_i64(WM_ATTR) {
@@ -390,24 +483,36 @@ impl Processor for MergeProcessor {
                     detail: "merge received a data item without a sequence stamp".into(),
                 }
             })?;
+            let sub = item.remove(SUB_ATTR).and_then(|v| v.as_i64()).unwrap_or(0);
             item.remove(SHARD_ATTR);
+            match self.buffers[shard].entry((seq, sub)) {
+                Entry::Vacant(slot) => slot.insert(item),
+                Entry::Occupied(_) => {
+                    return Err(StreamsError::ServiceError {
+                        detail: format!(
+                            "merge received sequence stamp ({seq}, {sub}) twice from shard {shard}"
+                        ),
+                    })
+                }
+            };
             self.frontier[shard] = self.frontier[shard].max(seq + 1);
-            self.buffers[shard].insert(seq, item);
         }
-        self.collect_ready();
-        Ok(self.ready.pop_front())
+        self.release(ctx);
+        Ok(None)
     }
 
     fn finish(&mut self, _ctx: &mut Context) -> Result<Vec<DataItem>, StreamsError> {
         // All upstream replicas have finished (their queues ended), so every
-        // remaining buffered item is final: drain in global sequence order,
-        // then the per-shard trailing items.
-        let mut out: Vec<DataItem> = self.ready.drain(..).collect();
-        let mut remaining: BTreeMap<i64, DataItem> = BTreeMap::new();
+        // remaining buffered item is final: drain in global order, then the
+        // per-shard trailing items.
+        let mut remaining: BTreeMap<(i64, i64), DataItem> = BTreeMap::new();
         for buffer in &mut self.buffers {
             remaining.append(buffer);
         }
-        out.extend(remaining.into_values());
+        if let Some(stage) = &self.stage {
+            stage.held.set(0);
+        }
+        let mut out: Vec<DataItem> = remaining.into_values().collect();
         for trailing in &mut self.trailing {
             out.append(trailing);
         }
@@ -431,10 +536,11 @@ fn decode_items(encoded: &str) -> Result<Vec<DataItem>, StreamsError> {
 
 impl Checkpointable for MergeProcessor {
     /// Per shard `j`: release frontier (`frontier.{j}`), fin flag (`fin.{j}`),
-    /// the buffered out-of-order items (`buf.{j}`, lines of `seq\tjson`) and
-    /// the trailing finish items (`trail.{j}`); plus the released-but-unemitted
-    /// `ready` queue. Restoring reproduces the exact release state, so a
-    /// recovered merge continues the same global sequence order.
+    /// the buffered out-of-order items (`buf.{j}`, lines of `seq\tsub\tjson`)
+    /// and the trailing finish items (`trail.{j}`). Nothing else: whatever a
+    /// call releases leaves with that call, so between calls the merge holds
+    /// only what is still behind a frontier. Restoring reproduces the exact
+    /// release state, so a recovered merge continues the same global order.
     fn snapshot(&mut self) -> StateBlob {
         let mut blob = StateBlob::new();
         blob.set("shards", self.buffers.len() as i64);
@@ -443,13 +549,12 @@ impl Checkpointable for MergeProcessor {
             blob.set(&format!("fin.{j}"), self.fin[j]);
             let buf = self.buffers[j]
                 .iter()
-                .map(|(seq, item)| format!("{seq}\t{}", item.to_json()))
+                .map(|((seq, sub), item)| format!("{seq}\t{sub}\t{}", item.to_json()))
                 .collect::<Vec<_>>()
                 .join("\n");
             blob.set(&format!("buf.{j}"), buf);
             blob.set(&format!("trail.{j}"), encode_items(&self.trailing[j]));
         }
-        blob.set("ready", encode_items(&self.ready));
         blob
     }
 
@@ -463,6 +568,9 @@ impl Checkpointable for MergeProcessor {
                 ),
             });
         }
+        let bad_line = || StreamsError::Io {
+            detail: "corrupt checkpoint: merge buffer line lacks its (seq, sub) stamp".into(),
+        };
         for j in 0..shards {
             self.frontier[j] = blob.require_i64(&format!("frontier.{j}"))?;
             self.fin[j] = blob.get_bool(&format!("fin.{j}")).ok_or_else(|| StreamsError::Io {
@@ -470,18 +578,15 @@ impl Checkpointable for MergeProcessor {
             })?;
             let mut buffer = BTreeMap::new();
             for line in blob.require_str(&format!("buf.{j}"))?.lines() {
-                let (seq, json) = line.split_once('\t').ok_or_else(|| StreamsError::Io {
-                    detail: "corrupt checkpoint: merge buffer line lacks a sequence".into(),
-                })?;
-                let seq: i64 = seq.parse().map_err(|_| StreamsError::Io {
-                    detail: format!("corrupt checkpoint: bad merge sequence `{seq}`"),
-                })?;
-                buffer.insert(seq, DataItem::from_json(json)?);
+                let mut fields = line.splitn(3, '\t');
+                let mut stamp = || fields.next()?.parse::<i64>().ok();
+                let key = (stamp().ok_or_else(bad_line)?, stamp().ok_or_else(bad_line)?);
+                let json = fields.next().ok_or_else(bad_line)?;
+                buffer.insert(key, DataItem::from_json(json)?);
             }
             self.buffers[j] = buffer;
             self.trailing[j] = decode_items(blob.require_str(&format!("trail.{j}"))?)?;
         }
-        self.ready = decode_items(blob.require_str("ready")?)?.into();
         Ok(())
     }
 }
@@ -635,12 +740,15 @@ pub(crate) enum Dispatch {
     /// Clone to every output (the default process semantics).
     Broadcast,
     /// Route each item to the shard chosen by [`shard_for_hinted`] over the
-    /// partition keys, and broadcast a watermark to *all* outputs every
-    /// [`WM_EVERY`]` × outputs` items.
+    /// partition keys, and punctuate: a watermark to *all* outputs every
+    /// [`WM_EVERY`]` × outputs` items, and whenever the worker goes idle with
+    /// items routed since the last one ([`Dispatch::plan_idle`]).
     Shard {
         keys: std::sync::Arc<[String]>,
         hints: std::sync::Arc<[String]>,
+        /// Items routed since the last watermark.
         since_wm: usize,
+        /// The next watermark: one past the highest sequence number routed.
         next_wm: i64,
     },
 }
@@ -648,17 +756,17 @@ pub(crate) enum Dispatch {
 impl Dispatch {
     /// Plans the `(output index, item)` deliveries for one chain survivor,
     /// in delivery order, appending to a caller-owned buffer so the per-item
-    /// hot path allocates nothing. Shared by the threaded runtime (which
-    /// delivers immediately from a reused buffer) and the replay scheduler
-    /// (via [`Dispatch::plan`]), so both produce identical per-queue item
-    /// sequences. Item clones are `Arc` reference bumps (see
-    /// [`crate::item`]), never attribute-map copies.
+    /// hot path allocates nothing. Shared by the threaded runtime and the
+    /// replay scheduler, so both produce identical per-queue data sequences.
+    /// Item clones are `Arc` reference bumps (see [`crate::item`]), never
+    /// attribute-map copies. Returns whether the flood cadence was due and a
+    /// watermark for every output follows the item.
     pub(crate) fn plan_into(
         &mut self,
         n_outputs: usize,
         item: DataItem,
         plan: &mut Vec<(usize, DataItem)>,
-    ) {
+    ) -> bool {
         match self {
             Dispatch::Broadcast => {
                 for idx in 0..n_outputs.saturating_sub(1) {
@@ -667,6 +775,7 @@ impl Dispatch {
                 if n_outputs > 0 {
                     plan.push((n_outputs - 1, item));
                 }
+                false
             }
             Dispatch::Shard { keys, hints, since_wm, next_wm } => {
                 let shard = shard_for_hinted(&item, keys, hints, n_outputs.max(1));
@@ -675,23 +784,28 @@ impl Dispatch {
                 }
                 plan.push((shard, item));
                 *since_wm += 1;
-                if *since_wm >= WM_EVERY * n_outputs.max(1) {
-                    *since_wm = 0;
-                    let wm = DataItem::new().with(WM_ATTR, *next_wm);
-                    for idx in 0..n_outputs {
-                        plan.push((idx, wm.clone()));
-                    }
-                }
+                *since_wm >= WM_EVERY * n_outputs.max(1) && self.plan_idle(n_outputs, plan)
             }
         }
     }
 
-    /// Allocating convenience over [`Dispatch::plan_into`] for callers that
-    /// park the plan (the replay scheduler's outbox).
-    pub(crate) fn plan(&mut self, n_outputs: usize, item: DataItem) -> Vec<(usize, DataItem)> {
-        let mut plan = Vec::with_capacity(n_outputs);
-        self.plan_into(n_outputs, item, &mut plan);
-        plan
+    /// Plans a watermark to every output if anything was routed since the
+    /// last one; returns whether it did. What a sharding worker does when it
+    /// goes idle — and, from [`Dispatch::plan_into`], when the flood cadence
+    /// is due.
+    pub(crate) fn plan_idle(
+        &mut self,
+        n_outputs: usize,
+        plan: &mut Vec<(usize, DataItem)>,
+    ) -> bool {
+        match self {
+            Dispatch::Shard { since_wm, next_wm, .. } if *since_wm > 0 => {
+                *since_wm = 0;
+                plan.extend((0..n_outputs).map(|idx| (idx, watermark(*next_wm, idx))));
+                true
+            }
+            _ => false,
+        }
     }
 }
 
@@ -703,6 +817,20 @@ mod tests {
 
     fn ctx() -> Context {
         Context::new(ServiceRegistry::default(), "test")
+    }
+
+    /// All outputs of one call: what it emitted, then what it returned.
+    fn outputs(p: &mut dyn Processor, item: DataItem, c: &mut Context) -> Vec<DataItem> {
+        let returned = p.process(item, c).unwrap();
+        c.take_emitted().chain(returned).collect()
+    }
+
+    fn data(seq: i64, shard: i64) -> DataItem {
+        DataItem::new().with("n", seq).with(SEQ_ATTR, seq).with(SHARD_ATTR, shard)
+    }
+
+    fn ns(items: &[DataItem]) -> Vec<Option<i64>> {
+        items.iter().map(|i| i.get_i64("n")).collect()
     }
 
     #[test]
@@ -738,10 +866,39 @@ mod tests {
         let mut shell = ReplicaShell::new(vec![Box::new(inner)], 2);
         let mut c = ctx();
         let item = DataItem::new().with("n", 1i64).with(SEQ_ATTR, 9i64).with(SHARD_ATTR, 2i64);
-        let out = shell.process(item, &mut c).unwrap().unwrap();
-        assert_eq!(out.get_i64(SEQ_ATTR), Some(9));
-        assert_eq!(out.get_i64(SHARD_ATTR), Some(2));
-        assert_eq!(out.get_bool("seen"), Some(true));
+        let out = outputs(&mut shell, item, &mut c);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].get_i64(SEQ_ATTR), Some(9));
+        assert_eq!(out[0].get_i64(SHARD_ATTR), Some(2));
+        assert_eq!(out[0].get_bool("seen"), Some(true));
+        assert!(!out[0].contains(SUB_ATTR), "a lone output needs no sub stamp");
+    }
+
+    #[test]
+    fn replica_shell_stamps_every_output_of_one_input_in_chain_order() {
+        // Slot 0 fans each input out to three items (two emitted, one
+        // returned); slot 1 drops the middle one and tags the rest. The
+        // survivors leave as (seq, 0), (seq, 1).
+        let fan = FnProcessor::new(|item: DataItem, ctx: &mut Context| {
+            ctx.emit(item.clone().with("copy", 0i64));
+            ctx.emit(item.clone().with("copy", 1i64));
+            Ok(Some(item.with("copy", 2i64)))
+        });
+        let tag = FnProcessor::new(|item: DataItem, _: &mut Context| {
+            Ok((item.get_i64("copy") != Some(1)).then(|| item.with("tagged", true)))
+        });
+        let mut shell = ReplicaShell::new(vec![Box::new(fan), Box::new(tag)], 1);
+        let mut c = ctx();
+        let out = outputs(&mut shell, DataItem::new().with(SEQ_ATTR, 4i64), &mut c);
+        let stamps: Vec<(Option<i64>, Option<i64>, Option<i64>)> = out
+            .iter()
+            .map(|i| (i.get_i64(SEQ_ATTR), i.get_i64(SUB_ATTR), i.get_i64("copy")))
+            .collect();
+        assert_eq!(stamps, vec![(Some(4), None, Some(0)), (Some(4), Some(1), Some(2))]);
+        assert!(out.iter().all(|i| i.get_bool("tagged") == Some(true)));
+        // A watermark passes through as it came.
+        let wm = watermark(5, 1);
+        assert_eq!(outputs(&mut shell, wm.clone(), &mut c), vec![wm]);
     }
 
     #[test]
@@ -771,50 +928,61 @@ mod tests {
     fn merge_restores_sequence_order_across_shards() {
         let mut m = MergeProcessor::new(2);
         let mut c = ctx();
-        let data = |seq: i64, shard: i64| {
-            DataItem::new().with("n", seq).with(SEQ_ATTR, seq).with(SHARD_ATTR, shard)
-        };
         // Shard 1 delivers seq 1 first; nothing can be released until shard 0
         // accounts for seq 0.
-        assert_eq!(m.process(data(1, 1), &mut c).unwrap(), None);
-        let first = m.process(data(0, 0), &mut c).unwrap().unwrap();
-        assert_eq!(first.get_i64("n"), Some(0));
-        assert!(!first.contains(SEQ_ATTR), "bookkeeping is stripped");
-        // seq 1 is already releasable (frontiers are 2 and 2).
+        assert!(outputs(&mut m, data(1, 1), &mut c).is_empty());
+        // Shard 0's seq 0 settles both: everything releasable leaves at once.
+        let out = outputs(&mut m, data(0, 0), &mut c);
+        assert_eq!(ns(&out), vec![Some(0)], "seq 1 waits: shard 0 may still emit (0, 1)…");
+        assert!(!out[0].contains(SEQ_ATTR), "bookkeeping is stripped");
         let fin = DataItem::new().with(FIN_ATTR, true).with(SHARD_ATTR, 0i64);
-        let second = m.process(fin, &mut c).unwrap().unwrap();
-        assert_eq!(second.get_i64("n"), Some(1));
+        assert_eq!(ns(&outputs(&mut m, fin, &mut c)), vec![Some(1)], "…until it is past 1");
     }
 
     #[test]
-    fn merge_watermark_releases_filtered_gaps() {
+    fn merge_watermark_releases_everything_it_settles_in_one_call() {
         let mut m = MergeProcessor::new(2);
         let mut c = ctx();
-        // Shard 0 emitted seq 5 but seqs 0..5 were filtered on shard 1.
-        let item = DataItem::new().with("n", 5i64).with(SEQ_ATTR, 5i64).with(SHARD_ATTR, 0i64);
-        assert_eq!(m.process(item, &mut c).unwrap(), None, "shard 1 frontier unknown");
-        let wm = DataItem::new().with(WM_ATTR, 6i64).with(SHARD_ATTR, 1i64);
-        let out = m.process(wm, &mut c).unwrap().unwrap();
-        assert_eq!(out.get_i64("n"), Some(5));
+        // Shard 0 emitted seqs 5, 6 and 7; seqs 0..5 were filtered on shard 1.
+        for seq in 5..8 {
+            assert!(outputs(&mut m, data(seq, 0), &mut c).is_empty(), "shard 1 frontier unknown");
+        }
+        let out = outputs(&mut m, watermark(7, 1), &mut c);
+        assert_eq!(ns(&out), vec![Some(5), Some(6)], "both settled items, not one per call");
+        assert_eq!(ns(&outputs(&mut m, watermark(8, 1), &mut c)), vec![Some(7)]);
+    }
+
+    #[test]
+    fn merge_orders_by_sequence_then_sub() {
+        let mut m = MergeProcessor::new(2);
+        let mut c = ctx();
+        let sub =
+            |seq: i64, sub: i64, shard: i64| data(seq, shard).with(SUB_ATTR, sub).with("s", sub);
+        // Shard 1's input 3 produced three items; shard 0's input 2 one.
+        assert!(outputs(&mut m, data(3, 1).with("s", 0i64), &mut c).is_empty());
+        assert!(outputs(&mut m, sub(3, 1, 1), &mut c).is_empty());
+        let out = outputs(&mut m, data(2, 0), &mut c);
+        assert_eq!(ns(&out), vec![Some(2)], "seq 3 waits for shard 0 to pass it");
+        assert!(outputs(&mut m, sub(3, 2, 1), &mut c).is_empty());
+        let out = outputs(&mut m, watermark(4, 0), &mut c);
+        let order: Vec<(Option<i64>, Option<i64>)> =
+            out.iter().map(|i| (i.get_i64("n"), i.get_i64("s"))).collect();
+        assert_eq!(order, vec![(Some(3), Some(0)), (Some(3), Some(1)), (Some(3), Some(2))]);
+        assert!(out.iter().all(|i| !i.contains(SUB_ATTR)), "bookkeeping is stripped");
     }
 
     #[test]
     fn merge_finish_drains_buffers_then_trailing() {
         let mut m = MergeProcessor::new(2);
         let mut c = ctx();
-        let data = |seq: i64, shard: i64| {
-            DataItem::new().with("n", seq).with(SEQ_ATTR, seq).with(SHARD_ATTR, shard)
-        };
-        assert_eq!(m.process(data(3, 1), &mut c).unwrap(), None, "shard 0 frontier unknown");
+        assert!(outputs(&mut m, data(3, 1), &mut c).is_empty(), "shard 0 frontier unknown");
         // seq 2 becomes releasable the moment shard 0 accounts for it; seq 3
         // stays buffered because shard 0's frontier (3) is not *past* it.
-        let released = m.process(data(2, 0), &mut c).unwrap().unwrap();
-        assert_eq!(released.get_i64("n"), Some(2));
+        assert_eq!(ns(&outputs(&mut m, data(2, 0), &mut c)), vec![Some(2)]);
         let t = DataItem::new().with("t", true).with(FIN_ITEM_ATTR, true).with(SHARD_ATTR, 1i64);
-        assert_eq!(m.process(t, &mut c).unwrap(), None);
+        assert!(outputs(&mut m, t, &mut c).is_empty());
         let out = m.finish(&mut c).unwrap();
-        let ns: Vec<Option<i64>> = out.iter().map(|i| i.get_i64("n")).collect();
-        assert_eq!(ns, vec![Some(3), None], "remaining seq order, then trailing");
+        assert_eq!(ns(&out), vec![Some(3), None], "remaining seq order, then trailing");
         assert!(!out[1].contains(FIN_ITEM_ATTR) && !out[1].contains(SHARD_ATTR));
     }
 
@@ -824,6 +992,36 @@ mod tests {
         assert!(m.process(DataItem::new().with("n", 1i64), &mut ctx()).is_err());
         let bad_shard = DataItem::new().with(SEQ_ATTR, 0i64).with(SHARD_ATTR, 9i64);
         assert!(m.process(bad_shard, &mut ctx()).is_err());
+    }
+
+    #[test]
+    fn merge_rejects_a_duplicate_stamp_instead_of_overwriting() {
+        let mut m = MergeProcessor::new(2);
+        let mut c = ctx();
+        assert!(outputs(&mut m, data(4, 1), &mut c).is_empty());
+        let twin = data(4, 1).with("n", 99i64);
+        assert!(
+            matches!(m.process(twin, &mut c), Err(StreamsError::ServiceError { .. })),
+            "a second (4, 0) from shard 1 must not replace the first"
+        );
+        // Same sequence number, different sub: a legitimate second output.
+        assert!(outputs(&mut m, data(4, 1).with(SUB_ATTR, 1i64), &mut c).is_empty());
+        let out = outputs(&mut m, watermark(5, 0), &mut c);
+        assert_eq!(ns(&out), vec![Some(4), Some(4)], "the first item survived");
+    }
+
+    #[test]
+    fn merge_snapshot_round_trips_held_items_and_nothing_else() {
+        let mut m = MergeProcessor::new(2);
+        let mut c = ctx();
+        assert!(outputs(&mut m, data(3, 1), &mut c).is_empty());
+        assert!(outputs(&mut m, data(3, 1).with(SUB_ATTR, 1i64), &mut c).is_empty());
+        let blob = m.snapshot();
+        assert!(blob.get_str("ready").is_none(), "nothing is parked between calls");
+        let mut restored = MergeProcessor::new(2);
+        restored.restore(&blob).unwrap();
+        let out = outputs(&mut restored, watermark(9, 0), &mut c);
+        assert_eq!(ns(&out), vec![Some(3), Some(3)]);
     }
 
     fn replicated_topology(
@@ -922,10 +1120,22 @@ mod tests {
         let r0 = snap.stages["square[0]"].items_in;
         let r1 = snap.stages["square[1]"].items_in;
         assert!(r0 > 0 && r1 > 0, "both shards saw traffic: {r0}/{r1}");
-        // Replica input = data items + watermark broadcasts (each replica
-        // sees every watermark; the cadence scales with the shard count).
-        let wms = (100 / (WM_EVERY * 2) as u64) * 2;
-        assert_eq!(r0 + r1, 100 + wms);
+        assert_eq!(r0 + r1, 100, "data only: the replicas split the input");
+        // Punctuation is counted apart. The partitioner pulls a `VecSource`,
+        // which never answers `Pending`, so it never goes idle and sends
+        // exactly the flood-cadence broadcasts (the cadence scales with the
+        // shard count); each replica sees each.
+        let broadcasts = 100 / (WM_EVERY * 2) as u64;
+        assert_eq!(snap.stages["square[part]"].punctuation_out, broadcasts * 2);
+        for replica in ["square[0]", "square[1]"] {
+            assert_eq!(snap.stages[replica].punctuation_in, broadcasts);
+            // Forwarded watermarks plus the fin marker.
+            assert_eq!(snap.stages[replica].punctuation_out, broadcasts + 1);
+        }
+        assert_eq!(snap.stages["square[merge]"].punctuation_in, (broadcasts + 1) * 2);
+        assert_eq!(snap.stages["square[merge]"].items_in, 80, "20 of 100 were filtered");
+        assert_eq!(snap.stages["square[merge]"].items_out, 80);
+        assert_eq!(snap.stages["square[merge]"].held, 0, "nothing is held at rest");
     }
 
     #[test]
@@ -937,19 +1147,44 @@ mod tests {
             since_wm: 0,
             next_wm: 0,
         };
-        let mut seen_wm = 0usize;
+        let mut plan = Vec::new();
+        assert!(!d.plan_idle(3, &mut plan), "nothing routed yet: going idle says nothing");
         let cadence = (WM_EVERY * 3) as i64;
         for seq in 0..cadence {
             let item = DataItem::new().with("k", seq).with(SEQ_ATTR, seq);
             let expect = shard_for(&item, &keys, 3);
-            let plan = d.plan(3, item);
+            plan.clear();
+            d.plan_into(3, item, &mut plan);
             assert_eq!(plan[0].0, expect, "routed to the keyed shard");
-            seen_wm += plan.len() - 1;
+            if seq == 1 {
+                // Idle after two items: a watermark for each output, already
+                // attributed to its shard, and the flood count starts over.
+                plan.clear();
+                assert!(d.plan_idle(3, &mut plan));
+                let wms: Vec<(usize, Option<i64>, Option<i64>)> = plan
+                    .iter()
+                    .map(|(idx, wm)| (*idx, wm.get_i64(WM_ATTR), wm.get_i64(SHARD_ATTR)))
+                    .collect();
+                assert_eq!(
+                    wms,
+                    vec![(0, Some(2), Some(0)), (1, Some(2), Some(1)), (2, Some(2), Some(2))]
+                );
+                assert!(plan.iter().all(|(_, wm)| is_punctuation(wm)));
+                plan.clear();
+                assert!(!d.plan_idle(3, &mut plan), "still idle: nothing new to say");
+            } else if seq < cadence - 1 {
+                assert_eq!(plan.len(), 1, "seq {seq}: no watermark before the cadence is due");
+            }
         }
-        assert_eq!(
-            seen_wm, 3,
-            "one watermark broadcast to all 3 outputs per WM_EVERY*outputs items"
-        );
+        // WM_EVERY * outputs items after the idle watermark would be two past
+        // the loop; the last item routed is two short of it.
+        assert_eq!(plan.len(), 1);
+        for seq in cadence..cadence + 2 {
+            plan.clear();
+            d.plan_into(3, DataItem::new().with("k", seq).with(SEQ_ATTR, seq), &mut plan);
+        }
+        assert_eq!(plan.len(), 4, "the flood cadence broadcasts to all 3 outputs");
+        assert_eq!(plan[1].1.get_i64(WM_ATTR), Some(cadence + 2));
     }
 
     /// Satellite regression: killing the *merge* stage itself under

@@ -3,7 +3,12 @@
 //! A *process* comprises a sequence of *processors*; each processor applies a
 //! function to the items of a stream (Section 3 of the paper). Returning
 //! `None` drops the item (filtering); returning a (possibly modified) item
-//! forwards it to the next processor in the chain.
+//! forwards it to the next processor in the chain. A call that has more
+//! than one item to hand on — a window evaluation that completed several
+//! queries, a gate that a watermark just opened — emits the others through
+//! [`Context::emit`]: the runtime carries *every* output of a call through
+//! the rest of the chain before it reads the next input, so a processor
+//! never has a reason to park a finished item until more input arrives.
 //!
 //! Besides the [`Processor`] trait this module ships the small library of
 //! generic processors the XML topology language can instantiate by name:
@@ -16,18 +21,53 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Execution context handed to processors: access to the shared services and
-/// the name of the owning process.
+/// Execution context handed to processors: access to the shared services,
+/// the name of the owning process, and the output buffer of the current
+/// call.
 pub struct Context {
     services: ServiceRegistry,
     process: String,
+    emitted: Vec<DataItem>,
 }
 
 impl Context {
     /// Creates a context (used by the runtime; public for direct testing of
     /// processors).
     pub fn new(services: ServiceRegistry, process: &str) -> Context {
-        Context { services, process: process.to_string() }
+        Context { services, process: process.to_string(), emitted: Vec::new() }
+    }
+
+    /// The instruments of the stage this processor runs in (`None` outside a
+    /// runtime). Takes the registry's registration lock: fetch once, keep
+    /// the `Arc`.
+    pub fn stage_metrics(&self) -> Option<Arc<crate::metrics::StageMetrics>> {
+        let registry = self.services.get::<crate::metrics::MetricsRegistry>("metrics").ok()?;
+        Some(registry.stage(&self.process))
+    }
+
+    /// Hands `item` on as an output of the current `process`/`finish` call.
+    /// The outputs of one call are the emitted items in emission order,
+    /// followed by the call's return value; each of them traverses the rest
+    /// of the chain. A call that fails discards what it emitted.
+    pub fn emit(&mut self, item: DataItem) {
+        self.emitted.push(item);
+    }
+
+    /// Drains what the calls since the last drain emitted, in order. The
+    /// runtime calls this after every processor invocation; public so a
+    /// processor can be driven directly in tests.
+    pub fn take_emitted(&mut self) -> std::vec::Drain<'_, DataItem> {
+        self.emitted.drain(..)
+    }
+
+    /// Whether a call emitted something that has not been drained yet.
+    pub(crate) fn has_emitted(&self) -> bool {
+        !self.emitted.is_empty()
+    }
+
+    /// Drops undrained output (the call that emitted it failed).
+    pub(crate) fn discard_emitted(&mut self) {
+        self.emitted.clear();
     }
 
     /// The shared service registry.
@@ -64,7 +104,12 @@ impl Context {
 /// * a stateful processor without checkpoint support must tolerate partial
 ///   application of the failed item, or use `Skip`/`DeadLetter`/`FailFast`.
 pub trait Processor: Send {
-    /// Handles one item; `Ok(None)` drops it.
+    /// Handles one item. The outputs of the call are whatever it passed to
+    /// [`Context::emit`], in order, then the returned item; `Ok(None)` with
+    /// nothing emitted drops the input. An item that is ready to leave must
+    /// leave in the call that made it ready — the runtime offers no later
+    /// call to hand it on other than the next input's, which may be a long
+    /// time coming.
     fn process(
         &mut self,
         item: DataItem,
@@ -72,7 +117,8 @@ pub trait Processor: Send {
     ) -> Result<Option<DataItem>, StreamsError>;
 
     /// Called once after the input is exhausted; may emit trailing items
-    /// (e.g. final aggregates). Default: nothing.
+    /// (e.g. final aggregates), through [`Context::emit`] and/or the returned
+    /// vector (emitted items come first). Default: nothing.
     fn finish(&mut self, _ctx: &mut Context) -> Result<Vec<DataItem>, StreamsError> {
         Ok(Vec::new())
     }
@@ -84,6 +130,59 @@ pub trait Processor: Send {
     fn as_checkpointable(&mut self) -> Option<&mut dyn crate::checkpoint::Checkpointable> {
         None
     }
+}
+
+/// Queues the outputs of one call into slot `next - 1` — `returned` and
+/// whatever the call left in the context's buffer — for slot `next`, so that
+/// they pop off `work` in output order (emitted first, returned last).
+pub(crate) fn push_outputs(
+    work: &mut Vec<(usize, DataItem)>,
+    next: usize,
+    returned: Option<DataItem>,
+    ctx: &mut Context,
+) {
+    work.extend(returned.map(|item| (next, item)));
+    if ctx.has_emitted() {
+        work.extend(ctx.take_emitted().rev().map(|item| (next, item)));
+    }
+}
+
+/// Walks `item` through `chain[from..]` depth-first: every output of a call
+/// traverses the following slots before its later siblings do, and items
+/// leaving the last slot reach `leaf` in output order. `call` performs one
+/// invocation of a slot (plain, or supervised by the runtime). `work` is the
+/// caller's reusable stack; an error abandons the walk and leaves it empty.
+pub(crate) fn drive_chain(
+    chain: &mut [Box<dyn Processor>],
+    from: usize,
+    item: DataItem,
+    ctx: &mut Context,
+    work: &mut Vec<(usize, DataItem)>,
+    mut call: impl FnMut(
+        &mut Box<dyn Processor>,
+        DataItem,
+        &mut Context,
+        usize,
+    ) -> Result<Option<DataItem>, StreamsError>,
+    mut leaf: impl FnMut(DataItem),
+) -> Result<(), StreamsError> {
+    debug_assert!(work.is_empty() && !ctx.has_emitted());
+    work.push((from, item));
+    while let Some((i, cur)) = work.pop() {
+        if i == chain.len() {
+            leaf(cur);
+            continue;
+        }
+        match call(&mut chain[i], cur, ctx, i) {
+            Ok(returned) => push_outputs(work, i + 1, returned, ctx),
+            Err(e) => {
+                work.clear();
+                ctx.discard_emitted();
+                return Err(e);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Adapts a closure into a [`Processor`].

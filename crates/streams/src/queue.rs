@@ -253,17 +253,9 @@ impl MpmcReceiver {
     /// first item becomes available is drained, so batching adds no latency
     /// over repeated [`QueueReceiver::recv`] calls.
     fn recv_batch(&mut self, max: usize) -> Option<Vec<DataItem>> {
-        let max = max.max(1);
         let mut inner = self.shared.inner.lock().unwrap();
         loop {
-            if !inner.buffer.is_empty() {
-                let n = inner.buffer.len().min(max);
-                let batch: Vec<DataItem> = inner.buffer.drain(..n).collect();
-                let metrics = &self.shared.metrics;
-                metrics.received.add(n as u64);
-                metrics.depth.add(-(n as i64));
-                metrics.batch_sizes.record_ns(n as u64);
-                self.shared.not_full.notify_all();
+            if let Some(batch) = self.pop_batch(&mut inner, max) {
                 return Some(batch);
             }
             if self.shared.stream_ended(&inner) {
@@ -271,6 +263,27 @@ impl MpmcReceiver {
             }
             inner = self.shared.not_empty.wait(inner).unwrap();
         }
+    }
+
+    /// Up to `max` buffered items, `None` when nothing is buffered.
+    fn pop_batch(&self, inner: &mut Inner, max: usize) -> Option<Vec<DataItem>> {
+        if inner.buffer.is_empty() {
+            return None;
+        }
+        let n = inner.buffer.len().min(max.max(1));
+        let batch: Vec<DataItem> = inner.buffer.drain(..n).collect();
+        let metrics = &self.shared.metrics;
+        metrics.received.add(n as u64);
+        metrics.depth.add(-(n as i64));
+        metrics.batch_sizes.record_ns(n as u64);
+        self.shared.not_full.notify_all();
+        Some(batch)
+    }
+
+    /// [`MpmcReceiver::recv_batch`] without the wait.
+    fn try_recv_batch(&mut self, max: usize) -> Option<Vec<DataItem>> {
+        let mut inner = self.shared.inner.lock().unwrap();
+        self.pop_batch(&mut inner, max)
     }
 
     /// Receives without blocking: the front item if one is buffered,
@@ -438,6 +451,18 @@ impl QueueReceiver {
         match &mut self.0 {
             ReceiverImpl::Mpmc(rx) => rx.recv_batch(max),
             ReceiverImpl::Spsc(rx) => rx.recv_batch(max),
+        }
+    }
+
+    /// [`QueueReceiver::recv_batch`] without the wait: whatever is buffered
+    /// right now, up to `max` items, or `None` when that is nothing — the
+    /// queue is empty, whether or not its producers have finished. The
+    /// threaded pump asks this first, so that it learns its input edge ran
+    /// dry *before* it parks in the blocking call.
+    pub fn try_recv_batch(&mut self, max: usize) -> Option<Vec<DataItem>> {
+        match &mut self.0 {
+            ReceiverImpl::Mpmc(rx) => rx.try_recv_batch(max),
+            ReceiverImpl::Spsc(rx) => rx.try_recv_batch(max),
         }
     }
 

@@ -16,16 +16,22 @@
 //! waiting for queue space, else consume one input item and run it through
 //! the processor chain, else advance the end-of-stream protocol (processor
 //! `finish` flushes, EOS markers, sink flush). A process is *blocked* when
-//! its input queue is empty (but open) or an output queue it must write to
-//! is full. On a validated acyclic topology some process can always run;
-//! if ever none can, the scheduler reports
-//! [`StreamsError::ReplayDeadlock`] instead of hanging.
+//! an output queue it must write to is full, or when its input is empty
+//! (but open) *and going idle produced nothing*: a step that finds the
+//! input edge empty with nothing left to flush is exactly the quiescent
+//! moment of `Worker::on_idle`, the same transition the threaded pump makes
+//! before it parks, and if that punctuates the step made progress. On a
+//! validated acyclic topology some process can always run; if ever none
+//! can, the scheduler reports [`StreamsError::ReplayDeadlock`] instead of
+//! hanging — which is also how a stage that holds finished output back
+//! while its source has "nothing yet" ([`Polled::Pending`]) shows up.
 
 use crate::error::StreamsError;
 use crate::item::DataItem;
 use crate::metrics::MetricsRegistry;
 use crate::queue::TryRecv;
 use crate::runtime::{materialize, ProcInput, ProcOutput, RunStats, Worker};
+use crate::source::Polled;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -100,7 +106,7 @@ impl ReplayRuntime {
         let mut stats = RunStats::default();
         let mut first_error = None;
         for s in workers {
-            stats.per_process.insert(s.worker.name.clone(), (s.consumed, s.emitted));
+            stats.per_process.insert(s.worker.name.clone(), (s.worker.consumed, s.worker.emitted));
             first_error = first_error.or(s.error);
         }
         match first_error {
@@ -140,21 +146,12 @@ struct StepWorker {
     worker: Worker,
     phase: Phase,
     outbox: VecDeque<(usize, DataItem)>,
-    consumed: u64,
-    emitted: u64,
     error: Option<StreamsError>,
 }
 
 impl StepWorker {
     fn new(worker: Worker) -> StepWorker {
-        StepWorker {
-            worker,
-            phase: Phase::Pump,
-            outbox: VecDeque::new(),
-            consumed: 0,
-            emitted: 0,
-            error: None,
-        }
+        StepWorker { worker, phase: Phase::Pump, outbox: VecDeque::new(), error: None }
     }
 
     /// An unrecoverable fault: remember the first error, drop undeliverable
@@ -166,19 +163,18 @@ impl StepWorker {
         self.phase = Phase::Eos;
     }
 
-    /// Queues one chain-emitted item for delivery (every output under
-    /// broadcast dispatch; the stamped shard's output — plus periodic
-    /// watermark broadcasts — on a synthesized partitioner), then delivers as
-    /// much as currently fits. The delivery plan is computed by the same
+    /// Queues chain outputs for delivery (every output under broadcast
+    /// dispatch; the keyed shard's output — plus watermark broadcasts — on a
+    /// synthesized partitioner), then delivers as much as currently fits.
+    /// The delivery plan is computed by the same
     /// [`Dispatch`](crate::partition::Dispatch) logic the threaded runtime
-    /// uses, so per-queue item sequences are identical across runtimes.
-    fn emit(&mut self, item: DataItem) {
-        self.emitted += 1;
-        self.worker.stage.items_out.inc();
-        let n_outputs = self.worker.outputs.len();
-        for (idx, it) in self.worker.dispatch.plan(n_outputs, item) {
-            self.outbox.push_back((idx, it));
+    /// uses, so per-queue data sequences are identical across runtimes.
+    fn emit(&mut self, outs: &mut Vec<DataItem>) {
+        self.worker.plan_buf.clear();
+        for item in outs.drain(..) {
+            self.worker.plan_output(item);
         }
+        self.outbox.extend(self.worker.plan_buf.drain(..));
         self.flush_outbox();
     }
 
@@ -225,9 +221,9 @@ impl StepWorker {
                 let mut drained = Vec::new();
                 let mut ended = false;
                 match &mut self.worker.input {
-                    ProcInput::Source(s) => match s.next_batch(batch, &mut drained) {
-                        Ok(0) => ended = true,
-                        Ok(_) => {}
+                    ProcInput::Source(s) => match s.poll_batch(batch, &mut drained) {
+                        Ok(Polled::Ended) => ended = true,
+                        Ok(Polled::Items(_) | Polled::Pending) => {}
                         Err(e) => {
                             self.fail(e);
                             return Step::Progressed;
@@ -247,20 +243,29 @@ impl StepWorker {
                     }
                 }
                 if drained.is_empty() && !ended {
-                    return Step::Blocked;
-                }
-                for item in drained {
-                    self.consumed += 1;
-                    match self.worker.process_input(item) {
-                        Ok(Some(out)) => self.emit(out),
-                        Ok(None) => {}
-                        Err(e) => {
-                            // The rest of the batch is dropped, exactly like
-                            // the threaded pump unwinding mid-batch.
-                            self.fail(e);
-                            return Step::Progressed;
+                    // Input edge empty, outbox flushed: the worker is idle.
+                    return match self.worker.on_idle() {
+                        Ok(true) => {
+                            self.outbox.extend(self.worker.plan_buf.drain(..));
+                            self.flush_outbox();
+                            Step::Progressed
                         }
+                        Ok(false) => Step::Blocked,
+                        Err(e) => {
+                            self.fail(e);
+                            Step::Progressed
+                        }
+                    };
+                }
+                let mut outs = Vec::new();
+                for item in drained {
+                    if let Err(e) = self.worker.process_input(item, &mut outs) {
+                        // The rest of the batch is dropped, exactly like
+                        // the threaded pump unwinding mid-batch.
+                        self.fail(e);
+                        return Step::Progressed;
                     }
+                    self.emit(&mut outs);
                 }
                 if ended {
                     // Trailing items must not be confused with the last
@@ -276,15 +281,13 @@ impl StepWorker {
                 self.worker.stage.process_ns.record(started.elapsed());
                 match trailing {
                     Ok(items) => {
+                        let mut outs = Vec::new();
                         for item in items {
-                            match self.worker.run_chain(i + 1, item) {
-                                Ok(Some(out)) => self.emit(out),
-                                Ok(None) => {}
-                                Err(e) => {
-                                    self.fail(e);
-                                    return Step::Progressed;
-                                }
+                            if let Err(e) = self.worker.run_chain(i + 1, item, &mut outs) {
+                                self.fail(e);
+                                return Step::Progressed;
                             }
+                            self.emit(&mut outs);
                         }
                         self.phase = Phase::Finish(i + 1);
                     }

@@ -18,11 +18,11 @@ use crate::error::StreamsError;
 use crate::fault::{DeadLetterQueue, DeadLetterRecord, FaultPolicy};
 use crate::item::DataItem;
 use crate::metrics::{MetricsRegistry, StageMetrics};
-use crate::partition::Dispatch;
-use crate::processor::{Context, Processor};
-use crate::queue::{queue_with_metrics, QueueReceiver, QueueSender};
+use crate::partition::{is_punctuation, Dispatch};
+use crate::processor::{drive_chain, push_outputs, Context, Processor};
+use crate::queue::{queue_with_metrics, QueueReceiver, QueueSender, TryRecv};
 use crate::sink::Sink;
-use crate::source::Source;
+use crate::source::{Polled, Source};
 use crate::topology::{Input, Output, SharedProcessorFactory, Topology};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -40,7 +40,9 @@ pub const DEFAULT_RESTART_CADENCE: usize = 1000;
 /// Statistics of one completed run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
-    /// Per process: `(items consumed, items emitted)`.
+    /// Per process: `(data items consumed, data items emitted)`. Punctuation
+    /// exchanged inside a sharded stage is not counted (see
+    /// [`StageMetrics::punctuation_in`]).
     pub per_process: HashMap<String, (u64, u64)>,
 }
 
@@ -243,6 +245,10 @@ pub(crate) fn materialize(
                 Dispatch::Broadcast
             },
             plan_buf: Vec::new(),
+            pulled: Vec::with_capacity(1),
+            work: Vec::new(),
+            consumed: 0,
+            emitted: 0,
             factories,
             checkpoint_every,
             store: store.clone(),
@@ -273,6 +279,15 @@ pub(crate) struct Worker {
     /// Reused dispatch-plan buffer: the per-item hot path plans into this
     /// instead of allocating a fresh `Vec` per survivor.
     pub(crate) plan_buf: Vec<(usize, DataItem)>,
+    /// Reused one-item buffer of the per-item source poll.
+    pulled: Vec<DataItem>,
+    /// Reused walk stack of [`Worker::run_chain`]: `(slot, item)` pairs still
+    /// to be invoked, popped depth-first.
+    work: Vec<(usize, DataItem)>,
+    /// Data items taken off the input edge / handed to the outputs so far
+    /// (the [`RunStats`] pair; punctuation is not counted).
+    pub(crate) consumed: u64,
+    pub(crate) emitted: u64,
     /// One optional rebuild factory per chain slot (the restart supervisor
     /// needs every slot rebuildable).
     pub(crate) factories: Vec<Option<SharedProcessorFactory>>,
@@ -310,80 +325,50 @@ impl Worker {
                 ProcOutput::Discard => {}
             }
         }
-        result.map(|(consumed, emitted)| (self.name, consumed, emitted))
+        result.map(|()| (self.name, self.consumed, self.emitted))
     }
 
-    fn pump(&mut self) -> Result<(u64, u64), StreamsError> {
-        let mut consumed = 0u64;
-        let mut emitted = 0u64;
+    fn pump(&mut self) -> Result<(), StreamsError> {
         // Batching never adds latency: `recv_batch` drains what is already
         // available in a queue without waiting for the batch to fill, and a
         // source's `next_batch` defaults to a single `next_item` pull unless
         // the source itself (pre-materialised data, e.g. `VecSource`) can
         // hand over a batch without holding earlier items back.
-        let batched = self.batch_size > 1;
-        if !batched {
-            // Per-item path: one lock round-trip per item, kept verbatim so
-            // the default `batch_size(1)` is bit-identical to the pre-batch
-            // runtime (including metrics: no batch-size samples).
-            loop {
-                let next = match &mut self.input {
-                    ProcInput::Source(s) => s.next_item()?,
-                    ProcInput::Queue(q) => q.recv(),
-                };
-                let Some(item) = next else { break };
-                consumed += 1;
-                if let Some(out) = self.process_input(item)? {
-                    emitted += 1;
-                    self.stage.items_out.inc();
+        if self.batch_size == 1 {
+            // Per-item path: one queue round-trip per item and no batch-size
+            // samples in the queue metrics.
+            let mut outs = Vec::new();
+            while let Some(item) = self.next_item()? {
+                self.process_input(item, &mut outs)?;
+                for out in outs.drain(..) {
                     self.dispatch_emit(out)?;
                 }
             }
         } else {
             // Batched path: drain up to `batch_size` items per queue lock,
             // process them one at a time (identical results), forward the
-            // survivors of each input batch in one batched send. Shard
+            // outputs of each input batch in one batched send. Shard
             // dispatch buckets the plan per output first — bucketing keeps
             // each queue's sub-sequence in plan order, so per-queue FIFO
             // (and with it merge determinism) is untouched.
-            let batch_size = self.batch_size;
             let mut buckets: Vec<Vec<DataItem>> = Vec::new();
             if matches!(self.dispatch, Dispatch::Shard { .. }) {
                 buckets = (0..self.outputs.len()).map(|_| Vec::new()).collect();
             }
-            let mut src_buf: Vec<DataItem> = Vec::new();
-            loop {
-                let next = match &mut self.input {
-                    ProcInput::Source(s) => {
-                        src_buf.clear();
-                        if s.next_batch(batch_size, &mut src_buf)? == 0 {
-                            None
-                        } else {
-                            Some(std::mem::take(&mut src_buf))
-                        }
-                    }
-                    ProcInput::Queue(q) => q.recv_batch(batch_size),
-                };
-                let Some(items) = next else { break };
-                let mut survivors = Vec::with_capacity(items.len());
+            while let Some(items) = self.next_batch()? {
+                let mut outs = Vec::with_capacity(items.len());
                 for item in items {
-                    consumed += 1;
-                    if let Some(out) = self.process_input(item)? {
-                        emitted += 1;
-                        self.stage.items_out.inc();
-                        survivors.push(out);
-                    }
+                    self.process_input(item, &mut outs)?;
                 }
-                if survivors.is_empty() {
+                if outs.is_empty() {
                     continue;
                 }
                 if matches!(self.dispatch, Dispatch::Broadcast) {
-                    emit_batch(&mut self.outputs, survivors)?;
+                    emit_batch(&mut self.outputs, outs)?;
                 } else {
-                    let n_outputs = self.outputs.len();
                     self.plan_buf.clear();
-                    for item in survivors {
-                        self.dispatch.plan_into(n_outputs, item, &mut self.plan_buf);
+                    for item in outs {
+                        self.plan_output(item);
                     }
                     for (idx, it) in self.plan_buf.drain(..) {
                         buckets[idx].push(it);
@@ -400,30 +385,127 @@ impl Worker {
         // rest of the chain. From here on a restart must not re-run the last
         // consumed item — trailing items re-enter the chain mid-way instead.
         self.entry_item = None;
+        let mut outs = Vec::new();
         for i in 0..self.chain.len() {
             let started = Instant::now();
             let trailing = self.run_finish(i);
             self.stage.process_ns.record(started.elapsed());
             for item in trailing? {
-                if let Some(out) = self.run_chain(i + 1, item)? {
-                    emitted += 1;
-                    self.stage.items_out.inc();
-                    self.dispatch_emit(out)?;
+                self.run_chain(i + 1, item, &mut outs)?;
+            }
+            for out in outs.drain(..) {
+                self.dispatch_emit(out)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The next input item, `None` at end of stream. The input is asked
+    /// without waiting first — a queue through `try_recv`, a source through
+    /// [`Source::poll_batch`] — and "nothing yet" is the moment this worker
+    /// goes idle (see [`Worker::on_idle`]); only then does it park in the
+    /// blocking receive or pull. A source that does not override
+    /// `poll_batch` waits inside it, where the worker cannot see it wait.
+    fn next_item(&mut self) -> Result<Option<DataItem>, StreamsError> {
+        match &mut self.input {
+            ProcInput::Queue(q) => {
+                if let TryRecv::Item(item) = q.try_recv() {
+                    return Ok(Some(item));
+                }
+            }
+            ProcInput::Source(s) => match s.poll_batch(1, &mut self.pulled)? {
+                Polled::Items(_) => return Ok(self.pulled.pop()),
+                Polled::Ended => return Ok(None),
+                Polled::Pending => {}
+            },
+        }
+        self.idle()?;
+        match &mut self.input {
+            ProcInput::Source(s) => s.next_item(),
+            ProcInput::Queue(q) => Ok(q.recv()),
+        }
+    }
+
+    /// [`Worker::next_item`] for the batched path: up to `batch_size` items.
+    fn next_batch(&mut self) -> Result<Option<Vec<DataItem>>, StreamsError> {
+        let max = self.batch_size;
+        match &mut self.input {
+            ProcInput::Queue(q) => {
+                if let Some(items) = q.try_recv_batch(max) {
+                    return Ok(Some(items));
+                }
+            }
+            ProcInput::Source(s) => {
+                let mut items = Vec::new();
+                match s.poll_batch(max, &mut items)? {
+                    Polled::Items(_) => return Ok(Some(items)),
+                    Polled::Ended => return Ok(None),
+                    Polled::Pending => {}
                 }
             }
         }
-        Ok((consumed, emitted))
+        self.idle()?;
+        match &mut self.input {
+            ProcInput::Source(s) => {
+                let mut items = Vec::new();
+                Ok((s.next_batch(max, &mut items)? > 0).then_some(items))
+            }
+            ProcInput::Queue(q) => Ok(q.recv_batch(max)),
+        }
     }
 
-    /// Delivers one chain survivor according to this worker's [`Dispatch`]:
-    /// broadcast to every output, or (on a synthesized partitioner) routed to
-    /// the output its shard stamp names, with periodic watermark broadcasts.
+    /// The threaded driver's idle transition: sends are blocking here, so
+    /// whatever going idle produced is delivered before the worker parks.
+    fn idle(&mut self) -> Result<(), StreamsError> {
+        if self.on_idle()? {
+            for (idx, it) in self.plan_buf.drain(..) {
+                deliver(&mut self.outputs[idx], it)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Called by either driver at the instant this worker's input — queue
+    /// or polled source — has nothing for it and everything it produced has
+    /// been handed on: the threaded pump about to park in `recv` or a
+    /// blocking pull, a replay step about to report itself blocked. A worker must not sit on anything that is ready to leave
+    /// while it waits for input that may be long in coming: a sharding
+    /// partitioner that routed items since its last watermark punctuates now
+    /// (see [`crate::partition`]), which also puts its dispatch on a
+    /// watermark, so a checkpoint barrier that was waiting for one lands.
+    /// Returns whether `plan_buf` now holds deliveries for the driver to
+    /// make. Quiescence is read off the input's own answer; there is no timer.
+    pub(crate) fn on_idle(&mut self) -> Result<bool, StreamsError> {
+        self.plan_buf.clear();
+        let n_outputs = self.outputs.len();
+        if !self.dispatch.plan_idle(n_outputs, &mut self.plan_buf) {
+            return Ok(false);
+        }
+        self.stage.punctuation_out.add(n_outputs as u64);
+        if self.checkpoint_every > 0 && self.since_ckpt >= self.checkpoint_every {
+            self.take_checkpoint()?;
+        }
+        Ok(true)
+    }
+
+    /// Appends the deliveries of one chain output to `plan_buf` according to
+    /// this worker's [`Dispatch`]: a copy for every output, or (on a
+    /// synthesized partitioner) the keyed shard's output plus, when the
+    /// flood cadence is due, a watermark for each.
+    pub(crate) fn plan_output(&mut self, item: DataItem) {
+        let n_outputs = self.outputs.len();
+        if self.dispatch.plan_into(n_outputs, item, &mut self.plan_buf) {
+            self.stage.punctuation_out.add(n_outputs as u64);
+        }
+    }
+
+    /// Delivers one chain output (threaded driver).
     fn dispatch_emit(&mut self, item: DataItem) -> Result<(), StreamsError> {
         if matches!(self.dispatch, Dispatch::Broadcast) {
             return emit(&mut self.outputs, item);
         }
         self.plan_buf.clear();
-        self.dispatch.plan_into(self.outputs.len(), item, &mut self.plan_buf);
+        self.plan_output(item);
         for (idx, it) in self.plan_buf.drain(..) {
             deliver(&mut self.outputs[idx], it)?;
         }
@@ -431,22 +513,36 @@ impl Worker {
     }
 
     /// Consumes one input item: counts it, runs it through the chain under
-    /// the fault policy, then advances the checkpoint bookkeeping (position,
-    /// replay log, barrier). Shared by the threaded pump (per-item and
-    /// batched paths) and the replay scheduler's step worker, so recovery
-    /// semantics are identical under both runtimes.
+    /// the fault policy — appending everything that leaves the chain to
+    /// `out` — then advances the checkpoint bookkeeping (position, replay
+    /// log, barrier). Shared by the threaded pump and the replay scheduler's
+    /// step worker, so recovery semantics are identical under both drivers.
+    ///
+    /// Punctuation travels the same path as data (it occupies a position on
+    /// the input edge and a restored merge needs it replayed) but is counted
+    /// apart and does not advance the barrier cadence: how much of it there
+    /// is depends on the schedule, and neither the data counters nor the
+    /// number of barriers should. It must not detach the state from its
+    /// checkpoint either — see the re-base at the end.
     pub(crate) fn process_input(
         &mut self,
         item: DataItem,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        self.stage.items_in.inc();
+        out: &mut Vec<DataItem>,
+    ) -> Result<(), StreamsError> {
+        let punctuation = is_punctuation(&item);
+        if punctuation {
+            self.stage.punctuation_in.inc();
+        } else {
+            self.stage.items_in.inc();
+            self.consumed += 1;
+        }
         if matches!(self.policy, FaultPolicy::Restart { .. }) {
             self.entry_item = Some(item.clone());
         }
         let started = Instant::now();
-        let out = self.run_chain(0, item);
+        let ran = self.run_chain(0, item, out);
         self.stage.process_ns.record(started.elapsed());
-        let out = out?;
+        ran?;
         self.consumed_pos += 1;
         if self.log_inputs {
             // The chain succeeded, so the entry item's only remaining use is
@@ -455,14 +551,28 @@ impl Worker {
             let logged = self.entry_item.take().expect("Restart keeps the entry item");
             self.replay_log.push_back(logged);
         }
-        self.maybe_checkpoint()?;
-        Ok(out)
+        if !punctuation {
+            self.maybe_checkpoint()?;
+        } else if self.checkpoint_every > 0 && self.since_ckpt == 0 {
+            // Re-base: this punctuation arrived right behind a barrier (no
+            // data since). It occupies a position and may have changed state
+            // (a merge's frontier), so the barrier's snapshot is re-taken
+            // here; left one position stale, `restore_for_retry` would skip
+            // the rollback and a retried item apply twice — whenever a
+            // watermark happens to follow a barrier, i.e. on some schedules.
+            // It is the same barrier, not a new one: `checkpoints` counts
+            // barriers and stays a function of the data.
+            self.snapshot_chain()?;
+        }
+        Ok(())
     }
 
     /// Takes a checkpoint barrier when the cadence is due. On a sharding
     /// partitioner the barrier is deferred until the dispatch sits exactly on
     /// a watermark broadcast, so a restored partitioner and its merge agree
-    /// on the settled frontier (the barrier/watermark alignment rule).
+    /// on the settled frontier (the barrier/watermark alignment rule); it
+    /// lands with the next item that finds it there, or when the worker goes
+    /// idle and punctuates.
     fn maybe_checkpoint(&mut self) -> Result<(), StreamsError> {
         if self.checkpoint_every == 0 {
             return Ok(());
@@ -473,16 +583,27 @@ impl Worker {
         }
         if let Dispatch::Shard { since_wm, .. } = &self.dispatch {
             if *since_wm != 0 {
-                return Ok(()); // deferred: retried on the next item
+                return Ok(()); // deferred
             }
         }
         self.take_checkpoint()
     }
 
-    /// Snapshots every checkpointable chain slot at the current position and
-    /// truncates the replay log — items before the barrier are covered by the
-    /// stored state and never need replaying again.
+    /// Takes a barrier: snapshots the chain (see [`Worker::snapshot_chain`])
+    /// and restarts the cadence.
     fn take_checkpoint(&mut self) -> Result<(), StreamsError> {
+        if self.snapshot_chain()? {
+            self.stage.checkpoints.inc();
+        }
+        self.since_ckpt = 0;
+        Ok(())
+    }
+
+    /// Snapshots every checkpointable chain slot at the current position and
+    /// truncates the replay log — items before the snapshot are covered by
+    /// the stored state and never need replaying again. Returns whether any
+    /// slot had state to store.
+    fn snapshot_chain(&mut self) -> Result<bool, StreamsError> {
         let mut any = false;
         for i in 0..self.chain.len() {
             if let Some(c) = self.chain[i].as_checkpointable() {
@@ -491,21 +612,18 @@ impl Worker {
                 any = true;
             }
         }
-        if any {
-            self.stage.checkpoints.inc();
-        }
         self.replay_log.clear();
-        self.since_ckpt = 0;
-        Ok(())
+        Ok(any)
     }
 
     /// Rebuilds the whole chain from its factories and — under
     /// `from_checkpoint` — restores the latest checkpoints and silently
     /// replays the logged items. Their outputs were already emitted before
     /// the fault and processors are deterministic, so the regenerated outputs
-    /// are discarded; what matters is that the replayed state catches up to
-    /// the exact pre-fault position. A fault *during* replay escalates: the
-    /// state can no longer be trusted.
+    /// — all of them, however many a call produces — are discarded; what
+    /// matters is that the replayed state catches up to the exact pre-fault
+    /// position. A fault *during* replay escalates: the state can no longer
+    /// be trusted.
     fn recover(&mut self, from_checkpoint: bool) -> Result<(), StreamsError> {
         for (i, factory) in self.factories.iter().enumerate() {
             match factory {
@@ -529,37 +647,21 @@ impl Worker {
                 c.restore(&cp.blob)?;
             }
         }
-        for k in 0..self.replay_log.len() {
+        // `self.work` may hold the faulted walk's pending siblings.
+        let mut work = Vec::new();
+        for logged in &self.replay_log {
             self.stage.replayed_items.inc();
-            let mut cur = self.replay_log[k].clone();
-            for i in 0..self.chain.len() {
-                match invoke(&mut self.chain[i], cur, &mut self.ctx, &self.name, i) {
-                    Ok(Some(next)) => cur = next,
-                    Ok(None) => break,
-                    Err(e) => return Err(e),
-                }
-            }
+            drive_chain(
+                &mut self.chain,
+                0,
+                logged.clone(),
+                &mut self.ctx,
+                &mut work,
+                |p, item, ctx, i| invoke(p, item, ctx, &self.name, i),
+                drop,
+            )?;
         }
         Ok(())
-    }
-
-    /// Re-runs an item through the recovered chain without recursing into the
-    /// fault policy: an error is returned to the restart loop, which decides
-    /// whether the budget allows another recovery.
-    fn rerun_after_recovery(
-        &mut self,
-        from: usize,
-        item: DataItem,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        let mut cur = item;
-        for i in from..self.chain.len() {
-            match invoke(&mut self.chain[i], cur, &mut self.ctx, &self.name, i) {
-                Ok(Some(next)) => cur = next,
-                Ok(None) => return Ok(None),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(Some(cur))
     }
 
     /// Before a retry re-invokes a stateful processor, roll it back to its
@@ -580,42 +682,82 @@ impl Worker {
         }
     }
 
-    /// Runs `item` through the chain from processor `from` under the fault
-    /// policy. `Ok(None)` covers both a filtering processor and a faulted
-    /// item the policy dropped (skipped or dead-lettered).
+    /// Walks `item` through the chain from processor `from` under the fault
+    /// policy, depth-first (see [`drive_chain`]): every output of a call —
+    /// what it emitted, then what it returned — traverses the rest of the
+    /// chain, and what leaves the last slot is appended to `out` in output
+    /// order and counted. Nothing appended covers a filtering processor as
+    /// well as a faulted item the policy dropped (skipped or dead-lettered).
+    ///
+    /// A fault is handled here, once, for the item that entered the failing
+    /// slot: its siblings already walked keep their outputs, those still to
+    /// walk proceed. The exception is `Restart` on an input item, which
+    /// voids everything the input produced so far (see [`Worker::on_fault`]).
+    ///
+    /// The loop is [`drive_chain`]'s, written out: a fault needs the whole
+    /// worker while the walk is under way — a retry pushes its outputs on
+    /// the stack, a restart swaps the chain out from under it and rewinds
+    /// `out` — and a closure handed to `drive_chain` next to `&mut
+    /// self.chain` can have none of that. Both push through
+    /// [`push_outputs`], so the output order is defined once.
     pub(crate) fn run_chain(
         &mut self,
         from: usize,
         item: DataItem,
-    ) -> Result<Option<DataItem>, StreamsError> {
+        out: &mut Vec<DataItem>,
+    ) -> Result<(), StreamsError> {
         // Preserve the item as it entered each processor so Retry can re-run
         // it and DeadLetter can record it; FailFast skips the clone tax.
         let preserve = !matches!(self.policy, FaultPolicy::FailFast);
-        let mut cur = item;
-        for i in from..self.chain.len() {
+        let mark = out.len();
+        debug_assert!(self.work.is_empty());
+        self.work.push((from, item));
+        while let Some((i, cur)) = self.work.pop() {
+            if i == self.chain.len() {
+                self.consecutive_faults = 0;
+                out.push(cur);
+                continue;
+            }
             let entered = preserve.then(|| cur.clone());
             match invoke(&mut self.chain[i], cur, &mut self.ctx, &self.name, i) {
-                Ok(Some(next)) => cur = next,
-                Ok(None) => {
-                    self.consecutive_faults = 0;
-                    return Ok(None);
+                Ok(returned) => {
+                    if returned.is_none() && !self.ctx.has_emitted() {
+                        self.consecutive_faults = 0; // filtered, not faulted
+                    }
+                    push_outputs(&mut self.work, i + 1, returned, &mut self.ctx);
                 }
-                Err(e) => return self.on_fault(i, entered, e),
+                Err(error) => {
+                    if let Err(fatal) = self.on_fault(i, entered, error, mark, out) {
+                        self.work.clear();
+                        return Err(fatal);
+                    }
+                }
             }
         }
-        self.consecutive_faults = 0;
-        Ok(Some(cur))
+        for item in &out[mark..] {
+            if is_punctuation(item) {
+                self.stage.punctuation_out.inc();
+            } else {
+                self.stage.items_out.inc();
+                self.emitted += 1;
+            }
+        }
+        Ok(())
     }
 
-    /// Applies the fault policy to a failed invocation of processor `i`.
-    /// `entered` is the item as it entered that processor (`None` under
-    /// `FailFast`, which never needs it, and for `finish` faults).
+    /// Applies the fault policy to a failed invocation of processor `i`
+    /// during a [`Worker::run_chain`] walk. `entered` is the item as it
+    /// entered that processor (`None` under `FailFast`, which never needs
+    /// it). `Ok` means the walk goes on — with whatever this pushed onto the
+    /// work stack; `Err` ends it.
     fn on_fault(
         &mut self,
         i: usize,
         entered: Option<DataItem>,
         error: StreamsError,
-    ) -> Result<Option<DataItem>, StreamsError> {
+        mark: usize,
+        out: &mut Vec<DataItem>,
+    ) -> Result<(), StreamsError> {
         self.record_fault(&error);
         match self.policy.clone() {
             FaultPolicy::FailFast => Err(error),
@@ -625,7 +767,7 @@ impl Worker {
                     return Err(error);
                 }
                 self.stage.skipped.inc();
-                Ok(None)
+                Ok(())
             }
             FaultPolicy::Retry { attempts, backoff } => {
                 let mut last = error;
@@ -637,17 +779,15 @@ impl Worker {
                     // Roll a checkpointable processor back to its barrier
                     // state so the retry does not double-apply the mutations
                     // of the failed attempt (see the `Processor` state
-                    // contract).
+                    // contract). What the failed attempt emitted is gone
+                    // already: `invoke` discards a failed call's buffer.
                     self.restore_for_retry(i);
                     let again = entered.clone().expect("Retry preserves the input item");
                     match invoke(&mut self.chain[i], again, &mut self.ctx, &self.name, i) {
-                        Ok(Some(next)) => {
+                        Ok(returned) => {
                             self.consecutive_faults = 0;
-                            return self.run_chain(i + 1, next);
-                        }
-                        Ok(None) => {
-                            self.consecutive_faults = 0;
-                            return Ok(None);
+                            push_outputs(&mut self.work, i + 1, returned, &mut self.ctx);
+                            return Ok(());
                         }
                         Err(e) => {
                             self.record_fault(&e);
@@ -659,40 +799,38 @@ impl Worker {
             }
             FaultPolicy::DeadLetter { queue } => {
                 self.dead_letter(&queue, Some(i), entered, error);
-                Ok(None)
+                Ok(())
             }
             FaultPolicy::Restart { max, from_checkpoint } => {
-                // Recovery rebuilds the WHOLE chain to the state before the
-                // current input item entered slot 0, so a per-item fault
-                // re-runs that item from the top — re-invoking at slot `i`
-                // would skip the rebuilt earlier slots. Trailing (finish
-                // flush) items have no entry item and re-enter where they
-                // faulted.
-                let mut last = error;
-                loop {
-                    if self.restarts_done >= max {
-                        return Err(last);
+                if self.restarts_done >= max {
+                    return Err(error);
+                }
+                self.restarts_done += 1;
+                self.stage.restores.inc();
+                let started = Instant::now();
+                self.recover(from_checkpoint)?;
+                self.stage.recovery_ns.add(started.elapsed().as_nanos() as u64);
+                match self.entry_item.clone() {
+                    // Recovery rebuilt the WHOLE chain to the state before
+                    // the current input item entered slot 0, so that item
+                    // re-runs from the top — re-invoking at slot `i` would
+                    // skip the rebuilt earlier slots — and everything it
+                    // had produced before the fault, delivered nowhere yet,
+                    // is void: the re-run produces it again. A fault in the
+                    // re-run comes back here and spends another restart.
+                    Some(item) => {
+                        out.truncate(mark);
+                        self.work.clear();
+                        self.work.push((0, item));
                     }
-                    self.restarts_done += 1;
-                    self.stage.restores.inc();
-                    let started = Instant::now();
-                    self.recover(from_checkpoint)?;
-                    self.stage.recovery_ns.add(started.elapsed().as_nanos() as u64);
-                    let (from, again) = match self.entry_item.clone() {
-                        Some(item) => (0, item),
-                        None => (i, entered.clone().expect("Restart preserves the input item")),
-                    };
-                    match self.rerun_after_recovery(from, again) {
-                        Ok(out) => {
-                            self.consecutive_faults = 0;
-                            return Ok(out);
-                        }
-                        Err(e) => {
-                            self.record_fault(&e);
-                            last = e;
-                        }
+                    // Trailing (finish flush) items have no entry item and
+                    // re-enter where they faulted; their siblings stand.
+                    None => {
+                        let again = entered.expect("Restart preserves the input item");
+                        self.work.push((i, again));
                     }
                 }
+                Ok(())
             }
         }
     }
@@ -815,7 +953,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// One supervised `process` call: panics are isolated via `catch_unwind` and
-/// surfaced as [`StreamsError::ProcessorPanicked`].
+/// surfaced as [`StreamsError::ProcessorPanicked`]. On success the call's
+/// emitted items are left in the context's buffer for the caller to drain;
+/// a failed call's are discarded.
 fn invoke(
     p: &mut Box<dyn Processor>,
     item: DataItem,
@@ -823,28 +963,41 @@ fn invoke(
     process: &str,
     index: usize,
 ) -> Result<Option<DataItem>, StreamsError> {
-    match catch_unwind(AssertUnwindSafe(|| p.process(item, ctx))) {
+    let result = match catch_unwind(AssertUnwindSafe(|| p.process(item, ctx))) {
         Ok(result) => result.map_err(|e| wrap(process, index, e)),
         Err(payload) => Err(StreamsError::ProcessorPanicked {
             process: process.to_string(),
             payload: panic_message(payload),
         }),
+    };
+    if result.is_err() {
+        ctx.discard_emitted();
     }
+    result
 }
 
-/// One supervised `finish` call (see [`invoke`]).
+/// One supervised `finish` call (see [`invoke`]); returns what it emitted
+/// followed by what it returned.
 fn invoke_finish(
     p: &mut Box<dyn Processor>,
     ctx: &mut Context,
     process: &str,
     index: usize,
 ) -> Result<Vec<DataItem>, StreamsError> {
-    match catch_unwind(AssertUnwindSafe(|| p.finish(ctx))) {
+    let result = match catch_unwind(AssertUnwindSafe(|| p.finish(ctx))) {
         Ok(result) => result.map_err(|e| wrap(process, index, e)),
         Err(payload) => Err(StreamsError::ProcessorPanicked {
             process: process.to_string(),
             payload: panic_message(payload),
         }),
+    };
+    match result {
+        Ok(returned) if ctx.has_emitted() => Ok(ctx.take_emitted().chain(returned).collect()),
+        Ok(returned) => Ok(returned),
+        Err(e) => {
+            ctx.discard_emitted();
+            Err(e)
+        }
     }
 }
 

@@ -4,6 +4,17 @@ use crate::error::StreamsError;
 use crate::item::DataItem;
 use std::io::BufRead;
 
+/// Outcome of a non-blocking [`Source::poll_batch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Polled {
+    /// This many items (at least one) were appended.
+    Items(usize),
+    /// Nothing is available yet; the stream is still open.
+    Pending,
+    /// End of stream.
+    Ended,
+}
+
 /// A pull-based stream of data items; `Ok(None)` signals end of stream.
 pub trait Source: Send {
     /// Produces the next item.
@@ -28,6 +39,30 @@ pub trait Source: Send {
             None => Ok(0),
         }
     }
+
+    /// [`Source::next_batch`] without the wait: a source with nothing to
+    /// hand over *yet* answers [`Polled::Pending`]. Both drivers ask this
+    /// first. To the threaded [`crate::runtime::Runtime`] `Pending` is the
+    /// moment the pulling worker goes idle — a sharding partitioner
+    /// punctuates, so nothing downstream sits on a settled item while the
+    /// feed is quiet — before it waits in `next_item`/`next_batch`; to the
+    /// single-threaded [`crate::replay::ReplayRuntime`], where a source that
+    /// waited would stall every process, it also means "ask again later".
+    ///
+    /// The default never answers `Pending`, which is right for every source
+    /// whose `next_batch` returns without waiting (pre-materialised or
+    /// file-backed). A live source that waits inside `next_item` should
+    /// override this if a replicated process pulls it directly: the runtime
+    /// cannot see a worker wait inside its source, so until the next item
+    /// arrives the stage's merge holds what only a watermark would release
+    /// (at most [`WM_EVERY`](crate::partition::WM_EVERY)` × shards` items).
+    /// Behind a queue — a feed process in front — the question never arises.
+    fn poll_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> Result<Polled, StreamsError> {
+        Ok(match self.next_batch(max, out)? {
+            0 => Polled::Ended,
+            n => Polled::Items(n),
+        })
+    }
 }
 
 /// A source over a pre-materialised vector of items.
@@ -51,6 +86,82 @@ impl Source for VecSource {
         let before = out.len();
         out.extend(self.items.by_ref().take(max));
         Ok(out.len() - before)
+    }
+}
+
+/// Test support — a stand-in for a live feed that goes quiet, and the
+/// in-tree example of a source that overrides [`Source::poll_batch`]: a
+/// source over pre-materialised *bursts* with a gate between them. Burst `k`
+/// is handed over only once `gate(k)` holds (in the no-hold tests of
+/// `streams`, `core` and `conformance`: once everything the previous burst
+/// should produce has reached the sink).
+///
+/// A closed gate is [`Polled::Pending`]. Under
+/// [`crate::replay::ReplayRuntime`] a pipeline that cannot open it on its
+/// own therefore ends in [`StreamsError::ReplayDeadlock`]; under the
+/// threaded runtime the pulling worker goes idle once and then spins on
+/// `yield_now` in `next_batch` until the gate opens — fine for a test, not
+/// for a deployment. The gate of burst `k` is first asked when the worker
+/// pulling this source has handed on all of burst `k - 1`.
+pub struct GatedSource<G> {
+    bursts: std::collections::VecDeque<std::vec::IntoIter<DataItem>>,
+    gate: G,
+    /// Index of the front burst, and whether its gate has opened.
+    index: usize,
+    open: bool,
+}
+
+impl<G> GatedSource<G>
+where
+    G: FnMut(usize) -> bool + Send,
+{
+    /// Builds the source from its bursts and the gate.
+    pub fn new(bursts: Vec<Vec<DataItem>>, gate: G) -> GatedSource<G> {
+        GatedSource {
+            bursts: bursts.into_iter().map(Vec::into_iter).collect(),
+            gate,
+            index: 0,
+            open: false,
+        }
+    }
+}
+
+impl<G> Source for GatedSource<G>
+where
+    G: FnMut(usize) -> bool + Send,
+{
+    fn next_item(&mut self) -> Result<Option<DataItem>, StreamsError> {
+        let mut one = Vec::with_capacity(1);
+        self.next_batch(1, &mut one)?;
+        Ok(one.pop())
+    }
+
+    fn next_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> Result<usize, StreamsError> {
+        loop {
+            match self.poll_batch(max, out)? {
+                Polled::Items(n) => return Ok(n),
+                Polled::Ended => return Ok(0),
+                Polled::Pending => std::thread::yield_now(),
+            }
+        }
+    }
+
+    fn poll_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> Result<Polled, StreamsError> {
+        while let Some(burst) = self.bursts.front_mut() {
+            if !self.open && !(self.gate)(self.index) {
+                return Ok(Polled::Pending);
+            }
+            self.open = true;
+            let before = out.len();
+            out.extend(burst.take(max));
+            if out.len() > before {
+                return Ok(Polled::Items(out.len() - before));
+            }
+            self.bursts.pop_front();
+            self.index += 1;
+            self.open = false;
+        }
+        Ok(Polled::Ended)
     }
 }
 
@@ -131,6 +242,29 @@ mod tests {
         assert_eq!(s.next_batch(16, &mut out).unwrap(), 0, "exhausted");
         let got: Vec<i64> = out.iter().map(|i| i.get_i64("n").unwrap()).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4], "batching preserves order");
+    }
+
+    #[test]
+    fn gated_source_holds_each_burst_until_its_gate_opens() {
+        let item = |n: i64| DataItem::new().with("n", n);
+        let open = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(1));
+        let gate = {
+            let open = std::sync::Arc::clone(&open);
+            move |burst: usize| burst < open.load(std::sync::atomic::Ordering::SeqCst)
+        };
+        let mut s = GatedSource::new(vec![vec![item(0), item(1), item(2)], vec![item(3)]], gate);
+        let mut out = Vec::new();
+        assert_eq!(s.poll_batch(2, &mut out).unwrap(), Polled::Items(2));
+        assert_eq!(s.poll_batch(2, &mut out).unwrap(), Polled::Items(1), "short end of a burst");
+        assert_eq!(s.poll_batch(2, &mut out).unwrap(), Polled::Pending, "burst 1 is gated");
+        assert_eq!(out.len(), 3);
+        open.store(2, std::sync::atomic::Ordering::SeqCst);
+        assert_eq!(s.next_item().unwrap().unwrap().get_i64("n"), Some(3));
+        assert_eq!(s.poll_batch(2, &mut out).unwrap(), Polled::Ended);
+        // The default poll of an ordinary source never reports Pending.
+        let mut v = VecSource::new([item(7)]);
+        assert_eq!(v.poll_batch(4, &mut out).unwrap(), Polled::Items(1));
+        assert_eq!(v.poll_batch(4, &mut out).unwrap(), Polled::Ended);
     }
 
     #[test]

@@ -439,8 +439,21 @@ impl SpscReceiver {
     /// happens before this returns, so a producer parked on the full ring is
     /// always released by the batch that made room.
     pub(crate) fn recv_batch(&mut self, max: usize) -> Option<Vec<DataItem>> {
-        let max = max.max(1);
         let first = self.ring.recv()?;
+        Some(self.batch_after(first, max))
+    }
+
+    /// [`SpscReceiver::recv_batch`] without the wait: `None` when nothing is
+    /// published right now.
+    pub(crate) fn try_recv_batch(&mut self, max: usize) -> Option<Vec<DataItem>> {
+        let first = self.ring.pop()?;
+        Some(self.batch_after(first, max))
+    }
+
+    /// `first` (already accounted for) plus whatever else is published, up
+    /// to `max` items.
+    fn batch_after(&mut self, first: DataItem, max: usize) -> Vec<DataItem> {
+        let max = max.max(1);
         let mut batch = Vec::with_capacity(max.min(self.ring.capacity));
         batch.push(first);
         let mut quiet = 0i64; // popped since recv()'s own accounting
@@ -459,7 +472,7 @@ impl SpscReceiver {
             self.ring.wake_producer();
         }
         self.ring.metrics.batch_sizes.record_ns(batch.len() as u64);
-        Some(batch)
+        batch
     }
 
     pub(crate) fn try_recv(&mut self) -> crate::queue::TryRecv {

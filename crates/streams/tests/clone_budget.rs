@@ -15,6 +15,10 @@
 //! partition→replica→merge path — and, like deep copies, that count must
 //! not scale with the replica count.
 //!
+//! Idle punctuation (see `insight_streams::partition`) adds watermark items
+//! whose number depends on the thread schedule; the test runs a shape where
+//! the partitioner races its feed to show they fit the same budgets.
+//!
 //! These tests live in their own integration-test binary because both
 //! counters are process-global: sibling tests running on other harness
 //! threads would otherwise bleed their own detaches and allocations into
@@ -52,14 +56,27 @@ fn square_factory() -> Box<dyn Processor> {
 
 /// Runs the canonical `P[part]` → replicas → `P[merge]` stage and returns
 /// how many payload deep-copies and heap allocations the whole run
-/// performed.
-fn budgets_for(replicas: usize) -> (u64, u64) {
+/// performed. `racing` puts a per-item feed process and a queue in front of
+/// the stage, so the partitioner keeps catching its input empty and
+/// punctuates on idle — as often as the thread schedule has it, up to once
+/// per item — instead of only at the flood cadence.
+fn budgets_for(replicas: usize, racing: bool) -> (u64, u64) {
     let sink = CollectSink::shared();
     let mut t = Topology::new();
     t.add_source("in", VecSource::new(items()));
     t.add_queue("out", 8);
+    let input = if racing {
+        t.add_queue("fed", 8);
+        t.process("feed")
+            .input(Input::Stream("in".into()))
+            .output(Output::Queue("fed".into()))
+            .done();
+        Input::Queue("fed".into())
+    } else {
+        Input::Stream("in".into())
+    };
     t.process("stage")
-        .input(Input::Stream("in".into()))
+        .input(input)
         .replicas(replicas)
         .partition_by(["key"])
         .processor_factory(square_factory)
@@ -84,7 +101,7 @@ fn budgets_for(replicas: usize) -> (u64, u64) {
 /// bookkeeping items (watermarks) and per-shard queues/threads.
 #[test]
 fn budgets_stay_constant_in_replica_count() {
-    let (base_copies, base_allocs) = budgets_for(1);
+    let (base_copies, base_allocs) = budgets_for(1, false);
     assert!(
         base_copies <= 2 * ITEMS as u64,
         "single-replica run stays within 2 deep-copies per item, got {base_copies} for {ITEMS} items"
@@ -100,7 +117,7 @@ fn budgets_stay_constant_in_replica_count() {
         "single-replica run stays within 10 allocations per item, got {base_allocs} for {ITEMS} items"
     );
     for replicas in [2usize, 4, 8] {
-        let (copies, allocs) = budgets_for(replicas);
+        let (copies, allocs) = budgets_for(replicas, false);
         // The slack terms cover per-replica control items (one watermark
         // bridge per shard per cadence) and per-replica infrastructure
         // (threads, queues, merge buffers) — O(replicas) each with an O(1)
@@ -119,5 +136,27 @@ fn budgets_stay_constant_in_replica_count() {
              (base {base_allocs} at 1 replica, {ITEMS} items) — the partition path \
              is allocating per item × replica again"
         );
+    }
+    // Idle punctuation on a racing schedule. A watermark is built per shard,
+    // already attributed, and forwarded untouched: however many the schedule
+    // produces, none copies an attribute map, so the deep-copy budget is the
+    // flood one. Each costs one small allocation, and the worst schedule
+    // sends `replicas` of them per item — two replicas stay inside the
+    // per-item ceiling of the single-replica run.
+    let (base_copies, _) = budgets_for(1, true);
+    for replicas in [2usize, 4] {
+        let (copies, allocs) = budgets_for(replicas, true);
+        let copy_budget = base_copies + 4 * replicas as u64 + 16;
+        assert!(
+            copies <= copy_budget,
+            "racing, replicas={replicas}: {copies} deep copies exceed budget {copy_budget} — \
+             watermarks are copying attribute maps"
+        );
+        if replicas == 2 {
+            assert!(
+                allocs <= 10 * ITEMS as u64,
+                "racing, replicas=2: {allocs} allocations for {ITEMS} items exceed 10 per item"
+            );
+        }
     }
 }

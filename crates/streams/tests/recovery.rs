@@ -280,56 +280,63 @@ fn restart_without_a_cadence_gets_the_default_and_bounds_the_log() {
     assert_eq!(stage.replayed_items.get(), 99, "items 2001..=2099 sit between barrier and kill");
 }
 
+/// A prefix sum that mutates *before* faulting — once per multiple of three —
+/// so a retry on un-rolled-back state applies the item twice. Which items
+/// have faulted is deliberately not part of the snapshot: a restore must not
+/// re-arm the fault.
+#[derive(Default)]
+struct FlakySum {
+    total: i64,
+    faulted: HashSet<i64>,
+}
+
+impl Processor for FlakySum {
+    fn process(
+        &mut self,
+        mut item: DataItem,
+        _: &mut Context,
+    ) -> Result<Option<DataItem>, StreamsError> {
+        let n = item.get_i64("n").unwrap();
+        // State mutates first — the failure mode the checkpoint restore
+        // exists to roll back.
+        self.total += n;
+        if n % 3 == 0 && self.faulted.insert(n) {
+            return Err(StreamsError::ServiceError {
+                detail: format!("transient fault after applying n={n}"),
+            });
+        }
+        item.set("total", self.total);
+        Ok(Some(item))
+    }
+    fn as_checkpointable(&mut self) -> Option<&mut dyn Checkpointable> {
+        Some(self)
+    }
+}
+
+impl Checkpointable for FlakySum {
+    fn snapshot(&mut self) -> StateBlob {
+        let mut blob = StateBlob::new();
+        blob.set("total", self.total);
+        blob
+    }
+    fn restore(&mut self, blob: &StateBlob) -> Result<(), StreamsError> {
+        self.total = blob.require_i64("total")?;
+        Ok(())
+    }
+}
+
 /// Satellite regression: a stateful processor that mutates *before* faulting
 /// must not double-apply the item across a retry. With `checkpoint_every(1)`
 /// the supervisor restores the pre-item snapshot before each re-attempt.
 #[test]
 fn retry_restores_checkpointed_state_so_items_apply_exactly_once() {
-    struct FlakySum {
-        total: i64,
-        faulted: HashSet<i64>,
-    }
-    impl Processor for FlakySum {
-        fn process(
-            &mut self,
-            mut item: DataItem,
-            _: &mut Context,
-        ) -> Result<Option<DataItem>, StreamsError> {
-            let n = item.get_i64("n").unwrap();
-            // State mutates first — the failure mode the checkpoint restore
-            // exists to roll back.
-            self.total += n;
-            if n % 3 == 0 && self.faulted.insert(n) {
-                return Err(StreamsError::ServiceError {
-                    detail: format!("transient fault after applying n={n}"),
-                });
-            }
-            item.set("total", self.total);
-            Ok(Some(item))
-        }
-        fn as_checkpointable(&mut self) -> Option<&mut dyn Checkpointable> {
-            Some(self)
-        }
-    }
-    impl Checkpointable for FlakySum {
-        fn snapshot(&mut self) -> StateBlob {
-            let mut blob = StateBlob::new();
-            blob.set("total", self.total);
-            blob
-        }
-        fn restore(&mut self, blob: &StateBlob) -> Result<(), StreamsError> {
-            self.total = blob.require_i64("total")?;
-            Ok(())
-        }
-    }
-
     let sink = CollectSink::shared();
     let mut t = Topology::new();
     // Start at n=1 so a checkpoint exists before the first fault (n=3).
     t.add_source("in", VecSource::new(numbered(1..=12)));
     t.process("sum")
         .input(Input::Stream("in".into()))
-        .processor(FlakySum { total: 0, faulted: HashSet::new() })
+        .processor(FlakySum::default())
         .checkpoint_every(1)
         .fault_policy(FaultPolicy::Retry { attempts: 2, backoff: Duration::ZERO })
         .output(Output::Sink(Box::new(sink.clone())))
@@ -341,4 +348,64 @@ fn retry_restores_checkpointed_state_so_items_apply_exactly_once() {
     let stage = metrics.stage("sum");
     assert_eq!(stage.retries.get(), 4, "n = 3, 6, 9, 12 each fault once");
     assert_eq!(stage.restores.get(), 4, "each retry restored the pre-item snapshot");
+}
+
+/// The same inside a sharded stage, where watermarks share the replicas'
+/// input edge with the data. A partitioner that finds its input queue empty
+/// punctuates, so *whether* a watermark sits between a replica's barrier and
+/// its next item is up to the schedule — and the rollback must happen either
+/// way: punctuation that follows a barrier moves the barrier along with it
+/// (the re-base in `Worker::process_input`), it does not leave it one position
+/// stale.
+/// The replay seeds are the schedules; with barriers taken on data alone the
+/// first of them already applies n = 3 twice.
+#[test]
+fn retry_rolls_back_in_a_sharded_stage_whatever_the_watermark_timing() {
+    let build = |flaky: bool, sink: &CollectSink| {
+        let mut t = Topology::new();
+        let items = (1..=40i64).map(|n| DataItem::new().with("n", n).with("key", n % 5));
+        t.add_source("in", VecSource::new(items));
+        // A per-item hop in front, so the partitioner's input runs empty.
+        t.add_queue("hop", 4);
+        t.process("feed")
+            .input(Input::Stream("in".into()))
+            .output(Output::Queue("hop".into()))
+            .done();
+        let stage = t.process("sum").input(Input::Queue("hop".into())).replicas(2);
+        let stage = if flaky {
+            stage.processor_factory(|| Box::<FlakySum>::default())
+        } else {
+            stage.processor_factory(|| Box::<PrefixSum>::default())
+        };
+        stage
+            .partition_by(["key"])
+            .checkpoint_every(1)
+            .fault_policy(FaultPolicy::Retry { attempts: 2, backoff: Duration::ZERO })
+            .output(Output::Sink(Box::new(sink.clone())))
+            .done();
+        t
+    };
+    // Per-replica prefix sums of a chain that never faults.
+    let baseline_sink = CollectSink::shared();
+    ReplayRuntime::new(build(false, &baseline_sink), 0).run().unwrap();
+    let baseline = totals(&baseline_sink);
+    assert_eq!(baseline.len(), 40);
+
+    for seed in 0..32u64 {
+        let sink = CollectSink::shared();
+        let rt = ReplayRuntime::new(build(true, &sink), seed);
+        let metrics = rt.metrics();
+        rt.run().unwrap();
+        assert_eq!(totals(&sink), baseline, "seed={seed}: a retried item applied twice");
+        let (retries, restores): (u64, u64) = (0..2)
+            .map(|r| metrics.stage(&format!("sum[{r}]")))
+            .fold((0, 0), |(a, b), s| (a + s.retries.get(), b + s.restores.get()));
+        assert_eq!(retries, 13, "seed={seed}: every multiple of three up to 40 faults once");
+        assert_eq!(restores, 13, "seed={seed}: every retry found a position-exact checkpoint");
+    }
+    for round in 0..8 {
+        let sink = CollectSink::shared();
+        Runtime::new(build(true, &sink)).run().unwrap();
+        assert_eq!(totals(&sink), baseline, "threaded round {round}");
+    }
 }
