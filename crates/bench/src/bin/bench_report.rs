@@ -138,6 +138,10 @@ struct MeasuredRun {
     solver_steps: u64,
     /// `QueryTiming::candidates_examined` summed over the measured queries.
     candidates: u64,
+    /// `QueryTiming::facts_admitted` summed over the measured queries: input
+    /// facts written into the window stores, each once however many windows
+    /// it lives through.
+    facts_admitted: u64,
 }
 
 /// Mean per-query wall-clock recognition time (ms) over `n_queries` fully
@@ -160,7 +164,7 @@ fn mean_query_ms(
     let mut allocs_first = 0u64;
     let mut allocs_last = 0u64;
     let mut total_rebuild_ms = 0.0f64;
-    let (mut solver_steps, mut candidates) = (0u64, 0u64);
+    let (mut solver_steps, mut candidates, mut facts_admitted) = (0u64, 0u64, 0u64);
     let mut q = start + wm;
     while queries < n_queries && q <= end {
         while sde_idx < scenario.sdes.len() && scenario.sdes[sde_idx].arrival <= q {
@@ -178,6 +182,7 @@ fn mean_query_ms(
         total_rebuild_ms += r.raw.timing.cache_rebuild.as_secs_f64() * 1e3;
         solver_steps += r.raw.timing.solver_steps;
         candidates += r.raw.timing.candidates_examined;
+        facts_admitted += r.raw.timing.facts_admitted;
         queries += 1;
         q += step;
     }
@@ -193,6 +198,7 @@ fn mean_query_ms(
         cache_rebuild_ms: total_rebuild_ms / queries as f64,
         solver_steps,
         candidates,
+        facts_admitted,
     })
 }
 
@@ -452,6 +458,11 @@ fn ingest_point(
 /// `before_join_planning` is the same engine at PR 15, when every rule body
 /// ran in the order it was typed and the spatial join called `close` on every
 /// intersection (the counted work was not recorded then).
+///
+/// `before_sliding_stores` is the engine at PR 17, when every query cleared
+/// the window stores and refilled, re-sorted and re-indexed them from the
+/// buffered SDEs (same counted solver work as now; facts written per point
+/// were the window's content times the queries, not recorded then).
 const RECOGNITION_HISTORY: &str = r#"{
     "note": "paths removed when the compiled slot-state engine became the only one; query_ms continues the compiled_ms series",
     "last_measured": [
@@ -467,6 +478,15 @@ const RECOGNITION_HISTORY: &str = r#"{
         {"step_over_wm": "1/2", "query_ms": 8.982},
         {"step_over_wm": "1/4", "query_ms": 4.557},
         {"step_over_wm": "1/8", "query_ms": 2.956}
+      ]
+    },
+    "before_sliding_stores": {
+      "note": "PR 17, standard profile: stores refilled from the buffered SDEs on every query",
+      "points": [
+        {"step_over_wm": "1", "query_ms": 1.147, "cache_rebuild_ms": 0.141},
+        {"step_over_wm": "1/2", "query_ms": 0.717, "cache_rebuild_ms": 0.107},
+        {"step_over_wm": "1/4", "query_ms": 0.530, "cache_rebuild_ms": 0.100},
+        {"step_over_wm": "1/8", "query_ms": 0.383, "cache_rebuild_ms": 0.091}
       ]
     }
   }"#;
@@ -524,7 +544,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     out.line(format!("  {} SDEs total", scenario.sdes.len()));
     out.line(String::new());
     out.line(format!(
-        "{:>9} {:>8} {:>9} {:>12} {:>9} {:>12} {:>10} {:>10}",
+        "{:>9} {:>8} {:>9} {:>12} {:>9} {:>12} {:>10} {:>10} {:>9}",
         "step/WM",
         "step s",
         "queries",
@@ -532,7 +552,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "allocs/w",
         "rebuild (ms)",
         "steps",
-        "candidates"
+        "candidates",
+        "admitted"
     ));
 
     // Warm-up: the first evaluation of a fresh process pays one-off costs
@@ -547,7 +568,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let step = wm / den;
         let run = mean_query_ms(&scenario, wm, step, n_queries)?;
         out.line(format!(
-            "{:>9} {:>8} {:>9} {:>12.3} {:>9.1} {:>12.3} {:>10} {:>10}",
+            "{:>9} {:>8} {:>9} {:>12.3} {:>9.1} {:>12.3} {:>10} {:>10} {:>9}",
             label,
             step,
             run.queries,
@@ -555,7 +576,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             run.allocs_per_window,
             run.cache_rebuild_ms,
             run.solver_steps,
-            run.candidates
+            run.candidates,
+            run.facts_admitted
         ));
         points.push(RatioPoint { label, ratio: 1.0 / den as f64, step, run });
     }
@@ -572,7 +594,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         writeln!(
             rec_json,
             "    {{\"step_over_wm\": \"{}\", \"ratio\": {}, \"step_s\": {}, \"queries\": {}, \
-             \"solver_steps\": {}, \"candidates\": {}, \
+             \"solver_steps\": {}, \"candidates\": {}, \"facts_admitted\": {}, \
              \"query_ms\": {:.3}, \"allocs_per_window\": {:.1}, \"allocs_first\": {}, \
              \"allocs_last\": {}, \"cache_rebuild_ms\": {:.3}}}{}",
             p.label,
@@ -581,6 +603,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             p.run.queries,
             p.run.solver_steps,
             p.run.candidates,
+            p.run.facts_admitted,
             p.run.mean_ms,
             p.run.allocs_per_window,
             p.run.allocs_first,

@@ -122,6 +122,16 @@ struct EvalCounters {
     allocations: Arc<Counter>,
     solver_steps: Arc<Counter>,
     candidates: Arc<Counter>,
+    /// Store work, counted like the solver's: input facts written into the
+    /// window stores, facts that left them, derived events written.
+    facts_admitted: Arc<Counter>,
+    facts_expired: Arc<Counter>,
+    derived_written: Arc<Counter>,
+    /// Late SDEs per outcome: admitted into the window overlap after a
+    /// query had already passed their occurrence, or dropped unseen because
+    /// they arrived behind the window start.
+    sdes_amended: Arc<Counter>,
+    sdes_lost: Arc<Counter>,
     rebuild_ns: Arc<Histogram>,
 }
 
@@ -171,14 +181,19 @@ impl RtecProcessor {
     fn evaluation_counters(&mut self, ctx: &Context) -> Option<EvalCounters> {
         if self.eval_counters.is_none() {
             if let Ok(registry) = ctx.services().get::<MetricsRegistry>("metrics") {
+                let counter =
+                    |what: &str| registry.counter(&format!("rtec.{}.{what}", self.region));
                 self.eval_counters = Some(EvalCounters {
-                    strata: registry.counter(&format!("rtec.{}.strata_evaluated", self.region)),
-                    groundings: registry
-                        .counter(&format!("rtec.{}.groundings_recomputed", self.region)),
-                    allocations: registry
-                        .counter(&format!("rtec.{}.window_allocations", self.region)),
-                    solver_steps: registry.counter(&format!("rtec.{}.solver_steps", self.region)),
-                    candidates: registry.counter(&format!("rtec.{}.candidates", self.region)),
+                    strata: counter("strata_evaluated"),
+                    groundings: counter("groundings_recomputed"),
+                    allocations: counter("window_allocations"),
+                    solver_steps: counter("solver_steps"),
+                    candidates: counter("candidates"),
+                    facts_admitted: counter("facts_admitted"),
+                    facts_expired: counter("facts_expired"),
+                    derived_written: counter("derived_written"),
+                    sdes_amended: counter("sdes_amended"),
+                    sdes_lost: counter("sdes_lost"),
                     rebuild_ns: registry
                         .histogram(&format!("rtec.{}.cache_rebuild_ns", self.region)),
                 });
@@ -199,12 +214,18 @@ impl RtecProcessor {
             hist.record_ns(query_ns as u64);
         }
         if let Some(c) = self.evaluation_counters(ctx) {
-            c.strata.add(result.raw.timing.strata_evaluated as u64);
-            c.groundings.add(result.raw.timing.groundings_recomputed as u64);
-            c.allocations.add(result.raw.timing.window_allocations);
-            c.solver_steps.add(result.raw.timing.solver_steps);
-            c.candidates.add(result.raw.timing.candidates_examined);
-            c.rebuild_ns.record(result.raw.timing.cache_rebuild);
+            let timing = &result.raw.timing;
+            c.strata.add(timing.strata_evaluated as u64);
+            c.groundings.add(timing.groundings_recomputed as u64);
+            c.allocations.add(timing.window_allocations);
+            c.solver_steps.add(timing.solver_steps);
+            c.candidates.add(timing.candidates_examined);
+            c.facts_admitted.add(timing.facts_admitted);
+            c.facts_expired.add(timing.facts_expired);
+            c.derived_written.add(timing.derived_written);
+            c.sdes_amended.add(timing.facts_amended);
+            c.sdes_lost.add(timing.facts_lost);
+            c.rebuild_ns.record(timing.cache_rebuild);
         }
         let mut item = DataItem::new()
             .with("kind", "recognition")
@@ -215,7 +236,7 @@ impl RtecProcessor {
             .with("congested_intersections", result.congested_intersections().len() as i64)
             .with("bus_congestions", result.bus_congestions().len() as i64)
             .with("noisy_buses", result.noisy_buses().len() as i64)
-            .with("delay_increases", result.delay_increases().len() as i64);
+            .with("delay_increases", result.delay_increase_count() as i64);
         let open = result.open_disagreements();
         item.set("open_disagreements", open.len() as i64);
         if let Some(&(lon, lat)) = open.first() {
@@ -1533,7 +1554,7 @@ mod tests {
             .filter(|(name, _)| name.starts_with("rtec.") && name.ends_with(".cache_rebuild_ns"))
             .map(|(_, h)| h.sum_ns)
             .sum();
-        assert!(rebuild_ns > 0, "windows spend time refilling retained stores");
+        assert!(rebuild_ns > 0, "windows spend time sliding and publishing into the stores");
 
         // Every summary carries its own recognition latency.
         for item in sink.items() {
@@ -1563,9 +1584,12 @@ mod tests {
         // The same two-hour Dublin trace run in full (24 windows per region)
         // and cut off halfway. The first windows size the engines' retained
         // state to the working set; after that a window allocates only when
-        // traffic brings a grounding it has never seen, so the second hour
-        // adds a small fraction of what the first one did. An engine that
-        // rebuilt its window state per query would double the count.
+        // traffic brings a grounding it has never seen or a store passes its
+        // high-water mark (expired rows are reused, so only a busier window
+        // than any before grows one): the second hour adds a fifteenth of what
+        // the first one did (709 → 757 buffer growths on this trace). An
+        // engine that rebuilt its window state per query would double the
+        // count.
         let mut scenario = Scenario::generate(ScenarioConfig::small(7200, 77)).unwrap();
         let full = window_allocations(&scenario);
         let (start, end) = scenario.window();
@@ -1573,7 +1597,7 @@ mod tests {
         let first_half = window_allocations(&scenario);
         assert!(first_half > 0, "the cold start sizes the retained tables");
         assert!(
-            full <= first_half + first_half / 4,
+            full <= first_half + first_half / 8,
             "window allocations kept growing: {first_half} after one hour, {full} after two"
         );
     }

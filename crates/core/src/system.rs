@@ -139,7 +139,8 @@ pub struct StageFaults {
 
 /// Aggregated fault/degradation picture of a run: per-stage supervision
 /// counters plus the pipeline-level graceful-degradation counters (malformed
-/// SDEs skipped by RTEC, sensor-only crowd fallbacks, crowd task retries).
+/// SDEs skipped by RTEC, SDEs lost to lateness, sensor-only crowd fallbacks,
+/// crowd task retries).
 #[derive(Debug, Clone, Default)]
 pub struct FaultReport {
     /// Stages that recorded at least one fault, retry, skip, or dead letter.
@@ -147,6 +148,15 @@ pub struct FaultReport {
     /// SDE items that failed schema validation and were skipped by RTEC
     /// (summed over the `rtec.<region>.malformed_sdes` counters).
     pub malformed_sdes: u64,
+    /// Input facts that arrived after a query had passed their occurrence
+    /// but still inside the working memory, and were amended into a later
+    /// window (summed over `rtec.<region>.sdes_amended`). What `WM > step`
+    /// is for — reported beside the losses, not a degradation itself.
+    pub sdes_amended: u64,
+    /// Input facts RTEC dropped unseen: by the time they arrived, their
+    /// occurrence was behind the window start (summed over
+    /// `rtec.<region>.sdes_lost`).
+    pub sdes_lost: u64,
     /// Disagreements resolved sensor-only because the crowd engine errored.
     pub crowd_fallbacks: u64,
     /// Deadline-missed crowd tasks re-assigned to a faster worker.
@@ -173,6 +183,10 @@ impl FaultReport {
         for (name, &value) in &snap.counters {
             if name.ends_with(".malformed_sdes") {
                 report.malformed_sdes += value;
+            } else if name.ends_with(".sdes_amended") {
+                report.sdes_amended += value;
+            } else if name.ends_with(".sdes_lost") {
+                report.sdes_lost += value;
             }
         }
         report.crowd_fallbacks = snap.counters.get("crowd.fallbacks").copied().unwrap_or(0);
@@ -189,6 +203,7 @@ impl FaultReport {
     pub fn is_clean(&self) -> bool {
         self.per_stage.is_empty()
             && self.malformed_sdes == 0
+            && self.sdes_lost == 0
             && self.crowd_fallbacks == 0
             && self.crowd_retries == 0
     }
@@ -201,9 +216,12 @@ impl fmt::Display for FaultReport {
         }
         writeln!(
             f,
-            "{} stage faults, {} malformed SDEs, {} crowd fallbacks, {} crowd retries",
+            "{} stage faults, {} malformed SDEs, {} SDEs lost to lateness ({} amended), \
+             {} crowd fallbacks, {} crowd retries",
             self.total_faults(),
             self.malformed_sdes,
+            self.sdes_lost,
+            self.sdes_amended,
             self.crowd_fallbacks,
             self.crowd_retries
         )?;
@@ -577,6 +595,9 @@ mod tests {
         let registry = MetricsRegistry::new();
         registry.counter("rtec.north.malformed_sdes").add(3);
         registry.counter("rtec.south.malformed_sdes").add(2);
+        registry.counter("rtec.north.sdes_amended").add(40);
+        registry.counter("rtec.west.sdes_amended").add(2);
+        registry.counter("rtec.north.sdes_lost").add(7);
         registry.counter("crowd.fallbacks").add(1);
         registry.counter("crowd.retries").add(4);
         let stage = registry.stage("rtec-north");
@@ -586,6 +607,7 @@ mod tests {
         let report = FaultReport::from_snapshot(&registry.snapshot());
         assert!(!report.is_clean());
         assert_eq!(report.malformed_sdes, 5);
+        assert_eq!((report.sdes_amended, report.sdes_lost), (42, 7));
         assert_eq!(report.crowd_fallbacks, 1);
         assert_eq!(report.crowd_retries, 4);
         assert_eq!(report.total_faults(), 2);
@@ -594,6 +616,14 @@ mod tests {
         let rendered = report.to_string();
         assert!(rendered.contains("rtec-north"), "{rendered}");
         assert!(rendered.contains("5 malformed SDEs"), "{rendered}");
+        assert!(rendered.contains("7 SDEs lost to lateness (42 amended)"), "{rendered}");
+
+        // Amended alone is the overlap doing its job; a loss is not clean.
+        let registry = MetricsRegistry::new();
+        registry.counter("rtec.north.sdes_amended").add(3);
+        assert!(FaultReport::from_snapshot(&registry.snapshot()).is_clean());
+        registry.counter("rtec.north.sdes_lost").inc();
+        assert!(!FaultReport::from_snapshot(&registry.snapshot()).is_clean());
     }
 
     #[test]

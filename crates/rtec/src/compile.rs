@@ -702,72 +702,365 @@ impl ColIndex {
     }
 }
 
-/// Events of one kind, sorted by time. Argument terms live in a per-kind
-/// pool (`items` holds `(time, offset, len)` triples) so refilling the store
-/// each window reuses capacity instead of cloning a `Vec<Term>` per event;
-/// one [`ColIndex`] per column the plan probes narrows joins on a bound
-/// argument by binary search.
+/// What one window wrote into and took out of the stores, counted where it
+/// happens: exact for a given input and query grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct StoreCounts {
+    /// Input facts that became visible (each fact exactly once in its life).
+    pub admitted: u64,
+    /// Of those, the ones that occurred at or before the previous query
+    /// time: late arrivals amended into the overlap.
+    pub amended: u64,
+    /// Admitted facts that fell behind the window start.
+    pub expired: u64,
+    /// Facts dropped without ever having been visible: behind the window
+    /// start before they arrived.
+    pub lost: u64,
+    /// Derived events written into their slot (the tail behind the
+    /// stratum's output frontier).
+    pub derived_written: u64,
+}
+
+/// The window a store slides to: `(start, q]`, after a query at `prev_q`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slide {
+    pub start: Time,
+    pub q: Time,
+    /// The previous query time (`TIME_MIN` before the first query).
+    pub prev_q: Time,
+}
+
+/// One stored fact as a checkpoint sees it.
+pub(crate) struct FactRef<'a> {
+    /// Ingestion sequence number, engine-wide.
+    pub seq: u64,
+    /// Whether a query has admitted it (store membership).
+    pub seen: bool,
+    pub arrival: Time,
+    pub time: Time,
+    /// The fact's row: its arguments (for an observation, then its value).
+    pub terms: &'a [Term],
+}
+
+/// Fixed-width term rows of one kind. A fact's terms are written once, at
+/// ingestion, and stay in their row for the fact's whole life (pending →
+/// admitted → expired); a row whose fact has left goes on the free list, so
+/// the pool's capacity follows the largest working set, not the stream.
+struct Rows {
+    width: usize,
+    terms: Vec<Term>,
+    /// `(ingestion sequence, arrival)` per row: the tie order among facts of
+    /// one time, and what a checkpoint writes beside the terms.
+    meta: Vec<(u64, Time)>,
+    free: Vec<u32>,
+}
+
+impl Rows {
+    fn new(width: usize) -> Rows {
+        Rows { width, terms: Vec::new(), meta: Vec::new(), free: Vec::new() }
+    }
+
+    fn alloc<'t>(&mut self, meta: (u64, Time), terms: impl Iterator<Item = &'t Term>) -> u32 {
+        match self.free.pop() {
+            Some(row) => {
+                self.meta[row as usize] = meta;
+                let at = row as usize * self.width;
+                for (cell, t) in self.terms[at..at + self.width].iter_mut().zip(terms) {
+                    *cell = t.clone();
+                }
+                row
+            }
+            None => {
+                self.terms.extend(terms.cloned());
+                self.meta.push(meta);
+                // Room to free every row, made when the row is: a window
+                // that expires a head then never grows the list, whatever
+                // share of the rows the pending area held at the time.
+                self.free.reserve(self.meta.len() - self.free.len());
+                debug_assert_eq!(self.terms.len(), self.meta.len() * self.width, "fixed arity");
+                (self.meta.len() - 1) as u32
+            }
+        }
+    }
+
+    fn get(&self, row: u32) -> &[Term] {
+        let at = row as usize * self.width;
+        &self.terms[at..at + self.width]
+    }
+
+    /// Ingestion order of two facts: the tie order within one time.
+    fn seq_cmp(&self, a: &Fact, b: &Fact) -> std::cmp::Ordering {
+        self.meta[a.row as usize].0.cmp(&self.meta[b.row as usize].0)
+    }
+
+    fn visit_caps(&self, f: &mut impl FnMut(usize)) {
+        f(self.terms.capacity());
+        f(self.meta.capacity());
+        f(self.free.capacity());
+    }
+}
+
+/// A fact in a store's order: its occurrence time and its row.
+#[derive(Debug, Clone, Copy)]
+struct Fact {
+    time: Time,
+    row: u32,
+}
+
+/// The facts of one kind across windows: the admitted ones in the kind's
+/// order (time first, so the expired are a prefix), and a pending area for
+/// what no query may see yet.
+struct Facts {
+    /// Admitted facts, sorted; a fact's position is the id the access paths
+    /// hand to the solver (valid for the query that computed it).
+    items: Vec<Fact>,
+    /// Ingested but not yet visible (`arrival > q` or `time > q`), in
+    /// ingestion order.
+    pending: Vec<Fact>,
+    rows: Rows,
+    /// This window's admissions: staged by [`Facts::stage`], sorted and
+    /// merged into `items` by the owning kind.
+    delta: Vec<Fact>,
+}
+
+impl Facts {
+    fn new(width: usize) -> Facts {
+        Facts { items: Vec::new(), pending: Vec::new(), rows: Rows::new(width), delta: Vec::new() }
+    }
+
+    /// Writes a fact's terms into a row; `seen` facts (a checkpoint's) are
+    /// staged for [`CEventKind::admit`]/[`CObsKind::admit`], the others wait
+    /// in the pending area for a query that may see them.
+    fn ingest<'t>(
+        &mut self,
+        seen: bool,
+        meta: (u64, Time),
+        time: Time,
+        terms: impl Iterator<Item = &'t Term>,
+    ) {
+        let fact = Fact { time, row: self.rows.alloc(meta, terms) };
+        let area = if seen { &mut self.delta } else { &mut self.pending };
+        area.push(fact);
+    }
+
+    /// Moves what window `w` may see from the pending area to `delta`,
+    /// drops what it can never see, and frees the rows of the expired head.
+    /// Returns the length of that head, still in `items`.
+    fn stage(&mut self, w: Slide, counts: &mut StoreCounts) -> usize {
+        let Facts { items, pending, rows, delta } = self;
+        delta.clear();
+        pending.retain(|f| {
+            if f.time <= w.start {
+                rows.free.push(f.row);
+                counts.lost += 1;
+                false
+            } else if f.time <= w.q && rows.meta[f.row as usize].1 <= w.q {
+                counts.amended += u64::from(f.time <= w.prev_q);
+                delta.push(*f);
+                false
+            } else {
+                true
+            }
+        });
+        counts.admitted += delta.len() as u64;
+        let expired = items.partition_point(|f| f.time <= w.start);
+        // Last first: the list hands rows back from its end, so the next
+        // facts take the head's rows in the order the head had them.
+        rows.free.extend(items[..expired].iter().rev().map(|f| f.row));
+        counts.expired += expired as u64;
+        expired
+    }
+
+    fn len(&self) -> usize {
+        self.items.len() + self.pending.len()
+    }
+
+    fn refs(&self) -> impl Iterator<Item = FactRef<'_>> {
+        let fact_ref = move |seen: bool| {
+            move |f: &Fact| {
+                let (seq, arrival) = self.rows.meta[f.row as usize];
+                FactRef { seq, seen, arrival, time: f.time, terms: self.rows.get(f.row) }
+            }
+        };
+        self.items.iter().map(fact_ref(true)).chain(self.pending.iter().map(fact_ref(false)))
+    }
+
+    fn visit_caps(&self, f: &mut impl FnMut(usize)) {
+        f(self.items.capacity());
+        f(self.pending.capacity());
+        f(self.delta.capacity());
+        self.rows.visit_caps(f);
+    }
+}
+
+/// Merges the sorted `delta` into the sorted `v` in place, back to front, so
+/// nothing before the first insertion point is touched. `after(a, b)` says
+/// that old entry `a` sorts after new entry `b`; `moved(to)` reports the new
+/// position of every old entry that changed place (last one first),
+/// `placed(j, to)` that of every `delta[j]`.
+fn merge_in<T: Clone>(
+    v: &mut Vec<T>,
+    delta: &[T],
+    mut after: impl FnMut(&T, &T) -> bool,
+    mut moved: impl FnMut(usize),
+    mut placed: impl FnMut(usize, usize),
+) {
+    let (mut i, mut j) = (v.len(), delta.len());
+    // Grows `v` by the delta's length; every added cell is overwritten.
+    v.extend_from_slice(delta);
+    let mut w = v.len();
+    while j > 0 {
+        w -= 1;
+        if i > 0 && after(&v[i - 1], &delta[j - 1]) {
+            i -= 1;
+            v[w] = v[i].clone();
+            moved(w);
+        } else {
+            j -= 1;
+            v[w] = delta[j].clone();
+            placed(j, w);
+        }
+    }
+}
+
+/// Events of one kind — input or derived — in `(time, ingestion order)`
+/// order, kept across windows. A query expires the head, merges what it
+/// admits (an input kind) or replaces the tail behind the stratum's output
+/// frontier (a derived kind), and carries each [`ColIndex`] the plan probes
+/// along in one pass over its `(term, position)` entries: nothing that stays
+/// in the window is cloned or sorted again.
 pub(crate) struct CEventKind {
-    items: Vec<(Time, u32, u16)>,
-    pool: Vec<Term>,
-    /// Sorted by `(term, time)`, in the order the plan numbered them.
+    facts: Facts,
+    /// Sorted by `(term, position)`, in the order the plan numbered them.
     by_col: Vec<ColIndex>,
+    // Per-window scratch of `splice`, retained.
+    /// New position of each `delta` fact.
+    delta_pos: Vec<u32>,
+    /// New positions of the surviving facts a merge moved, last one first.
+    moved: Vec<u32>,
+    keys: Vec<(Term, u32)>,
 }
 
 impl CEventKind {
-    fn new(cols: &[u16]) -> CEventKind {
+    fn new(arity: usize, cols: &[u16]) -> CEventKind {
         CEventKind {
-            items: Vec::new(),
-            pool: Vec::new(),
+            facts: Facts::new(arity),
             by_col: cols.iter().map(|&c| ColIndex::new(c)).collect(),
+            delta_pos: Vec::new(),
+            moved: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
-    fn clear(&mut self) {
-        self.items.clear();
-        self.pool.clear();
-        for ix in &mut self.by_col {
-            ix.entries.clear();
+    /// Slides an input kind to window `w`: the head expires, the pending
+    /// facts the window may see are admitted. Returns the earliest admitted
+    /// time — the kind's change frontier (`TIME_MAX`: nothing new).
+    fn slide(&mut self, w: Slide, counts: &mut StoreCounts) -> Time {
+        let expired = self.facts.stage(w, counts);
+        self.admit(expired)
+    }
+
+    /// Sorts the staged facts and merges them in behind an expired head of
+    /// `expired` facts.
+    fn admit(&mut self, expired: usize) -> Time {
+        let Facts { items, rows, delta, .. } = &mut self.facts;
+        delta.sort_unstable_by(|a, b| a.time.cmp(&b.time).then_with(|| rows.seq_cmp(a, b)));
+        let frontier = delta.first().map_or(TIME_MAX, |f| f.time);
+        let keep_to = items.len();
+        self.splice(expired, keep_to);
+        frontier
+    }
+
+    /// Brings a derived kind up to date with its stratum's materialised
+    /// events: the head at or before `start` expires, everything from
+    /// `from` on (the stratum's output frontier — below it the slot already
+    /// holds exactly what the stratum derived) is replaced by `tail`, given
+    /// in the slot's order. Returns the number of events written.
+    fn replace_tail<'t>(
+        &mut self,
+        start: Time,
+        from: Time,
+        tail: impl Iterator<Item = (Time, &'t [Term])>,
+    ) -> u64 {
+        let Facts { items, rows, delta, .. } = &mut self.facts;
+        let expired = items.partition_point(|f| f.time <= start);
+        let keep_to = items.partition_point(|f| f.time < from).max(expired);
+        rows.free.extend(items[..expired].iter().chain(&items[keep_to..]).rev().map(|f| f.row));
+        delta.clear();
+        for (time, args) in tail {
+            delta.push(Fact { time, row: rows.alloc((0, time), args.iter()) });
         }
+        let written = delta.len() as u64;
+        self.splice(expired, keep_to);
+        written
     }
 
-    fn push(&mut self, time: Time, args: &[Term]) {
-        let off = self.pool.len() as u32;
-        self.pool.extend(args.iter().cloned());
-        self.items.push((time, off, args.len() as u16));
-    }
-
-    fn rebuild(&mut self) {
-        self.items.sort_by_key(|it| it.0);
-        let CEventKind { items, pool, by_col } = self;
+    /// Keeps `items[expired..keep_to]`, merges the sorted `delta` into it
+    /// and renumbers every column index to the new positions.
+    fn splice(&mut self, expired: usize, keep_to: usize) {
+        let CEventKind { facts, by_col, delta_pos, moved, keys } = self;
+        let Facts { items, rows, delta, .. } = facts;
+        let old_len = items.len();
+        if expired == 0 && keep_to == old_len && delta.is_empty() {
+            return;
+        }
+        items.truncate(keep_to);
+        items.drain(..expired);
+        let kept = items.len();
+        delta_pos.clear();
+        delta_pos.resize(delta.len(), 0);
+        moved.clear();
+        merge_in(
+            items,
+            delta,
+            |a, b| a.time.cmp(&b.time).then_with(|| rows.seq_cmp(a, b)).is_gt(),
+            |to| moved.push(to as u32),
+            |j, to| delta_pos[j] = to as u32,
+        );
+        // Survivors before the first insertion point only lost the expired
+        // head in front of them; the moved ones are looked up.
+        let first_moved = kept - moved.len();
+        let renumber = expired > 0 || keep_to < old_len || !moved.is_empty();
         for ix in by_col {
-            ix.entries.clear();
-            for (i, &(_, off, len)) in items.iter().enumerate() {
-                ix.push(&pool[off as usize..off as usize + len as usize], i);
+            if renumber {
+                ix.entries.retain_mut(|(_, id)| {
+                    let old = *id as usize;
+                    if old < expired || old >= keep_to {
+                        return false;
+                    }
+                    let at = old - expired;
+                    *id = if at < first_moved { at as u32 } else { moved[kept - 1 - at] };
+                    true
+                });
             }
-            // Items are already time-sorted, so the stable sort by term
-            // keeps each term's run time-sorted too.
-            ix.sort();
+            keys.clear();
+            for (f, &pos) in delta.iter().zip(delta_pos.iter()) {
+                if let Some(t) = rows.get(f.row).get(ix.col) {
+                    keys.push((t.clone(), pos));
+                }
+            }
+            keys.sort_unstable();
+            merge_in(&mut ix.entries, keys, |a, b| a > b, |_| {}, |_, _| {});
         }
     }
 
     fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.facts.items.is_empty()
     }
 
     fn time(&self, i: usize) -> Time {
-        self.items[i].0
+        self.facts.items[i].time
     }
 
     fn args(&self, i: usize) -> &[Term] {
-        let (_, off, len) = self.items[i];
-        &self.pool[off as usize..off as usize + len as usize]
+        self.facts.rows.get(self.facts.items[i].row)
     }
 
     /// Item indices whose time is in `[lo, hi]`, in time order.
     fn time_range(&self, lo: Time, hi: Time) -> impl Iterator<Item = usize> + '_ {
-        let a = self.items.partition_point(|it| it.0 < lo);
-        (a..self.items.len()).take_while(move |&i| self.items[i].0 <= hi)
+        let items = &self.facts.items;
+        let a = items.partition_point(|f| f.time < lo);
+        (a..items.len()).take_while(move |&i| items[i].time <= hi)
     }
 
     /// Item indices of index `index` whose column term equals `t` and whose
@@ -788,46 +1081,99 @@ impl CEventKind {
     }
 
     fn visit_caps(&self, f: &mut impl FnMut(usize)) {
-        f(self.items.capacity());
-        f(self.pool.capacity());
+        self.facts.visit_caps(f);
+        f(self.delta_pos.capacity());
+        f(self.moved.capacity());
+        f(self.keys.capacity());
         for ix in &self.by_col {
             f(ix.entries.capacity());
         }
     }
 }
 
-/// All window events, slot-indexed by kind. Retained across windows by the
-/// slot-state cycle: `clear` + `push` + `rebuild_all` refill it in place.
+/// All window events, slot-indexed by kind, retained across windows: input
+/// kinds slide at the start of a query, derived kinds when their stratum
+/// publishes.
 pub(crate) struct CEventStore {
     kinds: Vec<CEventKind>,
+    /// Slots of the declared input events, ascending.
+    inputs: Vec<SlotId>,
 }
 
 impl CEventStore {
-    /// One kind per slot, indexed on the columns `needs.events` names.
-    pub(crate) fn new(needs: &IndexNeeds) -> CEventStore {
-        CEventStore { kinds: needs.events.iter().map(|cols| CEventKind::new(cols)).collect() }
+    /// One kind per slot, indexed on the columns `plan.needs.events` names.
+    pub(crate) fn new(plan: &CompiledPlan) -> CEventStore {
+        let slot = |sym: Symbol| plan.slots.slot(sym).expect("event symbols have slots");
+        let mut arity = vec![0usize; plan.n_slots()];
+        for (&sym, &a) in &plan.rules.input_events {
+            arity[slot(sym) as usize] = a;
+        }
+        for r in &plan.rules.ev_rules {
+            arity[slot(r.head.kind) as usize] = r.head.args.len();
+        }
+        let mut inputs: Vec<SlotId> = plan.rules.input_events.keys().map(|&s| slot(s)).collect();
+        inputs.sort_unstable();
+        let kinds =
+            plan.needs.events.iter().zip(arity).map(|(cols, a)| CEventKind::new(a, cols)).collect();
+        CEventStore { kinds, inputs }
     }
 
-    pub(crate) fn clear(&mut self) {
-        for k in &mut self.kinds {
-            k.clear();
+    /// Writes one input event into its kind's pending area, or — a
+    /// checkpoint's `seen` fact — stages it for [`CEventStore::admit_staged`].
+    pub(crate) fn ingest(
+        &mut self,
+        slot: SlotId,
+        seen: bool,
+        meta: (u64, Time),
+        time: Time,
+        args: &[Term],
+    ) {
+        self.kinds[slot as usize].facts.ingest(seen, meta, time, args.iter());
+    }
+
+    /// Admits the staged `seen` facts of a restore.
+    pub(crate) fn admit_staged(&mut self) {
+        for &slot in &self.inputs {
+            self.kinds[slot as usize].admit(0);
         }
     }
 
-    pub(crate) fn push(&mut self, slot: SlotId, time: Time, args: &[Term]) {
-        self.kinds[slot as usize].push(time, args);
-    }
-
-    pub(crate) fn rebuild_all(&mut self) {
-        for k in &mut self.kinds {
-            if !k.is_empty() {
-                k.rebuild();
-            }
+    /// Slides every input kind to window `w`, writing each kind's change
+    /// frontier to its slot of `frontiers`. Returns the facts now visible.
+    pub(crate) fn slide(
+        &mut self,
+        w: Slide,
+        frontiers: &mut [Time],
+        counts: &mut StoreCounts,
+    ) -> usize {
+        let mut visible = 0;
+        for &slot in &self.inputs {
+            let kind = &mut self.kinds[slot as usize];
+            frontiers[slot as usize] = kind.slide(w, counts);
+            visible += kind.facts.items.len();
         }
+        visible
     }
 
-    pub(crate) fn rebuild_slot(&mut self, slot: SlotId) {
-        self.kinds[slot as usize].rebuild();
+    /// See [`CEventKind::replace_tail`].
+    pub(crate) fn replace_tail<'t>(
+        &mut self,
+        slot: SlotId,
+        start: Time,
+        from: Time,
+        tail: impl Iterator<Item = (Time, &'t [Term])>,
+    ) -> u64 {
+        self.kinds[slot as usize].replace_tail(start, from, tail)
+    }
+
+    /// Input facts held, admitted and pending.
+    pub(crate) fn buffered(&self) -> usize {
+        self.inputs.iter().map(|&s| self.kinds[s as usize].facts.len()).sum()
+    }
+
+    /// Every input fact of kind `slot`, admitted then pending.
+    pub(crate) fn facts(&self, slot: SlotId) -> impl Iterator<Item = FactRef<'_>> {
+        self.kinds[slot as usize].facts.refs()
     }
 
     pub(crate) fn visit_caps(&self, f: &mut impl FnMut(usize)) {
@@ -837,112 +1183,220 @@ impl CEventStore {
     }
 }
 
-/// Input fluent observations of one name with argument terms pooled per
-/// kind like [`CEventKind`], sorted by time — or by `(time, first argument)`
-/// when the plan reads the fluent with its first argument bound, so that
-/// `holdsAt(gps(Bus, …), T)` is one binary search.
+/// Input fluent observations of one name, kept across windows like
+/// [`CEventKind`]: rows hold the arguments and then the value, and the order
+/// is `(time, ingestion order)` — or `(time, first argument, ingestion
+/// order)` when the plan reads the fluent with its first argument bound, so
+/// that `holdsAt(gps(Bus, …), T)` is one binary search.
 pub(crate) struct CObsKind {
-    /// `(time, args offset, args len, value)`.
-    items: Vec<(Time, u32, u16, Term)>,
-    pool: Vec<Term>,
+    facts: Facts,
     by_first: bool,
 }
 
+/// The first argument of an observation (its row ends with the value).
+fn first_arg<'a>(rows: &'a Rows, f: &Fact) -> Option<&'a Term> {
+    let row = rows.get(f.row);
+    (row.len() > 1).then(|| &row[0])
+}
+
 impl CObsKind {
-    fn clear(&mut self) {
-        self.items.clear();
-        self.pool.clear();
+    fn first(&self, f: &Fact) -> Option<&Term> {
+        first_arg(&self.facts.rows, f)
     }
 
-    fn push(&mut self, time: Time, args: &[Term], value: &Term) {
-        let off = self.pool.len() as u32;
-        self.pool.extend(args.iter().cloned());
-        self.items.push((time, off, args.len() as u16, value.clone()));
+    /// Slides the kind to window `w`; see [`CEventKind::slide`].
+    fn slide(&mut self, w: Slide, counts: &mut StoreCounts) -> Time {
+        let expired = self.facts.stage(w, counts);
+        self.admit(expired)
     }
 
-    fn first<'a>(pool: &'a [Term], it: &(Time, u32, u16, Term)) -> Option<&'a Term> {
-        (it.2 > 0).then(|| &pool[it.1 as usize])
-    }
-
-    fn sort(&mut self) {
-        let CObsKind { items, pool, by_first } = self;
-        if *by_first {
-            items.sort_by(|a, b| {
-                a.0.cmp(&b.0).then_with(|| Self::first(pool, a).cmp(&Self::first(pool, b)))
-            });
-        } else {
-            items.sort_by_key(|it| it.0);
+    /// Sorts the staged facts and merges them in behind an expired head of
+    /// `expired` facts.
+    fn admit(&mut self, expired: usize) -> Time {
+        use std::cmp::Ordering::Equal;
+        let CObsKind { facts: Facts { items, rows, delta, .. }, by_first } = self;
+        if expired == 0 && delta.is_empty() {
+            return TIME_MAX;
         }
+        let rows: &Rows = rows;
+        let order = |a: &Fact, b: &Fact| {
+            let first =
+                || if *by_first { first_arg(rows, a).cmp(&first_arg(rows, b)) } else { Equal };
+            a.time.cmp(&b.time).then_with(first).then_with(|| rows.seq_cmp(a, b))
+        };
+        delta.sort_unstable_by(order);
+        items.drain(..expired);
+        merge_in(items, delta, |a, b| order(a, b).is_gt(), |_| {}, |_, _| {});
+        delta.first().map_or(TIME_MAX, |f| f.time)
     }
 
     /// Observations at time `t` — with `first`, only those whose first
     /// argument it is (the plan asked for the `(time, first)` order then).
     fn at<'a>(&'a self, t: Time, first: Option<&'a Term>) -> impl Iterator<Item = usize> + 'a {
         debug_assert!(first.is_none() || self.by_first, "the plan asked for this order");
+        let items = &self.facts.items;
         let a = match first {
-            Some(_) => {
-                self.items.partition_point(|it| (it.0, Self::first(&self.pool, it)) < (t, first))
-            }
-            None => self.items.partition_point(|it| it.0 < t),
+            Some(_) => items.partition_point(|f| (f.time, self.first(f)) < (t, first)),
+            None => items.partition_point(|f| f.time < t),
         };
-        (a..self.items.len()).take_while(move |&i| {
-            let it = &self.items[i];
-            it.0 == t && (first.is_none() || Self::first(&self.pool, it) == first)
+        (a..items.len()).take_while(move |&i| {
+            let f = &items[i];
+            f.time == t && (first.is_none() || self.first(f) == first)
         })
     }
 
+    fn row(&self, i: usize) -> &[Term] {
+        self.facts.rows.get(self.facts.items[i].row)
+    }
+
     fn args(&self, i: usize) -> &[Term] {
-        let (_, off, len, _) = self.items[i];
-        &self.pool[off as usize..off as usize + len as usize]
+        let row = self.row(i);
+        &row[..row.len() - 1]
     }
 
     fn value(&self, i: usize) -> &Term {
-        &self.items[i].3
-    }
-
-    fn visit_caps(&self, f: &mut impl FnMut(usize)) {
-        f(self.items.capacity());
-        f(self.pool.capacity());
+        let row = self.row(i);
+        &row[row.len() - 1]
     }
 }
 
 /// All window observations, slot-indexed by fluent name. Retained across
-/// windows like [`CEventStore`].
+/// windows like [`CEventStore`]; every kind is an input.
 pub(crate) struct CObsStore {
     kinds: Vec<CObsKind>,
 }
 
 impl CObsStore {
-    /// One kind per slot, ordered as `needs.obs_first` asks.
-    pub(crate) fn new(needs: &IndexNeeds) -> CObsStore {
-        let kind = |&by_first: &bool| CObsKind { items: Vec::new(), pool: Vec::new(), by_first };
-        CObsStore { kinds: needs.obs_first.iter().map(kind).collect() }
+    /// One kind per slot, ordered as `plan.needs.obs_first` asks.
+    pub(crate) fn new(plan: &CompiledPlan) -> CObsStore {
+        let mut arity = vec![0usize; plan.n_slots()];
+        for (&sym, &a) in &plan.rules.input_fluents {
+            arity[plan.slots.slot(sym).expect("input fluents have slots") as usize] = a;
+        }
+        let kind = |(&by_first, a): (&bool, usize)| CObsKind { facts: Facts::new(a + 1), by_first };
+        CObsStore { kinds: plan.needs.obs_first.iter().zip(arity).map(kind).collect() }
     }
 
-    pub(crate) fn clear(&mut self) {
-        for k in &mut self.kinds {
-            k.clear();
+    /// Writes one observation into its kind; see [`CEventStore::ingest`].
+    pub(crate) fn ingest(
+        &mut self,
+        slot: SlotId,
+        seen: bool,
+        meta: (u64, Time),
+        time: Time,
+        args: &[Term],
+        value: &Term,
+    ) {
+        self.kinds[slot as usize].facts.ingest(seen, meta, time, args.iter().chain([value]));
+    }
+
+    /// Admits the staged `seen` facts of a restore.
+    pub(crate) fn admit_staged(&mut self) {
+        for kind in &mut self.kinds {
+            kind.admit(0);
         }
     }
 
-    pub(crate) fn push(&mut self, slot: SlotId, time: Time, args: &[Term], value: &Term) {
-        self.kinds[slot as usize].push(time, args, value);
-    }
-
-    pub(crate) fn sort_all(&mut self) {
-        for k in &mut self.kinds {
-            if !k.items.is_empty() {
-                k.sort();
+    /// Slides every kind to window `w`; see [`CEventStore::slide`].
+    pub(crate) fn slide(
+        &mut self,
+        w: Slide,
+        frontiers: &mut [Time],
+        counts: &mut StoreCounts,
+    ) -> usize {
+        let mut visible = 0;
+        for (kind, frontier) in self.kinds.iter_mut().zip(frontiers) {
+            if kind.facts.len() > 0 {
+                *frontier = kind.slide(w, counts);
+                visible += kind.facts.items.len();
             }
         }
+        visible
+    }
+
+    /// Observations held, admitted and pending.
+    pub(crate) fn buffered(&self) -> usize {
+        self.kinds.iter().map(|k| k.facts.len()).sum()
+    }
+
+    /// Every observation of kind `slot`, admitted then pending.
+    pub(crate) fn facts(&self, slot: SlotId) -> impl Iterator<Item = FactRef<'_>> {
+        self.kinds[slot as usize].facts.refs()
     }
 
     pub(crate) fn visit_caps(&self, f: &mut impl FnMut(usize)) {
         for k in &self.kinds {
-            k.visit_caps(f);
+            k.facts.visit_caps(f);
         }
     }
 }
+
+/// What the solver's access paths return from the window stores, by symbol
+/// name — the surface `tests/store_props.rs` compares with a from-scratch
+/// rebuild of the visible facts. Not part of the engine's API.
+#[doc(hidden)]
+pub struct StoreProbe<'a> {
+    pub(crate) plan: &'a CompiledPlan,
+    pub(crate) events: &'a CEventStore,
+    pub(crate) obs: &'a CObsStore,
+    pub(crate) frontiers: &'a [Time],
+}
+
+#[doc(hidden)]
+impl StoreProbe<'_> {
+    fn slot(&self, name: &str) -> usize {
+        self.plan.slots.slot(Symbol::new(name)).expect("a symbol of the rule set") as usize
+    }
+
+    fn events_at(&self, kind: &CEventKind, ids: impl Iterator<Item = usize>) -> Vec<ProbedEvent> {
+        ids.map(|i| (kind.time(i), kind.args(i).to_vec())).collect()
+    }
+
+    /// The argument columns of event `kind` the plan indexed.
+    pub fn indexed_columns(&self, kind: &str) -> Vec<usize> {
+        self.events.kinds[self.slot(kind)].by_col.iter().map(|ix| ix.col).collect()
+    }
+
+    /// `CEventKind::time_range`: events of `kind` in `[lo, hi]`, in order.
+    pub fn time_range(&self, kind: &str, lo: Time, hi: Time) -> Vec<ProbedEvent> {
+        let ks = &self.events.kinds[self.slot(kind)];
+        self.events_at(ks, ks.time_range(lo, hi))
+    }
+
+    /// `CEventKind::col_range` over the index on column `col`.
+    pub fn col_range(
+        &self,
+        kind: &str,
+        col: usize,
+        key: &Term,
+        lo: Time,
+        hi: Time,
+    ) -> Vec<ProbedEvent> {
+        let ks = &self.events.kinds[self.slot(kind)];
+        let index = ks.by_col.iter().position(|ix| ix.col == col).expect("an indexed column");
+        self.events_at(ks, ks.col_range(index as u16, key, lo, hi))
+    }
+
+    /// Whether observations of `name` are kept in `(time, first)` order.
+    pub fn ordered_by_first(&self, name: &str) -> bool {
+        self.obs.kinds[self.slot(name)].by_first
+    }
+
+    /// `CObsKind::at`: `(args, value)` of the observations of `name` at `t`.
+    pub fn obs_at(&self, name: &str, t: Time, first: Option<&Term>) -> Vec<(Vec<Term>, Term)> {
+        let ks = &self.obs.kinds[self.slot(name)];
+        ks.at(t, first).map(|i| (ks.args(i).to_vec(), ks.value(i).clone())).collect()
+    }
+
+    /// The change frontier the last query left on `symbol`'s slot.
+    pub fn frontier(&self, symbol: &str) -> Time {
+        self.frontiers.get(self.slot(symbol)).copied().unwrap_or(TIME_MAX)
+    }
+}
+
+/// An event as [`StoreProbe`] reports it: occurrence time and arguments.
+#[doc(hidden)]
+pub type ProbedEvent = (Time, Vec<Term>);
 
 /// Derived fluent groundings of one name with pooled argument terms and one
 /// [`ColIndex`] per column the plan probes.

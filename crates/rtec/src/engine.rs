@@ -1,11 +1,13 @@
 //! The recognition engine: windowed, stratified evaluation of rule sets.
 //!
-//! An [`Engine`] buffers arriving SDEs, and at each query time `Qi` evaluates
-//! the rule set over the working memory `(Qi − WM, Qi]` (Section 4.2 of the
-//! paper):
+//! An [`Engine`] writes each arriving SDE once into the window store of its
+//! kind, and at each query time `Qi` evaluates the rule set over the working
+//! memory `(Qi − WM, Qi]` (Section 4.2 of the paper):
 //!
-//! 1. input events and fluent observations that have arrived by `Qi` and
-//!    occurred inside the window are indexed;
+//! 1. the stores slide: facts that fell behind the window start expire, and
+//!    the input events and fluent observations that have arrived by `Qi` and
+//!    occurred inside the window are admitted into the store's order and
+//!    indexes;
 //! 2. strata are evaluated bottom-up — derived events are added to the event
 //!    index, simple fluents go through initiation/termination point collection
 //!    and the law of inertia, statically-determined fluents evaluate their
@@ -25,7 +27,8 @@
 
 use crate::compile::{
     eval_interval_expr_into, scratch_allocations, solve_domain_c, solve_frontier_c, solve_work,
-    term_time, CCtx, CEventStore, CFluentStore, CRelation, CompiledPlan, SolveWork, StratumInstr,
+    term_time, CCtx, CEventStore, CFluentStore, CRelation, CompiledPlan, FactRef, Slide, SlotId,
+    SolveWork, StoreCounts, StoreProbe, StratumInstr,
 };
 use crate::dsl::RuleSet;
 use crate::error::RtecError;
@@ -104,6 +107,17 @@ pub struct RecognitionStats {
     pub solver_steps: u64,
     /// Candidates the query examined ([`QueryTiming::candidates_examined`]).
     pub candidates_examined: u64,
+    /// Input facts the query admitted ([`QueryTiming::facts_admitted`]).
+    pub facts_admitted: u64,
+    /// Of those, late arrivals amended ([`QueryTiming::facts_amended`]).
+    pub facts_amended: u64,
+    /// Admitted facts the query expired ([`QueryTiming::facts_expired`]).
+    pub facts_expired: u64,
+    /// Facts the query dropped unseen ([`QueryTiming::facts_lost`]).
+    pub facts_lost: u64,
+    /// Derived events written into the stores
+    /// ([`QueryTiming::derived_written`]).
+    pub derived_written: u64,
 }
 
 /// Wall-clock timing of one recognition query, split by phase.
@@ -115,8 +129,8 @@ pub struct RecognitionStats {
 pub struct QueryTiming {
     /// The whole `query` call.
     pub total: Duration,
-    /// Selecting visible window contents, expiring old items and refilling
-    /// the event/observation stores.
+    /// Sliding the input stores: expiring the head that fell behind the
+    /// window start and admitting the facts that became visible.
     pub windowing: Duration,
     /// Stratified rule evaluation (events, simple fluents, static fluents).
     pub evaluation: Duration,
@@ -134,9 +148,9 @@ pub struct QueryTiming {
     /// `Recognition`). Zero once the retained state has sized to the
     /// working set.
     pub window_allocations: u64,
-    /// Time spent refilling the retained slot-indexed stores and publishing
-    /// stratum output back into them (the cache-maintenance share of the
-    /// cycle; a subset of `windowing` + `evaluation`).
+    /// Time spent keeping the retained slot-indexed stores current: sliding
+    /// the input stores (`windowing`) plus publishing each stratum's output
+    /// into its slot (a share of `evaluation`).
     pub cache_rebuild: Duration,
     /// Solver steps: one per body atom visited and one per solution
     /// delivered, summed over the strata. Counted work — exact for a given
@@ -146,6 +160,23 @@ pub struct QueryTiming {
     /// the access paths handed to the matcher, summed over the strata
     /// (interval-expression leaves included).
     pub candidates_examined: u64,
+    /// Input facts written into the window stores' order and indexes: those
+    /// that became visible to this query. Every fact is admitted at most
+    /// once in its life, so over a run this is the number of facts that were
+    /// ever visible — not that times the windows each lived through.
+    pub facts_admitted: u64,
+    /// Of `facts_admitted`, the facts that occurred at or before the
+    /// previous query time: late arrivals amended into the window overlap
+    /// (Figure 2 of the paper).
+    pub facts_amended: u64,
+    /// Admitted facts that fell behind the window start and left the stores.
+    pub facts_expired: u64,
+    /// Facts dropped without ever having been visible: by the time they had
+    /// arrived, their occurrence was behind the window start.
+    pub facts_lost: u64,
+    /// Derived events written into their store slots: per stratum, only the
+    /// tail at or behind its output change frontier.
+    pub derived_written: u64,
 }
 
 /// What one stratum has cost over every query its engine has answered
@@ -209,6 +240,11 @@ impl Recognition {
             derived_events: self.derived_events.len(),
             solver_steps: self.timing.solver_steps,
             candidates_examined: self.timing.candidates_examined,
+            facts_admitted: self.timing.facts_admitted,
+            facts_amended: self.timing.facts_amended,
+            facts_expired: self.timing.facts_expired,
+            facts_lost: self.timing.facts_lost,
+            derived_written: self.timing.derived_written,
             ..RecognitionStats::default()
         };
         for name in self.fluents.names() {
@@ -225,38 +261,36 @@ impl Recognition {
 // Engine
 // ---------------------------------------------------------------------------
 
-/// A buffered input item plus whether it has been visible to a query yet.
-/// Items never seen by any query are the *delta* when they become visible
-/// (new arrivals and late amendments alike).
-struct Seen<T> {
-    item: Stamped<T>,
-    seen: bool,
-}
-
 /// A windowed RTEC recognition engine for one rule set.
 ///
-/// Evaluation is *incremental*: between queries the engine tracks which
-/// input SDEs became newly visible (fresh arrivals and late amendments
-/// inside the window overlap), derives a per-symbol change frontier, and
-/// re-solves rule bodies only for derivations that can reach the delta.
-/// Cached derivations whose evidence span is unaffected are reused verbatim,
-/// which makes the cost of a query proportional to the window *delta* rather
-/// than the window size. The first query, relation/builtin changes and
-/// [`Engine::restore_state`] fall back to one full re-evaluation.
+/// Evaluation is *incremental*, stores included. An input SDE is written
+/// once, on arrival, into the window store of its kind, where it waits in a
+/// pending area until a query may see it; a query expires each store's head,
+/// admits the newly visible facts (fresh arrivals and late amendments inside
+/// the window overlap alike) into the store's order and indexes, and lowers
+/// the kind's change frontier to the earliest of them. Rule bodies are
+/// re-solved only for derivations that can reach that delta; cached
+/// derivations whose evidence span is unaffected are reused verbatim, and a
+/// derived-event slot is rewritten only from its stratum's output frontier
+/// on. The cost of a query follows the window *delta*, not the window size.
+/// The first query, relation/builtin changes and [`Engine::restore_state`]
+/// re-evaluate every stratum once, over the same stores.
 pub struct Engine {
     plan: Arc<CompiledPlan>,
     window: WindowConfig,
-    buffered_events: Vec<Seen<Event>>,
-    buffered_obs: Vec<Seen<FluentObs>>,
+    /// Input facts ingested so far: each one's sequence number, the tie
+    /// order among facts of one kind and time.
+    ingested: u64,
     /// Relation tuples with the indexes the plan names, in
     /// `plan.relation_syms` order.
     relations: Vec<CRelation>,
     /// Builtin implementations, indexed like `plan.builtin_syms` (`None`
     /// until registered).
     builtins: Vec<Option<BuiltinFn>>,
-    /// The retained window state every query evaluates over: SDE stores,
-    /// per-stratum grounding tables with their cached points/derivations,
-    /// and the previous window's fluent intervals (inertia).
+    /// The retained window state every query evaluates over: the sliding
+    /// SDE and derived-event stores, per-stratum grounding tables with their
+    /// cached points/derivations, and the previous window's fluent
+    /// intervals (inertia).
     state: CycleState,
     last_query: Option<Time>,
     first_query: Option<Time>,
@@ -283,8 +317,7 @@ impl Engine {
     pub fn with_plan(plan: Arc<CompiledPlan>, window: WindowConfig) -> Engine {
         Engine {
             window,
-            buffered_events: Vec::new(),
-            buffered_obs: Vec::new(),
+            ingested: 0,
             // An unset relation is empty, but it still carries (empty)
             // indexes: the plan's access paths address them by ordinal.
             relations: (plan.needs.rel_eq.iter().zip(&plan.needs.rel_num))
@@ -403,16 +436,19 @@ impl Engine {
         self.plan.instrs.iter().position(|i| i.symbol == sym && i.kind == HeadKind::SimpleFluent)
     }
 
-    /// Buffers an event that arrives exactly when it occurs.
+    /// Stores an event that arrives exactly when it occurs.
     pub fn add_event(&mut self, event: Event) -> Result<(), RtecError> {
         self.add_stamped_event(Stamped::<Event>::punctual(event))
     }
 
-    /// Buffers an event with an explicit arrival time (possibly delayed).
+    /// Stores an event with an explicit arrival time (possibly delayed).
     pub fn add_stamped_event(&mut self, ev: Stamped<Event>) -> Result<(), RtecError> {
         match self.plan.rules.input_events.get(&ev.item.kind) {
             Some(&arity) if arity == ev.item.args.len() => {
-                self.buffered_events.push(Seen { item: ev, seen: false });
+                let slot = self.plan.slots.slot(ev.item.kind).expect("declared event has a slot");
+                let meta = (self.ingested, ev.arrival);
+                self.state.events.ingest(slot, false, meta, ev.item.time, &ev.item.args);
+                self.ingested += 1;
                 Ok(())
             }
             Some(&arity) => Err(RtecError::ArityMismatch {
@@ -427,16 +463,19 @@ impl Engine {
         }
     }
 
-    /// Buffers an input fluent observation arriving when it occurs.
+    /// Stores an input fluent observation arriving when it occurs.
     pub fn add_obs(&mut self, obs: FluentObs) -> Result<(), RtecError> {
         self.add_stamped_obs(Stamped::<FluentObs>::punctual(obs))
     }
 
-    /// Buffers an input fluent observation with an explicit arrival time.
+    /// Stores an input fluent observation with an explicit arrival time.
     pub fn add_stamped_obs(&mut self, obs: Stamped<FluentObs>) -> Result<(), RtecError> {
         match self.plan.rules.input_fluents.get(&obs.item.name) {
             Some(&arity) if arity == obs.item.args.len() => {
-                self.buffered_obs.push(Seen { item: obs, seen: false });
+                let slot = self.plan.slots.slot(obs.item.name).expect("declared fluent has a slot");
+                let (meta, o) = ((self.ingested, obs.arrival), &obs.item);
+                self.state.obs.ingest(slot, false, meta, o.time, &o.args, &o.value);
+                self.ingested += 1;
                 Ok(())
             }
             Some(&arity) => Err(RtecError::ArityMismatch {
@@ -451,9 +490,28 @@ impl Engine {
         }
     }
 
-    /// Number of buffered (not yet expired) input items.
+    /// Number of input items held: admitted and not yet expired, or still
+    /// waiting for a query that may see them.
     pub fn buffered(&self) -> usize {
-        self.buffered_events.len() + self.buffered_obs.len()
+        self.state.events.buffered() + self.state.obs.buffered()
+    }
+
+    /// The window stores as the solver's access paths read them (tests).
+    #[doc(hidden)]
+    pub fn store_probe(&self) -> StoreProbe<'_> {
+        StoreProbe {
+            plan: &self.plan,
+            events: &self.state.events,
+            obs: &self.state.obs,
+            frontiers: &self.state.frontiers,
+        }
+    }
+
+    /// Summed capacity of every retained buffer of the window state, in
+    /// elements: flat once the state has sized to the working set (tests).
+    #[doc(hidden)]
+    pub fn retained_capacity(&self) -> usize {
+        self.state.retained_capacity()
     }
 
     /// Runs recognition at query time `q`.
@@ -463,9 +521,9 @@ impl Engine {
     /// occurrence time has fallen behind the window are discarded.
     ///
     /// All per-window state lives in the retained [`CycleState`]:
-    /// slot-indexed SDE stores and fluent tables refilled in place,
-    /// generation-stamped grounding tables, and arena scratch for every
-    /// interval computed along the way. A steady-state cycle grows no
+    /// slot-indexed SDE and derived-event stores that slide with the window,
+    /// fluent tables refilled in place, generation-stamped grounding tables,
+    /// and arena scratch for every interval computed along the way. A steady-state cycle grows no
     /// retained buffer and no solver scratch; the per-query allocation count
     /// is measured around the cycle and reported in
     /// [`QueryTiming::window_allocations`].
@@ -492,9 +550,8 @@ impl Engine {
         let window_advanced =
             self.last_query.is_some_and(|prev| self.window.window_start(prev) < start);
 
-        let Engine {
-            plan, state, buffered_events, buffered_obs, relations, builtins, profile, ..
-        } = self;
+        let slide = Slide { start, q, prev_q: self.last_query.unwrap_or(TIME_MIN) };
+        let Engine { plan, state, relations, builtins, profile, .. } = self;
         let plan: &CompiledPlan = plan;
         state.gen += 1;
         let cycle = Cycle { start, gen: state.gen, full_eval };
@@ -502,48 +559,18 @@ impl Engine {
         state.begin_caps();
         let CycleState { frontiers, events, obs, fluents: cfluents, strata, .. } = &mut *state;
 
-        // Refill the retained SDE stores in place (capacity reuse),
-        // classifying the delta: items never seen by any previous query
-        // (fresh arrivals and late amendments alike) push their slot's
-        // change frontier down to their occurrence time. Below the frontier
-        // the inputs are exactly what the previous query saw — in-window
-        // items are never mutated, only added (tracked here) or expired
-        // (tracked by evidence spans). `TIME_MAX` means clean.
+        // Slide the input stores. What a kind admits — facts no previous
+        // query saw, fresh arrivals and late amendments alike — pushes its
+        // slot's change frontier down to the earliest of them. Below the
+        // frontier the inputs are exactly what the previous query saw:
+        // in-window facts are never mutated, only added (tracked here) or
+        // expired (tracked by evidence spans). `TIME_MAX` means clean.
         frontiers.clear();
         frontiers.resize(plan.n_slots(), TIME_MAX);
-        events.clear();
-        obs.clear();
         cfluents.clear();
-        let mut sde_count = 0usize;
-        let visible = |arrival: Time, time: Time| arrival <= q && time > start && time <= q;
-        for s in buffered_events.iter_mut().filter(|s| visible(s.item.arrival, s.item.item.time)) {
-            let e = &s.item.item;
-            let slot = plan.slots.slot(e.kind).expect("declared input event has a slot");
-            if !s.seen {
-                s.seen = true;
-                let f = &mut frontiers[slot as usize];
-                *f = (*f).min(e.time);
-            }
-            events.push(slot, e.time, &e.args);
-            sde_count += 1;
-        }
-        for s in buffered_obs.iter_mut().filter(|s| visible(s.item.arrival, s.item.item.time)) {
-            let o = &s.item.item;
-            let slot = plan.slots.slot(o.name).expect("declared input fluent has a slot");
-            if !s.seen {
-                s.seen = true;
-                let f = &mut frontiers[slot as usize];
-                *f = (*f).min(o.time);
-            }
-            obs.push(slot, o.time, &o.args, &o.value);
-            sde_count += 1;
-        }
-        // Drop items that can never be in a future window (occurrence behind
-        // the current window start; window starts only move forward).
-        buffered_events.retain(|s| s.item.item.time > start);
-        buffered_obs.retain(|s| s.item.item.time > start);
-        events.rebuild_all();
-        obs.sort_all();
+        let mut counts = StoreCounts::default();
+        let sde_count =
+            events.slide(slide, frontiers, &mut counts) + obs.slide(slide, frontiers, &mut counts);
         let windowing = query_started.elapsed();
         let mut cache_rebuild = windowing;
 
@@ -581,10 +608,11 @@ impl Engine {
             groundings_recomputed += out.groundings;
             frontiers[instr.slot as usize] = out.frontier_out;
             let publish_started = Instant::now();
-            publish_stratum(
+            counts.derived_written += publish_stratum(
                 instr,
                 table,
-                cycle.gen,
+                cycle,
+                out.frontier_out,
                 events,
                 cfluents,
                 &mut fluents_out,
@@ -614,6 +642,11 @@ impl Engine {
                 cache_rebuild,
                 solver_steps: work.steps,
                 candidates_examined: work.candidates,
+                facts_admitted: counts.admitted,
+                facts_amended: counts.amended,
+                facts_expired: counts.expired,
+                facts_lost: counts.lost,
+                derived_written: counts.derived_written,
             },
             fluents: fluents_out,
         })
@@ -625,9 +658,12 @@ impl Engine {
     /// line-based text snapshot.
     ///
     /// The snapshot captures exactly the state that inertia and windowing
-    /// carry across queries: the buffered (unexpired) input items with their
-    /// seen flags, the last window's simple-fluent intervals, and the query
-    /// clock. Cached points and derivations are deliberately *excluded* —
+    /// carry across queries: the stored input facts in ingestion order, each
+    /// flagged with whether a query has admitted it (`1`: in its store's
+    /// window order; `0`: still pending), the last window's simple-fluent
+    /// intervals, and the query clock. The stores' orders and indexes and
+    /// the derived-event slots are not written: restore sorts the admitted
+    /// facts back in, and the next query re-derives the rest. Cached points and derivations are deliberately *excluded* —
     /// they are a pure performance artefact, and [`Engine::restore_state`]
     /// marks the engine dirty so the next query re-derives them in full.
     /// Because incremental and full evaluation are output-equivalent, a
@@ -643,8 +679,7 @@ impl Engine {
         // Serialisation happens on the worker's hot path (a checkpoint
         // barrier blocks input consumption), so every line is appended in
         // place — no per-line or per-token allocations.
-        let mut out =
-            String::with_capacity(64 * (self.buffered_events.len() + self.buffered_obs.len() + 1));
+        let mut out = String::with_capacity(64 * (self.buffered() + 1));
         out.push_str("rtec-state v1\n");
         if let Some(t) = self.first_query {
             let _ = writeln!(out, "first {t}");
@@ -652,27 +687,17 @@ impl Engine {
         if let Some(t) = self.last_query {
             let _ = writeln!(out, "last {t}");
         }
-        for s in &self.buffered_events {
-            let _ = write!(out, "ev {} {} {} ", u8::from(s.seen), s.item.arrival, s.item.item.time);
-            state_escape_into(&mut out, s.item.item.kind.as_str());
-            for a in &s.item.item.args {
-                out.push(' ');
-                term_token_into(&mut out, a);
-            }
-            out.push('\n');
-        }
-        for s in &self.buffered_obs {
-            let _ =
-                write!(out, "obs {} {} {} ", u8::from(s.seen), s.item.arrival, s.item.item.time);
-            state_escape_into(&mut out, s.item.item.name.as_str());
-            out.push(' ');
-            term_token_into(&mut out, &s.item.item.value);
-            for a in &s.item.item.args {
-                out.push(' ');
-                term_token_into(&mut out, a);
-            }
-            out.push('\n');
-        }
+        // Facts live in per-kind stores; a checkpoint lists them in
+        // ingestion order, which is also the tie order restore must rebuild.
+        let slot = |sym: Symbol| self.plan.slots.slot(sym).expect("declared input has a slot");
+        let events: Vec<_> = (self.plan.rules.input_events.keys())
+            .flat_map(|&sym| self.state.events.facts(slot(sym)).map(move |f| (sym.as_str(), f)))
+            .collect();
+        write_fact_lines(&mut out, "ev", &events);
+        let obs: Vec<_> = (self.plan.rules.input_fluents.keys())
+            .flat_map(|&sym| self.state.obs.facts(slot(sym)).map(move |f| (sym.as_str(), f)))
+            .collect();
+        write_fact_lines(&mut out, "obs", &obs);
         // Current-generation simple-fluent outputs, straight from the
         // tables. Sorted so identical states serialise to identical bytes
         // whatever order the groundings entered their tables in.
@@ -713,14 +738,15 @@ impl Engine {
     }
 
     /// Restores state captured by [`Engine::snapshot_state`] into this
-    /// engine, replacing any buffered inputs and previous-window fluents.
+    /// engine, replacing any stored inputs and previous-window fluents.
     ///
     /// The engine must have been built with the same rule set (input and
     /// fluent declarations are re-validated here), relations, builtins and
     /// window configuration as the snapshot's origin. On success the
-    /// retained tables are rebuilt holding only the snapshot's fluent
-    /// intervals and the engine is marked dirty, so the next query performs
-    /// a full re-evaluation — differentially equal to what a cold engine
+    /// stores hold the snapshot's facts (admitted ones sorted in, the others
+    /// pending), the retained tables only the snapshot's fluent intervals,
+    /// and the engine is marked dirty, so the next query performs a full
+    /// re-evaluation — differentially equal to what a cold engine
     /// replaying the entire history would produce. A failed restore leaves
     /// the engine untouched.
     pub fn restore_state(&mut self, snapshot: &str) -> Result<(), RtecError> {
@@ -734,9 +760,14 @@ impl Engine {
         }
         let mut first_query = None;
         let mut last_query = None;
-        let mut events: Vec<Seen<Event>> = Vec::new();
-        let mut obs: Vec<Seen<FluentObs>> = Vec::new();
-        let mut fluents: Vec<(usize, Vec<Term>, Term, IntervalList)> = Vec::new();
+        // Cached points and derivations are not serialised: start from
+        // empty tables and stores, fill the stores with the facts and seed
+        // the tables with the fluent intervals, and force the next query to
+        // re-derive everything (output-equivalent, per the incremental
+        // contract). Line order is ingestion order.
+        let mut state = CycleState::new(&self.plan);
+        let mut ingested = 0u64;
+        let mut args: Vec<Term> = Vec::new();
         for (ln, line) in lines.enumerate() {
             let mut toks = line.split(' ');
             let tag = toks.next().unwrap_or_default();
@@ -767,28 +798,22 @@ impl Engine {
                     } else {
                         None
                     };
-                    let args: Vec<Term> = toks
-                        .map(|t| token_to_term(t).ok_or_else(|| bad("argument term")))
-                        .collect::<Result<_, _>>()?;
-                    if tag == "ev" {
-                        let item = Event::new(name.as_str(), args, time);
-                        self.check_declared(
-                            &self.plan.rules.input_events,
-                            &item.kind,
-                            item.args.len(),
-                            "event",
-                        )?;
-                        events.push(Seen { item: Stamped::arriving_at(item, arrival), seen });
+                    args.clear();
+                    for t in toks {
+                        args.push(token_to_term(t).ok_or_else(|| bad("argument term"))?);
+                    }
+                    let sym = Symbol::new(&name);
+                    let meta = (ingested, arrival);
+                    ingested += 1;
+                    if let Some(value) = value {
+                        let declared = &self.plan.rules.input_fluents;
+                        let slot =
+                            self.check_declared(declared, sym, args.len(), "input fluent")?;
+                        state.obs.ingest(slot, seen, meta, time, &args, &value);
                     } else {
-                        let value = value.expect("obs parsed a value");
-                        let item = FluentObs::new(name.as_str(), args, value, time);
-                        self.check_declared(
-                            &self.plan.rules.input_fluents,
-                            &item.name,
-                            item.args.len(),
-                            "input fluent",
-                        )?;
-                        obs.push(Seen { item: Stamped::arriving_at(item, arrival), seen });
+                        let declared = &self.plan.rules.input_events;
+                        let slot = self.check_declared(declared, sym, args.len(), "event")?;
+                        state.events.ingest(slot, seen, meta, time, &args);
                     }
                 }
                 "pf" => {
@@ -822,38 +847,35 @@ impl Engine {
                             }
                         })
                         .collect::<Result<_, _>>()?;
-                    fluents.push((si, args, value, IntervalList::from_intervals(intervals)));
+                    state.seed_fluent(si, &args, &value, IntervalList::from_intervals(intervals));
                 }
                 "" => {}
                 other => return Err(corrupt(format!("line {}: unknown tag `{other}`", ln + 2))),
             }
         }
-        self.buffered_events = events;
-        self.buffered_obs = obs;
+        state.events.admit_staged();
+        state.obs.admit_staged();
+        self.state = state;
+        self.ingested = ingested;
         self.first_query = first_query;
         self.last_query = last_query;
-        // Cached points and derivations are not serialised: start from
-        // empty tables seeded with the fluent intervals and force the next
-        // query to re-derive everything (output-equivalent, per the
-        // incremental contract).
-        self.state = CycleState::new(&self.plan);
-        for (si, args, value, ivs) in fluents {
-            self.state.seed_fluent(si, &args, &value, ivs);
-        }
         self.dirty_all = true;
         Ok(())
     }
 
-    /// Restore-time re-validation of one input symbol against the rule set.
+    /// Restore-time re-validation of one input symbol against the rule set;
+    /// its slot on success.
     fn check_declared(
         &self,
         declared: &HashMap<Symbol, usize>,
-        sym: &Symbol,
+        sym: Symbol,
         used: usize,
         what: &str,
-    ) -> Result<(), RtecError> {
-        match declared.get(sym) {
-            Some(&arity) if arity == used => Ok(()),
+    ) -> Result<SlotId, RtecError> {
+        match declared.get(&sym) {
+            Some(&arity) if arity == used => {
+                Ok(self.plan.slots.slot(sym).expect("declared input has a slot"))
+            }
             Some(&arity) => Err(RtecError::CorruptState {
                 detail: format!(
                     "{what} `{sym}` snapshot arity {used} does not match declared arity {arity}"
@@ -863,6 +885,34 @@ impl Engine {
                 detail: format!("{what} `{sym}` is not declared by this rule set"),
             }),
         }
+    }
+}
+
+/// Appends one `ev`/`obs` snapshot line per stored fact, in ingestion order.
+fn write_fact_lines(out: &mut String, tag: &str, facts: &[(&'static str, FactRef<'_>)]) {
+    let mut order: Vec<(u64, u32)> =
+        facts.iter().enumerate().map(|(i, (_, f))| (f.seq, i as u32)).collect();
+    order.sort_unstable();
+    for (_, i) in order {
+        let (name, f) = &facts[i as usize];
+        out.push_str(tag);
+        out.push_str(if f.seen { " 1 " } else { " 0 " });
+        push_int(out, f.arrival);
+        out.push(' ');
+        push_int(out, f.time);
+        out.push(' ');
+        state_escape_into(out, name);
+        // An observation's row holds its arguments, then its value; its
+        // line the value first.
+        let (value, args) = match f.terms.split_last() {
+            Some((value, args)) if tag == "obs" => (Some(value), args),
+            _ => (None, f.terms),
+        };
+        for a in value.into_iter().chain(args) {
+            out.push(' ');
+            term_token_into(out, a);
+        }
+        out.push('\n');
     }
 }
 
@@ -884,8 +934,11 @@ fn state_escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Inverse of [`state_escape`]; `None` on a malformed escape.
-fn state_unescape(s: &str) -> Option<String> {
+/// Inverse of [`state_escape_into`]; `None` on a malformed escape.
+fn state_unescape(s: &str) -> Option<std::borrow::Cow<'_, str>> {
+    if !s.contains('%') {
+        return Some(s.into());
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -897,28 +950,52 @@ fn state_unescape(s: &str) -> Option<String> {
         let lo = chars.next()?.to_digit(16)?;
         out.push(char::from_u32(hi * 16 + lo)?);
     }
-    Some(out)
+    Some(out.into())
 }
 
 /// Encodes one ground term as a typed snapshot token, appended to `out`.
 /// Floats are stored as their IEEE bit pattern so the round trip is exact.
 fn term_token_into(out: &mut String, t: &Term) {
-    use std::fmt::Write as _;
     match t {
         Term::Int(v) => {
-            let _ = write!(out, "i:{v}");
+            out.push_str("i:");
+            push_int(out, *v);
         }
         Term::Float(v) => {
-            let _ = write!(out, "f:{:016x}", v.0.to_bits());
+            out.push_str("f:");
+            let bits = v.0.to_bits();
+            for nibble in (0..16).rev() {
+                let digit = (bits >> (4 * nibble)) as u32 & 0xf;
+                out.push(char::from_digit(digit, 16).expect("a hex digit"));
+            }
         }
         Term::Sym(s) => {
             out.push_str("s:");
             state_escape_into(out, s.as_str());
         }
-        Term::Bool(v) => {
-            let _ = write!(out, "b:{}", u8::from(*v));
+        Term::Bool(v) => out.push_str(if *v { "b:1" } else { "b:0" }),
+    }
+}
+
+/// Appends a decimal integer. A checkpoint writes two per fact and one per
+/// integer term, on a worker's hot path; `write!`'s formatter costs more
+/// than the digits do.
+fn push_int(out: &mut String, v: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = v.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
+    if v < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
 }
 
 /// Inverse of [`term_to_token`]; `None` on a malformed token.
@@ -1272,18 +1349,21 @@ fn eval_stratum(
 }
 
 /// Publishes one evaluated stratum's outputs downstream: materialised events
-/// into the dense event store and the query result, current-generation
+/// into the query result and — only those at or behind `frontier_out`, the
+/// rest is in the slot already — into the event store, current-generation
 /// non-empty fluent groundings into the dense fluent store and the
-/// recognition output.
+/// recognition output. Returns the number of events written to the store.
+#[allow(clippy::too_many_arguments)]
 fn publish_stratum(
     instr: &StratumInstr,
     state: &StratumState,
-    gen: u64,
+    cycle: Cycle,
+    frontier_out: Time,
     events: &mut CEventStore,
     cfluents: &mut CFluentStore,
     fluents_out: &mut FluentStore,
     derived_events: &mut Vec<Event>,
-) {
+) -> u64 {
     let mut published = 0usize;
     let mut publish_fluent = |args: &[Term], value: &Term, ivs: &IntervalList| {
         cfluents.insert_entry(instr.slot, args, value, ivs);
@@ -1296,30 +1376,31 @@ fn publish_stratum(
     };
     match state {
         StratumState::Ev(t) => {
-            for m in &t.mat_cur {
-                let args = t.cur_args(m.off, m.len);
-                events.push(instr.slot, m.time, args);
-                derived_events.push(Event {
-                    kind: instr.symbol,
-                    args: args.to_vec(),
-                    time: m.time,
-                });
-            }
-            if !t.mat_cur.is_empty() {
-                events.rebuild_slot(instr.slot);
-            }
-            return;
+            derived_events.extend(t.mat_cur.iter().map(|m| Event {
+                kind: instr.symbol,
+                args: t.cur_args(m.off, m.len).to_vec(),
+                time: m.time,
+            }));
+            // `mat_divergence` found the slot's content (the previous
+            // materialisation) and this one equal below `frontier_out`.
+            let tail = &t.mat_cur[t.mat_cur.partition_point(|m| m.time < frontier_out)..];
+            return events.replace_tail(
+                instr.slot,
+                cycle.start,
+                frontier_out,
+                tail.iter().map(|m| (m.time, t.cur_args(m.off, m.len))),
+            );
         }
         StratumState::Sf(t) => {
             for g in t.order.iter().map(|&gid| &t.gs[gid as usize]) {
-                if g.data_gen == gen && !g.out.is_empty() {
+                if g.data_gen == cycle.gen && !g.out.is_empty() {
                     publish_fluent(t.key_args(g), &g.value, &g.out);
                 }
             }
         }
         StratumState::St(t) => {
             for g in t.order.iter().map(|&gid| &t.gs[gid as usize]) {
-                if g.data_gen == gen && !g.out.is_empty() {
+                if g.data_gen == cycle.gen && !g.out.is_empty() {
                     publish_fluent(t.key_args(g), &g.value, &g.out);
                 }
             }
@@ -1328,6 +1409,7 @@ fn publish_stratum(
     if published > 0 {
         cfluents.finish_slot(instr.slot);
     }
+    0
 }
 
 #[cfg(test)]

@@ -450,8 +450,8 @@ impl CycleState {
         CycleState {
             gen: 0,
             frontiers: Vec::new(),
-            events: crate::compile::CEventStore::new(&plan.needs),
-            obs: crate::compile::CObsStore::new(&plan.needs),
+            events: crate::compile::CEventStore::new(plan),
+            obs: crate::compile::CObsStore::new(plan),
             fluents: crate::compile::CFluentStore::new(&plan.needs),
             strata: plan
                 .instrs
@@ -488,6 +488,13 @@ impl CycleState {
         for s in &self.strata {
             s.visit_caps(f);
         }
+    }
+
+    /// Summed capacity of every retained buffer.
+    pub fn retained_capacity(&self) -> usize {
+        let mut total = 0;
+        self.visit_caps(&mut |c| total += c);
+        total
     }
 
     /// Snapshots every retained buffer's capacity before a window cycle.

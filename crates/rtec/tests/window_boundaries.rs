@@ -103,6 +103,51 @@ fn sde_delayed_past_its_window_is_discarded() {
     assert_eq!(q2.sde_count, 0, "occurrence time fell behind the window");
     assert!(!q2.holds_at("f", &[Term::int(1)], &Term::truth(), 250));
     assert_eq!(e.buffered(), 0, "expired SDEs are evicted from memory");
+    assert_eq!(q2.timing.facts_lost, 1, "and counted: dropped without having been seen");
+    assert_eq!((q2.timing.facts_admitted, q2.timing.facts_expired), (0, 0));
+}
+
+#[test]
+fn late_sde_exactly_on_the_window_start_is_lost_one_tick_later_amended() {
+    // Sliding windows, WM=200, step=100. Two SDEs arrive at 230, after
+    // Q1 = 200. Q2 = 300 has the window (100, 300]: the one that occurred
+    // at 100 = Q2 − WM sits on the open end and is lost on first sight; the
+    // one at 101 is amended — and expires at Q3 = 400, the very next slide.
+    let mut e = engine(200, 100);
+    e.add_stamped_event(Stamped::arriving_at(on(1, 100), 230)).unwrap();
+    e.add_stamped_event(Stamped::arriving_at(on(2, 101), 230)).unwrap();
+    let q1 = e.query(200).unwrap();
+    assert_eq!((q1.sde_count, e.buffered()), (0, 2), "both still pending at Q1");
+
+    let q2 = e.query(300).unwrap();
+    assert_eq!(q2.sde_count, 1);
+    assert_eq!(
+        (q2.timing.facts_admitted, q2.timing.facts_amended, q2.timing.facts_lost),
+        (1, 1, 1)
+    );
+    assert!(!q2.holds_at("f", &[Term::int(1)], &Term::truth(), 300));
+    assert!(q2.holds_at("f", &[Term::int(2)], &Term::truth(), 101));
+    assert_eq!(e.buffered(), 1);
+
+    let q3 = e.query(400).unwrap();
+    assert_eq!((q3.sde_count, q3.timing.facts_expired, e.buffered()), (0, 1, 0));
+    assert!(q3.holds_at("f", &[Term::int(2)], &Term::truth(), 400), "inertia outlives the SDE");
+}
+
+#[test]
+fn sde_admitted_in_the_window_in_which_it_also_expires() {
+    // An SDE at 151 is admitted by the query at 350 (window (150, 350]) and
+    // expired by the next one, 351, whose window starts on it.
+    let mut e = engine(200, 1);
+    e.add_stamped_event(Stamped::arriving_at(on(1, 151), 160)).unwrap();
+    let q1 = e.query(350).unwrap();
+    assert_eq!((q1.sde_count, q1.timing.facts_admitted, q1.timing.facts_amended), (1, 1, 0));
+    // A second SDE of the same time arrives at 351: the slide that could
+    // admit it is the one that expires the first — it is lost instead.
+    e.add_stamped_event(Stamped::arriving_at(on(2, 151), 351)).unwrap();
+    let q2 = e.query(351).unwrap();
+    assert_eq!((q2.sde_count, q2.timing.facts_expired, q2.timing.facts_lost), (0, 1, 1));
+    assert_eq!(e.buffered(), 0);
 }
 
 #[test]

@@ -107,4 +107,53 @@ proptest! {
             );
         }
     }
+
+    /// The stores' accounting is exact on any grid: a query sees precisely
+    /// the facts with `arrival ≤ q ∧ q − WM < time ≤ q`, and over a run
+    /// every fact is admitted exactly once or lost unseen or still held —
+    /// including one planted exactly on a window start (`q − WM`, excluded)
+    /// and one a tick inside it (admitted, then expired by the next slide).
+    #[test]
+    fn every_fact_is_admitted_once_or_lost(
+        events in arb_events(),
+        delay in 0i64..600,
+        step in 50i64..400,
+        edge in 1i64..4,
+    ) {
+        let wm = 400i64;
+        let mut e = Engine::new(ruleset(), WindowConfig::new(wm, step.min(wm)).unwrap());
+        // (time, arrival): the drawn events, every third one delayed, plus
+        // the two edge facts of query `edge`, arriving just in time.
+        let q_edge = edge * step;
+        let mut facts: Vec<(i64, i64)> = events
+            .iter()
+            .enumerate()
+            .map(|(i, &(t, _, _))| (t, if i % 3 == 0 { t + delay } else { t }))
+            .collect();
+        facts.push((q_edge - wm, q_edge));
+        facts.push((q_edge - wm + 1, q_edge));
+        for (i, &(t, arrival)) in facts.iter().enumerate() {
+            let ev = Event::new("on", [Term::int(i as i64 % 3)], t);
+            e.add_stamped_event(Stamped::arriving_at(ev, arrival)).unwrap();
+        }
+        let (mut admitted, mut expired, mut lost) = (0u64, 0u64, 0u64);
+        // Until the last window has slid past every occurrence (< 950).
+        let mut q = step;
+        while q - step - wm < 950 {
+            let rec = e.query(q).unwrap();
+            let visible = facts.iter().filter(|&&(t, a)| a <= q && t > q - wm && t <= q).count();
+            prop_assert_eq!(rec.sde_count, visible, "q={}", q);
+            if q == q_edge {
+                prop_assert!(rec.timing.facts_lost >= 1, "the fact on q - WM is lost at {}", q);
+            }
+            admitted += rec.timing.facts_admitted;
+            expired += rec.timing.facts_expired;
+            lost += rec.timing.facts_lost;
+            prop_assert_eq!(admitted + lost + (e.buffered() - rec.sde_count) as u64, facts.len() as u64);
+            prop_assert_eq!(admitted, expired + rec.sde_count as u64);
+            q += step;
+        }
+        prop_assert_eq!(e.buffered(), 0, "everything has left by the end");
+        prop_assert!(admitted >= 1, "the fact on q - WM + 1 is admitted");
+    }
 }

@@ -41,7 +41,7 @@ fn ruleset() -> RuleSet {
 }
 
 /// Runs a steady-state stream through the engine and pins the *full window
-/// cycle* — refill, rebuild, solve, publish — at zero allocations once the
+/// cycle* — slide, solve, publish — at zero allocations once the
 /// retained tables have sized to the working set.
 /// `QueryTiming::window_allocations` counts retained-buffer capacity growth
 /// plus solver-scratch growth on the querying thread (output materialisation
@@ -94,6 +94,51 @@ fn disjoint_window_cycle_is_allocation_free() {
 #[test]
 fn overlapping_window_cycle_is_allocation_free() {
     assert_full_cycle_allocation_free(160, 20);
+}
+
+/// Sliding stores under late arrivals (WM = 8 × step): every window admits
+/// punctual facts at its end and amends late ones into its middle, and
+/// expires a head. Once warm, no buffer grows — and the rows freed by the
+/// expired head are the rows the admitted facts take, so the retained
+/// capacity of the whole window state is the same at window 50 as at 20.
+#[test]
+fn sliding_stores_reuse_what_the_expired_head_frees() {
+    let (wm, step) = (160, 20);
+    let mut e = Engine::new(ruleset(), WindowConfig::new(wm, step).unwrap());
+    let feed = |e: &mut Engine, w: Time| {
+        let base = w * step;
+        for i in 0..8 {
+            let d = Term::sym(["a", "b", "c", "d"][(i % 4) as usize]);
+            // Every fourth pair is up to five steps late; one in eight comes
+            // later than the working memory and is lost.
+            let late = match i % 8 {
+                3 => step * (1 + w % 5),
+                7 => wm + step,
+                _ => 0,
+            };
+            let enter = Event::new("enter", [d.clone()], base + 2 * i - late);
+            let leave = Event::new("leave", [d], base + 2 * i + 1 - late);
+            e.add_stamped_event(Stamped::arriving_at(enter, base + 2 * i)).unwrap();
+            e.add_stamped_event(Stamped::arriving_at(leave, base + 2 * i + 1)).unwrap();
+        }
+    };
+    let mut capacity_at_20 = 0;
+    let (mut amended, mut lost) = (0, 0);
+    for w in 0..=50 {
+        feed(&mut e, w);
+        let rec = e.query((w + 1) * step).unwrap();
+        amended += rec.timing.facts_amended;
+        lost += rec.timing.facts_lost;
+        if w >= 20 {
+            assert_eq!(rec.timing.window_allocations, 0, "window {w} grew a retained buffer");
+            assert!(rec.timing.facts_expired > 0 && rec.timing.facts_admitted > 0);
+        }
+        if w == 20 {
+            capacity_at_20 = e.retained_capacity();
+        }
+    }
+    assert!(amended > 50 && lost > 50, "{amended} amended, {lost} lost");
+    assert_eq!(e.retained_capacity(), capacity_at_20, "retained capacity is flat");
 }
 
 #[test]

@@ -206,8 +206,9 @@ pub struct TrafficRecognition {
     pub raw: Recognition,
 }
 
-// The engine's grounding enumeration order depends on its internal hash
-// maps, so every typed accessor below sorts by a value-based key — callers
+// The engine delivers groundings in key order, and keys compare interned
+// symbols by id — an order that depends on what the process interned first.
+// Every typed accessor below therefore sorts by a value-based key: callers
 // (alert feeds, the proactive controller, golden snapshots) see the same
 // order on every run.
 fn location_entries<'a>(raw: &'a Recognition, fluent: &str) -> Vec<((f64, f64), &'a IntervalList)> {
@@ -280,6 +281,12 @@ impl TrafficRecognition {
     /// `delayIncrease` events, time-sorted.
     pub fn delay_increases(&self) -> Vec<&Event> {
         sorted_events(self.raw.events_of(ce::DELAY_INCREASE))
+    }
+
+    /// Number of `delayIncrease` events — without sorting them, which
+    /// renders every argument of every event for its sort key.
+    pub fn delay_increase_count(&self) -> usize {
+        self.raw.events_of(ce::DELAY_INCREASE).len()
     }
 
     /// `disagree` events, time-sorted.

@@ -5,6 +5,13 @@
 //! all, so this is where a join-planning regression is caught. One pass:
 //! the 1 800 s trace of `benchmark/` (seed 42, 37 370 SDEs) through four
 //! region engines at WM 600 s / step 60 s, 124 windows.
+//!
+//! The second count is what the window stores are made to write. Until PR 19
+//! every query refilled them from the buffered SDEs: 583 484 input facts
+//! pushed, sorted and indexed per pass for 69 958 that arrived (each one
+//! again in every window it lived through, ×8.3), and 244 925 derived events
+//! re-pushed for 38 877 fresh derivations. The stores now slide: a fact is
+//! written when it is admitted and never again.
 
 mod common;
 
@@ -20,6 +27,13 @@ use std::time::Duration;
 /// `close` on every intersection of the region.
 const BEFORE: SolveWork = SolveWork { steps: 8_476_766, candidates: 17_684_157 };
 const CLOSE_CALLS_BEFORE: u64 = 5_586_143;
+
+/// Exact per trace, like the solver counts: late arrivals admitted into the
+/// overlap, facts that arrived behind the window start, and derived events
+/// written into their slots.
+const AMENDED: u64 = 28_806;
+const LOST: u64 = 0;
+const DERIVED_WRITTEN: u64 = 37_512;
 
 #[test]
 fn dublin_pass_does_a_fifth_of_the_work_it_did_before_join_planning() {
@@ -43,16 +57,43 @@ fn dublin_pass_does_a_fifth_of_the_work_it_did_before_join_planning() {
 
     let mut work = SolveWork::default();
     let mut windows = 0usize;
-    let mut window_time = Duration::ZERO;
+    let (mut window_time, mut windowing, mut upkeep) =
+        (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+    let (mut admitted, mut amended, mut expired, mut lost, mut derived) = (0, 0, 0, 0, 0);
     common::drive(&scenario, &mut engines, |rec| {
         windows += 1;
         window_time += rec.timing.total;
+        windowing += rec.timing.windowing;
+        upkeep += rec.timing.cache_rebuild;
         work.steps += rec.timing.solver_steps;
         work.candidates += rec.timing.candidates_examined;
+        admitted += rec.timing.facts_admitted;
+        amended += rec.timing.facts_amended;
+        expired += rec.timing.facts_expired;
+        lost += rec.timing.facts_lost;
+        derived += rec.timing.derived_written;
         assert_eq!(rec.stats().solver_steps, rec.timing.solver_steps);
+        assert_eq!(rec.stats().facts_admitted, rec.timing.facts_admitted);
     });
     let (calls, hits) = (calls.load(Ordering::Relaxed), hits.load(Ordering::Relaxed));
     println!("{windows} windows, {work:?}, close: {calls} calls, {hits} hits");
+    println!(
+        "stores: {admitted} facts admitted ({amended} amended), {expired} expired, {lost} lost, \
+         {derived} derived events written; windowing {windowing:?}, publish {:?}",
+        upkeep - windowing
+    );
+
+    // Every fact that was ever visible was written into its store exactly
+    // once (583 484 pushes before the stores slid), and has by the end of
+    // the pass either expired or is still in the window.
+    assert_eq!(admitted, 69_958);
+    let held: usize = engines.iter().map(|e| e.buffered()).sum();
+    assert_eq!(admitted, expired + held as u64, "admitted = expired + still buffered");
+    assert_eq!((amended, lost), (AMENDED, LOST));
+    // Derived slots are cut at the stratum's output frontier and receive
+    // only the tail behind it (244 925 re-pushed per pass before).
+    assert_eq!(derived, DERIVED_WRITTEN);
+    assert!(derived < 80_000);
 
     assert_eq!(windows, 124);
     // Exact: the plan and the trace are deterministic.

@@ -56,9 +56,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let snapshot = metrics.snapshot();
     println!("\n{}", snapshot.render_table());
 
-    // What the RTEC solver did, counted rather than timed: the same numbers
-    // on every run of this scenario, on any host.
-    println!("{:<28} {:>10} {:>12} {:>12}", "rtec region", "windows", "solver steps", "candidates");
+    // What the RTEC solver and the window stores did, counted rather than
+    // timed: the same numbers on every run of this scenario, on any host.
+    // `admitted` is every input fact written into a store (once per fact),
+    // `amended` those that came late but inside the working memory, `lost`
+    // those that came later than that and were dropped unseen.
+    println!(
+        "{:<16} {:>8} {:>12} {:>11} {:>9} {:>8} {:>6} {:>8}",
+        "rtec region",
+        "windows",
+        "solver steps",
+        "candidates",
+        "admitted",
+        "amended",
+        "lost",
+        "derived"
+    );
     for (name, windows) in &snapshot.histograms {
         let Some(region) = name.strip_prefix("rtec.").and_then(|n| n.strip_suffix(".window_ns"))
         else {
@@ -68,10 +81,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             snapshot.counters.get(&format!("rtec.{region}.{what}")).copied().unwrap_or(0)
         };
         println!(
-            "{region:<28} {:>10} {:>12} {:>12}",
+            "{region:<16} {:>8} {:>12} {:>11} {:>9} {:>8} {:>6} {:>8}",
             windows.count,
             counter("solver_steps"),
-            counter("candidates")
+            counter("candidates"),
+            counter("facts_admitted"),
+            counter("sdes_amended"),
+            counter("sdes_lost"),
+            counter("derived_written")
         );
     }
     println!();
