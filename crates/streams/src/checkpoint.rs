@@ -29,6 +29,7 @@ use crate::error::StreamsError;
 use crate::item::Value;
 use crate::json;
 use std::collections::{BTreeMap, HashMap};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -169,8 +170,9 @@ struct StoreInner {
 ///
 /// The in-memory store is enough for supervised restarts within one run; the
 /// file-backed store additionally persists every checkpoint as
-/// `{process}.{slot}.ckpt.json` (written to a temp file and renamed, so a
-/// crash mid-write never corrupts the previous checkpoint) and reloads the
+/// `{process}.{slot}.ckpt.json` (written to a `.ckpt.tmp` file, synced,
+/// renamed over the previous one and the directory synced, so a crash
+/// mid-write never corrupts the previous checkpoint) and reloads the
 /// directory on construction, which is what a restarted *process* would
 /// recover from.
 #[derive(Clone, Default)]
@@ -243,8 +245,14 @@ impl CheckpointStore {
             );
             let file = dir.join(format!("{}.{processor}.ckpt.json", sanitize(process)));
             let tmp = file.with_extension("tmp");
-            std::fs::write(&tmp, text)?;
+            let mut out = std::fs::File::create(&tmp)?;
+            out.write_all(text.as_bytes())?;
+            // The bytes are on disk before the rename publishes them; the
+            // directory sync below makes the rename itself survive a crash.
+            out.sync_all()?;
             std::fs::rename(&tmp, &file)?;
+            #[cfg(unix)]
+            std::fs::File::open(&dir)?.sync_all()?;
         }
         inner.latest.insert((process.to_string(), processor), checkpoint);
         Ok(())
@@ -343,6 +351,27 @@ mod tests {
         assert_eq!(cp.position, 50, "only the latest survives");
         assert_eq!(cp.blob.get_i64("count"), Some(10));
         assert!(cp.blob.get("!position").is_none(), "metadata keys are stripped");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_temp_file_is_ignored_and_truncated_checkpoint_is_named() {
+        let dir = std::env::temp_dir().join(format!("ckpt-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::file_backed(&dir).unwrap();
+        store.put("rtec[1]", 0, Checkpoint { position: 7, blob: blob(3) }).unwrap();
+        drop(store);
+        let good = dir.join("rtec_1_.0.ckpt.json");
+        let text = std::fs::read_to_string(&good).unwrap();
+        // A crash in the middle of the next write leaves a torn temp file
+        // beside the good checkpoint.
+        std::fs::write(dir.join("rtec_1_.0.ckpt.tmp"), &text[..text.len() / 2]).unwrap();
+        let reloaded = CheckpointStore::file_backed(&dir).unwrap();
+        assert_eq!(reloaded.latest("rtec[1]", 0).unwrap().position, 7, "the temp file is ignored");
+        // A truncated checkpoint itself is refused, and the error names it.
+        std::fs::write(&good, &text[..text.len() / 2]).unwrap();
+        let err = CheckpointStore::file_backed(&dir).unwrap_err().to_string();
+        assert!(err.contains("rtec_1_.0.ckpt.json"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -15,9 +15,13 @@
 //!   application ([`service::ServiceRegistry`]);
 //! * an **XML description language** for data-flow graphs ([`xml`]), compiled
 //!   into a runnable topology;
-//! * a **multi-threaded runtime** executing one process per thread
-//!   ([`runtime`]), plus a **deterministic replay runtime** driving the same
-//!   workers single-threaded under a seeded scheduler ([`replay`]);
+//! * **one worker core with two drivers**: every process is a worker that
+//!   advances one step at a time (hand owed items on, pull a batch through
+//!   the chain, go idle, or flush and end the stream); the
+//!   **multi-threaded runtime** ([`runtime`]) steps each worker on its own
+//!   thread and waits inside queue and source calls, the **deterministic
+//!   replay runtime** ([`replay`]) steps the very same workers on one thread
+//!   under a seeded scheduler and is told when one is blocked;
 //! * **fault supervision** — per-process fault policies, panic isolation and
 //!   dead-letter queues ([`fault`]), plus a deterministic fault-injection
 //!   harness for robustness testing ([`chaos`]).

@@ -297,9 +297,19 @@ pub struct QueueMetrics {
     pub send_stalls: Counter,
     /// Total time producers spent blocked on a full queue, nanoseconds.
     pub stall_ns: Counter,
-    /// Sizes of batched transfers (`send_batch`/`recv_batch`). Samples are
+    /// Sizes of transfers that moved more than one item (a transfer of one
+    /// is not a batch, so a per-item edge leaves this empty). Samples are
     /// item counts, not nanoseconds; the power-of-two buckets still apply.
     pub batch_sizes: Histogram,
+}
+
+impl QueueMetrics {
+    /// Records one transfer of `n` items in [`QueueMetrics::batch_sizes`].
+    pub(crate) fn record_batch(&self, n: usize) {
+        if n > 1 {
+            self.batch_sizes.record_ns(n as u64);
+        }
+    }
 }
 
 /// The per-run instrument registry.

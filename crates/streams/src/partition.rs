@@ -754,54 +754,48 @@ pub(crate) enum Dispatch {
 }
 
 impl Dispatch {
-    /// Plans the `(output index, item)` deliveries for one chain survivor,
-    /// in delivery order, appending to a caller-owned buffer so the per-item
-    /// hot path allocates nothing. Shared by the threaded runtime and the
-    /// replay scheduler, so both produce identical per-queue data sequences.
-    /// Item clones are `Arc` reference bumps (see [`crate::item`]), never
-    /// attribute-map copies. Returns whether the flood cadence was due and a
-    /// watermark for every output follows the item.
-    pub(crate) fn plan_into(
-        &mut self,
-        n_outputs: usize,
-        item: DataItem,
-        plan: &mut Vec<(usize, DataItem)>,
-    ) -> bool {
+    /// Routes one chain survivor into the per-output buckets `owed` (one per
+    /// output, in output order): a copy into every bucket, or the keyed
+    /// shard's. Each bucket keeps its items in routing order, which is all
+    /// per-queue FIFO — and with it merge determinism — needs. Item clones
+    /// are `Arc` reference bumps (see [`crate::item`]), never attribute-map
+    /// copies. Returns whether the flood cadence was due and a watermark for
+    /// every output follows the item.
+    pub(crate) fn plan_into(&mut self, item: DataItem, owed: &mut [Vec<DataItem>]) -> bool {
         match self {
             Dispatch::Broadcast => {
-                for idx in 0..n_outputs.saturating_sub(1) {
-                    plan.push((idx, item.clone()));
-                }
-                if n_outputs > 0 {
-                    plan.push((n_outputs - 1, item));
+                if let Some((last, rest)) = owed.split_last_mut() {
+                    for bucket in rest {
+                        bucket.push(item.clone());
+                    }
+                    last.push(item);
                 }
                 false
             }
             Dispatch::Shard { keys, hints, since_wm, next_wm } => {
-                let shard = shard_for_hinted(&item, keys, hints, n_outputs.max(1));
+                let n_outputs = owed.len().max(1);
+                let shard = shard_for_hinted(&item, keys, hints, n_outputs);
                 if let Some(seq) = item.get_i64(SEQ_ATTR) {
                     *next_wm = (*next_wm).max(seq + 1);
                 }
-                plan.push((shard, item));
+                owed[shard].push(item);
                 *since_wm += 1;
-                *since_wm >= WM_EVERY * n_outputs.max(1) && self.plan_idle(n_outputs, plan)
+                *since_wm >= WM_EVERY * n_outputs && self.plan_idle(owed)
             }
         }
     }
 
-    /// Plans a watermark to every output if anything was routed since the
+    /// Routes a watermark into every bucket if anything was routed since the
     /// last one; returns whether it did. What a sharding worker does when it
     /// goes idle — and, from [`Dispatch::plan_into`], when the flood cadence
     /// is due.
-    pub(crate) fn plan_idle(
-        &mut self,
-        n_outputs: usize,
-        plan: &mut Vec<(usize, DataItem)>,
-    ) -> bool {
+    pub(crate) fn plan_idle(&mut self, owed: &mut [Vec<DataItem>]) -> bool {
         match self {
             Dispatch::Shard { since_wm, next_wm, .. } if *since_wm > 0 => {
                 *since_wm = 0;
-                plan.extend((0..n_outputs).map(|idx| (idx, watermark(*next_wm, idx))));
+                for (idx, bucket) in owed.iter_mut().enumerate() {
+                    bucket.push(watermark(*next_wm, idx));
+                }
                 true
             }
             _ => false,
@@ -1147,44 +1141,46 @@ mod tests {
             since_wm: 0,
             next_wm: 0,
         };
-        let mut plan = Vec::new();
-        assert!(!d.plan_idle(3, &mut plan), "nothing routed yet: going idle says nothing");
+        let mut owed = vec![Vec::new(); 3];
+        let routed = |owed: &[Vec<DataItem>]| owed.iter().map(Vec::len).sum::<usize>();
+        assert!(!d.plan_idle(&mut owed), "nothing routed yet: going idle says nothing");
         let cadence = (WM_EVERY * 3) as i64;
         for seq in 0..cadence {
             let item = DataItem::new().with("k", seq).with(SEQ_ATTR, seq);
             let expect = shard_for(&item, &keys, 3);
-            plan.clear();
-            d.plan_into(3, item, &mut plan);
-            assert_eq!(plan[0].0, expect, "routed to the keyed shard");
+            owed.iter_mut().for_each(Vec::clear);
+            d.plan_into(item, &mut owed);
+            assert_eq!(owed[expect][0].get_i64(SEQ_ATTR), Some(seq), "routed to the keyed shard");
             if seq == 1 {
                 // Idle after two items: a watermark for each output, already
                 // attributed to its shard, and the flood count starts over.
-                plan.clear();
-                assert!(d.plan_idle(3, &mut plan));
-                let wms: Vec<(usize, Option<i64>, Option<i64>)> = plan
+                owed.iter_mut().for_each(Vec::clear);
+                assert!(d.plan_idle(&mut owed));
+                let wms: Vec<(Option<i64>, Option<i64>)> = owed
                     .iter()
-                    .map(|(idx, wm)| (*idx, wm.get_i64(WM_ATTR), wm.get_i64(SHARD_ATTR)))
+                    .flatten()
+                    .map(|wm| (wm.get_i64(WM_ATTR), wm.get_i64(SHARD_ATTR)))
                     .collect();
-                assert_eq!(
-                    wms,
-                    vec![(0, Some(2), Some(0)), (1, Some(2), Some(1)), (2, Some(2), Some(2))]
-                );
-                assert!(plan.iter().all(|(_, wm)| is_punctuation(wm)));
-                plan.clear();
-                assert!(!d.plan_idle(3, &mut plan), "still idle: nothing new to say");
+                assert_eq!(wms, vec![(Some(2), Some(0)), (Some(2), Some(1)), (Some(2), Some(2))]);
+                assert!(owed.iter().flatten().all(is_punctuation));
+                owed.iter_mut().for_each(Vec::clear);
+                assert!(!d.plan_idle(&mut owed), "still idle: nothing new to say");
             } else if seq < cadence - 1 {
-                assert_eq!(plan.len(), 1, "seq {seq}: no watermark before the cadence is due");
+                assert_eq!(routed(&owed), 1, "seq {seq}: no watermark before the cadence is due");
             }
         }
         // WM_EVERY * outputs items after the idle watermark would be two past
         // the loop; the last item routed is two short of it.
-        assert_eq!(plan.len(), 1);
+        assert_eq!(routed(&owed), 1);
         for seq in cadence..cadence + 2 {
-            plan.clear();
-            d.plan_into(3, DataItem::new().with("k", seq).with(SEQ_ATTR, seq), &mut plan);
+            owed.iter_mut().for_each(Vec::clear);
+            d.plan_into(DataItem::new().with("k", seq).with(SEQ_ATTR, seq), &mut owed);
         }
-        assert_eq!(plan.len(), 4, "the flood cadence broadcasts to all 3 outputs");
-        assert_eq!(plan[1].1.get_i64(WM_ATTR), Some(cadence + 2));
+        assert_eq!(routed(&owed), 4, "the flood cadence broadcasts to all 3 outputs");
+        for bucket in &owed {
+            let wm = bucket.last().expect("every output gets the watermark");
+            assert_eq!(wm.get_i64(WM_ATTR), Some(cadence + 2), "behind the item in its shard");
+        }
     }
 
     /// Satellite regression: killing the *merge* stage itself under

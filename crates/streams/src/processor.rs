@@ -134,16 +134,18 @@ pub trait Processor: Send {
 
 /// Queues the outputs of one call into slot `next - 1` — `returned` and
 /// whatever the call left in the context's buffer — for slot `next`, so that
-/// they pop off `work` in output order (emitted first, returned last).
-pub(crate) fn push_outputs(
-    work: &mut Vec<(usize, DataItem)>,
+/// they pop off `work` in output order (emitted first, returned last). A
+/// walk's entries are items, or (in the supervised walk, where an entry
+/// without an item is a `finish` call) optional items.
+pub(crate) fn push_outputs<T: From<DataItem>>(
+    work: &mut Vec<(usize, T)>,
     next: usize,
     returned: Option<DataItem>,
     ctx: &mut Context,
 ) {
-    work.extend(returned.map(|item| (next, item)));
+    work.extend(returned.map(|item| (next, item.into())));
     if ctx.has_emitted() {
-        work.extend(ctx.take_emitted().rev().map(|item| (next, item)));
+        work.extend(ctx.take_emitted().rev().map(|item| (next, item.into())));
     }
 }
 

@@ -5,6 +5,15 @@
 //! emits CEs "to a queue in the Streams framework"). Queues are bounded,
 //! providing backpressure, multi-producer and single-consumer.
 //!
+//! The surface is the five calls a worker makes, all of them on buffers the
+//! caller keeps: [`QueueSender::send_batch`] and
+//! [`QueueSender::try_send_batch`] move items out of one,
+//! [`QueueReceiver::recv_batch`] and [`QueueReceiver::try_recv_batch`] append
+//! to one, and [`QueueSender::finish`] ends a producer. A batch of one is
+//! per-item transfer. The threaded runtime waits in the blocking pair; the
+//! `try_` pair never waits, which is what the replay scheduler needs and how
+//! a threaded worker learns that its input ran dry before it parks.
+//!
 //! # Termination accounting
 //!
 //! The queue is created for a declared number of *logical producers*, each
@@ -23,29 +32,19 @@
 //!    markers are missing (a producer thread that panicked can never send
 //!    again, so waiting for its marker would wedge the consumer forever).
 //!
-//! Items buffered before *any* `finish()` call are never lost: `recv`
-//! returns `None` only once the buffer is empty **and** one of the two
+//! Items buffered before *any* `finish()` call are never lost: a receive
+//! reports the end only once the buffer is empty **and** one of the two
 //! conditions above holds, so concurrent `finish()` calls racing with
-//! in-flight `send`s cannot reorder or drop the already-buffered prefix —
-//! the per-producer FIFO order of the buffer is exactly send order.
+//! in-flight sends cannot reorder or drop the already-buffered prefix — the
+//! per-producer FIFO order of the buffer is exactly send order.
 
 use crate::item::DataItem;
 use crate::metrics::QueueMetrics;
+use crate::source::Polled;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-/// Messages travelling through a queue: items plus per-producer end-of-stream
-/// markers.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    /// A data item.
-    Item(DataItem),
-    /// One producer finished; the consumer terminates after collecting the
-    /// marker of every producer.
-    Eos,
-}
+use std::time::Instant;
 
 struct Inner {
     buffer: VecDeque<DataItem>,
@@ -102,43 +101,17 @@ impl Drop for MpmcSender {
 }
 
 impl MpmcSender {
-    /// Sends one item, blocking while the queue is full. Returns `false` if
-    /// the consumer is gone.
-    fn send(&self, item: DataItem) -> bool {
-        let metrics = &self.shared.metrics;
-        let mut inner = self.shared.inner.lock().unwrap();
-        if inner.buffer.len() >= self.shared.capacity && inner.consumer_alive {
-            metrics.send_stalls.inc();
-            let stalled_at = Instant::now();
-            while inner.buffer.len() >= self.shared.capacity && inner.consumer_alive {
-                inner = self.shared.not_full.wait(inner).unwrap();
-            }
-            metrics.stall_ns.add(stalled_at.elapsed().as_nanos() as u64);
-        }
-        if !inner.consumer_alive {
-            return false;
-        }
-        inner.buffer.push_back(item);
-        metrics.sent.inc();
-        metrics.depth.add(1);
-        self.shared.not_empty.notify_one();
-        true
-    }
-
-    /// Sends a batch of items under a single lock acquisition, blocking in
-    /// chunks while the queue is full. Items land in the buffer in vector
-    /// order, indistinguishable from the same sequence of [`QueueSender::send`]
-    /// calls — batching changes lock traffic, never observable FIFO order.
-    /// Returns `false` (discarding the remainder) if the consumer is gone.
-    fn send_batch(&self, items: Vec<DataItem>) -> bool {
+    /// See [`QueueSender::send_batch`]: one lock acquisition, released only
+    /// while waiting for room.
+    fn send_batch(&self, items: &mut Vec<DataItem>) -> bool {
         if items.is_empty() {
             return true;
         }
         let n = items.len();
         let metrics = &self.shared.metrics;
         let mut inner = self.shared.inner.lock().unwrap();
-        let mut sent = 0u64;
-        for item in items {
+        let mut sent = 0;
+        for item in items.drain(..) {
             if inner.buffer.len() >= self.shared.capacity && inner.consumer_alive {
                 metrics.send_stalls.inc();
                 let stalled_at = Instant::now();
@@ -157,42 +130,31 @@ impl MpmcSender {
             sent += 1;
         }
         if sent > 0 {
-            metrics.sent.add(sent);
+            metrics.sent.add(sent as u64);
             metrics.depth.add(sent as i64);
-            metrics.batch_sizes.record_ns(sent);
+            metrics.record_batch(sent);
             self.shared.not_empty.notify_one();
         }
-        sent == n as u64
+        sent == n
     }
 
-    /// Sends one item without blocking. `Ok(true)` means the item was
-    /// enqueued; `Ok(false)` means the consumer is gone and the item was
-    /// discarded (matching [`QueueSender::send`]); `Err(item)` returns the
-    /// item because the queue is full. Backpressure stalls are *not*
-    /// recorded: a rejected `try_send` costs the caller nothing, unlike a
-    /// blocked `send` (used by the deterministic replay scheduler, which
-    /// must never block).
-    fn try_send(&self, item: DataItem) -> Result<bool, DataItem> {
+    /// See [`QueueSender::try_send_batch`].
+    fn try_send_batch(&self, items: &mut Vec<DataItem>) -> bool {
         let mut inner = self.shared.inner.lock().unwrap();
         if !inner.consumer_alive {
-            return Ok(false);
+            items.clear();
+            return false;
         }
-        if inner.buffer.len() >= self.shared.capacity {
-            return Err(item);
+        let n = self.shared.capacity.saturating_sub(inner.buffer.len()).min(items.len());
+        if n > 0 {
+            inner.buffer.extend(items.drain(..n));
+            let metrics = &self.shared.metrics;
+            metrics.sent.add(n as u64);
+            metrics.depth.add(n as i64);
+            metrics.record_batch(n);
+            self.shared.not_empty.notify_one();
         }
-        inner.buffer.push_back(item);
-        self.shared.metrics.sent.inc();
-        self.shared.metrics.depth.add(1);
-        self.shared.not_empty.notify_one();
-        Ok(true)
-    }
-
-    /// Whether a `try_send` would currently be accepted (the consumer is
-    /// alive and the buffer has room). Advisory under concurrency; exact
-    /// under a single-threaded scheduler.
-    fn has_capacity(&self) -> bool {
-        let inner = self.shared.inner.lock().unwrap();
-        inner.consumer_alive && inner.buffer.len() < self.shared.capacity
+        true
     }
 
     /// Signals that this producer is done. Idempotent per handle: only the
@@ -224,120 +186,41 @@ impl Drop for MpmcReceiver {
 }
 
 impl MpmcReceiver {
-    fn pop(&self, inner: &mut Inner) -> DataItem {
-        let item = inner.buffer.pop_front().expect("pop on non-empty buffer");
-        self.shared.metrics.received.inc();
-        self.shared.metrics.depth.add(-1);
-        self.shared.not_full.notify_one();
-        item
-    }
-
-    /// Receives the next item, blocking until one is available or every
-    /// producer finished (`None`).
-    fn recv(&mut self) -> Option<DataItem> {
-        let mut inner = self.shared.inner.lock().unwrap();
-        loop {
-            if !inner.buffer.is_empty() {
-                return Some(self.pop(&mut inner));
-            }
-            if self.shared.stream_ended(&inner) {
-                return None;
-            }
-            inner = self.shared.not_empty.wait(inner).unwrap();
-        }
-    }
-
-    /// Receives up to `max` items under a single lock acquisition, blocking
-    /// until at least one item is available or the stream ends (`None`). The
-    /// call never waits for a *full* batch: whatever is buffered when the
-    /// first item becomes available is drained, so batching adds no latency
-    /// over repeated [`QueueReceiver::recv`] calls.
-    fn recv_batch(&mut self, max: usize) -> Option<Vec<DataItem>> {
-        let mut inner = self.shared.inner.lock().unwrap();
-        loop {
-            if let Some(batch) = self.pop_batch(&mut inner, max) {
-                return Some(batch);
-            }
-            if self.shared.stream_ended(&inner) {
-                return None;
-            }
-            inner = self.shared.not_empty.wait(inner).unwrap();
-        }
-    }
-
-    /// Up to `max` buffered items, `None` when nothing is buffered.
-    fn pop_batch(&self, inner: &mut Inner, max: usize) -> Option<Vec<DataItem>> {
-        if inner.buffer.is_empty() {
-            return None;
-        }
+    /// Moves up to `max` buffered items to `out`; returns how many.
+    fn pop_into(&self, inner: &mut Inner, max: usize, out: &mut Vec<DataItem>) -> usize {
         let n = inner.buffer.len().min(max.max(1));
-        let batch: Vec<DataItem> = inner.buffer.drain(..n).collect();
-        let metrics = &self.shared.metrics;
-        metrics.received.add(n as u64);
-        metrics.depth.add(-(n as i64));
-        metrics.batch_sizes.record_ns(n as u64);
-        self.shared.not_full.notify_all();
-        Some(batch)
-    }
-
-    /// [`MpmcReceiver::recv_batch`] without the wait.
-    fn try_recv_batch(&mut self, max: usize) -> Option<Vec<DataItem>> {
-        let mut inner = self.shared.inner.lock().unwrap();
-        self.pop_batch(&mut inner, max)
-    }
-
-    /// Receives without blocking: the front item if one is buffered,
-    /// [`TryRecv::Ended`] once every producer finished (or vanished) and the
-    /// buffer drained, [`TryRecv::Empty`] when the queue is merely empty but
-    /// the stream is still open. Used by the deterministic replay scheduler,
-    /// where a blocked `recv` on the single thread would deadlock the graph.
-    fn try_recv(&mut self) -> TryRecv {
-        let mut inner = self.shared.inner.lock().unwrap();
-        if !inner.buffer.is_empty() {
-            TryRecv::Item(self.pop(&mut inner))
-        } else if self.shared.stream_ended(&inner) {
-            TryRecv::Ended
-        } else {
-            TryRecv::Empty
+        if n > 0 {
+            out.extend(inner.buffer.drain(..n));
+            let metrics = &self.shared.metrics;
+            metrics.received.add(n as u64);
+            metrics.depth.add(-(n as i64));
+            metrics.record_batch(n);
+            self.shared.not_full.notify_all();
         }
+        n
     }
 
-    /// Like [`QueueReceiver::recv`] with a timeout; `Ok(None)` = end of
-    /// stream, `Err(Timeout)` = nothing arrived in time.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<DataItem>, Timeout> {
-        let deadline = Instant::now() + timeout;
+    /// See [`QueueReceiver::recv_batch`].
+    fn recv_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> usize {
         let mut inner = self.shared.inner.lock().unwrap();
         loop {
-            if !inner.buffer.is_empty() {
-                return Ok(Some(self.pop(&mut inner)));
+            let n = self.pop_into(&mut inner, max, out);
+            if n > 0 || self.shared.stream_ended(&inner) {
+                return n;
             }
-            if self.shared.stream_ended(&inner) {
-                return Ok(None);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(Timeout);
-            }
-            let (guard, _) = self.shared.not_empty.wait_timeout(inner, deadline - now).unwrap();
-            inner = guard;
+            inner = self.shared.not_empty.wait(inner).unwrap();
         }
     }
-}
 
-/// Returned by [`QueueReceiver::recv_timeout`] when no item arrived in time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Timeout;
-
-/// Outcome of a non-blocking [`QueueReceiver::try_recv`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum TryRecv {
-    /// The front item of the buffer.
-    Item(DataItem),
-    /// Buffer empty, but producers may still send.
-    Empty,
-    /// Buffer empty and the stream is terminated (all EOS markers collected
-    /// or no sender handle left).
-    Ended,
+    /// See [`QueueReceiver::try_recv_batch`].
+    fn try_recv_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> Polled {
+        let mut inner = self.shared.inner.lock().unwrap();
+        match self.pop_into(&mut inner, max, out) {
+            0 if self.shared.stream_ended(&inner) => Polled::Ended,
+            0 => Polled::Pending,
+            n => Polled::Items(n),
+        }
+    }
 }
 
 /// Producer handle of a queue. Cloneable for MPMC queues (multi-producer);
@@ -363,48 +246,28 @@ impl Clone for QueueSender {
 }
 
 impl QueueSender {
-    /// Sends one item, blocking while the queue is full. Returns `false` if
-    /// the consumer is gone.
-    pub fn send(&self, item: DataItem) -> bool {
-        match &self.0 {
-            SenderImpl::Mpmc(tx) => tx.send(item),
-            SenderImpl::Spsc(tx) => tx.send(item),
-        }
-    }
-
-    /// Sends a batch of items, blocking while the queue is full. Items land
-    /// in vector order, indistinguishable from the same sequence of
-    /// [`QueueSender::send`] calls — batching changes lock/wake traffic,
-    /// never observable FIFO order. Returns `false` (discarding the
-    /// remainder) if the consumer is gone.
-    pub fn send_batch(&self, items: Vec<DataItem>) -> bool {
+    /// Sends every item of `items`, in order, blocking while the queue is
+    /// full, and leaves `items` empty with its capacity kept for the next
+    /// batch. The items land in the buffer exactly as the same items sent
+    /// one batch of one at a time would — batching changes lock and wake
+    /// traffic, never the observable FIFO order. Returns `false` (discarding
+    /// the remainder) if the consumer is gone.
+    pub fn send_batch(&self, items: &mut Vec<DataItem>) -> bool {
         match &self.0 {
             SenderImpl::Mpmc(tx) => tx.send_batch(items),
             SenderImpl::Spsc(tx) => tx.send_batch(items),
         }
     }
 
-    /// Sends one item without blocking. `Ok(true)` means the item was
-    /// enqueued; `Ok(false)` means the consumer is gone and the item was
-    /// discarded (matching [`QueueSender::send`]); `Err(item)` returns the
-    /// item because the queue is full. Backpressure stalls are *not*
-    /// recorded: a rejected `try_send` costs the caller nothing, unlike a
-    /// blocked `send` (used by the deterministic replay scheduler, which
-    /// must never block).
-    pub fn try_send(&self, item: DataItem) -> Result<bool, DataItem> {
+    /// [`QueueSender::send_batch`] without the wait: sends the longest
+    /// prefix of `items` that fits and hands back the rest, in order, in
+    /// `items`. Returns `false` (discarding everything) if the consumer is
+    /// gone. A full queue costs the caller nothing, so no backpressure stall
+    /// is recorded.
+    pub fn try_send_batch(&self, items: &mut Vec<DataItem>) -> bool {
         match &self.0 {
-            SenderImpl::Mpmc(tx) => tx.try_send(item),
-            SenderImpl::Spsc(tx) => tx.try_send(item),
-        }
-    }
-
-    /// Whether a `try_send` would currently be accepted (the consumer is
-    /// alive and the buffer has room). Advisory under concurrency; exact
-    /// under a single-threaded scheduler.
-    pub fn has_capacity(&self) -> bool {
-        match &self.0 {
-            SenderImpl::Mpmc(tx) => tx.has_capacity(),
-            SenderImpl::Spsc(tx) => tx.has_capacity(),
+            SenderImpl::Mpmc(tx) => tx.try_send_batch(items),
+            SenderImpl::Spsc(tx) => tx.try_send_batch(items),
         }
     }
 
@@ -415,12 +278,6 @@ impl QueueSender {
             SenderImpl::Mpmc(tx) => tx.finish(),
             SenderImpl::Spsc(tx) => tx.finish(),
         }
-    }
-
-    /// Whether this sender feeds a lock-free SPSC ring (picked by
-    /// [`materialize`](crate::runtime) for provably single-producer edges).
-    pub fn is_spsc(&self) -> bool {
-        matches!(self.0, SenderImpl::Spsc(_))
     }
 }
 
@@ -433,57 +290,27 @@ enum ReceiverImpl {
 }
 
 impl QueueReceiver {
-    /// Receives the next item, blocking until one is available or every
-    /// producer finished (`None`).
-    pub fn recv(&mut self) -> Option<DataItem> {
+    /// Appends up to `max` items to `out`, blocking until at least one is
+    /// available; returns how many, `0` once the stream has ended. The call
+    /// never waits for a *full* batch: whatever is buffered when the first
+    /// item becomes available is taken, so batching adds no latency over
+    /// receiving one item at a time.
+    pub fn recv_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> usize {
         match &mut self.0 {
-            ReceiverImpl::Mpmc(rx) => rx.recv(),
-            ReceiverImpl::Spsc(rx) => rx.recv(),
+            ReceiverImpl::Mpmc(rx) => rx.recv_batch(max, out),
+            ReceiverImpl::Spsc(rx) => rx.recv_batch(max, out),
         }
     }
 
-    /// Receives up to `max` items, blocking until at least one item is
-    /// available or the stream ends (`None`). The call never waits for a
-    /// *full* batch: whatever is buffered when the first item becomes
-    /// available is drained, so batching adds no latency over repeated
-    /// [`QueueReceiver::recv`] calls.
-    pub fn recv_batch(&mut self, max: usize) -> Option<Vec<DataItem>> {
+    /// [`QueueReceiver::recv_batch`] without the wait: [`Polled::Items`]
+    /// when it appended what is buffered right now (up to `max`),
+    /// [`Polled::Pending`] when the queue is empty but the stream is open,
+    /// [`Polled::Ended`] once every producer finished (or vanished) and the
+    /// buffer drained.
+    pub fn try_recv_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> Polled {
         match &mut self.0 {
-            ReceiverImpl::Mpmc(rx) => rx.recv_batch(max),
-            ReceiverImpl::Spsc(rx) => rx.recv_batch(max),
-        }
-    }
-
-    /// [`QueueReceiver::recv_batch`] without the wait: whatever is buffered
-    /// right now, up to `max` items, or `None` when that is nothing — the
-    /// queue is empty, whether or not its producers have finished. The
-    /// threaded pump asks this first, so that it learns its input edge ran
-    /// dry *before* it parks in the blocking call.
-    pub fn try_recv_batch(&mut self, max: usize) -> Option<Vec<DataItem>> {
-        match &mut self.0 {
-            ReceiverImpl::Mpmc(rx) => rx.try_recv_batch(max),
-            ReceiverImpl::Spsc(rx) => rx.try_recv_batch(max),
-        }
-    }
-
-    /// Receives without blocking: the front item if one is buffered,
-    /// [`TryRecv::Ended`] once every producer finished (or vanished) and the
-    /// buffer drained, [`TryRecv::Empty`] when the queue is merely empty but
-    /// the stream is still open. Used by the deterministic replay scheduler,
-    /// where a blocked `recv` on the single thread would deadlock the graph.
-    pub fn try_recv(&mut self) -> TryRecv {
-        match &mut self.0 {
-            ReceiverImpl::Mpmc(rx) => rx.try_recv(),
-            ReceiverImpl::Spsc(rx) => rx.try_recv(),
-        }
-    }
-
-    /// Like [`QueueReceiver::recv`] with a timeout; `Ok(None)` = end of
-    /// stream, `Err(Timeout)` = nothing arrived in time.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<DataItem>, Timeout> {
-        match &mut self.0 {
-            ReceiverImpl::Mpmc(rx) => rx.recv_timeout(timeout),
-            ReceiverImpl::Spsc(rx) => rx.recv_timeout(timeout),
+            ReceiverImpl::Mpmc(rx) => rx.try_recv_batch(max, out),
+            ReceiverImpl::Spsc(rx) => rx.try_recv_batch(max, out),
         }
     }
 }
@@ -538,38 +365,55 @@ pub fn spsc_queue_with_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    fn item(n: i64) -> DataItem {
+        DataItem::new().with("n", n)
+    }
+
+    /// Sends one item (a batch of one).
+    fn send(tx: &QueueSender, n: i64) -> bool {
+        tx.send_batch(&mut vec![item(n)])
+    }
+
+    /// Receives one item (a batch of one); `None` once the stream ended.
+    fn recv(rx: &mut QueueReceiver) -> Option<i64> {
+        let mut out = Vec::new();
+        rx.recv_batch(1, &mut out);
+        out.pop().map(|i| i.get_i64("n").unwrap())
+    }
 
     #[test]
     fn items_then_eos() {
         let (tx, mut rx) = queue(4, 1);
-        tx.send(DataItem::new().with("n", 1i64));
-        tx.send(DataItem::new().with("n", 2i64));
+        send(&tx, 1);
+        send(&tx, 2);
         tx.finish();
-        assert_eq!(rx.recv().unwrap().get_i64("n"), Some(1));
-        assert_eq!(rx.recv().unwrap().get_i64("n"), Some(2));
-        assert!(rx.recv().is_none());
-        assert!(rx.recv().is_none(), "stays terminated");
+        assert_eq!(recv(&mut rx), Some(1));
+        assert_eq!(recv(&mut rx), Some(2));
+        assert!(recv(&mut rx).is_none());
+        assert!(recv(&mut rx).is_none(), "stays terminated");
     }
 
     #[test]
     fn waits_for_all_producers() {
         let (tx1, mut rx) = queue(4, 2);
         let tx2 = tx1.clone();
-        tx1.send(DataItem::new().with("p", 1i64));
+        send(&tx1, 1);
         tx1.finish();
-        tx2.send(DataItem::new().with("p", 2i64));
+        send(&tx2, 2);
         // One EOS received, still one producer alive: items flow.
-        assert!(rx.recv().is_some());
-        assert!(rx.recv().is_some());
+        assert!(recv(&mut rx).is_some());
+        assert!(recv(&mut rx).is_some());
         tx2.finish();
-        assert!(rx.recv().is_none());
+        assert!(recv(&mut rx).is_none());
     }
 
     #[test]
     fn dropped_senders_terminate() {
         let (tx, mut rx) = queue(4, 1);
         drop(tx);
-        assert!(rx.recv().is_none());
+        assert!(recv(&mut rx).is_none());
     }
 
     #[test]
@@ -579,12 +423,12 @@ mod tests {
         // forever waiting for an EOS marker that can no longer arrive.
         let (tx1, mut rx) = queue(4, 2);
         let tx2 = tx1.clone();
-        tx2.send(DataItem::new().with("n", 7i64));
+        send(&tx2, 7);
         drop(tx2); // vanishes without finish()
         tx1.finish();
         std::thread::spawn(move || drop(tx1));
-        assert_eq!(rx.recv().unwrap().get_i64("n"), Some(7), "buffered items still drain");
-        assert!(rx.recv().is_none(), "stream ends once all handles are gone");
+        assert_eq!(recv(&mut rx), Some(7), "buffered items still drain");
+        assert!(recv(&mut rx).is_none(), "stream ends once all handles are gone");
     }
 
     #[test]
@@ -593,12 +437,13 @@ mod tests {
         let tx2 = tx1.clone();
         tx2.finish();
         drop(tx2); // finish + drop of the same handle counts once
-        assert!(
-            rx.recv_timeout(Duration::from_millis(20)).is_err(),
+        assert_eq!(
+            rx.try_recv_batch(1, &mut Vec::new()),
+            Polled::Pending,
             "one declared producer is still alive, stream must stay open"
         );
         tx1.finish();
-        assert!(rx.recv().is_none());
+        assert!(recv(&mut rx).is_none());
     }
 
     #[test]
@@ -606,19 +451,20 @@ mod tests {
         // Regression: `finish()` called twice on the same handle used to
         // count as two producers finishing, terminating the stream while the
         // second declared producer was still live — its buffered items were
-        // then silently stranded behind a `None`.
+        // then silently stranded behind an end-of-stream.
         let (tx1, mut rx) = queue(4, 2);
         let tx2 = tx1.clone();
         tx1.finish();
         tx1.finish(); // idempotent: still only one of two producers done
-        assert!(
-            rx.recv_timeout(Duration::from_millis(20)).is_err(),
+        assert_eq!(
+            rx.try_recv_batch(1, &mut Vec::new()),
+            Polled::Pending,
             "stream must stay open for the second producer"
         );
-        tx2.send(DataItem::new().with("n", 9i64));
+        send(&tx2, 9);
         tx2.finish();
-        assert_eq!(rx.recv().unwrap().get_i64("n"), Some(9), "late producer's item drains");
-        assert!(rx.recv().is_none());
+        assert_eq!(recv(&mut rx), Some(9), "late producer's item drains");
+        assert!(recv(&mut rx).is_none());
     }
 
     #[test]
@@ -628,94 +474,96 @@ mod tests {
         // consumer. Deterministic: all sends happen before the threads start.
         let (tx1, mut rx) = queue(8, 2);
         let tx2 = tx1.clone();
-        for n in 0..3i64 {
-            tx1.send(DataItem::new().with("n", n));
+        for n in 0..3 {
+            send(&tx1, n);
         }
-        tx2.send(DataItem::new().with("n", 3i64));
+        send(&tx2, 3);
         let h1 = std::thread::spawn(move || tx1.finish());
         let h2 = std::thread::spawn(move || tx2.finish());
-        let drained: Vec<i64> =
-            std::iter::from_fn(|| rx.recv()).map(|i| i.get_i64("n").unwrap()).collect();
+        let drained: Vec<i64> = std::iter::from_fn(|| recv(&mut rx)).collect();
         h1.join().unwrap();
         h2.join().unwrap();
         assert_eq!(drained, vec![0, 1, 2, 3], "FIFO order survives concurrent finish()");
     }
 
     #[test]
-    fn try_send_and_try_recv_never_block() {
+    fn try_calls_never_block() {
         let (tx, mut rx) = queue(1, 1);
-        assert_eq!(rx.try_recv(), TryRecv::Empty);
-        assert_eq!(tx.try_send(DataItem::new().with("n", 1i64)), Ok(true));
-        assert!(!tx.has_capacity());
-        // Full queue: the item comes back instead of blocking.
-        let bounced = tx.try_send(DataItem::new().with("n", 2i64)).unwrap_err();
-        assert_eq!(bounced.get_i64("n"), Some(2));
-        assert_eq!(rx.try_recv(), TryRecv::Item(DataItem::new().with("n", 1i64)));
-        assert!(tx.has_capacity());
-        assert_eq!(rx.try_recv(), TryRecv::Empty, "open stream, empty buffer");
+        let mut out = Vec::new();
+        assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Pending);
+        // Full queue: what did not fit comes back instead of blocking.
+        let mut batch = vec![item(1), item(2)];
+        assert!(tx.try_send_batch(&mut batch));
+        assert_eq!(batch.len(), 1, "the second item did not fit");
+        assert_eq!(batch[0].get_i64("n"), Some(2));
+        assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Items(1));
+        assert_eq!(out.pop().unwrap().get_i64("n"), Some(1));
+        assert!(tx.try_send_batch(&mut batch));
+        assert!(batch.is_empty(), "room again");
+        assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Items(1));
+        assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Pending, "open stream, empty buffer");
         tx.finish();
-        assert_eq!(rx.try_recv(), TryRecv::Ended);
-        assert_eq!(rx.try_recv(), TryRecv::Ended, "stays terminated");
+        assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Ended);
+        assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Ended, "stays terminated");
     }
 
     #[test]
     fn try_send_to_dropped_receiver_discards() {
         let (tx, rx) = queue(1, 1);
         drop(rx);
-        assert_eq!(tx.try_send(DataItem::new()), Ok(false), "consumer gone, item dropped");
-    }
-
-    #[test]
-    fn timeout_variant() {
-        let (tx, mut rx) = queue(4, 1);
-        assert!(rx.recv_timeout(Duration::from_millis(10)).is_err(), "times out while empty");
-        tx.send(DataItem::new());
-        assert!(matches!(rx.recv_timeout(Duration::from_millis(10)), Ok(Some(_))));
-        tx.finish();
-        assert!(matches!(rx.recv_timeout(Duration::from_millis(10)), Ok(None)));
+        let mut batch = vec![item(1), item(2)];
+        assert!(!tx.try_send_batch(&mut batch), "consumer gone");
+        assert!(batch.is_empty(), "items dropped");
     }
 
     #[test]
     fn backpressure_blocks_until_consumed() {
         let (tx, mut rx) = queue(1, 1);
-        tx.send(DataItem::new().with("n", 1i64));
+        send(&tx, 1);
         let handle = std::thread::spawn(move || {
             // This send blocks until the consumer drains one item.
-            tx.send(DataItem::new().with("n", 2i64));
+            send(&tx, 2);
             tx.finish();
         });
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(rx.recv().unwrap().get_i64("n"), Some(1));
-        assert_eq!(rx.recv().unwrap().get_i64("n"), Some(2));
-        assert!(rx.recv().is_none());
+        assert_eq!(recv(&mut rx), Some(1));
+        assert_eq!(recv(&mut rx), Some(2));
+        assert!(recv(&mut rx).is_none());
         handle.join().unwrap();
     }
 
     #[test]
     fn send_to_dropped_receiver_returns_false() {
         let (tx, rx) = queue(1, 1);
-        tx.send(DataItem::new().with("n", 1i64));
+        send(&tx, 1);
         drop(rx);
-        assert!(!tx.send(DataItem::new().with("n", 2i64)), "consumer is gone");
+        assert!(!send(&tx, 2), "consumer is gone");
     }
 
     #[test]
     fn batch_roundtrip_preserves_fifo_and_records_sizes() {
         let metrics = Arc::new(QueueMetrics::default());
         let (tx, mut rx) = queue_with_metrics(8, 1, Arc::clone(&metrics));
-        assert!(tx.send_batch((0..5).map(|n| DataItem::new().with("n", n as i64)).collect()));
-        assert!(tx.send_batch(Vec::new()), "empty batch is a no-op");
-        let first = rx.recv_batch(3).unwrap();
-        assert_eq!(first.iter().map(|i| i.get_i64("n").unwrap()).collect::<Vec<_>>(), [0, 1, 2]);
-        let rest = rx.recv_batch(10).unwrap();
-        assert_eq!(rest.iter().map(|i| i.get_i64("n").unwrap()).collect::<Vec<_>>(), [3, 4]);
+        let mut batch: Vec<DataItem> = (0..5).map(item).collect();
+        assert!(tx.send_batch(&mut batch));
+        assert!(batch.is_empty() && batch.capacity() >= 5, "drained, capacity kept");
+        assert!(tx.send_batch(&mut batch), "empty batch is a no-op");
+        let mut out = Vec::new();
+        assert_eq!(rx.recv_batch(3, &mut out), 3);
+        assert_eq!(rx.recv_batch(10, &mut out), 2);
+        assert_eq!(
+            out.iter().map(|i| i.get_i64("n").unwrap()).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4]
+        );
+        send(&tx, 5);
+        assert_eq!(rx.recv_batch(10, &mut out), 1);
         tx.finish();
-        assert!(rx.recv_batch(4).is_none());
-        assert_eq!(metrics.sent.get(), 5);
-        assert_eq!(metrics.received.get(), 5);
+        assert_eq!(rx.recv_batch(4, &mut out), 0);
+        assert_eq!(metrics.sent.get(), 6);
+        assert_eq!(metrics.received.get(), 6);
         let sizes = metrics.batch_sizes.snapshot();
-        // One send batch (5) + two recv batches (3, 2); the empty send did
-        // not record a sample.
+        // One send batch (5) + two recv batches (3, 2); the empty send and
+        // the transfers of a single item record no sample.
         assert_eq!(sizes.count, 3);
         assert_eq!(sizes.sum_ns, 10);
         assert_eq!(sizes.max_ns, 5);
@@ -727,35 +575,36 @@ mod tests {
         // without deadlock and still arrive in order.
         let (tx, mut rx) = queue(2, 1);
         let producer = std::thread::spawn(move || {
-            assert!(tx.send_batch((0..20).map(|n| DataItem::new().with("n", n as i64)).collect()));
+            assert!(tx.send_batch(&mut (0..20).map(item).collect()));
             tx.finish();
         });
         let mut seen = Vec::new();
-        while let Some(batch) = rx.recv_batch(4) {
-            seen.extend(batch.iter().map(|i| i.get_i64("n").unwrap()));
-        }
+        while rx.recv_batch(4, &mut seen) > 0 {}
         producer.join().unwrap();
-        assert_eq!(seen, (0..20).collect::<Vec<i64>>());
+        assert_eq!(
+            seen.iter().map(|i| i.get_i64("n").unwrap()).collect::<Vec<_>>(),
+            (0..20).collect::<Vec<i64>>()
+        );
     }
 
     #[test]
     fn send_batch_to_dropped_receiver_returns_false() {
         let (tx, rx) = queue(4, 1);
         drop(rx);
-        assert!(!tx.send_batch(vec![DataItem::new()]));
+        assert!(!tx.send_batch(&mut vec![DataItem::new()]));
     }
 
     #[test]
     fn metrics_track_depth_throughput_and_stalls() {
         let metrics = Arc::new(QueueMetrics::default());
         let (tx, mut rx) = queue_with_metrics(1, 1, Arc::clone(&metrics));
-        tx.send(DataItem::new().with("n", 1i64));
+        send(&tx, 1);
         let blocked = std::thread::spawn(move || {
-            tx.send(DataItem::new().with("n", 2i64));
+            send(&tx, 2);
             tx.finish();
         });
         std::thread::sleep(Duration::from_millis(20));
-        while rx.recv().is_some() {}
+        while recv(&mut rx).is_some() {}
         blocked.join().unwrap();
         assert_eq!(metrics.sent.get(), 2);
         assert_eq!(metrics.received.get(), 2);
@@ -763,5 +612,6 @@ mod tests {
         assert_eq!(metrics.depth.high_water(), 1);
         assert_eq!(metrics.send_stalls.get(), 1);
         assert!(metrics.stall_ns.get() > 0, "the blocked send waited measurably");
+        assert_eq!(metrics.batch_sizes.snapshot().count, 0, "per-item transfer records no batch");
     }
 }

@@ -4,43 +4,37 @@
 //! so the interleaving of queue operations is up to the kernel scheduler and
 //! differs run to run. That makes "the recognition output is independent of
 //! the interleaving" an untestable claim: a race observed once may never
-//! reproduce. [`ReplayRuntime`] closes that gap by executing the *same*
-//! materialised workers (same supervised per-item semantics, same fault
-//! policies, same metrics) on a single thread, where a seeded RNG picks
-//! which ready process performs its next step. One seed ⇒ one exact,
-//! reproducible interleaving; N seeds ⇒ N distinct interleavings. A test can
-//! therefore assert that an output is invariant across schedules, and any
-//! divergence comes with the seed that replays it.
+//! reproduce. [`ReplayRuntime`] closes that gap by stepping the *same*
+//! workers — the same `Worker::step`, so the same pump, supervision,
+//! checkpointing and metrics — on a single thread, where a seeded RNG picks
+//! which process steps next. One seed ⇒ one exact, reproducible
+//! interleaving; N seeds ⇒ N distinct interleavings. A test can therefore
+//! assert that an output is invariant across schedules, and any divergence
+//! comes with the seed that replays it. What it proves is what the threaded
+//! runtime runs: the two drivers differ only in that a replay step may not
+//! wait.
 //!
-//! A *step* of a process is: flush previously produced items that were
-//! waiting for queue space, else consume one input item and run it through
-//! the processor chain, else advance the end-of-stream protocol (processor
-//! `finish` flushes, EOS markers, sink flush). A process is *blocked* when
-//! an output queue it must write to is full, or when its input is empty
-//! (but open) *and going idle produced nothing*: a step that finds the
-//! input edge empty with nothing left to flush is exactly the quiescent
-//! moment of `Worker::on_idle`, the same transition the threaded pump makes
-//! before it parks, and if that punctuates the step made progress. On a
-//! validated acyclic topology some process can always run; if ever none
-//! can, the scheduler reports [`StreamsError::ReplayDeadlock`] instead of
-//! hanging — which is also how a stage that holds finished output back
-//! while its source has "nothing yet" ([`Polled::Pending`]) shows up.
+//! A step that would have to wait returns `Progress::Blocked` instead: an
+//! output queue it owes items to is full, or its input is empty (but open)
+//! *and going idle produced nothing* — the quiescent moment of
+//! `Worker::on_idle`, the same transition a threaded worker makes before it
+//! parks. On a validated acyclic topology some process can always run; if
+//! ever none can, the scheduler reports [`StreamsError::ReplayDeadlock`]
+//! instead of hanging — which is also how a stage that holds finished output
+//! back while its source has "nothing yet" ([`Polled::Pending`]) shows up.
+//!
+//! [`Polled::Pending`]: crate::source::Polled::Pending
 
 use crate::error::StreamsError;
-use crate::item::DataItem;
 use crate::metrics::MetricsRegistry;
-use crate::queue::TryRecv;
-use crate::runtime::{materialize, ProcInput, ProcOutput, RunStats, Worker};
-use crate::source::Polled;
+use crate::runtime::{materialize, Progress, RunStats, Worker};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Executes a [`crate::topology::Topology`] single-threaded under a seeded
 /// scheduler. Drop-in alternative to [`crate::runtime::Runtime`]: same
-/// validation, same supervision, same [`RunStats`].
+/// validation, same workers, same [`RunStats`].
 pub struct ReplayRuntime {
     topology: crate::topology::Topology,
     seed: u64,
@@ -66,21 +60,15 @@ impl ReplayRuntime {
 
     /// Runs the topology to completion under the seeded schedule.
     pub fn run(self) -> Result<RunStats, StreamsError> {
-        let metrics = self.metrics;
-        let mut workers: Vec<StepWorker> =
-            materialize(self.topology, &metrics)?.into_iter().map(StepWorker::new).collect();
+        let mut workers = materialize(self.topology, &self.metrics)?;
         let mut rng = StdRng::seed_from_u64(self.seed);
         loop {
             // The scheduler's only nondeterminism source: draw uniformly
             // among unfinished processes until one makes progress. Blocked
             // picks are removed and redrawn, so a round either progresses or
             // proves that every unfinished process is stuck.
-            let mut candidates: Vec<usize> = workers
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !matches!(s.phase, Phase::Done))
-                .map(|(i, _)| i)
-                .collect();
+            let mut candidates: Vec<usize> =
+                (0..workers.len()).filter(|&i| !workers[i].is_done()).collect();
             if candidates.is_empty() {
                 break;
             }
@@ -88,230 +76,18 @@ impl ReplayRuntime {
             while !candidates.is_empty() {
                 let pick = rng.random_range(0..candidates.len());
                 let idx = candidates.swap_remove(pick);
-                if matches!(workers[idx].step(), Step::Progressed) {
+                if workers[idx].step(false) == Progress::Progressed {
                     progressed = true;
                     break;
                 }
             }
             if !progressed {
-                let blocked = workers
-                    .iter()
-                    .filter(|s| !matches!(s.phase, Phase::Done))
-                    .map(|s| s.worker.name.clone())
-                    .collect();
+                let blocked =
+                    workers.iter().filter(|w| !w.is_done()).map(|w| w.name.clone()).collect();
                 return Err(StreamsError::ReplayDeadlock { blocked });
             }
         }
-
-        let mut stats = RunStats::default();
-        let mut first_error = None;
-        for s in workers {
-            stats.per_process.insert(s.worker.name.clone(), (s.worker.consumed, s.worker.emitted));
-            first_error = first_error.or(s.error);
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(stats),
-        }
-    }
-}
-
-/// Where a process is in its lifecycle.
-enum Phase {
-    /// Consuming input items.
-    Pump,
-    /// Input exhausted; flushing processor `finish` stages from this index.
-    Finish(usize),
-    /// Propagating end-of-stream to the outputs.
-    Eos,
-    /// Fully terminated.
-    Done,
-}
-
-enum Step {
-    /// The process did observable work.
-    Progressed,
-    /// The process cannot run right now (empty input / full output queue).
-    Blocked,
-    /// The process already terminated.
-    Done,
-}
-
-/// One process, executed in scheduler-driven steps instead of a thread. The
-/// wrapped [`Worker`] is the exact object the threaded runtime would spawn;
-/// only the *driving* differs. Items produced while an output queue is full
-/// wait in `outbox` (keyed by output index) — a thread would block inside
-/// `send`, a step worker must instead yield back to the scheduler.
-struct StepWorker {
-    worker: Worker,
-    phase: Phase,
-    outbox: VecDeque<(usize, DataItem)>,
-    error: Option<StreamsError>,
-}
-
-impl StepWorker {
-    fn new(worker: Worker) -> StepWorker {
-        StepWorker { worker, phase: Phase::Pump, outbox: VecDeque::new(), error: None }
-    }
-
-    /// An unrecoverable fault: remember the first error, drop undeliverable
-    /// output and jump to EOS propagation (the threaded worker does the same
-    /// by unwinding `pump` and then finishing its outputs).
-    fn fail(&mut self, e: StreamsError) {
-        self.error.get_or_insert(e);
-        self.outbox.clear();
-        self.phase = Phase::Eos;
-    }
-
-    /// Queues chain outputs for delivery (every output under broadcast
-    /// dispatch; the keyed shard's output — plus watermark broadcasts — on a
-    /// synthesized partitioner), then delivers as much as currently fits.
-    /// The delivery plan is computed by the same
-    /// [`Dispatch`](crate::partition::Dispatch) logic the threaded runtime
-    /// uses, so per-queue data sequences are identical across runtimes.
-    fn emit(&mut self, outs: &mut Vec<DataItem>) {
-        self.worker.plan_buf.clear();
-        for item in outs.drain(..) {
-            self.worker.plan_output(item);
-        }
-        self.outbox.extend(self.worker.plan_buf.drain(..));
-        self.flush_outbox();
-    }
-
-    /// Delivers outbox items in order until one hits a full queue. Returns
-    /// whether *any* item was delivered — a partial flush is progress, and
-    /// reporting it as blocked could convince the scheduler of a deadlock
-    /// that the already-polled downstream consumer would have resolved.
-    fn flush_outbox(&mut self) -> bool {
-        let mut delivered = false;
-        while let Some((idx, item)) = self.outbox.pop_front() {
-            match &mut self.worker.outputs[idx] {
-                ProcOutput::Queue(tx) => {
-                    if let Err(item) = tx.try_send(item) {
-                        self.outbox.push_front((idx, item));
-                        return delivered;
-                    }
-                    delivered = true;
-                }
-                ProcOutput::Sink(s) => {
-                    if let Err(e) = s.write_item(item) {
-                        self.fail(e);
-                        return true;
-                    }
-                    delivered = true;
-                }
-                ProcOutput::Discard => delivered = true,
-            }
-        }
-        delivered
-    }
-
-    fn step(&mut self) -> Step {
-        if !self.outbox.is_empty() {
-            return if self.flush_outbox() { Step::Progressed } else { Step::Blocked };
-        }
-        match self.phase {
-            Phase::Pump => {
-                // One step consumes up to `batch_size` items (like the
-                // threaded batched pump, whatever is available counts as a
-                // batch — the step never waits for a full one). Sources
-                // mirror the threaded runtime too: one `next_batch` call per
-                // step, which for live sources degrades to a single item.
-                let batch = self.worker.batch_size.max(1);
-                let mut drained = Vec::new();
-                let mut ended = false;
-                match &mut self.worker.input {
-                    ProcInput::Source(s) => match s.poll_batch(batch, &mut drained) {
-                        Ok(Polled::Ended) => ended = true,
-                        Ok(Polled::Items(_) | Polled::Pending) => {}
-                        Err(e) => {
-                            self.fail(e);
-                            return Step::Progressed;
-                        }
-                    },
-                    ProcInput::Queue(q) => {
-                        while drained.len() < batch {
-                            match q.try_recv() {
-                                TryRecv::Item(item) => drained.push(item),
-                                TryRecv::Ended => {
-                                    ended = true;
-                                    break;
-                                }
-                                TryRecv::Empty => break,
-                            }
-                        }
-                    }
-                }
-                if drained.is_empty() && !ended {
-                    // Input edge empty, outbox flushed: the worker is idle.
-                    return match self.worker.on_idle() {
-                        Ok(true) => {
-                            self.outbox.extend(self.worker.plan_buf.drain(..));
-                            self.flush_outbox();
-                            Step::Progressed
-                        }
-                        Ok(false) => Step::Blocked,
-                        Err(e) => {
-                            self.fail(e);
-                            Step::Progressed
-                        }
-                    };
-                }
-                let mut outs = Vec::new();
-                for item in drained {
-                    if let Err(e) = self.worker.process_input(item, &mut outs) {
-                        // The rest of the batch is dropped, exactly like
-                        // the threaded pump unwinding mid-batch.
-                        self.fail(e);
-                        return Step::Progressed;
-                    }
-                    self.emit(&mut outs);
-                }
-                if ended {
-                    // Trailing items must not be confused with the last
-                    // consumed item by a restart (mirrors the threaded pump).
-                    self.worker.entry_item = None;
-                    self.phase = Phase::Finish(0);
-                }
-                Step::Progressed
-            }
-            Phase::Finish(i) if i < self.worker.chain.len() => {
-                let started = Instant::now();
-                let trailing = self.worker.run_finish(i);
-                self.worker.stage.process_ns.record(started.elapsed());
-                match trailing {
-                    Ok(items) => {
-                        let mut outs = Vec::new();
-                        for item in items {
-                            if let Err(e) = self.worker.run_chain(i + 1, item, &mut outs) {
-                                self.fail(e);
-                                return Step::Progressed;
-                            }
-                            self.emit(&mut outs);
-                        }
-                        self.phase = Phase::Finish(i + 1);
-                    }
-                    Err(e) => self.fail(e),
-                }
-                Step::Progressed
-            }
-            Phase::Finish(_) | Phase::Eos => {
-                for o in &mut self.worker.outputs {
-                    match o {
-                        ProcOutput::Queue(tx) => tx.finish(),
-                        ProcOutput::Sink(s) => {
-                            if let Err(e) = s.flush() {
-                                self.error.get_or_insert(e);
-                            }
-                        }
-                        ProcOutput::Discard => {}
-                    }
-                }
-                self.phase = Phase::Done;
-                Step::Progressed
-            }
-            Phase::Done => Step::Done,
-        }
+        RunStats::collect(workers.into_iter().map(Worker::outcome))
     }
 }
 
@@ -319,6 +95,7 @@ impl StepWorker {
 mod tests {
     use super::*;
     use crate::fault::{DeadLetterQueue, FaultPolicy};
+    use crate::item::DataItem;
     use crate::processor::{Context, FnProcessor};
     use crate::sink::{CollectSink, CountSink};
     use crate::source::VecSource;

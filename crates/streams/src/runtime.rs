@@ -1,17 +1,24 @@
 //! Runtime: executes a validated topology, one thread per process.
 //!
-//! Sources are drained, items flow through processor chains, survivors are
-//! cloned to every output. End-of-stream propagates through queues via
-//! per-producer markers, so the whole graph drains and terminates
-//! deterministically.
+//! Every process is a `Worker` that advances one `Worker::step` at a
+//! time: hand owed items on, pull a batch and run it through the processor
+//! chain, go idle, or — once the input has ended — flush the chain and
+//! propagate end-of-stream. Two drivers step the same workers and differ
+//! only in who waits. This [`Runtime`] gives each worker a thread that steps
+//! it to the end and waits inside the queue or source call when there is
+//! nothing to do; [`crate::replay::ReplayRuntime`] steps them all on one
+//! thread under a seeded scheduler and is told when a worker is blocked.
+//! End-of-stream propagates through queues via per-producer markers, so the
+//! whole graph drains and terminates deterministically.
 //!
-//! Every processor invocation is *supervised*: errors and panics
-//! (`catch_unwind`) become faults governed by the process's
-//! [`FaultPolicy`] — fail the run, skip the item, retry the failing
-//! processor, or dead-letter the item — with outcomes counted in the
-//! process's [`StageMetrics`]. Under the default [`FaultPolicy::FailFast`]
-//! the first fault aborts its process; end-of-stream is still propagated
-//! downstream so no thread deadlocks, and `run` returns the first error.
+//! Every processor invocation — `process` and `finish` alike — is
+//! *supervised*: errors and panics (`catch_unwind`) become faults governed by
+//! the process's [`FaultPolicy`] — fail the run, skip the call's output,
+//! retry the failing call, dead-letter it, or restart the chain — with
+//! outcomes counted in the process's [`StageMetrics`]. Under the default
+//! [`FaultPolicy::FailFast`] the first fault aborts its process;
+//! end-of-stream is still propagated downstream so no worker waits forever,
+//! and `run` returns the first error.
 
 use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::error::StreamsError;
@@ -20,7 +27,7 @@ use crate::item::DataItem;
 use crate::metrics::{MetricsRegistry, StageMetrics};
 use crate::partition::{is_punctuation, Dispatch};
 use crate::processor::{drive_chain, push_outputs, Context, Processor};
-use crate::queue::{queue_with_metrics, QueueReceiver, QueueSender, TryRecv};
+use crate::queue::{queue_with_metrics, spsc_queue_with_metrics, QueueReceiver, QueueSender};
 use crate::sink::Sink;
 use crate::source::{Polled, Source};
 use crate::topology::{Input, Output, SharedProcessorFactory, Topology};
@@ -56,14 +63,47 @@ impl RunStats {
     pub fn total_emitted(&self) -> u64 {
         self.per_process.values().map(|v| v.1).sum()
     }
+
+    /// The run's result from its workers' [`Worker::outcome`]s, in topology
+    /// order: the first error, else every process's counts.
+    pub(crate) fn collect(
+        outcomes: impl IntoIterator<Item = Result<(String, u64, u64), StreamsError>>,
+    ) -> Result<RunStats, StreamsError> {
+        let mut stats = RunStats::default();
+        for outcome in outcomes {
+            let (name, consumed, emitted) = outcome?;
+            stats.per_process.insert(name, (consumed, emitted));
+        }
+        Ok(stats)
+    }
 }
 
-pub(crate) enum ProcInput {
+enum ProcInput {
     Source(Box<dyn Source>),
     Queue(QueueReceiver),
 }
 
-pub(crate) enum ProcOutput {
+impl ProcInput {
+    /// Appends up to `max` items to `out` without waiting.
+    fn poll(&mut self, max: usize, out: &mut Vec<DataItem>) -> Result<Polled, StreamsError> {
+        match self {
+            ProcInput::Queue(q) => Ok(q.try_recv_batch(max, out)),
+            ProcInput::Source(s) => s.poll_batch(max, out),
+        }
+    }
+
+    /// Appends up to `max` items to `out`, waiting for the first one:
+    /// [`Polled::Items`] or [`Polled::Ended`], never `Pending`.
+    fn wait(&mut self, max: usize, out: &mut Vec<DataItem>) -> Result<Polled, StreamsError> {
+        let n = match self {
+            ProcInput::Queue(q) => q.recv_batch(max, out),
+            ProcInput::Source(s) => s.next_batch(max, out)?,
+        };
+        Ok(if n == 0 { Polled::Ended } else { Polled::Items(n) })
+    }
+}
+
+enum ProcOutput {
     Queue(QueueSender),
     Sink(Box<dyn Sink>),
     Discard,
@@ -93,47 +133,43 @@ impl Runtime {
         Arc::clone(&self.metrics)
     }
 
-    /// Validates and runs the topology to completion.
+    /// Validates and runs the topology to completion: one thread per
+    /// process, each stepping its worker with waiting allowed until it is
+    /// done.
     pub fn run(self) -> Result<RunStats, StreamsError> {
-        let metrics = self.metrics;
-        let workers = materialize(self.topology, &metrics)?;
-
-        let mut handles = Vec::new();
-        for w in workers {
-            let name = w.name.clone();
-            handles.push((name, thread::spawn(move || w.run())));
-        }
-
-        let mut stats = RunStats::default();
-        let mut first_error = None;
-        for (process, h) in handles {
-            match h.join() {
-                Ok(Ok((name, consumed, emitted))) => {
-                    stats.per_process.insert(name, (consumed, emitted));
-                }
-                Ok(Err(e)) => first_error = first_error.or(Some(e)),
+        let handles: Vec<_> = materialize(self.topology, &self.metrics)?
+            .into_iter()
+            .map(|mut w| {
+                let name = w.name.clone();
+                let handle = thread::spawn(move || {
+                    while w.step(true) != Progress::Done {}
+                    w.outcome()
+                });
+                (name, handle)
+            })
+            .collect();
+        let outcomes: Vec<_> = handles
+            .into_iter()
+            .map(|(process, handle)| {
                 // A panic that escaped the per-invocation supervision (a bug
                 // in the worker itself, a panicking sink, ...) still must not
                 // abort the caller: surface it as an error.
-                Err(payload) => {
-                    first_error = first_error.or(Some(StreamsError::ProcessorPanicked {
+                handle.join().unwrap_or_else(|payload| {
+                    Err(StreamsError::ProcessorPanicked {
                         process,
                         payload: panic_message(payload),
-                    }))
-                }
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(stats),
-        }
+                    })
+                })
+            })
+            .collect();
+        RunStats::collect(outcomes)
     }
 }
 
 /// Validates a topology and builds one [`Worker`] per process, wired up with
 /// its queues, metrics and fault policy. Shared by the threaded [`Runtime`]
-/// and the single-threaded [`crate::replay::ReplayRuntime`] so both execute
-/// exactly the same supervised per-item semantics.
+/// and the single-threaded [`crate::replay::ReplayRuntime`], which step the
+/// very same workers.
 pub(crate) fn materialize(
     mut topology: Topology,
     metrics: &Arc<MetricsRegistry>,
@@ -152,11 +188,11 @@ pub(crate) fn materialize(
     }
 
     // Count producers per queue to size the EOS protocol.
-    let mut producers: HashMap<&str, usize> = HashMap::new();
+    let mut producers: HashMap<String, usize> = HashMap::new();
     for p in &processes {
         for o in &p.outputs {
             if let Output::Queue(q) = o {
-                *producers.entry(q.as_str()).or_default() += 1;
+                *producers.entry(q.clone()).or_default() += 1;
             }
         }
     }
@@ -168,14 +204,14 @@ pub(crate) fn materialize(
     let mut senders: HashMap<String, QueueSender> = HashMap::new();
     let mut receivers: HashMap<String, QueueReceiver> = HashMap::new();
     for (name, cap) in &queues {
-        let n_prod = producers.get(name.as_str()).copied().unwrap_or(0);
+        let n_prod = producers.get(name).copied().unwrap_or(0);
         if n_prod == 0 {
             // validate() guarantees such a queue also has no consumer;
             // skip it entirely.
             continue;
         }
         let (tx, rx) = if n_prod == 1 {
-            crate::queue::spsc_queue_with_metrics(*cap, metrics.queue(name))
+            spsc_queue_with_metrics(*cap, metrics.queue(name))
         } else {
             queue_with_metrics(*cap, n_prod, metrics.queue(name))
         };
@@ -198,16 +234,12 @@ pub(crate) fn materialize(
             .outputs
             .into_iter()
             .map(|o| match o {
-                Output::Queue(q) => {
-                    // An SPSC sender is single-owner: hand the worker the
-                    // original handle instead of a clone (its sole producer
-                    // is exactly this process).
-                    if senders.get(&q).expect("validated").is_spsc() {
-                        ProcOutput::Queue(senders.remove(&q).expect("validated"))
-                    } else {
-                        ProcOutput::Queue(senders.get(&q).expect("validated").clone())
-                    }
+                // An SPSC sender is single-owner: its sole producer — this
+                // process — gets the original handle, not a clone.
+                Output::Queue(q) if producers[&q] == 1 => {
+                    ProcOutput::Queue(senders.remove(&q).expect("validated"))
                 }
+                Output::Queue(q) => ProcOutput::Queue(senders[&q].clone()),
                 Output::Sink(s) => ProcOutput::Sink(s),
                 Output::Discard => ProcOutput::Discard,
             })
@@ -230,6 +262,7 @@ pub(crate) fn materialize(
             name: p.name,
             input,
             chain: p.processors,
+            owed: outputs.iter().map(|_| Vec::new()).collect(),
             outputs,
             policy: p.fault_policy,
             consecutive_faults: 0,
@@ -244,8 +277,10 @@ pub(crate) fn materialize(
             } else {
                 Dispatch::Broadcast
             },
-            plan_buf: Vec::new(),
-            pulled: Vec::with_capacity(1),
+            lifecycle: Lifecycle::Pump,
+            error: None,
+            inbox: Vec::new(),
+            outs: Vec::new(),
             work: Vec::new(),
             consumed: 0,
             emitted: 0,
@@ -265,258 +300,283 @@ pub(crate) fn materialize(
     Ok(workers)
 }
 
+/// What one [`Worker::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Progress {
+    /// Observable work: items consumed or handed on, a punctuation, a chain
+    /// flush, end-of-stream.
+    Progressed,
+    /// Nothing can move without waiting: the input is empty and going idle
+    /// produced nothing, or every owed output is full. Only a step that may
+    /// not wait returns this.
+    Blocked,
+    /// The worker has terminated.
+    Done,
+}
+
+/// Where a worker is in its lifecycle.
+enum Lifecycle {
+    /// Consuming input.
+    Pump,
+    /// Input ended; flushing chain slot `i` (its `finish`) next.
+    Finish(usize),
+    /// Propagating end-of-stream to the outputs.
+    Eos,
+    /// Terminated.
+    Done,
+}
+
+/// One process: its input, processor chain and outputs, plus everything the
+/// supervisor and the checkpoint barriers need. Both drivers step it with
+/// [`Worker::step`].
 pub(crate) struct Worker {
     pub(crate) name: String,
-    pub(crate) input: ProcInput,
-    pub(crate) chain: Vec<Box<dyn Processor>>,
-    pub(crate) outputs: Vec<ProcOutput>,
-    pub(crate) ctx: Context,
-    pub(crate) stage: Arc<StageMetrics>,
-    pub(crate) policy: FaultPolicy,
-    pub(crate) consecutive_faults: usize,
-    pub(crate) batch_size: usize,
-    pub(crate) dispatch: Dispatch,
-    /// Reused dispatch-plan buffer: the per-item hot path plans into this
-    /// instead of allocating a fresh `Vec` per survivor.
-    pub(crate) plan_buf: Vec<(usize, DataItem)>,
-    /// Reused one-item buffer of the per-item source poll.
-    pulled: Vec<DataItem>,
-    /// Reused walk stack of [`Worker::run_chain`]: `(slot, item)` pairs still
-    /// to be invoked, popped depth-first.
-    work: Vec<(usize, DataItem)>,
+    input: ProcInput,
+    chain: Vec<Box<dyn Processor>>,
+    outputs: Vec<ProcOutput>,
+    ctx: Context,
+    stage: Arc<StageMetrics>,
+    policy: FaultPolicy,
+    consecutive_faults: usize,
+    batch_size: usize,
+    dispatch: Dispatch,
+    lifecycle: Lifecycle,
+    /// The first unrecoverable error; from then on the worker only
+    /// propagates end-of-stream.
+    error: Option<StreamsError>,
+    /// Reused receive buffer: the batch pulled off the input.
+    inbox: Vec<DataItem>,
+    /// Reused buffer of what left the chain's last slot, not yet routed.
+    outs: Vec<DataItem>,
+    /// Per output, the items routed to it and not yet handed on. A worker
+    /// that owes anything hands it on before it does anything else.
+    owed: Vec<Vec<DataItem>>,
+    /// Reused walk stack of [`Worker::run_chain`]: `(slot, call)` pairs still
+    /// to be invoked, popped depth-first — `Some(item)` is a `process` call,
+    /// `None` the slot's `finish`.
+    work: Vec<(usize, Option<DataItem>)>,
     /// Data items taken off the input edge / handed to the outputs so far
     /// (the [`RunStats`] pair; punctuation is not counted).
-    pub(crate) consumed: u64,
-    pub(crate) emitted: u64,
+    consumed: u64,
+    emitted: u64,
     /// One optional rebuild factory per chain slot (the restart supervisor
     /// needs every slot rebuildable).
-    pub(crate) factories: Vec<Option<SharedProcessorFactory>>,
+    factories: Vec<Option<SharedProcessorFactory>>,
     /// Checkpoint barrier cadence in consumed items; 0 disables barriers.
-    pub(crate) checkpoint_every: usize,
+    checkpoint_every: usize,
     /// Shared store the barriers write to and recovery reads from.
-    pub(crate) store: CheckpointStore,
+    store: CheckpointStore,
     /// Items fully applied from the input edge (the checkpoint position).
-    pub(crate) consumed_pos: u64,
+    consumed_pos: u64,
     /// Items consumed since the last barrier.
-    pub(crate) since_ckpt: usize,
+    since_ckpt: usize,
     /// Items consumed since the last barrier, kept for recovery replay
     /// (clones are `Arc` bumps). Only populated under
     /// `Restart { from_checkpoint: true }`.
-    pub(crate) replay_log: VecDeque<DataItem>,
+    replay_log: VecDeque<DataItem>,
     /// Lifetime restarts performed (bounded by `Restart::max`).
-    pub(crate) restarts_done: usize,
+    restarts_done: usize,
     /// Whether the policy requires the replay log.
-    pub(crate) log_inputs: bool,
+    log_inputs: bool,
     /// The current input item as it entered chain slot 0, so a restart can
     /// re-run it through the *whole* recovered chain. `None` outside the
-    /// per-item phase (e.g. during the finish flush).
-    pub(crate) entry_item: Option<DataItem>,
+    /// per-input phase (e.g. during the finish flush).
+    entry_item: Option<DataItem>,
 }
 
 impl Worker {
-    fn run(mut self) -> Result<(String, u64, u64), StreamsError> {
-        let result = self.pump();
-        // Always propagate end-of-stream so downstream processes terminate,
-        // even if this process failed.
+    /// Advances the worker by one step. In order of precedence, a step
+    ///
+    /// * hands on what it owes its outputs, if anything;
+    /// * pulls up to `batch_size` input items, runs each through the chain
+    ///   ([`Worker::process_input`]), routes what leaves it into the
+    ///   per-output buckets with the worker's [`Dispatch`] and hands it on;
+    /// * goes idle ([`Worker::on_idle`]) if the input is open but empty;
+    /// * flushes the chain once the input has ended — one slot's `finish`
+    ///   per step — and then propagates end-of-stream.
+    ///
+    /// `wait` is the one thing the two drivers do differently. The threaded
+    /// [`Runtime`] passes `true`: an idle worker then waits in the input's
+    /// blocking `recv_batch`/`next_batch`, and hands on through the blocking
+    /// `send_batch`, so the step never returns [`Progress::Blocked`]. The
+    /// replay scheduler passes `false` and gets `Blocked` back instead.
+    ///
+    /// A fault no policy absorbs is kept as the worker's error; the worker
+    /// drops what it cannot hand on and goes straight to end-of-stream, so
+    /// nothing downstream waits for it.
+    pub(crate) fn step(&mut self, wait: bool) -> Progress {
+        let stepped = match self.lifecycle {
+            _ if self.owed.iter().any(|owed| !owed.is_empty()) => self.hand_on(wait),
+            Lifecycle::Pump => self.pump(wait),
+            Lifecycle::Finish(i) if i < self.chain.len() => self.flush(i, wait),
+            Lifecycle::Finish(_) | Lifecycle::Eos => {
+                self.end_of_stream();
+                return Progress::Progressed;
+            }
+            Lifecycle::Done => return Progress::Done,
+        };
+        match stepped {
+            Ok(true) => Progress::Progressed,
+            Ok(false) => Progress::Blocked,
+            Err(e) => {
+                self.error.get_or_insert(e);
+                self.owed.iter_mut().for_each(Vec::clear);
+                self.outs.clear();
+                self.lifecycle = Lifecycle::Eos;
+                Progress::Progressed
+            }
+        }
+    }
+
+    /// Whether the worker has terminated.
+    pub(crate) fn is_done(&self) -> bool {
+        matches!(self.lifecycle, Lifecycle::Done)
+    }
+
+    /// The terminated worker's `(name, consumed, emitted)`, or its error.
+    pub(crate) fn outcome(self) -> Result<(String, u64, u64), StreamsError> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok((self.name, self.consumed, self.emitted)),
+        }
+    }
+
+    /// The input phase of a step: a batch through the chain, or going idle.
+    /// `Ok(false)` when there was nothing to do and the step may not wait.
+    ///
+    /// The input is asked without waiting first — a queue through
+    /// `try_recv_batch`, a source through [`Source::poll_batch`] — and
+    /// "nothing yet" is the moment this worker goes idle; only then, if
+    /// allowed to, does it wait in the blocking call. A source that does not
+    /// override `poll_batch` waits inside it, where the worker cannot see it
+    /// wait.
+    fn pump(&mut self, wait: bool) -> Result<bool, StreamsError> {
+        let max = self.batch_size;
+        let mut polled = self.input.poll(max, &mut self.inbox)?;
+        if polled == Polled::Pending {
+            let punctuated = self.on_idle()?;
+            if punctuated {
+                self.hand_on(wait)?;
+            }
+            if !wait {
+                return Ok(punctuated);
+            }
+            polled = self.input.wait(max, &mut self.inbox)?;
+        }
+        if polled == Polled::Ended {
+            // From here on a restart must not re-run the last consumed item:
+            // trailing items re-enter the chain mid-way instead.
+            self.entry_item = None;
+            self.lifecycle = Lifecycle::Finish(0);
+            return Ok(true);
+        }
+        // A fault drops the rest of the batch with the drain.
+        let mut inbox = std::mem::take(&mut self.inbox);
+        let ran = inbox.drain(..).try_for_each(|item| self.process_input(item));
+        self.inbox = inbox;
+        ran?;
+        self.hand_on(wait)?;
+        Ok(true)
+    }
+
+    /// Flushes chain slot `i`: its `finish` call, supervised like any
+    /// `process` call, and what that hands on through the rest of the chain.
+    fn flush(&mut self, i: usize, wait: bool) -> Result<bool, StreamsError> {
+        let started = Instant::now();
+        let ran = self.run_chain(i, None);
+        self.stage.process_ns.record(started.elapsed());
+        ran?;
+        self.route();
+        self.lifecycle = Lifecycle::Finish(i + 1);
+        self.hand_on(wait)?;
+        Ok(true)
+    }
+
+    /// Finishes every queue output and flushes every sink; the worker is
+    /// done.
+    fn end_of_stream(&mut self) {
         for o in &mut self.outputs {
             match o {
                 ProcOutput::Queue(tx) => tx.finish(),
-                ProcOutput::Sink(s) => s.flush()?,
+                ProcOutput::Sink(s) => {
+                    if let Err(e) = s.flush() {
+                        self.error.get_or_insert(e);
+                    }
+                }
                 ProcOutput::Discard => {}
             }
         }
-        result.map(|()| (self.name, self.consumed, self.emitted))
+        self.lifecycle = Lifecycle::Done;
     }
 
-    fn pump(&mut self) -> Result<(), StreamsError> {
-        // Batching never adds latency: `recv_batch` drains what is already
-        // available in a queue without waiting for the batch to fill, and a
-        // source's `next_batch` defaults to a single `next_item` pull unless
-        // the source itself (pre-materialised data, e.g. `VecSource`) can
-        // hand over a batch without holding earlier items back.
-        if self.batch_size == 1 {
-            // Per-item path: one queue round-trip per item and no batch-size
-            // samples in the queue metrics.
-            let mut outs = Vec::new();
-            while let Some(item) = self.next_item()? {
-                self.process_input(item, &mut outs)?;
-                for out in outs.drain(..) {
-                    self.dispatch_emit(out)?;
-                }
+    /// Hands owed items on to the outputs: all of them when the step may
+    /// wait (blocking while a queue is full), otherwise what fits. Returns
+    /// whether anything moved — a partial hand-off is progress, and
+    /// reporting it as blocked could convince the replay scheduler of a
+    /// deadlock that the consumer it already polled would resolve.
+    fn hand_on(&mut self, wait: bool) -> Result<bool, StreamsError> {
+        let mut moved = false;
+        for (output, owed) in self.outputs.iter_mut().zip(&mut self.owed) {
+            let before = owed.len();
+            if before == 0 {
+                continue;
             }
-        } else {
-            // Batched path: drain up to `batch_size` items per queue lock,
-            // process them one at a time (identical results), forward the
-            // outputs of each input batch in one batched send. Shard
-            // dispatch buckets the plan per output first — bucketing keeps
-            // each queue's sub-sequence in plan order, so per-queue FIFO
-            // (and with it merge determinism) is untouched.
-            let mut buckets: Vec<Vec<DataItem>> = Vec::new();
-            if matches!(self.dispatch, Dispatch::Shard { .. }) {
-                buckets = (0..self.outputs.len()).map(|_| Vec::new()).collect();
-            }
-            while let Some(items) = self.next_batch()? {
-                let mut outs = Vec::with_capacity(items.len());
-                for item in items {
-                    self.process_input(item, &mut outs)?;
+            match output {
+                ProcOutput::Queue(tx) if wait => {
+                    tx.send_batch(owed);
                 }
-                if outs.is_empty() {
-                    continue;
+                ProcOutput::Queue(tx) => {
+                    tx.try_send_batch(owed);
                 }
-                if matches!(self.dispatch, Dispatch::Broadcast) {
-                    emit_batch(&mut self.outputs, outs)?;
-                } else {
-                    self.plan_buf.clear();
-                    for item in outs {
-                        self.plan_output(item);
-                    }
-                    for (idx, it) in self.plan_buf.drain(..) {
-                        buckets[idx].push(it);
-                    }
-                    for (idx, bucket) in buckets.iter_mut().enumerate() {
-                        if !bucket.is_empty() {
-                            deliver_batch(&mut self.outputs[idx], std::mem::take(bucket))?;
-                        }
+                ProcOutput::Sink(s) => {
+                    for item in owed.drain(..) {
+                        s.write_item(item)?;
                     }
                 }
+                ProcOutput::Discard => owed.clear(),
             }
+            moved |= owed.len() < before;
         }
-        // Flush processor chain: finish() items of processor i traverse the
-        // rest of the chain. From here on a restart must not re-run the last
-        // consumed item — trailing items re-enter the chain mid-way instead.
-        self.entry_item = None;
-        let mut outs = Vec::new();
-        for i in 0..self.chain.len() {
-            let started = Instant::now();
-            let trailing = self.run_finish(i);
-            self.stage.process_ns.record(started.elapsed());
-            for item in trailing? {
-                self.run_chain(i + 1, item, &mut outs)?;
-            }
-            for out in outs.drain(..) {
-                self.dispatch_emit(out)?;
-            }
-        }
-        Ok(())
+        Ok(moved)
     }
 
-    /// The next input item, `None` at end of stream. The input is asked
-    /// without waiting first — a queue through `try_recv`, a source through
-    /// [`Source::poll_batch`] — and "nothing yet" is the moment this worker
-    /// goes idle (see [`Worker::on_idle`]); only then does it park in the
-    /// blocking receive or pull. A source that does not override
-    /// `poll_batch` waits inside it, where the worker cannot see it wait.
-    fn next_item(&mut self) -> Result<Option<DataItem>, StreamsError> {
-        match &mut self.input {
-            ProcInput::Queue(q) => {
-                if let TryRecv::Item(item) = q.try_recv() {
-                    return Ok(Some(item));
-                }
+    /// Routes what left the chain into the per-output buckets according to
+    /// this worker's [`Dispatch`]: a copy for every output, or (on a
+    /// synthesized partitioner) the keyed shard's output plus, when the
+    /// flood cadence is due, a watermark for each.
+    fn route(&mut self) {
+        for item in self.outs.drain(..) {
+            if self.dispatch.plan_into(item, &mut self.owed) {
+                self.stage.punctuation_out.add(self.owed.len() as u64);
             }
-            ProcInput::Source(s) => match s.poll_batch(1, &mut self.pulled)? {
-                Polled::Items(_) => return Ok(self.pulled.pop()),
-                Polled::Ended => return Ok(None),
-                Polled::Pending => {}
-            },
-        }
-        self.idle()?;
-        match &mut self.input {
-            ProcInput::Source(s) => s.next_item(),
-            ProcInput::Queue(q) => Ok(q.recv()),
         }
     }
 
-    /// [`Worker::next_item`] for the batched path: up to `batch_size` items.
-    fn next_batch(&mut self) -> Result<Option<Vec<DataItem>>, StreamsError> {
-        let max = self.batch_size;
-        match &mut self.input {
-            ProcInput::Queue(q) => {
-                if let Some(items) = q.try_recv_batch(max) {
-                    return Ok(Some(items));
-                }
-            }
-            ProcInput::Source(s) => {
-                let mut items = Vec::new();
-                match s.poll_batch(max, &mut items)? {
-                    Polled::Items(_) => return Ok(Some(items)),
-                    Polled::Ended => return Ok(None),
-                    Polled::Pending => {}
-                }
-            }
-        }
-        self.idle()?;
-        match &mut self.input {
-            ProcInput::Source(s) => {
-                let mut items = Vec::new();
-                Ok((s.next_batch(max, &mut items)? > 0).then_some(items))
-            }
-            ProcInput::Queue(q) => Ok(q.recv_batch(max)),
-        }
-    }
-
-    /// The threaded driver's idle transition: sends are blocking here, so
-    /// whatever going idle produced is delivered before the worker parks.
-    fn idle(&mut self) -> Result<(), StreamsError> {
-        if self.on_idle()? {
-            for (idx, it) in self.plan_buf.drain(..) {
-                deliver(&mut self.outputs[idx], it)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Called by either driver at the instant this worker's input — queue
-    /// or polled source — has nothing for it and everything it produced has
-    /// been handed on: the threaded pump about to park in `recv` or a
-    /// blocking pull, a replay step about to report itself blocked. A worker must not sit on anything that is ready to leave
-    /// while it waits for input that may be long in coming: a sharding
-    /// partitioner that routed items since its last watermark punctuates now
-    /// (see [`crate::partition`]), which also puts its dispatch on a
-    /// watermark, so a checkpoint barrier that was waiting for one lands.
-    /// Returns whether `plan_buf` now holds deliveries for the driver to
-    /// make. Quiescence is read off the input's own answer; there is no timer.
-    pub(crate) fn on_idle(&mut self) -> Result<bool, StreamsError> {
-        self.plan_buf.clear();
-        let n_outputs = self.outputs.len();
-        if !self.dispatch.plan_idle(n_outputs, &mut self.plan_buf) {
+    /// The idle transition: this worker's input — queue or polled source —
+    /// has nothing for it and everything it produced has been handed on. A
+    /// worker must not sit on anything that is ready to leave while it waits
+    /// for input that may be long in coming: a sharding partitioner that
+    /// routed items since its last watermark punctuates now (see
+    /// [`crate::partition`]), which also puts its dispatch on a watermark,
+    /// so a checkpoint barrier that was waiting for one lands. Returns
+    /// whether it owes its outputs the punctuation. Quiescence is read off
+    /// the input's own answer; there is no timer.
+    fn on_idle(&mut self) -> Result<bool, StreamsError> {
+        if !self.dispatch.plan_idle(&mut self.owed) {
             return Ok(false);
         }
-        self.stage.punctuation_out.add(n_outputs as u64);
+        self.stage.punctuation_out.add(self.owed.len() as u64);
         if self.checkpoint_every > 0 && self.since_ckpt >= self.checkpoint_every {
             self.take_checkpoint()?;
         }
         Ok(true)
     }
 
-    /// Appends the deliveries of one chain output to `plan_buf` according to
-    /// this worker's [`Dispatch`]: a copy for every output, or (on a
-    /// synthesized partitioner) the keyed shard's output plus, when the
-    /// flood cadence is due, a watermark for each.
-    pub(crate) fn plan_output(&mut self, item: DataItem) {
-        let n_outputs = self.outputs.len();
-        if self.dispatch.plan_into(n_outputs, item, &mut self.plan_buf) {
-            self.stage.punctuation_out.add(n_outputs as u64);
-        }
-    }
-
-    /// Delivers one chain output (threaded driver).
-    fn dispatch_emit(&mut self, item: DataItem) -> Result<(), StreamsError> {
-        if matches!(self.dispatch, Dispatch::Broadcast) {
-            return emit(&mut self.outputs, item);
-        }
-        self.plan_buf.clear();
-        self.plan_output(item);
-        for (idx, it) in self.plan_buf.drain(..) {
-            deliver(&mut self.outputs[idx], it)?;
-        }
-        Ok(())
-    }
-
     /// Consumes one input item: counts it, runs it through the chain under
-    /// the fault policy — appending everything that leaves the chain to
-    /// `out` — then advances the checkpoint bookkeeping (position, replay
-    /// log, barrier). Shared by the threaded pump and the replay scheduler's
-    /// step worker, so recovery semantics are identical under both drivers.
+    /// the fault policy, advances the checkpoint bookkeeping (position,
+    /// replay log, barrier), then routes what left the chain. Routing one
+    /// input at a time means a barrier sees the dispatch exactly as far as
+    /// the inputs before it.
     ///
     /// Punctuation travels the same path as data (it occupies a position on
     /// the input edge and a restored merge needs it replayed) but is counted
@@ -524,11 +584,7 @@ impl Worker {
     /// is depends on the schedule, and neither the data counters nor the
     /// number of barriers should. It must not detach the state from its
     /// checkpoint either — see the re-base at the end.
-    pub(crate) fn process_input(
-        &mut self,
-        item: DataItem,
-        out: &mut Vec<DataItem>,
-    ) -> Result<(), StreamsError> {
+    fn process_input(&mut self, item: DataItem) -> Result<(), StreamsError> {
         let punctuation = is_punctuation(&item);
         if punctuation {
             self.stage.punctuation_in.inc();
@@ -540,7 +596,7 @@ impl Worker {
             self.entry_item = Some(item.clone());
         }
         let started = Instant::now();
-        let ran = self.run_chain(0, item, out);
+        let ran = self.run_chain(0, Some(item));
         self.stage.process_ns.record(started.elapsed());
         ran?;
         self.consumed_pos += 1;
@@ -564,6 +620,7 @@ impl Worker {
             // barriers and stays a function of the data.
             self.snapshot_chain()?;
         }
+        self.route();
         Ok(())
     }
 
@@ -657,7 +714,7 @@ impl Worker {
                 logged.clone(),
                 &mut self.ctx,
                 &mut work,
-                |p, item, ctx, i| invoke(p, item, ctx, &self.name, i),
+                |p, item, ctx, i| invoke(p, Some(item), ctx, &self.name, i),
                 drop,
             )?;
         }
@@ -682,43 +739,39 @@ impl Worker {
         }
     }
 
-    /// Walks `item` through the chain from processor `from` under the fault
-    /// policy, depth-first (see [`drive_chain`]): every output of a call —
-    /// what it emitted, then what it returned — traverses the rest of the
-    /// chain, and what leaves the last slot is appended to `out` in output
-    /// order and counted. Nothing appended covers a filtering processor as
-    /// well as a faulted item the policy dropped (skipped or dead-lettered).
+    /// Walks one call through the chain under the fault policy, depth-first
+    /// (see [`drive_chain`]): `process(item)` of slot `from`, or with no
+    /// item slot `from`'s `finish`. Every output of a call — what it
+    /// emitted, then what it returned — traverses the rest of the chain, and
+    /// what leaves the last slot is appended to `outs` in output order and
+    /// counted. Nothing appended covers a filtering processor as well as a
+    /// faulted call the policy dropped (skipped or dead-lettered).
     ///
-    /// A fault is handled here, once, for the item that entered the failing
-    /// slot: its siblings already walked keep their outputs, those still to
-    /// walk proceed. The exception is `Restart` on an input item, which
-    /// voids everything the input produced so far (see [`Worker::on_fault`]).
+    /// A fault is handled here, once, for the call that failed: its siblings
+    /// already walked keep their outputs, those still to walk proceed. The
+    /// exception is `Restart` on an input item, which voids everything the
+    /// input produced so far (see [`Worker::on_fault`]).
     ///
     /// The loop is [`drive_chain`]'s, written out: a fault needs the whole
     /// worker while the walk is under way — a retry pushes its outputs on
     /// the stack, a restart swaps the chain out from under it and rewinds
-    /// `out` — and a closure handed to `drive_chain` next to `&mut
+    /// `outs` — and a closure handed to `drive_chain` next to `&mut
     /// self.chain` can have none of that. Both push through
     /// [`push_outputs`], so the output order is defined once.
-    pub(crate) fn run_chain(
-        &mut self,
-        from: usize,
-        item: DataItem,
-        out: &mut Vec<DataItem>,
-    ) -> Result<(), StreamsError> {
+    fn run_chain(&mut self, from: usize, call: Option<DataItem>) -> Result<(), StreamsError> {
         // Preserve the item as it entered each processor so Retry can re-run
         // it and DeadLetter can record it; FailFast skips the clone tax.
         let preserve = !matches!(self.policy, FaultPolicy::FailFast);
-        let mark = out.len();
+        let mark = self.outs.len();
         debug_assert!(self.work.is_empty());
-        self.work.push((from, item));
+        self.work.push((from, call));
         while let Some((i, cur)) = self.work.pop() {
             if i == self.chain.len() {
                 self.consecutive_faults = 0;
-                out.push(cur);
+                self.outs.push(cur.expect("only items leave the chain"));
                 continue;
             }
-            let entered = preserve.then(|| cur.clone());
+            let entered = if preserve { cur.clone() } else { None };
             match invoke(&mut self.chain[i], cur, &mut self.ctx, &self.name, i) {
                 Ok(returned) => {
                     if returned.is_none() && !self.ctx.has_emitted() {
@@ -727,14 +780,14 @@ impl Worker {
                     push_outputs(&mut self.work, i + 1, returned, &mut self.ctx);
                 }
                 Err(error) => {
-                    if let Err(fatal) = self.on_fault(i, entered, error, mark, out) {
+                    if let Err(fatal) = self.on_fault(i, entered, error, mark) {
                         self.work.clear();
                         return Err(fatal);
                     }
                 }
             }
         }
-        for item in &out[mark..] {
+        for item in &self.outs[mark..] {
             if is_punctuation(item) {
                 self.stage.punctuation_out.inc();
             } else {
@@ -745,18 +798,17 @@ impl Worker {
         Ok(())
     }
 
-    /// Applies the fault policy to a failed invocation of processor `i`
-    /// during a [`Worker::run_chain`] walk. `entered` is the item as it
-    /// entered that processor (`None` under `FailFast`, which never needs
-    /// it). `Ok` means the walk goes on — with whatever this pushed onto the
-    /// work stack; `Err` ends it.
+    /// Applies the fault policy to a failed call of processor `i` during a
+    /// [`Worker::run_chain`] walk. `entered` is the call as it entered that
+    /// processor: the item of a `process` call (`None` under `FailFast`,
+    /// which never needs it), `None` for `finish`. `Ok` means the walk goes
+    /// on — with whatever this pushed onto the work stack; `Err` ends it.
     fn on_fault(
         &mut self,
         i: usize,
         entered: Option<DataItem>,
         error: StreamsError,
         mark: usize,
-        out: &mut Vec<DataItem>,
     ) -> Result<(), StreamsError> {
         self.record_fault(&error);
         match self.policy.clone() {
@@ -782,8 +834,8 @@ impl Worker {
                     // contract). What the failed attempt emitted is gone
                     // already: `invoke` discards a failed call's buffer.
                     self.restore_for_retry(i);
-                    let again = entered.clone().expect("Retry preserves the input item");
-                    match invoke(&mut self.chain[i], again, &mut self.ctx, &self.name, i) {
+                    match invoke(&mut self.chain[i], entered.clone(), &mut self.ctx, &self.name, i)
+                    {
                         Ok(returned) => {
                             self.consecutive_faults = 0;
                             push_outputs(&mut self.work, i + 1, returned, &mut self.ctx);
@@ -819,94 +871,18 @@ impl Worker {
                     // is void: the re-run produces it again. A fault in the
                     // re-run comes back here and spends another restart.
                     Some(item) => {
-                        out.truncate(mark);
+                        self.outs.truncate(mark);
                         self.work.clear();
-                        self.work.push((0, item));
+                        self.work.push((0, Some(item)));
                     }
-                    // Trailing (finish flush) items have no entry item and
-                    // re-enter where they faulted; their siblings stand.
-                    None => {
-                        let again = entered.expect("Restart preserves the input item");
-                        self.work.push((i, again));
-                    }
+                    // In the finish flush there is no entry item: a trailing
+                    // item re-enters where it faulted (its siblings stand),
+                    // a `finish` call is made again — the recovered state
+                    // includes every consumed item, and earlier slots have
+                    // flushed already.
+                    None => self.work.push((i, entered)),
                 }
                 Ok(())
-            }
-        }
-    }
-
-    /// Supervised `finish` of processor `i`; a fault during the flush phase
-    /// has no input item, so Skip/DeadLetter drop the trailing items.
-    pub(crate) fn run_finish(&mut self, i: usize) -> Result<Vec<DataItem>, StreamsError> {
-        match invoke_finish(&mut self.chain[i], &mut self.ctx, &self.name, i) {
-            Ok(trailing) => {
-                self.consecutive_faults = 0;
-                Ok(trailing)
-            }
-            Err(error) => {
-                self.record_fault(&error);
-                match self.policy.clone() {
-                    FaultPolicy::FailFast => Err(error),
-                    FaultPolicy::Skip { max_consecutive } => {
-                        self.consecutive_faults += 1;
-                        if self.consecutive_faults > max_consecutive {
-                            return Err(error);
-                        }
-                        Ok(Vec::new())
-                    }
-                    FaultPolicy::Retry { attempts, backoff } => {
-                        let mut last = error;
-                        for attempt in 1..=attempts {
-                            if !backoff.is_zero() {
-                                thread::sleep(backoff * attempt as u32);
-                            }
-                            self.stage.retries.inc();
-                            match invoke_finish(&mut self.chain[i], &mut self.ctx, &self.name, i) {
-                                Ok(trailing) => {
-                                    self.consecutive_faults = 0;
-                                    return Ok(trailing);
-                                }
-                                Err(e) => {
-                                    self.record_fault(&e);
-                                    last = e;
-                                }
-                            }
-                        }
-                        Err(last)
-                    }
-                    FaultPolicy::DeadLetter { queue } => {
-                        self.dead_letter(&queue, Some(i), None, error);
-                        Ok(Vec::new())
-                    }
-                    FaultPolicy::Restart { max, from_checkpoint } => {
-                        // Recover the chain, then re-run only this slot's
-                        // finish: earlier slots already flushed. Chains with
-                        // a single stateful slot (the supported shape) lose
-                        // nothing; the recovered state includes every
-                        // consumed item.
-                        let mut last = error;
-                        loop {
-                            if self.restarts_done >= max {
-                                return Err(last);
-                            }
-                            self.restarts_done += 1;
-                            self.stage.restores.inc();
-                            let started = Instant::now();
-                            self.recover(from_checkpoint)?;
-                            self.stage.recovery_ns.add(started.elapsed().as_nanos() as u64);
-                            match invoke_finish(&mut self.chain[i], &mut self.ctx, &self.name, i) {
-                                Ok(trailing) => {
-                                    self.consecutive_faults = 0;
-                                    return Ok(trailing);
-                                }
-                                Err(e) => {
-                                    self.record_fault(&e);
-                                    last = e;
-                                }
-                            }
-                        }
-                    }
-                }
             }
         }
     }
@@ -952,18 +928,27 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One supervised `process` call: panics are isolated via `catch_unwind` and
-/// surfaced as [`StreamsError::ProcessorPanicked`]. On success the call's
-/// emitted items are left in the context's buffer for the caller to drain;
-/// a failed call's are discarded.
+/// One supervised call: `process(item)`, or `finish()` without an item,
+/// whose trailing items are handed on like emitted ones (after what it
+/// emitted). Panics are isolated via `catch_unwind` and surfaced as
+/// [`StreamsError::ProcessorPanicked`]. On success the call's emitted items
+/// are left in the context's buffer for the caller to drain; a failed call's
+/// are discarded.
 fn invoke(
     p: &mut Box<dyn Processor>,
-    item: DataItem,
+    item: Option<DataItem>,
     ctx: &mut Context,
     process: &str,
     index: usize,
 ) -> Result<Option<DataItem>, StreamsError> {
-    let result = match catch_unwind(AssertUnwindSafe(|| p.process(item, ctx))) {
+    let call = catch_unwind(AssertUnwindSafe(|| match item {
+        Some(item) => p.process(item, ctx),
+        None => p.finish(ctx).map(|trailing| {
+            trailing.into_iter().for_each(|item| ctx.emit(item));
+            None
+        }),
+    }));
+    let result = match call {
         Ok(result) => result.map_err(|e| wrap(process, index, e)),
         Err(payload) => Err(StreamsError::ProcessorPanicked {
             process: process.to_string(),
@@ -974,73 +959,6 @@ fn invoke(
         ctx.discard_emitted();
     }
     result
-}
-
-/// One supervised `finish` call (see [`invoke`]); returns what it emitted
-/// followed by what it returned.
-fn invoke_finish(
-    p: &mut Box<dyn Processor>,
-    ctx: &mut Context,
-    process: &str,
-    index: usize,
-) -> Result<Vec<DataItem>, StreamsError> {
-    let result = match catch_unwind(AssertUnwindSafe(|| p.finish(ctx))) {
-        Ok(result) => result.map_err(|e| wrap(process, index, e)),
-        Err(payload) => Err(StreamsError::ProcessorPanicked {
-            process: process.to_string(),
-            payload: panic_message(payload),
-        }),
-    };
-    match result {
-        Ok(returned) if ctx.has_emitted() => Ok(ctx.take_emitted().chain(returned).collect()),
-        Ok(returned) => Ok(returned),
-        Err(e) => {
-            ctx.discard_emitted();
-            Err(e)
-        }
-    }
-}
-
-fn deliver(output: &mut ProcOutput, item: DataItem) -> Result<(), StreamsError> {
-    match output {
-        ProcOutput::Queue(tx) => {
-            tx.send(item);
-        }
-        ProcOutput::Sink(s) => s.write_item(item)?,
-        ProcOutput::Discard => {}
-    }
-    Ok(())
-}
-
-fn emit(outputs: &mut [ProcOutput], item: DataItem) -> Result<(), StreamsError> {
-    let Some(last) = outputs.len().checked_sub(1) else { return Ok(()) };
-    for o in &mut outputs[..last] {
-        deliver(o, item.clone())?;
-    }
-    deliver(&mut outputs[last], item)
-}
-
-fn deliver_batch(output: &mut ProcOutput, items: Vec<DataItem>) -> Result<(), StreamsError> {
-    match output {
-        ProcOutput::Queue(tx) => {
-            tx.send_batch(items);
-        }
-        ProcOutput::Sink(s) => {
-            for item in items {
-                s.write_item(item)?;
-            }
-        }
-        ProcOutput::Discard => {}
-    }
-    Ok(())
-}
-
-fn emit_batch(outputs: &mut [ProcOutput], items: Vec<DataItem>) -> Result<(), StreamsError> {
-    let Some(last) = outputs.len().checked_sub(1) else { return Ok(()) };
-    for o in &mut outputs[..last] {
-        deliver_batch(o, items.clone())?;
-    }
-    deliver_batch(&mut outputs[last], items)
 }
 
 #[cfg(test)]

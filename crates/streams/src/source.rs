@@ -4,7 +4,9 @@ use crate::error::StreamsError;
 use crate::item::DataItem;
 use std::io::BufRead;
 
-/// Outcome of a non-blocking [`Source::poll_batch`].
+/// Outcome of a non-blocking pull: [`Source::poll_batch`], or
+/// [`QueueReceiver::try_recv_batch`](crate::queue::QueueReceiver::try_recv_batch)
+/// on a queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Polled {
     /// This many items (at least one) were appended.
@@ -41,13 +43,14 @@ pub trait Source: Send {
     }
 
     /// [`Source::next_batch`] without the wait: a source with nothing to
-    /// hand over *yet* answers [`Polled::Pending`]. Both drivers ask this
-    /// first. To the threaded [`crate::runtime::Runtime`] `Pending` is the
-    /// moment the pulling worker goes idle — a sharding partitioner
+    /// hand over *yet* answers [`Polled::Pending`]. The worker pulling the
+    /// source asks this first in every step, whichever driver steps it, and
+    /// `Pending` is the moment it goes idle — a sharding partitioner
     /// punctuates, so nothing downstream sits on a settled item while the
-    /// feed is quiet — before it waits in `next_item`/`next_batch`; to the
-    /// single-threaded [`crate::replay::ReplayRuntime`], where a source that
-    /// waited would stall every process, it also means "ask again later".
+    /// feed is quiet. Then the threaded [`crate::runtime::Runtime`] waits in
+    /// `next_batch`, and the single-threaded
+    /// [`crate::replay::ReplayRuntime`], where a source that waited would
+    /// stall every process, asks again later.
     ///
     /// The default never answers `Pending`, which is right for every source
     /// whose `next_batch` returns without waiting (pre-materialised or

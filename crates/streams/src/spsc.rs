@@ -3,25 +3,28 @@
 //! The general [`crate::queue`] channel guards a `VecDeque` with a mutex and
 //! two condvars — correct for any producer count, but on the partitioned hot
 //! path (`P[part] → P[i]` shard edges, and every other provably
-//! single-producer edge) the lock round-trip per item dominates the work
+//! single-producer edge) the lock round-trip per transfer dominates the work
 //! being distributed. This module provides the classic Lamport ring for that
 //! case: a fixed power-of-two slot array, a producer-owned `tail` counter and
-//! a consumer-owned `head` counter. The producer writes a slot and publishes
-//! it with a release store of `tail`; the consumer reads a slot it observed
-//! via an acquire load of `tail` and releases it with a release store of
-//! `head`. Neither side ever takes a lock to transfer an item.
+//! a consumer-owned `head` counter. The producer writes the slots of a batch
+//! and publishes them with one release store of `tail`; the consumer reads
+//! the slots it observed via an acquire load of `tail` and releases them with
+//! one release store of `head`. Neither side ever takes a lock to transfer
+//! items, and the metrics and wake check are paid once per transfer.
 //!
 //! # Blocking
 //!
-//! `send` on a full ring and `recv` on an empty ring spin briefly, then park
-//! on a mutex/condvar *slow path*. The fast path stays lock-free via the
-//! Dekker-style parked-flag handshake: the sleeper sets its parked flag and
-//! re-checks the ring under the lock before waiting; the waker publishes its
-//! counter update, issues a [`fence`]`(SeqCst)` and checks the flag. Either
-//! the sleeper's re-check sees the counter update (and skips the wait), or
-//! the waker sees the parked flag (and notifies while holding the lock) — a
-//! lost wakeup would require both loads to miss, which the fence pair
-//! forbids.
+//! `send_batch` on a full ring and `recv_batch` on an empty ring spin
+//! briefly, then park on a mutex/condvar *slow path*. The fast path stays
+//! lock-free via the Dekker-style parked-flag handshake: the sleeper sets its
+//! parked flag and re-checks the ring under the lock before waiting; the
+//! waker publishes its counter update, issues a [`fence`]`(SeqCst)` and
+//! checks the flag. Either the sleeper's re-check sees the counter update
+//! (and skips the wait), or the waker sees the parked flag (and notifies
+//! while holding the lock) — a lost wakeup would require both loads to miss,
+//! which the fence pair forbids. Every run of pushes is published, and a
+//! parked consumer woken, before the producer can park on a full ring, so
+//! the two can never both be parked.
 //!
 //! # Termination
 //!
@@ -41,11 +44,12 @@
 
 use crate::item::DataItem;
 use crate::metrics::QueueMetrics;
+use crate::source::Polled;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Spins on the fast path before parking; a handful of iterations rides out
 /// the common "consumer is one slot behind" races without a syscall. On a
@@ -144,53 +148,52 @@ impl Ring {
         head == tail
     }
 
-    /// Publishes an item without touching metrics or the wake protocol —
-    /// the caller **must** account for it (`sent`/`depth`) and call
-    /// [`wake_consumer`](Ring::wake_consumer) before it next blocks or
-    /// returns, or a parked consumer never learns about the item.
-    fn push_quiet(&self, item: DataItem) -> Result<(), DataItem> {
+    /// Moves the longest prefix of `items` that fits into the ring and
+    /// publishes it (producer thread only). Returns how many items moved.
+    fn push_prefix(&self, items: &mut Vec<DataItem>) -> usize {
         let tail = self.tail.load(Ordering::Relaxed);
         let head = self.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) >= self.capacity {
-            return Err(item);
+        let n = (self.capacity - tail.wrapping_sub(head)).min(items.len());
+        if n == 0 {
+            return 0;
         }
-        unsafe { (*self.buf[tail & self.mask].0.get()).write(item) };
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
-        Ok(())
-    }
-
-    /// Non-blocking push (producer thread only).
-    fn push(&self, item: DataItem) -> Result<(), DataItem> {
-        self.push_quiet(item)?;
-        self.metrics.sent.inc();
-        self.metrics.depth.add(1);
+        for (k, item) in items.drain(..n).enumerate() {
+            // SAFETY: `n` slots from `tail` on are free — the consumer has
+            // released everything below `head` and `tail - head + n` stays
+            // within the capacity — and only this producer writes them until
+            // the `tail` store below publishes them.
+            unsafe { (*self.buf[tail.wrapping_add(k) & self.mask].0.get()).write(item) };
+        }
+        self.tail.store(tail.wrapping_add(n), Ordering::Release);
+        self.metrics.sent.add(n as u64);
+        self.metrics.depth.add(n as i64);
+        self.metrics.record_batch(n);
         self.wake_consumer();
-        Ok(())
+        n
     }
 
-    /// Consumes an item without touching metrics or the wake protocol — the
-    /// same contract as [`push_quiet`](Ring::push_quiet), mirrored: the
-    /// caller must account `received`/`depth` and call
-    /// [`wake_producer`](Ring::wake_producer) before it next blocks or
-    /// returns.
-    fn pop_quiet(&self) -> Option<DataItem> {
+    /// Moves up to `max` published items to `out` and releases their slots
+    /// (consumer thread only). Returns how many items moved.
+    fn pop_into(&self, max: usize, out: &mut Vec<DataItem>) -> usize {
         let head = self.head.load(Ordering::Relaxed);
         let tail = self.tail.load(Ordering::Acquire);
-        if head == tail {
-            return None;
+        let n = tail.wrapping_sub(head).min(max.max(1));
+        if n == 0 {
+            return 0;
         }
-        let item = unsafe { (*self.buf[head & self.mask].0.get()).assume_init_read() };
-        self.head.store(head.wrapping_add(1), Ordering::Release);
-        Some(item)
-    }
-
-    /// Non-blocking pop (consumer thread only).
-    fn pop(&self) -> Option<DataItem> {
-        let item = self.pop_quiet()?;
-        self.metrics.received.inc();
-        self.metrics.depth.add(-1);
+        // SAFETY: the `n` slots from `head` on were written and published by
+        // the `tail` store this thread acquired, and the producer does not
+        // touch them again until the `head` store below releases them. Each is
+        // read exactly once; `extend` sizes `out` before the first read.
+        out.extend((0..n).map(|k| unsafe {
+            (*self.buf[head.wrapping_add(k) & self.mask].0.get()).assume_init_read()
+        }));
+        self.head.store(head.wrapping_add(n), Ordering::Release);
+        self.metrics.received.add(n as u64);
+        self.metrics.depth.add(-(n as i64));
+        self.metrics.record_batch(n);
         self.wake_producer();
-        Some(item)
+        n
     }
 
     /// Waker half of the parked-flag handshake (see the module docs). Called
@@ -211,107 +214,32 @@ impl Ring {
         }
     }
 
-    /// Blocking send; `false` once the consumer is gone (item discarded).
-    fn send(&self, mut item: DataItem) -> bool {
-        let spin_max = spin_limit();
-        for spin in 0..=spin_max {
-            if !self.consumer_alive.load(Ordering::Acquire) {
-                return false;
-            }
-            match self.push(item) {
-                Ok(()) => return true,
-                Err(back) => item = back,
-            }
-            if spin < spin_max {
-                std::hint::spin_loop();
-            }
-        }
-        // Park until the consumer makes room (or disappears).
+    /// Sleeper half for the producer: parks until the ring has room or the
+    /// consumer is gone. Counted as one backpressure stall.
+    fn wait_for_room(&self) {
         self.metrics.send_stalls.inc();
         let stalled_at = Instant::now();
-        loop {
-            {
-                let guard = self.lock.lock().unwrap();
-                self.producer_parked.store(true, Ordering::Relaxed);
-                fence(Ordering::SeqCst);
-                if self.is_full() && self.consumer_alive.load(Ordering::Relaxed) {
-                    let _guard = self.not_full.wait(guard).unwrap();
-                }
-                self.producer_parked.store(false, Ordering::Relaxed);
-            }
-            if !self.consumer_alive.load(Ordering::Acquire) {
-                self.metrics.stall_ns.add(stalled_at.elapsed().as_nanos() as u64);
-                return false;
-            }
-            match self.push(item) {
-                Ok(()) => {
-                    self.metrics.stall_ns.add(stalled_at.elapsed().as_nanos() as u64);
-                    return true;
-                }
-                Err(back) => item = back,
-            }
+        let mut guard = self.lock.lock().unwrap();
+        self.producer_parked.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        while self.is_full() && self.consumer_alive.load(Ordering::Relaxed) {
+            guard = self.not_full.wait(guard).unwrap();
         }
+        self.producer_parked.store(false, Ordering::Relaxed);
+        drop(guard);
+        self.metrics.stall_ns.add(stalled_at.elapsed().as_nanos() as u64);
     }
 
-    /// Blocking receive; `None` once the producer closed and the ring
-    /// drained.
-    fn recv(&self) -> Option<DataItem> {
-        let mut spins = 0u32;
-        loop {
-            if let Some(item) = self.pop() {
-                return Some(item);
-            }
-            if self.closed.load(Ordering::Acquire) {
-                // `closed` is stored after the final push, so one more pop
-                // observes anything that raced with the close.
-                return self.pop();
-            }
-            if spins < spin_limit() {
-                spins += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            {
-                let guard = self.lock.lock().unwrap();
-                self.consumer_parked.store(true, Ordering::Relaxed);
-                fence(Ordering::SeqCst);
-                if self.is_empty() && !self.closed.load(Ordering::Relaxed) {
-                    let _guard = self.not_empty.wait(guard).unwrap();
-                }
-                self.consumer_parked.store(false, Ordering::Relaxed);
-            }
-            spins = 0;
+    /// Sleeper half for the consumer: parks until an item is published or
+    /// the producer closed.
+    fn wait_for_items(&self) {
+        let mut guard = self.lock.lock().unwrap();
+        self.consumer_parked.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        while self.is_empty() && !self.closed.load(Ordering::Relaxed) {
+            guard = self.not_empty.wait(guard).unwrap();
         }
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<DataItem>, crate::queue::Timeout> {
-        let deadline = Instant::now() + timeout;
-        let mut spins = 0u32;
-        loop {
-            if let Some(item) = self.pop() {
-                return Ok(Some(item));
-            }
-            if self.closed.load(Ordering::Acquire) {
-                return Ok(self.pop());
-            }
-            if spins < spin_limit() {
-                spins += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(crate::queue::Timeout);
-            }
-            let guard = self.lock.lock().unwrap();
-            self.consumer_parked.store(true, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            if self.is_empty() && !self.closed.load(Ordering::Relaxed) {
-                let _ = self.not_empty.wait_timeout(guard, deadline - now).unwrap();
-            }
-            self.consumer_parked.store(false, Ordering::Relaxed);
-            spins = 0;
-        }
+        self.consumer_parked.store(false, Ordering::Relaxed);
     }
 
     fn close(&self) {
@@ -340,71 +268,36 @@ impl Drop for SpscSender {
 }
 
 impl SpscSender {
-    pub(crate) fn send(&self, item: DataItem) -> bool {
-        self.ring.send(item)
-    }
-
-    /// See [`crate::queue::QueueSender::send_batch`]: same FIFO guarantee,
-    /// one batch-size sample per call.
-    ///
-    /// Items are published with the quiet push and the metric counters are
-    /// bulk-updated per *transfer* rather than per item — one `sent.add(k)` /
-    /// `depth.add(k)` / wake instead of `k` of each. The wake discipline:
-    /// every run of quiet pushes is flushed (counters + `wake_consumer`)
-    /// **before** the producer can block on a full ring, so a parked consumer
-    /// is always woken ahead of the producer parking itself — the
-    /// parked-parked deadlock is impossible.
-    pub(crate) fn send_batch(&self, items: Vec<DataItem>) -> bool {
-        if items.is_empty() {
-            return true;
-        }
-        let n = items.len();
-        let mut sent = 0u64;
-        let mut quiet = 0i64; // pushed since the last counter flush / wake
-        let flush = |quiet: &mut i64| {
-            if *quiet > 0 {
-                self.ring.metrics.sent.add(*quiet as u64);
-                self.ring.metrics.depth.add(*quiet);
-                *quiet = 0;
-                self.ring.wake_consumer();
+    /// See [`crate::queue::QueueSender::send_batch`]: publishes what fits,
+    /// spins briefly while the ring is full, then parks until the consumer
+    /// makes room.
+    pub(crate) fn send_batch(&self, items: &mut Vec<DataItem>) -> bool {
+        let mut spins = 0;
+        while !items.is_empty() {
+            if !self.ring.consumer_alive.load(Ordering::Acquire) {
+                items.clear();
+                return false;
             }
-        };
-        for item in items {
-            match self.ring.push_quiet(item) {
-                Ok(()) => {
-                    quiet += 1;
-                    sent += 1;
-                }
-                Err(back) => {
-                    // Full: publish what we have (and wake the consumer) so
-                    // it can drain while we take the blocking slow path.
-                    flush(&mut quiet);
-                    if !self.ring.send(back) {
-                        break;
-                    }
-                    sent += 1;
-                }
+            if self.ring.push_prefix(items) > 0 {
+                spins = 0;
+            } else if spins < spin_limit() {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                self.ring.wait_for_room();
             }
         }
-        flush(&mut quiet);
-        if sent > 0 {
-            self.ring.metrics.batch_sizes.record_ns(sent);
-        }
-        sent == n as u64
+        true
     }
 
-    pub(crate) fn try_send(&self, item: DataItem) -> Result<bool, DataItem> {
+    /// See [`crate::queue::QueueSender::try_send_batch`].
+    pub(crate) fn try_send_batch(&self, items: &mut Vec<DataItem>) -> bool {
         if !self.ring.consumer_alive.load(Ordering::Acquire) {
-            return Ok(false);
+            items.clear();
+            return false;
         }
-        match self.ring.push(item) {
-            Ok(()) => Ok(true),
-            Err(back) => Err(back),
-        }
-    }
-
-    pub(crate) fn has_capacity(&self) -> bool {
-        self.ring.consumer_alive.load(Ordering::Acquire) && !self.ring.is_full()
+        self.ring.push_prefix(items);
+        true
     }
 
     pub(crate) fn finish(&self) {
@@ -424,77 +317,34 @@ impl Drop for SpscReceiver {
 }
 
 impl SpscReceiver {
-    pub(crate) fn recv(&mut self) -> Option<DataItem> {
-        self.ring.recv()
-    }
-
-    /// See [`crate::queue::QueueReceiver::recv_batch`]: blocks for the
-    /// *first* item only, then drains whatever is already published — a
-    /// partially filled ring yields a short batch rather than waiting, so
-    /// batching never conflates "not fully drained" with "no progress".
-    ///
-    /// The drain after the first item uses the quiet pop and settles the
-    /// metric counters (`received.add(k)` / `depth.add(-k)`) plus a single
-    /// `wake_producer` once per call instead of once per item. The wake
-    /// happens before this returns, so a producer parked on the full ring is
-    /// always released by the batch that made room.
-    pub(crate) fn recv_batch(&mut self, max: usize) -> Option<Vec<DataItem>> {
-        let first = self.ring.recv()?;
-        Some(self.batch_after(first, max))
-    }
-
-    /// [`SpscReceiver::recv_batch`] without the wait: `None` when nothing is
-    /// published right now.
-    pub(crate) fn try_recv_batch(&mut self, max: usize) -> Option<Vec<DataItem>> {
-        let first = self.ring.pop()?;
-        Some(self.batch_after(first, max))
-    }
-
-    /// `first` (already accounted for) plus whatever else is published, up
-    /// to `max` items.
-    fn batch_after(&mut self, first: DataItem, max: usize) -> Vec<DataItem> {
-        let max = max.max(1);
-        let mut batch = Vec::with_capacity(max.min(self.ring.capacity));
-        batch.push(first);
-        let mut quiet = 0i64; // popped since recv()'s own accounting
-        while batch.len() < max {
-            match self.ring.pop_quiet() {
-                Some(item) => {
-                    batch.push(item);
-                    quiet += 1;
+    /// See [`crate::queue::QueueReceiver::recv_batch`]: spins briefly while
+    /// the ring is empty, then parks for the *first* item only — a partially
+    /// filled ring yields a short batch rather than waiting.
+    pub(crate) fn recv_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> usize {
+        let mut spins = 0;
+        loop {
+            match self.try_recv_batch(max, out) {
+                Polled::Items(n) => return n,
+                Polled::Ended => return 0,
+                Polled::Pending if spins < spin_limit() => {
+                    spins += 1;
+                    std::hint::spin_loop();
                 }
-                None => break,
+                Polled::Pending => self.ring.wait_for_items(),
             }
-        }
-        if quiet > 0 {
-            self.ring.metrics.received.add(quiet as u64);
-            self.ring.metrics.depth.add(-quiet);
-            self.ring.wake_producer();
-        }
-        self.ring.metrics.batch_sizes.record_ns(batch.len() as u64);
-        batch
-    }
-
-    pub(crate) fn try_recv(&mut self) -> crate::queue::TryRecv {
-        use crate::queue::TryRecv;
-        if let Some(item) = self.ring.pop() {
-            return TryRecv::Item(item);
-        }
-        if self.ring.closed.load(Ordering::Acquire) {
-            match self.ring.pop() {
-                Some(item) => TryRecv::Item(item),
-                None => TryRecv::Ended,
-            }
-        } else {
-            TryRecv::Empty
         }
     }
 
-    pub(crate) fn recv_timeout(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<Option<DataItem>, crate::queue::Timeout> {
-        self.ring.recv_timeout(timeout)
+    /// See [`crate::queue::QueueReceiver::try_recv_batch`]. `closed` is
+    /// stored after the final push, so once it reads true a pop that finds
+    /// nothing means the stream has ended.
+    pub(crate) fn try_recv_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> Polled {
+        let closed = self.ring.closed.load(Ordering::Acquire);
+        match self.ring.pop_into(max, out) {
+            0 if closed => Polled::Ended,
+            0 => Polled::Pending,
+            n => Polled::Items(n),
+        }
     }
 }
 
@@ -510,7 +360,7 @@ pub(crate) fn ring_with_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::TryRecv;
+    use std::time::Duration;
 
     fn ring(capacity: usize) -> (SpscSender, SpscReceiver) {
         ring_with_metrics(capacity, Arc::new(QueueMetrics::default()))
@@ -520,18 +370,30 @@ mod tests {
         DataItem::new().with("n", n)
     }
 
+    /// Sends one item (a batch of one).
+    fn send(tx: &SpscSender, n: i64) -> bool {
+        tx.send_batch(&mut vec![item(n)])
+    }
+
+    /// Receives one item (a batch of one); `None` once the stream ended.
+    fn recv(rx: &mut SpscReceiver) -> Option<i64> {
+        let mut out = Vec::new();
+        rx.recv_batch(1, &mut out);
+        out.pop().map(|i| i.get_i64("n").unwrap())
+    }
+
     #[test]
     fn fifo_roundtrip_and_close() {
         let (tx, mut rx) = ring(4);
         for n in 0..3 {
-            assert!(tx.send(item(n)));
+            assert!(send(&tx, n));
         }
         tx.finish();
         for n in 0..3 {
-            assert_eq!(rx.recv().unwrap().get_i64("n"), Some(n));
+            assert_eq!(recv(&mut rx), Some(n));
         }
-        assert!(rx.recv().is_none());
-        assert!(rx.recv().is_none(), "stays terminated");
+        assert!(recv(&mut rx).is_none());
+        assert!(recv(&mut rx).is_none(), "stays terminated");
     }
 
     #[test]
@@ -539,64 +401,66 @@ mod tests {
         // Declared capacity 3 rides in a 4-slot buffer but still rejects the
         // 4th item, matching the mutex queue's backpressure bound.
         let (tx, mut rx) = ring(3);
-        for n in 0..3 {
-            assert_eq!(tx.try_send(item(n)), Ok(true));
-        }
-        assert!(!tx.has_capacity());
-        let bounced = tx.try_send(item(9)).unwrap_err();
-        assert_eq!(bounced.get_i64("n"), Some(9));
-        assert!(matches!(rx.try_recv(), TryRecv::Item(_)));
-        assert!(tx.has_capacity());
+        let mut batch: Vec<DataItem> = (0..4).map(item).collect();
+        assert!(tx.try_send_batch(&mut batch));
+        assert_eq!(batch.len(), 1, "the 4th item comes back");
+        assert_eq!(batch[0].get_i64("n"), Some(3));
+        assert_eq!(rx.try_recv_batch(1, &mut Vec::new()), Polled::Items(1));
+        assert!(tx.try_send_batch(&mut batch));
+        assert!(batch.is_empty(), "room for it after one pop");
     }
 
     #[test]
     fn dropped_sender_terminates_after_drain() {
         let (tx, mut rx) = ring(4);
-        tx.send(item(7));
+        send(&tx, 7);
         drop(tx);
-        assert_eq!(rx.recv().unwrap().get_i64("n"), Some(7), "buffered item drains");
-        assert!(rx.recv().is_none());
+        assert_eq!(recv(&mut rx), Some(7), "buffered item drains");
+        assert!(recv(&mut rx).is_none());
     }
 
     #[test]
     fn dropped_receiver_unblocks_producer() {
         let (tx, rx) = ring(1);
-        assert!(tx.send(item(1)));
+        assert!(send(&tx, 1));
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             drop(rx);
         });
         // Ring is full; this blocks until the receiver drop wakes it.
-        assert!(!tx.send(item(2)), "consumer gone");
-        assert_eq!(tx.try_send(item(3)), Ok(false), "discards after death");
+        assert!(!send(&tx, 2), "consumer gone");
+        let mut batch = vec![item(3)];
+        assert!(!tx.try_send_batch(&mut batch), "discards after death");
+        assert!(batch.is_empty());
         handle.join().unwrap();
     }
 
     #[test]
     fn backpressure_blocks_until_consumed() {
         let (tx, mut rx) = ring(1);
-        assert!(tx.send(item(1)));
+        assert!(send(&tx, 1));
         let producer = std::thread::spawn(move || {
-            assert!(tx.send(item(2)));
+            assert!(send(&tx, 2));
             tx.finish();
         });
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(rx.recv().unwrap().get_i64("n"), Some(1));
-        assert_eq!(rx.recv().unwrap().get_i64("n"), Some(2));
-        assert!(rx.recv().is_none());
+        assert_eq!(recv(&mut rx), Some(1));
+        assert_eq!(recv(&mut rx), Some(2));
+        assert!(recv(&mut rx).is_none());
         producer.join().unwrap();
     }
 
     #[test]
-    fn try_recv_distinguishes_empty_from_ended() {
+    fn try_recv_batch_distinguishes_empty_from_ended() {
         let (tx, mut rx) = ring(2);
-        assert_eq!(rx.try_recv(), TryRecv::Empty);
-        tx.send(item(1));
-        assert!(matches!(rx.try_recv(), TryRecv::Item(_)));
-        assert_eq!(rx.try_recv(), TryRecv::Empty, "open stream, empty ring");
+        let mut out = Vec::new();
+        assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Pending);
+        send(&tx, 1);
+        assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Items(1));
+        assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Pending, "open stream, empty ring");
         tx.finish();
-        assert_eq!(rx.try_recv(), TryRecv::Ended);
-        assert_eq!(rx.try_recv(), TryRecv::Ended, "stays terminated");
+        assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Ended);
+        assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Ended, "stays terminated");
     }
 
     #[test]
@@ -605,14 +469,11 @@ mod tests {
             let (tx, mut rx) = ring(8);
             let producer = std::thread::spawn(move || {
                 for n in 0..5 {
-                    tx.send(item(n));
+                    send(&tx, n);
                 }
                 // finish() happens via drop, racing with the consumer.
             });
-            let mut got = Vec::new();
-            while let Some(i) = rx.recv() {
-                got.push(i.get_i64("n").unwrap());
-            }
+            let got: Vec<i64> = std::iter::from_fn(|| recv(&mut rx)).collect();
             producer.join().unwrap();
             assert_eq!(got, vec![0, 1, 2, 3, 4]);
         }
@@ -622,54 +483,40 @@ mod tests {
     fn recv_batch_drains_available_without_waiting_for_full_batch() {
         let (tx, mut rx) = ring(8);
         for n in 0..3 {
-            tx.send(item(n));
+            send(&tx, n);
         }
-        let batch = rx.recv_batch(10).unwrap();
-        assert_eq!(
-            batch.iter().map(|i| i.get_i64("n").unwrap()).collect::<Vec<_>>(),
-            [0, 1, 2],
-            "short batch, no waiting"
-        );
+        let mut batch = Vec::new();
+        assert_eq!(rx.recv_batch(10, &mut batch), 3, "short batch, no waiting");
+        assert_eq!(batch.iter().map(|i| i.get_i64("n").unwrap()).collect::<Vec<_>>(), [0, 1, 2]);
         tx.finish();
-        assert!(rx.recv_batch(4).is_none());
+        assert_eq!(rx.recv_batch(4, &mut batch), 0);
     }
 
     #[test]
     fn send_batch_larger_than_capacity_drains_through() {
         let (tx, mut rx) = ring(2);
         let producer = std::thread::spawn(move || {
-            assert!(tx.send_batch((0..20).map(item).collect()));
+            assert!(tx.send_batch(&mut (0..20).map(item).collect()));
             tx.finish();
         });
         let mut seen = Vec::new();
-        while let Some(batch) = rx.recv_batch(4) {
-            seen.extend(batch.iter().map(|i| i.get_i64("n").unwrap()));
-        }
+        while rx.recv_batch(4, &mut seen) > 0 {}
         producer.join().unwrap();
+        let seen: Vec<i64> = seen.iter().map(|i| i.get_i64("n").unwrap()).collect();
         assert_eq!(seen, (0..20).collect::<Vec<i64>>());
-    }
-
-    #[test]
-    fn recv_timeout_variant() {
-        let (tx, mut rx) = ring(4);
-        assert!(rx.recv_timeout(Duration::from_millis(10)).is_err(), "times out while empty");
-        tx.send(item(1));
-        assert!(matches!(rx.recv_timeout(Duration::from_millis(10)), Ok(Some(_))));
-        tx.finish();
-        assert!(matches!(rx.recv_timeout(Duration::from_millis(10)), Ok(None)));
     }
 
     #[test]
     fn metrics_parity_with_mutex_queue() {
         let metrics = Arc::new(QueueMetrics::default());
         let (tx, mut rx) = ring_with_metrics(1, Arc::clone(&metrics));
-        assert!(tx.send(item(1)));
+        assert!(send(&tx, 1));
         let blocked = std::thread::spawn(move || {
-            tx.send(item(2));
+            send(&tx, 2);
             tx.finish();
         });
         std::thread::sleep(Duration::from_millis(20));
-        while rx.recv().is_some() {}
+        while recv(&mut rx).is_some() {}
         blocked.join().unwrap();
         assert_eq!(metrics.sent.get(), 2);
         assert_eq!(metrics.received.get(), 2);
@@ -677,13 +524,14 @@ mod tests {
         assert_eq!(metrics.depth.high_water(), 1);
         assert_eq!(metrics.send_stalls.get(), 1);
         assert!(metrics.stall_ns.get() > 0, "the blocked send waited measurably");
+        assert_eq!(metrics.batch_sizes.snapshot().count, 0, "per-item transfer records no batch");
     }
 
     #[test]
     fn undelivered_items_are_dropped_with_the_ring() {
         let (tx, rx) = ring(4);
-        tx.send(item(1));
-        tx.send(item(2));
+        send(&tx, 1);
+        send(&tx, 2);
         drop(tx);
         drop(rx); // must not leak the two buffered items (asan/miri-visible)
     }

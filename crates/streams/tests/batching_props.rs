@@ -73,29 +73,30 @@ proptest! {
         let (tx, mut rx) = queue(capacity, 1);
         let producer = std::thread::spawn(move || {
             for (i, b) in batches.into_iter().enumerate() {
-                let items: Vec<DataItem> =
+                let mut items: Vec<DataItem> =
                     b.into_iter().map(|n| DataItem::new().with("n", n)).collect();
                 // Alternate batched and per-item sends: the buffer cannot
                 // tell them apart.
                 if i % 2 == 0 {
-                    tx.send_batch(items);
+                    tx.send_batch(&mut items);
                 } else {
                     for item in items {
-                        tx.send(item);
+                        tx.send_batch(&mut vec![item]);
                     }
                 }
             }
             tx.finish();
         });
         let mut drained = Vec::new();
-        while let Some(batch) = rx.recv_batch(max_recv) {
+        let mut batch = Vec::new();
+        while rx.recv_batch(max_recv, &mut batch) > 0 {
             prop_assert!(!batch.is_empty(), "recv_batch never returns an empty batch");
             prop_assert!(batch.len() <= max_recv, "recv_batch honours its cap");
-            drained.extend(batch.iter().map(|i| i.get_i64("n").unwrap()));
+            drained.extend(batch.drain(..).map(|i| i.get_i64("n").unwrap()));
         }
         producer.join().unwrap();
         prop_assert_eq!(drained, expected, "FIFO order survives mixed batching");
-        prop_assert!(rx.recv_batch(max_recv).is_none(), "termination is sticky");
+        prop_assert!(rx.recv_batch(max_recv, &mut batch) == 0, "termination is sticky");
     }
 
     /// Threaded runtime: any batch size yields the same pipeline output as
