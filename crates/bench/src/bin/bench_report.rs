@@ -12,9 +12,10 @@
 //! paths it replaced are kept in the `"history"` note of
 //! `BENCH_recognition.json`.
 //!
-//! The streams benchmark pushes a fixed item count through a bounded queue
-//! with a producer thread and measures throughput for per-item transfer
-//! versus `send_batch`/`recv_batch` at several batch sizes. An ingest sweep
+//! The streams benchmark pushes a fixed item count through a bounded
+//! one-producer queue (one lock-free ring, what every queue is made of) with
+//! a producer thread and measures throughput for per-item transfer versus
+//! `send_batch`/`recv_batch` at several batch sizes. An ingest sweep
 //! then A/Bs the flat inline-attribute `DataItem` (and its zero-copy JSON
 //! codec) against the pre-flat-map representation — an `Arc<BTreeMap>` with
 //! heap-string values, rebuilt in this binary so both arms run on the same
@@ -209,7 +210,8 @@ fn mean_query_ms(
 /// `send_batch`/`recv_batch` call through buffers they reuse, as a worker
 /// does; `batch == 1` is per-item transfer.
 fn queue_throughput_ms(n: usize, capacity: usize, batch: usize) -> f64 {
-    let (tx, mut rx) = queue(capacity, 1);
+    let (mut senders, mut rx) = queue(capacity, 1);
+    let tx = senders.pop().expect("one producer");
     let t = Instant::now();
     let producer = std::thread::spawn(move || {
         let mut chunk = Vec::with_capacity(batch);
@@ -510,6 +512,18 @@ const PARALLEL_HISTORY: &str = r#"{
     }
   }"#;
 
+/// The queue sweep's last points on the Mutex+Condvar queue, which
+/// `queue(capacity, 1)` built until every queue became one ring per producer.
+const STREAMS_HISTORY: &str = r#"{
+    "note": "standard profile, last measured on the Mutex+Condvar queue before it was deleted; the points above are the ring every edge runs on",
+    "mutex_queue": [
+      {"batch_size": 1, "elapsed_ms": 174.178, "items_per_sec": 1148253},
+      {"batch_size": 4, "elapsed_ms": 115.940, "items_per_sec": 1725027},
+      {"batch_size": 16, "elapsed_ms": 91.946, "items_per_sec": 2175200},
+      {"batch_size": 64, "elapsed_ms": 67.596, "items_per_sec": 2958740}
+    ]
+  }"#;
+
 fn write_json(path: &str, body: &str) -> std::io::Result<()> {
     std::fs::write(path, body)?;
     eprintln!("wrote {path}");
@@ -738,7 +752,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if i + 1 < ingest_points.len() { "," } else { "" }
         )?;
     }
-    str_json.push_str("    ]\n  }\n}\n");
+    write!(str_json, "    ]\n  }},\n  \"history\": {STREAMS_HISTORY}\n}}\n")?;
     write_json("BENCH_streams.json", &str_json)?;
 
     // ---- shard-parallel stages: replica scaling ------------------------------

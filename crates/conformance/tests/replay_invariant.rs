@@ -90,14 +90,16 @@ fn replay_output_matches_threaded_runtime_content() {
     // The replay scheduler is not a parallel implementation to trust
     // separately: its canonical output must equal what the threaded runtime
     // produces for the same scenario.
-    use insight_core::pipeline::build_pipeline;
+    use insight_core::pipeline::{build_pipeline_with, PipelineOptions};
     use insight_core::replay::canonical_recognitions;
     use insight_streams::runtime::Runtime;
 
     let scenario = Scenario::generate(ScenarioConfig::small(900, 42)).expect("scenario");
     let window = WindowConfig::new(300, 300).expect("window");
     let rules = TrafficRulesConfig::static_mode();
-    let (topology, sink) = build_pipeline(&scenario, rules.clone(), window).expect("topology");
+    let (topology, sink) =
+        build_pipeline_with(&scenario, rules.clone(), window, &PipelineOptions::default())
+            .expect("topology");
     Runtime::new(topology).run().expect("threaded run");
     let threaded = canonical_recognitions(&sink.items());
     let replayed = replay_recognitions(&scenario, rules, window, 123).expect("replayed run");

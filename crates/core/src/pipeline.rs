@@ -34,7 +34,7 @@ use insight_datagen::regions::Region;
 use insight_datagen::scenario::Scenario;
 use insight_rtec::compile::CompiledPlan;
 use insight_rtec::window::WindowConfig;
-use insight_streams::chaos::{ChaosConfig, ChaosSource, ChaosStats, KillAt, KillSwitch};
+use insight_streams::chaos::{ChaosConfig, ChaosSource, KillAt, KillSwitch};
 use insight_streams::checkpoint::{Checkpointable, StateBlob};
 use insight_streams::error::StreamsError;
 use insight_streams::fault::FaultPolicy;
@@ -85,7 +85,9 @@ use std::time::Instant;
 /// had already succeeded in that call are lost with it. A query fails only
 /// on a misconfigured or misused engine (`RtecError`), never on data, so
 /// there is nothing for those two policies to skip past.
-pub struct RtecProcessor {
+///
+/// One per region, built by [`MultiRegionRtecProcessor`].
+struct RtecProcessor {
     recognizer: TrafficRecognizer,
     next_query: i64,
     step: i64,
@@ -137,7 +139,7 @@ struct EvalCounters {
 
 impl RtecProcessor {
     /// Wraps a recogniser; queries run at `first_query, first_query + step, …`.
-    pub fn new(
+    fn new(
         recognizer: TrafficRecognizer,
         first_query: i64,
         step: i64,
@@ -546,12 +548,12 @@ impl Checkpointable for MultiRegionRtecProcessor {
     }
 }
 
-/// The canonical-order gate of the crowd stages.
+/// The canonical-order gate of the crowd-EM stage ([`CrowdEmProcessor`]).
 ///
-/// Crowd resolution is stateful — participant selection, simulated answers
-/// and the EM estimate all depend on the *order* of calls — while summaries
-/// reach the crowd stages from one producer per region in
-/// scheduler-determined interleaving. To keep the verdicts a pure function
+/// The EM estimate depends on the *order* of merges, while summaries reach
+/// the stage from one producer per region in scheduler-determined
+/// interleaving (the task stage before it is key-pure and needs no gate,
+/// see [`CrowdTaskProcessor`]). To keep the verdicts a pure function
 /// of the region streams, summaries carrying a disagreement are held here
 /// and handed back in canonical `(query_time, region)` order, an entry only
 /// once every declared region's **query-time watermark** has reached its
@@ -664,153 +666,6 @@ impl CanonicalGate {
             self.held.entry((q, region)).or_default().push(item);
         }
         Ok(())
-    }
-}
-
-/// Embeds the crowdsourcing component as a Streams processor: recognition
-/// summaries carrying an open source disagreement trigger a crowd query
-/// (the §3 "crowdsourcing processes" — query generation + response
-/// merging); the summary is annotated with the crowd verdict and forwarded.
-///
-/// The *feedback* edge of Figure 1 (crowd events re-entering RTEC) cannot
-/// be a queue in a terminating dataflow graph — it would form a cycle; the
-/// closed loop lives in [`crate::system::InsightSystem`]. `truth_of`
-/// supplies the simulated participants' ground truth, as in the paper's
-/// own crowdsourcing evaluation.
-///
-/// # Schedule-independence
-///
-/// [`crate::crowdbridge::CrowdBridge::resolve`] is stateful, so disagreement
-/// summaries are resolved in the canonical order of a [`CanonicalGate`];
-/// every summary the gate lets through is resolved and emitted in the call
-/// whose watermark let it through, and whatever it still holds at
-/// end-of-stream in `finish`.
-pub struct CrowdProcessor<F> {
-    bridge: crate::crowdbridge::CrowdBridge,
-    truth_of: F,
-    gate: CanonicalGate,
-    /// Latency of each `resolve` call; lazily fetched from the metrics service.
-    resolve_ns: Option<Arc<Histogram>>,
-    resolutions: Option<Arc<Counter>>,
-    fallbacks: Option<Arc<Counter>>,
-}
-
-impl<F> CrowdProcessor<F>
-where
-    F: Fn(f64, f64, i64) -> bool + Send,
-{
-    /// Wraps a crowd bridge and a ground-truth oracle. Without
-    /// [`CrowdProcessor::with_regions`] every disagreement resolves at
-    /// end-of-stream.
-    pub fn new(bridge: crate::crowdbridge::CrowdBridge, truth_of: F) -> CrowdProcessor<F> {
-        CrowdProcessor {
-            bridge,
-            truth_of,
-            gate: CanonicalGate::new(),
-            resolve_ns: None,
-            resolutions: None,
-            fallbacks: None,
-        }
-    }
-
-    /// Declares the upstream regions whose watermarks gate in-stream
-    /// resolution.
-    pub fn with_regions<I, S>(mut self, regions: I) -> CrowdProcessor<F>
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.gate.regions = regions.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Resolves and emits what the gate lets through.
-    fn release(&mut self, everything: bool, ctx: &mut Context) {
-        for item in self.gate.take_ready(everything, ctx) {
-            let resolved = self.resolve(item, ctx);
-            ctx.emit(resolved);
-        }
-    }
-
-    fn instruments(&mut self, ctx: &Context) -> Option<(Arc<Histogram>, Arc<Counter>)> {
-        if self.resolve_ns.is_none() {
-            if let Ok(registry) = ctx.services().get::<MetricsRegistry>("metrics") {
-                self.resolve_ns = Some(registry.histogram("crowd.resolve_ns"));
-                self.resolutions = Some(registry.counter("crowd.resolutions"));
-                self.fallbacks = Some(registry.counter("crowd.fallbacks"));
-            }
-        }
-        self.resolve_ns.clone().zip(self.resolutions.clone())
-    }
-
-    /// One crowd resolution, annotating the summary with the verdict.
-    fn resolve(&mut self, mut item: DataItem, ctx: &Context) -> DataItem {
-        let (Some(lon), Some(lat), Some(q)) = (
-            item.get_f64("disagreement_lon"),
-            item.get_f64("disagreement_lat"),
-            item.get_i64("query_time"),
-        ) else {
-            return item;
-        };
-        let truth = (self.truth_of)(lon, lat, q);
-        let resolve_started = Instant::now();
-        match self.bridge.resolve(lon, lat, truth, None) {
-            Ok(resolution) => {
-                if let Some((hist, count)) = self.instruments(ctx) {
-                    hist.record(resolve_started.elapsed());
-                    count.inc();
-                }
-                item.set("crowd_verdict_congested", resolution.congested);
-                item.set("crowd_confidence", resolution.confidence);
-                item.set("crowd_answers", resolution.answers as i64);
-            }
-            // Graceful degradation: when the crowd engine cannot
-            // resolve the disagreement (no eligible workers, engine
-            // error), fall back to the sensor-only summary instead of
-            // failing the stage — the paper's pipeline keeps reporting
-            // from SCATS/bus data alone.
-            Err(_) => {
-                self.instruments(ctx);
-                if let Some(fallbacks) = &self.fallbacks {
-                    fallbacks.inc();
-                }
-                item.set("crowd_fallback", true);
-            }
-        }
-        item
-    }
-}
-
-impl<F> Processor for CrowdProcessor<F>
-where
-    F: Fn(f64, f64, i64) -> bool + Send,
-{
-    fn process(
-        &mut self,
-        item: DataItem,
-        ctx: &mut Context,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        // A summary the gate does not hold leaves first, then whatever its
-        // watermark released.
-        if let Some(unordered) = self.gate.admit(item) {
-            ctx.emit(unordered);
-        }
-        self.release(false, ctx);
-        Ok(None)
-    }
-
-    fn finish(&mut self, ctx: &mut Context) -> Result<Vec<DataItem>, StreamsError> {
-        self.release(true, ctx);
-        // Publish the engine's cumulative counters once the stream ends;
-        // the engine aggregates internally, so a final copy is exact.
-        if let Ok(registry) = ctx.services().get::<MetricsRegistry>("metrics") {
-            let stats = self.bridge.engine_stats();
-            registry.counter("crowd.queries").add(stats.queries);
-            registry.counter("crowd.tasks").add(stats.tasks);
-            registry.counter("crowd.answers").add(stats.answers);
-            registry.counter("crowd.deadline_misses").add(stats.deadline_misses);
-        }
-        Ok(Vec::new())
     }
 }
 
@@ -1082,7 +937,8 @@ impl Checkpointable for CrowdEmProcessor {
     }
 }
 
-/// Shard counts and crash-recovery knobs of the §3 topology's stages.
+/// Shard counts, crash-recovery and fault-injection knobs of the §3
+/// topology's stages.
 #[derive(Debug, Clone)]
 pub struct PipelineOptions {
     /// Replicas of the RTEC stage, partitioned by `region` (values below 1
@@ -1109,6 +965,15 @@ pub struct PipelineOptions {
     /// Deterministic kill injection on the crowd-EM stage, same contract as
     /// [`PipelineOptions::kill_rtec_at`].
     pub kill_crowd_em_at: Option<(u64, KillSwitch)>,
+    /// Deterministic fault injection and supervision: every source is
+    /// wrapped in a [`ChaosSource`] (seeded per source from `chaos.seed`),
+    /// the RTEC replicas run under `Skip` so corrupted or erroring items are
+    /// dropped instead of aborting a shard, and the crowd stages dead-letter
+    /// failed summaries for post-mortem (read them via
+    /// [`Topology::dead_letters`] before `Runtime::new`). Each source's
+    /// [`ChaosStats`](insight_streams::chaos::ChaosStats) is registered on
+    /// the topology's services as `chaos.<source>`.
+    pub chaos: Option<ChaosConfig>,
 }
 
 impl Default for PipelineOptions {
@@ -1119,7 +984,8 @@ impl Default for PipelineOptions {
 
 impl PipelineOptions {
     /// The default shard counts (4 RTEC replicas — the paper's one engine
-    /// per region — and 2 crowd task replicas) with recovery disabled.
+    /// per region — and 2 crowd task replicas) with recovery and fault
+    /// injection disabled.
     pub fn standard() -> PipelineOptions {
         PipelineOptions {
             rtec_replicas: 4,
@@ -1128,6 +994,7 @@ impl PipelineOptions {
             restarts: None,
             kill_rtec_at: None,
             kill_crowd_em_at: None,
+            chaos: None,
         }
     }
 
@@ -1143,84 +1010,22 @@ impl PipelineOptions {
     }
 }
 
-/// Builds the full §3 topology over a generated scenario and returns it
-/// together with the sink collecting the recognition summaries, using the
-/// default shard counts ([`PipelineOptions::default`]).
-///
-/// `window` controls the RTEC working memory/step of every region engine.
-pub fn build_pipeline(
-    scenario: &Scenario,
-    rules: TrafficRulesConfig,
-    window: WindowConfig,
-) -> Result<(Topology, CollectSink), StreamsError> {
-    build_pipeline_with(scenario, rules, window, &PipelineOptions::default())
-}
-
-/// [`build_pipeline`] with explicit shard counts. The recognition output is
-/// identical in canonical form ([`crate::replay::canonical_recognitions`])
-/// for every choice of `options`.
-pub fn build_pipeline_with(
-    scenario: &Scenario,
-    rules: TrafficRulesConfig,
-    window: WindowConfig,
-    options: &PipelineOptions,
-) -> Result<(Topology, CollectSink), StreamsError> {
-    let (topology, sink, _) = build_pipeline_inner(scenario, rules, window, None, options)?;
-    Ok((topology, sink))
-}
-
-/// Per-source chaos counters returned by [`build_chaos_pipeline`], keyed by
-/// source name.
-pub type SourceChaosStats = Vec<(String, Arc<ChaosStats>)>;
-
-/// [`build_pipeline`] with deterministic fault injection and supervision:
-/// every source is wrapped in a [`ChaosSource`] (seeded per source from
-/// `chaos.seed`), the RTEC replicas run under `Skip` so corrupted or
-/// erroring items are dropped instead of aborting a shard, and the crowd
-/// stages dead-letter failed summaries for post-mortem (read them via
-/// [`Topology::dead_letters`] before `Runtime::new`).
-///
-/// Also returns one [`ChaosStats`] handle per wrapped source so callers can
-/// report how much chaos was actually injected.
-pub fn build_chaos_pipeline(
-    scenario: &Scenario,
-    rules: TrafficRulesConfig,
-    window: WindowConfig,
-    chaos: ChaosConfig,
-) -> Result<(Topology, CollectSink, SourceChaosStats), StreamsError> {
-    build_pipeline_inner(scenario, rules, window, Some(chaos), &PipelineOptions::default())
-}
-
-/// [`build_chaos_pipeline`] with explicit shard counts, so the fault
-/// injection harness can exercise the partition/merge machinery at any
-/// replica count.
-pub fn build_chaos_pipeline_with(
-    scenario: &Scenario,
-    rules: TrafficRulesConfig,
-    window: WindowConfig,
-    chaos: ChaosConfig,
-    options: &PipelineOptions,
-) -> Result<(Topology, CollectSink, SourceChaosStats), StreamsError> {
-    build_pipeline_inner(scenario, rules, window, Some(chaos), options)
-}
-
 /// Adds `items` as a source named `name`, wrapped in a [`ChaosSource`] when
 /// chaos is enabled (the per-source seed is salted so streams fault
-/// independently).
+/// independently) whose counters are registered as `chaos.<name>`.
 fn add_source(
     topology: &mut Topology,
     name: &str,
     items: Vec<DataItem>,
-    chaos: &Option<ChaosConfig>,
+    chaos: Option<&ChaosConfig>,
     salt: u64,
-    stats: &mut SourceChaosStats,
 ) {
     let source = VecSource::new(items);
     match chaos {
         Some(cfg) => {
             let cfg = ChaosConfig { seed: cfg.seed.wrapping_add(salt), ..cfg.clone() };
             let chaotic = ChaosSource::new(source, cfg);
-            stats.push((name.to_string(), chaotic.stats()));
+            topology.services().register_arc(&format!("chaos.{name}"), chaotic.stats());
             topology.add_source(name, chaotic);
         }
         None => {
@@ -1229,15 +1034,20 @@ fn add_source(
     }
 }
 
-fn build_pipeline_inner(
+/// Builds the full §3 topology over a generated scenario and returns it
+/// together with the sink collecting the recognition summaries. `window`
+/// controls the RTEC working memory/step of every region engine; `options`
+/// the shard counts, recovery and fault injection. The recognition output is
+/// identical in canonical form ([`crate::replay::canonical_recognitions`])
+/// for every shard count and recovery setting.
+pub fn build_pipeline_with(
     scenario: &Scenario,
     rules: TrafficRulesConfig,
     window: WindowConfig,
-    chaos: Option<ChaosConfig>,
     options: &PipelineOptions,
-) -> Result<(Topology, CollectSink, SourceChaosStats), StreamsError> {
+) -> Result<(Topology, CollectSink), StreamsError> {
     let mut topology = Topology::new();
-    let mut chaos_stats: SourceChaosStats = Vec::new();
+    let chaos = options.chaos.as_ref();
     let (start, _) = scenario.window();
     let first_query = start + window.step();
 
@@ -1245,16 +1055,9 @@ fn build_pipeline_inner(
     // feeding the shared `sde` queue that the sharded RTEC stage consumes.
     // Every feed's items are pre-built in a single pass over the trace.
     let feeds = crate::items::feed_items(scenario);
-    add_source(&mut topology, "bus", feeds.bus, &chaos, 0, &mut chaos_stats);
+    add_source(&mut topology, "bus", feeds.bus, chaos, 0);
     for (i, (region, items)) in Region::ALL.into_iter().zip(feeds.scats).enumerate() {
-        add_source(
-            &mut topology,
-            &format!("scats-{region}"),
-            items,
-            &chaos,
-            1 + i as u64,
-            &mut chaos_stats,
-        );
+        add_source(&mut topology, &format!("scats-{region}"), items, chaos, 1 + i as u64);
     }
 
     // The capacity must be small enough that a fast producer *blocks* and
@@ -1262,12 +1065,13 @@ fn build_pipeline_inner(
     // SDE class's watermark has passed, so if one source can burst its whole
     // stream ahead of the others (short benches on few cores), queries — and
     // with them window eviction — defer to end-of-stream and the engines
-    // buffer the entire history. A bounded queue caps that skew at one queue
-    // length, keeping worker state (and checkpoint blobs) at steady-state
-    // window size.
+    // buffer the entire history. Every feed has a ring of its own in `sde`,
+    // so the capacity caps how far each feed runs ahead of the RTEC stage —
+    // and with it the skew between feeds — keeping worker state (and
+    // checkpoint blobs) at steady-state window size.
     // Feed stages batch their pre-materialised sources: `VecSource` hands
     // over up to 64 items per `next_batch` call and the forwarders push them
-    // into `sde` with one batched send, cutting per-item dispatch and lock
+    // into `sde` with one batched send, cutting per-item dispatch and wake
     // traffic on the hottest edge of the graph. Chaos runs keep the per-item
     // default — `ChaosSource` injects faults item by item.
     let feed_batch = if chaos.is_some() { 1 } else { 64 };
@@ -1441,21 +1245,38 @@ fn build_pipeline_inner(
         .output(Output::Sink(Box::new(sink.clone())))
         .done();
 
-    Ok((topology, sink, chaos_stats))
+    Ok((topology, sink))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use insight_datagen::scenario::ScenarioConfig;
+    use insight_streams::chaos::ChaosStats;
     use insight_streams::runtime::Runtime;
+
+    /// The chaos counters the builder registered, one per wrapped source.
+    fn chaos_stats(topology: &Topology) -> Vec<Arc<ChaosStats>> {
+        let services = topology.services();
+        let names = services.names().into_iter().filter(|n| n.starts_with("chaos."));
+        names.map(|n| services.get::<ChaosStats>(&n).unwrap()).collect()
+    }
+
+    fn chaotic(chaos: ChaosConfig, options: &PipelineOptions) -> PipelineOptions {
+        PipelineOptions { chaos: Some(chaos), ..options.clone() }
+    }
 
     #[test]
     fn pipeline_runs_end_to_end() {
         let scenario = Scenario::generate(ScenarioConfig::small(1200, 77)).unwrap();
         let window = WindowConfig::new(600, 300).unwrap();
-        let (topology, sink) =
-            build_pipeline(&scenario, TrafficRulesConfig::default(), window).unwrap();
+        let (topology, sink) = build_pipeline_with(
+            &scenario,
+            TrafficRulesConfig::default(),
+            window,
+            &PipelineOptions::default(),
+        )
+        .unwrap();
         Runtime::new(topology).run().unwrap();
         let items = sink.items();
         assert!(!items.is_empty(), "recognition summaries must be produced");
@@ -1474,8 +1295,13 @@ mod tests {
     fn pipeline_metrics_capture_stages_queues_and_rtec_timings() {
         let scenario = Scenario::generate(ScenarioConfig::small(1200, 77)).unwrap();
         let window = WindowConfig::new(600, 300).unwrap();
-        let (topology, sink) =
-            build_pipeline(&scenario, TrafficRulesConfig::default(), window).unwrap();
+        let (topology, sink) = build_pipeline_with(
+            &scenario,
+            TrafficRulesConfig::default(),
+            window,
+            &PipelineOptions::default(),
+        )
+        .unwrap();
         let runtime = Runtime::new(topology);
         let metrics = runtime.metrics();
         runtime.run().unwrap();
@@ -1566,8 +1392,13 @@ mod tests {
     /// counters summed over the regions.
     fn window_allocations(scenario: &Scenario) -> u64 {
         let window = WindowConfig::new(600, 300).unwrap();
-        let (topology, _sink) =
-            build_pipeline(scenario, TrafficRulesConfig::default(), window).unwrap();
+        let (topology, _sink) = build_pipeline_with(
+            scenario,
+            TrafficRulesConfig::default(),
+            window,
+            &PipelineOptions::default(),
+        )
+        .unwrap();
         let runtime = Runtime::new(topology);
         let metrics = runtime.metrics();
         runtime.run().unwrap();
@@ -1612,7 +1443,8 @@ mod tests {
         // Rule-set (4) lets disagreements surface as sourceDisagreement CEs.
         let rules =
             TrafficRulesConfig::self_adaptive(insight_traffic::NoisyVariant::CrowdValidated);
-        let (topology, sink) = build_pipeline(&scenario, rules, window).unwrap();
+        let (topology, sink) =
+            build_pipeline_with(&scenario, rules, window, &PipelineOptions::default()).unwrap();
         Runtime::new(topology).run().unwrap();
         let items = sink.items();
         assert!(!items.is_empty());
@@ -1644,15 +1476,19 @@ mod tests {
             delay_rate: 0.02,
             ..ChaosConfig::new(9)
         };
-        let (topology, sink, stats) =
-            build_chaos_pipeline(&scenario, TrafficRulesConfig::default(), window, chaos).unwrap();
+        let options = chaotic(chaos, &PipelineOptions::default());
+        let (topology, sink) =
+            build_pipeline_with(&scenario, TrafficRulesConfig::default(), window, &options)
+                .unwrap();
+        let stats = chaos_stats(&topology);
+        assert_eq!(stats.len(), 5, "every source is wrapped");
         let dead_letters = topology.dead_letters();
         let runtime = Runtime::new(topology);
         let metrics = runtime.metrics();
         runtime.run().expect("supervised run completes despite injected faults");
 
         assert!(!sink.items().is_empty(), "recognition summaries still produced");
-        let corrupted: u64 = stats.iter().map(|(_, s)| s.corrupted.get()).sum();
+        let corrupted: u64 = stats.iter().map(|s| s.corrupted.get()).sum();
         assert!(corrupted > 0, "the harness actually injected corruption");
         // Corrupted SDEs are counted, not fatal; the run aborts nowhere.
         let snap = metrics.snapshot();
@@ -1674,13 +1510,15 @@ mod tests {
             let scenario = Scenario::generate(ScenarioConfig::small(900, 42)).unwrap();
             let window = WindowConfig::new(300, 300).unwrap();
             let chaos = ChaosConfig { corrupt_rate: 0.1, drop_rate: 0.1, ..ChaosConfig::new(seed) };
-            let (topology, sink, stats) =
-                build_chaos_pipeline(&scenario, TrafficRulesConfig::static_mode(), window, chaos)
+            let options = chaotic(chaos, &PipelineOptions::default());
+            let (topology, sink) =
+                build_pipeline_with(&scenario, TrafficRulesConfig::static_mode(), window, &options)
                     .unwrap();
+            let stats = chaos_stats(&topology);
             Runtime::new(topology).run().unwrap();
             let injected: (u64, u64) = (
-                stats.iter().map(|(_, s)| s.dropped.get()).sum(),
-                stats.iter().map(|(_, s)| s.corrupted.get()).sum(),
+                stats.iter().map(|s| s.dropped.get()).sum(),
+                stats.iter().map(|s| s.corrupted.get()).sum(),
             );
             (sink.len(), injected)
         };
@@ -1726,12 +1564,11 @@ mod tests {
             let scenario = Scenario::generate(ScenarioConfig::small(900, 42)).unwrap();
             let window = WindowConfig::new(300, 300).unwrap();
             let chaos = ChaosConfig { corrupt_rate: 0.1, drop_rate: 0.1, ..ChaosConfig::new(11) };
-            let (topology, sink, _) = build_chaos_pipeline_with(
+            let (topology, sink) = build_pipeline_with(
                 &scenario,
                 TrafficRulesConfig::static_mode(),
                 window,
-                chaos,
-                options,
+                &chaotic(chaos, options),
             )
             .unwrap();
             Runtime::new(topology).run().unwrap();
@@ -1834,8 +1671,13 @@ mod tests {
     fn pipeline_summaries_cover_expected_query_times() {
         let scenario = Scenario::generate(ScenarioConfig::small(900, 78)).unwrap();
         let window = WindowConfig::new(300, 300).unwrap();
-        let (topology, sink) =
-            build_pipeline(&scenario, TrafficRulesConfig::static_mode(), window).unwrap();
+        let (topology, sink) = build_pipeline_with(
+            &scenario,
+            TrafficRulesConfig::static_mode(),
+            window,
+            &PipelineOptions::default(),
+        )
+        .unwrap();
         Runtime::new(topology).run().unwrap();
         let (start, _) = scenario.window();
         let times: Vec<i64> = sink.items().iter().filter_map(|i| i.get_i64("query_time")).collect();

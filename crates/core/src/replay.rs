@@ -14,7 +14,7 @@
 //! sorted by `(query_time, region)`), and wall-clock measurements
 //! (`recognition_ns`, which times the host, not the data).
 
-use crate::pipeline::{build_pipeline, build_pipeline_with, PipelineOptions};
+use crate::pipeline::{build_pipeline_with, PipelineOptions};
 use insight_datagen::regions::Region;
 use insight_datagen::scenario::Scenario;
 use insight_rtec::window::WindowConfig;
@@ -67,7 +67,8 @@ pub fn replay_recognitions(
     window: WindowConfig,
     seed: u64,
 ) -> Result<String, StreamsError> {
-    let (topology, sink) = build_pipeline(scenario, rules.clone(), window)?;
+    let (topology, sink) =
+        build_pipeline_with(scenario, rules.clone(), window, &PipelineOptions::default())?;
     ReplayRuntime::new(topology, seed).run()?;
     Ok(canonical_recognitions(&sink.items()))
 }

@@ -98,6 +98,9 @@ pub struct ChaosStats {
     pub panics: Counter,
 }
 
+/// A topology can publish its sources' counters on its service registry.
+impl crate::service::Service for ChaosStats {}
+
 fn corrupt(item: &mut DataItem, rng: &mut StdRng) {
     if item.is_empty() {
         return;

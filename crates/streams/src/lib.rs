@@ -69,7 +69,7 @@ pub mod runtime;
 pub mod service;
 pub mod sink;
 pub mod source;
-pub mod spsc;
+mod spsc;
 pub mod topology;
 pub mod xml;
 

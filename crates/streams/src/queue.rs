@@ -3,7 +3,7 @@
 //! Processes take *a stream or a queue* as input; queues also serve as the
 //! outputs derived events are emitted to (the RTEC processor of the paper
 //! emits CEs "to a queue in the Streams framework"). Queues are bounded,
-//! providing backpressure, multi-producer and single-consumer.
+//! providing backpressure, with any number of producers and one consumer.
 //!
 //! The surface is the five calls a worker makes, all of them on buffers the
 //! caller keeps: [`QueueSender::send_batch`] and
@@ -14,279 +14,170 @@
 //! `try_` pair never waits, which is what the replay scheduler needs and how
 //! a threaded worker learns that its input ran dry before it parks.
 //!
-//! # Termination accounting
+//! # One ring per producer
 //!
-//! The queue is created for a declared number of *logical producers*, each
-//! expected to call [`QueueSender::finish`] exactly once. Two mechanisms
-//! decide end-of-stream, and **both** only take effect once the buffer has
-//! drained:
+//! A queue with `k` producers is `k` lock-free single-producer rings, one per
+//! [`QueueSender`], each with the declared capacity — so the capacity bounds
+//! how far each producer may run ahead of the consumer, and a fan-in edge
+//! never shares a lock between its producers. The one [`QueueReceiver`]
+//! reads the rings round-robin: a receive starts at the ring after the last
+//! one it took items from and moves on to the next ring while the batch has
+//! room. Each ring is FIFO, so every producer's items arrive in its send
+//! order; how the producers interleave is up to the schedule.
 //!
-//! 1. **EOS markers** — `finish()` increments `eos_seen`; the stream ends
-//!    when `eos_seen ≥ producers`. `finish()` is idempotent *per handle*: a
-//!    handle that finishes twice (e.g. a worker that flushes and is then
-//!    dropped by supervision code that finishes again) still counts as one
-//!    producer, so a double `finish()` cannot terminate the stream while
-//!    another declared producer is still live.
-//! 2. **Handle liveness** — every live [`QueueSender`] (clones included) is
-//!    counted; when the count reaches zero the stream ends even if EOS
-//!    markers are missing (a producer thread that panicked can never send
-//!    again, so waiting for its marker would wedge the consumer forever).
+//! A consumer with nothing to read parks on one doorbell that all of its
+//! rings share, so whichever producer publishes first wakes it; a producer
+//! facing a full ring parks on that ring's own doorbell, which the consumer
+//! rings as it drains.
 //!
-//! Items buffered before *any* `finish()` call are never lost: a receive
-//! reports the end only once the buffer is empty **and** one of the two
-//! conditions above holds, so concurrent `finish()` calls racing with
-//! in-flight sends cannot reorder or drop the already-buffered prefix — the
-//! per-producer FIFO order of the buffer is exactly send order.
+//! # End of stream
+//!
+//! The stream ends once every ring is closed and drained. A sender closes its
+//! own ring on [`QueueSender::finish`] or when dropped (a producer thread
+//! that panicked can never send again), so a second `finish` — or a drop
+//! after one — cannot end another producer's ring. Items a producer sent
+//! before it closed are never lost: its ring is closed only after its last
+//! publication, and a receive reports the end only once every ring it read
+//! as closed is also empty. Senders cannot be cloned — each producer owns
+//! the one handle of its ring:
+//!
+//! ```compile_fail,E0599
+//! let (mut senders, _rx) = insight_streams::queue::queue(4, 1);
+//! let tx = senders.pop().unwrap();
+//! let _second = tx.clone();
+//! ```
 
 use crate::item::DataItem;
 use crate::metrics::QueueMetrics;
 use crate::source::Polled;
-use std::collections::VecDeque;
+use crate::spsc::{spin_limit, Doorbell, Ring};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-struct Inner {
-    buffer: VecDeque<DataItem>,
-    /// `finish()` calls seen so far.
-    eos_seen: usize,
-    /// Live `QueueSender` handles (clones included).
-    handles: usize,
-    consumer_alive: bool,
-}
-
+/// What a queue's handles share: one ring per producer and the consumer's
+/// doorbell.
 struct Shared {
-    inner: Mutex<Inner>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-    producers: usize,
+    rings: Box<[Ring]>,
+    /// Where the consumer parks on an empty queue; every producer rings it.
+    items: Doorbell,
+    consumer_alive: AtomicBool,
     metrics: Arc<QueueMetrics>,
 }
 
-impl Shared {
-    /// End of stream: every declared producer finished, or no sender handle
-    /// is left alive to ever produce more.
-    fn stream_ended(&self, inner: &Inner) -> bool {
-        inner.eos_seen >= self.producers || inner.handles == 0
-    }
-}
-
-/// Mutex+Condvar producer handle (cloneable: multi-producer).
-struct MpmcSender {
+/// Producer handle of a queue: owns one ring.
+pub struct QueueSender {
     shared: Arc<Shared>,
-    /// Whether *this handle* already delivered its EOS marker; makes
-    /// [`QueueSender::finish`] idempotent per handle (see the module docs on
-    /// termination accounting).
-    finished: AtomicBool,
+    ring: usize,
 }
 
-impl Clone for MpmcSender {
-    fn clone(&self) -> MpmcSender {
-        self.shared.inner.lock().unwrap().handles += 1;
-        MpmcSender { shared: Arc::clone(&self.shared), finished: AtomicBool::new(false) }
-    }
-}
-
-impl Drop for MpmcSender {
+impl Drop for QueueSender {
     fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock().unwrap();
-        inner.handles -= 1;
-        if inner.handles == 0 {
-            // Last handle gone: wake a consumer waiting on a queue that will
-            // never receive the outstanding finish() markers.
-            self.shared.not_empty.notify_all();
-        }
-    }
-}
-
-impl MpmcSender {
-    /// See [`QueueSender::send_batch`]: one lock acquisition, released only
-    /// while waiting for room.
-    fn send_batch(&self, items: &mut Vec<DataItem>) -> bool {
-        if items.is_empty() {
-            return true;
-        }
-        let n = items.len();
-        let metrics = &self.shared.metrics;
-        let mut inner = self.shared.inner.lock().unwrap();
-        let mut sent = 0;
-        for item in items.drain(..) {
-            if inner.buffer.len() >= self.shared.capacity && inner.consumer_alive {
-                metrics.send_stalls.inc();
-                let stalled_at = Instant::now();
-                while inner.buffer.len() >= self.shared.capacity && inner.consumer_alive {
-                    // The prefix pushed so far has not been announced yet —
-                    // wake the consumer so it can drain and make room.
-                    self.shared.not_empty.notify_one();
-                    inner = self.shared.not_full.wait(inner).unwrap();
-                }
-                metrics.stall_ns.add(stalled_at.elapsed().as_nanos() as u64);
-            }
-            if !inner.consumer_alive {
-                break;
-            }
-            inner.buffer.push_back(item);
-            sent += 1;
-        }
-        if sent > 0 {
-            metrics.sent.add(sent as u64);
-            metrics.depth.add(sent as i64);
-            metrics.record_batch(sent);
-            self.shared.not_empty.notify_one();
-        }
-        sent == n
-    }
-
-    /// See [`QueueSender::try_send_batch`].
-    fn try_send_batch(&self, items: &mut Vec<DataItem>) -> bool {
-        let mut inner = self.shared.inner.lock().unwrap();
-        if !inner.consumer_alive {
-            items.clear();
-            return false;
-        }
-        let n = self.shared.capacity.saturating_sub(inner.buffer.len()).min(items.len());
-        if n > 0 {
-            inner.buffer.extend(items.drain(..n));
-            let metrics = &self.shared.metrics;
-            metrics.sent.add(n as u64);
-            metrics.depth.add(n as i64);
-            metrics.record_batch(n);
-            self.shared.not_empty.notify_one();
-        }
-        true
-    }
-
-    /// Signals that this producer is done. Idempotent per handle: only the
-    /// first call on a given handle counts towards the queue's EOS total.
-    fn finish(&self) {
-        if self.finished.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let mut inner = self.shared.inner.lock().unwrap();
-        inner.eos_seen += 1;
-        if inner.eos_seen >= self.shared.producers {
-            self.shared.not_empty.notify_all();
-        }
-    }
-}
-
-/// Mutex+Condvar consumer handle (single consumer).
-struct MpmcReceiver {
-    shared: Arc<Shared>,
-}
-
-impl Drop for MpmcReceiver {
-    fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock().unwrap();
-        inner.consumer_alive = false;
-        // Unblock producers stuck on a full queue.
-        self.shared.not_full.notify_all();
-    }
-}
-
-impl MpmcReceiver {
-    /// Moves up to `max` buffered items to `out`; returns how many.
-    fn pop_into(&self, inner: &mut Inner, max: usize, out: &mut Vec<DataItem>) -> usize {
-        let n = inner.buffer.len().min(max.max(1));
-        if n > 0 {
-            out.extend(inner.buffer.drain(..n));
-            let metrics = &self.shared.metrics;
-            metrics.received.add(n as u64);
-            metrics.depth.add(-(n as i64));
-            metrics.record_batch(n);
-            self.shared.not_full.notify_all();
-        }
-        n
-    }
-
-    /// See [`QueueReceiver::recv_batch`].
-    fn recv_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> usize {
-        let mut inner = self.shared.inner.lock().unwrap();
-        loop {
-            let n = self.pop_into(&mut inner, max, out);
-            if n > 0 || self.shared.stream_ended(&inner) {
-                return n;
-            }
-            inner = self.shared.not_empty.wait(inner).unwrap();
-        }
-    }
-
-    /// See [`QueueReceiver::try_recv_batch`].
-    fn try_recv_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> Polled {
-        let mut inner = self.shared.inner.lock().unwrap();
-        match self.pop_into(&mut inner, max, out) {
-            0 if self.shared.stream_ended(&inner) => Polled::Ended,
-            0 => Polled::Pending,
-            n => Polled::Items(n),
-        }
-    }
-}
-
-/// Producer handle of a queue. Cloneable for MPMC queues (multi-producer);
-/// cloning an SPSC sender panics — the ring has exactly one producer by
-/// construction, and a second handle would silently corrupt its ordering
-/// guarantees.
-pub struct QueueSender(SenderImpl);
-
-enum SenderImpl {
-    Mpmc(MpmcSender),
-    Spsc(crate::spsc::SpscSender),
-}
-
-impl Clone for QueueSender {
-    fn clone(&self) -> QueueSender {
-        match &self.0 {
-            SenderImpl::Mpmc(tx) => QueueSender(SenderImpl::Mpmc(tx.clone())),
-            SenderImpl::Spsc(_) => {
-                panic!("SPSC queue senders are single-owner and cannot be cloned")
-            }
-        }
+        // A dropped producer can never send again; this is `finish()`.
+        self.finish();
     }
 }
 
 impl QueueSender {
-    /// Sends every item of `items`, in order, blocking while the queue is
-    /// full, and leaves `items` empty with its capacity kept for the next
-    /// batch. The items land in the buffer exactly as the same items sent
-    /// one batch of one at a time would — batching changes lock and wake
-    /// traffic, never the observable FIFO order. Returns `false` (discarding
-    /// the remainder) if the consumer is gone.
-    pub fn send_batch(&self, items: &mut Vec<DataItem>) -> bool {
-        match &self.0 {
-            SenderImpl::Mpmc(tx) => tx.send_batch(items),
-            SenderImpl::Spsc(tx) => tx.send_batch(items),
+    fn ring(&self) -> &Ring {
+        &self.shared.rings[self.ring]
+    }
+
+    /// Publishes the longest prefix of `items` that fits, records it and
+    /// wakes the consumer. Returns how many items moved.
+    fn push(&self, items: &mut Vec<DataItem>) -> usize {
+        let n = self.ring().push_prefix(items);
+        if n > 0 {
+            let metrics = &self.shared.metrics;
+            metrics.sent.add(n as u64);
+            metrics.depth.add(n as i64);
+            metrics.record_batch(n);
+            self.shared.items.wake();
         }
+        n
+    }
+
+    fn consumer_gone(&self, items: &mut Vec<DataItem>) -> bool {
+        let gone = !self.shared.consumer_alive.load(Ordering::Acquire);
+        if gone {
+            items.clear();
+        }
+        gone
+    }
+
+    /// Sends every item of `items`, in order, blocking while this producer's
+    /// ring is full, and leaves `items` empty with its capacity kept for the
+    /// next batch. The items land in the ring exactly as the same items sent
+    /// one batch of one at a time would — batching changes wake traffic,
+    /// never the observable FIFO order. Returns `false` (discarding the
+    /// remainder) if the consumer is gone.
+    pub fn send_batch(&self, items: &mut Vec<DataItem>) -> bool {
+        let mut spins = 0;
+        while !items.is_empty() {
+            if self.consumer_gone(items) {
+                return false;
+            }
+            if self.push(items) > 0 {
+                spins = 0;
+            } else if spins < spin_limit() {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                self.wait_for_room();
+            }
+        }
+        true
+    }
+
+    /// Parks until the ring has room or the consumer is gone. Counted as one
+    /// backpressure stall.
+    fn wait_for_room(&self) {
+        let metrics = &self.shared.metrics;
+        metrics.send_stalls.inc();
+        let stalled_at = Instant::now();
+        let ring = self.ring();
+        ring.room
+            .wait_until(|| !ring.is_full() || !self.shared.consumer_alive.load(Ordering::Relaxed));
+        metrics.stall_ns.add(stalled_at.elapsed().as_nanos() as u64);
     }
 
     /// [`QueueSender::send_batch`] without the wait: sends the longest
     /// prefix of `items` that fits and hands back the rest, in order, in
     /// `items`. Returns `false` (discarding everything) if the consumer is
-    /// gone. A full queue costs the caller nothing, so no backpressure stall
+    /// gone. A full ring costs the caller nothing, so no backpressure stall
     /// is recorded.
     pub fn try_send_batch(&self, items: &mut Vec<DataItem>) -> bool {
-        match &self.0 {
-            SenderImpl::Mpmc(tx) => tx.try_send_batch(items),
-            SenderImpl::Spsc(tx) => tx.try_send_batch(items),
+        if self.consumer_gone(items) {
+            return false;
         }
+        self.push(items);
+        true
     }
 
-    /// Signals that this producer is done. Idempotent per handle: only the
-    /// first call on a given handle counts towards the queue's EOS total.
+    /// Signals that this producer is done: closes its ring. Idempotent, and
+    /// never affects another producer's ring.
     pub fn finish(&self) {
-        match &self.0 {
-            SenderImpl::Mpmc(tx) => tx.finish(),
-            SenderImpl::Spsc(tx) => tx.finish(),
-        }
+        self.ring().close();
+        self.shared.items.wake();
     }
 }
 
-/// Consumer handle of a queue (single consumer).
-pub struct QueueReceiver(ReceiverImpl);
+/// Consumer handle of a queue (single consumer): reads every producer's
+/// ring.
+pub struct QueueReceiver {
+    shared: Arc<Shared>,
+    /// The ring the next receive starts at.
+    next: usize,
+}
 
-enum ReceiverImpl {
-    Mpmc(MpmcReceiver),
-    Spsc(crate::spsc::SpscReceiver),
+impl Drop for QueueReceiver {
+    fn drop(&mut self) {
+        self.shared.consumer_alive.store(false, Ordering::Release);
+        // Unblock producers parked on a full ring.
+        for ring in self.shared.rings.iter() {
+            ring.room.wake();
+        }
+    }
 }
 
 impl QueueReceiver {
@@ -296,27 +187,66 @@ impl QueueReceiver {
     /// item becomes available is taken, so batching adds no latency over
     /// receiving one item at a time.
     pub fn recv_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> usize {
-        match &mut self.0 {
-            ReceiverImpl::Mpmc(rx) => rx.recv_batch(max, out),
-            ReceiverImpl::Spsc(rx) => rx.recv_batch(max, out),
+        let mut spins = 0;
+        loop {
+            match self.try_recv_batch(max, out) {
+                Polled::Items(n) => return n,
+                Polled::Ended => return 0,
+                Polled::Pending if spins < spin_limit() => {
+                    spins += 1;
+                    std::hint::spin_loop();
+                }
+                Polled::Pending => {
+                    let rings = &self.shared.rings;
+                    self.shared.items.wait_until(|| {
+                        rings.iter().any(Ring::has_items) || rings.iter().all(Ring::is_closed)
+                    });
+                }
+            }
         }
     }
 
     /// [`QueueReceiver::recv_batch`] without the wait: [`Polled::Items`]
     /// when it appended what is buffered right now (up to `max`),
-    /// [`Polled::Pending`] when the queue is empty but the stream is open,
-    /// [`Polled::Ended`] once every producer finished (or vanished) and the
-    /// buffer drained.
+    /// [`Polled::Pending`] when every ring is empty but one is still open,
+    /// [`Polled::Ended`] once every producer finished (or vanished) and every
+    /// ring drained.
     pub fn try_recv_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> Polled {
-        match &mut self.0 {
-            ReceiverImpl::Mpmc(rx) => rx.try_recv_batch(max, out),
-            ReceiverImpl::Spsc(rx) => rx.try_recv_batch(max, out),
+        let rings = &self.shared.rings;
+        let (max, start) = (max.max(1), self.next);
+        let mut taken = 0;
+        let mut ended = true;
+        for i in 0..rings.len() {
+            if taken == max {
+                break;
+            }
+            let at = (start + i) % rings.len();
+            let ring = &rings[at];
+            // `closed` is stored after the ring's final push, so once it
+            // reads true a pop that finds nothing means the ring has ended.
+            let closed = ring.is_closed();
+            let n = ring.pop_into(max - taken, out);
+            if n > 0 {
+                ring.room.wake();
+                taken += n;
+                self.next = at + 1;
+            }
+            ended &= closed && n == 0;
         }
+        if taken == 0 {
+            return if ended { Polled::Ended } else { Polled::Pending };
+        }
+        let metrics = &self.shared.metrics;
+        metrics.received.add(taken as u64);
+        metrics.depth.add(-(taken as i64));
+        metrics.record_batch(taken);
+        Polled::Items(taken)
     }
 }
 
-/// Creates a bounded queue for `producers` producers.
-pub fn queue(capacity: usize, producers: usize) -> (QueueSender, QueueReceiver) {
+/// Creates a bounded queue for `producers` producers: one sender per
+/// producer, each with a ring of `capacity` items, and the receiver.
+pub fn queue(capacity: usize, producers: usize) -> (Vec<QueueSender>, QueueReceiver) {
     queue_with_metrics(capacity, producers, Arc::new(QueueMetrics::default()))
 }
 
@@ -327,39 +257,15 @@ pub fn queue_with_metrics(
     capacity: usize,
     producers: usize,
     metrics: Arc<QueueMetrics>,
-) -> (QueueSender, QueueReceiver) {
+) -> (Vec<QueueSender>, QueueReceiver) {
     let shared = Arc::new(Shared {
-        inner: Mutex::new(Inner {
-            buffer: VecDeque::new(),
-            eos_seen: 0,
-            handles: 1,
-            consumer_alive: true,
-        }),
-        not_empty: Condvar::new(),
-        not_full: Condvar::new(),
-        capacity: capacity.max(1),
-        producers,
+        rings: (0..producers).map(|_| Ring::new(capacity)).collect(),
+        items: Doorbell::default(),
+        consumer_alive: AtomicBool::new(true),
         metrics,
     });
-    (
-        QueueSender(SenderImpl::Mpmc(MpmcSender {
-            shared: Arc::clone(&shared),
-            finished: AtomicBool::new(false),
-        })),
-        QueueReceiver(ReceiverImpl::Mpmc(MpmcReceiver { shared })),
-    )
-}
-
-/// Creates a lock-free SPSC queue (see [`crate::spsc`]) behind the same
-/// handle types. The runtime picks this flavour for edges with exactly one
-/// declared producer; semantics (blocking, backpressure, termination, FIFO
-/// order, metrics) match the MPMC queue with `producers = 1`.
-pub fn spsc_queue_with_metrics(
-    capacity: usize,
-    metrics: Arc<QueueMetrics>,
-) -> (QueueSender, QueueReceiver) {
-    let (tx, rx) = crate::spsc::ring_with_metrics(capacity, metrics);
-    (QueueSender(SenderImpl::Spsc(tx)), QueueReceiver(ReceiverImpl::Spsc(rx)))
+    let senders = (0..producers).map(|ring| QueueSender { shared: Arc::clone(&shared), ring });
+    (senders.collect(), QueueReceiver { shared, next: 0 })
 }
 
 #[cfg(test)]
@@ -383,9 +289,15 @@ mod tests {
         out.pop().map(|i| i.get_i64("n").unwrap())
     }
 
+    /// A single-producer queue.
+    fn one(capacity: usize) -> (QueueSender, QueueReceiver) {
+        let (mut senders, rx) = queue(capacity, 1);
+        (senders.pop().unwrap(), rx)
+    }
+
     #[test]
     fn items_then_eos() {
-        let (tx, mut rx) = queue(4, 1);
+        let (tx, mut rx) = one(4);
         send(&tx, 1);
         send(&tx, 2);
         tx.finish();
@@ -396,99 +308,165 @@ mod tests {
     }
 
     #[test]
-    fn waits_for_all_producers() {
-        let (tx1, mut rx) = queue(4, 2);
-        let tx2 = tx1.clone();
-        send(&tx1, 1);
-        tx1.finish();
-        send(&tx2, 2);
-        // One EOS received, still one producer alive: items flow.
-        assert!(recv(&mut rx).is_some());
-        assert!(recv(&mut rx).is_some());
-        tx2.finish();
-        assert!(recv(&mut rx).is_none());
+    fn waits_for_every_producer() {
+        for k in [2, 5] {
+            let (senders, mut rx) = queue(4, k);
+            for (p, tx) in senders.iter().enumerate() {
+                send(tx, p as i64);
+            }
+            // All but the last producer finish: their items still flow and
+            // the stream stays open for the last one.
+            for tx in &senders[..k - 1] {
+                tx.finish();
+            }
+            let mut got: Vec<i64> = (0..k).map(|_| recv(&mut rx).unwrap()).collect();
+            got.sort_unstable();
+            assert_eq!(got, (0..k as i64).collect::<Vec<_>>());
+            assert_eq!(rx.try_recv_batch(1, &mut Vec::new()), Polled::Pending, "k = {k}");
+            send(&senders[k - 1], 99);
+            senders[k - 1].finish();
+            assert_eq!(recv(&mut rx), Some(99));
+            assert!(recv(&mut rx).is_none(), "k = {k}: ends once every ring is closed");
+        }
     }
 
     #[test]
-    fn dropped_senders_terminate() {
-        let (tx, mut rx) = queue(4, 1);
-        drop(tx);
-        assert!(recv(&mut rx).is_none());
+    fn ends_when_every_sender_is_dropped_without_finish() {
+        for k in [2, 5] {
+            let (senders, mut rx) = queue(4, k);
+            send(&senders[0], 7);
+            let dropper = std::thread::spawn(move || drop(senders));
+            assert_eq!(recv(&mut rx), Some(7), "buffered items still drain");
+            assert!(recv(&mut rx).is_none(), "k = {k}: ends once every sender is gone");
+            dropper.join().unwrap();
+        }
     }
 
     #[test]
-    fn dropped_clone_without_finish_does_not_wedge() {
-        // Regression: a cloned sender dropped without finish() (e.g. its
-        // producer thread panicked) used to leave the consumer blocked
-        // forever waiting for an EOS marker that can no longer arrive.
-        let (tx1, mut rx) = queue(4, 2);
-        let tx2 = tx1.clone();
-        send(&tx2, 7);
-        drop(tx2); // vanishes without finish()
-        tx1.finish();
-        std::thread::spawn(move || drop(tx1));
-        assert_eq!(recv(&mut rx), Some(7), "buffered items still drain");
-        assert!(recv(&mut rx).is_none(), "stream ends once all handles are gone");
+    fn double_finish_does_not_end_another_producers_ring() {
+        for k in [2, 5] {
+            let (mut senders, mut rx) = queue(4, k);
+            let last = senders.pop().unwrap();
+            for tx in senders {
+                tx.finish();
+                tx.finish();
+                drop(tx); // finish + drop of one sender closes one ring
+            }
+            assert_eq!(
+                rx.try_recv_batch(1, &mut Vec::new()),
+                Polled::Pending,
+                "k = {k}: the stream stays open for the last producer"
+            );
+            send(&last, 9);
+            last.finish();
+            assert_eq!(recv(&mut rx), Some(9), "late producer's item drains");
+            assert!(recv(&mut rx).is_none());
+        }
     }
 
     #[test]
-    fn dropped_clone_after_finish_keeps_counting_once() {
-        let (tx1, mut rx) = queue(4, 2);
-        let tx2 = tx1.clone();
-        tx2.finish();
-        drop(tx2); // finish + drop of the same handle counts once
-        assert_eq!(
-            rx.try_recv_batch(1, &mut Vec::new()),
-            Polled::Pending,
-            "one declared producer is still alive, stream must stay open"
-        );
-        tx1.finish();
-        assert!(recv(&mut rx).is_none());
+    fn dropping_the_consumer_unblocks_every_blocked_producer() {
+        for k in [1, 2, 5] {
+            let metrics = Arc::new(QueueMetrics::default());
+            let (senders, rx) = queue_with_metrics(1, k, Arc::clone(&metrics));
+            let blocked: Vec<_> = senders
+                .into_iter()
+                .map(|tx| {
+                    std::thread::spawn(move || {
+                        assert!(send(&tx, 1));
+                        // The ring is full: this parks until the receiver goes.
+                        assert!(!send(&tx, 2), "consumer gone");
+                        let mut batch = vec![item(3)];
+                        assert!(!tx.try_send_batch(&mut batch), "discards after death");
+                        assert!(batch.is_empty());
+                    })
+                })
+                .collect();
+            // Every producer filled its ring and is about to park (or parked).
+            while metrics.send_stalls.get() < k as u64 {
+                std::thread::yield_now();
+            }
+            drop(rx);
+            for producer in blocked {
+                producer.join().unwrap();
+            }
+        }
     }
 
     #[test]
-    fn double_finish_on_one_handle_counts_once() {
-        // Regression: `finish()` called twice on the same handle used to
-        // count as two producers finishing, terminating the stream while the
-        // second declared producer was still live — its buffered items were
-        // then silently stranded behind an end-of-stream.
-        let (tx1, mut rx) = queue(4, 2);
-        let tx2 = tx1.clone();
-        tx1.finish();
-        tx1.finish(); // idempotent: still only one of two producers done
-        assert_eq!(
-            rx.try_recv_batch(1, &mut Vec::new()),
-            Polled::Pending,
-            "stream must stay open for the second producer"
-        );
-        send(&tx2, 9);
-        tx2.finish();
-        assert_eq!(recv(&mut rx), Some(9), "late producer's item drains");
-        assert!(recv(&mut rx).is_none());
+    fn try_recv_batch_tells_pending_from_ended() {
+        for k in [1, 2, 5] {
+            let (senders, mut rx) = queue(2, k);
+            let mut out = Vec::new();
+            assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Pending);
+            send(&senders[k - 1], 1);
+            assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Items(1));
+            assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Pending, "open, empty");
+            for tx in &senders {
+                tx.finish();
+            }
+            assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Ended);
+            assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Ended, "stays terminated");
+        }
+    }
+
+    #[test]
+    fn receives_round_robin_across_rings() {
+        let (senders, mut rx) = queue(8, 3);
+        for (p, tx) in senders.iter().enumerate() {
+            tx.send_batch(&mut (0..4).map(|n| item(10 * p as i64 + n)).collect());
+        }
+        let mut out = Vec::new();
+        let mut take = |rx: &mut QueueReceiver, max| {
+            out.clear();
+            rx.try_recv_batch(max, &mut out);
+            out.iter().map(|i| i.get_i64("n").unwrap()).collect::<Vec<_>>()
+        };
+        assert_eq!(take(&mut rx, 3), [0, 1, 2], "a batch fills from one ring first");
+        assert_eq!(take(&mut rx, 3), [10, 11, 12], "the next receive starts at the next ring");
+        assert_eq!(take(&mut rx, 5), [20, 21, 22, 23, 3], "and moves on while there is room");
+        assert_eq!(take(&mut rx, 5), [13]);
+        assert!(take(&mut rx, 5).is_empty());
     }
 
     #[test]
     fn concurrent_finish_preserves_buffered_drain_order() {
-        // Items buffered before any finish() must drain in exact send order
-        // even while both producers race their EOS markers against the
-        // consumer. Deterministic: all sends happen before the threads start.
-        let (tx1, mut rx) = queue(8, 2);
-        let tx2 = tx1.clone();
+        // Items buffered before any finish() must drain in each producer's
+        // send order even while both producers race their end of stream
+        // against the consumer.
+        let (mut senders, mut rx) = queue(8, 2);
         for n in 0..3 {
-            send(&tx1, n);
+            send(&senders[0], n);
         }
-        send(&tx2, 3);
-        let h1 = std::thread::spawn(move || tx1.finish());
-        let h2 = std::thread::spawn(move || tx2.finish());
+        send(&senders[1], 3);
+        let finishers: Vec<_> =
+            senders.drain(..).map(|tx| std::thread::spawn(move || tx.finish())).collect();
         let drained: Vec<i64> = std::iter::from_fn(|| recv(&mut rx)).collect();
-        h1.join().unwrap();
-        h2.join().unwrap();
-        assert_eq!(drained, vec![0, 1, 2, 3], "FIFO order survives concurrent finish()");
+        finishers.into_iter().for_each(|h| h.join().unwrap());
+        let first: Vec<i64> = drained.iter().copied().filter(|&n| n < 3).collect();
+        assert_eq!(first, [0, 1, 2], "per-producer FIFO survives concurrent finish()");
+        assert_eq!(drained.len(), 4);
+    }
+
+    #[test]
+    fn close_racing_with_last_push_never_loses_items() {
+        for _ in 0..200 {
+            let (tx, mut rx) = one(8);
+            let producer = std::thread::spawn(move || {
+                for n in 0..5 {
+                    send(&tx, n);
+                }
+                // finish() happens via drop, racing with the consumer.
+            });
+            let got: Vec<i64> = std::iter::from_fn(|| recv(&mut rx)).collect();
+            producer.join().unwrap();
+            assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        }
     }
 
     #[test]
     fn try_calls_never_block() {
-        let (tx, mut rx) = queue(1, 1);
+        let (tx, mut rx) = one(1);
         let mut out = Vec::new();
         assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Pending);
         // Full queue: what did not fit comes back instead of blocking.
@@ -501,24 +479,21 @@ mod tests {
         assert!(tx.try_send_batch(&mut batch));
         assert!(batch.is_empty(), "room again");
         assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Items(1));
-        assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Pending, "open stream, empty buffer");
-        tx.finish();
-        assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Ended);
-        assert_eq!(rx.try_recv_batch(4, &mut out), Polled::Ended, "stays terminated");
     }
 
     #[test]
     fn try_send_to_dropped_receiver_discards() {
-        let (tx, rx) = queue(1, 1);
+        let (tx, rx) = one(1);
         drop(rx);
         let mut batch = vec![item(1), item(2)];
         assert!(!tx.try_send_batch(&mut batch), "consumer gone");
         assert!(batch.is_empty(), "items dropped");
+        assert!(!tx.send_batch(&mut vec![item(3)]), "blocking send fails too");
     }
 
     #[test]
     fn backpressure_blocks_until_consumed() {
-        let (tx, mut rx) = queue(1, 1);
+        let (tx, mut rx) = one(1);
         send(&tx, 1);
         let handle = std::thread::spawn(move || {
             // This send blocks until the consumer drains one item.
@@ -533,24 +508,17 @@ mod tests {
     }
 
     #[test]
-    fn send_to_dropped_receiver_returns_false() {
-        let (tx, rx) = queue(1, 1);
-        send(&tx, 1);
-        drop(rx);
-        assert!(!send(&tx, 2), "consumer is gone");
-    }
-
-    #[test]
     fn batch_roundtrip_preserves_fifo_and_records_sizes() {
         let metrics = Arc::new(QueueMetrics::default());
-        let (tx, mut rx) = queue_with_metrics(8, 1, Arc::clone(&metrics));
+        let (mut senders, mut rx) = queue_with_metrics(8, 1, Arc::clone(&metrics));
+        let tx = senders.pop().unwrap();
         let mut batch: Vec<DataItem> = (0..5).map(item).collect();
         assert!(tx.send_batch(&mut batch));
         assert!(batch.is_empty() && batch.capacity() >= 5, "drained, capacity kept");
         assert!(tx.send_batch(&mut batch), "empty batch is a no-op");
         let mut out = Vec::new();
         assert_eq!(rx.recv_batch(3, &mut out), 3);
-        assert_eq!(rx.recv_batch(10, &mut out), 2);
+        assert_eq!(rx.recv_batch(10, &mut out), 2, "short batch, no waiting");
         assert_eq!(
             out.iter().map(|i| i.get_i64("n").unwrap()).collect::<Vec<_>>(),
             [0, 1, 2, 3, 4]
@@ -571,9 +539,9 @@ mod tests {
 
     #[test]
     fn send_batch_larger_than_capacity_drains_through() {
-        // A batch bigger than the queue must interleave with the consumer
+        // A batch bigger than the ring must interleave with the consumer
         // without deadlock and still arrive in order.
-        let (tx, mut rx) = queue(2, 1);
+        let (tx, mut rx) = one(2);
         let producer = std::thread::spawn(move || {
             assert!(tx.send_batch(&mut (0..20).map(item).collect()));
             tx.finish();
@@ -588,16 +556,10 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_to_dropped_receiver_returns_false() {
-        let (tx, rx) = queue(4, 1);
-        drop(rx);
-        assert!(!tx.send_batch(&mut vec![DataItem::new()]));
-    }
-
-    #[test]
     fn metrics_track_depth_throughput_and_stalls() {
         let metrics = Arc::new(QueueMetrics::default());
-        let (tx, mut rx) = queue_with_metrics(1, 1, Arc::clone(&metrics));
+        let (mut senders, mut rx) = queue_with_metrics(1, 1, Arc::clone(&metrics));
+        let tx = senders.pop().unwrap();
         send(&tx, 1);
         let blocked = std::thread::spawn(move || {
             send(&tx, 2);

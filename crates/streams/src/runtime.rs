@@ -8,8 +8,8 @@
 //! it to the end and waits inside the queue or source call when there is
 //! nothing to do; [`crate::replay::ReplayRuntime`] steps them all on one
 //! thread under a seeded scheduler and is told when a worker is blocked.
-//! End-of-stream propagates through queues via per-producer markers, so the
-//! whole graph drains and terminates deterministically.
+//! End-of-stream propagates through queues as each producer closes its own
+//! ring, so the whole graph drains and terminates deterministically.
 //!
 //! Every processor invocation — `process` and `finish` alike — is
 //! *supervised*: errors and panics (`catch_unwind`) become faults governed by
@@ -27,7 +27,7 @@ use crate::item::DataItem;
 use crate::metrics::{MetricsRegistry, StageMetrics};
 use crate::partition::{is_punctuation, Dispatch};
 use crate::processor::{drive_chain, push_outputs, Context, Processor};
-use crate::queue::{queue_with_metrics, spsc_queue_with_metrics, QueueReceiver, QueueSender};
+use crate::queue::{queue_with_metrics, QueueReceiver, QueueSender};
 use crate::sink::Sink;
 use crate::source::{Polled, Source};
 use crate::topology::{Input, Output, SharedProcessorFactory, Topology};
@@ -187,7 +187,7 @@ pub(crate) fn materialize(
         services.register_arc("metrics", Arc::clone(metrics));
     }
 
-    // Count producers per queue to size the EOS protocol.
+    // Count producers per queue: each gets a ring of its own.
     let mut producers: HashMap<String, usize> = HashMap::new();
     for p in &processes {
         for o in &p.outputs {
@@ -197,11 +197,9 @@ pub(crate) fn materialize(
         }
     }
 
-    // Create channels. Queues are single-consumer by validation; an edge
-    // with exactly one producing process is therefore provably SPSC and gets
-    // the lock-free ring (this covers every partition shard queue and every
-    // linear pipeline edge). Fan-in edges keep the MPMC queue.
-    let mut senders: HashMap<String, QueueSender> = HashMap::new();
+    // Create channels: one sender (and ring) per producing process, one
+    // receiver per queue — queues are single-consumer by validation.
+    let mut senders: HashMap<String, Vec<QueueSender>> = HashMap::new();
     let mut receivers: HashMap<String, QueueReceiver> = HashMap::new();
     for (name, cap) in &queues {
         let n_prod = producers.get(name).copied().unwrap_or(0);
@@ -210,12 +208,8 @@ pub(crate) fn materialize(
             // skip it entirely.
             continue;
         }
-        let (tx, rx) = if n_prod == 1 {
-            spsc_queue_with_metrics(*cap, metrics.queue(name))
-        } else {
-            queue_with_metrics(*cap, n_prod, metrics.queue(name))
-        };
-        senders.insert(name.clone(), tx);
+        let (txs, rx) = queue_with_metrics(*cap, n_prod, metrics.queue(name));
+        senders.insert(name.clone(), txs);
         receivers.insert(name.clone(), rx);
     }
 
@@ -234,12 +228,9 @@ pub(crate) fn materialize(
             .outputs
             .into_iter()
             .map(|o| match o {
-                // An SPSC sender is single-owner: its sole producer — this
-                // process — gets the original handle, not a clone.
-                Output::Queue(q) if producers[&q] == 1 => {
-                    ProcOutput::Queue(senders.remove(&q).expect("validated"))
-                }
-                Output::Queue(q) => ProcOutput::Queue(senders[&q].clone()),
+                Output::Queue(q) => ProcOutput::Queue(
+                    senders.get_mut(&q).and_then(Vec::pop).expect("one sender per producer"),
+                ),
                 Output::Sink(s) => ProcOutput::Sink(s),
                 Output::Discard => ProcOutput::Discard,
             })
@@ -295,8 +286,6 @@ pub(crate) fn materialize(
             entry_item: None,
         });
     }
-    // Drop the construction-time sender clones so queues can disconnect.
-    drop(senders);
     Ok(workers)
 }
 

@@ -70,7 +70,8 @@ proptest! {
         max_recv in 1usize..9,
     ) {
         let expected: Vec<i64> = batches.iter().flatten().copied().collect();
-        let (tx, mut rx) = queue(capacity, 1);
+        let (mut senders, mut rx) = queue(capacity, 1);
+        let tx = senders.pop().unwrap();
         let producer = std::thread::spawn(move || {
             for (i, b) in batches.into_iter().enumerate() {
                 let mut items: Vec<DataItem> =

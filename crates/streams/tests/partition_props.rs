@@ -157,14 +157,14 @@ proptest! {
         }
     }
 
-    /// Batched transfers over the SPSC partition edges compose with the
-    /// MPMC queue edge downstream: for any batch size (including ones larger
-    /// than the queue capacity, which forces the partial-drain path) the
-    /// merged output is unchanged and every schedule terminates — the replay
-    /// scheduler treats "batch not fully drained" as progress, not as a
-    /// deadlocked process.
+    /// Batched transfers over the one-producer shard edges compose with the
+    /// fan-in merge edge (one ring per replica): for any batch size
+    /// (including ones larger than the queue capacity, which forces the
+    /// partial-drain path) the merged output is unchanged and every schedule
+    /// terminates — the replay scheduler treats "batch not fully drained" as
+    /// progress, not as a deadlocked process.
     #[test]
-    fn batched_spsc_and_mpmc_edges_replay_without_false_deadlocks(
+    fn batched_shard_and_fan_in_edges_replay_without_false_deadlocks(
         keys in proptest::collection::vec(0i64..12, 1..80),
         batch_idx in 0usize..4,
         capacity_idx in 0usize..3,

@@ -10,11 +10,11 @@
 //! cargo run --release --example chaos_run
 //! ```
 
-use insight_repro::core::pipeline::build_chaos_pipeline;
+use insight_repro::core::pipeline::{build_pipeline_with, PipelineOptions};
 use insight_repro::core::system::FaultReport;
 use insight_repro::datagen::scenario::{Scenario, ScenarioConfig};
 use insight_repro::rtec::window::WindowConfig;
-use insight_repro::streams::chaos::ChaosConfig;
+use insight_repro::streams::chaos::{ChaosConfig, ChaosStats};
 use insight_repro::streams::runtime::Runtime;
 use insight_repro::traffic::{NoisyVariant, TrafficRulesConfig};
 
@@ -51,8 +51,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let window = WindowConfig::new(600, 300)?;
     let rules = TrafficRulesConfig::self_adaptive(NoisyVariant::CrowdValidated);
-    let (topology, sink, chaos_stats) = build_chaos_pipeline(&scenario, rules, window, chaos)?;
+    let options = PipelineOptions { chaos: Some(chaos), ..PipelineOptions::default() };
+    let (topology, sink) = build_pipeline_with(&scenario, rules, window, &options)?;
     let dead_letters = topology.dead_letters();
+    // The builder registers each wrapped source's counters as `chaos.<source>`.
+    let mut chaos_stats = Vec::new();
+    for name in topology.services().names() {
+        if let Some(source) = name.strip_prefix("chaos.") {
+            let stats = topology.services().get::<ChaosStats>(&name)?;
+            chaos_stats.push((source.to_string(), stats));
+        }
+    }
 
     let runtime = Runtime::new(topology);
     let metrics = runtime.metrics();

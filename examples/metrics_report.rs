@@ -10,7 +10,7 @@
 //! cargo run --release --example metrics_report
 //! ```
 
-use insight_repro::core::pipeline::build_pipeline;
+use insight_repro::core::pipeline::{build_pipeline_with, PipelineOptions};
 use insight_repro::datagen::scenario::{Scenario, ScenarioConfig};
 use insight_repro::rtec::window::WindowConfig;
 use insight_repro::streams::runtime::Runtime;
@@ -36,7 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // which is what lets sourceDisagreement CEs reach the crowd stage.
     let window = WindowConfig::new(600, 300)?;
     let rules = TrafficRulesConfig::self_adaptive(NoisyVariant::CrowdValidated);
-    let (topology, sink) = build_pipeline(&scenario, rules, window)?;
+    let (topology, sink) =
+        build_pipeline_with(&scenario, rules, window, &PipelineOptions::default())?;
 
     // The runtime owns a metrics registry; grab a handle before `run`
     // consumes it. Every stage, queue, and the RTEC/crowd processors

@@ -16,7 +16,7 @@
 //!
 //! then review the diff of `tests/golden/*.txt` like any other code change.
 
-use insight_repro::core::pipeline::build_pipeline;
+use insight_repro::core::pipeline::{build_pipeline_with, PipelineOptions};
 use insight_repro::core::{InsightSystem, OperatorAlert, SystemConfig};
 use insight_repro::datagen::scenario::{Scenario, ScenarioConfig};
 use insight_repro::rtec::window::WindowConfig;
@@ -319,7 +319,9 @@ fn golden_metrics_report_json() {
 
     let window = WindowConfig::new(600, 300).expect("window");
     let rules = TrafficRulesConfig::self_adaptive(NoisyVariant::CrowdValidated);
-    let (topology, sink) = build_pipeline(&scenario, rules, window).expect("topology");
+    let (topology, sink) =
+        build_pipeline_with(&scenario, rules, window, &PipelineOptions::default())
+            .expect("topology");
     let runtime = Runtime::new(topology);
     let metrics = runtime.metrics();
     let stats = runtime.run().expect("run");

@@ -2,7 +2,7 @@
 //! XML-configured topology — the §3 stream processing component end to end.
 
 use insight_repro::core::items::{item_to_sde, sde_to_item};
-use insight_repro::core::pipeline::build_pipeline;
+use insight_repro::core::pipeline::{build_pipeline_with, PipelineOptions};
 use insight_repro::datagen::scenario::{Scenario, ScenarioConfig};
 use insight_repro::rtec::window::WindowConfig;
 use insight_repro::streams::item::DataItem;
@@ -19,8 +19,9 @@ use std::collections::HashMap;
 fn full_streams_pipeline_over_scenario() {
     let scenario = Scenario::generate(ScenarioConfig::small(1500, 31)).unwrap();
     let window = WindowConfig::new(600, 300).unwrap();
+    let options = PipelineOptions::default();
     let (topology, sink) =
-        build_pipeline(&scenario, TrafficRulesConfig::default(), window).unwrap();
+        build_pipeline_with(&scenario, TrafficRulesConfig::default(), window, &options).unwrap();
     let stats = Runtime::new(topology).run().unwrap();
 
     // The bus feed forwarded every bus SDE into the shared `sde` queue.
