@@ -23,9 +23,8 @@
 //! allocator.
 //!
 //! The shard-scaling benchmark runs the full Dublin pipeline end to end
-//! under the threaded runtime, sweeping the replica count of the two
-//! partitioned stages (RTEC sharded by `region`, crowd tasks sharded by
-//! `(query_time, region)`) from 1 up to the core count — always including
+//! under the threaded runtime, sweeping the replica count of the RTEC stage
+//! (sharded by `region`) from 1 up to the core count — always including
 //! the 4-replica point — and reports SDEs/s. Wall-clock speedup from
 //! sharding requires real cores; the report records the host's core count
 //! alongside the numbers.
@@ -95,7 +94,7 @@ struct Overhead {
     merge_in_items: u64,
 }
 
-/// One replica count of the partitioned pipeline stages and its measured
+/// One replica count of the partitioned RTEC stage and its measured
 /// end-to-end run time plus overhead breakdown.
 struct ShardPoint {
     replicas: usize,
@@ -236,7 +235,7 @@ fn queue_throughput_ms(n: usize, capacity: usize, batch: usize) -> f64 {
 }
 
 /// Wall-clock time (ms) of one end-to-end threaded run of the Dublin
-/// pipeline with `replicas` replicas of both partitioned stages, plus the
+/// pipeline with `replicas` replicas of the RTEC stage, plus the
 /// partition/merge/queue overhead breakdown from the run's metrics.
 /// Topology construction is excluded; only `Runtime::run` is timed.
 fn pipeline_run_ms(
@@ -244,11 +243,7 @@ fn pipeline_run_ms(
     window: WindowConfig,
     replicas: usize,
 ) -> Result<(f64, Overhead), Box<dyn std::error::Error>> {
-    let options = PipelineOptions {
-        rtec_replicas: replicas,
-        crowd_replicas: replicas,
-        ..PipelineOptions::standard()
-    };
+    let options = PipelineOptions { rtec_replicas: replicas, ..PipelineOptions::standard() };
     let (topology, sink) =
         build_pipeline_with(scenario, TrafficRulesConfig::default(), window, &options)?;
     let metrics = Arc::new(MetricsRegistry::new());
@@ -903,8 +898,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // band. It also needs a longer stream than the shard sweep so each
     // worker consumes well past the default cadence and barriers actually
     // fire.
-    let plain =
-        |base: PipelineOptions| PipelineOptions { rtec_replicas: 1, crowd_replicas: 1, ..base };
+    let plain = |base: PipelineOptions| PipelineOptions { rtec_replicas: 1, ..base };
     let recovery_duration: i64 = if quick { 4800 } else { 9600 };
     let recovery_scenario = Scenario::generate(ScenarioConfig::small(recovery_duration, 7))?;
     let n_recovery_sdes = recovery_scenario.sdes.len();

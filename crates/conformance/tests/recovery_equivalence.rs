@@ -30,10 +30,9 @@ use insight_traffic::TrafficRulesConfig;
 const SCHEDULER_SEEDS: [u64; 3] = [0, 77, 777];
 
 /// Supervision used throughout: checkpoint every 8 items, 2 restarts per
-/// worker lifetime (one kill needs one), single crowd task replica so the
-/// sweep varies exactly one axis.
+/// worker lifetime (one kill needs one).
 fn supervised(rtec_replicas: usize) -> PipelineOptions {
-    PipelineOptions { rtec_replicas, crowd_replicas: 1, ..PipelineOptions::recovering(8, 2) }
+    PipelineOptions { rtec_replicas, ..PipelineOptions::recovering(8, 2) }
 }
 
 /// Kill points covering the input range: the first items (no checkpoint

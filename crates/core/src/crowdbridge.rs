@@ -18,9 +18,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
-/// The shardable first phase of a resolution: worker selection plus the
-/// selected workers' simulated answers, produced by
-/// [`CrowdBridge::simulate_task`] without touching the EM state.
+/// The first phase of a resolution: worker selection plus the selected
+/// workers' simulated answers, produced by [`CrowdBridge::simulate_task`]
+/// without touching the EM state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimulatedTask {
     /// `(participant index, label index)` pairs in dispatch order — the
@@ -181,16 +181,15 @@ impl CrowdBridge {
         }
     }
 
-    /// Phase one of a resolution, safe to run on keyed shard replicas:
-    /// selects workers over the *current* reliability estimates and
-    /// simulates their answers, leaving the EM state untouched.
+    /// Phase one of a resolution: selects workers over the *current*
+    /// reliability estimates and simulates their answers, leaving the EM
+    /// state untouched.
     ///
     /// Every random draw derives from `task_seed`, so on a bridge whose EM
-    /// estimates have not been advanced (as in the sharded task stage, where
-    /// [`CrowdBridge::merge_task`] runs downstream on a different instance)
-    /// the outcome is a pure function of `(lon, lat, truth_congested,
-    /// task_seed)` — independent of call order and therefore of how
-    /// disagreements are distributed over shards.
+    /// estimates are never advanced (the pipeline's crowd stage runs
+    /// [`CrowdBridge::merge_task`] on a second instance) the outcome is a
+    /// pure function of `(lon, lat, truth_congested, task_seed)` —
+    /// independent of call order.
     pub fn simulate_task(
         &self,
         lon: f64,

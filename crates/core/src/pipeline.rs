@@ -11,10 +11,12 @@
 //!   ([`insight_streams::partition`]), realising the paper's one-engine-per-
 //!   region decomposition as data parallelism; derived CEs are emitted to a
 //!   queue;
-//! * **crowdsourcing processes** — disagreement summaries pass a sharded
-//!   *task* stage (worker selection + simulated answers, partitioned by
-//!   `(query_time, region)`) and a single *merge* stage feeding the online
-//!   EM in canonical order, then reach the collecting sink.
+//! * **crowdsourcing processes** — one `crowd-em` stage takes the
+//!   summaries in canonical `(query_time, region)` order; for each
+//!   disagreement it selects workers, simulates their answers and merges
+//!   them into the online EM, then hands the summary to the collecting sink.
+//!   The crowd carries one summary per region window, a fraction of a
+//!   percent of the items, so the stage is not sharded.
 //!
 //! The RTEC processor buffers SDE items, and whenever the arrival time
 //! crosses the next query time it runs recognition and emits one summary
@@ -24,13 +26,14 @@
 //! so a recognition reaches the sink as fast as the path carries it, not
 //! when the next burst of input pushes it out.
 //!
-//! Shard counts are controlled by [`PipelineOptions`]; the recognition
-//! output is identical (in the canonical form of
+//! The RTEC shard count is controlled by [`PipelineOptions`]; the
+//! recognition output is identical (in the canonical form of
 //! [`crate::replay::canonical_recognitions`]) for every shard count,
 //! including 1.
 
 use crate::items::item_to_sde;
 use insight_datagen::regions::Region;
+use insight_datagen::scats::ScatsDeployment;
 use insight_datagen::scenario::Scenario;
 use insight_rtec::compile::CompiledPlan;
 use insight_rtec::window::WindowConfig;
@@ -44,7 +47,7 @@ use insight_streams::processor::{Context, Processor};
 use insight_streams::sink::CollectSink;
 use insight_streams::source::VecSource;
 use insight_streams::topology::{Input, Output, Topology};
-use insight_traffic::recognizer::{IntersectionInfo, TrafficRecognizer};
+use insight_traffic::recognizer::TrafficRecognizer;
 use insight_traffic::TrafficRulesConfig;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -401,8 +404,9 @@ pub struct MultiRegionRtecProcessor {
     /// supervisor — evaluate this one plan (it holds no window state).
     plan: Arc<CompiledPlan>,
     window: WindowConfig,
-    /// Intersection metadata per region, shared across replicas.
-    infos: Arc<HashMap<Region, Vec<IntersectionInfo>>>,
+    /// The SCATS deployment every region engine takes its intersections and
+    /// sensors from, shared across replicas.
+    scats: Arc<ScatsDeployment>,
     first_query: i64,
     /// Lazily created per-region workers, in deterministic region order for
     /// the end-of-stream flush.
@@ -420,14 +424,14 @@ impl MultiRegionRtecProcessor {
         rules: Arc<TrafficRulesConfig>,
         plan: Arc<CompiledPlan>,
         window: WindowConfig,
-        infos: Arc<HashMap<Region, Vec<IntersectionInfo>>>,
+        scats: Arc<ScatsDeployment>,
         first_query: i64,
     ) -> MultiRegionRtecProcessor {
         MultiRegionRtecProcessor {
             rules,
             plan,
             window,
-            infos,
+            scats,
             first_query,
             states: BTreeMap::new(),
             malformed: None,
@@ -436,13 +440,12 @@ impl MultiRegionRtecProcessor {
 
     fn state_for(&mut self, region: Region) -> Result<&mut RtecProcessor, StreamsError> {
         if !self.states.contains_key(&region) {
-            let infos = self.infos.get(&region).map(Vec::as_slice).unwrap_or(&[]);
             let recognizer = TrafficRecognizer::with_plan(
                 Arc::clone(&self.plan),
                 (*self.rules).clone(),
                 self.window,
-                infos,
-                &[],
+                &self.scats,
+                Some(region),
             )
             .map_err(|e| StreamsError::ProcessorFailed {
                 process: format!("rtec[{region}]"),
@@ -552,14 +555,13 @@ impl Checkpointable for MultiRegionRtecProcessor {
 ///
 /// The EM estimate depends on the *order* of merges, while summaries reach
 /// the stage from one producer per region in scheduler-determined
-/// interleaving (the task stage before it is key-pure and needs no gate,
-/// see [`CrowdTaskProcessor`]). To keep the verdicts a pure function
+/// interleaving. To keep the verdicts a pure function
 /// of the region streams, summaries carrying a disagreement are held here
 /// and handed back in canonical `(query_time, region)` order, an entry only
 /// once every declared region's **query-time watermark** has reached its
 /// query time (each region emits summaries in strictly increasing query
-/// time, and the sharded stages preserve per-region FIFO order end to end,
-/// so the watermark proves no earlier-keyed summary can still arrive).
+/// time, and the sharded RTEC stage preserves per-region FIFO order end to
+/// end, so the watermark proves no earlier-keyed summary can still arrive).
 /// Summaries without a disagreement touch no crowd state and are not held.
 struct CanonicalGate {
     /// The regions expected to produce summaries; the gate waits for all of
@@ -669,13 +671,13 @@ impl CanonicalGate {
     }
 }
 
-/// The ground-truth oracle fed to the crowd stage, shared by every task
-/// replica.
+/// The ground truth the crowd stage's simulated workers answer from:
+/// whether the junction nearest `(lon, lat)` is congested at a time.
 pub type TruthOracle = Arc<dyn Fn(f64, f64, i64) -> bool + Send + Sync>;
 
 /// FNV-1a over the identifying fields of a crowd task; combined with the
 /// scenario seed this keys all randomness of one simulated task, so the
-/// outcome is independent of which shard runs it and in which order.
+/// outcome is independent of when the task runs.
 fn crowd_task_seed(query_time: i64, region: &str, lon: f64, lat: f64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
@@ -691,142 +693,66 @@ fn crowd_task_seed(query_time: i64, region: &str, lon: f64, lat: f64) -> u64 {
     h
 }
 
-/// One replica of the sharded crowd *task* stage (partitioned by
-/// `(query_time, region)`): for each summary carrying an open disagreement
-/// it selects workers and simulates their answers via
-/// [`crate::crowdbridge::CrowdBridge::simulate_task`], attaching the raw
-/// answers for the downstream EM merge. Summaries without a disagreement
-/// pass through untouched.
-///
-/// Each replica owns a bridge built from the same configuration and seed,
-/// and never advances its EM state — so worker placement and reliability
-/// estimates are identical on every replica, and each task's outcome is a
-/// pure function of its `(query_time, region, lon, lat)` key and the
-/// scenario seed. That is what makes the stage safe to shard: the crowd
-/// verdicts do not depend on the replica count or on how tasks interleave.
-pub struct CrowdTaskProcessor {
-    bridge: crate::crowdbridge::CrowdBridge,
-    truth_of: TruthOracle,
-    seed: u64,
-    /// Latency of each task simulation; lazily fetched from the metrics
-    /// service.
-    task_ns: Option<Arc<Histogram>>,
-    fallbacks: Option<Arc<Counter>>,
+/// The crowd stage's metrics, fetched lazily from the runtime's metrics
+/// service.
+struct CrowdInstruments {
+    task_ns: Arc<Histogram>,
+    resolve_ns: Arc<Histogram>,
+    resolutions: Arc<Counter>,
+    fallbacks: Arc<Counter>,
 }
 
-impl CrowdTaskProcessor {
-    /// Wraps a (freshly built, EM-untouched) bridge and a ground-truth
-    /// oracle; `seed` salts every task's RNG streams.
-    pub fn new(
-        bridge: crate::crowdbridge::CrowdBridge,
-        truth_of: TruthOracle,
-        seed: u64,
-    ) -> CrowdTaskProcessor {
-        CrowdTaskProcessor { bridge, truth_of, seed, task_ns: None, fallbacks: None }
-    }
-
-    fn instruments(&mut self, ctx: &Context) -> Option<Arc<Histogram>> {
-        if self.task_ns.is_none() {
-            if let Ok(registry) = ctx.services().get::<MetricsRegistry>("metrics") {
-                self.task_ns = Some(registry.histogram("crowd.task_ns"));
-                self.fallbacks = Some(registry.counter("crowd.fallbacks"));
-            }
-        }
-        self.task_ns.clone()
-    }
-}
-
-impl Processor for CrowdTaskProcessor {
-    fn process(
-        &mut self,
-        mut item: DataItem,
-        ctx: &mut Context,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        let (Some(lon), Some(lat), Some(q)) = (
-            item.get_f64("disagreement_lon"),
-            item.get_f64("disagreement_lat"),
-            item.get_i64("query_time"),
-        ) else {
-            return Ok(Some(item));
-        };
-        let region = item.get_str("region").unwrap_or("").to_string();
-        let truth = (self.truth_of)(lon, lat, q);
-        let task_seed = crowd_task_seed(q, &region, lon, lat) ^ self.seed;
-        let started = Instant::now();
-        match self.bridge.simulate_task(lon, lat, truth, task_seed) {
-            Ok(task) => {
-                if let Some(hist) = self.instruments(ctx) {
-                    hist.record(started.elapsed());
-                }
-                let raw = task
-                    .answers
-                    .iter()
-                    .map(|&(w, l)| format!("{w}:{l}"))
-                    .collect::<Vec<_>>()
-                    .join(";");
-                item.set("crowd_answers_raw", raw);
-            }
-            // Graceful degradation: when the engine cannot run the task (no
-            // eligible workers, engine error), the summary keeps reporting
-            // from sensor data alone.
-            Err(_) => {
-                self.instruments(ctx);
-                if let Some(fallbacks) = &self.fallbacks {
-                    fallbacks.inc();
-                }
-                item.set("crowd_fallback", true);
-            }
-        }
-        Ok(Some(item))
-    }
-
-    fn finish(&mut self, ctx: &mut Context) -> Result<Vec<DataItem>, StreamsError> {
-        // Per-replica engine counters add up across shards under the shared
-        // registry names.
-        if let Ok(registry) = ctx.services().get::<MetricsRegistry>("metrics") {
-            let stats = self.bridge.engine_stats();
-            registry.counter("crowd.queries").add(stats.queries);
-            registry.counter("crowd.tasks").add(stats.tasks);
-            registry.counter("crowd.answers").add(stats.answers);
-            registry.counter("crowd.deadline_misses").add(stats.deadline_misses);
-        }
-        Ok(Vec::new())
-    }
-}
-
-/// The post-merge crowd *EM* stage: feeds each disagreement's simulated
-/// answers (attached upstream by [`CrowdTaskProcessor`]) into the online EM
-/// in canonical `(query_time, region)` order and annotates the summary with
-/// the verdict.
+/// The crowdsourcing stage: for each summary carrying an open disagreement
+/// it selects workers, simulates their answers
+/// ([`CrowdBridge::simulate_task`](crate::crowdbridge::CrowdBridge::simulate_task)),
+/// merges them into the online EM in canonical `(query_time, region)` order
+/// and annotates the summary with the verdict. Summaries without a
+/// disagreement pass straight through.
 ///
 /// # Schedule-independence
 ///
 /// The EM state evolves with every merge, so merge order must not depend on
 /// the schedule: disagreement summaries pass a [`CanonicalGate`], and every
-/// summary it lets through is merged and emitted in the call whose
+/// summary it lets through is resolved and emitted in the call whose
 /// watermark let it through — the fourth region's summary for a query time
 /// releases all four — with the remainder flushed, in the same canonical
 /// order, at end-of-stream.
+///
+/// Tasks run on a second bridge built from the same configuration and seed
+/// whose EM is never advanced, so workers are always selected over the
+/// initial reliability estimates and each task's answers are a pure
+/// function of its `(query_time, region, lon, lat)` key and the seed.
 pub struct CrowdEmProcessor {
+    /// Merges every task's answers into the online EM.
     bridge: crate::crowdbridge::CrowdBridge,
+    /// Simulates tasks; its EM is never advanced.
+    tasks: crate::crowdbridge::CrowdBridge,
+    truth_of: TruthOracle,
+    seed: u64,
     gate: CanonicalGate,
-    resolve_ns: Option<Arc<Histogram>>,
-    resolutions: Option<Arc<Counter>>,
-    fallbacks: Option<Arc<Counter>>,
+    instruments: Option<CrowdInstruments>,
 }
 
 impl CrowdEmProcessor {
-    /// Wraps a bridge used only for its EM estimator. Without
+    /// Builds the EM and task bridges from `config` around `centre`, both
+    /// seeded by `seed`, which also salts every task's RNG streams; workers
+    /// answer according to `truth_of`. Without
     /// [`CrowdEmProcessor::with_regions`] every merge happens at
     /// end-of-stream.
-    pub fn new(bridge: crate::crowdbridge::CrowdBridge) -> CrowdEmProcessor {
-        CrowdEmProcessor {
-            bridge,
+    pub fn new(
+        config: &crate::crowdbridge::CrowdBridgeConfig,
+        centre: (f64, f64),
+        seed: u64,
+        truth_of: TruthOracle,
+    ) -> Result<CrowdEmProcessor, insight_crowd::error::CrowdError> {
+        Ok(CrowdEmProcessor {
+            bridge: crate::crowdbridge::CrowdBridge::new(config, centre, seed)?,
+            tasks: crate::crowdbridge::CrowdBridge::new(config, centre, seed)?,
+            truth_of,
+            seed,
             gate: CanonicalGate::new(),
-            resolve_ns: None,
-            resolutions: None,
-            fallbacks: None,
-        }
+            instruments: None,
+        })
     }
 
     /// Declares the upstream regions whose watermarks gate in-stream merges.
@@ -839,54 +765,58 @@ impl CrowdEmProcessor {
         self
     }
 
-    /// Merges and emits what the gate lets through.
+    /// Resolves and emits what the gate lets through.
     fn release(&mut self, everything: bool, ctx: &mut Context) {
         for item in self.gate.take_ready(everything, ctx) {
-            let merged = self.merge(item, ctx);
-            ctx.emit(merged);
+            let resolved = self.resolve(item, ctx);
+            ctx.emit(resolved);
         }
     }
 
-    fn instruments(&mut self, ctx: &Context) -> Option<(Arc<Histogram>, Arc<Counter>)> {
-        if self.resolve_ns.is_none() {
-            if let Ok(registry) = ctx.services().get::<MetricsRegistry>("metrics") {
-                self.resolve_ns = Some(registry.histogram("crowd.resolve_ns"));
-                self.resolutions = Some(registry.counter("crowd.resolutions"));
-                self.fallbacks = Some(registry.counter("crowd.fallbacks"));
-            }
-        }
-        self.resolve_ns.clone().zip(self.resolutions.clone())
-    }
-
-    /// One EM merge, annotating the summary with the verdict. Summaries the
-    /// task stage already degraded (no `crowd_answers_raw`) pass through.
-    fn merge(&mut self, mut item: DataItem, ctx: &Context) -> DataItem {
-        let Some(raw) = item.get_str("crowd_answers_raw").map(str::to_string) else {
+    /// One disagreement through the crowd: simulate the task, merge its
+    /// answers into the EM and annotate the summary with the verdict. When
+    /// either step fails (no eligible workers, engine error) the summary
+    /// degrades to sensor-only reporting, marked `crowd_fallback`.
+    fn resolve(&mut self, mut item: DataItem, ctx: &Context) -> DataItem {
+        let (Some(lon), Some(lat), Some(q)) = (
+            item.get_f64("disagreement_lon"),
+            item.get_f64("disagreement_lat"),
+            item.get_i64("query_time"),
+        ) else {
             return item;
         };
-        item.remove("crowd_answers_raw");
-        let answers: Vec<(usize, usize)> = raw
-            .split(';')
-            .filter_map(|pair| {
-                let (w, l) = pair.split_once(':')?;
-                Some((w.parse().ok()?, l.parse().ok()?))
-            })
-            .collect();
+        let task_seed = crowd_task_seed(q, item.get_str("region").unwrap_or(""), lon, lat);
+        if self.instruments.is_none() {
+            if let Ok(registry) = ctx.services().get::<MetricsRegistry>("metrics") {
+                self.instruments = Some(CrowdInstruments {
+                    task_ns: registry.histogram("crowd.task_ns"),
+                    resolve_ns: registry.histogram("crowd.resolve_ns"),
+                    resolutions: registry.counter("crowd.resolutions"),
+                    fallbacks: registry.counter("crowd.fallbacks"),
+                });
+            }
+        }
+        let metrics = self.instruments.as_ref();
+        let truth = (self.truth_of)(lon, lat, q);
         let started = Instant::now();
-        match self.bridge.merge_task(&answers, None) {
+        let task = self.tasks.simulate_task(lon, lat, truth, task_seed ^ self.seed);
+        if let (Ok(_), Some(m)) = (&task, metrics) {
+            m.task_ns.record(started.elapsed());
+        }
+        let started = Instant::now();
+        match task.and_then(|task| self.bridge.merge_task(&task.answers, None)) {
             Ok(resolution) => {
-                if let Some((hist, count)) = self.instruments(ctx) {
-                    hist.record(started.elapsed());
-                    count.inc();
+                if let Some(m) = metrics {
+                    m.resolve_ns.record(started.elapsed());
+                    m.resolutions.inc();
                 }
                 item.set("crowd_verdict_congested", resolution.congested);
                 item.set("crowd_confidence", resolution.confidence);
                 item.set("crowd_answers", resolution.answers as i64);
             }
             Err(_) => {
-                self.instruments(ctx);
-                if let Some(fallbacks) = &self.fallbacks {
-                    fallbacks.inc();
+                if let Some(m) = metrics {
+                    m.fallbacks.inc();
                 }
                 item.set("crowd_fallback", true);
             }
@@ -912,6 +842,14 @@ impl Processor for CrowdEmProcessor {
 
     fn finish(&mut self, ctx: &mut Context) -> Result<Vec<DataItem>, StreamsError> {
         self.release(true, ctx);
+        // Only the task bridge dispatches queries; the EM bridge merges.
+        if let Ok(registry) = ctx.services().get::<MetricsRegistry>("metrics") {
+            let stats = self.tasks.engine_stats();
+            registry.counter("crowd.queries").add(stats.queries);
+            registry.counter("crowd.tasks").add(stats.tasks);
+            registry.counter("crowd.answers").add(stats.answers);
+            registry.counter("crowd.deadline_misses").add(stats.deadline_misses);
+        }
         Ok(Vec::new())
     }
 
@@ -922,7 +860,8 @@ impl Processor for CrowdEmProcessor {
 
 /// The evolving state is the EM estimator and the gate (per-region
 /// watermarks, held summaries). A released summary leaves with the call
-/// that released it, so nothing else waits across a barrier.
+/// that released it, so nothing else waits across a barrier; the task
+/// bridge never changes.
 impl Checkpointable for CrowdEmProcessor {
     fn snapshot(&mut self) -> StateBlob {
         let mut blob = StateBlob::new();
@@ -944,9 +883,6 @@ pub struct PipelineOptions {
     /// Replicas of the RTEC stage, partitioned by `region` (values below 1
     /// are clamped to 1; 1 means an ordinary unsharded process).
     pub rtec_replicas: usize,
-    /// Replicas of the crowd task stage, partitioned by
-    /// `(query_time, region)`.
-    pub crowd_replicas: usize,
     /// Checkpoint cadence of the stateful stages (RTEC and crowd-EM): a
     /// barrier every `checkpoint_every` consumed items per worker. 0
     /// disables checkpointing.
@@ -968,8 +904,8 @@ pub struct PipelineOptions {
     /// Deterministic fault injection and supervision: every source is
     /// wrapped in a [`ChaosSource`] (seeded per source from `chaos.seed`),
     /// the RTEC replicas run under `Skip` so corrupted or erroring items are
-    /// dropped instead of aborting a shard, and the crowd stages dead-letter
-    /// failed summaries for post-mortem (read them via
+    /// dropped instead of aborting a shard, and the crowd-EM stage
+    /// dead-letters failed summaries for post-mortem (read them via
     /// [`Topology::dead_letters`] before `Runtime::new`). Each source's
     /// [`ChaosStats`](insight_streams::chaos::ChaosStats) is registered on
     /// the topology's services as `chaos.<source>`.
@@ -983,13 +919,11 @@ impl Default for PipelineOptions {
 }
 
 impl PipelineOptions {
-    /// The default shard counts (4 RTEC replicas — the paper's one engine
-    /// per region — and 2 crowd task replicas) with recovery and fault
-    /// injection disabled.
+    /// The default shard count (4 RTEC replicas — the paper's one engine
+    /// per region) with recovery and fault injection disabled.
     pub fn standard() -> PipelineOptions {
         PipelineOptions {
             rtec_replicas: 4,
-            crowd_replicas: 2,
             checkpoint_every: 0,
             restarts: None,
             kill_rtec_at: None,
@@ -1105,16 +1039,8 @@ pub fn build_pipeline_with(
         })?
         .plan()
         .clone();
-    let mut infos_by_region: HashMap<Region, Vec<IntersectionInfo>> = HashMap::new();
-    for i in scenario.scats.intersections() {
-        infos_by_region.entry(i.region).or_default().push(IntersectionInfo {
-            id: i.id as i64,
-            lon: i.lon,
-            lat: i.lat,
-        });
-    }
-    let infos = Arc::new(infos_by_region);
-    let rules_shared = Arc::new(rules);
+    let scats = Arc::new(scenario.scats.clone());
+    let rules = Arc::new(rules);
     let sink = CollectSink::shared();
     topology.add_queue("recognitions", 4096);
     let mut builder = topology
@@ -1156,73 +1082,48 @@ pub fn build_pipeline_with(
             builder.processor_factory(move || Box::new(KillAt::with_switch(at, switch.clone())));
     }
     builder
-        .processor_factory({
-            let rules = rules_shared.clone();
-            let infos = infos.clone();
-            move || {
-                Box::new(MultiRegionRtecProcessor::new(
-                    rules.clone(),
-                    plan.clone(),
-                    window,
-                    infos.clone(),
-                    first_query,
-                ))
-            }
+        .processor_factory(move || {
+            Box::new(MultiRegionRtecProcessor::new(
+                rules.clone(),
+                plan.clone(),
+                window,
+                scats.clone(),
+                first_query,
+            ))
         })
         .output(Output::Queue("recognitions".into()))
         .done();
 
-    // Crowdsourcing: a sharded task stage (worker selection + simulated
-    // answers, key-pure per (query_time, region)) followed by one EM merge
-    // stage consuming the restored-order stream.
+    // Crowdsourcing: one stage selects workers, simulates their answers and
+    // merges them into the online EM in canonical order. Only regions that
+    // actually produce SDEs emit summaries; gating on anything else would
+    // defer every merge to end-of-stream.
     let bridge_config = crate::crowdbridge::CrowdBridgeConfig::default();
     let (x0, y0, x1, y1) = scenario.network.bbox();
     let centre = ((x0 + x1) / 2.0, (y0 + y1) / 2.0);
     let seed = scenario.config.seed;
-    // Validate the bridge configuration eagerly, so neither the task-replica
-    // factories nor the EM-stage factory below can fail at runtime.
-    crate::crowdbridge::CrowdBridge::new(&bridge_config, centre, seed).map(drop).map_err(|e| {
-        StreamsError::ProcessorFailed {
-            process: "crowd-em".into(),
-            processor: None,
-            message: e.to_string(),
-        }
-    })?;
-    let em_config = bridge_config.clone();
     let network = scenario.network.clone();
     let field = scenario.field.clone();
     let truth_of: TruthOracle = Arc::new(move |lon: f64, lat: f64, t: i64| {
         network.nearest_junction(lon, lat).map(|j| field.is_congested(j, t)).unwrap_or(false)
     });
-    topology.add_queue("crowd-tasks", 4096);
-    let mut builder = topology
-        .process("crowd")
-        .input(Input::Queue("recognitions".into()))
-        .replicas(options.crowd_replicas.max(1))
-        .partition_by(["query_time", "region"])
-        // Summaries are far sparser than SDEs; a small batch keeps latency
-        // low while still coalescing queue transfers.
-        .batch_size(16);
+    let active_regions: std::collections::BTreeSet<String> =
+        scenario.sdes.iter().map(|s| s.region().to_string()).collect();
+    let crowd_em = move || {
+        CrowdEmProcessor::new(&bridge_config, centre, seed, truth_of.clone())
+            .map(|p| p.with_regions(active_regions.clone()))
+    };
+    // Validate the bridge configuration eagerly, so the factory below cannot
+    // fail at runtime.
+    crowd_em().map_err(|e| StreamsError::ProcessorFailed {
+        process: "crowd-em".into(),
+        processor: None,
+        message: e.to_string(),
+    })?;
+    let mut builder = topology.process("crowd-em").input(Input::Queue("recognitions".into()));
     if chaos.is_some() {
         // Failed summaries are preserved for post-mortem instead of
         // aborting the run.
-        builder = builder.dead_letter();
-    }
-    builder
-        .processor_factory(move || {
-            let bridge = crate::crowdbridge::CrowdBridge::new(&bridge_config, centre, seed)
-                .expect("bridge configuration validated at build time");
-            Box::new(CrowdTaskProcessor::new(bridge, truth_of.clone(), seed))
-        })
-        .output(Output::Queue("crowd-tasks".into()))
-        .done();
-
-    // Only regions that actually produce SDEs emit summaries; gating on
-    // anything else would defer every merge to end-of-stream.
-    let active_regions: std::collections::BTreeSet<String> =
-        scenario.sdes.iter().map(|s| s.region().to_string()).collect();
-    let mut builder = topology.process("crowd-em").input(Input::Queue("crowd-tasks".into()));
-    if chaos.is_some() {
         builder = builder.dead_letter();
     }
     if let Some(max) = options.restarts {
@@ -1238,9 +1139,7 @@ pub fn build_pipeline_with(
     }
     builder
         .processor_factory(move || {
-            let bridge = crate::crowdbridge::CrowdBridge::new(&em_config, centre, seed)
-                .expect("bridge configuration validated at build time");
-            Box::new(CrowdEmProcessor::new(bridge).with_regions(active_regions.clone()))
+            Box::new(crowd_em().expect("bridge configuration validated at build time"))
         })
         .output(Output::Sink(Box::new(sink.clone())))
         .done();
@@ -1326,12 +1225,23 @@ mod tests {
         );
         assert!(rtec.combined.items_in > 0, "shards consumed items");
 
+        // The crowd half is one stage reading the recognitions directly.
+        let mut names = snap.stages.keys().chain(snap.queues.keys());
+        assert!(names.all(|n| !n.starts_with("crowd[")), "the crowd stage is not sharded");
+        assert_eq!(snap.stages.len(), 12, "five feeds, partitioner, four shards, merge, crowd-em");
+
         // Queue throughput balances and the high-water mark moved.
         let recs = snap.queues.get("recognitions").expect("queue registered");
         assert!(recs.sent > 0);
         assert_eq!(recs.sent, recs.received, "queue fully drained");
         assert_eq!(recs.depth, 0);
         assert!(recs.depth_high_water >= 1);
+        let crowd_em = snap.stages.get("crowd-em").expect("crowd-em stage reported");
+        assert_eq!(crowd_em.items_in, recs.received, "crowd-em drains the recognitions");
+        // No queue between the recognitions and the crowd stage.
+        let queues: Vec<&str> = snap.queues.keys().map(String::as_str).collect();
+        let shards = ["rtec[shard:0]", "rtec[shard:1]", "rtec[shard:2]", "rtec[shard:3]"];
+        assert_eq!(queues, [&["recognitions", "rtec[merge:q]"][..], &shards, &["sde"]].concat());
 
         // RTEC per-window latencies were recorded via the metrics service.
         let rtec_windows: u64 = snap
@@ -1455,15 +1365,74 @@ mod tests {
             if item.contains("disagreement_lon") {
                 assert!(item.get_bool("crowd_verdict_congested").is_some());
                 assert!(item.get_f64("crowd_confidence").unwrap() > 0.0);
-                assert!(
-                    !item.contains("crowd_answers_raw"),
-                    "stage-internal attribute must not reach the sink"
-                );
                 annotated += 1;
             }
         }
         // This heavily faulty scenario reliably produces at least one.
         assert!(annotated > 0, "no disagreement summary produced");
+    }
+
+    #[test]
+    fn crowd_em_verdicts_follow_canonical_order_for_any_interleaving() {
+        use crate::crowdbridge::{CrowdBridge, CrowdBridgeConfig};
+        let config = CrowdBridgeConfig::default();
+        let centre = (-6.26, 53.35);
+        let seed = 42;
+        let truth = |lon: f64, _lat: f64, t: i64| (t / 300 + (lon * 1e3) as i64) % 2 == 0;
+        let summary = |region: &str, q: i64, lon: f64| {
+            DataItem::new()
+                .with("kind", "recognition")
+                .with("region", region)
+                .with("query_time", q)
+                .with("disagreement_lon", lon)
+                .with("disagreement_lat", 53.35)
+        };
+        let north = [summary("north", 300, -6.261), summary("north", 600, -6.262)];
+        let south = [summary("south", 300, -6.263), summary("south", 600, -6.264)];
+        let verdicts = |order: Vec<&DataItem>| {
+            let mut em = CrowdEmProcessor::new(&config, centre, seed, Arc::new(truth))
+                .unwrap()
+                .with_regions(["north", "south"]);
+            let mut ctx = Context::new(Default::default(), "crowd-em");
+            for item in order {
+                em.process(item.clone(), &mut ctx).unwrap();
+            }
+            em.finish(&mut ctx).unwrap();
+            let out: Vec<DataItem> = ctx.take_emitted().collect();
+            out.iter()
+                .map(|i| {
+                    (
+                        i.get_i64("query_time").unwrap(),
+                        i.get_str("region").unwrap().to_string(),
+                        i.get_bool("crowd_verdict_congested").expect("resolved"),
+                        i.get_f64("crowd_confidence").unwrap(),
+                        i.get_i64("crowd_answers").unwrap(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let interleaved = verdicts(vec![&north[0], &south[0], &north[1], &south[1]]);
+        let region_by_region = verdicts(vec![&south[0], &south[1], &north[0], &north[1]]);
+        assert_eq!(interleaved, region_by_region);
+
+        // Simulating each task on a fresh bridge and merging in canonical
+        // order gives the same verdicts.
+        let tasks = CrowdBridge::new(&config, centre, seed).unwrap();
+        let mut bridge = CrowdBridge::new(&config, centre, seed).unwrap();
+        let expected: Vec<_> = [&north[0], &south[0], &north[1], &south[1]]
+            .into_iter()
+            .map(|item| {
+                let region = item.get_str("region").unwrap();
+                let q = item.get_i64("query_time").unwrap();
+                let (lon, lat) = (item.get_f64("disagreement_lon").unwrap(), 53.35);
+                let task_seed = crowd_task_seed(q, region, lon, lat) ^ seed;
+                let task = tasks.simulate_task(lon, lat, truth(lon, lat, q), task_seed).unwrap();
+                let resolution = bridge.merge_task(&task.answers, None).unwrap();
+                let answers = resolution.answers as i64;
+                (q, region.to_string(), resolution.congested, resolution.confidence, answers)
+            })
+            .collect();
+        assert_eq!(interleaved, expected);
     }
 
     #[test]
@@ -1536,21 +1505,14 @@ mod tests {
             Runtime::new(topology).run().unwrap();
             crate::replay::canonical_recognitions(&sink.items())
         };
-        let base = canonical(&PipelineOptions {
-            rtec_replicas: 1,
-            crowd_replicas: 1,
-            ..PipelineOptions::standard()
-        });
+        let base = canonical(&PipelineOptions { rtec_replicas: 1, ..PipelineOptions::standard() });
         assert!(!base.is_empty());
-        for options in [
-            PipelineOptions { rtec_replicas: 2, crowd_replicas: 3, ..PipelineOptions::standard() },
-            PipelineOptions { rtec_replicas: 4, crowd_replicas: 2, ..PipelineOptions::standard() },
-            PipelineOptions { rtec_replicas: 8, crowd_replicas: 4, ..PipelineOptions::standard() },
-        ] {
+        for rtec_replicas in [2, 4, 8] {
+            let options = PipelineOptions { rtec_replicas, ..PipelineOptions::standard() };
             assert_eq!(
                 canonical(&options),
                 base,
-                "recognition output must not depend on shard counts ({options:?})"
+                "recognition output must not depend on the shard count ({rtec_replicas})"
             );
         }
     }
@@ -1574,18 +1536,10 @@ mod tests {
             Runtime::new(topology).run().unwrap();
             crate::replay::canonical_recognitions(&sink.items())
         };
-        let base = canonical(&PipelineOptions {
-            rtec_replicas: 1,
-            crowd_replicas: 1,
-            ..PipelineOptions::standard()
-        });
+        let base = canonical(&PipelineOptions { rtec_replicas: 1, ..PipelineOptions::standard() });
         assert!(!base.is_empty());
         assert_eq!(
-            canonical(&PipelineOptions {
-                rtec_replicas: 4,
-                crowd_replicas: 2,
-                ..PipelineOptions::standard()
-            }),
+            canonical(&PipelineOptions { rtec_replicas: 4, ..PipelineOptions::standard() }),
             base
         );
     }

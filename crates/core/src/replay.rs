@@ -74,8 +74,8 @@ pub fn replay_recognitions(
 }
 
 /// [`replay_recognitions`] with explicit shard counts, so conformance can
-/// assert that the canonical output is also invariant in the replica counts
-/// of the partitioned stages.
+/// assert that the canonical output is also invariant in the replica count
+/// of the RTEC stage.
 pub fn replay_recognitions_with(
     scenario: &Scenario,
     rules: TrafficRulesConfig,

@@ -64,7 +64,7 @@ struct Witness {
 impl Fixture {
     fn new() -> Fixture {
         // A half-faulty fleet under rule-set (4), so summaries carry source
-        // disagreements and the crowd stages' canonical-order gate matters.
+        // disagreements and the crowd stage's canonical-order gate matters.
         let mut cfg = ScenarioConfig::small(1500, 91);
         cfg.fleet.faulty_fraction = 0.5;
         cfg.fleet.n_buses = 40;

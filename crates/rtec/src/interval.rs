@@ -147,15 +147,6 @@ impl IntervalList {
         IntervalList { items: Arc::new(items) }
     }
 
-    /// Normalises `buf` in place (caller-provided scratch: no allocation
-    /// beyond the buffer's own capacity) and materialises the list from it.
-    /// The buffer is left holding the normalised intervals, so a caller can
-    /// compare against a previous result before deciding to materialise.
-    pub fn from_intervals_in(buf: &mut Vec<Interval>) -> IntervalList {
-        normalise_in_place(buf);
-        IntervalList::from_normalised(buf)
-    }
-
     /// Materialises a list from an already-normalised slice (one allocation:
     /// the backing storage). Debug-asserts the invariant.
     pub fn from_normalised(items: &[Interval]) -> IntervalList {
@@ -187,22 +178,6 @@ impl IntervalList {
         let mut out: Vec<Interval> = Vec::new();
         points_into(&mut i, &mut t, initially, from, &mut out);
         IntervalList { items: Arc::new(out) }
-    }
-
-    /// [`IntervalList::from_points`] with caller-provided scratch: the
-    /// init/term buffers are sorted in place and the intervals are written
-    /// into `out` (cleared first). The only allocation left to the caller is
-    /// the final materialisation — or none at all, when `out` is arena
-    /// scratch and the result is compared against a cached list instead.
-    pub fn from_points_in(
-        inits: &mut [Time],
-        terms: &mut [Time],
-        initially: bool,
-        from: Time,
-        out: &mut Vec<Interval>,
-    ) -> IntervalList {
-        points_into(inits, terms, initially, from, out);
-        IntervalList::from_normalised(out)
     }
 
     /// Number of maximal intervals.
@@ -341,29 +316,6 @@ impl IntervalList {
         result
     }
 
-    /// Earliest time at which `self` and `other` disagree about membership,
-    /// or `None` when the lists are identical. Used by the incremental engine
-    /// to propagate the smallest change frontier downstream.
-    pub fn first_divergence(&self, other: &IntervalList) -> Option<Time> {
-        let (mut i, mut j) = (0, 0);
-        while i < self.items.len() && j < other.items.len() {
-            let (a, b) = (&self.items[i], &other.items[j]);
-            if a.start != b.start {
-                return Some(a.start.min(b.start));
-            }
-            if a.end_raw != b.end_raw {
-                return Some(a.end_raw.min(b.end_raw));
-            }
-            i += 1;
-            j += 1;
-        }
-        match (self.items.get(i), other.items.get(j)) {
-            (Some(a), None) => Some(a.start),
-            (None, Some(b)) => Some(b.start),
-            _ => None,
-        }
-    }
-
     /// `union_all(L, I)`: union of several interval lists (Table 1).
     pub fn union_all<'a, I: IntoIterator<Item = &'a IntervalList>>(lists: I) -> IntervalList {
         IntervalList::from_intervals(lists.into_iter().flat_map(|l| l.items.iter().copied()))
@@ -480,9 +432,11 @@ pub fn points_into(
     out.truncate(w);
 }
 
-/// [`IntervalList::first_divergence`] over raw normalised slices, with the
-/// left slice viewed *clamped at `t`* (the `after(t)` view) — what the
-/// engine's divergence checks need without materialising the clamped list.
+/// Earliest time at which the normalised slices `prev` — viewed *clamped at
+/// `t`* (the `after(t)` view) — and `new` disagree about membership, or
+/// `None` when they are identical; the incremental engine propagates the
+/// smallest change frontier downstream from it without materialising the
+/// clamped list.
 pub fn first_divergence_clamped(prev: &[Interval], t: Time, new: &[Interval]) -> Option<Time> {
     let skip = prev.partition_point(|iv| iv.end_raw <= t);
     let mut i = skip;
@@ -504,11 +458,6 @@ pub fn first_divergence_clamped(prev: &[Interval], t: Time, new: &[Interval]) ->
         (None, Some(b)) => Some(b.start),
         _ => None,
     }
-}
-
-/// Whether the clamped-at-`t` view of `prev` equals `new` exactly.
-pub fn clamped_eq(prev: &[Interval], t: Time, new: &[Interval]) -> bool {
-    first_divergence_clamped(prev, t, new).is_none()
 }
 
 // ---------------------------------------------------------------------------

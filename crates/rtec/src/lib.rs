@@ -69,7 +69,6 @@ pub mod event;
 pub mod interval;
 pub mod pattern;
 mod planner;
-pub mod pretty;
 pub mod rule;
 mod slotstate;
 pub mod stratify;

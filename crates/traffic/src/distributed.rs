@@ -9,10 +9,12 @@
 //! plots.
 
 use crate::config::TrafficRulesConfig;
-use crate::recognizer::{IntersectionInfo, TrafficRecognition, TrafficRecognizer};
+use crate::recognizer::{TrafficRecognition, TrafficRecognizer};
+use crate::rules::build_ruleset;
 use insight_datagen::regions::Region;
 use insight_datagen::scats::ScatsDeployment;
 use insight_datagen::stream::Sde;
+use insight_rtec::compile::CompiledPlan;
 use insight_rtec::error::RtecError;
 use insight_rtec::time::Time;
 use insight_rtec::window::WindowConfig;
@@ -53,27 +55,19 @@ impl DistributedRecognizer {
         window: WindowConfig,
         scats: &ScatsDeployment,
     ) -> Result<DistributedRecognizer, RtecError> {
+        let plan = CompiledPlan::compile(build_ruleset(&config)?);
         let mut partitions: Vec<(Region, TrafficRecognizer)> = Vec::new();
         for region in Region::ALL {
-            let infos: Vec<IntersectionInfo> = scats
-                .intersections()
-                .iter()
-                .filter(|i| i.region == region)
-                .map(|i| IntersectionInfo { id: i.id as i64, lon: i.lon, lat: i.lat })
-                .collect();
-            if infos.is_empty() {
+            if !scats.intersections().iter().any(|i| i.region == region) {
                 continue;
             }
-            let rec = match partitions.first() {
-                None => TrafficRecognizer::new(config.clone(), window, &infos, &[])?,
-                Some((_, first)) => TrafficRecognizer::with_plan(
-                    first.plan().clone(),
-                    config.clone(),
-                    window,
-                    &infos,
-                    &[],
-                )?,
-            };
+            let rec = TrafficRecognizer::with_plan(
+                plan.clone(),
+                config.clone(),
+                window,
+                scats,
+                Some(region),
+            )?;
             partitions.push((region, rec));
         }
         Ok(DistributedRecognizer { partitions })
@@ -213,5 +207,45 @@ mod tests {
         // A location inside some partition: accepted.
         let i = &scenario.scats.intersections()[0];
         d.ingest_crowd(i.lon, i.lat, true, 100).unwrap();
+    }
+
+    #[test]
+    fn region_engines_recognise_what_one_deployment_engine_does() {
+        // The two-sensor and approach rules join over relations built from
+        // the deployment's sensors; every region engine must get its share.
+        let scenario = Scenario::generate(ScenarioConfig::small(1800, 1)).unwrap();
+        let config = TrafficRulesConfig {
+            approach_congestion: true,
+            intersection_congestion_n: 2,
+            ..TrafficRulesConfig::default()
+        };
+        let window = WindowConfig::new(1800, 1800).unwrap();
+        let mut whole =
+            TrafficRecognizer::from_deployment(config.clone(), window, &scenario.scats).unwrap();
+        let mut regions =
+            DistributedRecognizer::from_deployment(config, window, &scenario.scats).unwrap();
+        for sde in &scenario.sdes {
+            whole.ingest(sde).unwrap();
+            regions.ingest(sde).unwrap();
+        }
+        let end = scenario.window().1;
+        let whole = whole.query(end).unwrap();
+        let regions = regions.query(end).unwrap();
+        let intervals = |r: &TrafficRecognition| -> Vec<(f64, f64, String)> {
+            let ints = r.congested_intersections().into_iter();
+            ints.map(|((lon, lat), ivs)| (lon, lat, format!("{ivs:?}"))).collect()
+        };
+        let expected = intervals(&whole);
+        assert!(!expected.is_empty(), "two congested sensors at some intersection");
+        let mut summed: Vec<_> =
+            regions.per_region.iter().flat_map(|(_, r)| intervals(r)).collect();
+        summed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        assert_eq!(summed, expected);
+        let approaches = |r: &TrafficRecognition| {
+            r.raw.fluent_entries(crate::rules::ce::SCATS_APPROACH_CONGESTION).len()
+        };
+        let summed: usize = regions.per_region.iter().map(|(_, r)| approaches(r)).sum();
+        assert!(approaches(&whole) > 0);
+        assert_eq!(summed, approaches(&whole));
     }
 }

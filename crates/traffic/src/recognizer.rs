@@ -4,7 +4,8 @@ use crate::config::TrafficRulesConfig;
 use crate::geo::{close_box_tuples, close_builtin};
 use crate::rules::{build_ruleset, ce, rel};
 use crate::sde;
-use insight_datagen::scats::ScatsDeployment;
+use insight_datagen::regions::Region;
+use insight_datagen::scats::{ScatsDeployment, ScatsIntersection, ScatsSensor};
 use insight_datagen::stream::Sde;
 use insight_rtec::compile::CompiledPlan;
 use insight_rtec::engine::{Engine, Recognition};
@@ -14,6 +15,7 @@ use insight_rtec::interval::IntervalList;
 use insight_rtec::term::Term;
 use insight_rtec::time::Time;
 use insight_rtec::window::WindowConfig;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// An instrumented intersection as the recogniser needs it.
@@ -37,6 +39,10 @@ impl TrafficRecognizer {
     /// Builds a recogniser for the given intersections, compiling the rule
     /// library `config` selects. The areas of interest default to the
     /// intersection locations (the paper's choice); `extra_areas` adds more.
+    /// Without the deployment's sensors, the `scats_approach` and
+    /// `scats_sensor_pair` relations stay empty: build from a deployment
+    /// ([`TrafficRecognizer::from_deployment`],
+    /// [`TrafficRecognizer::with_plan`]) to use the rules over them.
     pub fn new(
         config: TrafficRulesConfig,
         window: WindowConfig,
@@ -50,16 +56,48 @@ impl TrafficRecognizer {
             config.shared_spatial_join = false;
         }
         let plan = CompiledPlan::compile(build_ruleset(&config)?);
-        TrafficRecognizer::with_plan(plan, config, window, intersections, extra_areas)
+        TrafficRecognizer::assemble(plan, config, window, intersections, extra_areas)
     }
 
-    /// Builds a recogniser over an already compiled rule library, so that
-    /// recognisers serving different intersections (region engines, shard
+    /// Builds a recogniser covering a whole SCATS deployment.
+    pub fn from_deployment(
+        config: TrafficRulesConfig,
+        window: WindowConfig,
+        scats: &ScatsDeployment,
+    ) -> Result<TrafficRecognizer, RtecError> {
+        let plan = CompiledPlan::compile(build_ruleset(&config)?);
+        TrafficRecognizer::with_plan(plan, config, window, scats, None)
+    }
+
+    /// Builds a recogniser for the intersections of `scats` in `region` (all
+    /// of them for `None`) over an already compiled rule library, so that
+    /// recognisers serving different regions (region engines, shard
     /// replicas, a replica rebuilt after a crash) share one plan. `plan` and
-    /// `config` must belong together: take both from a recogniser built by
+    /// `config` must belong together: compile `plan` from
+    /// [`build_ruleset`]`(&config)`, or take both from a recogniser built by
     /// [`TrafficRecognizer::new`] ([`TrafficRecognizer::plan`],
     /// [`TrafficRecognizer::config`]).
     pub fn with_plan(
+        plan: Arc<CompiledPlan>,
+        config: TrafficRulesConfig,
+        window: WindowConfig,
+        scats: &ScatsDeployment,
+        region: Option<Region>,
+    ) -> Result<TrafficRecognizer, RtecError> {
+        let intersections: Vec<&ScatsIntersection> = (scats.intersections().iter())
+            .filter(|i| region.is_none_or(|r| i.region == r))
+            .collect();
+        let infos: Vec<IntersectionInfo> = (intersections.iter())
+            .map(|i| IntersectionInfo { id: i.id as i64, lon: i.lon, lat: i.lat })
+            .collect();
+        let mut rec = TrafficRecognizer::assemble(plan, config, window, &infos, &[])?;
+        rec.set_sensor_relations(&intersections, scats.sensors())?;
+        Ok(rec)
+    }
+
+    /// An engine over `plan` with the relations every rule library joins
+    /// over: the intersections and the areas of interest.
+    fn assemble(
         plan: Arc<CompiledPlan>,
         config: TrafficRulesConfig,
         window: WindowConfig,
@@ -86,33 +124,27 @@ impl TrafficRecognizer {
         Ok(TrafficRecognizer { engine, config })
     }
 
-    /// Builds a recogniser covering a whole SCATS deployment.
-    pub fn from_deployment(
-        config: TrafficRulesConfig,
-        window: WindowConfig,
-        scats: &ScatsDeployment,
-    ) -> Result<TrafficRecognizer, RtecError> {
-        let infos: Vec<IntersectionInfo> = scats
-            .intersections()
-            .iter()
-            .map(|i| IntersectionInfo { id: i.id as i64, lon: i.lon, lat: i.lat })
-            .collect();
-        let approach_congestion = config.approach_congestion;
-        let pairs_needed = config.intersection_congestion_n == 2;
-        let mut rec = TrafficRecognizer::new(config, window, &infos, &[])?;
-        if approach_congestion {
-            let mut approaches: Vec<Vec<Term>> = scats
-                .sensors()
-                .iter()
+    /// Fills the relations over the sensors of `intersections` that the
+    /// configuration declares: `scats_approach` for approach congestion,
+    /// `scats_sensor_pair` for two-sensor intersection congestion.
+    fn set_sensor_relations(
+        &mut self,
+        intersections: &[&ScatsIntersection],
+        sensors: &[ScatsSensor],
+    ) -> Result<(), RtecError> {
+        if self.config.approach_congestion {
+            let ids: HashSet<u32> = intersections.iter().map(|i| i.id).collect();
+            let mut approaches: Vec<Vec<Term>> = (sensors.iter())
+                .filter(|s| ids.contains(&s.intersection))
                 .map(|s| vec![Term::int(s.intersection as i64), Term::int(s.approach as i64)])
                 .collect();
             approaches.sort();
             approaches.dedup();
-            rec.engine.set_relation(crate::rules::rel::SCATS_APPROACH, approaches)?;
+            self.engine.set_relation(rel::SCATS_APPROACH, approaches)?;
         }
-        if pairs_needed {
+        if self.config.intersection_congestion_n == 2 {
             let mut pairs: Vec<Vec<Term>> = Vec::new();
-            for i in scats.intersections() {
+            for i in intersections {
                 for (a, &s1) in i.sensors.iter().enumerate() {
                     for &s2 in &i.sensors[a + 1..] {
                         pairs.push(vec![
@@ -123,9 +155,9 @@ impl TrafficRecognizer {
                     }
                 }
             }
-            rec.engine.set_relation(crate::rules::rel::SCATS_SENSOR_PAIR, pairs)?;
+            self.engine.set_relation(rel::SCATS_SENSOR_PAIR, pairs)?;
         }
-        Ok(rec)
+        Ok(())
     }
 
     /// The active configuration.
@@ -343,29 +375,6 @@ mod tests {
             + result.disagreements().len()
             + result.agreements().len();
         assert!(evidence > 0, "no CEs recognised over a rush-hour scenario");
-    }
-
-    /// `new` declares `scats_approach` / `scats_sensor_pair` when the config
-    /// asks for them but only `from_deployment` fills them in: left unset
-    /// they are empty, so the rules over them recognise nothing.
-    #[test]
-    fn relations_only_a_deployment_sets_are_empty_under_new() {
-        let scenario = Scenario::generate(ScenarioConfig::small(1800, 21)).unwrap();
-        let infos: Vec<IntersectionInfo> = (scenario.scats.intersections().iter())
-            .map(|i| IntersectionInfo { id: i.id as i64, lon: i.lon, lat: i.lat })
-            .collect();
-        let config = TrafficRulesConfig {
-            approach_congestion: true,
-            intersection_congestion_n: 2,
-            ..TrafficRulesConfig::default()
-        };
-        let mut rec = TrafficRecognizer::new(config, window(), &infos, &[]).unwrap();
-        for sde in &scenario.sdes {
-            rec.ingest(sde).unwrap();
-        }
-        let result = rec.query(scenario.window().1).unwrap();
-        assert!(result.sde_count() > 0);
-        assert!(result.congested_intersections().is_empty());
     }
 
     #[test]

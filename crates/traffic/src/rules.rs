@@ -963,15 +963,6 @@ mod tests {
     }
 
     #[test]
-    fn traffic_ruleset_pretty_prints() {
-        let rs = build_ruleset(&TrafficRulesConfig::default()).unwrap();
-        let text = rs.pretty();
-        assert!(text.contains("initiatedAt(scatsCongestion("));
-        assert!(text.contains("relative_complement_all("));
-        assert!(text.contains("happensAt(disagree("));
-    }
-
-    #[test]
     fn noisy_scats_reconstruction() {
         let mut cfg = TrafficRulesConfig::self_adaptive(NoisyVariant::Pessimistic);
         cfg.scats_reliability = true;
