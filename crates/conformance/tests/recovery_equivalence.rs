@@ -24,8 +24,10 @@ use insight_datagen::scenario::{Scenario, ScenarioConfig};
 use insight_rtec::window::WindowConfig;
 use insight_streams::chaos::KillSwitch;
 use insight_streams::checkpoint::CheckpointStore;
+use insight_streams::metrics::MetricsRegistry;
 use insight_streams::replay::ReplayRuntime;
 use insight_traffic::TrafficRulesConfig;
+use std::sync::Arc;
 
 const SCHEDULER_SEEDS: [u64; 3] = [0, 77, 777];
 
@@ -140,6 +142,45 @@ fn crowd_em_stage_recovers_with_its_estimator_state_intact() {
                 out, baseline,
                 "seed {seed}, EM kill at {k}/{n}: recovered verdicts diverged"
             );
+        }
+    }
+}
+
+#[test]
+fn crowd_em_kill_keeps_the_task_counters() {
+    // A restored stage must report the crowd tasks counted before its
+    // barrier too, not only those its rebuilt task bridge ran since.
+    let mut cfg = ScenarioConfig::small(2400, 91);
+    cfg.fleet.faulty_fraction = 0.5;
+    cfg.fleet.n_buses = 40;
+    let scenario = Scenario::generate(cfg).expect("scenario");
+    let window = WindowConfig::new(900, 450).expect("window");
+    let rules = TrafficRulesConfig::self_adaptive(insight_traffic::NoisyVariant::CrowdValidated);
+    let counters = |options: &PipelineOptions, seed: u64| {
+        let (topology, sink) =
+            build_pipeline_with(&scenario, rules.clone(), window, options).expect("topology");
+        let metrics = Arc::new(MetricsRegistry::new());
+        ReplayRuntime::new(topology, seed)
+            .with_metrics(Arc::clone(&metrics))
+            .run()
+            .unwrap_or_else(|e| panic!("seed {seed}: run failed: {e}"));
+        let counters = metrics.snapshot().counters;
+        let counts = ["crowd.queries", "crowd.tasks", "crowd.answers", "crowd.deadline_misses"]
+            .map(|name| (name, counters.get(name).copied().unwrap_or(0)));
+        (counts, sink.items().len() as u64)
+    };
+    let supervised =
+        || PipelineOptions { checkpoint_every: 1, ..PipelineOptions::recovering(1, 2) };
+    for seed in SCHEDULER_SEEDS {
+        let (baseline, n) = counters(&supervised(), seed);
+        assert!(baseline[0].1 > 0, "seed {seed}: the baseline ran crowd queries");
+        for k in [n / 2, n] {
+            let switch = KillSwitch::new();
+            let options =
+                PipelineOptions { kill_crowd_em_at: Some((k, switch.clone())), ..supervised() };
+            let (got, _) = counters(&options, seed);
+            assert!(switch.fired(), "seed {seed}: EM kill at {k}/{n} never struck");
+            assert_eq!(got, baseline, "seed {seed}, EM kill at {k}/{n}: task counters diverged");
         }
     }
 }

@@ -731,7 +731,14 @@ pub struct CrowdEmProcessor {
     seed: u64,
     gate: CanonicalGate,
     instruments: Option<CrowdInstruments>,
+    /// Added (wrapping) to the task bridge's own [`TASK_COUNTERS`] to give
+    /// the stage's: what a restored barrier had counted, less what the
+    /// bridge had counted when it was restored.
+    task_offset: [u64; 4],
 }
+
+/// The task bridge's counters the stage reports as `crowd.<name>`.
+const TASK_COUNTERS: [&str; 4] = ["queries", "tasks", "answers", "deadline_misses"];
 
 impl CrowdEmProcessor {
     /// Builds the EM and task bridges from `config` around `centre`, both
@@ -752,7 +759,20 @@ impl CrowdEmProcessor {
             seed,
             gate: CanonicalGate::new(),
             instruments: None,
+            task_offset: [0; 4],
         })
+    }
+
+    /// The task bridge's [`TASK_COUNTERS`] as counted since it was built.
+    fn bridge_task_counts(&self) -> [u64; 4] {
+        let stats = self.tasks.engine_stats();
+        [stats.queries, stats.tasks, stats.answers, stats.deadline_misses]
+    }
+
+    /// The stage's [`TASK_COUNTERS`] over the whole stream, across restores.
+    fn task_counts(&self) -> [u64; 4] {
+        let raw = self.bridge_task_counts();
+        std::array::from_fn(|i| raw[i].wrapping_add(self.task_offset[i]))
     }
 
     /// Declares the upstream regions whose watermarks gate in-stream merges.
@@ -844,11 +864,9 @@ impl Processor for CrowdEmProcessor {
         self.release(true, ctx);
         // Only the task bridge dispatches queries; the EM bridge merges.
         if let Ok(registry) = ctx.services().get::<MetricsRegistry>("metrics") {
-            let stats = self.tasks.engine_stats();
-            registry.counter("crowd.queries").add(stats.queries);
-            registry.counter("crowd.tasks").add(stats.tasks);
-            registry.counter("crowd.answers").add(stats.answers);
-            registry.counter("crowd.deadline_misses").add(stats.deadline_misses);
+            for (name, n) in TASK_COUNTERS.iter().zip(self.task_counts()) {
+                registry.counter(&format!("crowd.{name}")).add(n);
+            }
         }
         Ok(Vec::new())
     }
@@ -858,21 +876,31 @@ impl Processor for CrowdEmProcessor {
     }
 }
 
-/// The evolving state is the EM estimator and the gate (per-region
-/// watermarks, held summaries). A released summary leaves with the call
-/// that released it, so nothing else waits across a barrier; the task
-/// bridge never changes.
+/// The evolving state is the EM estimator, the gate (per-region watermarks,
+/// held summaries) and the task counters (`task.<name>`, reported at
+/// `finish`). A released summary leaves with the call that released it, so
+/// nothing else waits across a barrier; the task bridge's selection state
+/// never changes.
 impl Checkpointable for CrowdEmProcessor {
     fn snapshot(&mut self) -> StateBlob {
         let mut blob = StateBlob::new();
         blob.set("em", self.bridge.export_em_state());
         self.gate.snapshot_into(&mut blob);
+        for (name, n) in TASK_COUNTERS.iter().zip(self.task_counts()) {
+            blob.set(&format!("task.{name}"), n as i64);
+        }
         blob
     }
 
     fn restore(&mut self, blob: &StateBlob) -> Result<(), StreamsError> {
         self.bridge.import_em_state(blob.require_str("em")?).map_err(|e| corrupt(e.to_string()))?;
-        self.gate.restore_from(blob)
+        self.gate.restore_from(blob)?;
+        let raw = self.bridge_task_counts();
+        for (i, name) in TASK_COUNTERS.iter().enumerate() {
+            let counted = blob.require_i64(&format!("task.{name}"))? as u64;
+            self.task_offset[i] = counted.wrapping_sub(raw[i]);
+        }
+        Ok(())
     }
 }
 

@@ -1626,6 +1626,60 @@ thread_local! {
     static SCRATCH: RefCell<SolveScratch> = RefCell::new(SolveScratch::new());
 }
 
+/// An engine's own solve buffers: the bindings environment, evidence-span
+/// stack, binding trail and builtin argument buffer of [`SolveScratch`],
+/// lent to the calling thread for the engine's queries by [`OwnBuffers`].
+pub(crate) struct SolveBuffers {
+    b: Bindings,
+    spans: Vec<Time>,
+    trail: Vec<VarId>,
+    args_buf: Vec<Term>,
+}
+
+impl Default for SolveBuffers {
+    fn default() -> SolveBuffers {
+        SolveBuffers {
+            b: Bindings::new(0),
+            spans: Vec::new(),
+            trail: Vec::new(),
+            args_buf: Vec::new(),
+        }
+    }
+}
+
+/// While alive, an engine's [`SolveBuffers`] stand in for the calling
+/// thread's, so their capacity — and the growths the thread's allocation
+/// counter charges ([`scratch_allocations`]) — follows the engine, not
+/// whichever engines ran on the thread before it: a worker pool runs region
+/// engines on any of its threads. The thread's [`SolveWork`] and allocation
+/// counters stay with the thread. Dropping it hands the buffers back.
+pub(crate) struct OwnBuffers<'a>(&'a mut SolveBuffers);
+
+impl OwnBuffers<'_> {
+    pub(crate) fn lend(own: &mut SolveBuffers) -> OwnBuffers<'_> {
+        let mut lent = OwnBuffers(own);
+        lent.swap();
+        lent
+    }
+
+    fn swap(&mut self) {
+        SCRATCH.with(|cell| {
+            let mut s = cell.borrow_mut();
+            debug_assert!(!s.active, "solve scratch swapped while checked out");
+            std::mem::swap(&mut s.b, &mut self.0.b);
+            std::mem::swap(&mut s.spans, &mut self.0.spans);
+            std::mem::swap(&mut s.trail, &mut self.0.trail);
+            std::mem::swap(&mut s.args_buf, &mut self.0.args_buf);
+        });
+    }
+}
+
+impl Drop for OwnBuffers<'_> {
+    fn drop(&mut self) {
+        self.swap();
+    }
+}
+
 /// Runs `f` with this thread's solve scratch checked out. Balanced and
 /// non-reentrant by construction (`RefCell` + debug guard); capacity growth
 /// during `f` is charged to the allocation counter.

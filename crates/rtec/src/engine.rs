@@ -27,8 +27,8 @@
 
 use crate::compile::{
     eval_interval_expr_into, scratch_allocations, solve_domain_c, solve_frontier_c, solve_work,
-    term_time, CCtx, CEventStore, CFluentStore, CRelation, CompiledPlan, FactRef, Slide, SlotId,
-    SolveWork, StoreCounts, StoreProbe, StratumInstr,
+    term_time, CCtx, CEventStore, CFluentStore, CRelation, CompiledPlan, FactRef, OwnBuffers,
+    Slide, SlotId, SolveBuffers, SolveWork, StoreCounts, StoreProbe, StratumInstr,
 };
 use crate::dsl::RuleSet;
 use crate::error::RtecError;
@@ -301,6 +301,8 @@ pub struct Engine {
     /// Cumulative per-stratum cost, aligned with the plan's instruction
     /// array.
     profile: Vec<StratumProfile>,
+    /// The solver's buffers, lent to whichever thread runs a query.
+    scratch: SolveBuffers,
 }
 
 impl Engine {
@@ -337,6 +339,7 @@ impl Engine {
                     work: SolveWork::default(),
                 })
                 .collect(),
+            scratch: SolveBuffers::default(),
             plan,
         }
     }
@@ -551,10 +554,11 @@ impl Engine {
             self.last_query.is_some_and(|prev| self.window.window_start(prev) < start);
 
         let slide = Slide { start, q, prev_q: self.last_query.unwrap_or(TIME_MIN) };
-        let Engine { plan, state, relations, builtins, profile, .. } = self;
+        let Engine { plan, state, relations, builtins, profile, scratch, .. } = self;
         let plan: &CompiledPlan = plan;
         state.gen += 1;
         let cycle = Cycle { start, gen: state.gen, full_eval };
+        let lent = OwnBuffers::lend(scratch);
         let scratch_before = scratch_allocations();
         state.begin_caps();
         let CycleState { frontiers, events, obs, fluents: cfluents, strata, .. } = &mut *state;
@@ -624,6 +628,7 @@ impl Engine {
         let evaluation = evaluation_started.elapsed();
 
         let window_allocations = state.end_caps() + (scratch_allocations() - scratch_before);
+        drop(lent);
         self.last_query = Some(q);
         self.first_query.get_or_insert(q);
 

@@ -136,6 +136,10 @@ pub struct DeadLetterRecord {
     /// faults during the end-of-stream `finish` phase, which has no input
     /// item).
     pub item: Option<DataItem>,
+    /// The item's sequence number in the partition protocol when a replica
+    /// of a replicated stage dead-lettered it (see [`crate::partition`]);
+    /// `None` everywhere else.
+    pub seq: Option<i64>,
     /// The fault itself ([`StreamsError::ProcessorPanicked`] for isolated
     /// panics).
     pub error: StreamsError,
@@ -313,6 +317,7 @@ mod tests {
             process: "p".into(),
             processor: Some(0),
             item: Some(DataItem::new().with("n", n)),
+            seq: None,
             error: StreamsError::ServiceError { detail: "boom".into() },
         };
         dl.push(record(1));
@@ -337,12 +342,14 @@ mod tests {
             process: "p".into(),
             processor: Some(0),
             item: Some(DataItem::new().with("n", 1i64)),
+            seq: None,
             error: StreamsError::ServiceError { detail: "boom".into() },
         });
         dl.push(DeadLetterRecord {
             process: "p".into(),
             processor: None,
             item: None,
+            seq: None,
             error: StreamsError::ServiceError { detail: "finish".into() },
         });
         let mut seen = Vec::new();
@@ -361,6 +368,7 @@ mod tests {
             process: "p".into(),
             processor: Some(0),
             item: Some(DataItem::new().with("n", 1i64)),
+            seq: None,
             error: StreamsError::ServiceError { detail: "boom".into() },
         });
         assert_eq!(dl.len(), 1, "records are visible through the original handle");
@@ -374,6 +382,7 @@ mod tests {
             process: "p".into(),
             processor: None,
             item: None,
+            seq: None,
             error: StreamsError::ServiceError { detail: "x".into() },
         };
         dl.push(record.clone());

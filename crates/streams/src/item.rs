@@ -429,18 +429,60 @@ fn empty_attrs() -> Arc<AttrMap> {
     EMPTY_ATTRS.get_or_init(|| Arc::new(AttrMap::new())).clone()
 }
 
+/// An item's position in the partition protocol of a replicated stage (see
+/// [`crate::partition`]), carried beside the attribute map so the protocol
+/// never writes to it. Processors never see a stamp: the replica shell clears
+/// it before the user chain and the merge clears it before anything leaves
+/// the stage.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Stamp {
+    /// Not inside a replicated stage.
+    #[default]
+    None,
+    /// Data: the `sub`-th output of the input with sequence number `seq`,
+    /// emitted by replica `shard`.
+    Seq { seq: i64, sub: u32, shard: u16 },
+    /// Watermark punctuation for `shard`: every sequence number below `wm`
+    /// has been routed.
+    Wm { wm: i64, shard: u16 },
+    /// End-of-shard punctuation: replica `shard` finished cleanly.
+    Fin { shard: u16 },
+    /// Data emitted by replica `shard`'s `finish` (no sequence number).
+    FinItem { shard: u16 },
+}
+
 /// A set of key-value pairs travelling through the data-flow graph.
 ///
 /// The map is shared on `clone()` and deep-copied only when a shared item is
-/// mutated (copy-on-write) — see the module docs.
-#[derive(Debug, Clone, PartialEq)]
+/// mutated (copy-on-write) — see the module docs. Inside a replicated stage
+/// the item also carries a partition-protocol stamp, which is not part of
+/// equality, JSON, `Display` or the attributes.
+#[derive(Clone)]
 pub struct DataItem {
     attrs: Arc<AttrMap>,
+    stamp: Stamp,
 }
 
 impl Default for DataItem {
     fn default() -> DataItem {
-        DataItem { attrs: empty_attrs() }
+        DataItem { attrs: empty_attrs(), stamp: Stamp::None }
+    }
+}
+
+impl PartialEq for DataItem {
+    fn eq(&self, other: &DataItem) -> bool {
+        self.attrs == other.attrs
+    }
+}
+
+impl fmt::Debug for DataItem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = f.debug_struct("DataItem");
+        s.field("attrs", &self.attrs);
+        if self.stamp != Stamp::None {
+            s.field("stamp", &self.stamp);
+        }
+        s.finish()
     }
 }
 
@@ -538,6 +580,28 @@ impl DataItem {
         self.attrs.as_slice().iter().map(|(k, v)| (k.as_str(), v))
     }
 
+    /// The item's partition-protocol stamp.
+    pub(crate) fn stamp(&self) -> Stamp {
+        self.stamp
+    }
+
+    /// Replaces the item's partition-protocol stamp.
+    pub(crate) fn set_stamp(&mut self, stamp: Stamp) {
+        self.stamp = stamp;
+    }
+
+    /// Removes and returns the item's partition-protocol stamp.
+    pub(crate) fn take_stamp(&mut self) -> Stamp {
+        std::mem::take(&mut self.stamp)
+    }
+
+    /// Whether the item is punctuation of the partition protocol — a
+    /// watermark or an end-of-shard marker — rather than data. Stage metrics
+    /// count the two apart (see [`crate::metrics::StageMetrics`]).
+    pub(crate) fn is_punctuation(&self) -> bool {
+        matches!(self.stamp, Stamp::Wm { .. } | Stamp::Fin { .. })
+    }
+
     /// Whether the attributes fit the inline storage (no spill vector).
     /// Diagnostic for allocation-budget tests; typical SDEs are inline.
     pub fn is_inline(&self) -> bool {
@@ -597,7 +661,7 @@ impl FromIterator<(Key, Value)> for DataItem {
         for (k, v) in iter {
             map.insert(k, v);
         }
-        DataItem { attrs: Arc::new(map) }
+        DataItem { attrs: Arc::new(map), stamp: Stamp::None }
     }
 }
 
@@ -759,6 +823,21 @@ mod tests {
         assert_eq!(Value::Str("x".into()).as_f64(), None);
         assert_eq!(Value::Int(1).as_bool(), None);
         assert_eq!(Value::Null.as_str(), None);
+    }
+
+    #[test]
+    fn stamp_is_not_part_of_the_item() {
+        let plain = DataItem::new().with("n", 1i64);
+        let mut stamped = plain.clone();
+        stamped.set_stamp(Stamp::Seq { seq: 7, sub: 1, shard: 2 });
+        assert_eq!(stamped, plain, "equality ignores the stamp");
+        assert_eq!(stamped.to_json(), plain.to_json());
+        assert_eq!(stamped.to_string(), plain.to_string());
+        assert_eq!(stamped.len(), 1, "no attribute was written");
+        assert!(Arc::ptr_eq(&stamped.attrs, &plain.attrs), "stamping never copies the map");
+        assert_eq!(stamped.take_stamp(), Stamp::Seq { seq: 7, sub: 1, shard: 2 });
+        assert_eq!(stamped.stamp(), Stamp::None);
+        assert!(std::mem::size_of::<DataItem>() <= 24, "the stamp keeps an item at three words");
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! * **one worker core with two drivers**: every process is a worker that
 //!   advances one step at a time (hand owed items on, pull a batch through
 //!   the chain, go idle, or flush and end the stream); the
-//!   **multi-threaded runtime** ([`runtime`]) steps each worker on its own
-//!   thread and waits inside queue and source calls, the **deterministic
+//!   **multi-threaded runtime** ([`runtime`]) gives each source-fed worker
+//!   a thread that waits inside its source and steps every queue-fed worker
+//!   on a pool of `available_parallelism` threads, the **deterministic
 //!   replay runtime** ([`replay`]) steps the very same workers on one thread
 //!   under a seeded scheduler and is told when one is blocked;
 //! * **fault supervision** — per-process fault policies, panic isolation and

@@ -17,8 +17,7 @@
 //! * **`P[0]`‥`P[n-1]`** ([`ReplicaShell`]) each own a private clone of the
 //!   processor chain. The shell hides the partition bookkeeping from the user
 //!   chain and re-stamps whatever the chain emits: the `k` outputs of the
-//!   input with sequence number `s` leave as `(s, 0)`‥`(s, k-1)`
-//!   ([`SEQ_ATTR`], [`SUB_ATTR`]).
+//!   input with sequence number `s` leave as `(s, 0)`‥`(s, k-1)`.
 //! * **`P[merge]`** ([`MergeProcessor`]) restores the *exact* input order: it
 //!   buffers per shard and releases the globally smallest `(seq, sub)` pair
 //!   once every shard is known to be past its sequence number.
@@ -48,9 +47,8 @@
 //! sequence number is routed to exactly one shard, so no other shard's item
 //! ties with it). But sequence numbers of items *filtered* inside a replica
 //! never reach the merge, and a shard that receives nothing says nothing.
-//! So the partitioner also sends **punctuation**: a watermark item
-//! `{__wm: w, __shard: i}` to every shard `i`, stating that every sequence
-//! number below `w` has been routed. Each replica forwards it behind
+//! So the partitioner also sends **punctuation**: a watermark `w` to every
+//! shard, stating that every sequence number below `w` has been routed. Each replica forwards it behind
 //! whatever preceded it in its FIFO, and the merge raises that shard's
 //! frontier to `w`. A replica that finishes cleanly sends a final **fin**
 //! marker releasing its shard entirely. Punctuation carries a monotone lower
@@ -87,20 +85,25 @@
 //! end-of-stream still reaches the merge, whose `finish` drains every buffer
 //! in `(seq, sub)` order.
 //!
-//! ## Reserved attributes
+//! ## Stamps
 //!
-//! The bookkeeping travels *in* the items, in attributes prefixed `__`
-//! ([`SEQ_ATTR`], [`SUB_ATTR`], [`SHARD_ATTR`], [`WM_ATTR`], [`FIN_ATTR`],
-//! [`FIN_ITEM_ATTR`]). The `__` prefix is reserved: user chains inside a
-//! replicated stage never see these attributes (the shell strips them on the
-//! way in and re-attaches them on the way out), but items *dead-lettered* by
-//! a replica carry them, which is deliberate — the record shows where the
-//! item was in the partition protocol.
+//! The bookkeeping travels *beside* the attributes, in a small copyable
+//! stamp each [`DataItem`] carries next to its shared attribute map: `Seq`
+//! (sequence number, position among its input's outputs, shard) on data,
+//! `Wm` and `Fin` on punctuation, `FinItem` on what a replica's `finish`
+//! emitted. Setting or clearing a stamp never touches the attribute map, so
+//! the protocol costs no map write, no copy-on-write detach and no spill of
+//! a full-width item. A stamp is not part of an item's equality, JSON or
+//! `Display`; user chains never see one (the shell clears it on the way in
+//! and stamps its outputs on the way out), and nothing leaves the merge
+//! stamped. Punctuation is an empty item with a stamp. An input a replica
+//! dead-letters keeps its place in the protocol as the record's
+//! [`seq`](crate::fault::DeadLetterRecord::seq).
 
 use crate::checkpoint::{Checkpointable, StateBlob};
 use crate::error::StreamsError;
 use crate::fault::FaultPolicy;
-use crate::item::DataItem;
+use crate::item::{DataItem, Stamp};
 use crate::metrics::StageMetrics;
 use crate::processor::{drive_chain, Context, Processor};
 use crate::topology::{
@@ -110,20 +113,8 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Monotone per-partitioner sequence number (`i64`).
-pub const SEQ_ATTR: &str = "__seq";
-/// Position of an item among the outputs its replica chain produced for one
-/// input (`i64`); absent on the first, so a chain that maps one item to one
-/// item pays nothing for it.
-pub const SUB_ATTR: &str = "__sub";
-/// Shard index the item was routed to / emitted by (`i64`).
-pub const SHARD_ATTR: &str = "__shard";
-/// Low watermark: all sequence numbers `< value` are settled (`i64`).
-pub const WM_ATTR: &str = "__wm";
-/// End-of-shard marker sent by a replica that finished cleanly (`bool`).
-pub const FIN_ATTR: &str = "__fin";
-/// Marks an item emitted by a replica chain's `finish` (no sequence number).
-pub const FIN_ITEM_ATTR: &str = "__fin_item";
+/// Most replicas a stage may have: a stamp carries the shard in 16 bits.
+const MAX_REPLICAS: usize = u16::MAX as usize + 1;
 
 /// Base watermark cadence under flood: a partitioner whose input never runs
 /// dry broadcasts a watermark to every shard after `WM_EVERY × shards` routed
@@ -133,18 +124,18 @@ pub const FIN_ITEM_ATTR: &str = "__fin_item";
 /// at a constant ≈ `1/WM_EVERY` of its data traffic for every shard count.
 pub const WM_EVERY: usize = 32;
 
-/// Whether `item` is punctuation of the partition protocol — a watermark or
-/// an end-of-shard marker — rather than data. Stage metrics count the two
-/// apart (see [`StageMetrics`]).
-pub fn is_punctuation(item: &DataItem) -> bool {
-    item.len() <= 2 && (item.contains(WM_ATTR) || item.contains(FIN_ATTR))
+/// An empty item carrying only `stamp`: the partition protocol's
+/// punctuation. Allocation-free — every empty item shares one map.
+fn punctuation(stamp: Stamp) -> DataItem {
+    let mut item = DataItem::new();
+    item.set_stamp(stamp);
+    item
 }
 
-/// The watermark `{__wm: wm, __shard: shard}`. It is built per shard,
-/// already attributed, so replicas forward it untouched: a shared item each
-/// replica stamped would cost an attribute-map copy per hop.
+/// The watermark for `shard`, built per shard so replicas forward it
+/// untouched.
 fn watermark(wm: i64, shard: usize) -> DataItem {
-    DataItem::new().with(WM_ATTR, wm).with(SHARD_ATTR, shard as i64)
+    punctuation(Stamp::Wm { wm, shard: shard as u16 })
 }
 
 /// Stable shard assignment: FNV-1a over the rendered partition-key values.
@@ -212,12 +203,11 @@ pub fn shard_for_hinted(
     shard_for(item, keys, shards)
 }
 
-/// The synthesized `P[part]` processor: stamps [`SEQ_ATTR`] on every item.
-/// The runtime's shard dispatch computes the keyed route itself (see
-/// [`Dispatch::Shard`]) and sends the watermark punctuation, so the
-/// shard assignment never round-trips through the attribute map — the
-/// [`SHARD_ATTR`] stamp appears only on replica *outputs*, where the merge
-/// needs it for progress attribution.
+/// The synthesized `P[part]` processor: stamps every item with the next
+/// sequence number. The runtime's shard dispatch computes the keyed route
+/// itself (see [`Dispatch::Shard`]) and sends the watermark punctuation; the
+/// shard appears only on replica *outputs*, where the merge needs it for
+/// progress attribution.
 pub(crate) struct PartitionStamp {
     next_seq: i64,
 }
@@ -234,7 +224,7 @@ impl Processor for PartitionStamp {
         mut item: DataItem,
         _ctx: &mut Context,
     ) -> Result<Option<DataItem>, StreamsError> {
-        item.set(SEQ_ATTR, self.next_seq);
+        item.set_stamp(Stamp::Seq { seq: self.next_seq, sub: 0, shard: 0 });
         self.next_seq += 1;
         Ok(Some(item))
     }
@@ -268,8 +258,8 @@ impl Checkpointable for PartitionStamp {
 /// index 0 of `P[i]`), so the replica's fault policy governs the *whole*
 /// chain invocation — Skip drops the input with everything it produced (its
 /// sequence number is settled by the next watermark), Retry re-runs the
-/// shell on the preserved input, DeadLetter records the item including its
-/// `__` bookkeeping attributes.
+/// shell on the preserved input, DeadLetter records the item with its
+/// sequence number.
 pub(crate) struct ReplicaShell {
     inner: Vec<Box<dyn Processor>>,
     index: usize,
@@ -304,27 +294,27 @@ impl Processor for ReplicaShell {
         mut item: DataItem,
         ctx: &mut Context,
     ) -> Result<Option<DataItem>, StreamsError> {
-        // Watermarks arrive attributed to this shard and pass through
-        // untouched, behind whatever this replica emitted before them.
-        if item.contains(WM_ATTR) {
-            return Ok(Some(item));
-        }
-        let seq = item.remove(SEQ_ATTR).and_then(|v| v.as_i64()).ok_or_else(|| {
-            StreamsError::ServiceError {
-                detail: "replica received an item without a sequence stamp".into(),
+        let seq = match item.take_stamp() {
+            // Watermarks arrive attributed to this shard and pass through
+            // untouched, behind whatever this replica emitted before them.
+            wm @ Stamp::Wm { .. } => {
+                item.set_stamp(wm);
+                return Ok(Some(item));
             }
-        })?;
-        item.remove(SHARD_ATTR);
+            Stamp::Seq { seq, .. } => seq,
+            _ => {
+                return Err(StreamsError::ServiceError {
+                    detail: "replica received an item without a sequence stamp".into(),
+                })
+            }
+        };
         // A previous call that panicked mid-walk left its scratch behind.
         self.work.clear();
         self.outs.clear();
         self.walk(0, item, ctx)?;
+        let shard = self.index as u16;
         for (sub, mut out) in self.outs.drain(..).enumerate() {
-            out.set(SEQ_ATTR, seq);
-            if sub > 0 {
-                out.set(SUB_ATTR, sub as i64);
-            }
-            out.set(SHARD_ATTR, self.index as i64);
+            out.set_stamp(Stamp::Seq { seq, sub: sub as u32, shard });
             ctx.emit(out);
         }
         Ok(None)
@@ -342,14 +332,17 @@ impl Processor for ReplicaShell {
                 self.walk(i + 1, item, ctx)?;
             }
         }
-        let index = self.index as i64;
+        let shard = self.index as u16;
         let mut out: Vec<DataItem> = self
             .outs
             .drain(..)
-            .map(|item| item.with(FIN_ITEM_ATTR, true).with(SHARD_ATTR, index))
+            .map(|mut item| {
+                item.set_stamp(Stamp::FinItem { shard });
+                item
+            })
             .collect();
         // The fin marker is last, after this shard's trailing items.
-        out.push(DataItem::new().with(FIN_ATTR, true).with(SHARD_ATTR, index));
+        out.push(punctuation(Stamp::Fin { shard }));
         Ok(out)
     }
 
@@ -420,10 +413,7 @@ impl MergeProcessor {
         }
     }
 
-    fn shard_of(&self, item: &DataItem) -> Result<usize, StreamsError> {
-        let shard = item.get_i64(SHARD_ATTR).ok_or_else(|| StreamsError::ServiceError {
-            detail: "merge received an item without a shard stamp".into(),
-        })?;
+    fn check_shard(&self, shard: u16) -> Result<usize, StreamsError> {
         let shard = shard as usize;
         if shard >= self.buffers.len() {
             return Err(StreamsError::ServiceError {
@@ -468,34 +458,40 @@ impl Processor for MergeProcessor {
         mut item: DataItem,
         ctx: &mut Context,
     ) -> Result<Option<DataItem>, StreamsError> {
-        let shard = self.shard_of(&item)?;
-        if let Some(wm) = item.get_i64(WM_ATTR) {
-            self.frontier[shard] = self.frontier[shard].max(wm);
-        } else if item.contains(FIN_ATTR) {
-            self.fin[shard] = true;
-        } else if item.contains(FIN_ITEM_ATTR) {
-            item.remove(FIN_ITEM_ATTR);
-            item.remove(SHARD_ATTR);
-            self.trailing[shard].push(item);
-        } else {
-            let seq = item.remove(SEQ_ATTR).and_then(|v| v.as_i64()).ok_or_else(|| {
-                StreamsError::ServiceError {
-                    detail: "merge received a data item without a sequence stamp".into(),
-                }
-            })?;
-            let sub = item.remove(SUB_ATTR).and_then(|v| v.as_i64()).unwrap_or(0);
-            item.remove(SHARD_ATTR);
-            match self.buffers[shard].entry((seq, sub)) {
-                Entry::Vacant(slot) => slot.insert(item),
-                Entry::Occupied(_) => {
-                    return Err(StreamsError::ServiceError {
-                        detail: format!(
-                            "merge received sequence stamp ({seq}, {sub}) twice from shard {shard}"
-                        ),
-                    })
-                }
-            };
-            self.frontier[shard] = self.frontier[shard].max(seq + 1);
+        match item.take_stamp() {
+            Stamp::Wm { wm, shard } => {
+                let shard = self.check_shard(shard)?;
+                self.frontier[shard] = self.frontier[shard].max(wm);
+            }
+            Stamp::Fin { shard } => {
+                let shard = self.check_shard(shard)?;
+                self.fin[shard] = true;
+            }
+            Stamp::FinItem { shard } => {
+                let shard = self.check_shard(shard)?;
+                self.trailing[shard].push(item);
+            }
+            Stamp::Seq { seq, sub, shard } => {
+                let shard = self.check_shard(shard)?;
+                let sub = sub as i64;
+                match self.buffers[shard].entry((seq, sub)) {
+                    Entry::Vacant(slot) => slot.insert(item),
+                    Entry::Occupied(_) => {
+                        return Err(StreamsError::ServiceError {
+                            detail: format!(
+                                "merge received sequence stamp ({seq}, {sub}) twice from shard \
+                                 {shard}"
+                            ),
+                        })
+                    }
+                };
+                self.frontier[shard] = self.frontier[shard].max(seq + 1);
+            }
+            Stamp::None => {
+                return Err(StreamsError::ServiceError {
+                    detail: "merge received an item without a stamp".into(),
+                })
+            }
         }
         self.release(ctx);
         Ok(None)
@@ -614,6 +610,12 @@ pub(crate) fn expand_replicas(topology: &mut Topology) -> Result<(), StreamsErro
             continue;
         }
         let n = p.replicas;
+        if n > MAX_REPLICAS {
+            return Err(StreamsError::InvalidPartition {
+                process: p.name,
+                detail: format!("replicas({n}) exceeds the maximum of {MAX_REPLICAS}"),
+            });
+        }
         if p.partition_keys.is_empty() {
             return Err(StreamsError::InvalidPartition {
                 process: p.name,
@@ -775,7 +777,7 @@ impl Dispatch {
             Dispatch::Shard { keys, hints, since_wm, next_wm } => {
                 let n_outputs = owed.len().max(1);
                 let shard = shard_for_hinted(&item, keys, hints, n_outputs);
-                if let Some(seq) = item.get_i64(SEQ_ATTR) {
+                if let Stamp::Seq { seq, .. } = item.stamp() {
                     *next_wm = (*next_wm).max(seq + 1);
                 }
                 owed[shard].push(item);
@@ -819,8 +821,18 @@ mod tests {
         c.take_emitted().chain(returned).collect()
     }
 
-    fn data(seq: i64, shard: i64) -> DataItem {
-        DataItem::new().with("n", seq).with(SEQ_ATTR, seq).with(SHARD_ATTR, shard)
+    fn stamped(mut item: DataItem, stamp: Stamp) -> DataItem {
+        item.set_stamp(stamp);
+        item
+    }
+
+    /// The `sub`-th output of input `seq`, from replica `shard`.
+    fn sub(seq: i64, sub: u32, shard: u16) -> DataItem {
+        stamped(DataItem::new().with("n", seq), Stamp::Seq { seq, sub, shard })
+    }
+
+    fn data(seq: i64, shard: u16) -> DataItem {
+        sub(seq, 0, shard)
     }
 
     fn ns(items: &[DataItem]) -> Vec<Option<i64>> {
@@ -844,28 +856,26 @@ mod tests {
         let mut c = ctx();
         for expect in 0..5i64 {
             let out = p.process(DataItem::new().with("k", expect), &mut c).unwrap().unwrap();
-            assert_eq!(out.get_i64(SEQ_ATTR), Some(expect));
-            // Routing is the dispatch's job now; the stamp leaves no shard
-            // attribute behind.
-            assert!(!out.contains(SHARD_ATTR));
+            assert_eq!(out.stamp(), Stamp::Seq { seq: expect, sub: 0, shard: 0 });
+            assert_eq!(out.len(), 1, "the stamp writes no attribute");
         }
     }
 
     #[test]
     fn replica_shell_hides_bookkeeping_from_inner_chain() {
         let inner = FnProcessor::new(|item: DataItem, _: &mut Context| {
-            assert!(!item.contains(SEQ_ATTR) && !item.contains(SHARD_ATTR));
+            assert_eq!(item.stamp(), Stamp::None);
             Ok(Some(item.with("seen", true)))
         });
         let mut shell = ReplicaShell::new(vec![Box::new(inner)], 2);
         let mut c = ctx();
-        let item = DataItem::new().with("n", 1i64).with(SEQ_ATTR, 9i64).with(SHARD_ATTR, 2i64);
+        let item =
+            stamped(DataItem::new().with("n", 1i64), Stamp::Seq { seq: 9, sub: 0, shard: 0 });
         let out = outputs(&mut shell, item, &mut c);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].get_i64(SEQ_ATTR), Some(9));
-        assert_eq!(out[0].get_i64(SHARD_ATTR), Some(2));
+        assert_eq!(out[0].stamp(), Stamp::Seq { seq: 9, sub: 0, shard: 2 });
         assert_eq!(out[0].get_bool("seen"), Some(true));
-        assert!(!out[0].contains(SUB_ATTR), "a lone output needs no sub stamp");
+        assert_eq!(out[0].len(), 2, "only the chain's own attributes");
     }
 
     #[test]
@@ -883,16 +893,21 @@ mod tests {
         });
         let mut shell = ReplicaShell::new(vec![Box::new(fan), Box::new(tag)], 1);
         let mut c = ctx();
-        let out = outputs(&mut shell, DataItem::new().with(SEQ_ATTR, 4i64), &mut c);
-        let stamps: Vec<(Option<i64>, Option<i64>, Option<i64>)> = out
-            .iter()
-            .map(|i| (i.get_i64(SEQ_ATTR), i.get_i64(SUB_ATTR), i.get_i64("copy")))
-            .collect();
-        assert_eq!(stamps, vec![(Some(4), None, Some(0)), (Some(4), Some(1), Some(2))]);
+        let out = outputs(&mut shell, data(4, 0), &mut c);
+        let stamps: Vec<(Stamp, Option<i64>)> =
+            out.iter().map(|i| (i.stamp(), i.get_i64("copy"))).collect();
+        assert_eq!(
+            stamps,
+            vec![
+                (Stamp::Seq { seq: 4, sub: 0, shard: 1 }, Some(0)),
+                (Stamp::Seq { seq: 4, sub: 1, shard: 1 }, Some(2))
+            ]
+        );
         assert!(out.iter().all(|i| i.get_bool("tagged") == Some(true)));
         // A watermark passes through as it came.
-        let wm = watermark(5, 1);
-        assert_eq!(outputs(&mut shell, wm.clone(), &mut c), vec![wm]);
+        let forwarded = outputs(&mut shell, watermark(5, 1), &mut c);
+        assert_eq!(forwarded.len(), 1);
+        assert_eq!(forwarded[0].stamp(), Stamp::Wm { wm: 5, shard: 1 });
     }
 
     #[test]
@@ -913,9 +928,10 @@ mod tests {
         let mut shell = ReplicaShell::new(vec![Box::new(Tail)], 1);
         let out = shell.finish(&mut ctx()).unwrap();
         assert_eq!(out.len(), 2);
-        assert_eq!(out[0].get_bool(FIN_ITEM_ATTR), Some(true));
-        assert_eq!(out[0].get_i64(SHARD_ATTR), Some(1));
-        assert_eq!(out[1].get_bool(FIN_ATTR), Some(true), "fin marker comes last");
+        assert_eq!(out[0].stamp(), Stamp::FinItem { shard: 1 });
+        assert_eq!(out[0].len(), 1, "the trailing item keeps only its attributes");
+        assert_eq!(out[1].stamp(), Stamp::Fin { shard: 1 }, "fin marker comes last");
+        assert!(out[1].is_punctuation() && out[1].is_empty());
     }
 
     #[test]
@@ -928,8 +944,8 @@ mod tests {
         // Shard 0's seq 0 settles both: everything releasable leaves at once.
         let out = outputs(&mut m, data(0, 0), &mut c);
         assert_eq!(ns(&out), vec![Some(0)], "seq 1 waits: shard 0 may still emit (0, 1)…");
-        assert!(!out[0].contains(SEQ_ATTR), "bookkeeping is stripped");
-        let fin = DataItem::new().with(FIN_ATTR, true).with(SHARD_ATTR, 0i64);
+        assert_eq!(out[0].stamp(), Stamp::None, "bookkeeping is stripped");
+        let fin = punctuation(Stamp::Fin { shard: 0 });
         assert_eq!(ns(&outputs(&mut m, fin, &mut c)), vec![Some(1)], "…until it is past 1");
     }
 
@@ -950,10 +966,9 @@ mod tests {
     fn merge_orders_by_sequence_then_sub() {
         let mut m = MergeProcessor::new(2);
         let mut c = ctx();
-        let sub =
-            |seq: i64, sub: i64, shard: i64| data(seq, shard).with(SUB_ATTR, sub).with("s", sub);
+        let sub = |seq: i64, s: u32, shard: u16| sub(seq, s, shard).with("s", s as i64);
         // Shard 1's input 3 produced three items; shard 0's input 2 one.
-        assert!(outputs(&mut m, data(3, 1).with("s", 0i64), &mut c).is_empty());
+        assert!(outputs(&mut m, sub(3, 0, 1), &mut c).is_empty());
         assert!(outputs(&mut m, sub(3, 1, 1), &mut c).is_empty());
         let out = outputs(&mut m, data(2, 0), &mut c);
         assert_eq!(ns(&out), vec![Some(2)], "seq 3 waits for shard 0 to pass it");
@@ -962,7 +977,7 @@ mod tests {
         let order: Vec<(Option<i64>, Option<i64>)> =
             out.iter().map(|i| (i.get_i64("n"), i.get_i64("s"))).collect();
         assert_eq!(order, vec![(Some(3), Some(0)), (Some(3), Some(1)), (Some(3), Some(2))]);
-        assert!(out.iter().all(|i| !i.contains(SUB_ATTR)), "bookkeeping is stripped");
+        assert!(out.iter().all(|i| i.stamp() == Stamp::None), "bookkeeping is stripped");
     }
 
     #[test]
@@ -973,19 +988,18 @@ mod tests {
         // seq 2 becomes releasable the moment shard 0 accounts for it; seq 3
         // stays buffered because shard 0's frontier (3) is not *past* it.
         assert_eq!(ns(&outputs(&mut m, data(2, 0), &mut c)), vec![Some(2)]);
-        let t = DataItem::new().with("t", true).with(FIN_ITEM_ATTR, true).with(SHARD_ATTR, 1i64);
+        let t = stamped(DataItem::new().with("t", true), Stamp::FinItem { shard: 1 });
         assert!(outputs(&mut m, t, &mut c).is_empty());
         let out = m.finish(&mut c).unwrap();
         assert_eq!(ns(&out), vec![Some(3), None], "remaining seq order, then trailing");
-        assert!(!out[1].contains(FIN_ITEM_ATTR) && !out[1].contains(SHARD_ATTR));
+        assert!(out.iter().all(|i| i.stamp() == Stamp::None), "bookkeeping is stripped");
     }
 
     #[test]
     fn merge_rejects_unstamped_items() {
         let mut m = MergeProcessor::new(1);
         assert!(m.process(DataItem::new().with("n", 1i64), &mut ctx()).is_err());
-        let bad_shard = DataItem::new().with(SEQ_ATTR, 0i64).with(SHARD_ATTR, 9i64);
-        assert!(m.process(bad_shard, &mut ctx()).is_err());
+        assert!(m.process(data(0, 9), &mut ctx()).is_err(), "shard out of range");
     }
 
     #[test]
@@ -999,7 +1013,7 @@ mod tests {
             "a second (4, 0) from shard 1 must not replace the first"
         );
         // Same sequence number, different sub: a legitimate second output.
-        assert!(outputs(&mut m, data(4, 1).with(SUB_ATTR, 1i64), &mut c).is_empty());
+        assert!(outputs(&mut m, sub(4, 1, 1), &mut c).is_empty());
         let out = outputs(&mut m, watermark(5, 0), &mut c);
         assert_eq!(ns(&out), vec![Some(4), Some(4)], "the first item survived");
     }
@@ -1009,7 +1023,7 @@ mod tests {
         let mut m = MergeProcessor::new(2);
         let mut c = ctx();
         assert!(outputs(&mut m, data(3, 1), &mut c).is_empty());
-        assert!(outputs(&mut m, data(3, 1).with(SUB_ATTR, 1i64), &mut c).is_empty());
+        assert!(outputs(&mut m, sub(3, 1, 1), &mut c).is_empty());
         let blob = m.snapshot();
         assert!(blob.get_str("ready").is_none(), "nothing is parked between calls");
         let mut restored = MergeProcessor::new(2);
@@ -1067,10 +1081,7 @@ mod tests {
                 .collect();
             assert_eq!(got, expected, "threaded, replicas={replicas}");
             for item in sink.items() {
-                assert!(
-                    !item.contains(SEQ_ATTR) && !item.contains(SHARD_ATTR),
-                    "bookkeeping never escapes the merge"
-                );
+                assert_eq!(item.stamp(), Stamp::None, "bookkeeping never escapes the merge");
             }
 
             let sink = crate::sink::CollectSink::shared();
@@ -1084,6 +1095,14 @@ mod tests {
                 .collect();
             assert_eq!(got, expected, "replay, replicas={replicas}");
         }
+    }
+
+    #[test]
+    fn replicas_beyond_the_stamp_width_rejected() {
+        let sink = crate::sink::CollectSink::shared();
+        let mut t = replicated_topology(10, 2, &sink);
+        t.processes[0].replicas = MAX_REPLICAS + 1;
+        assert!(matches!(expand_replicas(&mut t), Err(StreamsError::InvalidPartition { .. })));
     }
 
     #[test]
@@ -1146,23 +1165,21 @@ mod tests {
         assert!(!d.plan_idle(&mut owed), "nothing routed yet: going idle says nothing");
         let cadence = (WM_EVERY * 3) as i64;
         for seq in 0..cadence {
-            let item = DataItem::new().with("k", seq).with(SEQ_ATTR, seq);
+            let item =
+                stamped(DataItem::new().with("k", seq), Stamp::Seq { seq, sub: 0, shard: 0 });
             let expect = shard_for(&item, &keys, 3);
             owed.iter_mut().for_each(Vec::clear);
             d.plan_into(item, &mut owed);
-            assert_eq!(owed[expect][0].get_i64(SEQ_ATTR), Some(seq), "routed to the keyed shard");
+            assert_eq!(owed[expect][0].get_i64("k"), Some(seq), "routed to the keyed shard");
             if seq == 1 {
                 // Idle after two items: a watermark for each output, already
                 // attributed to its shard, and the flood count starts over.
                 owed.iter_mut().for_each(Vec::clear);
                 assert!(d.plan_idle(&mut owed));
-                let wms: Vec<(Option<i64>, Option<i64>)> = owed
-                    .iter()
-                    .flatten()
-                    .map(|wm| (wm.get_i64(WM_ATTR), wm.get_i64(SHARD_ATTR)))
-                    .collect();
-                assert_eq!(wms, vec![(Some(2), Some(0)), (Some(2), Some(1)), (Some(2), Some(2))]);
-                assert!(owed.iter().flatten().all(is_punctuation));
+                let wms: Vec<Stamp> = owed.iter().flatten().map(DataItem::stamp).collect();
+                let expect: Vec<Stamp> = (0..3).map(|shard| Stamp::Wm { wm: 2, shard }).collect();
+                assert_eq!(wms, expect);
+                assert!(owed.iter().flatten().all(DataItem::is_punctuation));
                 owed.iter_mut().for_each(Vec::clear);
                 assert!(!d.plan_idle(&mut owed), "still idle: nothing new to say");
             } else if seq < cadence - 1 {
@@ -1174,12 +1191,15 @@ mod tests {
         assert_eq!(routed(&owed), 1);
         for seq in cadence..cadence + 2 {
             owed.iter_mut().for_each(Vec::clear);
-            d.plan_into(DataItem::new().with("k", seq).with(SEQ_ATTR, seq), &mut owed);
+            d.plan_into(data(seq, 0).with("k", seq), &mut owed);
         }
         assert_eq!(routed(&owed), 4, "the flood cadence broadcasts to all 3 outputs");
         for bucket in &owed {
             let wm = bucket.last().expect("every output gets the watermark");
-            assert_eq!(wm.get_i64(WM_ATTR), Some(cadence + 2), "behind the item in its shard");
+            assert!(
+                matches!(wm.stamp(), Stamp::Wm { wm, .. } if wm == cadence + 2),
+                "behind the item in its shard"
+            );
         }
     }
 
@@ -1223,10 +1243,7 @@ mod tests {
                 .map(|i| (i.get_i64("n").unwrap(), i.get_i64("sq").unwrap()))
                 .collect();
             for item in sink.items() {
-                assert!(
-                    !item.contains(SEQ_ATTR) && !item.contains(SHARD_ATTR),
-                    "bookkeeping never escapes the recovered merge"
-                );
+                assert_eq!(item.stamp(), Stamp::None, "bookkeeping never escapes the merge");
             }
             (got, switch.fired())
         };

@@ -10,9 +10,9 @@
 //! [`QueueSender::try_send_batch`] move items out of one,
 //! [`QueueReceiver::recv_batch`] and [`QueueReceiver::try_recv_batch`] append
 //! to one, and [`QueueSender::finish`] ends a producer. A batch of one is
-//! per-item transfer. The threaded runtime waits in the blocking pair; the
-//! `try_` pair never waits, which is what the replay scheduler needs and how
-//! a threaded worker learns that its input ran dry before it parks.
+//! per-item transfer. The `try_` pair never waits: the threaded runtime's
+//! worker pool and the replay scheduler step every queue-fed worker with it.
+//! The runtime's source threads hand on through the blocking `send_batch`.
 //!
 //! # One ring per producer
 //!
@@ -28,7 +28,9 @@
 //! A consumer with nothing to read parks on one doorbell that all of its
 //! rings share, so whichever producer publishes first wakes it; a producer
 //! facing a full ring parks on that ring's own doorbell, which the consumer
-//! rings as it drains.
+//! rings as it drains. The consumer's doorbell hears every publication, end
+//! and drain of the queue, so the threaded runtime hands all of its queues
+//! one doorbell: the one its worker pool parks on (see [`crate::runtime`]).
 //!
 //! # End of stream
 //!
@@ -51,7 +53,7 @@ use crate::item::DataItem;
 use crate::metrics::QueueMetrics;
 use crate::source::Polled;
 use crate::spsc::{spin_limit, Doorbell, Ring};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,8 +61,9 @@ use std::time::Instant;
 /// doorbell.
 struct Shared {
     rings: Box<[Ring]>,
-    /// Where the consumer parks on an empty queue; every producer rings it.
-    items: Doorbell,
+    /// Where the consumer parks on an empty queue. Every producer rings it
+    /// on each publication and on `finish`, the consumer on each drain.
+    items: Arc<Doorbell>,
     consumer_alive: AtomicBool,
     metrics: Arc<QueueMetrics>,
 }
@@ -177,6 +180,7 @@ impl Drop for QueueReceiver {
         for ring in self.shared.rings.iter() {
             ring.room.wake();
         }
+        self.shared.items.wake();
     }
 }
 
@@ -214,12 +218,13 @@ impl QueueReceiver {
     pub fn try_recv_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> Polled {
         let rings = &self.shared.rings;
         let (max, start) = (max.max(1), self.next);
-        let mut taken = 0;
+        let (mut taken, mut visited) = (0, 0);
         let mut ended = true;
         for i in 0..rings.len() {
             if taken == max {
                 break;
             }
+            visited += 1;
             let at = (start + i) % rings.len();
             let ring = &rings[at];
             // `closed` is stored after the ring's final push, so once it
@@ -227,7 +232,6 @@ impl QueueReceiver {
             let closed = ring.is_closed();
             let n = ring.pop_into(max - taken, out);
             if n > 0 {
-                ring.room.wake();
                 taken += n;
                 self.next = at + 1;
             }
@@ -236,6 +240,12 @@ impl QueueReceiver {
         if taken == 0 {
             return if ended { Polled::Ended } else { Polled::Pending };
         }
+        // One fence for every ring drained: their producers, and whoever
+        // parks on the consumer's doorbell, may be waiting for the room. A
+        // ring this receive found empty has no producer waiting for room.
+        fence(Ordering::SeqCst);
+        (start..start + visited).for_each(|i| rings[i % rings.len()].room.notify());
+        self.shared.items.notify();
         let metrics = &self.shared.metrics;
         metrics.received.add(taken as u64);
         metrics.depth.add(-(taken as i64));
@@ -258,9 +268,19 @@ pub fn queue_with_metrics(
     producers: usize,
     metrics: Arc<QueueMetrics>,
 ) -> (Vec<QueueSender>, QueueReceiver) {
+    queue_on(capacity, producers, metrics, Arc::default())
+}
+
+/// Like [`queue_with_metrics`], with `items` as the consumer's doorbell.
+pub(crate) fn queue_on(
+    capacity: usize,
+    producers: usize,
+    metrics: Arc<QueueMetrics>,
+    items: Arc<Doorbell>,
+) -> (Vec<QueueSender>, QueueReceiver) {
     let shared = Arc::new(Shared {
         rings: (0..producers).map(|_| Ring::new(capacity)).collect(),
-        items: Doorbell::default(),
+        items,
         consumer_alive: AtomicBool::new(true),
         metrics,
     });

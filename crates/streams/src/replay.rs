@@ -1,10 +1,10 @@
 //! Deterministic replay: a single-threaded, seeded scheduler for topologies.
 //!
-//! The threaded [`crate::runtime::Runtime`] runs one OS thread per process,
-//! so the interleaving of queue operations is up to the kernel scheduler and
-//! differs run to run. That makes "the recognition output is independent of
-//! the interleaving" an untestable claim: a race observed once may never
-//! reproduce. [`ReplayRuntime`] closes that gap by stepping the *same*
+//! The threaded [`crate::runtime::Runtime`] runs a thread per source-fed
+//! process and a pool of threads for the rest, so the interleaving of queue
+//! operations is up to the kernel scheduler and differs run to run. That
+//! makes "the recognition output is independent of the interleaving" an
+//! untestable claim: a race observed once may never reproduce. [`ReplayRuntime`] closes that gap by stepping the *same*
 //! workers — the same `Worker::step`, so the same pump, supervision,
 //! checkpointing and metrics — on a single thread, where a seeded RNG picks
 //! which process steps next. One seed ⇒ one exact, reproducible
@@ -60,7 +60,7 @@ impl ReplayRuntime {
 
     /// Runs the topology to completion under the seeded schedule.
     pub fn run(self) -> Result<RunStats, StreamsError> {
-        let mut workers = materialize(self.topology, &self.metrics)?;
+        let mut workers = materialize(self.topology, &self.metrics, &Arc::default())?;
         let mut rng = StdRng::seed_from_u64(self.seed);
         loop {
             // The scheduler's only nondeterminism source: draw uniformly

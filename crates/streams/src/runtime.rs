@@ -1,13 +1,23 @@
-//! Runtime: executes a validated topology, one thread per process.
+//! Runtime: executes a validated topology on a thread per source-fed
+//! process plus a pool for everything fed by a queue.
 //!
 //! Every process is a `Worker` that advances one `Worker::step` at a
 //! time: hand owed items on, pull a batch and run it through the processor
 //! chain, go idle, or — once the input has ended — flush the chain and
 //! propagate end-of-stream. Two drivers step the same workers and differ
-//! only in who waits. This [`Runtime`] gives each worker a thread that steps
-//! it to the end and waits inside the queue or source call when there is
-//! nothing to do; [`crate::replay::ReplayRuntime`] steps them all on one
+//! only in who waits. [`crate::replay::ReplayRuntime`] steps them all on one
 //! thread under a seeded scheduler and is told when a worker is blocked.
+//! This [`Runtime`] gives each process that pulls a [`Source`] a thread of
+//! its own, which steps it to the end and waits inside the source call or a
+//! full queue — a source may block in `next_batch`, and must not hold up
+//! anything else while it does. Every process fed by a queue is stepped by a
+//! pool of `available_parallelism` threads instead: a pool thread visits
+//! the workers in topology order and steps each until it is blocked, done,
+//! or has had a small budget of steps, and a pool thread that found nothing
+//! to do parks on one doorbell that every queue rings on each publication,
+//! end and drain (a `spsc::Doorbell`). Every queue consumer is a
+//! pool worker, so the replay scheduler's argument — on an acyclic topology
+//! some worker can always move — is what keeps the pool live.
 //! End-of-stream propagates through queues as each producer closes its own
 //! ring, so the whole graph drains and terminates deterministically.
 //!
@@ -23,17 +33,19 @@
 use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::error::StreamsError;
 use crate::fault::{DeadLetterQueue, DeadLetterRecord, FaultPolicy};
-use crate::item::DataItem;
+use crate::item::{DataItem, Stamp};
 use crate::metrics::{MetricsRegistry, StageMetrics};
-use crate::partition::{is_punctuation, Dispatch};
+use crate::partition::Dispatch;
 use crate::processor::{drive_chain, push_outputs, Context, Processor};
-use crate::queue::{queue_with_metrics, QueueReceiver, QueueSender};
+use crate::queue::{queue_on, QueueReceiver, QueueSender};
 use crate::sink::Sink;
 use crate::source::{Polled, Source};
+use crate::spsc::Doorbell;
 use crate::topology::{Input, Output, SharedProcessorFactory, Topology};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::Instant;
 
@@ -93,12 +105,14 @@ impl ProcInput {
     }
 
     /// Appends up to `max` items to `out`, waiting for the first one:
-    /// [`Polled::Items`] or [`Polled::Ended`], never `Pending`.
+    /// [`Polled::Items`] or [`Polled::Ended`], never `Pending`. Only a
+    /// source waits: a queue-fed worker is stepped by the pool, which never
+    /// lets a step wait.
     fn wait(&mut self, max: usize, out: &mut Vec<DataItem>) -> Result<Polled, StreamsError> {
-        let n = match self {
-            ProcInput::Queue(q) => q.recv_batch(max, out),
-            ProcInput::Source(s) => s.next_batch(max, out)?,
+        let ProcInput::Source(s) = self else {
+            unreachable!("a queue-fed worker is stepped without waiting")
         };
+        let n = s.next_batch(max, out)?;
         Ok(if n == 0 { Polled::Ended } else { Polled::Items(n) })
     }
 }
@@ -133,36 +147,179 @@ impl Runtime {
         Arc::clone(&self.metrics)
     }
 
-    /// Validates and runs the topology to completion: one thread per
-    /// process, each stepping its worker with waiting allowed until it is
-    /// done.
+    /// Validates and runs the topology to completion: a thread per
+    /// source-fed process, stepping its worker with waiting allowed until it
+    /// is done, and `available_parallelism` pool threads stepping the rest
+    /// (see the module docs).
     pub fn run(self) -> Result<RunStats, StreamsError> {
-        let handles: Vec<_> = materialize(self.topology, &self.metrics)?
-            .into_iter()
-            .map(|mut w| {
-                let name = w.name.clone();
-                let handle = thread::spawn(move || {
-                    while w.step(true) != Progress::Done {}
-                    w.outcome()
-                });
-                (name, handle)
-            })
-            .collect();
-        let outcomes: Vec<_> = handles
-            .into_iter()
-            .map(|(process, handle)| {
-                // A panic that escaped the per-invocation supervision (a bug
-                // in the worker itself, a panicking sink, ...) still must not
-                // abort the caller: surface it as an error.
-                handle.join().unwrap_or_else(|payload| {
-                    Err(StreamsError::ProcessorPanicked {
-                        process,
-                        payload: panic_message(payload),
-                    })
+        self.run_on(thread::available_parallelism().map_or(1, |n| n.get()))
+    }
+
+    /// [`Runtime::run`] with `threads` pool threads.
+    fn run_on(self, threads: usize) -> Result<RunStats, StreamsError> {
+        let bell = Arc::new(Doorbell::default());
+        let workers = materialize(self.topology, &self.metrics, &bell)?;
+        let mut outcomes: Vec<_> = workers.iter().map(|_| None).collect();
+        let mut sources = Vec::new();
+        let mut pooled = Vec::new();
+        for (i, mut w) in workers.into_iter().enumerate() {
+            if matches!(w.input, ProcInput::Queue(_)) {
+                pooled.push((i, w));
+                continue;
+            }
+            let name = w.name.clone();
+            let handle = thread::spawn(move || {
+                while w.step(true) != Progress::Done {}
+                w.outcome()
+            });
+            sources.push((i, name, handle));
+        }
+        let (index, pooled): (Vec<usize>, Vec<Worker>) = pooled.into_iter().unzip();
+        let pool = Pool::new(pooled, bell);
+        thread::scope(|scope| {
+            for _ in 0..threads.max(1) {
+                scope.spawn(|| pool.drive());
+            }
+        });
+        for (i, outcome) in index.into_iter().zip(pool.outcomes()) {
+            outcomes[i] = Some(outcome);
+        }
+        for (i, process, handle) in sources {
+            // A panic that escaped the per-invocation supervision (a bug in
+            // the worker itself, a panicking sink, ...) still must not abort
+            // the caller: surface it as an error.
+            outcomes[i] = Some(handle.join().unwrap_or_else(|payload| {
+                Err(StreamsError::ProcessorPanicked { process, payload: panic_message(payload) })
+            }));
+        }
+        RunStats::collect(outcomes.into_iter().map(|o| o.expect("every worker has an outcome")))
+    }
+}
+
+/// Steps a pool thread gives one worker per visit at most, so a worker that
+/// always has input cannot keep its thread from the rest of the graph.
+const STEP_BUDGET: usize = 16;
+
+/// Times a pool thread that found nothing to do yields its CPU, sweeping
+/// after each, before it parks.
+const YIELDS_BEFORE_PARK: usize = 16;
+
+/// The queue-fed workers of a [`Runtime`] run, shared by its pool threads.
+struct Pool {
+    slots: Vec<Slot>,
+    /// Rung by every queue on each publication, end and drain; the pool
+    /// threads park on it.
+    bell: Arc<Doorbell>,
+    /// Workers not yet finished.
+    live: AtomicUsize,
+}
+
+/// One pooled worker: whichever pool thread holds the lock steps it.
+struct Slot {
+    name: String,
+    /// The worker until it finishes; dropping it closes its queue ends.
+    worker: Mutex<Option<Worker>>,
+    outcome: OnceLock<Result<(String, u64, u64), StreamsError>>,
+}
+
+impl Pool {
+    fn new(workers: Vec<Worker>, bell: Arc<Doorbell>) -> Pool {
+        Pool {
+            live: AtomicUsize::new(workers.len()),
+            slots: workers
+                .into_iter()
+                .map(|w| Slot {
+                    name: w.name.clone(),
+                    worker: Mutex::new(Some(w)),
+                    outcome: OnceLock::new(),
                 })
-            })
-            .collect();
-        RunStats::collect(outcomes)
+                .collect(),
+            bell,
+        }
+    }
+
+    /// One pool thread: sweeps the workers in topology order, stepping each
+    /// one no other thread holds, until every worker has finished. After a
+    /// sweep in which nothing moved it yields its CPU a few times, sweeping
+    /// after each — a source thread sharing the CPU gets to publish a batch
+    /// instead of waking the pool for every item — and then parks on the
+    /// bell. It registers on the bell *before* its last sweep, so whatever
+    /// happens after that sweep looked rings it awake: every event that can
+    /// unblock a worker rings the bell (a publication, end or drain of a
+    /// queue), and a worker another thread held during the sweep is that
+    /// thread's to account for. A parked pool leaves nothing runnable
+    /// behind.
+    fn drive(&self) {
+        while self.live.load(Ordering::Acquire) > 0 {
+            if self.sweep()
+                || (0..YIELDS_BEFORE_PARK).any(|_| {
+                    thread::yield_now();
+                    self.sweep()
+                })
+            {
+                continue;
+            }
+            self.bell.wait_until(|| self.sweep() || self.live.load(Ordering::Acquire) == 0);
+        }
+    }
+
+    /// Steps every worker no other thread holds, in topology order; returns
+    /// whether any moved.
+    fn sweep(&self) -> bool {
+        let mut progressed = false;
+        for slot in &self.slots {
+            if slot.outcome.get().is_some() {
+                continue;
+            }
+            if let Ok(mut worker) = slot.worker.try_lock() {
+                progressed |= self.visit(slot, &mut worker);
+            }
+        }
+        progressed
+    }
+
+    /// Steps one worker until it is blocked or done, at most
+    /// [`STEP_BUDGET`] times. Returns whether it moved.
+    fn visit(&self, slot: &Slot, held: &mut Option<Worker>) -> bool {
+        let Some(worker) = held else { return false };
+        let mut steps = 0;
+        let panicked = loop {
+            if steps == STEP_BUDGET {
+                return true;
+            }
+            match catch_unwind(AssertUnwindSafe(|| worker.step(false))) {
+                Ok(Progress::Blocked) => return steps > 0,
+                Ok(_) if worker.is_done() => break None,
+                Ok(_) => steps += 1,
+                Err(payload) => break Some(payload),
+            }
+        };
+        let worker = held.take().expect("the worker was running");
+        let outcome = match panicked {
+            None => worker.outcome(),
+            // A panic that escaped the per-invocation supervision (a bug in
+            // the worker itself, a panicking sink, ...) ends this worker
+            // only: dropping it closes its queue ends.
+            Some(payload) => {
+                drop(worker);
+                Err(StreamsError::ProcessorPanicked {
+                    process: slot.name.clone(),
+                    payload: panic_message(payload),
+                })
+            }
+        };
+        let _ = slot.outcome.set(outcome);
+        if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.bell.wake();
+        }
+        true
+    }
+
+    /// Every worker's outcome, in topology order, once all have finished.
+    fn outcomes(self) -> impl Iterator<Item = Result<(String, u64, u64), StreamsError>> {
+        self.slots
+            .into_iter()
+            .map(|slot| slot.outcome.into_inner().expect("the pool ran every worker to the end"))
     }
 }
 
@@ -173,6 +330,7 @@ impl Runtime {
 pub(crate) fn materialize(
     mut topology: Topology,
     metrics: &Arc<MetricsRegistry>,
+    bell: &Arc<Doorbell>,
 ) -> Result<Vec<Worker>, StreamsError> {
     // Replicated processes become ordinary partition/replica/merge processes
     // first, so validation, queue accounting, metrics and scheduling all see
@@ -198,7 +356,8 @@ pub(crate) fn materialize(
     }
 
     // Create channels: one sender (and ring) per producing process, one
-    // receiver per queue — queues are single-consumer by validation.
+    // receiver per queue — queues are single-consumer by validation. Every
+    // queue's consumer doorbell is `bell`.
     let mut senders: HashMap<String, Vec<QueueSender>> = HashMap::new();
     let mut receivers: HashMap<String, QueueReceiver> = HashMap::new();
     for (name, cap) in &queues {
@@ -208,7 +367,7 @@ pub(crate) fn materialize(
             // skip it entirely.
             continue;
         }
-        let (txs, rx) = queue_with_metrics(*cap, n_prod, metrics.queue(name));
+        let (txs, rx) = queue_on(*cap, n_prod, metrics.queue(name), Arc::clone(bell));
         senders.insert(name.clone(), txs);
         receivers.insert(name.clone(), rx);
     }
@@ -384,11 +543,13 @@ impl Worker {
     /// * flushes the chain once the input has ended — one slot's `finish`
     ///   per step — and then propagates end-of-stream.
     ///
-    /// `wait` is the one thing the two drivers do differently. The threaded
-    /// [`Runtime`] passes `true`: an idle worker then waits in the input's
-    /// blocking `recv_batch`/`next_batch`, and hands on through the blocking
-    /// `send_batch`, so the step never returns [`Progress::Blocked`]. The
-    /// replay scheduler passes `false` and gets `Blocked` back instead.
+    /// `wait` is the one thing the drivers do differently. The threaded
+    /// [`Runtime`] passes `true` to a source-fed worker on its own thread:
+    /// an idle worker then waits in the source's `next_batch`, and hands on
+    /// through the blocking `send_batch`, so the step never returns
+    /// [`Progress::Blocked`]. The runtime's pool and the replay scheduler
+    /// pass `false` and get `Blocked` back instead; only a source-fed worker
+    /// may wait.
     ///
     /// A fault no policy absorbs is kept as the worker's error; the worker
     /// drops what it cannot hand on and goes straight to end-of-stream, so
@@ -574,7 +735,7 @@ impl Worker {
     /// number of barriers should. It must not detach the state from its
     /// checkpoint either — see the re-base at the end.
     fn process_input(&mut self, item: DataItem) -> Result<(), StreamsError> {
-        let punctuation = is_punctuation(&item);
+        let punctuation = item.is_punctuation();
         if punctuation {
             self.stage.punctuation_in.inc();
         } else {
@@ -777,7 +938,7 @@ impl Worker {
             }
         }
         for item in &self.outs[mark..] {
-            if is_punctuation(item) {
+            if item.is_punctuation() {
                 self.stage.punctuation_out.inc();
             } else {
                 self.stage.items_out.inc();
@@ -883,15 +1044,21 @@ impl Worker {
         }
     }
 
+    /// Records a dead-lettered call. A replica's input leaves its stamp
+    /// behind: the record keeps the sequence number as a field.
     fn dead_letter(
         &self,
         queue: &DeadLetterQueue,
         processor: Option<usize>,
-        item: Option<DataItem>,
+        mut item: Option<DataItem>,
         error: StreamsError,
     ) {
         self.stage.dead_letters.inc();
-        queue.push(DeadLetterRecord { process: self.name.clone(), processor, item, error });
+        let seq = match item.as_mut().map(DataItem::take_stamp) {
+            Some(Stamp::Seq { seq, .. }) => Some(seq),
+            _ => None,
+        };
+        queue.push(DeadLetterRecord { process: self.name.clone(), processor, item, seq, error });
     }
 }
 
@@ -1229,6 +1396,76 @@ mod tests {
             outcomes.push((values, stats.per_process["halve"], stats.per_process["collect"]));
         }
         assert_eq!(outcomes[0], outcomes[1], "batching never changes results");
+    }
+
+    /// Two feeds fan in to a filtering 3-way replicated stage whose output a
+    /// stage with a `finish` summary relays; tiny queues keep every worker
+    /// blocking and waking.
+    fn pooled_topology(sink: &CollectSink) -> Topology {
+        struct Summary(i64);
+        impl Processor for Summary {
+            fn process(
+                &mut self,
+                item: DataItem,
+                _: &mut Context,
+            ) -> Result<Option<DataItem>, StreamsError> {
+                self.0 += 1;
+                Ok(Some(item))
+            }
+            fn finish(&mut self, _: &mut Context) -> Result<Vec<DataItem>, StreamsError> {
+                Ok(vec![DataItem::new().with("seen", self.0)])
+            }
+        }
+        let mut t = Topology::new();
+        t.add_queue("in", 2);
+        t.add_queue("out", 1);
+        for (name, range) in [("a", 0..150), ("b", 1000..1090)] {
+            let items = range.map(|n: i64| DataItem::new().with("n", n).with("key", n % 11));
+            t.add_source(name, VecSource::new(items));
+            t.process(&format!("feed-{name}"))
+                .input(Input::Stream(name.into()))
+                .output(Output::Queue("in".into()))
+                .done();
+        }
+        t.process("stage")
+            .input(Input::Queue("in".into()))
+            .replicas(3)
+            .partition_by(["key"])
+            .batch_size(4)
+            .processor_factory(|| {
+                Box::new(FnProcessor::new(|item: DataItem, _: &mut Context| {
+                    Ok((item.get_i64("n").unwrap() % 5 != 2).then_some(item))
+                }))
+            })
+            .output(Output::Queue("out".into()))
+            .done();
+        t.process("summary")
+            .input(Input::Queue("out".into()))
+            .processor(Summary(0))
+            .output(Output::Sink(Box::new(sink.clone())))
+            .done();
+        t
+    }
+
+    #[test]
+    fn pool_matches_replay_at_every_thread_count() {
+        let canonical = |sink: &CollectSink| {
+            let mut items: Vec<String> = sink.items().iter().map(DataItem::to_json).collect();
+            items.sort();
+            items
+        };
+        let sink = CollectSink::shared();
+        let replayed = crate::replay::ReplayRuntime::new(pooled_topology(&sink), 9).run().unwrap();
+        let expected = canonical(&sink);
+        assert_eq!(expected.len(), 192 + 1, "filtered data plus the summary");
+        for threads in [1, 2, 4] {
+            for _ in 0..5 {
+                let sink = CollectSink::shared();
+                let stats = Runtime::new(pooled_topology(&sink)).run_on(threads).unwrap();
+                assert_eq!(stats, replayed, "{threads} pool thread(s)");
+                assert_eq!(canonical(&sink), expected, "{threads} pool thread(s)");
+            }
+        }
     }
 
     #[test]

@@ -19,22 +19,25 @@
 //! # Blocking
 //!
 //! A side that finds nothing to do spins briefly, then parks on a
-//! [`Doorbell`]: a parked flag, a mutex and a condvar. The transfer path stays
-//! lock-free via the Dekker-style parked-flag handshake: the sleeper sets its
-//! parked flag, issues a [`fence`]`(SeqCst)` and re-checks its condition under
-//! the lock before waiting; the waker publishes its counter update, issues a
-//! `fence(SeqCst)` and checks the flag. Either the sleeper's re-check sees the
-//! update (and skips the wait), or the waker sees the parked flag (and
-//! notifies while holding the lock) — a lost wake-up would require both loads
-//! to miss, which the fence pair forbids. Each doorbell has exactly one
-//! sleeper and any number of wakers, so one doorbell serves a consumer fed by
-//! several rings: whichever producer publishes first wakes it.
+//! [`Doorbell`]: a list of parked threads and an `armed` flag saying the list
+//! may be non-empty. The transfer path stays lock-free via the Dekker-style
+//! handshake: the sleeper registers its thread and arms the bell, issues a
+//! [`fence`]`(SeqCst)` and re-checks its condition before it parks; the waker
+//! publishes its update, issues a `fence(SeqCst)` and reads the flag. Either
+//! the sleeper's re-check sees the update (and skips the park), or the waker
+//! sees the bell armed (and unparks every registered thread) — a lost
+//! wake-up would require both loads to miss, which the fence pair forbids.
+//! An unpark that lands before the park makes the park return at once. A
+//! doorbell takes any number of sleepers and wakers: a queue's consumer
+//! parks on one its producers all ring, and the runtime's pool threads share
+//! one that every queue rings.
 
 use crate::item::DataItem;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
+use std::thread::Thread;
 
 /// Spins before parking: a few iterations ride out "one slot behind" races
 /// without a syscall. On one core the peer cannot progress while we spin, so
@@ -50,37 +53,62 @@ pub(crate) fn spin_limit() -> u32 {
     })
 }
 
-/// Where one sleeper parks until a waker has news for it (see the module
-/// docs on blocking). The mutex guards no data, only the handshake, so a
-/// poisoned one is as good as a healthy one.
+/// Where sleepers park until a waker has news for them (see the module docs
+/// on blocking). A sleeper registers its thread and parks it; a ring that
+/// finds the bell armed unparks every registered thread and disarms it, so
+/// the rings that follow — until a sleeper registers again — cost a fence
+/// and a load. The mutex guards only the sleeper list, so a poisoned one is
+/// as good as a healthy one.
 #[derive(Default)]
 pub(crate) struct Doorbell {
-    parked: AtomicBool,
-    lock: Mutex<()>,
-    cond: Condvar,
+    /// Whether `sleepers` may hold a thread: set under the lock by a sleeper,
+    /// cleared under the lock by the ring that empties the list.
+    armed: AtomicBool,
+    sleepers: Mutex<Vec<Thread>>,
 }
 
 impl Doorbell {
-    /// Waker half: called after every publication the sleeper may be waiting
+    /// Waker half: called after every publication a sleeper may be waiting
     /// for. The fence pairs with the sleeper's.
     pub(crate) fn wake(&self) {
         fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::Relaxed) {
-            let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-            self.cond.notify_all();
+        self.notify();
+    }
+
+    /// [`Doorbell::wake`] for a waker that has issued the fence itself,
+    /// after its publication: one fence can serve several bells.
+    pub(crate) fn notify(&self) {
+        if self.armed.load(Ordering::Relaxed) {
+            let sleepers = {
+                let mut list = self.sleepers.lock().unwrap_or_else(PoisonError::into_inner);
+                self.armed.store(false, Ordering::Relaxed);
+                std::mem::take(&mut *list)
+            };
+            sleepers.iter().for_each(Thread::unpark);
         }
     }
 
-    /// Sleeper half: parks until `ready()` holds. `ready` must read what the
-    /// wakers publish before they ring.
-    pub(crate) fn wait_until(&self, ready: impl Fn() -> bool) {
-        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        self.parked.store(true, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        while !ready() {
-            guard = self.cond.wait(guard).unwrap_or_else(PoisonError::into_inner);
+    /// Sleeper half: parks until `ready()` holds. `ready` must observe what
+    /// the wakers publish before they ring; it is asked after the sleeper
+    /// registered, so it may also act on what it observes (the runtime's
+    /// pool steps its workers in it). A thread unparked for another reason
+    /// only asks again.
+    pub(crate) fn wait_until(&self, mut ready: impl FnMut() -> bool) {
+        let me = std::thread::current();
+        loop {
+            {
+                let mut list = self.sleepers.lock().unwrap_or_else(PoisonError::into_inner);
+                list.push(me.clone());
+                self.armed.store(true, Ordering::Relaxed);
+            }
+            fence(Ordering::SeqCst);
+            if ready() {
+                let mut list = self.sleepers.lock().unwrap_or_else(PoisonError::into_inner);
+                list.retain(|t| t.id() != me.id());
+                return;
+            }
+            std::thread::park();
         }
-        self.parked.store(false, Ordering::Relaxed);
     }
 }
 
@@ -274,11 +302,34 @@ mod tests {
             let (bell, flag) = (Arc::clone(&bell), Arc::clone(&flag));
             std::thread::spawn(move || bell.wait_until(|| flag.load(Ordering::Acquire)))
         };
-        while !bell.parked.load(Ordering::Relaxed) {
+        while !bell.armed.load(Ordering::Relaxed) {
             std::thread::yield_now();
         }
         flag.store(true, Ordering::Release);
         bell.wake();
         sleeper.join().unwrap();
+    }
+
+    #[test]
+    fn doorbell_wakes_every_sleeper() {
+        // Sleepers come and go independently: one leaving must not hide the
+        // others from the waker (a single parked flag did).
+        for _ in 0..50 {
+            let bell = Arc::new(Doorbell::default());
+            let turn = Arc::new(AtomicUsize::new(0));
+            let sleepers: Vec<_> = (1..=3)
+                .map(|k| {
+                    let (bell, turn) = (Arc::clone(&bell), Arc::clone(&turn));
+                    std::thread::spawn(move || {
+                        bell.wait_until(|| turn.load(Ordering::Acquire) >= k)
+                    })
+                })
+                .collect();
+            for k in 1..=3 {
+                turn.store(k, Ordering::Release);
+                bell.wake();
+            }
+            sleepers.into_iter().for_each(|s| s.join().unwrap());
+        }
     }
 }

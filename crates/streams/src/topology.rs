@@ -3,8 +3,9 @@
 //! A topology declares named *sources* (streams), named *queues*, and
 //! *processes*. Each process reads from one input (a stream or a queue), runs
 //! its items through a processor chain, and forwards survivors to its
-//! outputs (queues and/or sinks). The [`crate::runtime::Runtime`] compiles a
-//! validated topology into one thread per process.
+//! outputs (queues and/or sinks). The [`crate::runtime::Runtime`] runs a
+//! validated topology: a thread per source-fed process, a worker pool for
+//! the rest.
 
 use crate::checkpoint::CheckpointStore;
 use crate::error::StreamsError;

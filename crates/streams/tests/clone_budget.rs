@@ -15,6 +15,12 @@
 //! partition→replica→merge path — and, like deep copies, that count must
 //! not scale with the replica count.
 //!
+//! The partition protocol itself writes nothing into an item: its position
+//! travels in a stamp beside the attribute map. A full-width (12-attribute)
+//! bus item therefore crosses a 4-replica identity stage with zero deep
+//! copies and stays in inline storage — one protocol attribute would spill
+//! it to the heap.
+//!
 //! Idle punctuation (see `insight_streams::partition`) adds watermark items
 //! whose number depends on the thread schedule; the test runs a shape where
 //! the partitioner races its feed to show they fit the same budgets.
@@ -26,7 +32,7 @@
 //! reason.
 
 use insight_streams::alloc::{allocation_count, CountingAllocator};
-use insight_streams::item::DataItem;
+use insight_streams::item::{DataItem, INLINE_ATTRS};
 use insight_streams::processor::{Context, FnProcessor, Processor};
 use insight_streams::runtime::Runtime;
 use insight_streams::sink::CollectSink;
@@ -52,6 +58,47 @@ fn square_factory() -> Box<dyn Processor> {
         item.set("sq", n * n);
         Ok(Some(item))
     }))
+}
+
+/// A bus-schema-shaped item: 12 attributes, every value inline-width.
+fn bus_item(n: i64) -> DataItem {
+    DataItem::new()
+        .with("time", n)
+        .with("arrival", n + 17)
+        .with("region", ["north", "south", "east", "west"][n as usize % 4])
+        .with("kind", "bus")
+        .with("bus", 33000 + n)
+        .with("line", n % 60)
+        .with("operator", 7i64)
+        .with("delay", 120i64)
+        .with("lon", -6.26 + n as f64 * 1e-6)
+        .with("lat", 53.35)
+        .with("direction", n % 2)
+        .with("congestion", n % 3 == 0)
+}
+
+/// Relays full-width bus items through a 4-replica identity stage while the
+/// caller keeps a clone of every input, so any write to an item's map on the
+/// way would have to deep-copy it. Returns the deep copies counted and what
+/// arrived.
+fn full_width_through_identity_stage() -> (u64, Vec<DataItem>, Vec<DataItem>) {
+    let inputs: Vec<DataItem> = (0..ITEMS as i64).map(bus_item).collect();
+    assert!(inputs.iter().all(|i| i.len() == INLINE_ATTRS && i.is_inline()));
+    let sink = CollectSink::shared();
+    let mut t = Topology::new();
+    t.add_source("in", VecSource::new(inputs.clone()));
+    t.process("stage")
+        .input(Input::Stream("in".into()))
+        .replicas(4)
+        .partition_by(["region"])
+        .processor_factory(|| {
+            Box::new(FnProcessor::new(|item: DataItem, _: &mut Context| Ok(Some(item))))
+        })
+        .output(Output::Sink(Box::new(sink.clone())))
+        .done();
+    let before = DataItem::deep_copies();
+    Runtime::new(t).run().unwrap();
+    (DataItem::deep_copies() - before, inputs, sink.items())
 }
 
 /// Runs the canonical `P[part]` → replicas → `P[merge]` stage and returns
@@ -101,6 +148,11 @@ fn budgets_for(replicas: usize, racing: bool) -> (u64, u64) {
 /// bookkeeping items (watermarks) and per-shard queues/threads.
 #[test]
 fn budgets_stay_constant_in_replica_count() {
+    let (copies, inputs, outputs) = full_width_through_identity_stage();
+    assert_eq!(copies, 0, "the partition protocol wrote to a shared attribute map");
+    assert_eq!(outputs, inputs, "the identity stage relays every item unchanged, in order");
+    assert!(outputs.iter().all(DataItem::is_inline), "a relayed bus item spilled to the heap");
+
     let (base_copies, base_allocs) = budgets_for(1, false);
     assert!(
         base_copies <= 2 * ITEMS as u64,

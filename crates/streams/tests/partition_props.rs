@@ -10,7 +10,7 @@
 use insight_streams::error::StreamsError;
 use insight_streams::fault::{DeadLetterQueue, FaultPolicy};
 use insight_streams::item::DataItem;
-use insight_streams::partition::{shard_for, SEQ_ATTR, SHARD_ATTR};
+use insight_streams::partition::shard_for;
 use insight_streams::processor::{Context, FnProcessor, Processor};
 use insight_streams::replay::ReplayRuntime;
 use insight_streams::runtime::Runtime;
@@ -121,8 +121,9 @@ proptest! {
 
 proptest! {
     /// The merged output is identical for 1, 2, 4 and 8 replicas, under the
-    /// threaded runtime and the replay scheduler alike, and the protocol's
-    /// bookkeeping attributes never escape the merge.
+    /// threaded runtime and the replay scheduler alike, and every merged
+    /// item's attributes are exactly its input's plus what the chain set:
+    /// the protocol's bookkeeping never shows in the attribute map.
     #[test]
     fn merged_output_invariant_in_replica_count(
         keys in proptest::collection::vec(0i64..12, 1..80),
@@ -133,27 +134,23 @@ proptest! {
             let t = sharded_topology(
                 items_from_keys(&keys), replicas, None, square_factory(0), &sink);
             Runtime::new(t).run().unwrap();
-            (collected(&sink), sink.items())
+            sink.items()
         };
         let replayed = |replicas: usize| {
             let sink = CollectSink::shared();
             let t = sharded_topology(
                 items_from_keys(&keys), replicas, None, square_factory(0), &sink);
             ReplayRuntime::new(t, seed).run().unwrap();
-            collected(&sink)
+            sink.items()
         };
-        let (base, base_items) = threaded(1);
-        prop_assert_eq!(&base, &expected_squares(keys.len(), 0), "input order is preserved");
-        for item in base_items {
-            prop_assert!(
-                !item.contains(SEQ_ATTR) && !item.contains(SHARD_ATTR),
-                "bookkeeping never escapes the merge"
-            );
-        }
-        prop_assert_eq!(&replayed(1), &base, "replay, replicas=1");
-        for replicas in [2usize, 4, 8] {
-            prop_assert_eq!(&threaded(replicas).0, &base, "threaded, replicas={}", replicas);
-            prop_assert_eq!(&replayed(replicas), &base, "replay, replicas={}", replicas);
+        let inputs = items_from_keys(&keys);
+        let expected: Vec<DataItem> = expected_squares(keys.len(), 0)
+            .into_iter()
+            .map(|(n, sq)| inputs[n as usize].clone().with("sq", sq))
+            .collect();
+        for replicas in [1usize, 2, 4, 8] {
+            prop_assert_eq!(&threaded(replicas), &expected, "threaded, replicas={}", replicas);
+            prop_assert_eq!(&replayed(replicas), &expected, "replay, replicas={}", replicas);
         }
     }
 
