@@ -85,8 +85,8 @@ struct BatchPoint {
 
 /// Plumbing costs of one partitioned pipeline run, extracted from the
 /// metrics snapshot: time spent inside the synthesized partitioner and
-/// merge stages, producer time lost blocking on full queues, and the item
-/// traffic (data + watermarks) entering the merge stages.
+/// merge stages, producer time lost blocking on full queues, and the items
+/// entering the merge stages.
 struct Overhead {
     partition_ms: f64,
     merge_ms: f64,
@@ -1127,7 +1127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ));
             }
         }
-        // The partition plumbing itself (stamping, merge) must stay cheap on
+        // The partition plumbing itself (routing, merge) must stay cheap on
         // any host. The bound is per SDE, not a share of the run: a share moves
         // whenever another layer gets faster (it doubled when the RTEC
         // stage's cost halved) without the plumbing having changed. Clean

@@ -16,9 +16,7 @@
 //!
 //! The runtime takes a checkpoint *barrier* every
 //! [`checkpoint_every`](crate::topology::ProcessBuilder::checkpoint_every)
-//! consumed items (aligned to watermark broadcasts on a shard partitioner so
-//! a restored partitioner and its merge agree on the settled frontier) and
-//! keeps the items consumed since the last barrier in a replay log. On a
+//! consumed items and keeps the items consumed since the last barrier in a replay log. On a
 //! [`FaultPolicy::Restart`](crate::fault::FaultPolicy::Restart) fault the
 //! supervisor rebuilds the chain from its factories, restores the latest
 //! checkpoint, silently replays the logged items (their outputs were already
@@ -130,9 +128,9 @@ fn missing(key: &str) -> StreamsError {
 
 /// A processor whose semantic state can be snapshotted and rebuilt.
 ///
-/// `snapshot` takes `&mut self` so wrappers (the partition
-/// [`ReplicaShell`](crate::partition)) can delegate to inner processors
-/// through [`Processor::as_checkpointable`](crate::processor::Processor::as_checkpointable),
+/// `snapshot` takes `&mut self` so a wrapper can delegate to an inner
+/// processor through
+/// [`Processor::as_checkpointable`](crate::processor::Processor::as_checkpointable),
 /// which needs `&mut`. A snapshot must never change observable behaviour.
 ///
 /// The contract: `restore(snapshot())` on a *freshly constructed* processor

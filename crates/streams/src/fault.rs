@@ -136,9 +136,10 @@ pub struct DeadLetterRecord {
     /// faults during the end-of-stream `finish` phase, which has no input
     /// item).
     pub item: Option<DataItem>,
-    /// The item's sequence number in the partition protocol when a replica
-    /// of a replicated stage dead-lettered it (see [`crate::partition`]);
-    /// `None` everywhere else.
+    /// When a shard of a replicated stage dead-lettered the call, the
+    /// sequence number of the input it was processing: its position in the
+    /// stage's input (see [`crate::partition`]). `None` everywhere else,
+    /// and in the `finish` phase.
     pub seq: Option<i64>,
     /// The fault itself ([`StreamsError::ProcessorPanicked`] for isolated
     /// panics).

@@ -23,9 +23,9 @@
 //! The attribute map sits behind an [`Arc`] with copy-on-write mutation:
 //! `clone()` is a reference-count bump, and the map is deep-copied only when
 //! a *shared* item is mutated ([`Arc::make_mut`]). Fan-out broadcasts,
-//! watermark bridging, fault-policy snapshots and the partition merge
-//! therefore share one allocation per item instead of copying the map at
-//! every hop. Every deep copy of a non-empty shared map is counted in a
+//! fault-policy snapshots and the shard routing therefore share one
+//! allocation per item instead of copying the map at every hop. Every deep
+//! copy of a non-empty shared map is counted in a
 //! process-wide counter ([`DataItem::deep_copies`]) so tests can pin an
 //! allocation budget on a pipeline shape; detaching from the shared *empty*
 //! singleton (every fresh item starts there) is initialisation, not a deep
@@ -429,33 +429,36 @@ fn empty_attrs() -> Arc<AttrMap> {
     EMPTY_ATTRS.get_or_init(|| Arc::new(AttrMap::new())).clone()
 }
 
-/// An item's position in the partition protocol of a replicated stage (see
-/// [`crate::partition`]), carried beside the attribute map so the protocol
-/// never writes to it. Processors never see a stamp: the replica shell clears
-/// it before the user chain and the merge clears it before anything leaves
-/// the stage.
+/// An item's position in the output order of a replicated stage (see
+/// [`crate::partition`]), carried beside the attribute map so the stage
+/// never writes to it. Processors never see a stamp: a shard worker takes
+/// it off before its chain runs, and the merge takes it off before anything
+/// leaves the stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) enum Stamp {
-    /// Not inside a replicated stage.
+    /// Not sequenced: outside a replicated stage, or emitted by a shard's
+    /// `finish`.
     #[default]
     None,
-    /// Data: the `sub`-th output of the input with sequence number `seq`,
-    /// emitted by replica `shard`.
-    Seq { seq: i64, sub: u32, shard: u16 },
-    /// Watermark punctuation for `shard`: every sequence number below `wm`
-    /// has been routed.
-    Wm { wm: i64, shard: u16 },
-    /// End-of-shard punctuation: replica `shard` finished cleanly.
-    Fin { shard: u16 },
-    /// Data emitted by replica `shard`'s `finish` (no sequence number).
-    FinItem { shard: u16 },
+    /// The `sub`-th output of the input with sequence number `seq`.
+    Seq { seq: i64, sub: u32 },
+}
+
+impl Stamp {
+    /// The sequence number, if the item has one.
+    pub(crate) fn seq(self) -> Option<i64> {
+        match self {
+            Stamp::Seq { seq, .. } => Some(seq),
+            Stamp::None => None,
+        }
+    }
 }
 
 /// A set of key-value pairs travelling through the data-flow graph.
 ///
 /// The map is shared on `clone()` and deep-copied only when a shared item is
 /// mutated (copy-on-write) — see the module docs. Inside a replicated stage
-/// the item also carries a partition-protocol stamp, which is not part of
+/// the item also carries a sequence stamp, which is not part of
 /// equality, JSON, `Display` or the attributes.
 #[derive(Clone)]
 pub struct DataItem {
@@ -580,26 +583,19 @@ impl DataItem {
         self.attrs.as_slice().iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// The item's partition-protocol stamp.
+    /// The item's sequence stamp.
     pub(crate) fn stamp(&self) -> Stamp {
         self.stamp
     }
 
-    /// Replaces the item's partition-protocol stamp.
+    /// Replaces the item's sequence stamp.
     pub(crate) fn set_stamp(&mut self, stamp: Stamp) {
         self.stamp = stamp;
     }
 
-    /// Removes and returns the item's partition-protocol stamp.
+    /// Removes and returns the item's sequence stamp.
     pub(crate) fn take_stamp(&mut self) -> Stamp {
         std::mem::take(&mut self.stamp)
-    }
-
-    /// Whether the item is punctuation of the partition protocol — a
-    /// watermark or an end-of-shard marker — rather than data. Stage metrics
-    /// count the two apart (see [`crate::metrics::StageMetrics`]).
-    pub(crate) fn is_punctuation(&self) -> bool {
-        matches!(self.stamp, Stamp::Wm { .. } | Stamp::Fin { .. })
     }
 
     /// Whether the attributes fit the inline storage (no spill vector).
@@ -829,13 +825,13 @@ mod tests {
     fn stamp_is_not_part_of_the_item() {
         let plain = DataItem::new().with("n", 1i64);
         let mut stamped = plain.clone();
-        stamped.set_stamp(Stamp::Seq { seq: 7, sub: 1, shard: 2 });
+        stamped.set_stamp(Stamp::Seq { seq: 7, sub: 1 });
         assert_eq!(stamped, plain, "equality ignores the stamp");
         assert_eq!(stamped.to_json(), plain.to_json());
         assert_eq!(stamped.to_string(), plain.to_string());
         assert_eq!(stamped.len(), 1, "no attribute was written");
         assert!(Arc::ptr_eq(&stamped.attrs, &plain.attrs), "stamping never copies the map");
-        assert_eq!(stamped.take_stamp(), Stamp::Seq { seq: 7, sub: 1, shard: 2 });
+        assert_eq!(stamped.take_stamp(), Stamp::Seq { seq: 7, sub: 1 });
         assert_eq!(stamped.stamp(), Stamp::None);
         assert!(std::mem::size_of::<DataItem>() <= 24, "the stamp keeps an item at three words");
     }

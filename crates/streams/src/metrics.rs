@@ -239,27 +239,19 @@ impl HistogramSnapshot {
 
 /// Per-processor instruments: item flow, per-call latency and fault
 /// supervision outcomes (see [`crate::fault::FaultPolicy`]).
-///
-/// Data and punctuation are counted apart. The data counts are a property
-/// of the stream and the same on every run; how much punctuation a sharded
-/// stage exchanges depends on how often its partitioner ran out of input
-/// (see [`crate::partition`]), which is up to the schedule.
 #[derive(Debug, Default)]
 pub struct StageMetrics {
-    /// Data items entering the stage.
+    /// Items entering the stage.
     pub items_in: Counter,
-    /// Data items leaving the stage (after filtering/fan-out).
+    /// Items leaving the stage (after filtering/fan-out).
     pub items_out: Counter,
-    /// Punctuation (watermarks, end-of-shard markers) entering the stage.
-    pub punctuation_in: Counter,
-    /// Punctuation leaving the stage.
-    pub punctuation_out: Counter,
     /// Items the stage's processors buffer behind a frontier that has not
-    /// passed them yet (the order-restoring merge, the crowd EM gate), with
-    /// the high-water mark. Zero at rest: an item held while nothing is in
-    /// flight upstream is a stage waiting for input that may never come.
+    /// passed them yet (the crowd EM gate), with the high-water mark. Zero
+    /// at rest: an item held while nothing is in flight upstream is a stage
+    /// waiting for input that may never come.
     pub held: Gauge,
-    /// Latency of each `process`/`finish` call, punctuation included.
+    /// Time spent on each input — the chain, routing what left it and, on a
+    /// merge, its share of the ordered receive — and on each `finish` call.
     pub process_ns: Histogram,
     /// Failed processor invocations (errors and panics; each re-attempt
     /// under `Retry` that fails counts again).
@@ -371,8 +363,6 @@ impl MetricsRegistry {
                         StageSnapshot {
                             items_in: m.items_in.get(),
                             items_out: m.items_out.get(),
-                            punctuation_in: m.punctuation_in.get(),
-                            punctuation_out: m.punctuation_out.get(),
                             held: m.held.get(),
                             held_high_water: m.held.high_water(),
                             process_ns: m.process_ns.snapshot(),
@@ -430,19 +420,15 @@ impl MetricsRegistry {
 /// Plain-data copy of one stage's instruments.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StageSnapshot {
-    /// Data items entering the stage.
+    /// Items entering the stage.
     pub items_in: u64,
-    /// Data items leaving the stage.
+    /// Items leaving the stage.
     pub items_out: u64,
-    /// Punctuation entering the stage (schedule-dependent).
-    pub punctuation_in: u64,
-    /// Punctuation leaving the stage (schedule-dependent).
-    pub punctuation_out: u64,
     /// Items buffered behind a frontier at snapshot time.
     pub held: i64,
     /// Most items ever buffered behind a frontier (schedule-dependent).
     pub held_high_water: i64,
-    /// Per-call latency distribution (punctuation calls included).
+    /// Per-input and per-`finish` time distribution.
     pub process_ns: HistogramSnapshot,
     /// Failed processor invocations (errors + panics).
     pub faults: u64,
@@ -469,8 +455,6 @@ impl StageSnapshot {
     pub fn merge(&mut self, other: &StageSnapshot) {
         self.items_in += other.items_in;
         self.items_out += other.items_out;
-        self.punctuation_in += other.punctuation_in;
-        self.punctuation_out += other.punctuation_out;
         self.held += other.held;
         self.held_high_water += other.held_high_water;
         self.process_ns.merge(&other.process_ns);
@@ -494,8 +478,8 @@ pub struct StageRollup {
     /// an unreplicated stage this is the stage snapshot itself.
     pub combined: StageSnapshot,
     /// Every sub-stage keyed by its replica dimension — `"0"`, `"1"`, ...
-    /// for the shards plus `"part"`/`"merge"` for the synthesized
-    /// partitioner and merge. Empty for unreplicated stages.
+    /// for the shards plus `"part"`/`"merge"` for the router and the
+    /// merge. Empty for unreplicated stages.
     pub replicas: BTreeMap<String, StageSnapshot>,
 }
 
@@ -539,14 +523,11 @@ impl MetricsSnapshot {
     /// [`crate::partition`]); each gets its own instruments so replicas never
     /// alias one counter. This helper re-groups those labels by `name`,
     /// summing the numeric shard replicas into
-    /// [`StageRollup::combined`] (the partitioner and merge stay visible in
+    /// [`StageRollup::combined`] (the router and merge stay visible in
     /// [`StageRollup::replicas`] but are bookkeeping, not shard work, so
     /// they are excluded from the combined totals). Unreplicated stages pass
-    /// through unchanged with an empty replica map.
-    ///
-    /// Shard `items_in` counts data only, so the combined total equals the
-    /// stage's logical input count; the watermarks every replica also sees
-    /// are in `punctuation_in`.
+    /// through unchanged with an empty replica map. The shards' combined
+    /// `items_in` is the stage's logical input count.
     pub fn rollup_stages(&self) -> BTreeMap<String, StageRollup> {
         let mut out: BTreeMap<String, StageRollup> = BTreeMap::new();
         for (name, snap) in &self.stages {
@@ -597,8 +578,8 @@ impl MetricsSnapshot {
                 s.checkpoints, s.restores, s.replayed_items, s.recovery_ns
             ));
             out.push_str(&format!(
-                ",\"punctuation_in\":{},\"punctuation_out\":{},\"held\":{},\"held_high_water\":{}}}",
-                s.punctuation_in, s.punctuation_out, s.held, s.held_high_water
+                ",\"held\":{},\"held_high_water\":{}}}",
+                s.held, s.held_high_water
             ));
         }
         out.push_str("},\"queues\":{");
@@ -690,22 +671,13 @@ impl MetricsSnapshot {
                 ));
             }
         }
-        let punctuated: Vec<(&String, &StageSnapshot)> = self
-            .stages
-            .iter()
-            .filter(|(_, s)| s.punctuation_in + s.punctuation_out > 0 || s.held_high_water > 0)
-            .collect();
-        if !punctuated.is_empty() {
+        let holding: Vec<(&String, &StageSnapshot)> =
+            self.stages.iter().filter(|(_, s)| s.held_high_water > 0).collect();
+        if !holding.is_empty() {
             out.push('\n');
-            out.push_str(&format!(
-                "{:<28} {:>10} {:>10} {:>10} {:>10}\n",
-                "punctuation", "in", "out", "held", "held hwm"
-            ));
-            for (name, s) in punctuated {
-                out.push_str(&format!(
-                    "{:<28} {:>10} {:>10} {:>10} {:>10}\n",
-                    name, s.punctuation_in, s.punctuation_out, s.held, s.held_high_water,
-                ));
+            out.push_str(&format!("{:<28} {:>10} {:>10}\n", "holding", "held", "held hwm"));
+            for (name, s) in holding {
+                out.push_str(&format!("{:<28} {:>10} {:>10}\n", name, s.held, s.held_high_water));
             }
         }
         out.push('\n');

@@ -25,6 +25,18 @@
 //! room. Each ring is FIFO, so every producer's items arrive in its send
 //! order; how the producers interleave is up to the schedule.
 //!
+//! # Ordered receive
+//!
+//! The merge queue of a replicated stage (see [`crate::partition`]) is read
+//! in `(seq, sub)` order instead. Each shard's ring is sorted, so the
+//! receiver pops the smallest head once every other ring has nothing
+//! smaller to come: it has a head (which is larger), it is closed and
+//! drained, or its producer's *progress* — a counter the producer stores on
+//! its ring after the pushes it covers — is past that sequence number.
+//! Unsequenced items (what a shard's `finish` emitted) come last, ring by
+//! ring, once no ring can deliver sequenced data any more. The runtime makes
+//! a queue ordered because a merge consumes it; it is not an option.
+//!
 //! A consumer with nothing to read parks on one doorbell that all of its
 //! rings share, so whichever producer publishes first wakes it; a producer
 //! facing a full ring parks on that ring's own doorbell, which the consumer
@@ -49,7 +61,7 @@
 //! let _second = tx.clone();
 //! ```
 
-use crate::item::DataItem;
+use crate::item::{DataItem, Stamp};
 use crate::metrics::QueueMetrics;
 use crate::source::Polled;
 use crate::spsc::{spin_limit, Doorbell, Ring};
@@ -157,6 +169,17 @@ impl QueueSender {
         true
     }
 
+    /// Publishes this producer's sequence progress: every item it will send
+    /// sequenced below `to` has been sent (see [`crate::partition`]). Wakes
+    /// the consumer and returns `true` if the progress rose.
+    pub(crate) fn advance(&self, to: i64) -> bool {
+        let rose = self.ring().advance(to);
+        if rose {
+            self.shared.items.wake();
+        }
+        rose
+    }
+
     /// Signals that this producer is done: closes its ring. Idempotent, and
     /// never affects another producer's ring.
     pub fn finish(&self) {
@@ -169,8 +192,10 @@ impl QueueSender {
 /// ring.
 pub struct QueueReceiver {
     shared: Arc<Shared>,
-    /// The ring the next receive starts at.
+    /// The ring the next round-robin receive starts at.
     next: usize,
+    /// Receive in sequence order: the merge queue of a replicated stage.
+    ordered: bool,
 }
 
 impl Drop for QueueReceiver {
@@ -191,66 +216,146 @@ impl QueueReceiver {
     /// item becomes available is taken, so batching adds no latency over
     /// receiving one item at a time.
     pub fn recv_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> usize {
-        let mut spins = 0;
-        loop {
-            match self.try_recv_batch(max, out) {
-                Polled::Items(n) => return n,
-                Polled::Ended => return 0,
-                Polled::Pending if spins < spin_limit() => {
-                    spins += 1;
-                    std::hint::spin_loop();
-                }
-                Polled::Pending => {
-                    let rings = &self.shared.rings;
-                    self.shared.items.wait_until(|| {
-                        rings.iter().any(Ring::has_items) || rings.iter().all(Ring::is_closed)
-                    });
-                }
+        let mut polled = Polled::Pending;
+        for _ in 0..=spin_limit() {
+            polled = self.try_recv_batch(max, out);
+            if polled != Polled::Pending {
+                break;
             }
+            std::hint::spin_loop();
+        }
+        if polled == Polled::Pending {
+            let items = Arc::clone(&self.shared.items);
+            items.wait_until(|| {
+                polled = self.try_recv_batch(max, out);
+                polled != Polled::Pending
+            });
+        }
+        match polled {
+            Polled::Items(n) => n,
+            _ => 0,
         }
     }
 
+    /// Whether this receiver pops in sequence order (a merge queue).
+    pub(crate) fn is_ordered(&self) -> bool {
+        self.ordered
+    }
+
+    /// The lowest sequence progress its producers published (see
+    /// [`QueueSender::advance`]).
+    pub(crate) fn progress(&self) -> i64 {
+        self.shared.rings.iter().map(Ring::progress).min().unwrap_or(i64::MAX)
+    }
+
     /// [`QueueReceiver::recv_batch`] without the wait: [`Polled::Items`]
-    /// when it appended what is buffered right now (up to `max`),
-    /// [`Polled::Pending`] when every ring is empty but one is still open,
+    /// when it appended what may be received right now (up to `max`),
+    /// [`Polled::Pending`] when nothing may be but a ring is still open,
     /// [`Polled::Ended`] once every producer finished (or vanished) and every
     /// ring drained.
     pub fn try_recv_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> Polled {
-        let rings = &self.shared.rings;
-        let (max, start) = (max.max(1), self.next);
-        let (mut taken, mut visited) = (0, 0);
-        let mut ended = true;
-        for i in 0..rings.len() {
-            if taken == max {
-                break;
-            }
-            visited += 1;
-            let at = (start + i) % rings.len();
-            let ring = &rings[at];
-            // `closed` is stored after the ring's final push, so once it
-            // reads true a pop that finds nothing means the ring has ended.
-            let closed = ring.is_closed();
-            let n = ring.pop_into(max - taken, out);
-            if n > 0 {
-                taken += n;
-                self.next = at + 1;
-            }
-            ended &= closed && n == 0;
-        }
+        let max = max.max(1);
+        let (taken, ended) = if self.ordered {
+            self.take_ordered(max, out)
+        } else {
+            self.take_round_robin(max, out)
+        };
         if taken == 0 {
             return if ended { Polled::Ended } else { Polled::Pending };
         }
         // One fence for every ring drained: their producers, and whoever
-        // parks on the consumer's doorbell, may be waiting for the room. A
-        // ring this receive found empty has no producer waiting for room.
+        // parks on the consumer's doorbell, may be waiting for the room.
         fence(Ordering::SeqCst);
-        (start..start + visited).for_each(|i| rings[i % rings.len()].room.notify());
+        self.shared.rings.iter().for_each(|ring| ring.room.notify());
         self.shared.items.notify();
         let metrics = &self.shared.metrics;
         metrics.received.add(taken as u64);
         metrics.depth.add(-(taken as i64));
         metrics.record_batch(taken);
         Polled::Items(taken)
+    }
+
+    /// Takes up to `max` items round-robin (see the module docs). Returns
+    /// how many, and whether every ring has ended.
+    fn take_round_robin(&mut self, max: usize, out: &mut Vec<DataItem>) -> (usize, bool) {
+        let rings = &self.shared.rings;
+        let (mut taken, mut ended) = (0, true);
+        let start = self.next;
+        for i in 0..rings.len() {
+            if taken == max {
+                return (taken, false);
+            }
+            let at = (start + i) % rings.len();
+            // `closed` is stored after the ring's final push, so once it
+            // reads true a pop that finds nothing means the ring has ended.
+            let closed = rings[at].is_closed();
+            let n = rings[at].pop_into(max - taken, out);
+            if n > 0 {
+                taken += n;
+                self.next = at + 1;
+            }
+            ended &= closed && n == 0;
+        }
+        (taken, ended)
+    }
+
+    /// Takes up to `max` items in `(seq, sub)` order, then the unsequenced
+    /// ones ring by ring (see the module docs). Returns how many, and whether
+    /// every ring has ended.
+    fn take_ordered(&mut self, max: usize, out: &mut Vec<DataItem>) -> (usize, bool) {
+        let rings = &self.shared.rings;
+        let mut taken = 0;
+        while taken < max {
+            // Each ring's limit: no sequence number below it can still arrive
+            // there. The two lowest limits give every ring the lowest of the
+            // others'.
+            let (mut lowest, mut second) = ((i64::MAX, usize::MAX), i64::MAX);
+            let mut first_seq: Option<(i64, u32, usize)> = None;
+            let (mut trailing, mut open_empty) = (None, false);
+            for (j, ring) in rings.iter().enumerate() {
+                // Read `closed` and the progress before the head: each is
+                // stored after the pushes it covers.
+                let closed = ring.is_closed();
+                let progress = ring.progress();
+                let limit = match ring.head_stamp() {
+                    Some(Stamp::Seq { seq, sub }) => {
+                        if first_seq.is_none_or(|(s, u, _)| (seq, sub) < (s, u)) {
+                            first_seq = Some((seq, sub, j));
+                        }
+                        seq
+                    }
+                    Some(Stamp::None) => {
+                        trailing = trailing.or(Some(j));
+                        i64::MAX
+                    }
+                    None if closed => i64::MAX,
+                    None => {
+                        open_empty = true;
+                        progress
+                    }
+                };
+                if limit < lowest.0 {
+                    second = lowest.0;
+                    lowest = (limit, j);
+                } else {
+                    second = second.min(limit);
+                }
+            }
+            let n = match (first_seq, trailing) {
+                (Some((_, _, c)), _) => {
+                    let bound = if lowest.1 == c { second } else { lowest.0 };
+                    rings[c].pop_before(bound, max - taken, out)
+                }
+                (None, Some(j)) if !open_empty => rings[j].pop_into(max - taken, out),
+                (None, None) if taken == 0 => return (0, !open_empty),
+                _ => 0,
+            };
+            if n == 0 {
+                break;
+            }
+            taken += n;
+        }
+        (taken, false)
     }
 }
 
@@ -268,15 +373,17 @@ pub fn queue_with_metrics(
     producers: usize,
     metrics: Arc<QueueMetrics>,
 ) -> (Vec<QueueSender>, QueueReceiver) {
-    queue_on(capacity, producers, metrics, Arc::default())
+    queue_on(capacity, producers, metrics, Arc::default(), false)
 }
 
-/// Like [`queue_with_metrics`], with `items` as the consumer's doorbell.
+/// Like [`queue_with_metrics`], with `items` as the consumer's doorbell;
+/// `ordered` makes it the merge queue of a replicated stage.
 pub(crate) fn queue_on(
     capacity: usize,
     producers: usize,
     metrics: Arc<QueueMetrics>,
     items: Arc<Doorbell>,
+    ordered: bool,
 ) -> (Vec<QueueSender>, QueueReceiver) {
     let shared = Arc::new(Shared {
         rings: (0..producers).map(|_| Ring::new(capacity)).collect(),
@@ -285,7 +392,7 @@ pub(crate) fn queue_on(
         metrics,
     });
     let senders = (0..producers).map(|ring| QueueSender { shared: Arc::clone(&shared), ring });
-    (senders.collect(), QueueReceiver { shared, next: 0 })
+    (senders.collect(), QueueReceiver { shared, next: 0, ordered })
 }
 
 #[cfg(test)]
@@ -573,6 +680,108 @@ mod tests {
             seen.iter().map(|i| i.get_i64("n").unwrap()).collect::<Vec<_>>(),
             (0..20).collect::<Vec<i64>>()
         );
+    }
+
+    /// A merge queue of `k` producers.
+    fn ordered(k: usize) -> (Vec<QueueSender>, QueueReceiver) {
+        queue_on(8, k, Arc::default(), Arc::default(), true)
+    }
+
+    /// Output `sub` of input `seq`, named `seq.sub`.
+    fn sequenced(seq: i64, sub: u32) -> DataItem {
+        let mut item = DataItem::new().with("name", format!("{seq}.{sub}"));
+        item.set_stamp(Stamp::Seq { seq, sub });
+        item
+    }
+
+    /// An unsequenced item (a shard's `finish` output).
+    fn trailing(name: &str) -> DataItem {
+        DataItem::new().with("name", name)
+    }
+
+    fn send_all(tx: &QueueSender, items: impl IntoIterator<Item = DataItem>) {
+        assert!(tx.send_batch(&mut items.into_iter().collect()));
+    }
+
+    /// What one non-blocking receive of up to `max` items hands over, by
+    /// name; `["ended"]` once the stream has ended.
+    fn take_names(rx: &mut QueueReceiver, max: usize) -> Vec<String> {
+        let mut out = Vec::new();
+        match rx.try_recv_batch(max, &mut out) {
+            Polled::Ended => vec!["ended".into()],
+            _ => out.iter().map(|i| i.get_str("name").unwrap().to_string()).collect(),
+        }
+    }
+
+    #[test]
+    fn ordered_receive_merges_heads_that_arrive_out_of_order() {
+        let (senders, mut rx) = ordered(2);
+        send_all(&senders[1], [sequenced(1, 0), sequenced(3, 0)]);
+        send_all(&senders[0], [sequenced(0, 0), sequenced(0, 1), sequenced(2, 0)]);
+        assert_eq!(take_names(&mut rx, 2), ["0.0", "0.1"], "a batch stops at its size");
+        assert_eq!(take_names(&mut rx, 8), ["1.0", "2.0"], "3.0 waits: ring 0 may still send 3");
+        assert!(take_names(&mut rx, 8).is_empty());
+        assert!(senders[0].advance(4));
+        assert!(!senders[0].advance(4), "progress only rises");
+        assert_eq!(take_names(&mut rx, 8), ["3.0"]);
+        senders.iter().for_each(QueueSender::finish);
+        assert_eq!(take_names(&mut rx, 8), ["ended"]);
+        assert_eq!(rx.shared.metrics.received.get(), 5);
+    }
+
+    #[test]
+    fn ordered_receive_releases_on_progress_alone() {
+        // Rings 0 and 2 never carry an item: their producers' progress is
+        // all the merge learns from them.
+        let (senders, mut rx) = ordered(3);
+        send_all(&senders[1], [sequenced(5, 0), sequenced(5, 1)]);
+        assert!(take_names(&mut rx, 8).is_empty());
+        senders[0].advance(6);
+        senders[2].advance(5);
+        assert!(take_names(&mut rx, 8).is_empty(), "ring 2 may still send 5");
+        senders[2].advance(6);
+        assert_eq!(take_names(&mut rx, 8), ["5.0", "5.1"]);
+        assert_eq!(rx.progress(), 0, "ring 1's producer published none");
+    }
+
+    #[test]
+    fn ordered_receive_releases_trailing_items_after_all_sequenced_data() {
+        let (senders, mut rx) = ordered(2);
+        send_all(&senders[0], [trailing("t0a"), trailing("t0b")]);
+        send_all(&senders[1], [sequenced(0, 0), sequenced(1, 0), trailing("t1")]);
+        assert_eq!(take_names(&mut rx, 8), ["0.0", "1.0", "t0a", "t0b"]);
+        assert!(take_names(&mut rx, 8).is_empty(), "ring 0 may still send trailing items");
+        senders[0].finish();
+        assert_eq!(take_names(&mut rx, 8), ["t1"], "ring by ring, in ring order");
+        senders[1].finish();
+        assert_eq!(take_names(&mut rx, 8), ["ended"]);
+    }
+
+    #[test]
+    fn ordered_receive_stops_waiting_for_a_ring_closed_mid_stream() {
+        let (senders, mut rx) = ordered(2);
+        send_all(&senders[0], [sequenced(0, 0)]);
+        send_all(&senders[1], [sequenced(2, 0), sequenced(4, 0)]);
+        assert_eq!(take_names(&mut rx, 8), ["0.0"]);
+        assert!(take_names(&mut rx, 8).is_empty(), "ring 0 may still send 1");
+        senders[0].finish();
+        assert_eq!(take_names(&mut rx, 8), ["2.0", "4.0"], "a closed, drained ring sends nothing");
+        senders[1].finish();
+        assert_eq!(take_names(&mut rx, 8), ["ended"]);
+    }
+
+    #[test]
+    fn a_consumer_parked_on_an_ordered_queue_wakes_on_progress() {
+        let (senders, mut rx) = ordered(2);
+        send_all(&senders[0], [sequenced(3, 0)]);
+        let consumer = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            rx.recv_batch(8, &mut out);
+            out.len()
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        senders[1].advance(4);
+        assert_eq!(consumer.join().unwrap(), 1);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::queue::{queue_on, QueueReceiver, QueueSender};
 use crate::sink::Sink;
 use crate::source::{Polled, Source};
 use crate::spsc::Doorbell;
-use crate::topology::{Input, Output, SharedProcessorFactory, Topology};
+use crate::topology::{Input, Output, Role, SharedProcessorFactory, Topology};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,9 +59,7 @@ pub const DEFAULT_RESTART_CADENCE: usize = 1000;
 /// Statistics of one completed run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
-    /// Per process: `(data items consumed, data items emitted)`. Punctuation
-    /// exchanged inside a sharded stage is not counted (see
-    /// [`StageMetrics::punctuation_in`]).
+    /// Per process: `(items consumed, items emitted)`.
     pub per_process: HashMap<String, (u64, u64)>,
 }
 
@@ -101,6 +99,15 @@ impl ProcInput {
         match self {
             ProcInput::Queue(q) => Ok(q.try_recv_batch(max, out)),
             ProcInput::Source(s) => s.poll_batch(max, out),
+        }
+    }
+
+    /// The input's sequence progress (see [`crate::partition`]); a source
+    /// has none.
+    fn progress(&self) -> i64 {
+        match self {
+            ProcInput::Queue(q) => q.progress(),
+            ProcInput::Source(_) => 0,
         }
     }
 
@@ -357,7 +364,8 @@ pub(crate) fn materialize(
 
     // Create channels: one sender (and ring) per producing process, one
     // receiver per queue — queues are single-consumer by validation. Every
-    // queue's consumer doorbell is `bell`.
+    // queue's consumer doorbell is `bell`. A merge's input receives in
+    // sequence order.
     let mut senders: HashMap<String, Vec<QueueSender>> = HashMap::new();
     let mut receivers: HashMap<String, QueueReceiver> = HashMap::new();
     for (name, cap) in &queues {
@@ -367,7 +375,13 @@ pub(crate) fn materialize(
             // skip it entirely.
             continue;
         }
-        let (txs, rx) = queue_on(*cap, n_prod, metrics.queue(name), Arc::clone(bell));
+        let ordered = processes
+            .iter()
+            .any(|p| p.role == Role::Merge && matches!(&p.input, Input::Queue(q) if q == name));
+        let (mut txs, rx) = queue_on(*cap, n_prod, metrics.queue(name), Arc::clone(bell), ordered);
+        // Popped in topology order: the i-th producer owns ring i, so a
+        // merge releases trailing items in shard order.
+        txs.reverse();
         senders.insert(name.clone(), txs);
         receivers.insert(name.clone(), rx);
     }
@@ -417,16 +431,15 @@ pub(crate) fn materialize(
             policy: p.fault_policy,
             consecutive_faults: 0,
             batch_size: p.batch_size,
-            dispatch: if p.shard_dispatch {
-                Dispatch::Shard {
-                    keys: p.partition_keys.into(),
-                    hints: p.partition_hints.into(),
-                    since_wm: 0,
-                    next_wm: 0,
+            dispatch: match p.role {
+                Role::Router => {
+                    Dispatch::Shard { keys: p.partition_keys, hints: p.partition_hints }
                 }
-            } else {
-                Dispatch::Broadcast
+                _ => Dispatch::Broadcast,
             },
+            sequenced: matches!(p.role, Role::Router | Role::Shard),
+            seq: None,
+            through: 0,
             lifecycle: Lifecycle::Pump,
             error: None,
             inbox: Vec::new(),
@@ -451,11 +464,11 @@ pub(crate) fn materialize(
 /// What one [`Worker::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Progress {
-    /// Observable work: items consumed or handed on, a punctuation, a chain
-    /// flush, end-of-stream.
+    /// Observable work: items consumed or handed on, progress published, a
+    /// chain flush, end-of-stream.
     Progressed,
     /// Nothing can move without waiting: the input is empty and going idle
-    /// produced nothing, or every owed output is full. Only a step that may
+    /// published nothing, or every owed output is full. Only a step that may
     /// not wait returns this.
     Blocked,
     /// The worker has terminated.
@@ -488,6 +501,14 @@ pub(crate) struct Worker {
     consecutive_faults: usize,
     batch_size: usize,
     dispatch: Dispatch,
+    /// Router or shard: stamps its outputs and publishes its progress (see
+    /// [`crate::partition`]).
+    sequenced: bool,
+    /// The sequence number of the input being processed, on a sequenced
+    /// worker (`None` in the finish flush).
+    seq: Option<i64>,
+    /// Every input sequenced below it has had its outputs routed.
+    through: i64,
     lifecycle: Lifecycle,
     /// The first unrecoverable error; from then on the worker only
     /// propagates end-of-stream.
@@ -503,8 +524,8 @@ pub(crate) struct Worker {
     /// to be invoked, popped depth-first — `Some(item)` is a `process` call,
     /// `None` the slot's `finish`.
     work: Vec<(usize, Option<DataItem>)>,
-    /// Data items taken off the input edge / handed to the outputs so far
-    /// (the [`RunStats`] pair; punctuation is not counted).
+    /// Items taken off the input edge / handed to the outputs so far (the
+    /// [`RunStats`] pair).
     consumed: u64,
     emitted: u64,
     /// One optional rebuild factory per chain slot (the restart supervisor
@@ -602,27 +623,37 @@ impl Worker {
     /// wait.
     fn pump(&mut self, wait: bool) -> Result<bool, StreamsError> {
         let max = self.batch_size;
+        // Read before the poll: should the input turn out empty, every input
+        // sequenced below it has been handled.
+        let settled = if self.sequenced { self.input.progress() } else { 0 };
+        let started = Instant::now();
         let mut polled = self.input.poll(max, &mut self.inbox)?;
-        if polled == Polled::Pending {
-            let punctuated = self.on_idle()?;
-            if punctuated {
-                self.hand_on(wait)?;
+        // A merge's work is its ordered receive: each item it releases
+        // carries a share of it. Any other receive is the queue hop's.
+        let received_ns = match (&self.input, polled) {
+            (ProcInput::Queue(q), Polled::Items(n)) if q.is_ordered() => {
+                started.elapsed().as_nanos() as u64 / n as u64
             }
+            _ => 0,
+        };
+        if polled == Polled::Pending {
+            let advanced = self.on_idle(settled);
             if !wait {
-                return Ok(punctuated);
+                return Ok(advanced);
             }
             polled = self.input.wait(max, &mut self.inbox)?;
         }
         if polled == Polled::Ended {
             // From here on a restart must not re-run the last consumed item:
-            // trailing items re-enter the chain mid-way instead.
+            // trailing items re-enter the chain mid-way instead, unstamped.
             self.entry_item = None;
+            self.seq = None;
             self.lifecycle = Lifecycle::Finish(0);
             return Ok(true);
         }
         // A fault drops the rest of the batch with the drain.
         let mut inbox = std::mem::take(&mut self.inbox);
-        let ran = inbox.drain(..).try_for_each(|item| self.process_input(item));
+        let ran = inbox.drain(..).try_for_each(|item| self.process_input(item, received_ns));
         self.inbox = inbox;
         ran?;
         self.hand_on(wait)?;
@@ -687,67 +718,71 @@ impl Worker {
             }
             moved |= owed.len() < before;
         }
+        if self.sequenced {
+            // Every input below the first one still owed has been handed on.
+            let owed_from = self.owed.iter().filter_map(|owed| owed.first()?.stamp().seq()).min();
+            moved |= self.advance(owed_from.unwrap_or(self.through));
+        }
         Ok(moved)
     }
 
-    /// Routes what left the chain into the per-output buckets according to
-    /// this worker's [`Dispatch`]: a copy for every output, or (on a
-    /// synthesized partitioner) the keyed shard's output plus, when the
-    /// flood cadence is due, a watermark for each.
-    fn route(&mut self) {
-        for item in self.outs.drain(..) {
-            if self.dispatch.plan_into(item, &mut self.owed) {
-                self.stage.punctuation_out.add(self.owed.len() as u64);
-            }
-        }
+    /// The idle transition: the input has nothing for this worker and it
+    /// owes nothing. A shard passes on its input's progress `settled`, read
+    /// before the input was found empty: the inputs it never saw are settled
+    /// too (see [`crate::partition`]). Returns whether that told its
+    /// consumer anything new. Idleness is read off the input's own answer;
+    /// there is no timer.
+    fn on_idle(&self, settled: i64) -> bool {
+        self.sequenced && self.advance(settled)
     }
 
-    /// The idle transition: this worker's input — queue or polled source —
-    /// has nothing for it and everything it produced has been handed on. A
-    /// worker must not sit on anything that is ready to leave while it waits
-    /// for input that may be long in coming: a sharding partitioner that
-    /// routed items since its last watermark punctuates now (see
-    /// [`crate::partition`]), which also puts its dispatch on a watermark,
-    /// so a checkpoint barrier that was waiting for one lands. Returns
-    /// whether it owes its outputs the punctuation. Quiescence is read off
-    /// the input's own answer; there is no timer.
-    fn on_idle(&mut self) -> Result<bool, StreamsError> {
-        if !self.dispatch.plan_idle(&mut self.owed) {
-            return Ok(false);
+    /// Publishes `to` as this sequenced worker's progress on its queue
+    /// outputs (see [`crate::partition`]). Returns whether it rose.
+    fn advance(&self, to: i64) -> bool {
+        self.outputs.iter().fold(false, |rose, output| match output {
+            ProcOutput::Queue(tx) => tx.advance(to) | rose,
+            _ => rose,
+        })
+    }
+
+    /// Routes what left the chain into the per-output buckets according to
+    /// this worker's [`Dispatch`]. A sequenced worker first stamps the
+    /// outputs of its current input `(seq, 0)`, `(seq, 1)`, ….
+    fn route(&mut self) {
+        for (sub, mut item) in self.outs.drain(..).enumerate() {
+            if let Some(seq) = self.seq {
+                item.set_stamp(Stamp::Seq { seq, sub: sub as u32 });
+            }
+            self.dispatch.plan_into(item, &mut self.owed);
         }
-        self.stage.punctuation_out.add(self.owed.len() as u64);
-        if self.checkpoint_every > 0 && self.since_ckpt >= self.checkpoint_every {
-            self.take_checkpoint()?;
+        if let Some(seq) = self.seq {
+            self.through = seq + 1;
         }
-        Ok(true)
     }
 
     /// Consumes one input item: counts it, runs it through the chain under
-    /// the fault policy, advances the checkpoint bookkeeping (position,
-    /// replay log, barrier), then routes what left the chain. Routing one
-    /// input at a time means a barrier sees the dispatch exactly as far as
-    /// the inputs before it.
+    /// the fault policy and routes what left the chain — the timed part,
+    /// together with the item's share `received_ns` of an ordered receive —
+    /// then
+    /// advances the checkpoint bookkeeping (position, replay log, barrier).
     ///
-    /// Punctuation travels the same path as data (it occupies a position on
-    /// the input edge and a restored merge needs it replayed) but is counted
-    /// apart and does not advance the barrier cadence: how much of it there
-    /// is depends on the schedule, and neither the data counters nor the
-    /// number of barriers should. It must not detach the state from its
-    /// checkpoint either — see the re-base at the end.
-    fn process_input(&mut self, item: DataItem) -> Result<(), StreamsError> {
-        let punctuation = item.is_punctuation();
-        if punctuation {
-            self.stage.punctuation_in.inc();
-        } else {
-            self.stage.items_in.inc();
-            self.consumed += 1;
-        }
+    /// The item's stamp comes off first. A shard's input carries its
+    /// sequence number and the router numbers its input itself; any other
+    /// worker — the merge among them — passes its items on unstamped.
+    fn process_input(&mut self, mut item: DataItem, received_ns: u64) -> Result<(), StreamsError> {
+        self.stage.items_in.inc();
+        self.consumed += 1;
+        let stamp = item.take_stamp();
+        self.seq = self.sequenced.then(|| stamp.seq().unwrap_or(self.through));
         if matches!(self.policy, FaultPolicy::Restart { .. }) {
             self.entry_item = Some(item.clone());
         }
         let started = Instant::now();
         let ran = self.run_chain(0, Some(item));
-        self.stage.process_ns.record(started.elapsed());
+        if ran.is_ok() {
+            self.route();
+        }
+        self.stage.process_ns.record_ns(received_ns + started.elapsed().as_nanos() as u64);
         ran?;
         self.consumed_pos += 1;
         if self.log_inputs {
@@ -757,29 +792,13 @@ impl Worker {
             let logged = self.entry_item.take().expect("Restart keeps the entry item");
             self.replay_log.push_back(logged);
         }
-        if !punctuation {
-            self.maybe_checkpoint()?;
-        } else if self.checkpoint_every > 0 && self.since_ckpt == 0 {
-            // Re-base: this punctuation arrived right behind a barrier (no
-            // data since). It occupies a position and may have changed state
-            // (a merge's frontier), so the barrier's snapshot is re-taken
-            // here; left one position stale, `restore_for_retry` would skip
-            // the rollback and a retried item apply twice — whenever a
-            // watermark happens to follow a barrier, i.e. on some schedules.
-            // It is the same barrier, not a new one: `checkpoints` counts
-            // barriers and stays a function of the data.
-            self.snapshot_chain()?;
-        }
-        self.route();
-        Ok(())
+        self.maybe_checkpoint()
     }
 
-    /// Takes a checkpoint barrier when the cadence is due. On a sharding
-    /// partitioner the barrier is deferred until the dispatch sits exactly on
-    /// a watermark broadcast, so a restored partitioner and its merge agree
-    /// on the settled frontier (the barrier/watermark alignment rule); it
-    /// lands with the next item that finds it there, or when the worker goes
-    /// idle and punctuates.
+    /// Takes a checkpoint barrier when the cadence is due: snapshots every
+    /// checkpointable chain slot at the current position and truncates the
+    /// replay log — items before the snapshot are covered by the stored
+    /// state and never need replaying again.
     fn maybe_checkpoint(&mut self) -> Result<(), StreamsError> {
         if self.checkpoint_every == 0 {
             return Ok(());
@@ -788,29 +807,6 @@ impl Worker {
         if self.since_ckpt < self.checkpoint_every {
             return Ok(());
         }
-        if let Dispatch::Shard { since_wm, .. } = &self.dispatch {
-            if *since_wm != 0 {
-                return Ok(()); // deferred
-            }
-        }
-        self.take_checkpoint()
-    }
-
-    /// Takes a barrier: snapshots the chain (see [`Worker::snapshot_chain`])
-    /// and restarts the cadence.
-    fn take_checkpoint(&mut self) -> Result<(), StreamsError> {
-        if self.snapshot_chain()? {
-            self.stage.checkpoints.inc();
-        }
-        self.since_ckpt = 0;
-        Ok(())
-    }
-
-    /// Snapshots every checkpointable chain slot at the current position and
-    /// truncates the replay log — items before the snapshot are covered by
-    /// the stored state and never need replaying again. Returns whether any
-    /// slot had state to store.
-    fn snapshot_chain(&mut self) -> Result<bool, StreamsError> {
         let mut any = false;
         for i in 0..self.chain.len() {
             if let Some(c) = self.chain[i].as_checkpointable() {
@@ -820,7 +816,11 @@ impl Worker {
             }
         }
         self.replay_log.clear();
-        Ok(any)
+        if any {
+            self.stage.checkpoints.inc();
+        }
+        self.since_ckpt = 0;
+        Ok(())
     }
 
     /// Rebuilds the whole chain from its factories and — under
@@ -937,14 +937,9 @@ impl Worker {
                 }
             }
         }
-        for item in &self.outs[mark..] {
-            if item.is_punctuation() {
-                self.stage.punctuation_out.inc();
-            } else {
-                self.stage.items_out.inc();
-                self.emitted += 1;
-            }
-        }
+        let out = (self.outs.len() - mark) as u64;
+        self.stage.items_out.add(out);
+        self.emitted += out;
         Ok(())
     }
 
@@ -1044,20 +1039,17 @@ impl Worker {
         }
     }
 
-    /// Records a dead-lettered call. A replica's input leaves its stamp
-    /// behind: the record keeps the sequence number as a field.
+    /// Records a dead-lettered call, with the sequence number of a shard's
+    /// current input.
     fn dead_letter(
         &self,
         queue: &DeadLetterQueue,
         processor: Option<usize>,
-        mut item: Option<DataItem>,
+        item: Option<DataItem>,
         error: StreamsError,
     ) {
         self.stage.dead_letters.inc();
-        let seq = match item.as_mut().map(DataItem::take_stamp) {
-            Some(Stamp::Seq { seq, .. }) => Some(seq),
-            _ => None,
-        };
+        let seq = self.seq;
         queue.push(DeadLetterRecord { process: self.name.clone(), processor, item, seq, error });
     }
 }

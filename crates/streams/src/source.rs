@@ -44,22 +44,15 @@ pub trait Source: Send {
 
     /// [`Source::next_batch`] without the wait: a source with nothing to
     /// hand over *yet* answers [`Polled::Pending`]. The worker pulling the
-    /// source asks this first in every step, whichever driver steps it, and
-    /// `Pending` is the moment it goes idle — a sharding partitioner
-    /// punctuates, so nothing downstream sits on a settled item while the
-    /// feed is quiet. Then the threaded [`crate::runtime::Runtime`] waits in
-    /// `next_batch`, and the single-threaded
-    /// [`crate::replay::ReplayRuntime`], where a source that waited would
-    /// stall every process, asks again later.
+    /// source asks this first in every step, whichever driver steps it.
+    /// Then the threaded [`crate::runtime::Runtime`] waits in `next_batch`,
+    /// and the single-threaded [`crate::replay::ReplayRuntime`], where a
+    /// source that waited would stall every process, asks again later.
     ///
     /// The default never answers `Pending`, which is right for every source
     /// whose `next_batch` returns without waiting (pre-materialised or
     /// file-backed). A live source that waits inside `next_item` should
-    /// override this if a replicated process pulls it directly: the runtime
-    /// cannot see a worker wait inside its source, so until the next item
-    /// arrives the stage's merge holds what only a watermark would release
-    /// (at most [`WM_EVERY`](crate::partition::WM_EVERY)` × shards` items).
-    /// Behind a queue — a feed process in front — the question never arises.
+    /// override this so the replay scheduler can run it.
     fn poll_batch(&mut self, max: usize, out: &mut Vec<DataItem>) -> Result<Polled, StreamsError> {
         Ok(match self.next_batch(max, out)? {
             0 => Polled::Ended,

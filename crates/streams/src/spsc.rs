@@ -14,7 +14,10 @@
 //! A ring has one producer, so its end is a single `closed` flag, set by
 //! `finish()` or the sender drop *after* all item publications (release) —
 //! a consumer that observes it (acquire) therefore also observes every
-//! published item, and knows the ring has ended once it is drained.
+//! published item, and knows the ring has ended once it is drained. The
+//! sequence `progress` of a replicated stage (see [`crate::partition`]) is
+//! published the same way: the producer stores it after the pushes it
+//! covers, the consumer loads it before it looks at the ring.
 //!
 //! # Blocking
 //!
@@ -32,10 +35,10 @@
 //! parks on one its producers all ring, and the runtime's pool threads share
 //! one that every queue rings.
 
-use crate::item::DataItem;
+use crate::item::{DataItem, Stamp};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread::Thread;
 
@@ -132,6 +135,9 @@ pub(crate) struct Ring {
     tail: AtomicUsize,
     /// Producer finished (or dropped); set after all pushes.
     closed: AtomicBool,
+    /// Every sequence number below it has been pushed; written only by the
+    /// producer, after those pushes.
+    progress: AtomicI64,
     /// Where the producer parks on a full ring; the consumer rings it.
     pub(crate) room: Doorbell,
 }
@@ -168,6 +174,7 @@ impl Ring {
             head: AtomicUsize::new(0),
             tail: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
+            progress: AtomicI64::new(0),
             room: Doorbell::default(),
         }
     }
@@ -178,12 +185,6 @@ impl Ring {
         tail.wrapping_sub(head) >= self.capacity
     }
 
-    /// Whether published items are waiting (consumer thread only).
-    pub(crate) fn has_items(&self) -> bool {
-        let head = self.head.load(Ordering::Relaxed);
-        head != self.tail.load(Ordering::Acquire)
-    }
-
     /// Whether the producer is done: no item will follow what is published.
     pub(crate) fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
@@ -192,6 +193,38 @@ impl Ring {
     /// Marks the end of the producer's stream (after its last push).
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::Release);
+    }
+
+    /// The producer's sequence progress (see [`Ring::advance`]).
+    pub(crate) fn progress(&self) -> i64 {
+        self.progress.load(Ordering::Acquire)
+    }
+
+    /// Raises the progress to `to`: every sequence number below it has been
+    /// pushed (producer thread only, after those pushes). Returns whether it
+    /// rose.
+    pub(crate) fn advance(&self, to: i64) -> bool {
+        let rose = to > self.progress.load(Ordering::Relaxed);
+        if rose {
+            self.progress.store(to, Ordering::Release);
+        }
+        rose
+    }
+
+    /// The stamp of the oldest published item, if any (consumer thread only).
+    pub(crate) fn head_stamp(&self) -> Option<Stamp> {
+        let head = self.head.load(Ordering::Relaxed);
+        // SAFETY: `head` is published once it differs from the acquired tail.
+        (head != self.tail.load(Ordering::Acquire)).then(|| unsafe { self.stamp_at(head) })
+    }
+
+    /// The stamp of the item in slot `at` (consumer thread only).
+    ///
+    /// # Safety
+    /// `at` must lie in `head..tail` of a `tail` this thread acquired: the
+    /// slot is published, and only the consumer touches it until it is popped.
+    unsafe fn stamp_at(&self, at: usize) -> Stamp {
+        (*self.buf[at & self.mask].0.get()).assume_init_ref().stamp()
     }
 
     /// Moves the longest prefix of `items` that fits into the ring and
@@ -217,9 +250,27 @@ impl Ring {
     /// Moves up to `max` published items to `out` and releases their slots
     /// (consumer thread only). Returns how many items moved.
     pub(crate) fn pop_into(&self, max: usize, out: &mut Vec<DataItem>) -> usize {
+        self.pop_while(max, out, |_| true)
+    }
+
+    /// [`Ring::pop_into`] of the items sequenced below `bound`, stopping at
+    /// the first that is not.
+    pub(crate) fn pop_before(&self, bound: i64, max: usize, out: &mut Vec<DataItem>) -> usize {
+        self.pop_while(max, out, |stamp| stamp.seq().is_some_and(|seq| seq < bound))
+    }
+
+    fn pop_while(
+        &self,
+        max: usize,
+        out: &mut Vec<DataItem>,
+        take: impl Fn(Stamp) -> bool,
+    ) -> usize {
         let head = self.head.load(Ordering::Relaxed);
         let tail = self.tail.load(Ordering::Acquire);
-        let n = tail.wrapping_sub(head).min(max);
+        let published = tail.wrapping_sub(head).min(max);
+        // SAFETY: `head + k` lies below the acquired `tail`.
+        let stamp = |k: usize| unsafe { self.stamp_at(head.wrapping_add(k)) };
+        let n = (0..published).find(|&k| !take(stamp(k))).unwrap_or(published);
         if n == 0 {
             return 0;
         }
@@ -254,12 +305,12 @@ mod tests {
         let mut batch = items(0..3);
         assert_eq!(ring.push_prefix(&mut batch), 3);
         ring.close();
-        assert!(ring.is_closed() && ring.has_items(), "closed, not yet drained");
+        assert!(ring.is_closed() && ring.head_stamp().is_some(), "closed, not yet drained");
         let mut out = Vec::new();
         assert_eq!(ring.pop_into(2, &mut out), 2);
         assert_eq!(ring.pop_into(8, &mut out), 1);
         assert_eq!(numbers(&out), [0, 1, 2]);
-        assert!(!ring.has_items());
+        assert!(ring.head_stamp().is_none());
     }
 
     #[test]

@@ -44,6 +44,20 @@ pub enum Output {
     Discard,
 }
 
+/// What a process does in a replicated stage (see [`crate::partition`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// An ordinary process.
+    Plain,
+    /// `P[part]`: sequences its input and routes each item to its key's
+    /// shard.
+    Router,
+    /// `P[i]`: runs the chain on one shard, sequencing what it emits.
+    Shard,
+    /// `P[merge]`: receives the shards' outputs in sequence order.
+    Merge,
+}
+
 pub(crate) struct ProcessDef {
     pub(crate) name: String,
     pub(crate) input: Input,
@@ -61,9 +75,8 @@ pub(crate) struct ProcessDef {
     /// One pre-instantiated processor chain per replica (filled by
     /// [`ProcessBuilder::processor_factory`] / [`ProcessBuilder::replica_processors`]).
     pub(crate) replica_chains: Vec<Vec<Box<dyn Processor>>>,
-    /// Set on the synthesized partitioner: route each survivor to the output
-    /// named by its shard stamp instead of broadcasting.
-    pub(crate) shard_dispatch: bool,
+    /// The process's part in a replicated stage, if any.
+    pub(crate) role: Role,
     /// One optional rebuild factory per chain slot (aligned with
     /// `processors` after expansion); only slots added through
     /// [`ProcessBuilder::processor_factory`] are restartable.
@@ -143,7 +156,7 @@ impl Topology {
                 partition_keys: Vec::new(),
                 partition_hints: Vec::new(),
                 replica_chains: Vec::new(),
-                shard_dispatch: false,
+                role: Role::Plain,
                 factories: Vec::new(),
                 checkpoint_every: 0,
             },
@@ -280,8 +293,8 @@ impl<'a> ProcessBuilder<'a> {
     }
 
     /// Runs this process as `n` keyed shard replicas (default 1 = ordinary
-    /// process). The runtimes expand such a process into a partitioner, `n`
-    /// replica processes (each owning a private processor chain) and an
+    /// process). The runtimes expand such a process into a router, `n`
+    /// shard processes (each owning a private processor chain) and an
     /// order-restoring merge — see [`crate::partition`] for the protocol and
     /// the determinism guarantees. Requires [`partition_by`](Self::partition_by),
     /// and processors must be added through
@@ -401,9 +414,8 @@ impl<'a> ProcessBuilder<'a> {
     /// disables barriers — unless `Restart { from_checkpoint: true }` is
     /// armed, in which case the runtime substitutes
     /// [`DEFAULT_RESTART_CADENCE`](crate::runtime::DEFAULT_RESTART_CADENCE)
-    /// so the replay log stays bounded. On a sharding partitioner the
-    /// barrier is deferred until the next watermark broadcast so checkpoints
-    /// always align with settled sequence numbers.
+    /// so the replay log stays bounded. In a replicated stage each shard
+    /// takes its own barriers; the router and the merge hold no state.
     pub fn checkpoint_every(mut self, n: usize) -> Self {
         self.def.checkpoint_every = n;
         self

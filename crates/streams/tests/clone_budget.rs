@@ -1,8 +1,7 @@
 //! Regression tests for the payload clone budget of the partition protocol.
 //!
-//! PR 5's hot-path fix put `DataItem` payloads behind a copy-on-write
-//! `Arc`, so planning, watermark bridging and the merge share payloads
-//! instead of deep-cloning them. The process-global
+//! `DataItem` payloads sit behind a copy-on-write `Arc`, so routing, the
+//! shards and the merge share payloads instead of deep-cloning them. The process-global
 //! [`DataItem::deep_copies`] counter makes that budget testable: a sharded
 //! run may detach a payload a constant number of times per item (a write to
 //! a still-shared map), but the count must not scale with the replica
@@ -12,7 +11,7 @@
 //! The flat-map representation adds a second budget next to deep copies:
 //! raw heap *allocations*. The counting global allocator measures the whole
 //! sharded run, so the same test also pins allocations/item through the
-//! partition→replica→merge path — and, like deep copies, that count must
+//! router→shard→merge path — and, like deep copies, that count must
 //! not scale with the replica count.
 //!
 //! The partition protocol itself writes nothing into an item: its position
@@ -21,9 +20,10 @@
 //! copies and stays in inline storage — one protocol attribute would spill
 //! it to the heap.
 //!
-//! Idle punctuation (see `insight_streams::partition`) adds watermark items
-//! whose number depends on the thread schedule; the test runs a shape where
-//! the partitioner races its feed to show they fit the same budgets.
+//! How often a shard finds its input empty and publishes its progress (see
+//! `insight_streams::partition`) depends on the thread schedule; the test
+//! runs a shape where the router races its feed to show that costs nothing
+//! per item: progress is a counter on a ring, not an item.
 //!
 //! These tests live in their own integration-test binary because both
 //! counters are process-global: sibling tests running on other harness
@@ -104,9 +104,9 @@ fn full_width_through_identity_stage() -> (u64, Vec<DataItem>, Vec<DataItem>) {
 /// Runs the canonical `P[part]` → replicas → `P[merge]` stage and returns
 /// how many payload deep-copies and heap allocations the whole run
 /// performed. `racing` puts a per-item feed process and a queue in front of
-/// the stage, so the partitioner keeps catching its input empty and
-/// punctuates on idle — as often as the thread schedule has it, up to once
-/// per item — instead of only at the flood cadence.
+/// the stage, so the router runs on the pool and its shards keep catching
+/// their input empty — as often as the thread schedule has it, up to once
+/// per item.
 fn budgets_for(replicas: usize, racing: bool) -> (u64, u64) {
     let sink = CollectSink::shared();
     let mut t = Topology::new();
@@ -144,8 +144,8 @@ fn budgets_for(replicas: usize, racing: bool) -> (u64, u64) {
 
 /// The per-item deep-copy and allocation budgets are O(1) and independent
 /// of the replica count: 8 shards may not clone — or allocate — more than
-/// 1 shard does, beyond a small per-replica constant for the extra
-/// bookkeeping items (watermarks) and per-shard queues/threads.
+/// 1 shard does, beyond a small per-replica constant for the per-shard
+/// workers and queues.
 #[test]
 fn budgets_stay_constant_in_replica_count() {
     let (copies, inputs, outputs) = full_width_through_identity_stage();
@@ -159,7 +159,7 @@ fn budgets_stay_constant_in_replica_count() {
         "single-replica run stays within 2 deep-copies per item, got {base_copies} for {ITEMS} items"
     );
     // With inline attributes, the run's allocation budget is a handful per
-    // item: detach Arcs on write (set "sq", shard/seq tagging), batch
+    // item: detach Arcs on write (set "sq"), batch
     // vectors, and queue hand-off — but no per-attribute or per-value
     // allocations. The pre-flat-map representation paid several extra
     // allocations per item for B-tree nodes and heap-string values alone
@@ -170,10 +170,9 @@ fn budgets_stay_constant_in_replica_count() {
     );
     for replicas in [2usize, 4, 8] {
         let (copies, allocs) = budgets_for(replicas, false);
-        // The slack terms cover per-replica control items (one watermark
-        // bridge per shard per cadence) and per-replica infrastructure
-        // (threads, queues, merge buffers) — O(replicas) each with an O(1)
-        // budget, NOT O(items × replicas).
+        // The slack terms cover per-replica infrastructure (workers,
+        // queues) — O(replicas) with an O(1) budget, NOT O(items ×
+        // replicas).
         let copy_budget = base_copies + 4 * replicas as u64 + 16;
         assert!(
             copies <= copy_budget,
@@ -189,12 +188,10 @@ fn budgets_stay_constant_in_replica_count() {
              is allocating per item × replica again"
         );
     }
-    // Idle punctuation on a racing schedule. A watermark is built per shard,
-    // already attributed, and forwarded untouched: however many the schedule
-    // produces, none copies an attribute map, so the deep-copy budget is the
-    // flood one. Each costs one small allocation, and the worst schedule
-    // sends `replicas` of them per item — two replicas stay inside the
-    // per-item ceiling of the single-replica run.
+    // Idle shards on a racing schedule: however often the schedule has them
+    // publish progress, that copies no attribute map and allocates nothing,
+    // so the deep-copy budget is the flood one and two replicas stay inside
+    // the per-item ceiling of the single-replica run.
     let (base_copies, _) = budgets_for(1, true);
     for replicas in [2usize, 4] {
         let (copies, allocs) = budgets_for(replicas, true);
@@ -202,7 +199,7 @@ fn budgets_stay_constant_in_replica_count() {
         assert!(
             copies <= copy_budget,
             "racing, replicas={replicas}: {copies} deep copies exceed budget {copy_budget} — \
-             watermarks are copying attribute maps"
+             idle shards are copying attribute maps"
         );
         if replicas == 2 {
             assert!(

@@ -6,7 +6,8 @@
 //! leave stamped `(seq, sub)` and the merge restores exactly the sequence
 //! the unreplicated chain produces — for every replica count, batch size and
 //! schedule. A fault in the middle of a fan-out is handled once, for the
-//! item that faulted, and neither duplicates nor loses its siblings.
+//! item that faulted, and neither duplicates nor loses its siblings —
+//! replicated or not.
 //!
 //! The replay seeds shift with `CONFORMANCE_SEED` and the case count follows
 //! `PROPTEST_CASES`, like the conformance suites.
@@ -147,20 +148,25 @@ proptest! {
     }
 }
 
-/// Three copies per input, then a slot that fails on copy 1 of item 2.
-fn faulting_topology(policy: FaultPolicy, sink: &CollectSink) -> Topology {
+/// Three copies per input, then a slot that fails on copy 1 of item 2; the
+/// stage runs on `replicas` shards partitioned by `key`.
+fn faulting_topology(policy: FaultPolicy, replicas: usize, sink: &CollectSink) -> Topology {
     let mut t = Topology::new();
     t.add_source("in", VecSource::new(inputs(&[0, 1, 2, 3], &[3, 3, 3, 3])));
     t.process("stage")
         .input(Input::Stream("in".into()))
+        .replicas(replicas)
+        .partition_by(["key"])
         .fault_policy(policy)
-        .boxed_processor(fan_out())
-        .processor(FnProcessor::new(|item: DataItem, _: &mut Context| {
-            if (item.get_i64("n"), item.get_i64("copy")) == (Some(2), Some(1)) {
-                return Err(StreamsError::ServiceError { detail: "injected".into() });
-            }
-            Ok(Some(item))
-        }))
+        .processor_factory(fan_out)
+        .processor_factory(|| {
+            Box::new(FnProcessor::new(|item: DataItem, _: &mut Context| {
+                if (item.get_i64("n"), item.get_i64("copy")) == (Some(2), Some(1)) {
+                    return Err(StreamsError::ServiceError { detail: "injected".into() });
+                }
+                Ok(Some(item))
+            }))
+        })
         .output(Output::Sink(Box::new(sink.clone())))
         .done();
     t
@@ -175,31 +181,46 @@ fn all_but_the_faulted() -> Vec<(i64, i64, bool)> {
 
 #[test]
 fn skip_mid_fan_out_drops_the_faulted_sibling_only() {
-    let sink = CollectSink::shared();
-    let policy = FaultPolicy::Skip { max_consecutive: 0 };
-    let err = Runtime::new(faulting_topology(policy, &sink)).run();
-    assert!(err.is_err(), "max_consecutive 0 tolerates no fault at all");
+    for replicas in [1usize, 2] {
+        let sink = CollectSink::shared();
+        let policy = FaultPolicy::Skip { max_consecutive: 0 };
+        let err = Runtime::new(faulting_topology(policy, replicas, &sink)).run();
+        assert!(err.is_err(), "replicas {replicas}: max_consecutive 0 tolerates no fault at all");
 
-    let sink = CollectSink::shared();
-    let runtime = Runtime::new(faulting_topology(FaultPolicy::Skip { max_consecutive: 1 }, &sink));
-    let metrics = runtime.metrics();
-    runtime.run().unwrap();
-    assert_eq!(observed(&sink.items()), all_but_the_faulted());
-    let stage = &metrics.snapshot().stages["stage"];
-    assert_eq!((stage.items_in, stage.items_out, stage.skipped), (4, 11, 1));
+        let sink = CollectSink::shared();
+        let policy = FaultPolicy::Skip { max_consecutive: 1 };
+        let runtime = Runtime::new(faulting_topology(policy, replicas, &sink));
+        let metrics = runtime.metrics();
+        runtime.run().unwrap();
+        assert_eq!(observed(&sink.items()), all_but_the_faulted(), "replicas {replicas}");
+        let stage = &metrics.snapshot().rollup_stages()["stage"].combined;
+        assert_eq!(
+            (stage.items_in, stage.items_out, stage.skipped),
+            (4, 11, 1),
+            "replicas {replicas}"
+        );
+    }
 }
 
 #[test]
 fn dead_letter_mid_fan_out_records_the_faulted_sibling_only() {
-    let dead = DeadLetterQueue::shared();
-    let sink = CollectSink::shared();
-    let policy = FaultPolicy::DeadLetter { queue: dead.clone() };
-    Runtime::new(faulting_topology(policy, &sink)).run().unwrap();
-    assert_eq!(observed(&sink.items()), all_but_the_faulted());
-    let records = dead.records();
-    assert_eq!(records.len(), 1);
-    assert_eq!(records[0].processor, Some(1), "the slot that failed, not the one that fanned out");
-    assert_eq!(observed(&[records[0].item.clone().unwrap()]), vec![(2, 1, false)]);
+    for replicas in [1usize, 2] {
+        let dead = DeadLetterQueue::shared();
+        let sink = CollectSink::shared();
+        let policy = FaultPolicy::DeadLetter { queue: dead.clone() };
+        Runtime::new(faulting_topology(policy, replicas, &sink)).run().unwrap();
+        assert_eq!(observed(&sink.items()), all_but_the_faulted(), "replicas {replicas}");
+        let records = dead.records();
+        assert_eq!(records.len(), 1, "replicas {replicas}");
+        assert_eq!(
+            records[0].processor,
+            Some(1),
+            "replicas {replicas}: the slot that failed, not the one that fanned out"
+        );
+        assert_eq!(observed(&[records[0].item.clone().unwrap()]), vec![(2, 1, false)]);
+        let seq = (replicas > 1).then_some(2);
+        assert_eq!(records[0].seq, seq, "replicas {replicas}: the input's sequence number");
+    }
 }
 
 #[test]

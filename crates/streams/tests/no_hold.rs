@@ -3,19 +3,20 @@
 //!
 //! A sharded stage whose chain filters seven items in eight sits behind a
 //! feed — a feed process and a queue, or the gated source itself — that
-//! hands over one burst and then goes quiet. The burst is shorter
-//! than the flood watermark cadence, so the only thing that can tell the
-//! order-restoring merge "the other shards have nothing older" is the
-//! partitioner punctuating when its input has nothing for it. The feed releases its
-//! second burst only once every survivor of the first is in the sink: under
-//! the replay scheduler a stage that sat on one would end the run in
-//! `ReplayDeadlock`, under the threaded runtime the gate gives up after a
-//! (generous, failure-path-only) deadline and the test fails on the flag.
-//! No assertion depends on timing.
+//! hands over one burst and then goes quiet. What tells the order-restoring
+//! merge "the other shards have nothing older" is the progress each shard
+//! keeps on its output ring: for the inputs it filtered, and — when its
+//! input is empty — for the inputs it never saw. With partition hints that
+//! send every item to shard 0, shards 1 and 2 receive nothing at all and
+//! only that idle path speaks for them. The feed releases its second burst
+//! only once every survivor of the first is in the sink: under the replay
+//! scheduler a stage that sat on one would end the run in `ReplayDeadlock`,
+//! under the threaded runtime the gate gives up after a (generous,
+//! failure-path-only) deadline and the test fails on the flag. No assertion
+//! depends on timing.
 
 use insight_streams::error::StreamsError;
 use insight_streams::item::DataItem;
-use insight_streams::partition::WM_EVERY;
 use insight_streams::processor::{Context, FnProcessor, Processor};
 use insight_streams::replay::ReplayRuntime;
 use insight_streams::runtime::Runtime;
@@ -31,7 +32,7 @@ const BURST: i64 = 40;
 const TOTAL: i64 = 200;
 
 fn items(range: std::ops::Range<i64>) -> Vec<DataItem> {
-    range.map(|n| DataItem::new().with("n", n).with("key", n % 7)).collect()
+    range.map(|n| DataItem::new().with("n", n).with("key", n % 7).with("lane", "main")).collect()
 }
 
 fn keep_every_eighth() -> Box<dyn Processor> {
@@ -56,17 +57,28 @@ struct Witness {
 /// How the sharded stage gets its input.
 #[derive(Clone, Copy, Debug)]
 enum Fed {
-    /// feed → `in` → stage: the partitioner goes idle on an empty queue.
+    /// feed → `in` → stage: the router runs on the pool.
     ThroughQueue,
-    /// The stage pulls the source itself: the partitioner goes idle when the
-    /// source's `poll_batch` answers `Pending`.
+    /// The stage pulls the source itself: the router has a thread of its
+    /// own and waits inside the source.
     BySource,
+}
+
+/// How the sharded stage routes.
+#[derive(Clone, Copy, Debug)]
+enum Routed {
+    /// By the hash of `key`: every shard gets items.
+    Hashed,
+    /// Every item on one `lane`, which the hints send to shard 0: the other
+    /// shards never receive an item.
+    AllToShardZero,
 }
 
 /// [feed → `in` →] sharded filter → `out` → collect. `deadline` bounds how
 /// long a threaded run waits for a hold to clear before failing.
 fn topology(
     fed: Fed,
+    routed: Routed,
     sink: &CollectSink,
     witness: &Arc<Witness>,
     deadline: Option<Duration>,
@@ -104,10 +116,12 @@ fn topology(
             Input::Queue("in".into())
         }
     };
-    t.process("stage")
-        .input(input)
-        .replicas(REPLICAS)
-        .partition_by(["key"])
+    let stage = t.process("stage").input(input).replicas(REPLICAS);
+    let stage = match routed {
+        Routed::Hashed => stage.partition_by(["key"]),
+        Routed::AllToShardZero => stage.partition_by(["lane"]).partition_hints(["main"]),
+    };
+    stage
         .batch_size(16)
         .processor_factory(keep_every_eighth)
         .output(Output::Queue("out".into()))
@@ -136,21 +150,22 @@ fn assert_nothing_was_held(
     assert_eq!(all, survivors(0..TOTAL), "{label}: gating the feed changes no output");
 }
 
-#[test]
-fn the_burst_is_shorter_than_the_flood_cadence() {
-    // Otherwise a count-based watermark could release the burst and the
-    // tests below would prove nothing about quiescence.
-    assert!((BURST as usize) < WM_EVERY * REPLICAS);
-}
+const SHAPES: [(Fed, Routed); 4] = [
+    (Fed::ThroughQueue, Routed::Hashed),
+    (Fed::BySource, Routed::Hashed),
+    (Fed::ThroughQueue, Routed::AllToShardZero),
+    (Fed::BySource, Routed::AllToShardZero),
+];
 
 #[test]
 fn threaded_merge_releases_everything_settled_when_the_source_stalls() {
-    for fed in [Fed::ThroughQueue, Fed::BySource] {
+    for (fed, routed) in SHAPES {
         let sink = CollectSink::shared();
         let witness = Arc::new(Witness::default());
         let deadline = Some(Duration::from_secs(20));
-        let run = Runtime::new(topology(fed, &sink, &witness, deadline)).run();
-        assert_nothing_was_held(run.map(drop), &sink, &witness, &format!("threaded, {fed:?}"));
+        let run = Runtime::new(topology(fed, routed, &sink, &witness, deadline)).run();
+        let label = format!("threaded, {fed:?}, {routed:?}");
+        assert_nothing_was_held(run.map(drop), &sink, &witness, &label);
     }
 }
 
@@ -158,12 +173,12 @@ fn threaded_merge_releases_everything_settled_when_the_source_stalls() {
 fn replayed_merge_releases_everything_settled_when_the_source_stalls() {
     let base =
         std::env::var("CONFORMANCE_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0u64) * 1000;
-    for fed in [Fed::ThroughQueue, Fed::BySource] {
+    for (fed, routed) in SHAPES {
         for seed in [0, 77, 777].map(|s| base + s) {
             let sink = CollectSink::shared();
             let witness = Arc::new(Witness::default());
-            let run = ReplayRuntime::new(topology(fed, &sink, &witness, None), seed).run();
-            let label = format!("replay seed {seed}, {fed:?}");
+            let run = ReplayRuntime::new(topology(fed, routed, &sink, &witness, None), seed).run();
+            let label = format!("replay seed {seed}, {fed:?}, {routed:?}");
             assert_nothing_was_held(run.map(drop), &sink, &witness, &label);
         }
     }

@@ -251,6 +251,10 @@ proptest! {
                 record.process.starts_with("stage"),
                 "fault attributed to the stage, got `{}`", record.process
             );
+            // A shard's input is sequenced by its position in the stage's
+            // input, which is `n`; an unreplicated stage sequences nothing.
+            let n = record.item.as_ref().and_then(|i| i.get_i64("n"));
+            prop_assert_eq!(record.seq, if replicas > 1 { n } else { None });
         }
     }
 

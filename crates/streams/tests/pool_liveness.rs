@@ -153,7 +153,7 @@ fn fan_in_partition_merge(seed: u64) -> (Vec<Vec<i64>>, Vec<i64>) {
         .batch_size(rng.random_range(1..=4usize))
         .output(Output::Queue("mid".into()))
         .done();
-    // Drops every seventh item, so the merge waits on watermarks too.
+    // Drops every seventh item, so the merge waits on progress too.
     t.process("stage")
         .input(Input::Queue("mid".into()))
         .replicas(rng.random_range(2..=4usize))

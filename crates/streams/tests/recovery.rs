@@ -350,22 +350,18 @@ fn retry_restores_checkpointed_state_so_items_apply_exactly_once() {
     assert_eq!(stage.restores.get(), 4, "each retry restored the pre-item snapshot");
 }
 
-/// The same inside a sharded stage, where watermarks share the replicas'
-/// input edge with the data. A partitioner that finds its input queue empty
-/// punctuates, so *whether* a watermark sits between a replica's barrier and
-/// its next item is up to the schedule — and the rollback must happen either
-/// way: punctuation that follows a barrier moves the barrier along with it
-/// (the re-base in `Worker::process_input`), it does not leave it one position
-/// stale.
-/// The replay seeds are the schedules; with barriers taken on data alone the
-/// first of them already applies n = 3 twice.
+/// The same inside a sharded stage. Each shard takes its own barriers on
+/// its own input, and how its steps interleave with the router's — whether
+/// its input runs empty between a barrier and its next item, and how often
+/// it publishes progress meanwhile — is up to the schedule: the rollback
+/// must happen either way. The replay seeds are the schedules.
 #[test]
 fn retry_rolls_back_in_a_sharded_stage_whatever_the_watermark_timing() {
     let build = |flaky: bool, sink: &CollectSink| {
         let mut t = Topology::new();
         let items = (1..=40i64).map(|n| DataItem::new().with("n", n).with("key", n % 5));
         t.add_source("in", VecSource::new(items));
-        // A per-item hop in front, so the partitioner's input runs empty.
+        // A per-item hop in front, so the router's input runs empty.
         t.add_queue("hop", 4);
         t.process("feed")
             .input(Input::Stream("in".into()))

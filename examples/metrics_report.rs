@@ -1,10 +1,10 @@
 //! Observability report: run the §3 Streams topology over a synthetic Dublin
 //! rush-hour scenario and print what the metrics layer saw — per-stage
-//! throughput and process latency, the punctuation each sharded stage
-//! exchanged and how many items its merge or order gate ever held behind a
-//! frontier, queue depths and backpressure stalls, RTEC per-window query
-//! latencies and counted solver work, crowd resolution counters — first as
-//! human-readable tables, then as the JSON snapshot.
+//! throughput and process latency, how many items the crowd stage's order
+//! gate ever held behind a frontier, queue depths and backpressure stalls
+//! (the queues inside the sharded RTEC stage carry data only), RTEC
+//! per-window query latencies and counted solver work, crowd resolution
+//! counters — first as human-readable tables, then as the JSON snapshot.
 //!
 //! ```sh
 //! cargo run --release --example metrics_report

@@ -3,8 +3,8 @@
 //! Each test re-runs an example's logic in-process with the example's exact
 //! parameters, renders the same lines the example prints, canonicalises away
 //! everything wall-clock or schedule-dependent (recognition-time lines,
-//! `*_ns` histogram contents, queue `depth_high_water`/stall counters,
-//! punctuation counts — all of which measure the host, not the data), and
+//! `*_ns` histogram contents, queue `depth_high_water`/stall counters, held
+//! high-water marks — all of which measure the host, not the data), and
 //! compares the result byte-for-byte against the checked-
 //! in snapshot under `tests/golden/`.
 //!
@@ -254,22 +254,11 @@ fn scrub_wall_clock(mut snap: MetricsSnapshot) -> MetricsSnapshot {
     }
     for stage in snap.stages.values_mut() {
         keep_count_only(&mut stage.process_ns);
-        // How often a sharded stage's partitioner found its input empty and
-        // punctuated is up to the thread schedule, and with it how much
-        // punctuation the stage exchanged, how many `process` calls handled
-        // it and how far the merge's buffer grew. The data counters beside
-        // them are not, and stay.
-        stage.process_ns.count -= stage.punctuation_in;
-        stage.punctuation_in = 0;
-        stage.punctuation_out = 0;
+        // How far a holding stage's buffer grew depends on how its inputs
+        // interleaved, which is up to the thread schedule.
         stage.held_high_water = 0;
     }
-    for (name, queue) in snap.queues.iter_mut() {
-        // The queues inside a sharded stage carry that punctuation too.
-        if name.contains("[shard:") || name.ends_with("[merge:q]") {
-            queue.sent = 0;
-            queue.received = 0;
-        }
+    for queue in snap.queues.values_mut() {
         // Depth high water and stalls depend on the thread schedule, stall
         // time on the host; none describe the data. The batch-size
         // distribution is the same kind of measurement: how many items a
