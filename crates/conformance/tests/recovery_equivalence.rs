@@ -4,7 +4,7 @@
 //!
 //! Each case injects a deterministic kill (`insight_streams::chaos::KillAt`
 //! behind a shared `KillSwitch`) into a stage running under
-//! `FaultPolicy::Restart { from_checkpoint: true }`: the supervisor rebuilds
+//! `FaultPolicy::Restart`: the supervisor rebuilds
 //! the worker from its factory, restores the latest checkpoint (RTEC engine
 //! snapshot, watermarks, EM estimator, held summaries — a finished summary
 //! leaves with the call that finished it, so no blob carries pending output)

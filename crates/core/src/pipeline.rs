@@ -380,7 +380,7 @@ impl Checkpointable for RtecProcessor {
 }
 
 /// One replica of the sharded RTEC stage: routes each SDE to a per-region
-/// [`RtecProcessor`] worker, created lazily on the region's first item.
+/// `RtecProcessor` worker, created lazily on the region's first item.
 ///
 /// The stage partitions by the `region` attribute (with the four region
 /// names declared as partition hints, so each replica hosts a disjoint
@@ -712,7 +712,7 @@ struct CrowdInstruments {
 /// # Schedule-independence
 ///
 /// The EM state evolves with every merge, so merge order must not depend on
-/// the schedule: disagreement summaries pass a [`CanonicalGate`], and every
+/// the schedule: disagreement summaries pass a `CanonicalGate`, and every
 /// summary it lets through is resolved and emitted in the call whose
 /// watermark let it through — the fourth region's summary for a query time
 /// releases all four — with the remainder flushed, in the same canonical
@@ -1097,7 +1097,7 @@ pub fn build_pipeline_with(
         // rebuilt from its factory, restored from the latest checkpoint and
         // caught up by replaying the logged suffix.
         builder = builder
-            .fault_policy(FaultPolicy::Restart { max, from_checkpoint: true })
+            .fault_policy(FaultPolicy::Restart { max })
             .checkpoint_every(options.checkpoint_every);
     } else if options.checkpoint_every > 0 {
         builder = builder.checkpoint_every(options.checkpoint_every);
@@ -1156,7 +1156,7 @@ pub fn build_pipeline_with(
     }
     if let Some(max) = options.restarts {
         builder = builder
-            .fault_policy(FaultPolicy::Restart { max, from_checkpoint: true })
+            .fault_policy(FaultPolicy::Restart { max })
             .checkpoint_every(options.checkpoint_every);
     } else if options.checkpoint_every > 0 {
         builder = builder.checkpoint_every(options.checkpoint_every);

@@ -8,12 +8,12 @@
 //! those fixed costs dominate.
 //!
 //! [`CompiledPlan::compile`] pays them **once**: every symbol a rule body
-//! can touch is resolved to a dense integer *slot* ([`SlotMap`]), strata are
+//! can touch is resolved to a dense integer *slot* (`SlotMap`), strata are
 //! flattened into a topologically-ordered instruction array, and each rule
-//! body is lowered into [`CAtom`] programs — one full-solve program plus one
+//! body is lowered into `CAtom` programs — one full-solve program plus one
 //! delta-bounded pivot program per `happensAt` atom, with the
 //! delta-bounding role baked into each `Happens` operand — which the join
-//! planner ([`crate::planner`]) then schedules, bounds and routes: filters
+//! planner (`crate::planner`) then schedules, bounds and routes: filters
 //! run as soon as their variables are bound, guards narrow the probes of the
 //! atoms they constrain, and every atom carries the one access path it will
 //! ever use. The plan owns its
@@ -23,13 +23,13 @@
 //! it entirely (it is derived state, rebuilt deterministically from the rule
 //! set on restore).
 //!
-//! At query time the solver ([`solve_c`]) runs over slot-indexed window
-//! stores ([`CEventStore`], [`CObsStore`], [`CFluentStore`], [`CRelation`])
+//! At query time the solver (`solve_c`) runs over slot-indexed window
+//! stores (`CEventStore`, `CObsStore`, `CFluentStore`, `CRelation`)
 //! that carry exactly the indexes the plan's access paths name — array
 //! indexing and binary search only, no string or hash lookups and no
 //! interner locks — and draws all of its scratch (bindings, evidence spans,
 //! binding trail, builtin argument buffer) from a per-thread
-//! [`SolveScratch`] arena that never allocates in steady state.
+//! `SolveScratch` arena that never allocates in steady state.
 //! [`scratch_allocations`] exposes the arena's growth counter so tests can
 //! assert the zero-allocation property per window.
 

@@ -23,7 +23,7 @@
 //! There is one evaluation path. [`Engine::new`] compiles the rule set into a
 //! [`CompiledPlan`] (or [`Engine::with_plan`] shares one already compiled),
 //! and every query runs that plan over the engine's retained slot-indexed
-//! window state ([`crate::slotstate`]), serially on the calling thread.
+//! window state (`crate::slotstate`), serially on the calling thread.
 
 use crate::compile::{
     eval_interval_expr_into, scratch_allocations, solve_domain_c, solve_frontier_c, solve_work,
@@ -523,7 +523,7 @@ impl Engine {
     /// `q` and occurred in `(q − WM, q]` are processed; items whose
     /// occurrence time has fallen behind the window are discarded.
     ///
-    /// All per-window state lives in the retained [`CycleState`]:
+    /// All per-window state lives in the retained `CycleState`:
     /// slot-indexed SDE and derived-event stores that slide with the window,
     /// fluent tables refilled in place, generation-stamped grounding tables,
     /// and arena scratch for every interval computed along the way. A steady-state cycle grows no

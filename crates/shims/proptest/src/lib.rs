@@ -273,7 +273,7 @@ pub mod collection {
     use super::{StdRng, Strategy};
     use rand::Rng;
 
-    /// Admissible length specifications for [`vec`].
+    /// Admissible length specifications for [`vec()`].
     pub trait SizeRange {
         /// Draws a concrete length.
         fn sample_len(&self, rng: &mut StdRng) -> usize;
@@ -297,7 +297,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S, L> {
         element: S,
         len: L,

@@ -9,16 +9,10 @@
 //! (xoshiro256++), so the same [`ChaosConfig`] always injects the same
 //! faults at the same positions.
 //!
-//! Two injection points:
-//!
-//! * [`ChaosSource`] wraps any [`Source`] and applies *stream-level* chaos:
-//!   drop, duplicate, delay/reorder, corrupt.
-//! * [`ChaosInjector`] is a [`Processor`] slotted into a chain to apply
-//!   *processor-level* chaos: drop, corrupt, error, panic — the latter two
-//!   exercising the runtime's supervision layer.
-//!
-//! [`PanicEvery`] is the deterministic counterpart for regression tests
-//! ("panics on every Nth item").
+//! [`ChaosSource`] wraps any [`Source`] and applies *stream-level* chaos:
+//! drop, duplicate, delay/reorder, corrupt. Processor faults that exercise
+//! the runtime's supervision layer are scheduled, not drawn:
+//! [`PanicEvery`] panics on every Nth item and [`KillAt`] kills once.
 
 use crate::error::StreamsError;
 use crate::item::DataItem;
@@ -33,29 +27,24 @@ use std::sync::Arc;
 /// obvious in dumps and reliably breaks numeric schema expectations).
 pub const CORRUPTED_VALUE: &str = "\u{fffd}chaos";
 
-/// Injection rates and determinism seed shared by [`ChaosSource`] and
-/// [`ChaosInjector`]. All rates are probabilities in `[0, 1]`; a
-/// default-constructed config injects nothing.
+/// Injection rates and determinism seed of a [`ChaosSource`]. All rates are
+/// probabilities in `[0, 1]`; a default-constructed config injects nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// Seed for the deterministic generator.
     pub seed: u64,
     /// Probability an item is silently dropped.
     pub drop_rate: f64,
-    /// Probability an item is emitted twice (source only).
+    /// Probability an item is emitted twice.
     pub duplicate_rate: f64,
     /// Probability an item is held back and re-emitted later, i.e. delivered
-    /// out of order (source only).
+    /// out of order.
     pub delay_rate: f64,
     /// Maximum number of subsequent items a delayed item is held behind
     /// (at least 1 when `delay_rate > 0`).
     pub delay_max: usize,
     /// Probability one field of the item is scrambled to [`CORRUPTED_VALUE`].
     pub corrupt_rate: f64,
-    /// Probability the processor returns an error (injector only).
-    pub error_rate: f64,
-    /// Probability the processor panics (injector only).
-    pub panic_rate: f64,
 }
 
 impl Default for ChaosConfig {
@@ -67,8 +56,6 @@ impl Default for ChaosConfig {
             delay_rate: 0.0,
             delay_max: 4,
             corrupt_rate: 0.0,
-            error_rate: 0.0,
-            panic_rate: 0.0,
         }
     }
 }
@@ -92,10 +79,6 @@ pub struct ChaosStats {
     pub delayed: Counter,
     /// Items with one scrambled field.
     pub corrupted: Counter,
-    /// Injected processor errors.
-    pub errors: Counter,
-    /// Injected processor panics.
-    pub panics: Counter,
 }
 
 /// A topology can publish its sources' counters on its service registry.
@@ -205,58 +188,6 @@ impl Source for ChaosSource {
                 }
             }
         }
-    }
-}
-
-/// A [`Processor`] injecting processor-level chaos: per item it may panic
-/// (`panic_rate`), fail (`error_rate`), drop (`drop_rate`) or corrupt one
-/// field (`corrupt_rate`); otherwise the item passes through untouched.
-/// Panics and errors exercise the process's fault policy.
-pub struct ChaosInjector {
-    cfg: ChaosConfig,
-    rng: StdRng,
-    stats: Arc<ChaosStats>,
-}
-
-impl ChaosInjector {
-    /// An injector with the given chaos config.
-    pub fn new(cfg: ChaosConfig) -> ChaosInjector {
-        ChaosInjector {
-            rng: StdRng::seed_from_u64(cfg.seed),
-            cfg,
-            stats: Arc::new(ChaosStats::default()),
-        }
-    }
-
-    /// Handle to the injection counters.
-    pub fn stats(&self) -> Arc<ChaosStats> {
-        Arc::clone(&self.stats)
-    }
-}
-
-impl Processor for ChaosInjector {
-    fn process(
-        &mut self,
-        mut item: DataItem,
-        _ctx: &mut Context,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        if self.rng.random_bool(self.cfg.panic_rate) {
-            self.stats.panics.inc();
-            panic!("chaos: injected panic");
-        }
-        if self.rng.random_bool(self.cfg.error_rate) {
-            self.stats.errors.inc();
-            return Err(StreamsError::ServiceError { detail: "chaos: injected error".into() });
-        }
-        if self.rng.random_bool(self.cfg.drop_rate) {
-            self.stats.dropped.inc();
-            return Ok(None);
-        }
-        if self.rng.random_bool(self.cfg.corrupt_rate) {
-            corrupt(&mut item, &mut self.rng);
-            self.stats.corrupted.inc();
-        }
-        Ok(Some(item))
     }
 }
 
@@ -453,31 +384,6 @@ mod tests {
         assert_eq!(out.len(), 10);
         assert!(out.iter().all(|i| i.get_str("n") == Some(CORRUPTED_VALUE)));
         assert_eq!(src.stats().corrupted.get(), 10);
-    }
-
-    #[test]
-    fn injector_is_deterministic_and_counts() {
-        let cfg =
-            ChaosConfig { seed: 11, drop_rate: 0.2, error_rate: 0.2, ..ChaosConfig::default() };
-        let run = |cfg: ChaosConfig| {
-            let mut inj = ChaosInjector::new(cfg);
-            let stats = inj.stats();
-            let mut ctx = Context::new(crate::service::ServiceRegistry::default(), "t");
-            let outcomes: Vec<i8> = (0..100)
-                .map(|i| match inj.process(DataItem::new().with("n", i as i64), &mut ctx) {
-                    Ok(Some(_)) => 0,
-                    Ok(None) => 1,
-                    Err(_) => 2,
-                })
-                .collect();
-            (outcomes, stats.dropped.get(), stats.errors.get())
-        };
-        let (a, dropped, errors) = run(cfg.clone());
-        let (b, _, _) = run(cfg);
-        assert_eq!(a, b);
-        assert!(dropped > 0 && errors > 0);
-        assert_eq!(a.iter().filter(|&&o| o == 1).count() as u64, dropped);
-        assert_eq!(a.iter().filter(|&&o| o == 2).count() as u64, errors);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Error type for topology construction, XML parsing and execution.
+//! Error type for topology construction and execution.
 
 use std::fmt;
 
@@ -21,6 +21,12 @@ pub enum StreamsError {
     MultipleConsumers {
         /// The contested queue.
         queue: String,
+    },
+    /// The processes form a cycle through queues, which neither driver can
+    /// run to completion.
+    Cycle {
+        /// The processes on the cycle, in data-flow order.
+        processes: Vec<String>,
     },
     /// A topology element is unused/disconnected in a way that would hang
     /// the runtime (e.g. a queue no process writes to).
@@ -47,18 +53,6 @@ pub enum StreamsError {
         /// are preserved, anything else becomes a placeholder).
         payload: String,
     },
-    /// XML syntax error.
-    XmlSyntax {
-        /// Byte offset of the error.
-        offset: usize,
-        /// Description.
-        detail: String,
-    },
-    /// XML referenced an unknown element/class or missed an attribute.
-    XmlSemantics {
-        /// Description.
-        detail: String,
-    },
     /// A replicated process is misconfigured (missing partition keys,
     /// processors added outside the per-replica factory, ...).
     InvalidPartition {
@@ -79,8 +73,8 @@ pub enum StreamsError {
     },
     /// The deterministic replay scheduler found no runnable process: every
     /// unfinished process is blocked on an empty or full queue. A validated
-    /// acyclic topology cannot reach this state; it guards against cyclic
-    /// graphs and scheduler bugs.
+    /// (hence acyclic) topology cannot reach this state; it guards against
+    /// scheduler bugs.
     ReplayDeadlock {
         /// Names of the blocked processes.
         blocked: Vec<String>,
@@ -97,6 +91,10 @@ impl fmt::Display for StreamsError {
             StreamsError::MultipleConsumers { queue } => {
                 write!(f, "queue `{queue}` has more than one consumer")
             }
+            StreamsError::Cycle { processes } => {
+                let back = processes.first().map_or("", String::as_str);
+                write!(f, "cyclic topology: {} → {back}", processes.join(" → "))
+            }
             StreamsError::Disconnected { detail } => write!(f, "disconnected topology: {detail}"),
             StreamsError::ProcessorFailed { process, processor, message } => match processor {
                 Some(i) => write!(f, "processor #{i} in `{process}` failed: {message}"),
@@ -105,10 +103,6 @@ impl fmt::Display for StreamsError {
             StreamsError::ProcessorPanicked { process, payload } => {
                 write!(f, "processor in `{process}` panicked: {payload}")
             }
-            StreamsError::XmlSyntax { offset, detail } => {
-                write!(f, "XML syntax error at byte {offset}: {detail}")
-            }
-            StreamsError::XmlSemantics { detail } => write!(f, "XML semantic error: {detail}"),
             StreamsError::InvalidPartition { process, detail } => {
                 write!(f, "invalid partitioning on `{process}`: {detail}")
             }

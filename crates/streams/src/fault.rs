@@ -15,9 +15,7 @@
 //! | [`FaultPolicy::Restart`] | rebuild the processor chain from its factories, restore the latest checkpoint, replay the logged items and re-run the faulted item (see [`crate::checkpoint`]) |
 //!
 //! Policies are set per process on the topology builder
-//! ([`crate::topology::ProcessBuilder::fault_policy`]) or via the
-//! `fault-policy` attribute of a `<process>` element in the XML data-flow
-//! language ([`FaultPolicy::parse`] documents the attribute grammar).
+//! ([`crate::topology::ProcessBuilder::fault_policy`]).
 
 use crate::error::StreamsError;
 use crate::item::DataItem;
@@ -58,70 +56,17 @@ pub enum FaultPolicy {
     /// [`processor_factory`](crate::topology::ProcessBuilder::processor_factory)),
     /// restore each checkpointable processor from its latest checkpoint,
     /// replay the input items logged since that barrier, then re-run the
-    /// faulted item from the head of the rebuilt chain. Slots without a
-    /// factory keep their (possibly inconsistent) instance, so restartable
-    /// stages should be built entirely from factories.
+    /// faulted item from the head of the rebuilt chain. Every slot needs a
+    /// factory. The barrier cadence bounds the replay log; processes that
+    /// leave
+    /// [`checkpoint_every`](crate::topology::ProcessBuilder::checkpoint_every)
+    /// at `0` get
+    /// [`DEFAULT_RESTART_CADENCE`](crate::runtime::DEFAULT_RESTART_CADENCE).
     Restart {
         /// Lifetime restart budget of the process; one more fault after the
         /// budget is spent escalates to a process failure.
         max: usize,
-        /// `true`: restore state from the latest checkpoint and replay the
-        /// log (exact recovery — the barrier cadence bounds the log;
-        /// processes that leave
-        /// [`checkpoint_every`](crate::topology::ProcessBuilder::checkpoint_every)
-        /// at `0` get
-        /// [`DEFAULT_RESTART_CADENCE`](crate::runtime::DEFAULT_RESTART_CADENCE)).
-        /// `false`: restart *fresh* — factory state only, for stages whose
-        /// state is disposable.
-        from_checkpoint: bool,
     },
-}
-
-impl FaultPolicy {
-    /// Parses the `fault-policy` XML attribute. Grammar:
-    ///
-    /// * `fail-fast`
-    /// * `skip` (unlimited) or `skip:N` (escalate after N consecutive)
-    /// * `retry:N` or `retry:N:MS` (N attempts, MS milliseconds backoff)
-    /// * `dead-letter` (records land in `dead_letters`, typically the
-    ///   topology's shared queue)
-    /// * `restart` (one restart, from checkpoint), `restart:N` (N restarts)
-    ///   or `restart:N:fresh` (N restarts without checkpoint restore)
-    pub fn parse(spec: &str, dead_letters: &DeadLetterQueue) -> Result<FaultPolicy, StreamsError> {
-        let bad = |detail: String| StreamsError::XmlSemantics { detail };
-        let mut parts = spec.split(':');
-        let head = parts.next().unwrap_or_default();
-        let args: Vec<&str> = parts.collect();
-        let int = |s: &str, what: &str| {
-            s.parse::<u64>().map_err(|_| {
-                bad(format!("fault-policy `{spec}`: `{what}` must be a non-negative integer"))
-            })
-        };
-        match (head, args.as_slice()) {
-            ("fail-fast", []) => Ok(FaultPolicy::FailFast),
-            ("skip", []) => Ok(FaultPolicy::Skip { max_consecutive: usize::MAX }),
-            ("skip", [n]) => Ok(FaultPolicy::Skip { max_consecutive: int(n, "N")? as usize }),
-            ("retry", [n]) => {
-                Ok(FaultPolicy::Retry { attempts: int(n, "N")? as usize, backoff: Duration::ZERO })
-            }
-            ("retry", [n, ms]) => Ok(FaultPolicy::Retry {
-                attempts: int(n, "N")? as usize,
-                backoff: Duration::from_millis(int(ms, "MS")?),
-            }),
-            ("dead-letter", []) => Ok(FaultPolicy::DeadLetter { queue: dead_letters.clone() }),
-            ("restart", []) => Ok(FaultPolicy::Restart { max: 1, from_checkpoint: true }),
-            ("restart", [n]) => {
-                Ok(FaultPolicy::Restart { max: int(n, "N")? as usize, from_checkpoint: true })
-            }
-            ("restart", [n, "fresh"]) => {
-                Ok(FaultPolicy::Restart { max: int(n, "N")? as usize, from_checkpoint: false })
-            }
-            _ => Err(bad(format!(
-                "unknown fault-policy `{spec}` (expected fail-fast, skip[:N], \
-                 retry:N[:MS], dead-letter or restart[:N[:fresh]])"
-            ))),
-        }
-    }
 }
 
 /// One item that a [`FaultPolicy::DeadLetter`] policy moved aside, with the
@@ -216,21 +161,6 @@ impl DeadLetterQueue {
         self.inner.lock().unwrap().records.drain(..).collect()
     }
 
-    /// Drains the queue and re-injects every record that still carries its
-    /// item (records of `finish`-phase faults carry none and are discarded)
-    /// through `inject` — e.g. back into the topology's input source after a
-    /// recovery. Returns the number of items re-injected.
-    pub fn drain_and_reinject<F: FnMut(DataItem)>(&self, mut inject: F) -> usize {
-        let mut count = 0;
-        for record in self.drain() {
-            if let Some(item) = record.item {
-                inject(item);
-                count += 1;
-            }
-        }
-        count
-    }
-
     /// This queue's capacity.
     pub fn capacity(&self) -> usize {
         self.inner.lock().unwrap().capacity
@@ -257,60 +187,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_grammar() {
-        let dl = DeadLetterQueue::shared();
-        assert!(matches!(FaultPolicy::parse("fail-fast", &dl), Ok(FaultPolicy::FailFast)));
-        assert!(matches!(
-            FaultPolicy::parse("skip", &dl),
-            Ok(FaultPolicy::Skip { max_consecutive: usize::MAX })
-        ));
-        assert!(matches!(
-            FaultPolicy::parse("skip:5", &dl),
-            Ok(FaultPolicy::Skip { max_consecutive: 5 })
-        ));
-        match FaultPolicy::parse("retry:3", &dl) {
-            Ok(FaultPolicy::Retry { attempts: 3, backoff }) => assert_eq!(backoff, Duration::ZERO),
-            other => panic!("unexpected {other:?}"),
-        }
-        match FaultPolicy::parse("retry:2:10", &dl) {
-            Ok(FaultPolicy::Retry { attempts: 2, backoff }) => {
-                assert_eq!(backoff, Duration::from_millis(10))
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(matches!(
-            FaultPolicy::parse("dead-letter", &dl),
-            Ok(FaultPolicy::DeadLetter { .. })
-        ));
-        assert!(matches!(
-            FaultPolicy::parse("restart", &dl),
-            Ok(FaultPolicy::Restart { max: 1, from_checkpoint: true })
-        ));
-        assert!(matches!(
-            FaultPolicy::parse("restart:3", &dl),
-            Ok(FaultPolicy::Restart { max: 3, from_checkpoint: true })
-        ));
-        assert!(matches!(
-            FaultPolicy::parse("restart:2:fresh", &dl),
-            Ok(FaultPolicy::Restart { max: 2, from_checkpoint: false })
-        ));
-        let bad = [
-            "",
-            "skippy",
-            "skip:x",
-            "retry",
-            "retry:a",
-            "retry:1:b",
-            "dead-letter:1",
-            "restart:x",
-            "restart:1:bogus",
-        ];
-        for bad in bad {
-            assert!(FaultPolicy::parse(bad, &dl).is_err(), "`{bad}` must be rejected");
-        }
-    }
-
-    #[test]
     fn bounded_queue_evicts_oldest_and_counts_drops() {
         let dl = DeadLetterQueue::bounded(2);
         assert_eq!(dl.capacity(), 2);
@@ -334,45 +210,6 @@ mod tests {
         none.push(record(9));
         assert!(none.is_empty());
         assert_eq!(none.dropped(), 1, "zero capacity refuses every record");
-    }
-
-    #[test]
-    fn drain_and_reinject_replays_items_and_skips_itemless_records() {
-        let dl = DeadLetterQueue::shared();
-        dl.push(DeadLetterRecord {
-            process: "p".into(),
-            processor: Some(0),
-            item: Some(DataItem::new().with("n", 1i64)),
-            seq: None,
-            error: StreamsError::ServiceError { detail: "boom".into() },
-        });
-        dl.push(DeadLetterRecord {
-            process: "p".into(),
-            processor: None,
-            item: None,
-            seq: None,
-            error: StreamsError::ServiceError { detail: "finish".into() },
-        });
-        let mut seen = Vec::new();
-        let n = dl.drain_and_reinject(|item| seen.push(item.get_i64("n").unwrap()));
-        assert_eq!(n, 1);
-        assert_eq!(seen, vec![1]);
-        assert!(dl.is_empty());
-    }
-
-    #[test]
-    fn parsed_dead_letter_shares_the_queue() {
-        let dl = DeadLetterQueue::shared();
-        let policy = FaultPolicy::parse("dead-letter", &dl).unwrap();
-        let FaultPolicy::DeadLetter { queue } = policy else { panic!("wrong variant") };
-        queue.push(DeadLetterRecord {
-            process: "p".into(),
-            processor: Some(0),
-            item: Some(DataItem::new().with("n", 1i64)),
-            seq: None,
-            error: StreamsError::ServiceError { detail: "boom".into() },
-        });
-        assert_eq!(dl.len(), 1, "records are visible through the original handle");
     }
 
     #[test]

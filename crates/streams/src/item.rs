@@ -377,28 +377,6 @@ impl AttrMap {
         }
     }
 
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&Key) -> bool) {
-        match self {
-            AttrMap::Inline { len, slots } => {
-                let n = *len as usize;
-                let mut write = 0usize;
-                for read in 0..n {
-                    if keep(&slots[read].0) {
-                        if write != read {
-                            slots.swap(write, read);
-                        }
-                        write += 1;
-                    }
-                }
-                for slot in &mut slots[write..n] {
-                    *slot = EMPTY_SLOT;
-                }
-                *len = write as u8;
-            }
-            AttrMap::Spill(v) => v.retain(|(k, _)| keep(k)),
-        }
-    }
-
     /// Whether the populated pairs live in the inline array.
     pub(crate) fn is_inline(&self) -> bool {
         matches!(self, AttrMap::Inline { .. })
@@ -604,14 +582,6 @@ impl DataItem {
         self.attrs.is_inline()
     }
 
-    /// Keeps only the listed keys (the Streams `SelectKeys` processor).
-    pub fn project(&mut self, keys: &[&str]) {
-        if self.attrs.as_slice().iter().all(|(k, _)| keys.contains(&k.as_str())) {
-            return;
-        }
-        self.attrs_mut().retain(|k| keys.contains(&k.as_str()));
-    }
-
     /// Serialises the item as one JSON object line.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64);
@@ -682,14 +652,13 @@ mod tests {
     }
 
     #[test]
-    fn set_remove_project() {
+    fn set_remove() {
         let mut item = DataItem::new().with("a", 1i64).with("b", 2i64).with("c", 3i64);
         item.set("a", 10i64);
         assert_eq!(item.get_i64("a"), Some(10));
         assert_eq!(item.remove("b"), Some(Value::Int(2)));
-        item.project(&["a"]);
-        assert_eq!(item.len(), 1);
-        assert!(item.contains("a") && !item.contains("c"));
+        assert_eq!(item.len(), 2);
+        assert!(item.contains("a") && !item.contains("b"));
     }
 
     #[test]
@@ -733,10 +702,6 @@ mod tests {
         let mut c = a.clone();
         assert_eq!(c.remove("missing"), None);
         assert!(Arc::ptr_eq(&a.attrs, &c.attrs), "no-op remove never copies");
-        // Projecting onto a superset of the keys is also copy-free.
-        let mut d = a.clone();
-        d.project(&["n", "s", "extra"]);
-        assert!(Arc::ptr_eq(&a.attrs, &d.attrs), "no-op project never copies");
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! The build environment has no access to crates.io, so instead of `serde`
 //! this module hand-rolls exactly what the middleware needs: serialising a
-//! [`DataItem`](crate::item::DataItem)'s flat `string → scalar` map to one
+//! [`DataItem`]'s flat `string → scalar` map to one
 //! JSON object per line and parsing it back. Floats are written with Rust's
 //! shortest-roundtrip formatting (so `1.0` keeps its decimal point and the
 //! int/float distinction survives a round trip); non-finite floats become
-//! `null`.
+//! `null`. The parser accepts only what the writer can write back: RFC 8259
+//! numbers that fit an `i64` or a finite `f64`, and `\u` escapes of four hex
+//! digits.
 //!
 //! Both directions avoid per-field heap traffic. The writer *appends* into a
 //! caller-owned buffer (clean string runs are copied as slices, numbers are
@@ -239,29 +241,49 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Scans one number by the JSON grammar (`-? int frac? exp?`) and
+    /// checks it once, on the whole token: no leading zero, a digit after
+    /// `.`, a digit in the exponent, and a value that fits an `i64` or a
+    /// finite `f64` (an overflow would come back as `inf` and be written as
+    /// `null`).
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        let int = self.digits();
+        let mut ok = int == 1 || (int > 1 && self.bytes[self.pos - int] != b'0');
         let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' | b'+' | b'-' => self.pos += 1,
-                b'.' | b'e' | b'E' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            is_float = true;
+            ok &= self.digits() > 0;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            is_float = true;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
             }
+            ok &= self.digits() > 0;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
-        if is_float {
-            text.parse::<f64>().map(Value::Float).map_err(|_| format!("bad number '{text}'"))
-        } else {
-            text.parse::<i64>().map(Value::Int).map_err(|_| format!("bad number '{text}'"))
+        // Every byte scanned is ASCII.
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        let value = match (ok, is_float) {
+            (false, _) => None,
+            (true, true) => text.parse::<f64>().ok().filter(|f| f.is_finite()).map(Value::Float),
+            (true, false) => text.parse::<i64>().ok().map(Value::Int),
+        };
+        value.ok_or_else(|| format!("bad number '{text}' at byte {start}"))
+    }
+
+    /// Skips a run of ASCII digits; returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while let Some(b'0'..=b'9') = self.peek() {
+            self.pos += 1;
         }
+        self.pos - start
     }
 
     /// Scans one string literal. The common case — no escape sequences —
@@ -357,9 +379,11 @@ impl<'a> Parser<'a> {
         if end > self.bytes.len() {
             return Err("truncated \\u escape".to_string());
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "non-utf8 \\u escape".to_string())?;
-        let cp = u32::from_str_radix(text, 16).map_err(|_| "bad \\u escape".to_string())?;
+        // Digit by digit: `u32::from_str_radix` would also take a sign.
+        let mut cp = 0;
+        for &b in &self.bytes[self.pos..end] {
+            cp = cp * 16 + (b as char).to_digit(16).ok_or_else(|| "bad \\u escape".to_string())?;
+        }
         self.pos = end;
         Ok(cp)
     }

@@ -13,8 +13,8 @@
 //! * **queues** — bounded channels connecting processes ([`queue`]);
 //! * **services** — named, shared function sets accessible throughout the
 //!   application ([`service::ServiceRegistry`]);
-//! * an **XML description language** for data-flow graphs ([`xml`]), compiled
-//!   into a runnable topology;
+//! * a **topology builder** ([`topology::Topology`]) that describes the
+//!   data-flow graph in Rust and validates it before it runs;
 //! * **one worker core with two drivers**: every process is a worker that
 //!   advances one step at a time (hand owed items on, pull a batch through
 //!   the chain, go idle, or flush and end the stream); the
@@ -72,7 +72,6 @@ pub mod sink;
 pub mod source;
 mod spsc;
 pub mod topology;
-pub mod xml;
 
 /// Convenience re-exports.
 pub mod prelude {
@@ -86,6 +85,6 @@ pub mod prelude {
     pub use crate::runtime::Runtime;
     pub use crate::service::{Service, ServiceRegistry};
     pub use crate::sink::{CollectSink, CountSink, NullSink, Sink};
-    pub use crate::source::{FnSource, Source, VecSource};
+    pub use crate::source::{Source, VecSource};
     pub use crate::topology::{Input, Output, Topology};
 }

@@ -430,7 +430,11 @@ mod tests {
                 .input(Input::Stream("nums".into()))
                 .replicas(3)
                 .partition_by(["key"])
-                .replica_processors((0..3).map(|i| Box::new(Tail(i)) as _).collect())
+                .processor_factory({
+                    // Called once per replica, in shard order.
+                    let shard = std::sync::atomic::AtomicI64::new(0);
+                    move || Box::new(Tail(shard.fetch_add(1, std::sync::atomic::Ordering::SeqCst)))
+                })
                 .output(Output::Sink(Box::new(sink.clone())))
                 .done();
             t

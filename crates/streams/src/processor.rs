@@ -9,16 +9,10 @@
 //! [`Context::emit`]: the runtime carries *every* output of a call through
 //! the rest of the chain before it reads the next input, so a processor
 //! never has a reason to park a finished item until more input arrives.
-//!
-//! Besides the [`Processor`] trait this module ships the small library of
-//! generic processors the XML topology language can instantiate by name:
-//! filtering, key manipulation and counting.
 
 use crate::error::StreamsError;
-use crate::item::{DataItem, Value};
+use crate::item::DataItem;
 use crate::service::ServiceRegistry;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Execution context handed to processors: access to the shared services,
@@ -213,374 +207,6 @@ where
     }
 }
 
-// ---------------------------------------------------------------------------
-// Generic processor library (instantiable from XML by class name)
-// ---------------------------------------------------------------------------
-
-/// Keeps only items where `key` equals the configured value (string
-/// comparison on the rendered value).
-pub struct FilterEquals {
-    key: String,
-    expected: String,
-}
-
-impl FilterEquals {
-    /// Filter on `key == expected`.
-    pub fn new(key: &str, expected: &str) -> FilterEquals {
-        FilterEquals { key: key.to_string(), expected: expected.to_string() }
-    }
-}
-
-impl Processor for FilterEquals {
-    fn process(
-        &mut self,
-        item: DataItem,
-        _ctx: &mut Context,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        let keep = item.get(&self.key).map(|v| v.to_string() == self.expected).unwrap_or(false);
-        Ok(keep.then_some(item))
-    }
-}
-
-/// Keeps only items that carry the configured key.
-pub struct RequireKey {
-    key: String,
-}
-
-impl RequireKey {
-    /// Filter on presence of `key`.
-    pub fn new(key: &str) -> RequireKey {
-        RequireKey { key: key.to_string() }
-    }
-}
-
-impl Processor for RequireKey {
-    fn process(
-        &mut self,
-        item: DataItem,
-        _ctx: &mut Context,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        Ok(item.contains(&self.key).then_some(item))
-    }
-}
-
-/// Fails (rather than filters) items missing the configured key.
-///
-/// The erroring twin of [`RequireKey`]: it turns a schema violation into a
-/// processor fault, so the process's [`crate::fault::FaultPolicy`] decides
-/// whether to abort, skip, retry or dead-letter the item.
-pub struct AssertKey {
-    key: String,
-}
-
-impl AssertKey {
-    /// Fault on items lacking `key`.
-    pub fn new(key: &str) -> AssertKey {
-        AssertKey { key: key.to_string() }
-    }
-}
-
-impl Processor for AssertKey {
-    fn process(
-        &mut self,
-        item: DataItem,
-        _ctx: &mut Context,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        if item.contains(&self.key) {
-            Ok(Some(item))
-        } else {
-            Err(StreamsError::ServiceError {
-                detail: format!("item is missing required key `{}`", self.key),
-            })
-        }
-    }
-}
-
-/// Sets a constant attribute on every item.
-pub struct SetValue {
-    key: String,
-    value: Value,
-}
-
-impl SetValue {
-    /// Set `key` to `value` on every item.
-    pub fn new(key: &str, value: Value) -> SetValue {
-        SetValue { key: key.to_string(), value }
-    }
-}
-
-impl Processor for SetValue {
-    fn process(
-        &mut self,
-        mut item: DataItem,
-        _ctx: &mut Context,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        item.set(self.key.clone(), self.value.clone());
-        Ok(Some(item))
-    }
-}
-
-/// Renames an attribute.
-pub struct RenameKey {
-    from: String,
-    to: String,
-}
-
-impl RenameKey {
-    /// Rename `from` to `to` (no-op when `from` is absent).
-    pub fn new(from: &str, to: &str) -> RenameKey {
-        RenameKey { from: from.to_string(), to: to.to_string() }
-    }
-}
-
-impl Processor for RenameKey {
-    fn process(
-        &mut self,
-        mut item: DataItem,
-        _ctx: &mut Context,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        if let Some(v) = item.remove(&self.from) {
-            item.set(self.to.clone(), v);
-        }
-        Ok(Some(item))
-    }
-}
-
-/// Projects items to the configured key set.
-pub struct SelectKeys {
-    keys: Vec<String>,
-}
-
-impl SelectKeys {
-    /// Keep only `keys`.
-    pub fn new<I: IntoIterator<Item = S>, S: Into<String>>(keys: I) -> SelectKeys {
-        SelectKeys { keys: keys.into_iter().map(Into::into).collect() }
-    }
-}
-
-impl Processor for SelectKeys {
-    fn process(
-        &mut self,
-        mut item: DataItem,
-        _ctx: &mut Context,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        let refs: Vec<&str> = self.keys.iter().map(String::as_str).collect();
-        item.project(&refs);
-        Ok(Some(item))
-    }
-}
-
-/// Counts items, exposing the count through a shared atomic; items pass
-/// through unchanged. At finish, emits one summary item `{count: N}`.
-pub struct CountItems {
-    counter: Arc<AtomicU64>,
-}
-
-impl CountItems {
-    /// A counter backed by the given atomic.
-    pub fn new(counter: Arc<AtomicU64>) -> CountItems {
-        CountItems { counter }
-    }
-}
-
-impl Processor for CountItems {
-    fn process(
-        &mut self,
-        item: DataItem,
-        _ctx: &mut Context,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        self.counter.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(item))
-    }
-
-    fn finish(&mut self, _ctx: &mut Context) -> Result<Vec<DataItem>, StreamsError> {
-        let n = self.counter.load(Ordering::Relaxed) as i64;
-        Ok(vec![DataItem::new().with("count", n)])
-    }
-}
-
-/// Keeps every `k`-th item (stream thinning, as the mediators of the paper
-/// apply).
-pub struct Sample {
-    every: usize,
-    seen: usize,
-}
-
-impl Sample {
-    /// Pass item 0, k, 2k, …; `every` is clamped to at least 1.
-    pub fn new(every: usize) -> Sample {
-        Sample { every: every.max(1), seen: 0 }
-    }
-}
-
-impl Processor for Sample {
-    fn process(
-        &mut self,
-        item: DataItem,
-        _ctx: &mut Context,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        let keep = self.seen.is_multiple_of(self.every);
-        self.seen += 1;
-        Ok(keep.then_some(item))
-    }
-}
-
-/// Aggregates a numeric key over fixed-size batches: every `window` items
-/// one summary item `{key_avg, key_min, key_max, count}` is emitted and the
-/// originals are dropped — the "sensor readings are aggregated within fixed
-/// time intervals" step of the paper's traffic modelling (§7.3), expressed
-/// as a stream processor.
-pub struct Aggregate {
-    key: String,
-    window: usize,
-    values: Vec<f64>,
-}
-
-impl Aggregate {
-    /// Aggregate `key` over batches of `window` items.
-    pub fn new(key: &str, window: usize) -> Aggregate {
-        Aggregate { key: key.to_string(), window: window.max(1), values: Vec::new() }
-    }
-
-    fn summary(&mut self) -> DataItem {
-        let n = self.values.len().max(1) as f64;
-        let sum: f64 = self.values.iter().sum();
-        let min = self.values.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = self.values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let item = DataItem::new()
-            .with(format!("{}_avg", self.key), sum / n)
-            .with(format!("{}_min", self.key), min)
-            .with(format!("{}_max", self.key), max)
-            .with("count", self.values.len() as i64);
-        self.values.clear();
-        item
-    }
-}
-
-impl Processor for Aggregate {
-    fn process(
-        &mut self,
-        item: DataItem,
-        _ctx: &mut Context,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        if let Some(v) = item.get_f64(&self.key) {
-            self.values.push(v);
-        }
-        if self.values.len() >= self.window {
-            Ok(Some(self.summary()))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn finish(&mut self, _ctx: &mut Context) -> Result<Vec<DataItem>, StreamsError> {
-        if self.values.is_empty() {
-            Ok(Vec::new())
-        } else {
-            Ok(vec![self.summary()])
-        }
-    }
-}
-
-/// A factory building processors from XML attributes, keyed by class name.
-pub type ProcessorFactory =
-    Box<dyn Fn(&HashMap<String, String>) -> Result<Box<dyn Processor>, StreamsError> + Send + Sync>;
-
-/// Builds the default factory table covering the generic processor library.
-///
-/// | class | attributes |
-/// |---|---|
-/// | `FilterEquals` | `key`, `value` |
-/// | `RequireKey` | `key` |
-/// | `AssertKey` | `key` (faults instead of filtering) |
-/// | `SetValue` | `key`, `value` (string) |
-/// | `RenameKey` | `from`, `to` |
-/// | `SelectKeys` | `keys` (comma-separated) |
-pub fn default_factories() -> HashMap<String, ProcessorFactory> {
-    fn required<'a>(
-        attrs: &'a HashMap<String, String>,
-        key: &str,
-        class: &str,
-    ) -> Result<&'a str, StreamsError> {
-        attrs.get(key).map(String::as_str).ok_or_else(|| StreamsError::XmlSemantics {
-            detail: format!("processor `{class}` requires attribute `{key}`"),
-        })
-    }
-
-    let mut m: HashMap<String, ProcessorFactory> = HashMap::new();
-    m.insert(
-        "FilterEquals".into(),
-        Box::new(|attrs| {
-            Ok(Box::new(FilterEquals::new(
-                required(attrs, "key", "FilterEquals")?,
-                required(attrs, "value", "FilterEquals")?,
-            )))
-        }),
-    );
-    m.insert(
-        "RequireKey".into(),
-        Box::new(|attrs| Ok(Box::new(RequireKey::new(required(attrs, "key", "RequireKey")?)))),
-    );
-    m.insert(
-        "AssertKey".into(),
-        Box::new(|attrs| Ok(Box::new(AssertKey::new(required(attrs, "key", "AssertKey")?)))),
-    );
-    m.insert(
-        "SetValue".into(),
-        Box::new(|attrs| {
-            Ok(Box::new(SetValue::new(
-                required(attrs, "key", "SetValue")?,
-                Value::from(required(attrs, "value", "SetValue")?.to_string()),
-            )))
-        }),
-    );
-    m.insert(
-        "RenameKey".into(),
-        Box::new(|attrs| {
-            Ok(Box::new(RenameKey::new(
-                required(attrs, "from", "RenameKey")?,
-                required(attrs, "to", "RenameKey")?,
-            )))
-        }),
-    );
-    m.insert(
-        "SelectKeys".into(),
-        Box::new(|attrs| {
-            let keys: Vec<String> = required(attrs, "keys", "SelectKeys")?
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            Ok(Box::new(SelectKeys::new(keys)))
-        }),
-    );
-    m.insert(
-        "Sample".into(),
-        Box::new(|attrs| {
-            let every = required(attrs, "every", "Sample")?.parse::<usize>().map_err(|_| {
-                StreamsError::XmlSemantics {
-                    detail: "Sample `every` must be a positive integer".into(),
-                }
-            })?;
-            Ok(Box::new(Sample::new(every)))
-        }),
-    );
-    m.insert(
-        "Aggregate".into(),
-        Box::new(|attrs| {
-            let key = required(attrs, "key", "Aggregate")?;
-            let window =
-                required(attrs, "window", "Aggregate")?.parse::<usize>().map_err(|_| {
-                    StreamsError::XmlSemantics {
-                        detail: "Aggregate `window` must be a positive integer".into(),
-                    }
-                })?;
-            Ok(Box::new(Aggregate::new(key, window)))
-        }),
-    );
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,59 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_equals() {
-        let mut p = FilterEquals::new("kind", "move");
-        assert!(p.process(item(), &mut ctx()).unwrap().is_some());
-        let mut p = FilterEquals::new("kind", "traffic");
-        assert!(p.process(item(), &mut ctx()).unwrap().is_none());
-        let mut p = FilterEquals::new("missing", "x");
-        assert!(p.process(item(), &mut ctx()).unwrap().is_none());
-    }
-
-    #[test]
-    fn filter_equals_renders_numbers() {
-        let mut p = FilterEquals::new("bus", "7");
-        assert!(p.process(item(), &mut ctx()).unwrap().is_some());
-    }
-
-    #[test]
-    fn require_key() {
-        let mut p = RequireKey::new("delay");
-        assert!(p.process(item(), &mut ctx()).unwrap().is_some());
-        let mut p = RequireKey::new("ghost");
-        assert!(p.process(item(), &mut ctx()).unwrap().is_none());
-    }
-
-    #[test]
-    fn set_and_rename_and_select() {
-        let mut s = SetValue::new("region", Value::Str("north".into()));
-        let it = s.process(item(), &mut ctx()).unwrap().unwrap();
-        assert_eq!(it.get_str("region"), Some("north"));
-
-        let mut r = RenameKey::new("bus", "vehicle");
-        let it = r.process(it, &mut ctx()).unwrap().unwrap();
-        assert_eq!(it.get_i64("vehicle"), Some(7));
-        assert!(!it.contains("bus"));
-
-        let mut sel = SelectKeys::new(["vehicle", "region"]);
-        let it = sel.process(it, &mut ctx()).unwrap().unwrap();
-        assert_eq!(it.len(), 2);
-    }
-
-    #[test]
-    fn count_items_emits_summary() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut p = CountItems::new(Arc::clone(&counter));
-        for _ in 0..5 {
-            p.process(item(), &mut ctx()).unwrap();
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 5);
-        let summary = p.finish(&mut ctx()).unwrap();
-        assert_eq!(summary.len(), 1);
-        assert_eq!(summary[0].get_i64("count"), Some(5));
-    }
-
-    #[test]
     fn fn_processor_closure() {
         let mut p = FnProcessor::new(|mut item: DataItem, _| {
             let d = item.get_i64("delay").unwrap_or(0);
@@ -655,76 +228,6 @@ mod tests {
         });
         let it = p.process(item(), &mut ctx()).unwrap().unwrap();
         assert_eq!(it.get_i64("delay_min"), Some(2));
-    }
-
-    #[test]
-    fn factories_build_and_validate() {
-        let f = default_factories();
-        let mut attrs = HashMap::new();
-        attrs.insert("key".to_string(), "kind".to_string());
-        attrs.insert("value".to_string(), "move".to_string());
-        let mut p = f["FilterEquals"](&attrs).unwrap();
-        assert!(p.process(item(), &mut ctx()).unwrap().is_some());
-
-        let missing: HashMap<String, String> = HashMap::new();
-        assert!(f["FilterEquals"](&missing).is_err());
-        assert!(f["SelectKeys"](&missing).is_err());
-    }
-
-    #[test]
-    fn sample_keeps_every_kth() {
-        let mut p = Sample::new(3);
-        let kept: Vec<bool> =
-            (0..7).map(|_| p.process(item(), &mut ctx()).unwrap().is_some()).collect();
-        assert_eq!(kept, vec![true, false, false, true, false, false, true]);
-        // every=0 clamps to 1 (identity)
-        let mut p = Sample::new(0);
-        assert!(p.process(item(), &mut ctx()).unwrap().is_some());
-        assert!(p.process(item(), &mut ctx()).unwrap().is_some());
-    }
-
-    #[test]
-    fn aggregate_emits_batch_summaries() {
-        let mut p = Aggregate::new("delay", 3);
-        let mk = |d: f64| DataItem::new().with("delay", d);
-        assert!(p.process(mk(10.0), &mut ctx()).unwrap().is_none());
-        assert!(p.process(mk(20.0), &mut ctx()).unwrap().is_none());
-        let summary = p.process(mk(60.0), &mut ctx()).unwrap().unwrap();
-        assert_eq!(summary.get_f64("delay_avg"), Some(30.0));
-        assert_eq!(summary.get_f64("delay_min"), Some(10.0));
-        assert_eq!(summary.get_f64("delay_max"), Some(60.0));
-        assert_eq!(summary.get_i64("count"), Some(3));
-        // Tail flushes at finish.
-        assert!(p.process(mk(5.0), &mut ctx()).unwrap().is_none());
-        let trailing = p.finish(&mut ctx()).unwrap();
-        assert_eq!(trailing.len(), 1);
-        assert_eq!(trailing[0].get_i64("count"), Some(1));
-        // Nothing pending: finish is empty.
-        assert!(p.finish(&mut ctx()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn aggregate_ignores_items_without_key() {
-        let mut p = Aggregate::new("delay", 2);
-        assert!(p.process(DataItem::new().with("other", 1i64), &mut ctx()).unwrap().is_none());
-        assert!(p.finish(&mut ctx()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn sample_and_aggregate_factories() {
-        let f = default_factories();
-        let mut attrs = HashMap::new();
-        attrs.insert("every".to_string(), "2".to_string());
-        assert!(f["Sample"](&attrs).is_ok());
-        attrs.insert("every".to_string(), "x".to_string());
-        assert!(f["Sample"](&attrs).is_err());
-
-        let mut attrs = HashMap::new();
-        attrs.insert("key".to_string(), "flow".to_string());
-        attrs.insert("window".to_string(), "5".to_string());
-        assert!(f["Aggregate"](&attrs).is_ok());
-        attrs.remove("window");
-        assert!(f["Aggregate"](&attrs).is_err());
     }
 
     #[test]

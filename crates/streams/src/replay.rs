@@ -18,9 +18,9 @@
 //! output queue it owes items to is full, or its input is empty (but open)
 //! *and going idle produced nothing* — the quiescent moment of
 //! `Worker::on_idle`, the same transition a threaded worker makes before it
-//! parks. On a validated acyclic topology some process can always run; if
-//! ever none can, the scheduler reports [`StreamsError::ReplayDeadlock`]
-//! instead of hanging — which is also how a stage that holds finished output
+//! parks. On a validated (so acyclic) topology some process can always
+//! run; if ever none can, the scheduler reports
+//! [`StreamsError::ReplayDeadlock`] instead of hanging — which is also how a stage that holds finished output
 //! back while its source has "nothing yet" ([`Polled::Pending`]) shows up.
 //!
 //! [`Polled::Pending`]: crate::source::Polled::Pending

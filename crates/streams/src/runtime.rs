@@ -17,7 +17,8 @@
 //! to do parks on one doorbell that every queue rings on each publication,
 //! end and drain (a `spsc::Doorbell`). Every queue consumer is a
 //! pool worker, so the replay scheduler's argument — on an acyclic topology
-//! some worker can always move — is what keeps the pool live.
+//! some worker can always move — is what keeps the pool live
+//! ([`Topology::validate`] rejects a cycle through queues).
 //! End-of-stream propagates through queues as each producer closes its own
 //! ring, so the whole graph drains and terminates deterministically.
 //!
@@ -49,8 +50,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::Instant;
 
-/// Checkpoint cadence applied when [`FaultPolicy::Restart`] with
-/// `from_checkpoint` is armed but the process declares no explicit
+/// Checkpoint cadence applied when [`FaultPolicy::Restart`] is armed but
+/// the process declares no explicit
 /// [`checkpoint_every`](crate::topology::ProcessBuilder::checkpoint_every):
 /// the replay log is truncated only at barriers, so supervision without a
 /// cadence would retain every input for the life of the stream.
@@ -410,11 +411,10 @@ pub(crate) fn materialize(
             .collect();
         let mut factories = p.factories;
         factories.resize(p.processors.len(), None);
-        let log_inputs =
-            matches!(p.fault_policy, FaultPolicy::Restart { from_checkpoint: true, .. });
-        // From-checkpoint restart truncates the replay log only at barriers,
-        // so a zero cadence would let the log grow with the stream. Arm a
-        // default cadence rather than silently keeping every input alive.
+        let log_inputs = matches!(p.fault_policy, FaultPolicy::Restart { .. });
+        // Restart truncates the replay log only at barriers, so a zero
+        // cadence would let the log grow with the stream. Arm a default
+        // cadence rather than silently keeping every input alive.
         let checkpoint_every = if log_inputs && p.checkpoint_every == 0 {
             DEFAULT_RESTART_CADENCE
         } else {
@@ -540,8 +540,7 @@ pub(crate) struct Worker {
     /// Items consumed since the last barrier.
     since_ckpt: usize,
     /// Items consumed since the last barrier, kept for recovery replay
-    /// (clones are `Arc` bumps). Only populated under
-    /// `Restart { from_checkpoint: true }`.
+    /// (clones are `Arc` bumps). Only populated under `Restart`.
     replay_log: VecDeque<DataItem>,
     /// Lifetime restarts performed (bounded by `Restart::max`).
     restarts_done: usize,
@@ -823,15 +822,14 @@ impl Worker {
         Ok(())
     }
 
-    /// Rebuilds the whole chain from its factories and — under
-    /// `from_checkpoint` — restores the latest checkpoints and silently
-    /// replays the logged items. Their outputs were already emitted before
-    /// the fault and processors are deterministic, so the regenerated outputs
-    /// — all of them, however many a call produces — are discarded; what
-    /// matters is that the replayed state catches up to the exact pre-fault
-    /// position. A fault *during* replay escalates: the state can no longer
-    /// be trusted.
-    fn recover(&mut self, from_checkpoint: bool) -> Result<(), StreamsError> {
+    /// Rebuilds the whole chain from its factories, restores the latest
+    /// checkpoints and silently replays the logged items. Their outputs were
+    /// already emitted before the fault and processors are deterministic, so
+    /// the regenerated outputs — all of them, however many a call produces —
+    /// are discarded; what matters is that the replayed state catches up to
+    /// the exact pre-fault position. A fault *during* replay escalates: the
+    /// state can no longer be trusted.
+    fn recover(&mut self) -> Result<(), StreamsError> {
         for (i, factory) in self.factories.iter().enumerate() {
             match factory {
                 Some(make) => self.chain[i] = make(),
@@ -843,10 +841,6 @@ impl Worker {
                     })
                 }
             }
-        }
-        if !from_checkpoint {
-            self.replay_log.clear();
-            return Ok(());
         }
         for i in 0..self.chain.len() {
             let Some(cp) = self.store.latest(&self.name, i) else { continue };
@@ -998,14 +992,14 @@ impl Worker {
                 self.dead_letter(&queue, Some(i), entered, error);
                 Ok(())
             }
-            FaultPolicy::Restart { max, from_checkpoint } => {
+            FaultPolicy::Restart { max } => {
                 if self.restarts_done >= max {
                     return Err(error);
                 }
                 self.restarts_done += 1;
                 self.stage.restores.inc();
                 let started = Instant::now();
-                self.recover(from_checkpoint)?;
+                self.recover()?;
                 self.stage.recovery_ns.add(started.elapsed().as_nanos() as u64);
                 match self.entry_item.clone() {
                     // Recovery rebuilt the WHOLE chain to the state before

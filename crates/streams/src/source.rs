@@ -161,29 +161,6 @@ where
     }
 }
 
-/// A source backed by a generator closure; the closure returns `None` when
-/// exhausted.
-pub struct FnSource<F>(F);
-
-impl<F> FnSource<F>
-where
-    F: FnMut() -> Result<Option<DataItem>, StreamsError> + Send,
-{
-    /// Wraps the generator.
-    pub fn new(f: F) -> FnSource<F> {
-        FnSource(f)
-    }
-}
-
-impl<F> Source for FnSource<F>
-where
-    F: FnMut() -> Result<Option<DataItem>, StreamsError> + Send,
-{
-    fn next_item(&mut self) -> Result<Option<DataItem>, StreamsError> {
-        (self.0)()
-    }
-}
-
 /// A source reading one JSON object per line from any buffered reader
 /// (the file-based stream format of the original framework).
 pub struct JsonLinesSource<R: BufRead + Send> {
@@ -265,28 +242,18 @@ mod tests {
 
     #[test]
     fn default_next_batch_pulls_one_item() {
-        let mut n = 0i64;
-        let mut s = FnSource::new(move || {
-            n += 1;
-            Ok((n <= 3).then(|| DataItem::new().with("n", n)))
-        });
+        /// A live source: implements only `next_item`.
+        struct Counter(i64);
+        impl Source for Counter {
+            fn next_item(&mut self) -> Result<Option<DataItem>, StreamsError> {
+                self.0 += 1;
+                Ok((self.0 <= 3).then(|| DataItem::new().with("n", self.0)))
+            }
+        }
+        let mut s = Counter(0);
         let mut out = Vec::new();
         assert_eq!(s.next_batch(64, &mut out).unwrap(), 1, "live sources never batch");
         assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn fn_source_generates() {
-        let mut n = 0i64;
-        let mut s = FnSource::new(move || {
-            n += 1;
-            Ok((n <= 3).then(|| DataItem::new().with("n", n)))
-        });
-        let mut got = Vec::new();
-        while let Some(item) = s.next_item().unwrap() {
-            got.push(item.get_i64("n").unwrap());
-        }
-        assert_eq!(got, vec![1, 2, 3]);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub(crate) struct ProcessDef {
     /// (see [`ProcessBuilder::partition_hints`]).
     pub(crate) partition_hints: Vec<String>,
     /// One pre-instantiated processor chain per replica (filled by
-    /// [`ProcessBuilder::processor_factory`] / [`ProcessBuilder::replica_processors`]).
+    /// [`ProcessBuilder::processor_factory`]).
     pub(crate) replica_chains: Vec<Vec<Box<dyn Processor>>>,
     /// The process's part in a replicated stage, if any.
     pub(crate) role: Role,
@@ -120,9 +120,8 @@ impl Topology {
     }
 
     /// The topology-wide dead-letter queue. Processes whose fault policy is
-    /// [`FaultPolicy::DeadLetter`] (set via `.fault_policy(...)` or the
-    /// `fault-policy="dead-letter"` XML attribute) record into it; keep a
-    /// clone to inspect the records after the run.
+    /// [`FaultPolicy::DeadLetter`] record into it; keep a clone to inspect
+    /// the records after the run.
     pub fn dead_letters(&self) -> DeadLetterQueue {
         self.dead_letters.clone()
     }
@@ -165,7 +164,7 @@ impl Topology {
     }
 
     /// Structural validation: name uniqueness, endpoint existence,
-    /// single-consumer queues, no dangling queues.
+    /// single-consumer queues, no dangling queues, no cycle through queues.
     pub fn validate(&self) -> Result<(), StreamsError> {
         // Unique process names; source/queue namespaces are maps already.
         let mut names = HashSet::new();
@@ -240,6 +239,55 @@ impl Topology {
                 });
             }
         }
+        self.reject_cycles()
+    }
+
+    /// Rejects a cycle through queues. Both drivers' liveness rests on the
+    /// graph being acyclic: every queue drains toward a sink, so a full ring
+    /// always has a consumer that can make room (see [`crate::runtime`]).
+    fn reject_cycles(&self) -> Result<(), StreamsError> {
+        let consumer: HashMap<&str, usize> = self
+            .processes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| match &p.input {
+                Input::Queue(q) => Some((q.as_str(), i)),
+                Input::Stream(_) => None,
+            })
+            .collect();
+        let next = |i: usize| {
+            self.processes[i].outputs.iter().filter_map(|o| match o {
+                Output::Queue(q) => consumer.get(q.as_str()).copied(),
+                _ => None,
+            })
+        };
+        // Depth-first; a successor still on the path closes a cycle.
+        let mut done = vec![false; self.processes.len()];
+        for root in 0..self.processes.len() {
+            if done[root] {
+                continue;
+            }
+            let mut path = vec![(root, next(root))];
+            while let Some((i, succ)) = path.last_mut() {
+                let i = *i;
+                match succ.next() {
+                    Some(j) => {
+                        if let Some(at) = path.iter().position(|(k, _)| *k == j) {
+                            let processes =
+                                path[at..].iter().map(|(k, _)| self.processes[*k].name.clone());
+                            return Err(StreamsError::Cycle { processes: processes.collect() });
+                        }
+                        if !done[j] {
+                            path.push((j, next(j)));
+                        }
+                    }
+                    None => {
+                        done[i] = true;
+                        path.pop();
+                    }
+                }
+            }
+        }
         Ok(())
     }
 }
@@ -262,13 +310,6 @@ impl<'a> ProcessBuilder<'a> {
     /// Appends a processor to the chain.
     pub fn processor<P: Processor + 'static>(mut self, p: P) -> Self {
         self.def.processors.push(Box::new(p));
-        self.def.factories.push(None);
-        self
-    }
-
-    /// Appends an already boxed processor.
-    pub fn boxed_processor(mut self, p: Box<dyn Processor>) -> Self {
-        self.def.processors.push(p);
         self.def.factories.push(None);
         self
     }
@@ -371,31 +412,6 @@ impl<'a> ProcessBuilder<'a> {
         self
     }
 
-    /// Appends one pre-instantiated processor per replica (`instances.len()`
-    /// must equal the replica count). Used where a factory closure is
-    /// impractical — e.g. the XML compiler, whose processor factories are
-    /// borrowed — and by callers that build per-replica instances that differ
-    /// only in construction-time state.
-    ///
-    /// # Panics
-    /// Panics if `instances.len()` differs from the replica count.
-    pub fn replica_processors(mut self, instances: Vec<Box<dyn Processor>>) -> Self {
-        assert_eq!(
-            instances.len(),
-            self.def.replicas,
-            "process `{}`: one processor instance per replica",
-            self.def.name
-        );
-        if self.def.replica_chains.is_empty() {
-            self.def.replica_chains = (0..self.def.replicas).map(|_| Vec::new()).collect();
-        }
-        for (chain, p) in self.def.replica_chains.iter_mut().zip(instances) {
-            chain.push(p);
-        }
-        self.def.factories.push(None);
-        self
-    }
-
     /// Sets the transfer batch size (default 1). A process with batch size
     /// `n > 1` drains up to `n` items from its input queue per lock
     /// acquisition and forwards survivors to queue outputs in one batched
@@ -411,7 +427,7 @@ impl<'a> ProcessBuilder<'a> {
     /// snapshots each [`crate::checkpoint::Checkpointable`] chain slot into
     /// the topology's [`CheckpointStore`], together with the input-edge
     /// position, and truncates the recovery replay log. `0` (the default)
-    /// disables barriers — unless `Restart { from_checkpoint: true }` is
+    /// disables barriers — unless `Restart` is
     /// armed, in which case the runtime substitutes
     /// [`DEFAULT_RESTART_CADENCE`](crate::runtime::DEFAULT_RESTART_CADENCE)
     /// so the replay log stays bounded. In a replicated stage each shard
@@ -436,6 +452,7 @@ impl<'a> ProcessBuilder<'a> {
 mod tests {
     use super::*;
     use crate::item::DataItem;
+    use crate::runtime::Runtime;
     use crate::sink::NullSink;
     use crate::source::VecSource;
 
@@ -519,6 +536,51 @@ mod tests {
         t.process("a").input(Input::Stream("in".into())).output(Output::Discard).done();
         t.process("b").input(Input::Stream("in".into())).output(Output::Discard).done();
         assert!(matches!(t.validate(), Err(StreamsError::MultipleConsumers { .. })));
+    }
+
+    #[test]
+    fn cycle_through_queues_rejected_naming_its_processes() {
+        // a: q1 → q2, b: q2 → q1, fed by nothing but each other.
+        let mut t = Topology::new();
+        t.add_queue("q1", 8);
+        t.add_queue("q2", 8);
+        t.process("a").input(Input::Queue("q1".into())).output(Output::Queue("q2".into())).done();
+        t.process("b").input(Input::Queue("q2".into())).output(Output::Queue("q1".into())).done();
+        let err = t.validate().unwrap_err();
+        assert_eq!(err, StreamsError::Cycle { processes: vec!["a".into(), "b".into()] });
+        assert!(err.to_string().contains("a → b → a"), "{err}");
+        let err = Runtime::new(t).run().unwrap_err();
+        assert!(matches!(err, StreamsError::Cycle { .. }), "the runtime refuses to start: {err}");
+
+        // A source-fed stage feeding a loop of two; the loop alone is named.
+        let mut t = Topology::new();
+        t.add_source("in", items(1));
+        for q in ["q0", "q1", "q2"] {
+            t.add_queue(q, 8);
+        }
+        t.process("feed")
+            .input(Input::Stream("in".into()))
+            .output(Output::Queue("q0".into()))
+            .done();
+        t.process("join")
+            .input(Input::Queue("q0".into()))
+            .output(Output::Queue("q1".into()))
+            .done();
+        t.process("back")
+            .input(Input::Queue("q1".into()))
+            .output(Output::Queue("q0".into()))
+            .output(Output::Discard)
+            .done();
+        let err = t.validate().unwrap_err();
+        assert_eq!(err, StreamsError::Cycle { processes: vec!["join".into(), "back".into()] });
+
+        // A self-loop.
+        let mut t = Topology::new();
+        t.add_source("in", items(1));
+        t.add_queue("q", 8);
+        t.process("p").input(Input::Queue("q".into())).output(Output::Queue("q".into())).done();
+        let err = t.validate().unwrap_err();
+        assert_eq!(err, StreamsError::Cycle { processes: vec!["p".into()] });
     }
 
     #[test]

@@ -34,7 +34,6 @@ fn arb_cfg() -> impl Strategy<Value = ChaosConfig> {
             delay_rate,
             delay_max,
             corrupt_rate,
-            ..ChaosConfig::default()
         },
     )
 }
@@ -57,8 +56,6 @@ proptest! {
             n,
             stats.delayed.get(),
         );
-        // Stream-level chaos never touches the injector-only counters.
-        prop_assert_eq!(stats.errors.get() + stats.panics.get(), 0);
         // Delayed items are all eventually released: the end-of-stream flush
         // leaves nothing held back.
         prop_assert!(stats.delayed.get() <= n as u64 + stats.duplicated.get());

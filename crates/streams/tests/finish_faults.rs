@@ -290,18 +290,15 @@ fn dead_letter_records_the_slot_without_an_item() {
 #[test]
 fn restart_rebuilds_the_chain_and_calls_finish_again() {
     for panics in [false, true] {
-        // From the checkpoint: the barrier at item 4 plus the replayed fifth
-        // item bring the rebuilt sum back to 15 before `finish` re-runs.
+        // The barrier at item 4 plus the replayed fifth item bring the
+        // rebuilt sum back to 15 before `finish` re-runs.
         let expected = Outcome {
             sink: with_total(15),
             result: stats(6),
             counters: counters(1, panics, 0, 0, 1),
             dead: Vec::new(),
         };
-        check(FaultPolicy::Restart { max: 1, from_checkpoint: true }, 1, panics, &expected);
-        // Fresh: factory state only, so the flush reports an empty sum.
-        let expected = Outcome { sink: with_total(0), ..expected };
-        check(FaultPolicy::Restart { max: 1, from_checkpoint: false }, 1, panics, &expected);
+        check(FaultPolicy::Restart { max: 1 }, 1, panics, &expected);
     }
 }
 
@@ -318,6 +315,6 @@ fn restart_escalates_once_the_budget_is_spent() {
             counters: counters(2, panics, 0, 0, 1),
             dead: Vec::new(),
         };
-        check(FaultPolicy::Restart { max: 1, from_checkpoint: true }, 2, panics, &expected);
+        check(FaultPolicy::Restart { max: 1 }, 2, panics, &expected);
     }
 }

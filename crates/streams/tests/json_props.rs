@@ -6,9 +6,17 @@
 //! formatting. Serialization must also be stable — re-serializing the
 //! parsed item reproduces the bytes — and malformed input must be rejected,
 //! not silently coerced.
+//!
+//! The mutation fuzz at the end feeds damaged lines to both readers built
+//! on the scanner (`DataItem::from_json`, `StateBlob::from_json`); its
+//! corpus and mutations follow `CONFORMANCE_SEED`, like the conformance
+//! suites.
 
+use insight_streams::checkpoint::StateBlob;
 use insight_streams::item::{DataItem, Value};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng, StdRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Fixed key pool (the interner is process-global and permanent; arbitrary
 /// keys would grow it per proptest case). Escape-heavy *keys* are covered
@@ -107,7 +115,124 @@ fn malformed_documents_rejected() {
         "{\"a\":nul}",
         "[1,2]",
         "{\"a\":1 \"b\":2}",
+        // Each of these parsed before, into something else or something the
+        // writer cannot write back.
+        "{\"a\":1e999}",
+        "{\"a\":\"\\u+041\"}",
+        "{\"a\":01}",
+        "{\"a\":1.}",
+        "{\"a\":-}",
+        "{\"a\":-01}",
+        "{\"a\":1.e5}",
+        "{\"a\":1e+}",
+        "{\"a\":-.5}",
+        "{\"a\":\"\\u-041\"}",
     ] {
         assert!(DataItem::from_json(bad).is_err(), "accepted malformed input: {bad:?}");
     }
+}
+
+/// What a byte flip writes: JSON's structural and number bytes, a NUL and a
+/// byte that is never valid UTF-8.
+const FLIPS: &[u8] = b"0123456789.eE+-\"\\{}:,untf \x00\xff";
+
+/// What a mutation splices in: digit runs, exponents (overflowing, bare,
+/// signed) and `\u` escapes (valid, signed, short, lone surrogates).
+const EXPONENTS: [&str; 8] = ["e999", "E+999", "e-999", "e308", "e", "e+", ".", ".e1"];
+const ESCAPES: [&str; 9] = [
+    "\\u0041",
+    "\\u+041",
+    "\\u-041",
+    "\\u12",
+    "\\uZZZZ",
+    "\\ud800",
+    "\\udc00",
+    "\\ud83d\\ude8c",
+    "\\",
+];
+
+/// A valid line drawn from `rng`: a few keys with ints, floats, strings with
+/// escapes, booleans and nulls.
+fn valid_line(rng: &mut StdRng) -> String {
+    let mut item = DataItem::new();
+    for _ in 0..rng.random_range(1..5usize) {
+        let key = KEYS[rng.random_range(0..KEYS.len())];
+        let value = match rng.random_range(0..6u32) {
+            0 => Value::Int(rng.random_range(-1_000_000..1_000_000i64)),
+            1 => Value::Int(rng.random::<u64>() as i64),
+            2 => Value::Float((rng.random::<f64>() - 0.5) * 10f64.powi(rng.random_range(-30..30))),
+            3 => Value::from(
+                ["bus", "q\"uote", "new\nline", "é\u{1F68C}", "\u{1}"][rng.random_range(0..5usize)],
+            ),
+            4 => Value::Bool(rng.random_bool(0.5)),
+            _ => Value::Null,
+        };
+        item.set(key, value);
+    }
+    item.to_json()
+}
+
+/// Damages `line` one to three times.
+fn mutate(line: &str, rng: &mut StdRng) -> Vec<u8> {
+    let mut bytes = line.as_bytes().to_vec();
+    for _ in 0..rng.random_range(1..4usize) {
+        let at = rng.random_range(0..=bytes.len());
+        let splice: Vec<u8> = match rng.random_range(0..5u32) {
+            0 => {
+                if at < bytes.len() {
+                    bytes[at] = FLIPS[rng.random_range(0..FLIPS.len())];
+                }
+                continue;
+            }
+            1 => {
+                bytes.truncate(at);
+                continue;
+            }
+            2 => (0..rng.random_range(1..25usize))
+                .map(|_| b'0' + rng.random_range(0..10u8))
+                .collect(),
+            3 => EXPONENTS[rng.random_range(0..EXPONENTS.len())].into(),
+            _ => ESCAPES[rng.random_range(0..ESCAPES.len())].into(),
+        };
+        // Splices land after a digit or inside a string more often than not.
+        let at = match bytes[..at].iter().rposition(|b| b.is_ascii_digit() || *b == b'"') {
+            Some(i) if rng.random_bool(0.7) => i + 1,
+            _ => at,
+        };
+        bytes.splice(at..at, splice);
+    }
+    bytes
+}
+
+/// Damaged lines never panic either reader, and whatever a reader accepts
+/// it writes back as a line that parses to the same value.
+#[test]
+fn mutated_lines_never_panic_and_accepted_ones_round_trip() {
+    let seed: u64 =
+        std::env::var("CONFORMANCE_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
+    let mut rng = StdRng::seed_from_u64(0x6a73_6f6e ^ seed);
+    let mut accepted = 0;
+    for case in 0..4000 {
+        let bytes = mutate(&valid_line(&mut rng), &mut rng);
+        let line = String::from_utf8_lossy(&bytes);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            (DataItem::from_json(&line).ok(), StateBlob::from_json(&line).ok())
+        }));
+        let Ok((item, blob)) = outcome else {
+            panic!("case {case} (seed {seed}): a reader panicked on {line:?}");
+        };
+        if let Some(item) = item {
+            accepted += 1;
+            let json = item.to_json();
+            let back = DataItem::from_json(&json);
+            assert_eq!(back.as_ref().ok(), Some(&item), "case {case}: {line:?} wrote {json:?}");
+        }
+        if let Some(blob) = blob {
+            let json = blob.to_json();
+            let back = StateBlob::from_json(&json);
+            assert_eq!(back.as_ref().ok(), Some(&blob), "case {case}: {line:?} wrote {json:?}");
+        }
+    }
+    // The damage is not so heavy that every line is refused.
+    assert!(accepted > 100, "only {accepted} of 4000 mutated lines parsed");
 }

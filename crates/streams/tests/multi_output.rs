@@ -311,7 +311,7 @@ fn killed_fan_run(replicas: usize, kill_at: u64, replay: Option<u64>) -> (Vec<(i
         .input(Input::Stream("in".into()))
         .replicas(replicas)
         .partition_by(["key"])
-        .fault_policy(FaultPolicy::Restart { max: 2, from_checkpoint: true })
+        .fault_policy(FaultPolicy::Restart { max: 2 })
         .checkpoint_every(4)
         .processor_factory(|| Box::new(NumberedFan { next: 0 }))
         .processor_factory(move || Box::new(KillAt::with_switch(kill_at, kill.clone())))

@@ -113,13 +113,7 @@ fn restart_recovers_a_kill_and_matches_the_kill_free_run() {
     for kill_at in [1u64, 10, 39] {
         let switch = KillSwitch::new();
         let sink = CollectSink::shared();
-        let t = killable_topology(
-            kill_at,
-            &switch,
-            1,
-            FaultPolicy::Restart { max: 1, from_checkpoint: true },
-            &sink,
-        );
+        let t = killable_topology(kill_at, &switch, 1, FaultPolicy::Restart { max: 1 }, &sink);
         let rt = Runtime::new(t);
         let metrics = rt.metrics();
         rt.run().unwrap();
@@ -138,13 +132,7 @@ fn restart_replays_the_logged_suffix_at_coarse_cadence() {
     // item re-runs.
     let switch = KillSwitch::new();
     let sink = CollectSink::shared();
-    let t = killable_topology(
-        14,
-        &switch,
-        8,
-        FaultPolicy::Restart { max: 1, from_checkpoint: true },
-        &sink,
-    );
+    let t = killable_topology(14, &switch, 8, FaultPolicy::Restart { max: 1 }, &sink);
     let rt = Runtime::new(t);
     let metrics = rt.metrics();
     rt.run().unwrap();
@@ -162,13 +150,7 @@ fn restart_recovery_is_deterministic_under_the_replay_scheduler() {
     for seed in [0u64, 77, 777] {
         let switch = KillSwitch::new();
         let sink = CollectSink::shared();
-        let t = killable_topology(
-            10,
-            &switch,
-            4,
-            FaultPolicy::Restart { max: 1, from_checkpoint: true },
-            &sink,
-        );
+        let t = killable_topology(10, &switch, 4, FaultPolicy::Restart { max: 1 }, &sink);
         ReplayRuntime::new(t, seed).run().unwrap();
         assert!(switch.fired(), "seed={seed}");
         assert_eq!(totals(&sink), expected, "seed={seed}: recovered output diverged");
@@ -181,13 +163,7 @@ fn restart_budget_exhaustion_escalates_the_fault() {
     // and the run surfaces the fault instead of wedging.
     let switch = KillSwitch::new();
     let sink = CollectSink::shared();
-    let t = killable_topology(
-        10,
-        &switch,
-        1,
-        FaultPolicy::Restart { max: 0, from_checkpoint: true },
-        &sink,
-    );
+    let t = killable_topology(10, &switch, 1, FaultPolicy::Restart { max: 0 }, &sink);
     let err = Runtime::new(t).run().unwrap_err();
     assert!(
         err.to_string().contains("injected kill"),
@@ -214,7 +190,7 @@ fn restart_recovers_a_killed_replica_in_a_sharded_stage() {
             .processor_factory(move || Box::new(KillAt::with_switch(kill_at, kill_switch.clone())))
             .processor_factory(|| Box::<PrefixSum>::default())
             .checkpoint_every(1)
-            .fault_policy(FaultPolicy::Restart { max: 2, from_checkpoint: true })
+            .fault_policy(FaultPolicy::Restart { max: 2 })
             .output(Output::Queue("out".into()))
             .done();
         t.process("collect")
@@ -262,7 +238,7 @@ fn restart_without_a_cadence_gets_the_default_and_bounds_the_log() {
         .processor_factory(move || Box::new(KillAt::with_switch(2100, kill_switch.clone())))
         .processor_factory(|| Box::<PrefixSum>::default())
         // No .checkpoint_every(..): the default cadence must engage.
-        .fault_policy(FaultPolicy::Restart { max: 1, from_checkpoint: true })
+        .fault_policy(FaultPolicy::Restart { max: 1 })
         .output(Output::Queue("out".into()))
         .done();
     t.process("collect")

@@ -1,12 +1,9 @@
 //! Integration: file-backed Streams sources and sinks (the original
-//! framework's file streams), including the Aggregate processor performing
-//! the paper's "sensor readings are aggregated within fixed time intervals"
-//! step as a topology.
+//! framework's file streams).
 
 use insight_repro::core::items::sde_to_item;
 use insight_repro::datagen::scenario::{Scenario, ScenarioConfig};
 use insight_repro::streams::item::DataItem;
-use insight_repro::streams::processor::{Aggregate, FilterEquals};
 use insight_repro::streams::runtime::Runtime;
 use insight_repro::streams::sink::{CollectSink, JsonLinesSink};
 use insight_repro::streams::source::{JsonLinesSource, VecSource};
@@ -50,41 +47,6 @@ fn json_lines_roundtrip_through_files() {
 
     assert_eq!(sink.items(), items, "items survive the file roundtrip exactly");
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn aggregate_topology_summarises_scats_flow() {
-    let scenario = Scenario::generate(ScenarioConfig::small(1800, 42)).unwrap();
-    let items: Vec<DataItem> = scenario.sdes.iter().map(sde_to_item).collect();
-    let n_scats = scenario.sdes.iter().filter(|s| !s.is_bus()).count();
-    assert!(n_scats > 10);
-
-    let mut t = Topology::new();
-    t.add_source("sde", VecSource::new(items));
-    t.add_queue("scats", 2048);
-    t.process("filter")
-        .input(Input::Stream("sde".into()))
-        .processor(FilterEquals::new("kind", "scats"))
-        .output(Output::Queue("scats".into()))
-        .done();
-    let sink = CollectSink::shared();
-    t.process("aggregate")
-        .input(Input::Queue("scats".into()))
-        .processor(Aggregate::new("flow", 10))
-        .output(Output::Sink(Box::new(sink.clone())))
-        .done();
-    Runtime::new(t).run().unwrap();
-
-    let summaries = sink.items();
-    // ceil(n/10) summaries including the finish() tail.
-    assert_eq!(summaries.len(), n_scats.div_ceil(10));
-    for s in &summaries {
-        let avg = s.get_f64("flow_avg").expect("summary has avg");
-        let min = s.get_f64("flow_min").unwrap();
-        let max = s.get_f64("flow_max").unwrap();
-        assert!(min <= avg && avg <= max);
-        assert!(s.get_i64("count").unwrap() >= 1);
-    }
 }
 
 #[test]
