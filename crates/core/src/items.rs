@@ -7,40 +7,56 @@
 
 use insight_datagen::scenario::Scenario;
 use insight_datagen::stream::{BusRecord, ScatsRecord, Sde, SdeBody};
-use insight_streams::item::DataItem;
+use insight_streams::intern::Key;
+use insight_streams::item::{DataItem, Value};
 
 /// Item key holding the SDE kind (`"bus"` / `"scats"`).
 pub const KIND: &str = "kind";
 
 /// Converts a scenario SDE into a data item.
+///
+/// The pairs are listed in key order, so the item is built in place with
+/// each attribute appended, and costs one allocation. `name()` is a static
+/// string short enough to stay inline in the value, so region tagging does
+/// not allocate.
 pub fn sde_to_item(sde: &Sde) -> DataItem {
-    // `name()` is a static string short enough to stay inline in the value,
-    // so region tagging does not allocate.
-    let base = DataItem::new()
-        .with("time", sde.time)
-        .with("arrival", sde.arrival)
-        .with("region", sde.region().name());
+    let time = Value::Int(sde.time);
+    let arrival = Value::Int(sde.arrival);
+    let region = Value::from(sde.region().name());
     match &sde.body {
-        SdeBody::Bus(b) => base
-            .with(KIND, "bus")
-            .with("bus", b.bus as i64)
-            .with("line", b.line as i64)
-            .with("operator", b.operator as i64)
-            .with("delay", b.delay_s)
-            .with("lon", b.lon)
-            .with("lat", b.lat)
-            .with("direction", b.direction as i64)
-            .with("congestion", b.congestion),
-        SdeBody::Scats(s) => base
-            .with(KIND, "scats")
-            .with("intersection", s.intersection as i64)
-            .with("approach", s.approach as i64)
-            .with("sensor", s.sensor as i64)
-            .with("density", s.density)
-            .with("flow", s.flow)
-            .with("lon", s.lon)
-            .with("lat", s.lat),
+        SdeBody::Bus(b) => item_of([
+            ("arrival", arrival),
+            ("bus", Value::Int(b.bus.into())),
+            ("congestion", Value::Bool(b.congestion)),
+            ("delay", Value::Int(b.delay_s)),
+            ("direction", Value::Int(b.direction.into())),
+            (KIND, Value::from("bus")),
+            ("lat", Value::Float(b.lat)),
+            ("line", Value::Int(b.line.into())),
+            ("lon", Value::Float(b.lon)),
+            ("operator", Value::Int(b.operator.into())),
+            ("region", region),
+            ("time", time),
+        ]),
+        SdeBody::Scats(s) => item_of([
+            ("approach", Value::Int(s.approach.into())),
+            ("arrival", arrival),
+            ("density", Value::Float(s.density)),
+            ("flow", Value::Float(s.flow)),
+            ("intersection", Value::Int(s.intersection.into())),
+            (KIND, Value::from("scats")),
+            ("lat", Value::Float(s.lat)),
+            ("lon", Value::Float(s.lon)),
+            ("region", region),
+            ("sensor", Value::Int(s.sensor.into())),
+            ("time", time),
+        ]),
     }
+}
+
+/// The item holding `pairs`; listed in key order, each one appends.
+fn item_of<const N: usize>(pairs: [(&str, Value); N]) -> DataItem {
+    pairs.into_iter().map(|(key, value)| (Key::new(key), value)).collect()
 }
 
 /// The pre-built per-feed item vectors of the §3 input-handling processes:
@@ -69,29 +85,79 @@ pub fn feed_items(scenario: &Scenario) -> FeedItems {
     FeedItems { bus, scats }
 }
 
-/// Parses a data item back into an SDE; `None` when the schema is violated.
+/// The attributes either SDE schema reads, gathered in one pass.
+#[derive(Default)]
+struct SdeFields<'a> {
+    time: Option<&'a Value>,
+    arrival: Option<&'a Value>,
+    kind: Option<&'a Value>,
+    bus: Option<&'a Value>,
+    line: Option<&'a Value>,
+    operator: Option<&'a Value>,
+    delay: Option<&'a Value>,
+    direction: Option<&'a Value>,
+    congestion: Option<&'a Value>,
+    intersection: Option<&'a Value>,
+    approach: Option<&'a Value>,
+    sensor: Option<&'a Value>,
+    density: Option<&'a Value>,
+    flow: Option<&'a Value>,
+    lon: Option<&'a Value>,
+    lat: Option<&'a Value>,
+}
+
+/// Parses a data item back into an SDE; `None` when the schema is violated:
+/// an attribute the SDE's kind needs is missing or has another type (an
+/// integer is read as a float where a float is needed). Other attributes are
+/// ignored. The item is read in one pass over its attributes, not by one
+/// lookup per field.
 pub fn item_to_sde(item: &DataItem) -> Option<Sde> {
-    let time = item.get_i64("time")?;
-    let arrival = item.get_i64("arrival")?;
-    let body = match item.get_str(KIND)? {
+    let mut f = SdeFields::default();
+    for (key, value) in item.iter() {
+        let slot = match key {
+            "time" => &mut f.time,
+            "arrival" => &mut f.arrival,
+            KIND => &mut f.kind,
+            "bus" => &mut f.bus,
+            "line" => &mut f.line,
+            "operator" => &mut f.operator,
+            "delay" => &mut f.delay,
+            "direction" => &mut f.direction,
+            "congestion" => &mut f.congestion,
+            "intersection" => &mut f.intersection,
+            "approach" => &mut f.approach,
+            "sensor" => &mut f.sensor,
+            "density" => &mut f.density,
+            "flow" => &mut f.flow,
+            "lon" => &mut f.lon,
+            "lat" => &mut f.lat,
+            _ => continue,
+        };
+        *slot = Some(value);
+    }
+    let int = |v: Option<&Value>| v.and_then(Value::as_i64);
+    let float = |v: Option<&Value>| v.and_then(Value::as_f64);
+    let time = int(f.time)?;
+    let arrival = int(f.arrival)?;
+    let body = match f.kind.and_then(Value::as_str)? {
         "bus" => SdeBody::Bus(BusRecord {
-            bus: item.get_i64("bus")? as u32,
-            line: item.get_i64("line")? as u32,
-            operator: item.get_i64("operator")? as u32,
-            delay_s: item.get_i64("delay")?,
-            lon: item.get_f64("lon")?,
-            lat: item.get_f64("lat")?,
-            direction: item.get_i64("direction")? as u8,
-            congestion: item.get_bool("congestion")?,
+            bus: int(f.bus)? as u32,
+            line: int(f.line)? as u32,
+            operator: int(f.operator)? as u32,
+            delay_s: int(f.delay)?,
+            lon: float(f.lon)?,
+            lat: float(f.lat)?,
+            direction: int(f.direction)? as u8,
+            congestion: f.congestion.and_then(Value::as_bool)?,
         }),
         "scats" => SdeBody::Scats(ScatsRecord {
-            intersection: item.get_i64("intersection")? as u32,
-            approach: item.get_i64("approach")? as u8,
-            sensor: item.get_i64("sensor")? as u32,
-            density: item.get_f64("density")?,
-            flow: item.get_f64("flow")?,
-            lon: item.get_f64("lon")?,
-            lat: item.get_f64("lat")?,
+            intersection: int(f.intersection)? as u32,
+            approach: int(f.approach)? as u8,
+            sensor: int(f.sensor)? as u32,
+            density: float(f.density)?,
+            flow: float(f.flow)?,
+            lon: float(f.lon)?,
+            lat: float(f.lat)?,
         }),
         _ => return None,
     };

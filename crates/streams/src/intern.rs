@@ -13,14 +13,22 @@
 //! pointer-equality fast path.
 //!
 //! Unlike `Symbol`, which stores a `u32` index and takes the interner lock on
-//! every `as_str`, a `Key` resolves to its text for free; the lock is touched
-//! only when *creating* a key from text. Lookups by plain `&str` (via
+//! every `as_str`, a `Key` resolves to its text for free. *Creating* a key
+//! from text is the per-attribute cost of ingest: the JSON scanner calls
+//! [`Key::new`] once per attribute of every line, on every source thread.
+//! Each thread therefore keeps a small front cache of the keys it has
+//! already resolved (an FNV-hashed map of at most `FRONT_KEYS` entries,
+//! emptied when full, so its size is fixed), and a hit reads only that
+//! thread's memory. Only a miss takes the global `RwLock`, whose arena stays
+//! the one place keys are created: the cache holds arena pointers, so
+//! pointer equality still means text equality. Lookups by plain `&str` (via
 //! [`Borrow`]) never touch the interner at all.
 
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{OnceLock, RwLock};
 
 /// An interned attribute key. Two keys are equal iff they intern the same
@@ -41,7 +49,7 @@ impl Default for Fnv {
     }
 }
 
-impl std::hash::Hasher for Fnv {
+impl Hasher for Fnv {
     fn finish(&self) -> u64 {
         self.0
     }
@@ -61,6 +69,34 @@ fn interner() -> &'static RwLock<Interner> {
     INTERNER.get_or_init(|| RwLock::new(Interner::default()))
 }
 
+/// Keys each thread's front cache holds before it is emptied: a vocabulary
+/// wider than this costs lock round trips, not memory.
+const FRONT_KEYS: usize = 32;
+
+thread_local! {
+    /// This thread's resolved keys, text → arena pointer.
+    static FRONT: RefCell<Interner> = RefCell::new(Interner::default());
+}
+
+/// The arena's copy of `text`, created on first use.
+fn intern_global(text: &str) -> &'static str {
+    {
+        let guard = interner().read().expect("interner lock poisoned");
+        if let Some(&stored) = guard.get(text) {
+            return stored;
+        }
+    }
+    let mut guard = interner().write().expect("interner lock poisoned");
+    if let Some(&stored) = guard.get(text) {
+        return stored;
+    }
+    // The arena is process-global and append-only, so leaking each
+    // distinct string once makes every key a plain pointer.
+    let stored: &'static str = Box::leak(text.into());
+    guard.insert(stored, stored);
+    stored
+}
+
 impl Key {
     /// Interns `text` and returns its key.
     ///
@@ -73,21 +109,20 @@ impl Key {
     /// pipelines — every distinct string grows the arena forever; such data
     /// belongs in [`Value`](crate::item::Value)s, not keys.
     pub fn new(text: &str) -> Key {
-        {
-            let guard = interner().read().expect("interner lock poisoned");
-            if let Some(&stored) = guard.get(text) {
+        FRONT.with(|front| {
+            let mut front = front.borrow_mut();
+            if let Some(&stored) = front.get(text) {
                 return Key(stored);
             }
-        }
-        let mut guard = interner().write().expect("interner lock poisoned");
-        if let Some(&stored) = guard.get(text) {
-            return Key(stored);
-        }
-        // The arena is process-global and append-only, so leaking each
-        // distinct string once makes every key a plain pointer.
-        let stored: &'static str = Box::leak(text.into());
-        guard.insert(stored, stored);
-        Key(stored)
+            let stored = intern_global(text);
+            // `clear` keeps the table's capacity, so refilling it allocates
+            // nothing.
+            if front.len() == FRONT_KEYS {
+                front.clear();
+            }
+            front.insert(stored, stored);
+            Key(stored)
+        })
     }
 
     /// Returns the interned text, borrowed from the intern arena.
@@ -206,6 +241,55 @@ mod tests {
         let map: BTreeMap<Key, i64> = [(Key::new("bus"), 1), (Key::new("line"), 2)].into();
         assert_eq!(map.get("bus"), Some(&1));
         assert_eq!(map.get("nope"), None);
+    }
+
+    #[test]
+    fn threads_interning_the_same_texts_get_the_same_pointers() {
+        let texts: Vec<String> = (0..1000).map(|i| format!("shared-{i}")).collect();
+        let start = std::sync::Barrier::new(4);
+        let per_thread: Vec<Vec<&'static str>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        // Twice: the second round is served by this thread's
+                        // front cache where the first filled it.
+                        let first: Vec<&'static str> =
+                            texts.iter().map(|t| Key::new(t).as_str()).collect();
+                        for (t, k) in texts.iter().zip(&first) {
+                            assert!(std::ptr::eq(Key::new(t).as_str(), *k));
+                        }
+                        first
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("interning thread")).collect()
+        });
+        for (i, text) in texts.iter().enumerate() {
+            let canonical = Key::new(text).as_str();
+            assert_eq!(canonical, text);
+            for keys in &per_thread {
+                assert!(std::ptr::eq(keys[i], canonical), "{text} has two arena copies");
+            }
+        }
+    }
+
+    #[test]
+    fn front_cache_stays_within_its_bound() {
+        std::thread::spawn(|| {
+            let first = Key::new("distinct-0");
+            for i in 0..10_000 {
+                let text = format!("distinct-{i}");
+                assert_eq!(Key::new(&text).as_str(), text);
+                let len = FRONT.with(|f| f.borrow().len());
+                assert!(len <= FRONT_KEYS, "front cache holds {len} keys");
+            }
+            // A key resolved again after the cache was emptied is the same
+            // arena pointer.
+            assert!(std::ptr::eq(first.as_str(), Key::new("distinct-0").as_str()));
+        })
+        .join()
+        .expect("interning thread");
     }
 
     #[test]

@@ -20,6 +20,14 @@
 //! heap allocation to build (the shared `Arc` below) and zero to clone,
 //! look up, or deep-copy.
 //!
+//! Per-attribute work is kept to the attribute itself. Inserting a key that
+//! sorts after every present one appends without a search — the JSON writer
+//! emits keys in that order, so parsing a written line never searches, and
+//! neither does collecting pairs listed in key order. The parser and
+//! `FromIterator` fill a local map and wrap it in the `Arc` once, where a
+//! chain of [`DataItem::with`] calls goes through copy-on-write per
+//! attribute (one uniqueness check each).
+//!
 //! The attribute map sits behind an [`Arc`] with copy-on-write mutation:
 //! `clone()` is a reference-count bump, and the map is deep-copied only when
 //! a *shared* item is mutated ([`Arc::make_mut`]). Fan-out broadcasts,
@@ -333,8 +341,19 @@ impl AttrMap {
         self.as_slice().is_empty()
     }
 
+    /// Inserts or replaces. A key that sorts after every present one — the
+    /// case of a line the writer produced, or of pairs built in key order —
+    /// appends without a search.
     pub(crate) fn insert(&mut self, key: Key, value: Value) {
-        match self.search(key.as_str()) {
+        let found = match self.as_slice().last() {
+            None => Err(0),
+            Some((last, _)) => match last.cmp(&key) {
+                std::cmp::Ordering::Less => Err(self.len()),
+                std::cmp::Ordering::Equal => Ok(self.len() - 1),
+                std::cmp::Ordering::Greater => self.search(key.as_str()),
+            },
+        };
+        match found {
             Ok(i) => self.as_mut_slice()[i].1 = value,
             Err(i) => self.insert_at(i, key, value),
         }
@@ -481,10 +500,16 @@ impl DataItem {
     /// copies nothing, so it is initialisation rather than a deep copy and
     /// is not counted.
     fn attrs_mut(&mut self) -> &mut AttrMap {
-        if Arc::get_mut(&mut self.attrs).is_none() && !self.attrs.is_empty() {
+        // One uniqueness check: `make_mut` copies exactly when the map moves.
+        // (It also moves an unshared map that has `Weak` handles; items never
+        // make one.)
+        let before = Arc::as_ptr(&self.attrs);
+        let copied_any = !self.attrs.is_empty();
+        let attrs = Arc::make_mut(&mut self.attrs);
+        if copied_any && !std::ptr::eq(before, attrs) {
             DEEP_COPIES.fetch_add(1, Ordering::Relaxed);
         }
-        Arc::make_mut(&mut self.attrs)
+        attrs
     }
 
     /// Process-wide number of attribute-map deep copies performed so far:
@@ -494,6 +519,11 @@ impl DataItem {
     /// mutations, empty-map detaches and `clone()` itself never count.
     pub fn deep_copies() -> u64 {
         DEEP_COPIES.load(Ordering::Relaxed)
+    }
+
+    /// An item owning `attrs`: the one allocation of an item built in place.
+    pub(crate) fn from_attrs(attrs: AttrMap) -> DataItem {
+        DataItem { attrs: Arc::new(attrs), stamp: Stamp::None }
     }
 
     /// Builder-style attribute insertion.
@@ -584,7 +614,9 @@ impl DataItem {
 
     /// Serialises the item as one JSON object line.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64);
+        // Room for a feed SDE's line (12 attributes, ≈ 180 bytes) in the
+        // first allocation: growing from a small buffer reallocates twice.
+        let mut out = String::with_capacity(2 + 24 * self.len());
         self.to_json_into(&mut out);
         out
     }
@@ -627,7 +659,7 @@ impl FromIterator<(Key, Value)> for DataItem {
         for (k, v) in iter {
             map.insert(k, v);
         }
-        DataItem { attrs: Arc::new(map), stamp: Stamp::None }
+        DataItem::from_attrs(map)
     }
 }
 

@@ -10,40 +10,49 @@
 //! numbers that fit an `i64` or a finite `f64`, and `\u` escapes of four hex
 //! digits.
 //!
-//! Both directions avoid per-field heap traffic. The writer *appends* into a
-//! caller-owned buffer (clean string runs are copied as slices, numbers are
-//! formatted straight into the buffer), so serialising into a reused buffer
-//! allocates nothing once the buffer has grown to the line length. The
-//! parser is a byte-slice scanner that hands out **borrowed** slices of the
-//! input wherever no escape sequence intervenes ([`Cow::Borrowed`]), which
-//! [`parse_item`] turns into interned keys and inline small-strings without
-//! ever materialising an intermediate `String`.
+//! Both directions work per item, not per attribute, wherever they can. The
+//! writer *appends* into a caller-owned buffer: a key or string with nothing
+//! to escape is copied as one slice, integers are written digit by digit
+//! without `fmt`, and floats go through std's shortest round-trip form
+//! straight into the buffer, so serialising into a reused buffer allocates
+//! nothing once the buffer has grown to the line length. The parser is a
+//! scanner over the input `&str` that hands out **borrowed** slices wherever
+//! no escape sequence intervenes ([`Cow::Borrowed`]; the slices are cut at
+//! ASCII quotes, so they need no UTF-8 check). [`parse_item`] fills one
+//! local attribute map — keys interned through the calling thread's front
+//! cache, short strings inline, each key appended when it sorts after the
+//! last, as every line this writer produced does — and wraps it in the
+//! item's one allocation at the end.
 
 use crate::intern::Key;
-use crate::item::{DataItem, SmallStr, Value};
+use crate::item::{AttrMap, DataItem, SmallStr, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Appends `s` as a JSON string literal (with quotes) to `out`.
 ///
-/// Clean runs are copied as slices rather than char by char — checkpoint
-/// blobs push multi-hundred-KB engine snapshots through here (twice, for
-/// nested blobs), so this is a measured hot path. Every byte that needs
-/// escaping is ASCII, so splitting the string at those byte offsets always
-/// lands on a char boundary.
+/// Clean runs are copied as slices rather than char by char, so a string
+/// with nothing to escape — every attribute key the feeds use — is one
+/// slice copy. Checkpoint blobs push multi-hundred-KB engine snapshots
+/// through here (twice, for nested blobs), so this is a measured hot path.
+/// Every byte that needs escaping is ASCII, so splitting the string at
+/// those byte offsets always lands on a char boundary.
 pub fn escape_into(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
     let mut start = 0;
     for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
         let escaped: Option<&str> = match b {
             b'"' => Some("\\\""),
             b'\\' => Some("\\\\"),
             b'\n' => Some("\\n"),
             b'\r' => Some("\\r"),
             b'\t' => Some("\\t"),
-            b if b < 0x20 => None,
-            _ => continue,
+            _ => None,
         };
         out.push_str(&s[start..i]);
         match escaped {
@@ -71,14 +80,31 @@ pub fn float_into(out: &mut String, v: f64) {
     }
 }
 
+/// Appends an integer in decimal, without going through `fmt`.
+fn int_into(out: &mut String, v: i64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut n = v.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
 /// Appends one scalar [`Value`] to `out`.
 pub fn value_into(out: &mut String, value: &Value) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
+        Value::Int(i) => int_into(out, *i),
         Value::Float(f) => float_into(out, *f),
         Value::Str(s) => escape_into(out, s.as_str()),
     }
@@ -135,21 +161,20 @@ pub fn parse_object(s: &str) -> Result<BTreeMap<String, Value>, String> {
 /// Parses one JSON object straight into a [`DataItem`]: keys intern from the
 /// borrowed input slice, short string values land in inline storage — no
 /// intermediate `String` per field (escaped strings decode through one
-/// scratch buffer). One heap allocation per item in steady state (the item's
-/// own map).
+/// scratch buffer). The attributes fill a local map that becomes the item's
+/// one heap allocation at the end (a line wider than the inline capacity
+/// also allocates its spill vector).
 pub fn parse_item(s: &str) -> Result<DataItem, String> {
-    let mut item = DataItem::new();
-    parse_into(s, |key, value| {
-        item.set(Key::from(key.as_ref()), value);
-    })?;
-    Ok(item)
+    let mut attrs = AttrMap::new();
+    parse_into(s, |key, value| attrs.insert(Key::new(&key), value))?;
+    Ok(DataItem::from_attrs(attrs))
 }
 
 /// Shared driver: scans one complete JSON object and feeds each `key, value`
 /// pair to `sink` (duplicate keys: last wins, matching map-insert
 /// semantics).
 fn parse_into<'a>(s: &'a str, mut sink: impl FnMut(Cow<'a, str>, Value)) -> Result<(), String> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { src: s, bytes: s.as_bytes(), pos: 0 };
     p.skip_ws();
     p.object(&mut sink)?;
     p.skip_ws();
@@ -160,6 +185,9 @@ fn parse_into<'a>(s: &'a str, mut sink: impl FnMut(Cow<'a, str>, Value)) -> Resu
 }
 
 struct Parser<'a> {
+    src: &'a str,
+    /// `src` as bytes; every position the scanner stops at to cut a slice
+    /// is next to an ASCII byte, hence a char boundary of `src`.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -268,7 +296,7 @@ impl<'a> Parser<'a> {
             ok &= self.digits() > 0;
         }
         // Every byte scanned is ASCII.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        let text = &self.src[start..self.pos];
         let value = match (ok, is_float) {
             (false, _) => None,
             (true, true) => text.parse::<f64>().ok().filter(|f| f.is_finite()).map(Value::Float),
@@ -296,8 +324,7 @@ impl<'a> Parser<'a> {
         // the literal is the input slice itself.
         while let Some(b) = self.peek() {
             if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[clean_start..self.pos])
-                    .map_err(|_| "non-utf8 string".to_string())?;
+                let s = &self.src[clean_start..self.pos];
                 self.pos += 1;
                 return Ok(Cow::Borrowed(s));
             }
@@ -312,10 +339,7 @@ impl<'a> Parser<'a> {
         // Slow path: at least one escape — decode into an owned buffer,
         // starting from the clean prefix already scanned.
         let mut out = String::with_capacity(self.pos - clean_start + 16);
-        out.push_str(
-            std::str::from_utf8(&self.bytes[clean_start..self.pos])
-                .map_err(|_| "non-utf8 string".to_string())?,
-        );
+        out.push_str(&self.src[clean_start..self.pos]);
         loop {
             let start = self.pos;
             while let Some(b) = self.peek() {
@@ -324,10 +348,7 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "non-utf8 string".to_string())?,
-            );
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -413,6 +434,15 @@ mod tests {
             ("null".to_string(), Value::Null),
             ("str".to_string(), Value::Str("r10".into())),
         ]));
+    }
+
+    #[test]
+    fn ints_are_written_like_display() {
+        for v in [0, 7, -1, 9, 10, -10, 99, 100, 33009, i64::MAX, i64::MIN, i64::MIN + 1] {
+            let mut out = String::from("x");
+            int_into(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
     }
 
     #[test]

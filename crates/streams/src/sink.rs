@@ -88,14 +88,19 @@ impl Sink for NullSink {
 }
 
 /// Writes one JSON object per line to any writer.
+///
+/// Each line is serialised into one buffer the sink keeps, then handed to
+/// the writer in one `write_all`: once the buffer has grown to the longest
+/// line, writing an item allocates nothing in the sink.
 pub struct JsonLinesSink<W: Write + Send> {
     writer: W,
+    line: String,
 }
 
 impl<W: Write + Send> JsonLinesSink<W> {
     /// Wraps the writer.
     pub fn new(writer: W) -> JsonLinesSink<W> {
-        JsonLinesSink { writer }
+        JsonLinesSink { writer, line: String::new() }
     }
 
     /// Returns the inner writer (e.g. to inspect an in-memory buffer).
@@ -106,7 +111,10 @@ impl<W: Write + Send> JsonLinesSink<W> {
 
 impl<W: Write + Send> Sink for JsonLinesSink<W> {
     fn write_item(&mut self, item: DataItem) -> Result<(), StreamsError> {
-        writeln!(self.writer, "{}", item.to_json())?;
+        self.line.clear();
+        item.to_json_into(&mut self.line);
+        self.line.push('\n');
+        self.writer.write_all(self.line.as_bytes())?;
         Ok(())
     }
 

@@ -217,10 +217,19 @@ impl Topology {
             }
         }
 
-        for (s, n) in stream_consumers {
-            if n > 1 {
+        for (s, n) in &stream_consumers {
+            if *n > 1 {
                 return Err(StreamsError::MultipleConsumers { queue: s.to_string() });
             }
+        }
+        // A source no process reads would never be drained; name the first
+        // by name so the error does not depend on map order.
+        if let Some(s) =
+            self.sources.keys().filter(|s| !stream_consumers.contains_key(s.as_str())).min()
+        {
+            return Err(StreamsError::Disconnected {
+                detail: format!("source `{s}` is never read"),
+            });
         }
         for q in self.queues.keys() {
             let consumers = queue_consumers.get(q.as_str()).copied().unwrap_or(0);
@@ -530,6 +539,23 @@ mod tests {
     }
 
     #[test]
+    fn unread_source_rejected() {
+        let mut t = Topology::new();
+        t.add_source("in", items(1));
+        t.add_source("spare", items(1));
+        t.add_source("unused", items(1));
+        t.process("p").input(Input::Stream("in".into())).output(Output::Discard).done();
+        let err = t.validate().unwrap_err();
+        assert_eq!(
+            err,
+            StreamsError::Disconnected { detail: "source `spare` is never read".into() },
+            "the first unread source by name"
+        );
+        let err = Runtime::new(t).run().unwrap_err();
+        assert!(matches!(err, StreamsError::Disconnected { .. }), "the runtime refuses to start");
+    }
+
+    #[test]
     fn stream_with_two_consumers_rejected() {
         let mut t = Topology::new();
         t.add_source("in", items(1));
@@ -576,7 +602,6 @@ mod tests {
 
         // A self-loop.
         let mut t = Topology::new();
-        t.add_source("in", items(1));
         t.add_queue("q", 8);
         t.process("p").input(Input::Queue("q".into())).output(Output::Queue("q".into())).done();
         let err = t.validate().unwrap_err();

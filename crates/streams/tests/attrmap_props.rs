@@ -7,7 +7,12 @@
 //! the same contents, the same lookup answers, and the same (sorted)
 //! iteration order — including sequences that cross the inline→spill
 //! boundary in either direction of length.
+//!
+//! Insertion appends without a search when a key sorts after the last one,
+//! so the random key order (repeats included) reaches every insert branch;
+//! `collect` of the same pairs is held to the model as well.
 
+use insight_streams::intern::Key;
 use insight_streams::item::{DataItem, Value, INLINE_ATTRS};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -73,10 +78,12 @@ proptest! {
     fn flat_map_matches_btreemap_model(ops in proptest::collection::vec(op_strategy(), 0..120)) {
         let mut item = DataItem::new();
         let mut model: BTreeMap<&str, Value> = BTreeMap::new();
+        let mut inserted: Vec<(&str, Value)> = Vec::new();
         for op in ops {
             match op {
                 Op::Insert(k, v) => {
                     item.set(KEYS[k], v.clone());
+                    inserted.push((KEYS[k], v.clone()));
                     model.insert(KEYS[k], v);
                 }
                 Op::Remove(k) => {
@@ -98,6 +105,15 @@ proptest! {
         for k in KEYS {
             prop_assert_eq!(item.contains(k), model.contains_key(k));
         }
+        // `collect` of the inserted pairs, in arrival order with repeats,
+        // builds the map the model builds from them (the last value wins).
+        let collected: DataItem =
+            inserted.iter().map(|(k, v)| (Key::new(k), v.clone())).collect();
+        let collect_model: BTreeMap<&str, Value> = inserted.into_iter().collect();
+        let got: Vec<(&str, &Value)> = collected.iter().collect();
+        let want: Vec<(&str, &Value)> = collect_model.iter().map(|(k, v)| (*k, v)).collect();
+        prop_assert_eq!(got, want, "collect diverged from the model");
+        prop_assert_eq!(collected.is_inline(), collect_model.len() <= INLINE_ATTRS);
     }
 
     /// Walking the length up across the spill boundary and back down keeps

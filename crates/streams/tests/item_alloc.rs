@@ -8,9 +8,11 @@
 //!   inline-width values costs exactly **one** allocation (the shared `Arc`
 //!   payload) — zero per attribute;
 //! * cloning, lookups, and iteration cost **zero**;
-//! * serializing into a warm reused buffer costs **zero**;
+//! * serializing into a warm reused buffer costs **zero**, and so does a
+//!   warm [`JsonLinesSink`] writing an item (it keeps one line buffer);
 //! * parsing one JSON item without escapes costs exactly **one** (the
-//!   `Arc` again — keys intern to statics, values stay inline).
+//!   `Arc` again — keys intern to statics, values stay inline, and the
+//!   attributes fill a local map that is wrapped once).
 //!
 //! The counter is process-global, so this binary holds a single `#[test]`
 //! (same discipline as `clone_budget.rs`) and every pinned window runs
@@ -19,6 +21,8 @@
 
 use insight_streams::alloc::{allocation_count, CountingAllocator};
 use insight_streams::item::{DataItem, INLINE_ATTRS};
+use insight_streams::json::parse_item;
+use insight_streams::sink::{JsonLinesSink, Sink};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -93,16 +97,34 @@ fn steady_state_allocations_are_pinned() {
     });
     assert_eq!(allocs, 0, "serialize-into must not allocate, got {allocs}");
 
-    // Parse: one allocation per item (the Arc), zero per key/value.
-    let mut reparsed: Vec<DataItem> = Vec::with_capacity(ITEMS as usize);
+    // A warm JSON-lines sink: zero allocations per item. The writer has
+    // room for every line, so only the sink itself could allocate.
+    let mut sink = JsonLinesSink::new(Vec::<u8>::with_capacity(ITEMS as usize * 512));
+    sink.write_item(warm.clone()).unwrap();
     let allocs = measured(|| {
-        for line in &inputs {
-            reparsed.push(DataItem::from_json(line).unwrap());
+        for item in &built {
+            sink.write_item(item.clone()).unwrap();
         }
     });
-    assert_eq!(
-        allocs, ITEMS,
-        "parse: want exactly 1 allocation/item (the Arc), got {allocs} for {ITEMS}"
-    );
-    assert_eq!(reparsed, built, "parsed items match the originals");
+    assert_eq!(allocs, 0, "a warm JsonLinesSink must not allocate, got {allocs}");
+    let written = String::from_utf8(sink.into_inner()).unwrap();
+    assert_eq!(written.lines().nth(1), Some(inputs[0].as_str()), "the sink writes the line");
+
+    // Parse: one allocation per item (the Arc), zero per key/value — the
+    // scanner itself, and the `Result`-mapping wrapper around it.
+    for parse in [parse_item as fn(&str) -> Result<DataItem, String>, |line: &str| {
+        DataItem::from_json(line).map_err(|e| e.to_string())
+    }] {
+        let mut reparsed: Vec<DataItem> = Vec::with_capacity(ITEMS as usize);
+        let allocs = measured(|| {
+            for line in &inputs {
+                reparsed.push(parse(line).unwrap());
+            }
+        });
+        assert_eq!(
+            allocs, ITEMS,
+            "parse: want exactly 1 allocation/item (the Arc), got {allocs} for {ITEMS}"
+        );
+        assert_eq!(reparsed, built, "parsed items match the originals");
+    }
 }

@@ -10,11 +10,15 @@
 //! The mutation fuzz at the end feeds damaged lines to both readers built
 //! on the scanner (`DataItem::from_json`, `StateBlob::from_json`); its
 //! corpus and mutations follow `CONFORMANCE_SEED`, like the conformance
-//! suites.
+//! suites. So do the lines with shuffled and repeated keys, which keep the
+//! parser's append-when-sorted fast path honest: whatever order a line
+//! lists its keys in, it parses to the item `set` builds.
 
 use insight_streams::checkpoint::StateBlob;
 use insight_streams::item::{DataItem, Value};
+use insight_streams::json::{escape_into, value_into};
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng, StdRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -132,6 +136,69 @@ fn malformed_documents_rejected() {
     }
 }
 
+fn conformance_seed() -> u64 {
+    std::env::var("CONFORMANCE_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
+}
+
+/// A line listing `pairs` in the given order, repeats included.
+fn line_of(pairs: &[(&str, Value)]) -> String {
+    let mut line = String::from("{");
+    for (i, (key, value)) in pairs.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        escape_into(&mut line, key);
+        line.push(':');
+        value_into(&mut line, value);
+    }
+    line.push('}');
+    line
+}
+
+/// Keys in any order, some repeated: the parsed item is the one `set`
+/// builds from the same pairs in the same order (the last value of a key
+/// wins), and it writes back in key order.
+#[test]
+fn shuffled_and_repeated_keys_parse_like_set() {
+    let seed = conformance_seed();
+    let mut rng = StdRng::seed_from_u64(0x6b65_7973 ^ seed);
+    for case in 0..2000 {
+        // Half the cases start from keys in written (sorted) order, then
+        // shuffle; repeats land anywhere.
+        let mut pairs: Vec<(&str, Value)> = Vec::new();
+        for key in KEYS {
+            if rng.random_bool(0.7) {
+                pairs.push((key, Value::Int(rng.random_range(-1000..1000i64))));
+            }
+        }
+        if rng.random_bool(0.5) {
+            pairs.shuffle(&mut rng);
+        }
+        for _ in 0..rng.random_range(0..4usize) {
+            let key = KEYS[rng.random_range(0..KEYS.len())];
+            let value = match rng.random_range(0..4u32) {
+                0 => Value::Float(rng.random::<f64>() * 100.0),
+                1 => Value::from("again"),
+                2 => Value::Bool(rng.random_bool(0.5)),
+                _ => Value::Null,
+            };
+            let at = rng.random_range(0..=pairs.len());
+            pairs.insert(at, (key, value));
+        }
+        let line = line_of(&pairs);
+        let mut want = DataItem::new();
+        for (key, value) in &pairs {
+            want.set(*key, value.clone());
+        }
+        let got = DataItem::from_json(&line)
+            .unwrap_or_else(|e| panic!("case {case} (seed {seed}): {line} did not parse: {e}"));
+        assert_eq!(got, want, "case {case} (seed {seed}): {line}");
+        assert_eq!(got.to_json(), want.to_json(), "case {case} (seed {seed})");
+        let keys: Vec<&str> = got.iter().map(|(k, _)| k).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "case {case}: keys out of order {keys:?}");
+    }
+}
+
 /// What a byte flip writes: JSON's structural and number bytes, a NUL and a
 /// byte that is never valid UTF-8.
 const FLIPS: &[u8] = b"0123456789.eE+-\"\\{}:,untf \x00\xff";
@@ -208,8 +275,7 @@ fn mutate(line: &str, rng: &mut StdRng) -> Vec<u8> {
 /// it writes back as a line that parses to the same value.
 #[test]
 fn mutated_lines_never_panic_and_accepted_ones_round_trip() {
-    let seed: u64 =
-        std::env::var("CONFORMANCE_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
+    let seed = conformance_seed();
     let mut rng = StdRng::seed_from_u64(0x6a73_6f6e ^ seed);
     let mut accepted = 0;
     for case in 0..4000 {
