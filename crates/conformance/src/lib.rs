@@ -22,11 +22,12 @@
 //! integration tests drive both.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod diff;
 pub mod differential;
 pub mod oracle;
-pub mod stimulus;
+mod stimulus;
 
 pub use diff::DivergenceReport;
 pub use differential::{CheckStats, Harness, Stream};

@@ -56,7 +56,7 @@ pub struct SpannedEvent {
 
 /// All initiation/termination points the oracle found for one grounding.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroundFluent {
+pub(crate) struct GroundFluent {
     /// Ground arguments of the fluent.
     pub args: Vec<Term>,
     /// The fluent value.
@@ -161,7 +161,11 @@ impl OracleResult<'_> {
     /// The distinct derived event instances whose evidence fits entirely
     /// inside the window `(start, q]` — exactly the instances a correct
     /// windowed engine must report at query time `q`.
-    pub fn derived_events_in_window(&self, start: Time, q: Time) -> Vec<(Symbol, Vec<Term>, Time)> {
+    pub(crate) fn derived_events_in_window(
+        &self,
+        start: Time,
+        q: Time,
+    ) -> Vec<(Symbol, Vec<Term>, Time)> {
         let mut out: Vec<(Symbol, Vec<Term>, Time)> = self
             .derived
             .iter()

@@ -17,13 +17,11 @@
 //! byte-identical to the kill-free baseline in every combination.
 
 use insight_core::pipeline::{build_pipeline_with, PipelineOptions};
-use insight_core::replay::{
-    canonical_recognitions, gate_sources_at_scats_report, replay_recognitions_with,
-};
+use insight_core::replay::canonical_recognitions;
+use insight_core::testing::{gate_sources_at_scats_report, replay_recognitions_with};
 use insight_datagen::scenario::{Scenario, ScenarioConfig};
 use insight_rtec::window::WindowConfig;
 use insight_streams::chaos::KillSwitch;
-use insight_streams::checkpoint::CheckpointStore;
 use insight_streams::metrics::MetricsRegistry;
 use insight_streams::replay::ReplayRuntime;
 use insight_traffic::TrafficRulesConfig;
@@ -273,10 +271,9 @@ fn crowd_em_killed_on_a_summary_that_releases_several_emits_each_once() {
             let switch = KillSwitch::new();
             let options =
                 PipelineOptions { kill_crowd_em_at: Some((k, switch.clone())), ..supervised() };
-            let (mut topology, sink) =
+            let (topology, sink) =
                 build_pipeline_with(&scenario, rules.clone(), window, &options).expect("topology");
-            let store = CheckpointStore::in_memory();
-            topology.set_checkpoint_store(store.clone());
+            let store = insight_streams::testing::checkpoints(&topology);
             ReplayRuntime::new(topology, seed)
                 .run()
                 .unwrap_or_else(|e| panic!("seed {seed}, EM kill at {k} failed: {e}"));

@@ -10,7 +10,8 @@
 //! replay the interleavings exactly.
 
 use insight_conformance::seed_offset;
-use insight_core::replay::{assert_schedule_invariant, replay_recognitions};
+use insight_core::pipeline::PipelineOptions;
+use insight_core::testing::{assert_schedule_invariant, replay_recognitions_with};
 use insight_datagen::scenario::{Scenario, ScenarioConfig};
 use insight_rtec::window::WindowConfig;
 use insight_traffic::TrafficRulesConfig;
@@ -45,7 +46,8 @@ fn schedule_invariance_holds_with_crowd_resolutions_in_the_loop() {
     let scenario = Scenario::generate(cfg).expect("scenario");
     let window = WindowConfig::new(900, 450).expect("window");
     let rules = TrafficRulesConfig::self_adaptive(insight_traffic::NoisyVariant::CrowdValidated);
-    let out = replay_recognitions(&scenario, rules.clone(), window, 0).expect("replay runs");
+    let out = replay_recognitions_with(&scenario, rules.clone(), window, 0, &Default::default())
+        .expect("replay runs");
     assert!(
         out.lines().any(|l| l.contains("crowd_verdict_congested")),
         "the crowd stage must have resolved at least one disagreement:\n{out}"
@@ -58,9 +60,6 @@ fn recognitions_invariant_in_shard_count_under_replay() {
     // The keyed shard-parallel stages must be pure plumbing: for every
     // scheduler seed, running the same scenario with 1, 2, or 4 replicas of
     // the RTEC stage yields byte-identical canonical output.
-    use insight_core::pipeline::PipelineOptions;
-    use insight_core::replay::replay_recognitions_with;
-
     let scenario = Scenario::generate(ScenarioConfig::small(1200, 77)).expect("scenario");
     let window = WindowConfig::new(600, 300).expect("window");
     let rules = TrafficRulesConfig::default();
@@ -86,7 +85,7 @@ fn replay_output_matches_threaded_runtime_content() {
     // The replay scheduler is not a parallel implementation to trust
     // separately: its canonical output must equal what the threaded runtime
     // produces for the same scenario.
-    use insight_core::pipeline::{build_pipeline_with, PipelineOptions};
+    use insight_core::pipeline::build_pipeline_with;
     use insight_core::replay::canonical_recognitions;
     use insight_streams::runtime::Runtime;
 
@@ -98,6 +97,7 @@ fn replay_output_matches_threaded_runtime_content() {
             .expect("topology");
     Runtime::new(topology).run().expect("threaded run");
     let threaded = canonical_recognitions(&sink.items());
-    let replayed = replay_recognitions(&scenario, rules, window, 123).expect("replayed run");
+    let replayed = replay_recognitions_with(&scenario, rules, window, 123, &Default::default())
+        .expect("replayed run");
     assert_eq!(threaded, replayed, "replay and threaded runtimes recognise identically");
 }

@@ -77,18 +77,7 @@ pub enum OperatorAlert {
     },
 }
 
-impl OperatorAlert {
-    /// The alert's timestamp.
-    pub fn time(&self) -> i64 {
-        match self {
-            OperatorAlert::IntersectionCongestion { since, .. }
-            | OperatorAlert::BusCongestion { since, .. }
-            | OperatorAlert::SourceDisagreement { since, .. }
-            | OperatorAlert::NoisyBus { since, .. } => *since,
-            OperatorAlert::DelayIncrease { at, .. } | OperatorAlert::Trend { at, .. } => *at,
-        }
-    }
-}
+impl OperatorAlert {}
 
 impl fmt::Display for OperatorAlert {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -132,14 +121,6 @@ impl fmt::Display for OperatorAlert {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_accessor() {
-        let a = OperatorAlert::NoisyBus { bus: 1, since: 42 };
-        assert_eq!(a.time(), 42);
-        let a = OperatorAlert::DelayIncrease { bus: 1, lon: 0.0, lat: 0.0, at: 77 };
-        assert_eq!(a.time(), 77);
-    }
 
     #[test]
     fn display_variants() {

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 /// workers' simulated answers, produced by [`CrowdBridge::simulate_task`]
 /// without touching the EM state.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SimulatedTask {
+pub(crate) struct SimulatedTask {
     /// `(participant index, label index)` pairs in dispatch order — the
     /// input [`CrowdBridge::merge_task`] expects.
     pub answers: Vec<(usize, usize)>,
@@ -133,21 +133,16 @@ impl CrowdBridge {
         })
     }
 
-    /// Current reliability estimates (error probabilities) per participant.
-    pub fn reliability_estimates(&self) -> &[f64] {
-        self.em.estimates()
-    }
-
     /// Cumulative query/task/answer counters of the underlying execution
     /// engine (queries issued, tasks dispatched, deadline misses, latency).
-    pub fn engine_stats(&self) -> insight_crowd::engine::EngineStats {
+    pub(crate) fn engine_stats(&self) -> insight_crowd::engine::EngineStats {
         self.engine.stats()
     }
 
     /// Serialises the online EM estimator state (the evolving part of the
     /// bridge) for checkpointing; everything else is reproducible from the
     /// construction parameters.
-    pub fn export_em_state(&self) -> String {
+    pub(crate) fn export_em_state(&self) -> String {
         self.em.export_state()
     }
 
@@ -155,7 +150,7 @@ impl CrowdBridge {
     /// [`CrowdBridge::export_em_state`] on a bridge built from the same
     /// configuration. Fails — leaving the estimator untouched — on a corrupt
     /// or mismatched snapshot.
-    pub fn import_em_state(&mut self, state: &str) -> Result<(), CrowdError> {
+    pub(crate) fn import_em_state(&mut self, state: &str) -> Result<(), CrowdError> {
         self.em.import_state(state)
     }
 
@@ -190,7 +185,7 @@ impl CrowdBridge {
     /// [`CrowdBridge::merge_task`] on a second instance) the outcome is a
     /// pure function of `(lon, lat, truth_congested, task_seed)` —
     /// independent of call order.
-    pub fn simulate_task(
+    pub(crate) fn simulate_task(
         &self,
         lon: f64,
         lat: f64,
@@ -231,7 +226,7 @@ impl CrowdBridge {
     /// EM, updating the reliability estimates. Order-sensitive — the EM
     /// state evolves with every call — so callers must fix a canonical merge
     /// order (the pipeline uses `(query_time, region)`).
-    pub fn merge_task(
+    pub(crate) fn merge_task(
         &mut self,
         answers: &[(usize, usize)],
         prior: Option<Vec<f64>>,
@@ -327,11 +322,11 @@ mod tests {
     #[test]
     fn reliability_estimates_update() {
         let mut b = bridge();
-        let before = b.reliability_estimates().to_vec();
+        let before = b.em.estimates().to_vec();
         for _ in 0..50 {
             b.resolve(-6.26, 53.35, true, None).unwrap();
         }
-        assert_ne!(before, b.reliability_estimates(), "estimates must move");
+        assert_ne!(before, b.em.estimates(), "estimates must move");
     }
 
     #[test]
@@ -380,7 +375,7 @@ mod tests {
     fn split_phases_track_ground_truth_and_update_estimates() {
         let tasker = bridge();
         let mut merger = bridge();
-        let before = merger.reliability_estimates().to_vec();
+        let before = merger.em.estimates().to_vec();
         let mut correct = 0;
         let total = 100;
         for i in 0..total {
@@ -393,7 +388,7 @@ mod tests {
             }
         }
         assert!(correct as f64 / total as f64 > 0.85, "crowd accuracy too low: {correct}/{total}");
-        assert_ne!(before, merger.reliability_estimates(), "EM estimates must move");
+        assert_ne!(before, merger.em.estimates(), "EM estimates must move");
     }
 
     #[test]

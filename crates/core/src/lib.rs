@@ -19,7 +19,7 @@
 //! * [`crowdbridge`] — the crowdsourcing component assembled from
 //!   [`insight_crowd`]: query execution engine + online EM, with simulated
 //!   participants answering from the scenario's ground truth;
-//! * [`modelsvc`] — the traffic-modelling component as a Streams *service*:
+//! * `modelsvc` — the traffic-modelling component as a Streams *service*:
 //!   GP regression over the street graph from the latest SCATS readings;
 //! * [`pipeline`] — the Streams topology of §3 (input handling, event
 //!   processing, crowdsourcing processes);
@@ -30,15 +30,17 @@
 //!   driving windows, crowdsourcing and feedback, used by the experiments.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod alerts;
 pub mod crowdbridge;
 pub mod items;
-pub mod modelsvc;
+mod modelsvc;
 pub mod pipeline;
 pub mod proactive;
 pub mod replay;
 pub mod system;
+pub mod testing;
 
 pub use alerts::OperatorAlert;
 pub use crowdbridge::CrowdBridge;

@@ -80,14 +80,14 @@ use std::time::Instant;
 ///
 /// A call that fires several queries advances the query cursor with each
 /// one and fails as a whole if any of them does, and a failed call's emitted
-/// summaries are discarded by the runtime. So under a policy that rolls the
-/// state back — `Retry` on a position-exact checkpoint, `Restart` from a
-/// checkpoint (the pipeline's `recovering` options) — the re-run fires all of
-/// them again and nothing is lost; under `Skip` or `DeadLetter`, which keep
-/// the state a failed call left behind, the summaries of the queries that
-/// had already succeeded in that call are lost with it. A query fails only
-/// on a misconfigured or misused engine (`RtecError`), never on data, so
-/// there is nothing for those two policies to skip past.
+/// summaries are discarded by the runtime. So under `Restart`, which rolls
+/// the state back to a checkpoint (the pipeline's `recovering` options), the
+/// re-run fires all of them again and nothing is lost; under `Skip` or
+/// `DeadLetter`, which keep the state a failed call left behind, the
+/// summaries of the queries that had already succeeded in that call are
+/// lost with it. A query fails only on a misconfigured or misused engine
+/// (`RtecError`), never on data, so there is nothing for those two policies
+/// to skip past.
 ///
 /// One per region, built by [`MultiRegionRtecProcessor`].
 struct RtecProcessor {
@@ -397,7 +397,7 @@ impl Checkpointable for RtecProcessor {
 /// entire stream — and therefore its engine, watermarks, and query grid —
 /// lives behind a single replica's FIFO input for any replica count, which
 /// is what makes the recognition output shard-count-invariant.
-pub struct MultiRegionRtecProcessor {
+pub(crate) struct MultiRegionRtecProcessor {
     rules: Arc<TrafficRulesConfig>,
     /// The rule library compiled once at build time; every replica's region
     /// engines — including those of a replica rebuilt by the `Restart`
@@ -420,7 +420,7 @@ impl MultiRegionRtecProcessor {
     /// A replica serving queries at `first_query, first_query + step, …` per
     /// region (step taken from `window`). `plan` must be the compiled form
     /// of `rules` (see [`TrafficRecognizer::with_plan`]).
-    pub fn new(
+    pub(crate) fn new(
         rules: Arc<TrafficRulesConfig>,
         plan: Arc<CompiledPlan>,
         window: WindowConfig,
@@ -673,7 +673,7 @@ impl CanonicalGate {
 
 /// The ground truth the crowd stage's simulated workers answer from:
 /// whether the junction nearest `(lon, lat)` is congested at a time.
-pub type TruthOracle = Arc<dyn Fn(f64, f64, i64) -> bool + Send + Sync>;
+pub(crate) type TruthOracle = Arc<dyn Fn(f64, f64, i64) -> bool + Send + Sync>;
 
 /// FNV-1a over the identifying fields of a crowd task; combined with the
 /// scenario seed this keys all randomness of one simulated task, so the
@@ -722,7 +722,7 @@ struct CrowdInstruments {
 /// whose EM is never advanced, so workers are always selected over the
 /// initial reliability estimates and each task's answers are a pure
 /// function of its `(query_time, region, lon, lat)` key and the seed.
-pub struct CrowdEmProcessor {
+pub(crate) struct CrowdEmProcessor {
     /// Merges every task's answers into the online EM.
     bridge: crate::crowdbridge::CrowdBridge,
     /// Simulates tasks; its EM is never advanced.
@@ -746,7 +746,7 @@ impl CrowdEmProcessor {
     /// answer according to `truth_of`. Without
     /// [`CrowdEmProcessor::with_regions`] every merge happens at
     /// end-of-stream.
-    pub fn new(
+    pub(crate) fn new(
         config: &crate::crowdbridge::CrowdBridgeConfig,
         centre: (f64, f64),
         seed: u64,
@@ -776,7 +776,7 @@ impl CrowdEmProcessor {
     }
 
     /// Declares the upstream regions whose watermarks gate in-stream merges.
-    pub fn with_regions<I, S>(mut self, regions: I) -> CrowdEmProcessor
+    pub(crate) fn with_regions<I, S>(mut self, regions: I) -> CrowdEmProcessor
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -1391,7 +1391,10 @@ mod tests {
         let mut annotated = 0;
         for item in &items {
             if item.contains("disagreement_lon") {
-                assert!(item.get_bool("crowd_verdict_congested").is_some());
+                assert!(item
+                    .get("crowd_verdict_congested")
+                    .and_then(insight_streams::item::Value::as_bool)
+                    .is_some());
                 assert!(item.get_f64("crowd_confidence").unwrap() > 0.0);
                 annotated += 1;
             }
@@ -1432,7 +1435,9 @@ mod tests {
                     (
                         i.get_i64("query_time").unwrap(),
                         i.get_str("region").unwrap().to_string(),
-                        i.get_bool("crowd_verdict_congested").expect("resolved"),
+                        i.get("crowd_verdict_congested")
+                            .and_then(insight_streams::item::Value::as_bool)
+                            .expect("resolved"),
                         i.get_f64("crowd_confidence").unwrap(),
                         i.get_i64("crowd_answers").unwrap(),
                     )

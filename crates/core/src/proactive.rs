@@ -89,7 +89,7 @@ impl fmt::Display for ControlAction {
 
 /// Controller configuration.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ControllerConfig {
+pub(crate) struct ControllerConfig {
     /// Green extension recommended per congested intersection (seconds).
     pub green_extension_s: i64,
     /// Reduced limit recommended on rising-density approaches (km/h).
@@ -106,20 +106,24 @@ impl Default for ControllerConfig {
 
 /// The proactive controller: turns recognised CEs into control actions.
 #[derive(Debug, Clone)]
-pub struct ProactiveController {
+pub(crate) struct ProactiveController {
     config: ControllerConfig,
     last_fired: HashMap<(u8, i64, i64), i64>,
 }
 
 impl ProactiveController {
     /// A controller with the given configuration.
-    pub fn new(config: ControllerConfig) -> ProactiveController {
+    pub(crate) fn new(config: ControllerConfig) -> ProactiveController {
         ProactiveController { config, last_fired: HashMap::new() }
     }
 
     /// Derives actions from one recognition result at query time `now`.
     /// Targets in cooldown are skipped.
-    pub fn decide(&mut self, recognition: &TrafficRecognition, now: i64) -> Vec<ControlAction> {
+    pub(crate) fn decide(
+        &mut self,
+        recognition: &TrafficRecognition,
+        now: i64,
+    ) -> Vec<ControlAction> {
         let mut actions = Vec::new();
 
         // Congested intersections (open intervals only: the condition is

@@ -129,8 +129,6 @@ pub struct StageFaults {
     pub faults: u64,
     /// The subset of `faults` that were isolated panics.
     pub panics: u64,
-    /// Re-invocations performed by a `Retry` policy.
-    pub retries: u64,
     /// Items dropped by a `Skip` policy.
     pub skipped: u64,
     /// Items moved to the dead-letter queue.
@@ -143,7 +141,7 @@ pub struct StageFaults {
 /// crowd task retries).
 #[derive(Debug, Clone, Default)]
 pub struct FaultReport {
-    /// Stages that recorded at least one fault, retry, skip, or dead letter.
+    /// Stages that recorded at least one fault, skip, or dead letter.
     pub per_stage: std::collections::BTreeMap<String, StageFaults>,
     /// SDE items that failed schema validation and were skipped by RTEC
     /// (summed over the `rtec.<region>.malformed_sdes` counters).
@@ -172,7 +170,6 @@ impl FaultReport {
             let faults = StageFaults {
                 faults: stage.faults,
                 panics: stage.panics,
-                retries: stage.retries,
                 skipped: stage.skipped,
                 dead_letters: stage.dead_letters,
             };
@@ -195,12 +192,12 @@ impl FaultReport {
     }
 
     /// Total failed processor invocations across all stages.
-    pub fn total_faults(&self) -> u64 {
+    pub(crate) fn total_faults(&self) -> u64 {
         self.per_stage.values().map(|s| s.faults).sum()
     }
 
     /// True when the run saw no faults and no degradation at all.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.per_stage.is_empty()
             && self.malformed_sdes == 0
             && self.sdes_lost == 0
@@ -228,8 +225,8 @@ impl fmt::Display for FaultReport {
         for (stage, s) in &self.per_stage {
             writeln!(
                 f,
-                "  {stage}: faults {} (panics {}), retries {}, skipped {}, dead-letters {}",
-                s.faults, s.panics, s.retries, s.skipped, s.dead_letters
+                "  {stage}: faults {} (panics {}), skipped {}, dead-letters {}",
+                s.faults, s.panics, s.skipped, s.dead_letters
             )?;
         }
         Ok(())
@@ -310,11 +307,6 @@ impl InsightSystem {
     /// The generated scenario.
     pub fn scenario(&self) -> &Scenario {
         &self.scenario
-    }
-
-    /// The live metrics registry (shared; counters accumulate across runs).
-    pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.metrics)
     }
 
     /// The traffic-modelling service.

@@ -26,7 +26,7 @@ fn reference(item: &DataItem) -> Option<Sde> {
             lon: item.get_f64("lon")?,
             lat: item.get_f64("lat")?,
             direction: item.get_i64("direction")? as u8,
-            congestion: item.get_bool("congestion")?,
+            congestion: item.get("congestion")?.as_bool()?,
         }),
         "scats" => SdeBody::Scats(ScatsRecord {
             intersection: item.get_i64("intersection")? as u32,

@@ -14,7 +14,8 @@
 //! what is recognised.
 
 use insight_core::pipeline::{build_pipeline_with, PipelineOptions};
-use insight_core::replay::{canonical_recognitions, gate_sources_at_scats_report};
+use insight_core::replay::canonical_recognitions;
+use insight_core::testing::gate_sources_at_scats_report;
 use insight_datagen::regions::Region;
 use insight_datagen::scenario::{Scenario, ScenarioConfig};
 use insight_rtec::window::WindowConfig;

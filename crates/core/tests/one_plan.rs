@@ -5,7 +5,7 @@
 
 use insight_core::pipeline::{build_pipeline_with, PipelineOptions};
 use insight_datagen::scenario::{Scenario, ScenarioConfig};
-use insight_rtec::compile::plans_compiled;
+use insight_rtec::testing::plans_compiled;
 use insight_rtec::window::WindowConfig;
 use insight_streams::chaos::KillSwitch;
 use insight_streams::metrics::MetricsSnapshot;

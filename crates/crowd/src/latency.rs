@@ -95,25 +95,29 @@ impl LatencyModel {
     }
 
     /// Mean push latency for a connection type.
-    pub fn push_mean(&self, c: ConnectionType) -> f64 {
+    pub(crate) fn push_mean(&self, c: ConnectionType) -> f64 {
         Self::pick(self.push_mean_ms, c)
     }
 
     /// Mean communication latency for a connection type.
-    pub fn comm_mean(&self, c: ConnectionType) -> f64 {
+    pub(crate) fn comm_mean(&self, c: ConnectionType) -> f64 {
         Self::pick(self.comm_mean_ms, c)
     }
 
     /// Expected (mean) end-to-end network latency for a connection type:
     /// trigger-range midpoint + mean push + mean communication. Used to rank
     /// workers by speed without sampling.
-    pub fn expected_total_ms(&self, c: ConnectionType) -> f64 {
+    pub(crate) fn expected_total_ms(&self, c: ConnectionType) -> f64 {
         let trigger = (self.trigger_range_ms.0 + self.trigger_range_ms.1) / 2.0;
         trigger + self.push_mean(c) + self.comm_mean(c)
     }
 
     /// Samples the three steps for one task execution.
-    pub fn sample<R: Rng + ?Sized>(&self, connection: ConnectionType, rng: &mut R) -> StepLatency {
+    pub(crate) fn sample<R: Rng + ?Sized>(
+        &self,
+        connection: ConnectionType,
+        rng: &mut R,
+    ) -> StepLatency {
         let jitter = |mean: f64, rng: &mut R| -> f64 {
             mean * rng.random_range(1.0 - self.jitter..1.0 + self.jitter)
         };

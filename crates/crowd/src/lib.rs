@@ -16,12 +16,13 @@
 //!   approximation step, which is what makes the component viable on an
 //!   unbounded stream. A classical batch EM is included as the reference the
 //!   online variant is validated against.
-//! * **Query execution** ([`engine`], [`latency`], [`policy`], [`mapreduce`])
+//! * **Query execution** ([`engine`], [`latency`], [`policy`], `mapreduce`)
 //!   — the §5.3 engine: a registry of mobile workers, GCM-style push
 //!   notifications, MapReduce-style map/reduce task execution and the
 //!   2G/3G/WiFi latency behaviour measured in Figure 6.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // `!(x > 0.0)` guards are deliberate: they reject NaN along with the
 // out-of-range values, which `x <= 0.0` would not.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -30,11 +31,10 @@ pub mod batch_em;
 pub mod engine;
 pub mod error;
 pub mod latency;
-pub mod mapreduce;
+mod mapreduce;
 pub mod model;
 pub mod online_em;
 pub mod policy;
-pub mod reward;
 pub mod schedule;
 pub mod stats;
 

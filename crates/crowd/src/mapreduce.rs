@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 /// One intermediate `(key, value)` pair produced by a map task.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Intermediate<K, V> {
+pub(crate) struct Intermediate<K, V> {
     /// Grouping key.
     pub key: K,
     /// The mapped value.
@@ -24,7 +24,7 @@ pub struct Intermediate<K, V> {
 
 /// Runs the reduce phase: groups intermediates by key (in key order) and
 /// applies `reduce` to each group.
-pub fn reduce_by_key<K: Ord + Clone, V, O>(
+pub(crate) fn reduce_by_key<K: Ord + Clone, V, O>(
     intermediates: Vec<Intermediate<K, V>>,
     mut reduce: impl FnMut(&K, Vec<V>) -> O,
 ) -> Vec<(K, O)> {
@@ -43,7 +43,7 @@ pub fn reduce_by_key<K: Ord + Clone, V, O>(
 
 /// The vote-counting reduce used for crowd queries: counts answers per
 /// label, returning `(label, votes)` pairs in label order.
-pub fn count_votes(answers: impl IntoIterator<Item = usize>) -> Vec<(usize, usize)> {
+pub(crate) fn count_votes(answers: impl IntoIterator<Item = usize>) -> Vec<(usize, usize)> {
     let intermediates: Vec<Intermediate<usize, ()>> =
         answers.into_iter().map(|a| Intermediate { key: a, value: () }).collect();
     reduce_by_key(intermediates, |_, vs| vs.len())

@@ -22,7 +22,7 @@ pub struct LabelSet {
 
 impl LabelSet {
     /// Builds a label set; needs at least two labels.
-    pub fn new<I, S>(labels: I) -> Result<LabelSet, CrowdError>
+    pub(crate) fn new<I, S>(labels: I) -> Result<LabelSet, CrowdError>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -67,7 +67,7 @@ impl LabelSet {
     }
 
     /// Validates a prior distribution against this label set.
-    pub fn validate_prior(&self, prior: &[f64]) -> Result<(), CrowdError> {
+    pub(crate) fn validate_prior(&self, prior: &[f64]) -> Result<(), CrowdError> {
         if prior.len() != self.len() {
             return Err(CrowdError::InvalidPrior {
                 detail: format!("length {} != {} labels", prior.len(), self.len()),
@@ -116,23 +116,7 @@ pub struct CrowdQuery {
     pub deadline_ms: Option<f64>,
 }
 
-impl CrowdQuery {
-    /// Builds the standard congestion question for a disagreement event.
-    pub fn for_event(event: &DisagreementEvent, labels: &LabelSet) -> CrowdQuery {
-        CrowdQuery {
-            question: format!(
-                "What is the traffic situation near ({:.5}, {:.5})?",
-                event.lon, event.lat
-            ),
-            answers: (0..labels.len())
-                .map(|i| labels.name(i).expect("index in range").to_string())
-                .collect(),
-            lon: event.lon,
-            lat: event.lat,
-            deadline_ms: None,
-        }
-    }
-}
+impl CrowdQuery {}
 
 /// A simulated participant with a fixed (hidden) error probability — the
 /// protocol of the paper's own evaluation (§7.2).
@@ -263,16 +247,5 @@ mod tests {
         let p = SimulatedParticipant::new(0.1).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         assert!(p.answer(9, &ls, &mut rng).is_err());
-    }
-
-    #[test]
-    fn query_for_event_lists_all_answers() {
-        let ls = LabelSet::traffic_default();
-        let ev =
-            DisagreementEvent { id: 1, lon: -6.26, lat: 53.35, time: 0, prior: ls.uniform_prior() };
-        let q = CrowdQuery::for_event(&ev, &ls);
-        assert_eq!(q.answers.len(), 4);
-        assert!(q.question.contains("-6.26"));
-        assert_eq!(q.lon, ev.lon);
     }
 }

@@ -67,7 +67,7 @@ impl OnlineEm {
     /// Creates an estimator with explicit per-participant estimates
     /// (frozen: `Constant(0)` schedule). Used by the batch EM reference to
     /// evaluate posteriors under fixed parameters.
-    pub fn with_estimates(labels: LabelSet, p: &[f64]) -> OnlineEm {
+    pub(crate) fn with_estimates(labels: LabelSet, p: &[f64]) -> OnlineEm {
         OnlineEm {
             labels,
             p_hat: p.iter().map(|v| v.clamp(P_CLAMP, 1.0 - P_CLAMP)).collect(),
@@ -87,19 +87,9 @@ impl OnlineEm {
         &self.p_hat
     }
 
-    /// How often participant `i` has been queried.
-    pub fn queries_of(&self, i: usize) -> Option<usize> {
-        self.queries.get(i).copied()
-    }
-
-    /// The label set.
-    pub fn labels(&self) -> &LabelSet {
-        &self.labels
-    }
-
     /// Computes the posterior for one event without updating any estimate
     /// (the pure E-step; used by the batch reference and by tests).
-    pub fn posterior(
+    pub(crate) fn posterior(
         &self,
         prior: &[f64],
         answers: &[(usize, usize)],
@@ -140,7 +130,7 @@ impl OnlineEm {
     ///
     /// The label set and γ schedule are *configuration*, not state: import
     /// the blob into an estimator built with the same configuration. Unlike
-    /// [`OnlineEm::with_estimates`] (which freezes the schedule for batch
+    /// `OnlineEm::with_estimates` (which freezes the schedule for batch
     /// evaluation), an export/import round trip keeps the
     /// stochastic-approximation steps adapting exactly where they left off,
     /// because the per-participant query counts that index γ are restored
@@ -334,9 +324,9 @@ mod tests {
         let before = em.estimates().to_vec();
         em.process(&uniform4(), &[(0, 0), (2, 0)]).unwrap();
         assert_eq!(em.estimates()[1], before[1], "non-answering participant untouched");
-        assert_eq!(em.queries_of(0), Some(1));
-        assert_eq!(em.queries_of(1), Some(0));
-        assert_eq!(em.queries_of(9), None);
+        assert_eq!(em.queries[0], 1);
+        assert_eq!(em.queries.get(1).copied(), Some(0));
+        assert_eq!(em.queries.get(9).copied(), None);
     }
 
     #[test]
@@ -377,7 +367,7 @@ mod tests {
         let mut restored = OnlineEm::paper_default(cohort.len());
         restored.import_state(&snapshot).unwrap();
         assert_eq!(restored.estimates(), live.estimates());
-        assert_eq!(restored.queries_of(0), live.queries_of(0));
+        assert_eq!(restored.queries[0], live.queries[0]);
         assert_eq!(restored.export_state(), snapshot, "round trip is lossless");
         for ev in &events[200..] {
             let a = live.process(&uniform4(), ev).unwrap();

@@ -28,7 +28,7 @@ pub enum GammaSchedule {
 
 impl GammaSchedule {
     /// The step size for the `t`-th update (`t ≥ 1`).
-    pub fn gamma(&self, t: usize) -> f64 {
+    pub(crate) fn gamma(&self, t: usize) -> f64 {
         let t = t.max(1) as f64;
         match self {
             GammaSchedule::RunningMean => 1.0 / (t + 1.0),

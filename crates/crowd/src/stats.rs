@@ -21,7 +21,7 @@ impl PeakednessTracker {
     }
 
     /// A tracker with a custom threshold.
-    pub fn new(threshold: f64) -> PeakednessTracker {
+    pub(crate) fn new(threshold: f64) -> PeakednessTracker {
         PeakednessTracker { threshold, peaked: 0, total: 0 }
     }
 
@@ -31,11 +31,6 @@ impl PeakednessTracker {
         if confidence > self.threshold {
             self.peaked += 1;
         }
-    }
-
-    /// Events recorded.
-    pub fn total(&self) -> usize {
-        self.total
     }
 
     /// Fraction of peaked posteriors (`None` before any event).
@@ -79,16 +74,6 @@ impl EstimationTrace {
         self.series.get(i)?.last().copied()
     }
 
-    /// Number of snapshots recorded.
-    pub fn len(&self) -> usize {
-        self.series.first().map(Vec::len).unwrap_or(0)
-    }
-
-    /// Whether no snapshot was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Whether the participants, ordered by their final estimates, match the
     /// ordering of the true error probabilities — the paper's "after ~100
     /// calls the ordering is more or less correct" check. Ties within
@@ -124,7 +109,7 @@ mod tests {
         t.record(0.999);
         t.record(0.5);
         t.record(0.995);
-        assert_eq!(t.total(), 3);
+        assert_eq!(t.total, 3);
         assert!((t.fraction().unwrap() - 2.0 / 3.0).abs() < 1e-12);
     }
 
@@ -133,7 +118,7 @@ mod tests {
         let mut tr = EstimationTrace::new(2);
         tr.snapshot(&[0.3, 0.6]);
         tr.snapshot(&[0.25, 0.7]);
-        assert_eq!(tr.len(), 2);
+        assert_eq!(tr.series[0].len(), 2);
         assert_eq!(tr.final_estimate(0), Some(0.25));
         let re = tr.relative_error(1, 1, 0.5).unwrap();
         assert!((re - 0.4).abs() < 1e-12);

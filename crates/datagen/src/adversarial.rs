@@ -51,7 +51,7 @@ impl QueryGrid {
     /// Whether an item with the given occurrence and arrival time is inside
     /// the window evaluated at query `q`: it must have arrived, and its
     /// occurrence time must lie in the half-open working memory `(q − wm, q]`.
-    pub fn visible_at(&self, time: i64, arrival: i64, q: i64) -> bool {
+    pub(crate) fn visible_at(&self, time: i64, arrival: i64, q: i64) -> bool {
         arrival <= q && time > q - self.wm && time <= q
     }
 
@@ -68,11 +68,6 @@ impl QueryGrid {
             q += self.step;
         }
         false
-    }
-
-    /// [`QueryGrid::ever_visible_by`] over the whole grid.
-    pub fn ever_visible(&self, time: i64, arrival: i64) -> bool {
-        self.ever_visible_by(time, arrival, self.last)
     }
 
     /// The largest query time strictly before `time + wm` (the last query
@@ -318,7 +313,7 @@ impl Default for FuzzConfig {
 }
 
 /// A boolean builtin a fuzzed rule set calls.
-pub type FuzzBuiltin = fn(&[Term]) -> bool;
+pub(crate) type FuzzBuiltin = fn(&[Term]) -> bool;
 
 /// A fuzzed rule set plus the seeded stream that exercises it.
 #[derive(Debug, Clone)]
@@ -841,11 +836,17 @@ mod tests {
                 Lateness::WithinWm => {
                     seen[1] += 1;
                     assert!(p.arrival > p.time, "within-wm must be late");
-                    assert!(g.ever_visible(p.time, p.arrival), "within-wm must stay visible");
+                    assert!(
+                        g.ever_visible_by(p.time, p.arrival, g.last),
+                        "within-wm must stay visible"
+                    );
                 }
                 Lateness::BeyondWm => {
                     seen[2] += 1;
-                    assert!(!g.ever_visible(p.time, p.arrival), "beyond-wm must be lost: {p:?}");
+                    assert!(
+                        !g.ever_visible_by(p.time, p.arrival, g.last),
+                        "beyond-wm must be lost: {p:?}"
+                    );
                 }
                 Lateness::Boundary => seen[3] += 1,
             }

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Nominal (free-flow) bus speed in metres/second.
-pub const NOMINAL_SPEED_MS: f64 = 9.0;
+pub(crate) const NOMINAL_SPEED_MS: f64 = 9.0;
 
 /// A bus line: a route through the street network.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,13 +32,13 @@ pub struct BusLine {
 
 impl BusLine {
     /// Total route length in metres.
-    pub fn length_m(&self) -> f64 {
+    pub(crate) fn length_m(&self) -> f64 {
         *self.cum_m.last().unwrap_or(&0.0)
     }
 
     /// Position (lon, lat) and nearest route junction at distance `d` along
     /// the route (clamped to the ends).
-    pub fn position_at(&self, network: &StreetNetwork, d: f64) -> ((f64, f64), usize) {
+    pub(crate) fn position_at(&self, network: &StreetNetwork, d: f64) -> ((f64, f64), usize) {
         let d = d.clamp(0.0, self.length_m());
         // Find the segment containing d.
         let i = match self.cum_m.partition_point(|&c| c <= d) {
@@ -85,7 +85,7 @@ pub struct Bus {
 impl Bus {
     /// The active intervals `[from, to)` of this bus within a scenario of
     /// the given duration, after unwrapping a shift that crosses the end.
-    pub fn active_segments(&self, duration: i64) -> Vec<(i64, i64)> {
+    pub(crate) fn active_segments(&self, duration: i64) -> Vec<(i64, i64)> {
         let (start, end) = self.shift;
         if end <= duration {
             vec![(start, end.min(duration))]
@@ -165,7 +165,7 @@ impl FleetConfig {
 
 impl BusFleet {
     /// Generates lines and vehicles, deterministically under `seed`.
-    pub fn generate(
+    pub(crate) fn generate(
         network: &StreetNetwork,
         config: &FleetConfig,
         seed: u64,
@@ -235,7 +235,7 @@ impl BusFleet {
 
     /// Simulates every bus and returns all probe records of the scenario,
     /// sorted by time.
-    pub fn emit_all(
+    pub(crate) fn emit_all(
         &self,
         network: &StreetNetwork,
         field: &CongestionField,
@@ -250,7 +250,7 @@ impl BusFleet {
     /// [`emit_all`](BusFleet::emit_all), appending into a caller-owned
     /// buffer — the batched ingest form. `out`'s new tail (the whole buffer,
     /// when it starts empty) ends up sorted by time.
-    pub fn emit_into(
+    pub(crate) fn emit_into(
         &self,
         network: &StreetNetwork,
         field: &CongestionField,

@@ -113,7 +113,7 @@ pub fn generate(
 /// form. The new tail (the whole buffer, when it starts empty) ends up
 /// sorted by time.
 #[allow(clippy::too_many_arguments)]
-pub fn generate_into(
+pub(crate) fn generate_into(
     network: &StreetNetwork,
     field: &CongestionField,
     config: &CitizenConfig,

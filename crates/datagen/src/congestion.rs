@@ -22,10 +22,10 @@ use rand::{Rng, SeedableRng};
 
 /// Congestion level at and above which a location counts as congested —
 /// what honest buses report and what the SCATS thresholds encode.
-pub const CONGESTION_LEVEL: f64 = 0.7;
+pub(crate) const CONGESTION_LEVEL: f64 = 0.7;
 
 /// Jam density of the fundamental diagram (vehicles/km).
-pub const JAM_DENSITY: f64 = 120.0;
+pub(crate) const JAM_DENSITY: f64 = 120.0;
 
 /// Peak flow capacity (vehicles/hour) reached at level 0.5.
 pub const CAPACITY: f64 = 1800.0;
@@ -37,7 +37,7 @@ pub const UPPER_DENSITY_THRESHOLD: f64 = CONGESTION_LEVEL * JAM_DENSITY; // 84
 pub const LOWER_FLOW_THRESHOLD: f64 = 4.0 * CONGESTION_LEVEL * (1.0 - CONGESTION_LEVEL) * CAPACITY; // 1512
 
 /// Seconds in a day.
-pub const DAY: i64 = 86_400;
+pub(crate) const DAY: i64 = 86_400;
 
 /// A localised congestion incident.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,7 +177,7 @@ impl CongestionField {
     }
 
     /// Ground-truth congestion level of junction `v` at time `t`, in `[0, 1]`.
-    pub fn level(&self, v: usize, t: i64) -> f64 {
+    pub(crate) fn level(&self, v: usize, t: i64) -> f64 {
         let mut level =
             self.config.base + self.config.rush_amplitude * self.rush_factor(t) * self.spatial[v];
         for (incident, nearby) in self.incidents.iter().zip(&self.affected) {
@@ -196,7 +196,7 @@ impl CongestionField {
     }
 
     /// Density in vehicles/km (fundamental diagram).
-    pub fn density(&self, v: usize, t: i64) -> f64 {
+    pub(crate) fn density(&self, v: usize, t: i64) -> f64 {
         self.level(v, t) * JAM_DENSITY
     }
 
@@ -207,7 +207,7 @@ impl CongestionField {
     }
 
     /// Speed multiplier in `(0, 1]` — buses slow down in congestion.
-    pub fn speed_factor(&self, v: usize, t: i64) -> f64 {
+    pub(crate) fn speed_factor(&self, v: usize, t: i64) -> f64 {
         1.0 - 0.8 * self.level(v, t)
     }
 }

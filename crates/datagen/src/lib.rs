@@ -28,6 +28,7 @@
 //! Everything is deterministic under the scenario seed.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // `!(x > 0.0)` guards are deliberate: they reject NaN along with the
 // out-of-range values, which `x <= 0.0` would not.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]

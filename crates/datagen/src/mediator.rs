@@ -31,7 +31,7 @@ impl MediatorConfig {
     }
 
     /// The default lossy mediator used by the Dublin preset.
-    pub fn default_lossy() -> MediatorConfig {
+    pub(crate) fn default_lossy() -> MediatorConfig {
         MediatorConfig { max_delay_s: 45, drop_probability: 0.01, thinning: 1 }
     }
 

@@ -209,7 +209,7 @@ impl StreetNetwork {
     }
 
     /// Neighbours of a junction.
-    pub fn neighbours(&self, v: usize) -> &[usize] {
+    pub(crate) fn neighbours(&self, v: usize) -> &[usize] {
         &self.adjacency[v]
     }
 
@@ -249,7 +249,7 @@ impl StreetNetwork {
 
     /// Unweighted shortest path (BFS) between two junctions, inclusive of
     /// both endpoints. `None` if unreachable.
-    pub fn shortest_path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
+    pub(crate) fn shortest_path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
         if from >= self.len() || to >= self.len() {
             return None;
         }
@@ -278,11 +278,6 @@ impl StreetNetwork {
             }
         }
         None
-    }
-
-    /// Length of a path in metres.
-    pub fn path_length_m(&self, path: &[usize]) -> f64 {
-        path.windows(2).map(|w| distance_m(self.junctions[w[0]], self.junctions[w[1]])).sum()
     }
 
     /// Average junction degree.
@@ -373,7 +368,6 @@ mod tests {
         for w in path.windows(2) {
             assert!(net.neighbours(w[0]).contains(&w[1]), "consecutive junctions adjacent");
         }
-        assert!(net.path_length_m(&path) > 0.0);
         assert_eq!(net.shortest_path(0, 0), Some(vec![0]));
         assert_eq!(net.shortest_path(0, 10_000), None);
     }

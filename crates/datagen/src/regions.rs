@@ -9,7 +9,7 @@
 use std::fmt;
 
 /// Dublin city-centre reference point (O'Connell Bridge, roughly).
-pub const CITY_CENTRE: (f64, f64) = (-6.2603, 53.3478);
+pub(crate) const CITY_CENTRE: (f64, f64) = (-6.2603, 53.3478);
 
 /// One of the four SCATS regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,7 +47,7 @@ impl Region {
 
     /// Region assignment with an explicit centre and central radius
     /// (degrees, approximate).
-    pub fn of_with_centre(
+    pub(crate) fn of_with_centre(
         lon: f64,
         lat: f64,
         centre: (f64, f64),

@@ -190,24 +190,11 @@ impl ScatsDeployment {
         self.sensors.is_empty()
     }
 
-    /// The readings of every sensor at reading time `t`.
-    pub fn readings_at(
-        &self,
-        network: &StreetNetwork,
-        field: &CongestionField,
-        t: i64,
-        rng: &mut StdRng,
-    ) -> Vec<ScatsRecord> {
-        let mut out = Vec::with_capacity(self.sensors.len());
-        self.readings_into(network, field, t, rng, &mut out);
-        out
-    }
-
-    /// [`readings_at`](ScatsDeployment::readings_at), appending the tick's
-    /// batch into a caller-owned buffer — the batched ingest form: a sweep
-    /// over many ticks reuses one buffer instead of allocating a fresh
-    /// vector per tick.
-    pub fn readings_into(
+    /// Appends the readings of every sensor at reading time `t` to a
+    /// caller-owned buffer — the batched ingest form: a sweep over many
+    /// ticks reuses one buffer instead of allocating a fresh vector per
+    /// tick.
+    pub(crate) fn readings_into(
         &self,
         network: &StreetNetwork,
         field: &CongestionField,
@@ -292,7 +279,8 @@ mod tests {
         let d = ScatsDeployment::place(&n, 40, 0.0, 3).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let t = (8.5 * 3600.0) as i64;
-        let readings = d.readings_at(&n, &field, t, &mut rng);
+        let mut readings = Vec::new();
+        d.readings_into(&n, &field, t, &mut rng, &mut readings);
         assert_eq!(readings.len(), 40);
         for (r, s) in readings.iter().zip(d.sensors()) {
             assert!(
@@ -310,7 +298,8 @@ mod tests {
         let d = ScatsDeployment::place(&n, 40, 0.05, 3).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let t = 30_000;
-        let readings = d.readings_at(&n, &field, t, &mut rng);
+        let mut readings = Vec::new();
+        d.readings_into(&n, &field, t, &mut rng, &mut readings);
         for (r, s) in readings.iter().zip(d.sensors()) {
             let truth = field.density(s.junction, t);
             assert!((r.density - truth).abs() <= truth * 0.05 + 1e-9);

@@ -179,13 +179,6 @@ impl Scenario {
         self.sdes.iter().filter(move |s| s.time > from && s.time <= to)
     }
 
-    /// The SDE trace as arrival-aligned ingest batches of at most `max`
-    /// records (see [`crate::stream::arrival_batches`]); a batched consumer
-    /// sees exactly the per-item trace in fewer hand-offs.
-    pub fn sde_batches(&self, max: usize) -> crate::stream::ArrivalBatches<'_> {
-        crate::stream::arrival_batches(&self.sdes, max)
-    }
-
     /// Ground truth: is the junction nearest to `(lon, lat)` congested at `t`?
     pub fn truth_congested(&self, lon: f64, lat: f64, t: i64) -> bool {
         self.network

@@ -32,7 +32,7 @@ pub struct BusRecord {
 
 impl BusRecord {
     /// The region the bus currently traverses.
-    pub fn region(&self) -> Region {
+    pub(crate) fn region(&self) -> Region {
         Region::of(self.lon, self.lat)
     }
 }
@@ -104,46 +104,6 @@ impl Sde {
     }
 }
 
-/// Splits an arrival-sorted SDE trace into ingest batches of at most `max`
-/// records, aligned to arrival-second boundaries: a batch never splits the
-/// records of one arrival second across two batches unless that second alone
-/// exceeds `max`. Concatenating the batches yields the input verbatim, so a
-/// batched feed delivers exactly the per-item trace — just in fewer, larger
-/// hand-offs.
-pub fn arrival_batches(sdes: &[Sde], max: usize) -> ArrivalBatches<'_> {
-    ArrivalBatches { rest: sdes, max: max.max(1) }
-}
-
-/// Iterator over arrival-aligned SDE batches; see [`arrival_batches`].
-pub struct ArrivalBatches<'a> {
-    rest: &'a [Sde],
-    max: usize,
-}
-
-impl<'a> Iterator for ArrivalBatches<'a> {
-    type Item = &'a [Sde];
-
-    fn next(&mut self) -> Option<&'a [Sde]> {
-        if self.rest.is_empty() {
-            return None;
-        }
-        let mut end = self.rest.len().min(self.max);
-        if end < self.rest.len() {
-            // Pull the cut back to the last arrival-second boundary inside
-            // the window; if the whole window is one arrival second, keep
-            // the full `max`-sized cut (an oversized tick must split).
-            let cut_arrival = self.rest[end].arrival;
-            if let Some(boundary) = self.rest[..end].iter().rposition(|s| s.arrival != cut_arrival)
-            {
-                end = boundary + 1;
-            }
-        }
-        let (batch, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        Some(batch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,37 +126,6 @@ mod tests {
         assert_eq!(sde.region(), Region::Central);
         assert!(sde.is_bus());
         assert_eq!(sde.arrival, 100);
-    }
-
-    fn sde_at(arrival: i64) -> Sde {
-        let body = SdeBody::Scats(ScatsRecord {
-            intersection: 1,
-            approach: 0,
-            sensor: 5,
-            density: 80.0,
-            flow: 1500.0,
-            lon: CITY_CENTRE.0,
-            lat: CITY_CENTRE.1,
-        });
-        Sde { time: arrival, arrival, body }
-    }
-
-    #[test]
-    fn arrival_batches_align_to_ticks() {
-        let sdes: Vec<Sde> = [1, 2, 2, 2, 2, 3, 3].into_iter().map(sde_at).collect();
-        let batches: Vec<&[Sde]> = arrival_batches(&sdes, 4).collect();
-        let sizes: Vec<usize> = batches.iter().map(|b| b.len()).collect();
-        assert_eq!(sizes, vec![1, 4, 2], "cuts pull back to tick boundaries");
-        let flat: Vec<Sde> = batches.into_iter().flatten().cloned().collect();
-        assert_eq!(flat, sdes, "concatenation is the input verbatim");
-    }
-
-    #[test]
-    fn arrival_batches_split_oversized_ticks() {
-        let sdes: Vec<Sde> = std::iter::repeat_with(|| sde_at(9)).take(10).collect();
-        let sizes: Vec<usize> = arrival_batches(&sdes, 4).map(|b| b.len()).collect();
-        assert_eq!(sizes, vec![4, 4, 2], "a tick larger than max must split");
-        assert_eq!(arrival_batches(&[], 4).count(), 0);
     }
 
     #[test]

@@ -19,11 +19,6 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// A graph with `n` isolated vertices at the origin.
-    pub fn with_vertices(n: usize) -> Graph {
-        Graph { n, adjacency: vec![Vec::new(); n], coords: vec![(0.0, 0.0); n], edges: Vec::new() }
-    }
-
     /// Builds a graph from explicit coordinates and undirected edges.
     pub fn new(coords: Vec<(f64, f64)>, edges: &[(usize, usize)]) -> Result<Graph, GpError> {
         let n = coords.len();
@@ -36,7 +31,7 @@ impl Graph {
 
     /// Adds an undirected edge; self-loops and duplicates are rejected
     /// silently (idempotent).
-    pub fn add_edge(&mut self, a: usize, b: usize) -> Result<(), GpError> {
+    pub(crate) fn add_edge(&mut self, a: usize, b: usize) -> Result<(), GpError> {
         if a >= self.n {
             return Err(GpError::VertexOutOfRange { index: a, n: self.n });
         }
@@ -52,15 +47,6 @@ impl Graph {
         Ok(())
     }
 
-    /// Sets the planar coordinates of a vertex.
-    pub fn set_coords(&mut self, v: usize, x: f64, y: f64) -> Result<(), GpError> {
-        if v >= self.n {
-            return Err(GpError::VertexOutOfRange { index: v, n: self.n });
-        }
-        self.coords[v] = (x, y);
-        Ok(())
-    }
-
     /// Number of vertices.
     pub fn len(&self) -> usize {
         self.n
@@ -69,21 +55,6 @@ impl Graph {
     /// Whether the graph has no vertices.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// Number of undirected edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// The undirected edges `(min, max)`.
-    pub fn edges(&self) -> &[(usize, usize)] {
-        &self.edges
-    }
-
-    /// Neighbours of a vertex.
-    pub fn neighbours(&self, v: usize) -> &[usize] {
-        &self.adjacency[v]
     }
 
     /// Vertex degree.
@@ -97,22 +68,12 @@ impl Graph {
     }
 
     /// All coordinates.
-    pub fn all_coords(&self) -> &[(f64, f64)] {
+    pub(crate) fn all_coords(&self) -> &[(f64, f64)] {
         &self.coords
     }
 
-    /// The adjacency matrix `A`.
-    pub fn adjacency_matrix(&self) -> Matrix {
-        let mut a = Matrix::zeros(self.n, self.n);
-        for &(i, j) in &self.edges {
-            a.set(i, j, 1.0);
-            a.set(j, i, 1.0);
-        }
-        a
-    }
-
     /// The combinatorial Laplacian `L = D − A`.
-    pub fn laplacian(&self) -> Matrix {
+    pub(crate) fn laplacian(&self) -> Matrix {
         let mut l = Matrix::zeros(self.n, self.n);
         for v in 0..self.n {
             l.set(v, v, self.degree(v) as f64);
@@ -215,26 +176,26 @@ mod tests {
     fn build_and_query() {
         let g = Graph::new(vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], &[(0, 1), (1, 2)]).unwrap();
         assert_eq!(g.len(), 3);
-        assert_eq!(g.edge_count(), 2);
+        assert_eq!(g.edges.len(), 2);
         assert_eq!(g.degree(1), 2);
-        assert_eq!(g.neighbours(0), &[1]);
+        assert_eq!(g.adjacency[0], [1]);
         assert!(g.is_connected());
     }
 
     #[test]
     fn rejects_out_of_range_edges() {
-        let mut g = Graph::with_vertices(2);
+        let mut g = Graph::new(vec![(0.0, 0.0); 2], &[]).unwrap();
         assert!(g.add_edge(0, 5).is_err());
         assert!(g.add_edge(7, 0).is_err());
     }
 
     #[test]
     fn duplicate_edges_and_self_loops_ignored() {
-        let mut g = Graph::with_vertices(2);
+        let mut g = Graph::new(vec![(0.0, 0.0); 2], &[]).unwrap();
         g.add_edge(0, 1).unwrap();
         g.add_edge(1, 0).unwrap();
         g.add_edge(0, 0).unwrap();
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.edges.len(), 1);
         assert_eq!(g.degree(0), 1);
     }
 
@@ -257,8 +218,8 @@ mod tests {
     fn connectivity_detection() {
         let g = Graph::new(vec![(0.0, 0.0); 4], &[(0, 1), (2, 3)]).unwrap();
         assert!(!g.is_connected());
-        assert!(Graph::with_vertices(0).is_connected());
-        assert!(Graph::with_vertices(1).is_connected());
+        assert!(Graph::new(vec![(0.0, 0.0); 0], &[]).unwrap().is_connected());
+        assert!(Graph::new(vec![(0.0, 0.0); 1], &[]).unwrap().is_connected());
     }
 
     #[test]
@@ -266,14 +227,14 @@ mod tests {
         let g = Graph::new(vec![(0.0, 0.0), (10.0, 0.0), (5.0, 5.0)], &[]).unwrap();
         assert_eq!(g.nearest_vertex(9.0, 1.0), Some(1));
         assert_eq!(g.nearest_vertex(4.9, 4.9), Some(2));
-        assert_eq!(Graph::with_vertices(0).nearest_vertex(0.0, 0.0), None);
+        assert_eq!(Graph::new(vec![(0.0, 0.0); 0], &[]).unwrap().nearest_vertex(0.0, 0.0), None);
     }
 
     #[test]
     fn grid_structure() {
         let g = Graph::grid(3, 2);
         assert_eq!(g.len(), 6);
-        assert_eq!(g.edge_count(), 7); // 2*2 horizontal + 3 vertical
+        assert_eq!(g.edges.len(), 7); // 2*2 horizontal + 3 vertical
         assert!(g.is_connected());
         assert_eq!(g.coords(4), (1.0, 1.0));
         // corner has degree 2, middle of top edge degree 3

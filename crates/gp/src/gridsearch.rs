@@ -103,47 +103,6 @@ impl GridSearch {
         })?;
         Ok(GridSearchResult { best, best_rmse, evaluated })
     }
-
-    /// Runs the search scoring candidates by (negative) log marginal
-    /// likelihood instead of hold-out RMSE — the evidence-based criterion;
-    /// uses every observation for fitting. The `evaluated` triples carry
-    /// `−log p(y)` in the score position (lower is better, as with RMSE).
-    pub fn run_marginal_likelihood(
-        &self,
-        graph: &Graph,
-        observations: &[(usize, f64)],
-    ) -> Result<GridSearchResult, GpError> {
-        if observations.is_empty() {
-            return Err(GpError::DegenerateObservations { detail: "no observations".into() });
-        }
-        let mut evaluated = Vec::new();
-        let mut best: Option<(RegularizedLaplacian, f64)> = None;
-        for &alpha in &self.alphas {
-            if alpha <= 0.0 {
-                continue;
-            }
-            for &beta in &self.betas {
-                if beta <= 0.0 {
-                    continue;
-                }
-                let kernel = RegularizedLaplacian::new(alpha, beta)?;
-                let gp =
-                    GpRegression::fit(graph, &kernel, observations, self.noise_variance, true)?;
-                let score = -gp.log_marginal_likelihood()?;
-                if !score.is_finite() {
-                    continue;
-                }
-                evaluated.push((alpha, beta, score));
-                if best.as_ref().map(|&(_, s)| score < s).unwrap_or(true) {
-                    best = Some((kernel, score));
-                }
-            }
-        }
-        let (best, best_rmse) = best.ok_or_else(|| GpError::DegenerateObservations {
-            detail: "grid contained no valid (alpha, beta) candidates".into(),
-        })?;
-        Ok(GridSearchResult { best, best_rmse, evaluated })
-    }
 }
 
 #[cfg(test)]
@@ -184,37 +143,6 @@ mod tests {
         assert_eq!(result.evaluated.len(), 1);
         assert_eq!(result.best.alpha, 2.0);
         assert_eq!(result.best.beta, 1.0);
-    }
-
-    #[test]
-    fn marginal_likelihood_search_finds_reasonable_candidate() {
-        let g = Graph::grid(6, 6);
-        let obs = smooth_observations(&g);
-        let result = GridSearch::default().run_marginal_likelihood(&g, &obs).unwrap();
-        assert_eq!(result.evaluated.len(), 100);
-        assert!(result.best_rmse.is_finite(), "score (−LML) is finite");
-        // The evidence-chosen kernel predicts the held-out style data at
-        // least as well as a clearly bad kernel.
-        let bad = crate::kernel::RegularizedLaplacian::new(0.5, 10.0).unwrap();
-        let targets: Vec<usize> = (1..g.len()).step_by(4).collect();
-        let truth: Vec<(usize, f64)> = targets
-            .iter()
-            .map(|&v| {
-                let (x, y) = g.coords(v);
-                (v, (x * 0.5).sin() * 5.0 + (y * 0.3).cos() * 3.0 + 10.0)
-            })
-            .collect();
-        let fit = |k: &crate::kernel::RegularizedLaplacian| {
-            let gp = crate::regression::GpRegression::fit(&g, k, &obs, 0.1, true).unwrap();
-            crate::regression::rmse(&gp.predict(&targets).unwrap(), &truth).unwrap()
-        };
-        assert!(fit(&result.best) <= fit(&bad) * 1.5);
-    }
-
-    #[test]
-    fn marginal_likelihood_search_rejects_empty() {
-        let g = Graph::grid(3, 3);
-        assert!(GridSearch::default().run_marginal_likelihood(&g, &[]).is_err());
     }
 
     #[test]

@@ -150,6 +150,7 @@ impl Kernel for RbfKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::tests::{is_symmetric, max_abs_diff};
 
     #[test]
     fn hyperparameter_validation() {
@@ -165,7 +166,7 @@ mod tests {
     fn regularized_laplacian_is_spd_and_symmetric() {
         let g = Graph::grid(3, 3);
         let k = RegularizedLaplacian::new(2.0, 1.0).unwrap().covariance(&g).unwrap();
-        assert!(k.is_symmetric(1e-10));
+        assert!(is_symmetric(&k, 1e-10));
         assert!(k.cholesky().is_ok(), "covariance must be SPD");
     }
 
@@ -185,7 +186,7 @@ mod tests {
         let k = rl.covariance(&g).unwrap();
         let def = g.laplacian().add_diagonal(1.0 / (1.5f64 * 1.5)).scale(0.7);
         let prod = k.matmul(&def).unwrap();
-        assert!(prod.max_abs_diff(&Matrix::identity(4)) < 1e-10);
+        assert!(max_abs_diff(&prod, &Matrix::identity(4)) < 1e-10);
     }
 
     #[test]
@@ -195,7 +196,7 @@ mod tests {
         assert!((k.get(0, 1) - k.get(0, 2)).abs() < 1e-12, "equal distances, equal covariance");
         assert!((k.get(0, 0) - 2.0).abs() < 1e-12, "diagonal = signal variance");
         assert!(k.get(0, 3) < k.get(0, 1));
-        assert!(k.is_symmetric(1e-12));
+        assert!(is_symmetric(&k, 1e-12));
     }
 
     #[test]
@@ -211,7 +212,7 @@ mod tests {
         assert!(DiffusionKernel::new(1.0, -1.0).is_err());
         let g = Graph::grid(5, 1);
         let k = DiffusionKernel::new(0.8, 1.0).unwrap().covariance(&g).unwrap();
-        assert!(k.is_symmetric(1e-9));
+        assert!(is_symmetric(&k, 1e-9));
         // Heat spreads along the path: neighbour > far vertex.
         assert!(k.get(0, 1) > k.get(0, 4));
         assert!(k.get(0, 0) > k.get(0, 1));

@@ -21,13 +21,14 @@
 //! Σ = K_{u,u} − K_{u,ū} (K_{ū,ū} + σ²I)⁻¹ K_{ū,u}
 //! ```
 //!
-//! The crate is self-contained: [`linalg`] provides the dense symmetric
+//! The crate is self-contained: `linalg` provides the dense symmetric
 //! linear algebra (Cholesky factorisation, solves, SPD inverses), [`graph`]
 //! the street-graph representation, [`kernel`] the graph kernels,
 //! [`regression`] the GP posterior, [`gridsearch`] hyperparameter selection
 //! and [`render`] the green-to-red map rendering of Figure 9.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // `!(x > 0.0)` guards are deliberate: they reject NaN along with the
 // out-of-range values, which `x <= 0.0` would not.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -36,9 +37,10 @@ pub mod error;
 pub mod graph;
 pub mod gridsearch;
 pub mod kernel;
-pub mod linalg;
+mod linalg;
 pub mod regression;
 pub mod render;
+pub mod testing;
 
 pub use error::GpError;
 pub use graph::Graph;

@@ -22,12 +22,12 @@ pub struct Matrix {
 
 impl Matrix {
     /// A zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Matrix {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Matrix {
         Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
     /// The identity matrix.
-    pub fn identity(n: usize) -> Matrix {
+    pub(crate) fn identity(n: usize) -> Matrix {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m.set(i, i, 1.0);
@@ -35,21 +35,13 @@ impl Matrix {
         m
     }
 
-    /// Builds from nested rows. Panics on ragged input.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Matrix {
-        let r = rows.len();
-        let c = rows.first().map(Vec::len).unwrap_or(0);
-        assert!(rows.iter().all(|row| row.len() == c), "ragged rows");
-        Matrix { rows: r, cols: c, data: rows.iter().flatten().copied().collect() }
-    }
-
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -62,24 +54,24 @@ impl Matrix {
 
     /// Element mutator.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i * self.cols + j] = v;
     }
 
     /// In-place element update.
     #[inline]
-    pub fn add_to(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn add_to(&mut self, i: usize, j: usize, v: f64) {
         self.data[i * self.cols + j] += v;
     }
 
     /// One row as a slice.
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Transpose.
-    pub fn transpose(&self) -> Matrix {
+    pub(crate) fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
@@ -90,7 +82,7 @@ impl Matrix {
     }
 
     /// Matrix product `self · rhs`.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, GpError> {
+    pub(crate) fn matmul(&self, rhs: &Matrix) -> Result<Matrix, GpError> {
         if self.cols != rhs.rows {
             return Err(GpError::DimensionMismatch {
                 detail: format!("matmul: {}×{} · {}×{}", self.rows, self.cols, rhs.rows, rhs.cols),
@@ -115,7 +107,7 @@ impl Matrix {
     }
 
     /// Matrix-vector product.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, GpError> {
+    pub(crate) fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, GpError> {
         if self.cols != v.len() {
             return Err(GpError::DimensionMismatch {
                 detail: format!("matvec: {}×{} · len {}", self.rows, self.cols, v.len()),
@@ -127,7 +119,7 @@ impl Matrix {
     /// Elementwise sum. (Named like a matrix API, not `std::ops::Add`,
     /// because it is fallible.)
     #[allow(clippy::should_implement_trait)]
-    pub fn add(&self, rhs: &Matrix) -> Result<Matrix, GpError> {
+    pub(crate) fn add(&self, rhs: &Matrix) -> Result<Matrix, GpError> {
         if self.rows != rhs.rows || self.cols != rhs.cols {
             return Err(GpError::DimensionMismatch { detail: "add: shape mismatch".into() });
         }
@@ -135,23 +127,13 @@ impl Matrix {
         Ok(Matrix { rows: self.rows, cols: self.cols, data })
     }
 
-    /// Elementwise difference (fallible, hence not `std::ops::Sub`).
-    #[allow(clippy::should_implement_trait)]
-    pub fn sub(&self, rhs: &Matrix) -> Result<Matrix, GpError> {
-        if self.rows != rhs.rows || self.cols != rhs.cols {
-            return Err(GpError::DimensionMismatch { detail: "sub: shape mismatch".into() });
-        }
-        let data = self.data.iter().zip(&rhs.data).map(|(a, b)| a - b).collect();
-        Ok(Matrix { rows: self.rows, cols: self.cols, data })
-    }
-
     /// Scalar multiple.
-    pub fn scale(&self, s: f64) -> Matrix {
+    pub(crate) fn scale(&self, s: f64) -> Matrix {
         Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|v| v * s).collect() }
     }
 
     /// Adds `s` to the diagonal (jitter / noise term).
-    pub fn add_diagonal(&self, s: f64) -> Matrix {
+    pub(crate) fn add_diagonal(&self, s: f64) -> Matrix {
         let mut out = self.clone();
         for i in 0..self.rows.min(self.cols) {
             out.add_to(i, i, s);
@@ -160,7 +142,11 @@ impl Matrix {
     }
 
     /// Extracts the submatrix with the given row and column indices.
-    pub fn submatrix(&self, row_idx: &[usize], col_idx: &[usize]) -> Result<Matrix, GpError> {
+    pub(crate) fn submatrix(
+        &self,
+        row_idx: &[usize],
+        col_idx: &[usize],
+    ) -> Result<Matrix, GpError> {
         for &i in row_idx.iter().chain(col_idx) {
             if i >= self.rows.max(self.cols) {
                 return Err(GpError::VertexOutOfRange { index: i, n: self.rows });
@@ -175,29 +161,9 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Maximum absolute elementwise difference to another matrix.
-    pub fn max_abs_diff(&self, rhs: &Matrix) -> f64 {
-        self.data.iter().zip(&rhs.data).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
-    }
-
-    /// Whether the matrix is (numerically) symmetric.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self.get(i, j) - self.get(j, i)).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Cholesky factorisation: returns lower-triangular `L` with
     /// `L·Lᵀ = self`. Fails when the matrix is not SPD.
-    pub fn cholesky(&self) -> Result<Matrix, GpError> {
+    pub(crate) fn cholesky(&self) -> Result<Matrix, GpError> {
         if self.rows != self.cols {
             return Err(GpError::DimensionMismatch { detail: "cholesky: not square".into() });
         }
@@ -223,14 +189,14 @@ impl Matrix {
     }
 
     /// Solves `self · x = b` for SPD `self` via Cholesky.
-    pub fn solve_spd(&self, b: &[f64]) -> Result<Vec<f64>, GpError> {
+    pub(crate) fn solve_spd(&self, b: &[f64]) -> Result<Vec<f64>, GpError> {
         let l = self.cholesky()?;
         let y = forward_substitute(&l, b)?;
         backward_substitute_transposed(&l, &y)
     }
 
     /// Solves `self · X = B` (column-wise) for SPD `self`.
-    pub fn solve_spd_matrix(&self, b: &Matrix) -> Result<Matrix, GpError> {
+    pub(crate) fn solve_spd_matrix(&self, b: &Matrix) -> Result<Matrix, GpError> {
         if self.rows != b.rows {
             return Err(GpError::DimensionMismatch { detail: "solve: rhs rows".into() });
         }
@@ -251,19 +217,19 @@ impl Matrix {
     }
 
     /// Inverse of an SPD matrix.
-    pub fn inverse_spd(&self) -> Result<Matrix, GpError> {
+    pub(crate) fn inverse_spd(&self) -> Result<Matrix, GpError> {
         self.solve_spd_matrix(&Matrix::identity(self.rows))
     }
 
     /// Maximum absolute row sum (the induced ∞-norm).
-    pub fn norm_inf(&self) -> f64 {
+    pub(crate) fn norm_inf(&self) -> f64 {
         (0..self.rows).map(|i| self.row(i).iter().map(|v| v.abs()).sum::<f64>()).fold(0.0, f64::max)
     }
 
     /// Matrix exponential `exp(self)` by scaling-and-squaring with a
     /// truncated Taylor series — adequate for the symmetric, moderately
     /// sized matrices of graph kernels (the diffusion kernel `exp(−βL)`).
-    pub fn expm(&self) -> Result<Matrix, GpError> {
+    pub(crate) fn expm(&self) -> Result<Matrix, GpError> {
         if self.rows != self.cols {
             return Err(GpError::DimensionMismatch { detail: "expm: not square".into() });
         }
@@ -322,12 +288,32 @@ fn backward_substitute_transposed(l: &Matrix, y: &[f64]) -> Result<Vec<f64>, GpE
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Builds from nested rows. Panics on ragged input.
+    fn from_rows(rows: &[Vec<f64>]) -> Matrix {
+        let r = rows.len();
+        let c = rows.first().map(Vec::len).unwrap_or(0);
+        assert!(rows.iter().all(|row| row.len() == c), "ragged rows");
+        Matrix { rows: r, cols: c, data: rows.iter().flatten().copied().collect() }
+    }
+
+    /// Maximum absolute elementwise difference of two matrices.
+    pub(crate) fn max_abs_diff(a: &Matrix, b: &Matrix) -> f64 {
+        a.data.iter().zip(&b.data).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
+    }
+
+    /// Whether a matrix is (numerically) symmetric.
+    pub(crate) fn is_symmetric(m: &Matrix, tol: f64) -> bool {
+        m.rows == m.cols
+            && (0..m.rows)
+                .all(|i| (i + 1..m.cols).all(|j| (m.get(i, j) - m.get(j, i)).abs() <= tol))
+    }
 
     fn spd3() -> Matrix {
         // A known SPD matrix.
-        Matrix::from_rows(&[vec![4.0, 2.0, 0.6], vec![2.0, 5.0, 1.0], vec![0.6, 1.0, 3.0]])
+        from_rows(&[vec![4.0, 2.0, 0.6], vec![2.0, 5.0, 1.0], vec![0.6, 1.0, 3.0]])
     }
 
     #[test]
@@ -344,10 +330,10 @@ mod tests {
 
     #[test]
     fn matmul_matches_hand_computation() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
+        let a = from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let b = from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
         let c = a.matmul(&b).unwrap();
-        assert_eq!(c, Matrix::from_rows(&[vec![19.0, 22.0], vec![43.0, 50.0]]));
+        assert_eq!(c, from_rows(&[vec![19.0, 22.0], vec![43.0, 50.0]]));
     }
 
     #[test]
@@ -359,18 +345,17 @@ mod tests {
 
     #[test]
     fn matvec_works() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let a = from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
         assert!(a.matvec(&[1.0]).is_err());
     }
 
     #[test]
     fn transpose_add_sub_scale() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0]]);
-        assert_eq!(a.transpose(), Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]));
+        let a = from_rows(&[vec![1.0, 2.0, 3.0]]);
+        assert_eq!(a.transpose(), from_rows(&[vec![1.0], vec![2.0], vec![3.0]]));
         let b = a.add(&a).unwrap();
         assert_eq!(b, a.scale(2.0));
-        assert_eq!(b.sub(&a).unwrap(), a);
     }
 
     #[test]
@@ -378,7 +363,7 @@ mod tests {
         let m = spd3();
         let l = m.cholesky().unwrap();
         let back = l.matmul(&l.transpose()).unwrap();
-        assert!(m.max_abs_diff(&back) < 1e-12);
+        assert!(max_abs_diff(&m, &back) < 1e-12);
         // L is lower triangular.
         assert_eq!(l.get(0, 1), 0.0);
         assert_eq!(l.get(0, 2), 0.0);
@@ -387,7 +372,7 @@ mod tests {
 
     #[test]
     fn cholesky_rejects_non_spd() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]); // indefinite
+        let m = from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]); // indefinite
         assert!(matches!(m.cholesky(), Err(GpError::NotPositiveDefinite { .. })));
         let m = Matrix::zeros(2, 3);
         assert!(matches!(m.cholesky(), Err(GpError::DimensionMismatch { .. })));
@@ -409,9 +394,9 @@ mod tests {
         let m = spd3();
         let inv = m.inverse_spd().unwrap();
         let prod = m.matmul(&inv).unwrap();
-        assert!(prod.max_abs_diff(&Matrix::identity(3)) < 1e-10);
+        assert!(max_abs_diff(&prod, &Matrix::identity(3)) < 1e-10);
         // Inverse of SPD is symmetric.
-        assert!(inv.is_symmetric(1e-12));
+        assert!(is_symmetric(&inv, 1e-12));
     }
 
     #[test]
@@ -434,32 +419,23 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_check() {
-        assert!(spd3().is_symmetric(0.0));
-        let mut m = spd3();
-        m.set(0, 1, 9.0);
-        assert!(!m.is_symmetric(1e-9));
-        assert!(!Matrix::zeros(2, 3).is_symmetric(0.0));
-    }
-
-    #[test]
     fn solve_matrix_multiple_rhs() {
         let m = spd3();
-        let b = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
+        let b = from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
         let x = m.solve_spd_matrix(&b).unwrap();
         let back = m.matmul(&x).unwrap();
-        assert!(back.max_abs_diff(&b) < 1e-10);
+        assert!(max_abs_diff(&back, &b) < 1e-10);
     }
 
     #[test]
     #[should_panic(expected = "ragged")]
     fn from_rows_rejects_ragged() {
-        let _ = Matrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]);
+        let _ = from_rows(&[vec![1.0], vec![1.0, 2.0]]);
     }
 
     #[test]
     fn norm_inf_is_max_row_sum() {
-        let m = Matrix::from_rows(&[vec![1.0, -2.0], vec![0.5, 0.25]]);
+        let m = from_rows(&[vec![1.0, -2.0], vec![0.5, 0.25]]);
         assert_eq!(m.norm_inf(), 3.0);
         assert_eq!(Matrix::zeros(2, 2).norm_inf(), 0.0);
     }
@@ -467,7 +443,7 @@ mod tests {
     #[test]
     fn expm_of_zero_is_identity() {
         let e = Matrix::zeros(3, 3).expm().unwrap();
-        assert!(e.max_abs_diff(&Matrix::identity(3)) < 1e-14);
+        assert!(max_abs_diff(&e, &Matrix::identity(3)) < 1e-14);
     }
 
     #[test]
@@ -485,13 +461,13 @@ mod tests {
     fn expm_path_laplacian_closed_form() {
         // L of the 2-path: [[1,-1],[-1,1]], eigenvalues {0, 2}.
         // exp(-βL) = [[(1+e^{-2β})/2, (1-e^{-2β})/2], …] symmetric.
-        let l = Matrix::from_rows(&[vec![1.0, -1.0], vec![-1.0, 1.0]]);
+        let l = from_rows(&[vec![1.0, -1.0], vec![-1.0, 1.0]]);
         let beta = 0.7;
         let e = l.scale(-beta).expm().unwrap();
         let lam = (-2.0 * beta).exp();
         assert!((e.get(0, 0) - (1.0 + lam) / 2.0).abs() < 1e-10);
         assert!((e.get(0, 1) - (1.0 - lam) / 2.0).abs() < 1e-10);
-        assert!(e.is_symmetric(1e-10));
+        assert!(is_symmetric(&e, 1e-10));
     }
 
     #[test]

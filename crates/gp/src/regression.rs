@@ -31,13 +31,8 @@ pub struct Posterior {
 
 impl Posterior {
     /// Mean at a specific vertex, if it is among the targets.
-    pub fn mean_at(&self, vertex: usize) -> Option<f64> {
+    pub(crate) fn mean_at(&self, vertex: usize) -> Option<f64> {
         self.targets.iter().position(|&v| v == vertex).map(|i| self.mean[i])
-    }
-
-    /// Variance at a specific vertex, if it is among the targets.
-    pub fn variance_at(&self, vertex: usize) -> Option<f64> {
-        self.targets.iter().position(|&v| v == vertex).map(|i| self.variance[i])
     }
 }
 
@@ -49,8 +44,6 @@ pub struct GpRegression {
     alpha: Vec<f64>,
     /// Cholesky-based solver input `K_{ū,ū} + σ²I`.
     gram: Matrix,
-    /// The (centred) observation vector.
-    y: Vec<f64>,
     mean_offset: f64,
     n: usize,
 }
@@ -98,37 +91,11 @@ impl GpRegression {
         let gram = k_oo.add_diagonal(noise_variance + 1e-10);
         let alpha = gram.solve_spd(&y)?;
 
-        Ok(GpRegression { kernel_matrix: k, observed, alpha, gram, y, mean_offset, n })
-    }
-
-    /// The log marginal likelihood `log p(y | X, θ)` of the (centred)
-    /// observations under the fitted kernel + noise — the standard
-    /// evidence-based criterion for hyperparameter selection, offered as an
-    /// alternative to the paper's hold-out grid search:
-    ///
-    /// ```text
-    /// log p(y) = −½ yᵀ(K+σ²I)⁻¹y − ½ log|K+σ²I| − (n/2) log 2π
-    /// ```
-    pub fn log_marginal_likelihood(&self) -> Result<f64, GpError> {
-        let l = self.gram.cholesky()?;
-        let data_fit: f64 = self.y.iter().zip(&self.alpha).map(|(y, a)| y * a).sum();
-        let log_det: f64 = (0..l.rows()).map(|i| l.get(i, i).ln()).sum::<f64>() * 2.0;
-        let n = self.y.len() as f64;
-        Ok(-0.5 * data_fit - 0.5 * log_det - 0.5 * n * (2.0 * std::f64::consts::PI).ln())
-    }
-
-    /// Number of vertices of the underlying graph.
-    pub fn n_vertices(&self) -> usize {
-        self.n
-    }
-
-    /// The observed vertex indices.
-    pub fn observed(&self) -> &[usize] {
-        &self.observed
+        Ok(GpRegression { kernel_matrix: k, observed, alpha, gram, mean_offset, n })
     }
 
     /// Predicts the posterior at the given target vertices.
-    pub fn predict(&self, targets: &[usize]) -> Result<Posterior, GpError> {
+    pub(crate) fn predict(&self, targets: &[usize]) -> Result<Posterior, GpError> {
         for &v in targets {
             if v >= self.n {
                 return Err(GpError::VertexOutOfRange { index: v, n: self.n });
@@ -270,7 +237,6 @@ mod tests {
         let p = gp.predict(&[1, 2]).unwrap();
         assert!(p.mean_at(1).is_some());
         assert!(p.mean_at(0).is_none());
-        assert!(p.variance_at(2).is_some());
     }
 
     #[test]
@@ -280,33 +246,6 @@ mod tests {
         let e = rmse(&p, &truth).unwrap();
         assert!((e - (0.5f64).sqrt()).abs() < 1e-12);
         assert!(rmse(&p, &[(9, 1.0)]).is_none());
-    }
-
-    #[test]
-    fn log_marginal_likelihood_matches_univariate_gaussian() {
-        // One vertex, one observation, no centring: p(y) = N(0, k + σ²).
-        let g = Graph::with_vertices(1);
-        let kern = crate::kernel::RbfKernel::new(1.0, 2.0).unwrap(); // k(0,0)=2
-        let sigma2 = 0.5;
-        let y = 1.3;
-        let gp = GpRegression::fit(&g, &kern, &[(0, y)], sigma2, false).unwrap();
-        let lml = gp.log_marginal_likelihood().unwrap();
-        let var: f64 = 2.0 + sigma2 + 1e-10;
-        let expected =
-            -0.5 * y * y / var - 0.5 * var.ln() - 0.5 * (2.0 * std::f64::consts::PI).ln();
-        assert!((lml - expected).abs() < 1e-9, "{lml} vs {expected}");
-    }
-
-    #[test]
-    fn log_marginal_likelihood_prefers_fitting_hyperparameters() {
-        // Smooth graph signal: a matched length-scale should score higher
-        // evidence than an absurd one.
-        let g = Graph::grid(10, 1);
-        let obs: Vec<(usize, f64)> = (0..10).map(|v| (v, (v as f64 / 3.0).sin() * 5.0)).collect();
-        let good = GpRegression::fit(&g, &kernel(), &obs, 0.1, true).unwrap();
-        let bad_kernel = RegularizedLaplacian::new(0.01, 100.0).unwrap();
-        let bad = GpRegression::fit(&g, &bad_kernel, &obs, 0.1, true).unwrap();
-        assert!(good.log_marginal_likelihood().unwrap() > bad.log_marginal_likelihood().unwrap());
     }
 
     #[test]

@@ -10,11 +10,11 @@ use crate::graph::Graph;
 
 /// An RGB colour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Rgb(pub u8, pub u8, pub u8);
+pub(crate) struct Rgb(pub u8, pub u8, pub u8);
 
 /// Maps `value ∈ [lo, hi]` onto the green→yellow→red ramp of Figure 9.
 /// Values outside the range clamp to the endpoints.
-pub fn green_to_red(value: f64, lo: f64, hi: f64) -> Rgb {
+pub(crate) fn green_to_red(value: f64, lo: f64, hi: f64) -> Rgb {
     let t = if hi > lo { ((value - lo) / (hi - lo)).clamp(0.0, 1.0) } else { 0.5 };
     // green (0,200,0) -> yellow (230,230,0) -> red (220,0,0)
     if t < 0.5 {
@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_safe() {
-        let g = Graph::with_vertices(0);
+        let g = Graph::new(vec![(0.0, 0.0); 0], &[]).unwrap();
         assert!(render_ascii(&g, &[], 5, 5).is_empty());
         let ppm = render_ppm(&g, &[], 4, 4, 1);
         assert!(ppm.starts_with("P3\n4 4\n"));

@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Index of a pre-resolved symbol in a [`CompiledPlan`]'s dense tables.
-pub type SlotId = u32;
+pub(crate) type SlotId = u32;
 
 const NO_SLOT: u32 = u32::MAX;
 
@@ -342,19 +342,9 @@ pub struct CompiledPlan {
     pub(crate) builtin_syms: Vec<Symbol>,
     /// The indexes the planned access paths name.
     pub(crate) needs: IndexNeeds,
-    signature: u64,
 }
 
-static PLANS_COMPILED: AtomicU64 = AtomicU64::new(0);
-
-/// Number of plans this process has compiled so far. Nothing compiles behind
-/// the caller's back — only [`CompiledPlan::compile`] does, directly or
-/// through [`crate::engine::Engine::new`] — so a topology that shares its
-/// plan moves this counter by exactly one, however many engines it builds
-/// (or rebuilds after a crash) over it.
-pub fn plans_compiled() -> u64 {
-    PLANS_COMPILED.load(Ordering::Relaxed)
-}
+pub(crate) static PLANS_COMPILED: AtomicU64 = AtomicU64::new(0);
 
 impl CompiledPlan {
     /// Compiles `rules` into an immutable execution plan. The pass is
@@ -484,7 +474,7 @@ impl CompiledPlan {
             });
         }
 
-        let mut plan = CompiledPlan {
+        Arc::new(CompiledPlan {
             rules,
             slots,
             instrs,
@@ -494,35 +484,15 @@ impl CompiledPlan {
             relation_syms,
             builtin_syms,
             needs,
-            signature: 0,
-        };
-        plan.signature = plan.fingerprint();
-        Arc::new(plan)
-    }
-
-    /// The rule set this plan was compiled from.
-    pub fn ruleset(&self) -> &RuleSet {
-        &self.rules
-    }
-
-    /// A deterministic fingerprint of the plan's structure: two plans
-    /// compiled from the same rule set have equal signatures, which is how
-    /// checkpoint-restore tests prove the plan rebuilds identically.
-    pub fn signature(&self) -> u64 {
-        self.signature
+        })
     }
 
     /// Number of dense symbol slots.
-    pub fn n_slots(&self) -> usize {
+    pub(crate) fn n_slots(&self) -> usize {
         self.slots.len()
     }
 
-    /// Number of strata in the instruction array.
-    pub fn n_strata(&self) -> usize {
-        self.instrs.len()
-    }
-
-    fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         // FNV-1a over the structural facts that define the plan.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -568,7 +538,7 @@ impl std::fmt::Debug for CompiledPlan {
         f.debug_struct("CompiledPlan")
             .field("slots", &self.slots.len())
             .field("strata", &self.instrs.len())
-            .field("signature", &format_args!("{:016x}", self.signature))
+            .field("signature", &format_args!("{:016x}", self.fingerprint()))
             .finish()
     }
 }
@@ -673,8 +643,8 @@ fn lower_expr(
 /// A `(term, item index)` side table over one argument column, sorted by
 /// term: the equality index behind [`Access::Column`]. Terms are inline
 /// values, so the table is a permutation of the store plus one key each.
-struct ColIndex {
-    col: usize,
+pub(crate) struct ColIndex {
+    pub(crate) col: usize,
     entries: Vec<(Term, u32)>,
 }
 
@@ -932,7 +902,7 @@ fn merge_in<T: Clone>(
 pub(crate) struct CEventKind {
     facts: Facts,
     /// Sorted by `(term, position)`, in the order the plan numbered them.
-    by_col: Vec<ColIndex>,
+    pub(crate) by_col: Vec<ColIndex>,
     // Per-window scratch of `splice`, retained.
     /// New position of each `delta` fact.
     delta_pos: Vec<u32>,
@@ -1048,16 +1018,16 @@ impl CEventKind {
         self.facts.items.is_empty()
     }
 
-    fn time(&self, i: usize) -> Time {
+    pub(crate) fn time(&self, i: usize) -> Time {
         self.facts.items[i].time
     }
 
-    fn args(&self, i: usize) -> &[Term] {
+    pub(crate) fn args(&self, i: usize) -> &[Term] {
         self.facts.rows.get(self.facts.items[i].row)
     }
 
     /// Item indices whose time is in `[lo, hi]`, in time order.
-    fn time_range(&self, lo: Time, hi: Time) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn time_range(&self, lo: Time, hi: Time) -> impl Iterator<Item = usize> + '_ {
         let items = &self.facts.items;
         let a = items.partition_point(|f| f.time < lo);
         (a..items.len()).take_while(move |&i| items[i].time <= hi)
@@ -1065,7 +1035,7 @@ impl CEventKind {
 
     /// Item indices of index `index` whose column term equals `t` and whose
     /// time is in `[lo, hi]`, in time order.
-    fn col_range<'a>(
+    pub(crate) fn col_range<'a>(
         &'a self,
         index: u16,
         t: &'a Term,
@@ -1095,7 +1065,7 @@ impl CEventKind {
 /// kinds slide at the start of a query, derived kinds when their stratum
 /// publishes.
 pub(crate) struct CEventStore {
-    kinds: Vec<CEventKind>,
+    pub(crate) kinds: Vec<CEventKind>,
     /// Slots of the declared input events, ascending.
     inputs: Vec<SlotId>,
 }
@@ -1190,7 +1160,7 @@ impl CEventStore {
 /// that `holdsAt(gps(Bus, …), T)` is one binary search.
 pub(crate) struct CObsKind {
     facts: Facts,
-    by_first: bool,
+    pub(crate) by_first: bool,
 }
 
 /// The first argument of an observation (its row ends with the value).
@@ -1232,7 +1202,11 @@ impl CObsKind {
 
     /// Observations at time `t` — with `first`, only those whose first
     /// argument it is (the plan asked for the `(time, first)` order then).
-    fn at<'a>(&'a self, t: Time, first: Option<&'a Term>) -> impl Iterator<Item = usize> + 'a {
+    pub(crate) fn at<'a>(
+        &'a self,
+        t: Time,
+        first: Option<&'a Term>,
+    ) -> impl Iterator<Item = usize> + 'a {
         debug_assert!(first.is_none() || self.by_first, "the plan asked for this order");
         let items = &self.facts.items;
         let a = match first {
@@ -1249,12 +1223,12 @@ impl CObsKind {
         self.facts.rows.get(self.facts.items[i].row)
     }
 
-    fn args(&self, i: usize) -> &[Term] {
+    pub(crate) fn args(&self, i: usize) -> &[Term] {
         let row = self.row(i);
         &row[..row.len() - 1]
     }
 
-    fn value(&self, i: usize) -> &Term {
+    pub(crate) fn value(&self, i: usize) -> &Term {
         let row = self.row(i);
         &row[row.len() - 1]
     }
@@ -1263,7 +1237,7 @@ impl CObsKind {
 /// All window observations, slot-indexed by fluent name. Retained across
 /// windows like [`CEventStore`]; every kind is an input.
 pub(crate) struct CObsStore {
-    kinds: Vec<CObsKind>,
+    pub(crate) kinds: Vec<CObsKind>,
 }
 
 impl CObsStore {
@@ -1330,73 +1304,6 @@ impl CObsStore {
         }
     }
 }
-
-/// What the solver's access paths return from the window stores, by symbol
-/// name — the surface `tests/store_props.rs` compares with a from-scratch
-/// rebuild of the visible facts. Not part of the engine's API.
-#[doc(hidden)]
-pub struct StoreProbe<'a> {
-    pub(crate) plan: &'a CompiledPlan,
-    pub(crate) events: &'a CEventStore,
-    pub(crate) obs: &'a CObsStore,
-    pub(crate) frontiers: &'a [Time],
-}
-
-#[doc(hidden)]
-impl StoreProbe<'_> {
-    fn slot(&self, name: &str) -> usize {
-        self.plan.slots.slot(Symbol::new(name)).expect("a symbol of the rule set") as usize
-    }
-
-    fn events_at(&self, kind: &CEventKind, ids: impl Iterator<Item = usize>) -> Vec<ProbedEvent> {
-        ids.map(|i| (kind.time(i), kind.args(i).to_vec())).collect()
-    }
-
-    /// The argument columns of event `kind` the plan indexed.
-    pub fn indexed_columns(&self, kind: &str) -> Vec<usize> {
-        self.events.kinds[self.slot(kind)].by_col.iter().map(|ix| ix.col).collect()
-    }
-
-    /// `CEventKind::time_range`: events of `kind` in `[lo, hi]`, in order.
-    pub fn time_range(&self, kind: &str, lo: Time, hi: Time) -> Vec<ProbedEvent> {
-        let ks = &self.events.kinds[self.slot(kind)];
-        self.events_at(ks, ks.time_range(lo, hi))
-    }
-
-    /// `CEventKind::col_range` over the index on column `col`.
-    pub fn col_range(
-        &self,
-        kind: &str,
-        col: usize,
-        key: &Term,
-        lo: Time,
-        hi: Time,
-    ) -> Vec<ProbedEvent> {
-        let ks = &self.events.kinds[self.slot(kind)];
-        let index = ks.by_col.iter().position(|ix| ix.col == col).expect("an indexed column");
-        self.events_at(ks, ks.col_range(index as u16, key, lo, hi))
-    }
-
-    /// Whether observations of `name` are kept in `(time, first)` order.
-    pub fn ordered_by_first(&self, name: &str) -> bool {
-        self.obs.kinds[self.slot(name)].by_first
-    }
-
-    /// `CObsKind::at`: `(args, value)` of the observations of `name` at `t`.
-    pub fn obs_at(&self, name: &str, t: Time, first: Option<&Term>) -> Vec<(Vec<Term>, Term)> {
-        let ks = &self.obs.kinds[self.slot(name)];
-        ks.at(t, first).map(|i| (ks.args(i).to_vec(), ks.value(i).clone())).collect()
-    }
-
-    /// The change frontier the last query left on `symbol`'s slot.
-    pub fn frontier(&self, symbol: &str) -> Time {
-        self.frontiers.get(self.slot(symbol)).copied().unwrap_or(TIME_MAX)
-    }
-}
-
-/// An event as [`StoreProbe`] reports it: occurrence time and arguments.
-#[doc(hidden)]
-pub type ProbedEvent = (Time, Vec<Term>);
 
 /// Derived fluent groundings of one name with pooled argument terms and one
 /// [`ColIndex`] per column the plan probes.

@@ -107,11 +107,6 @@ pub fn cmp<L: Into<NumExpr>, R: Into<NumExpr>>(lhs: L, op: CmpOp, rhs: R) -> Gua
     GuardExpr::Cmp { lhs: lhs.into(), op, rhs: rhs.into() }
 }
 
-/// Term equality guard.
-pub fn term_eq<L: Into<ValRef>, R: Into<ValRef>>(lhs: L, rhs: R) -> GuardExpr {
-    GuardExpr::TermEq(lhs.into(), rhs.into())
-}
-
 /// Term inequality guard.
 pub fn term_ne<L: Into<ValRef>, R: Into<ValRef>>(lhs: L, rhs: R) -> GuardExpr {
     GuardExpr::TermNe(lhs.into(), rhs.into())
@@ -133,20 +128,12 @@ pub struct RuleSet {
     pub(crate) relations: HashMap<Symbol, usize>,
     pub(crate) builtins: HashMap<Symbol, usize>,
     pub(crate) derived_fluents: HashSet<Symbol>,
-    pub(crate) derived_events: HashSet<Symbol>,
-    pub(crate) n_vars: usize,
-    pub(crate) var_names: Vec<String>,
 }
 
 impl RuleSet {
     /// The stratified evaluation plan.
     pub fn strata(&self) -> &[Stratum] {
         &self.strata
-    }
-
-    /// Declared input event kinds and their arities.
-    pub fn input_events(&self) -> &HashMap<Symbol, usize> {
-        &self.input_events
     }
 
     /// Declared input fluents and their arities.
@@ -157,31 +144,6 @@ impl RuleSet {
     /// Symbols defined as derived fluents (simple or static).
     pub fn derived_fluents(&self) -> &HashSet<Symbol> {
         &self.derived_fluents
-    }
-
-    /// Symbols defined as derived events.
-    pub fn derived_events(&self) -> &HashSet<Symbol> {
-        &self.derived_events
-    }
-
-    /// Declared relation names and arities.
-    pub fn relations(&self) -> &HashMap<Symbol, usize> {
-        &self.relations
-    }
-
-    /// Declared builtin names and arities.
-    pub fn builtins(&self) -> &HashMap<Symbol, usize> {
-        &self.builtins
-    }
-
-    /// Size of the variable environment rules of this set use.
-    pub fn n_vars(&self) -> usize {
-        self.n_vars
-    }
-
-    /// Number of rules of each kind `(simple-fluent, event, static)`.
-    pub fn rule_counts(&self) -> (usize, usize, usize) {
-        (self.sf_rules.len(), self.ev_rules.len(), self.static_rules.len())
     }
 
     /// The compiled simple-fluent rules, indexable by [`Stratum::rule_indices`].
@@ -201,11 +163,6 @@ impl RuleSet {
     pub fn static_rules(&self) -> &[StaticRule] {
         &self.static_rules
     }
-
-    /// Human-readable variable names, indexed by `VarId`.
-    pub fn var_names(&self) -> &[String] {
-        &self.var_names
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -216,7 +173,7 @@ impl RuleSet {
 #[derive(Debug, Default)]
 pub struct RuleSetBuilder {
     var_ids: HashMap<String, VarId>,
-    var_names: Vec<String>,
+    pub(crate) var_names: Vec<String>,
     input_events: HashMap<Symbol, usize>,
     input_fluents: HashMap<Symbol, usize>,
     relations: HashMap<Symbol, usize>,
@@ -566,9 +523,6 @@ impl RuleSetBuilder {
             relations: self.relations,
             builtins: self.builtins,
             derived_fluents: derived_fluents.into_keys().collect(),
-            derived_events: derived_events.into_keys().collect(),
-            n_vars,
-            var_names: self.var_names,
         })
     }
 
@@ -682,7 +636,7 @@ mod tests {
         let mut b = minimal_builder();
         on_off_rules(&mut b);
         let rs = b.build().expect("valid rule set");
-        assert_eq!(rs.rule_counts(), (2, 0, 0));
+        assert_eq!((rs.sf_rules.len(), rs.ev_rules.len(), rs.static_rules.len()), (2, 0, 0));
         assert_eq!(rs.strata().len(), 1);
         assert!(rs.derived_fluents().contains(&Symbol::new("on")));
     }
@@ -812,7 +766,7 @@ mod tests {
             IntervalExpr::Fluent(fluent_pat("on", [pat(dev)], val(true))),
         );
         let rs = b.build().expect("valid static rule");
-        assert_eq!(rs.rule_counts(), (2, 0, 1));
+        assert_eq!((rs.sf_rules.len(), rs.ev_rules.len(), rs.static_rules.len()), (2, 0, 1));
         // `everOn` must be in a later stratum than `on`.
         let pos = |n: &str| rs.strata().iter().position(|s| s.symbol == Symbol::new(n)).unwrap();
         assert!(pos("on") < pos("everOn"));

@@ -28,7 +28,7 @@
 use crate::compile::{
     eval_interval_expr_into, scratch_allocations, solve_domain_c, solve_frontier_c, solve_work,
     term_time, CCtx, CEventStore, CFluentStore, CRelation, CompiledPlan, FactRef, OwnBuffers,
-    Slide, SlotId, SolveBuffers, SolveWork, StoreCounts, StoreProbe, StratumInstr,
+    Slide, SlotId, SolveBuffers, SolveWork, StoreCounts, StratumInstr,
 };
 use crate::dsl::RuleSet;
 use crate::error::RtecError;
@@ -65,23 +65,28 @@ pub struct FluentEntry {
 
 /// All derived fluent groundings computed at one query time.
 #[derive(Debug, Clone, Default)]
-pub struct FluentStore {
+pub(crate) struct FluentStore {
     by_name: HashMap<Symbol, Vec<FluentEntry>>,
 }
 
 impl FluentStore {
     /// The computed groundings of fluent `name` (empty slice if none).
-    pub fn entries(&self, name: Symbol) -> &[FluentEntry] {
+    pub(crate) fn entries(&self, name: Symbol) -> &[FluentEntry] {
         self.by_name.get(&name).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Fluent names with at least one grounding.
-    pub fn names(&self) -> impl Iterator<Item = Symbol> + '_ {
+    pub(crate) fn names(&self) -> impl Iterator<Item = Symbol> + '_ {
         self.by_name.keys().copied()
     }
 
     /// Looks up the intervals of one exact grounding.
-    pub fn intervals(&self, name: Symbol, args: &[Term], value: &Term) -> Option<&IntervalList> {
+    pub(crate) fn intervals(
+        &self,
+        name: Symbol,
+        args: &[Term],
+        value: &Term,
+    ) -> Option<&IntervalList> {
         self.by_name
             .get(&name)?
             .iter()
@@ -208,11 +213,6 @@ pub struct Recognition {
 }
 
 impl Recognition {
-    /// The full derived fluent store.
-    pub fn fluent_store(&self) -> &FluentStore {
-        &self.fluents
-    }
-
     /// Intervals of one exact fluent grounding, if computed.
     pub fn intervals_of(&self, name: &str, args: &[Term], value: &Term) -> Option<&IntervalList> {
         self.fluents.intervals(Symbol::new(name), args, value)
@@ -276,7 +276,7 @@ impl Recognition {
 /// The first query, relation/builtin changes and [`Engine::restore_state`]
 /// re-evaluate every stratum once, over the same stores.
 pub struct Engine {
-    plan: Arc<CompiledPlan>,
+    pub(crate) plan: Arc<CompiledPlan>,
     window: WindowConfig,
     /// Input facts ingested so far: each one's sequence number, the tie
     /// order among facts of one kind and time.
@@ -291,7 +291,7 @@ pub struct Engine {
     /// SDE and derived-event stores, per-stratum grounding tables with their
     /// cached points/derivations, and the previous window's fluent
     /// intervals (inertia).
-    state: CycleState,
+    pub(crate) state: CycleState,
     last_query: Option<Time>,
     first_query: Option<Time>,
     /// Relations/builtins changed or state was restored since the last
@@ -300,7 +300,7 @@ pub struct Engine {
     dirty_all: bool,
     /// Cumulative per-stratum cost, aligned with the plan's instruction
     /// array.
-    profile: Vec<StratumProfile>,
+    pub(crate) profile: Vec<StratumProfile>,
     /// The solver's buffers, lent to whichever thread runs a query.
     scratch: SolveBuffers,
 }
@@ -348,23 +348,6 @@ impl Engine {
     /// same rule set with [`Engine::with_plan`]).
     pub fn plan(&self) -> &Arc<CompiledPlan> {
         &self.plan
-    }
-
-    /// The window configuration.
-    pub fn window(&self) -> WindowConfig {
-        self.window
-    }
-
-    /// The rule set being executed.
-    pub fn ruleset(&self) -> &RuleSet {
-        &self.plan.rules
-    }
-
-    /// Cumulative evaluation time and counted solver work per stratum, in
-    /// evaluation order, over every query answered so far — where a window's
-    /// cost sits, by rule head.
-    pub fn stratum_profile(&self) -> &[StratumProfile] {
-        &self.profile
     }
 
     /// Registers the implementation of a declared builtin predicate.
@@ -466,11 +449,6 @@ impl Engine {
         }
     }
 
-    /// Stores an input fluent observation arriving when it occurs.
-    pub fn add_obs(&mut self, obs: FluentObs) -> Result<(), RtecError> {
-        self.add_stamped_obs(Stamped::<FluentObs>::punctual(obs))
-    }
-
     /// Stores an input fluent observation with an explicit arrival time.
     pub fn add_stamped_obs(&mut self, obs: Stamped<FluentObs>) -> Result<(), RtecError> {
         match self.plan.rules.input_fluents.get(&obs.item.name) {
@@ -497,24 +475,6 @@ impl Engine {
     /// waiting for a query that may see them.
     pub fn buffered(&self) -> usize {
         self.state.events.buffered() + self.state.obs.buffered()
-    }
-
-    /// The window stores as the solver's access paths read them (tests).
-    #[doc(hidden)]
-    pub fn store_probe(&self) -> StoreProbe<'_> {
-        StoreProbe {
-            plan: &self.plan,
-            events: &self.state.events,
-            obs: &self.state.obs,
-            frontiers: &self.state.frontiers,
-        }
-    }
-
-    /// Summed capacity of every retained buffer of the window state, in
-    /// elements: flat once the state has sized to the working set (tests).
-    #[doc(hidden)]
-    pub fn retained_capacity(&self) -> usize {
-        self.state.retained_capacity()
     }
 
     /// Runs recognition at query time `q`.
@@ -838,6 +798,11 @@ impl Engine {
                     let si = self
                         .simple_fluent_stratum(Symbol::new(&name))
                         .ok_or_else(|| bad("fluent name (not a simple fluent of this rule set)"))?;
+                    if !self.initiates(si, &args, &value) {
+                        return Err(bad(
+                            "fluent grounding (no rule of this rule set initiates it)",
+                        ));
+                    }
                     let intervals: Vec<Interval> = toks
                         .map(|pair| {
                             let (s, e) = pair.split_once(':').ok_or_else(|| bad("interval"))?;
@@ -866,6 +831,19 @@ impl Engine {
         self.last_query = last_query;
         self.dirty_all = true;
         Ok(())
+    }
+
+    /// Restore-time check of a `pf` line: whether some initiation rule of
+    /// simple-fluent stratum `si` has a head of this arity whose constant
+    /// arguments and value agree with `args` and `value`.
+    fn initiates(&self, si: usize, args: &[Term], value: &Term) -> bool {
+        let fits = |pat: &ArgPat, t: &Term| !matches!(pat, ArgPat::Const(c) if c != t);
+        self.plan.instrs[si].rules.iter().map(|&r| &self.plan.rules.sf_rules[r as usize]).any(|r| {
+            matches!(r.kind, SfKind::Initiated)
+                && r.head.args.len() == args.len()
+                && r.head.args.iter().zip(args).all(|(p, t)| fits(p, t))
+                && fits(&r.head.value, value)
+        })
     }
 
     /// Restore-time re-validation of one input symbol against the rule set;
@@ -1480,10 +1458,10 @@ mod tests {
 
     fn canonical(rec: &Recognition) -> Vec<String> {
         let mut out: Vec<String> = rec.derived_events.iter().map(|e| format!("ev {e:?}")).collect();
-        let mut names: Vec<Symbol> = rec.fluent_store().names().collect();
+        let mut names: Vec<Symbol> = rec.fluents.names().collect();
         names.sort();
         for name in names {
-            for e in rec.fluent_store().entries(name) {
+            for e in rec.fluents.entries(name) {
                 out.push(format!("fl {name:?} {:?} {:?} {:?}", e.args, e.value, e.ivs));
             }
         }
@@ -1682,9 +1660,21 @@ mod tests {
         let rs = b.build().unwrap();
         let mut e = Engine::new(rs, WindowConfig::new(1000, 1000).unwrap());
         e.add_event(Event::new("move", [Term::int(7)], 10)).unwrap();
-        e.add_obs(FluentObs::new("gps", [Term::int(7), Term::int(1)], true, 10)).unwrap();
+        e.add_stamped_obs(Stamped::<FluentObs>::punctual(FluentObs::new(
+            "gps",
+            [Term::int(7), Term::int(1)],
+            true,
+            10,
+        )))
+        .unwrap();
         e.add_event(Event::new("move", [Term::int(7)], 50)).unwrap();
-        e.add_obs(FluentObs::new("gps", [Term::int(7), Term::int(0)], true, 50)).unwrap();
+        e.add_stamped_obs(Stamped::<FluentObs>::punctual(FluentObs::new(
+            "gps",
+            [Term::int(7), Term::int(0)],
+            true,
+            50,
+        )))
+        .unwrap();
         let rec = e.query(1000).unwrap();
         let ivs = rec.intervals_of("busCong", &[Term::int(7)], &Term::truth()).unwrap();
         assert_eq!(ivs.as_slice(), &[crate::interval::Interval::span(10, 50)]);
@@ -1914,9 +1904,9 @@ mod tests {
                         cmp(double_abs.clone(), CmpOp::Ge, 4.0),
                         cmp(double_abs, CmpOp::Le, 10.0),
                     ]),
-                    term_eq(x, Term::int(0)),
+                    GuardExpr::TermEq(x.into(), Term::int(0).into()),
                 ])),
-                guard(GuardExpr::Not(Box::new(term_eq(x, Term::int(3))))),
+                guard(GuardExpr::Not(Box::new(GuardExpr::TermEq(x.into(), Term::int(3).into())))),
             ],
         );
         let rs = b.build().unwrap();
@@ -2225,9 +2215,21 @@ mod tests {
         // Awkward payloads: a float with a non-terminating decimal expansion,
         // a negative zero, and a symbol needing escaping.
         a.add_event(Event::new("move", [Term::sym("bus 7%")], 10)).unwrap();
-        a.add_obs(FluentObs::new("gps", [Term::sym("bus 7%"), Term::int(1)], true, 10)).unwrap();
+        a.add_stamped_obs(Stamped::<FluentObs>::punctual(FluentObs::new(
+            "gps",
+            [Term::sym("bus 7%"), Term::int(1)],
+            true,
+            10,
+        )))
+        .unwrap();
         a.add_event(Event::new("move", [Term::float(0.1 + 0.2)], 20)).unwrap();
-        a.add_obs(FluentObs::new("gps", [Term::float(0.1 + 0.2), Term::int(1)], true, 20)).unwrap();
+        a.add_stamped_obs(Stamped::<FluentObs>::punctual(FluentObs::new(
+            "gps",
+            [Term::float(0.1 + 0.2), Term::int(1)],
+            true,
+            20,
+        )))
+        .unwrap();
         a.add_event(Event::new("move", [Term::float(-0.0)], 30)).unwrap();
         let rec_a = a.query(50).unwrap();
 
@@ -2237,8 +2239,13 @@ mod tests {
         // interval persists by inertia, exactly as on the live engine.
         for e in [&mut a, &mut c] {
             e.add_event(Event::new("move", [Term::sym("bus 7%")], 60)).unwrap();
-            e.add_obs(FluentObs::new("gps", [Term::sym("bus 7%"), Term::int(0)], true, 60))
-                .unwrap();
+            e.add_stamped_obs(Stamped::<FluentObs>::punctual(FluentObs::new(
+                "gps",
+                [Term::sym("bus 7%"), Term::int(0)],
+                true,
+                60,
+            )))
+            .unwrap();
         }
         let (ra, rc) = (a.query(100).unwrap(), c.query(100).unwrap());
         assert_eq!(canonical(&ra), canonical(&rc), "post-restore window diverged");

@@ -60,6 +60,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod compile;
 pub mod dsl;
@@ -73,6 +74,7 @@ pub mod rule;
 mod slotstate;
 pub mod stratify;
 pub mod term;
+pub mod testing;
 pub mod time;
 pub mod window;
 
@@ -81,7 +83,7 @@ pub mod prelude {
     pub use crate::compile::CompiledPlan;
     pub use crate::dsl::{
         any, builtin, cmp, cnst, event_head, event_pat, fluent, fluent_pat, guard, happens, holds,
-        not_holds, pat, relation, term_eq, term_ne, val, RuleSetBuilder,
+        not_holds, pat, relation, term_ne, val, RuleSetBuilder,
     };
     pub use crate::engine::{Engine, Recognition};
     pub use crate::error::RtecError;

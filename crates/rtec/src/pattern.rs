@@ -14,7 +14,7 @@ pub struct VarId(pub u32);
 
 impl VarId {
     /// Slot index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -32,7 +32,7 @@ pub enum ArgPat {
 
 impl ArgPat {
     /// The variable bound by this pattern position, if any.
-    pub fn var(&self) -> Option<VarId> {
+    pub(crate) fn var(&self) -> Option<VarId> {
         match self {
             ArgPat::Var(v) => Some(*v),
             _ => None,
@@ -99,28 +99,18 @@ impl Bindings {
         self.get(v).is_some()
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when there are no slots at all.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Reuses this environment for a rule with `n` variables: every slot is
     /// cleared and the slot vector resized in place. Allocation only happens
     /// when `n` exceeds the largest size ever requested, which is what lets
     /// the compiled evaluation path share one environment across all rules
     /// of a window without per-rule allocations.
-    pub fn reset(&mut self, n: usize) {
+    pub(crate) fn reset(&mut self, n: usize) {
         self.slots.clear();
         self.slots.resize(n, None);
     }
 
     /// Capacity of the underlying slot vector (for allocation accounting).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.capacity()
     }
 }
@@ -192,7 +182,7 @@ pub fn unbind_all(vars: &[VarId], b: &mut Bindings) {
 /// environment and the trail are restored to their state at entry and
 /// `false` is returned. Undo a successful match with [`undo_trail`] using
 /// the trail length recorded before the call.
-pub fn match_args_trail(
+pub(crate) fn match_args_trail(
     pats: &[ArgPat],
     terms: &[Term],
     b: &mut Bindings,
@@ -217,7 +207,7 @@ pub fn match_args_trail(
 
 /// Unbinds every variable pushed onto `trail` past `mark` (in reverse push
 /// order) and truncates the trail back to `mark`.
-pub fn undo_trail(trail: &mut Vec<VarId>, mark: usize, b: &mut Bindings) {
+pub(crate) fn undo_trail(trail: &mut Vec<VarId>, mark: usize, b: &mut Bindings) {
     while trail.len() > mark {
         let v = trail.pop().expect("trail length checked");
         b.unbind(v);

@@ -607,8 +607,7 @@ mod tests {
 
     /// One planned program, an atom per entry: its symbol, the variables a
     /// filter reads, and the access path (`~` marks a guard-derived range).
-    fn render(plan: &CompiledPlan, program: &[CAtom]) -> Vec<String> {
-        let names = plan.ruleset().var_names();
+    fn render(names: &[String], plan: &CompiledPlan, program: &[CAtom]) -> Vec<String> {
         let path = |access: &Access, range: &VarRange| {
             let p = match access {
                 Access::Column { col, .. } => format!("col{col}"),
@@ -676,6 +675,7 @@ mod tests {
                 diff(t2, t1, CmpOp::Lt, 120.0),
             ],
         );
+        let names = b.var_names.clone();
         let plan = CompiledPlan::compile(b.build().unwrap());
         let body = &plan.ev_bodies[0];
         // The second event is reached through the bus index inside the time
@@ -684,15 +684,15 @@ mod tests {
         let tail = ["guard(D2,D1)", "guard(T2,T1)", "guard(T2,T1)", "gps[col0]", "gps[col0]"]
             .map(String::from);
         assert_eq!(
-            render(&plan, &body.full),
+            render(&names, &plan, &body.full),
             [&["move[scan]".into(), "move[col0~]".into()], &tail[..]].concat()
         );
         assert_eq!(
-            render(&plan, &body.pivots[0]),
+            render(&names, &plan, &body.pivots[0]),
             [&["pivot move[scan]".into(), "move[col0~]".into()], &tail[..]].concat()
         );
         assert_eq!(
-            render(&plan, &body.pivots[1]),
+            render(&names, &plan, &body.pivots[1]),
             [&["pivot move[scan]".into(), "before move[col0~]".into()], &tail[..]].concat()
         );
         // The stores index exactly what those paths probe.
@@ -756,8 +756,9 @@ mod tests {
                 diff(t2, t, CmpOp::Lt, 10.0),
             ],
         );
+        let names = b.var_names.clone();
         let plan = CompiledPlan::compile(b.build().unwrap());
-        let full = |i: usize| render(&plan, &plan.ev_bodies[i].full);
+        let full = |i: usize| render(&names, &plan, &plan.ev_bodies[i].full);
         assert_eq!(full(0), ["a[scan]", "g[col0]", "guard(V)", "c[scan~]", "guard(T2,T)"]);
         assert_eq!(full(1), ["a[scan]", "g[col0]", "c[scan]"]);
         assert_eq!(full(2), ["a[scan]", "guard(X)", "odd()", "not g[col0]", "c[scan]"]);
@@ -806,8 +807,9 @@ mod tests {
                 guard(GuardExpr::Not(Box::new(cmp(sx, CmpOp::Gt, px)))),
             ],
         );
+        let names = b.var_names.clone();
         let plan = CompiledPlan::compile(b.build().unwrap());
-        let full = |i: usize| render(&plan, &plan.ev_bodies[i].full);
+        let full = |i: usize| render(&names, &plan, &plan.ev_bodies[i].full);
         // The band is walked on the first guarded column; the guard on the
         // *other* column runs first, the band's own guard after it.
         assert_eq!(

@@ -68,12 +68,12 @@ impl NumExpr {
 
     /// Convenience: `lhs + rhs` (associated constructor, not `std::ops::Add`).
     #[allow(clippy::should_implement_trait)]
-    pub fn add(lhs: NumExpr, rhs: NumExpr) -> NumExpr {
+    pub(crate) fn add(lhs: NumExpr, rhs: NumExpr) -> NumExpr {
         NumExpr::Add(Box::new(lhs), Box::new(rhs))
     }
 
     /// Variables mentioned by the expression (for bound-ness checking).
-    pub fn collect_vars(&self, out: &mut Vec<VarId>) {
+    pub(crate) fn collect_vars(&self, out: &mut Vec<VarId>) {
         match self {
             NumExpr::Var(v) => out.push(*v),
             NumExpr::Const(_) => {}
@@ -160,7 +160,7 @@ pub enum GuardExpr {
 
 impl GuardExpr {
     /// Variables mentioned by the guard.
-    pub fn collect_vars(&self, out: &mut Vec<VarId>) {
+    pub(crate) fn collect_vars(&self, out: &mut Vec<VarId>) {
         match self {
             GuardExpr::Cmp { lhs, rhs, .. } => {
                 lhs.collect_vars(out);
@@ -300,7 +300,7 @@ pub enum IntervalExpr {
 
 impl IntervalExpr {
     /// Fluent names referenced by the expression (for stratification).
-    pub fn collect_fluents(&self, out: &mut Vec<Symbol>) {
+    pub(crate) fn collect_fluents(&self, out: &mut Vec<Symbol>) {
         match self {
             IntervalExpr::Fluent(p) => out.push(p.name),
             IntervalExpr::Union(es) | IntervalExpr::Intersect(es) => {
@@ -318,7 +318,7 @@ impl IntervalExpr {
     }
 
     /// Variables mentioned by the expression's patterns.
-    pub fn collect_vars(&self, out: &mut Vec<VarId>) {
+    pub(crate) fn collect_vars(&self, out: &mut Vec<VarId>) {
         match self {
             IntervalExpr::Fluent(p) => {
                 for a in p.args.iter().chain(std::iter::once(&p.value)) {

@@ -139,7 +139,7 @@ impl SfTable {
     /// Grounding id for `(args, value)`, inserting a new (empty) grounding
     /// when unseen. Ids are stable for the table's lifetime; the sorted
     /// order index is maintained incrementally.
-    pub fn lookup_or_insert(&mut self, args: &[Term], value: &Term) -> u32 {
+    pub(crate) fn lookup_or_insert(&mut self, args: &[Term], value: &Term) -> u32 {
         let pos = self.order.partition_point(|&gid| {
             let g = &self.gs[gid as usize];
             key_cmp(&self.pool, g.key_off, g.key_len, &g.value, args, value).is_lt()
@@ -167,14 +167,14 @@ impl SfTable {
     }
 
     /// Key args of a grounding.
-    pub fn key_args(&self, g: &SfGrounding) -> &[Term] {
+    pub(crate) fn key_args(&self, g: &SfGrounding) -> &[Term] {
         &self.pool[g.key_off as usize..g.key_off as usize + g.key_len as usize]
     }
 
     /// Drops groundings that have been stale for at least two generations
     /// once they outnumber the live ones — keeps the table (and its key
     /// pool) proportional to the active grounding universe under churn.
-    pub fn maybe_compact(&mut self, gen: u64) {
+    pub(crate) fn maybe_compact(&mut self, gen: u64) {
         let stale = self.gs.iter().filter(|g| g.data_gen + 1 < gen && g.touch_gen < gen).count();
         if stale <= self.gs.len() / 2 || stale < 16 {
             return;
@@ -252,14 +252,14 @@ pub(crate) struct EvTable {
 
 impl EvTable {
     /// Args slice of a ref into the *current* side's pool.
-    pub fn cur_args(&self, off: u32, len: u16) -> &[Term] {
+    pub(crate) fn cur_args(&self, off: u32, len: u16) -> &[Term] {
         &self.pool_cur[off as usize..off as usize + len as usize]
     }
 
     /// Builds `mat_next` from `next`: the deduplicated `(time, args)` pairs
     /// with `time > start`, sorted — the concrete event set visible
     /// downstream.
-    pub fn build_mat_next(&mut self, start: Time) {
+    pub(crate) fn build_mat_next(&mut self, start: Time) {
         self.mat_next.clear();
         for d in &self.next {
             if d.time > start {
@@ -283,7 +283,7 @@ impl EvTable {
     /// Earliest divergence between the previous window's materialised events
     /// (viewed with `time > start`) and the next side's; `TIME_MAX` when
     /// identical.
-    pub fn mat_divergence(&self, start: Time) -> Time {
+    pub(crate) fn mat_divergence(&self, start: Time) -> Time {
         let old = &self.mat_cur[self.mat_cur.partition_point(|m| m.time <= start)..];
         let new = &self.mat_next;
         let (mut i, mut j) = (0usize, 0usize);
@@ -308,7 +308,7 @@ impl EvTable {
 
     /// Swaps the sides after a window: `next` becomes the retained current
     /// state, the old side's buffers are cleared in place for reuse.
-    pub fn swap_sides(&mut self) {
+    pub(crate) fn swap_sides(&mut self) {
         std::mem::swap(&mut self.cur, &mut self.next);
         std::mem::swap(&mut self.pool_cur, &mut self.pool_next);
         std::mem::swap(&mut self.mat_cur, &mut self.mat_next);
@@ -361,7 +361,7 @@ pub(crate) struct StTable {
 
 impl StTable {
     /// Grounding id for `(args, value)`, inserting when unseen.
-    pub fn lookup_or_insert(&mut self, args: &[Term], value: &Term) -> u32 {
+    pub(crate) fn lookup_or_insert(&mut self, args: &[Term], value: &Term) -> u32 {
         let pos = self.order.partition_point(|&gid| {
             let g = &self.gs[gid as usize];
             key_cmp(&self.pool, g.key_off, g.key_len, &g.value, args, value).is_lt()
@@ -389,7 +389,7 @@ impl StTable {
     }
 
     /// Key args of a grounding.
-    pub fn key_args(&self, g: &StGrounding) -> &[Term] {
+    pub(crate) fn key_args(&self, g: &StGrounding) -> &[Term] {
         &self.pool[g.key_off as usize..g.key_off as usize + g.key_len as usize]
     }
 
@@ -446,7 +446,7 @@ pub(crate) struct CycleState {
 
 impl CycleState {
     /// Empty state shaped for `plan`.
-    pub fn new(plan: &CompiledPlan) -> CycleState {
+    pub(crate) fn new(plan: &CompiledPlan) -> CycleState {
         CycleState {
             gen: 0,
             frontiers: Vec::new(),
@@ -470,7 +470,13 @@ impl CycleState {
     /// simple-fluent stratum `si`, as if the last window had computed it:
     /// inertia carries it into the next query (`initially` declarations and
     /// checkpoint restore).
-    pub fn seed_fluent(&mut self, si: usize, args: &[Term], value: &Term, ivs: IntervalList) {
+    pub(crate) fn seed_fluent(
+        &mut self,
+        si: usize,
+        args: &[Term],
+        value: &Term,
+        ivs: IntervalList,
+    ) {
         let StratumState::Sf(t) = &mut self.strata[si] else {
             panic!("stratum {si} does not derive a simple fluent");
         };
@@ -491,14 +497,14 @@ impl CycleState {
     }
 
     /// Summed capacity of every retained buffer.
-    pub fn retained_capacity(&self) -> usize {
+    pub(crate) fn retained_capacity(&self) -> usize {
         let mut total = 0;
         self.visit_caps(&mut |c| total += c);
         total
     }
 
     /// Snapshots every retained buffer's capacity before a window cycle.
-    pub fn begin_caps(&mut self) {
+    pub(crate) fn begin_caps(&mut self) {
         let mut caps = std::mem::take(&mut self.caps);
         caps.clear();
         self.visit_caps(&mut |c| caps.push(c));
@@ -507,7 +513,7 @@ impl CycleState {
 
     /// Counts the buffers that grew (or appeared) since
     /// [`CycleState::begin_caps`] — the cycle's allocation count.
-    pub fn end_caps(&mut self) -> u64 {
+    pub(crate) fn end_caps(&mut self) -> u64 {
         let caps = std::mem::take(&mut self.caps);
         let mut grew = 0u64;
         let mut i = 0usize;

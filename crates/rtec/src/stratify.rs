@@ -55,7 +55,7 @@ pub(crate) fn body_deps(body: &[BodyAtom], out: &mut HashSet<Symbol>) {
 /// `inputs` are the declared input symbols (events and fluents); dependencies
 /// on them impose no ordering. Returns the strata in evaluation order, or
 /// [`RtecError::CyclicRuleSet`] when the definitions are mutually recursive.
-pub fn stratify(
+pub(crate) fn stratify(
     sf_rules: &[SimpleFluentRule],
     ev_rules: &[EventRule],
     static_rules: &[StaticRule],

@@ -171,22 +171,6 @@ impl Term {
             _ => None,
         }
     }
-
-    /// Returns the boolean value of a `Bool` term.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Term::Bool(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Returns the symbol of a `Sym` term.
-    pub fn as_symbol(&self) -> Option<Symbol> {
-        match self {
-            Term::Sym(s) => Some(*s),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Term {
@@ -279,8 +263,6 @@ mod tests {
         assert_eq!(Term::float(2.5).as_f64(), Some(2.5));
         assert_eq!(Term::sym("x").as_f64(), None);
         assert_eq!(Term::int(4).as_i64(), Some(4));
-        assert_eq!(Term::Bool(true).as_bool(), Some(true));
-        assert_eq!(Term::sym("x").as_symbol(), Some(Symbol::new("x")));
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl WindowConfig {
         Ok(WindowConfig { wm, step })
     }
 
-    /// The working-memory size.
-    pub fn wm(&self) -> i64 {
-        self.wm
-    }
-
     /// The step between consecutive query times.
     pub fn step(&self) -> i64 {
         self.step
@@ -47,13 +42,8 @@ impl WindowConfig {
     /// notation; SDEs with occurrence time in `(q − WM, q]` are considered —
     /// with our half-open convention the processed range is `[q − WM + 1,
     /// q]`, which the engine queries as occurrence times `> q − WM`).
-    pub fn window_start(&self, q: Time) -> Time {
+    pub(crate) fn window_start(&self, q: Time) -> Time {
         q - self.wm
-    }
-
-    /// The query time following `q`.
-    pub fn next_query(&self, q: Time) -> Time {
-        q + self.step
     }
 }
 
@@ -73,9 +63,7 @@ mod tests {
     #[test]
     fn window_arithmetic() {
         let w = WindowConfig::new(600, 31).unwrap();
-        assert_eq!(w.wm(), 600);
         assert_eq!(w.step(), 31);
         assert_eq!(w.window_start(1000), 400);
-        assert_eq!(w.next_query(1000), 1031);
     }
 }

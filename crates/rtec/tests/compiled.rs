@@ -172,8 +172,6 @@ fn plan_rebuild_is_deterministic() {
     let p1 = CompiledPlan::compile(two_level_ruleset());
     let p2 = CompiledPlan::compile(two_level_ruleset());
     assert_eq!(p1.signature(), p2.signature());
-    assert_eq!(p1.n_slots(), p2.n_slots());
-    assert_eq!(p1.n_strata(), p2.n_strata());
 }
 
 #[test]

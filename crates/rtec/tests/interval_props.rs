@@ -100,16 +100,6 @@ proptest! {
     }
 
     #[test]
-    fn clip_is_intersection_with_window(a in arb_list(), lo in 0i64..UNIVERSE, len in 0i64..UNIVERSE) {
-        let clipped = a.clip(lo, lo + len);
-        prop_assert!(clipped.is_normalised());
-        for t in 0..2 * UNIVERSE {
-            let want = a.contains(t) && t >= lo && t < lo + len;
-            prop_assert_eq!(clipped.contains(t), want);
-        }
-    }
-
-    #[test]
     fn from_points_alternation(
         mut inits in proptest::collection::vec(0i64..UNIVERSE, 0..8),
         mut terms in proptest::collection::vec(0i64..UNIVERSE, 0..8),
@@ -165,26 +155,6 @@ proptest! {
     }
 
     #[test]
-    fn intersect_all_matches_pointwise_all(
-        lists in proptest::collection::vec(arb_list(), 0..5)
-    ) {
-        let i = IntervalList::intersect_all(lists.iter());
-        prop_assert!(i.is_normalised());
-        // Zero lists intersect to the empty list (no paper rule ever
-        // intersects an empty conjunction, so empty — not the universe —
-        // is the defined result).
-        let models: Vec<Vec<bool>> = lists.iter().map(model).collect();
-        let expected: Vec<bool> = (0..2 * UNIVERSE as usize)
-            .map(|t| !models.is_empty() && models.iter().all(|m| m[t]))
-            .collect();
-        assert_matches_model(&i, &expected);
-        if let Some((first, rest)) = lists.split_first() {
-            let folded = rest.iter().fold(first.clone(), |acc, l| acc.intersect(l));
-            prop_assert_eq!(i, folded);
-        }
-    }
-
-    #[test]
     fn relative_complement_all_matches_base_minus_any(
         base in arb_list(),
         lists in proptest::collection::vec(arb_list(), 0..5)
@@ -199,108 +169,5 @@ proptest! {
         assert_matches_model(&d, &expected);
         // Same thing as subtracting the n-ary union in one step.
         prop_assert_eq!(d, base.difference(&IntervalList::union_all(lists.iter())));
-    }
-
-    #[test]
-    fn total_duration_counts_points(a in arb_list()) {
-        let now = UNIVERSE;
-        let count = (0..now).filter(|&t| a.contains(t)).count() as i64;
-        // Only intervals fully below `now` contribute exactly; clip first.
-        prop_assert_eq!(a.clip(0, now).total_duration(now), count);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Arena algebra ≡ Arc-backed algebra
-// ---------------------------------------------------------------------------
-//
-// The `*_into` operations on `IntervalArena` are the allocation-free twins of
-// the `Arc`-backed `IntervalList` algebra above; every one must produce the
-// exact same normalised interval sequence.
-
-use insight_rtec::interval::{IntervalArena, IvRange};
-
-proptest! {
-    #[test]
-    fn arena_union_all_matches_arc(
-        lists in proptest::collection::vec(arb_list(), 0..5)
-    ) {
-        let mut arena = IntervalArena::new();
-        let mark = arena.mark();
-        for l in &lists {
-            arena.copy_in(l.as_slice());
-        }
-        let r = arena.union_all_into(mark);
-        let classic = IntervalList::union_all(lists.iter());
-        prop_assert_eq!(arena.slice(r), classic.as_slice());
-    }
-
-    #[test]
-    fn arena_intersect_all_matches_arc(
-        lists in proptest::collection::vec(arb_list(), 0..5)
-    ) {
-        let mut arena = IntervalArena::new();
-        let mark = arena.mark();
-        let ranges: Vec<IvRange> =
-            lists.iter().map(|l| arena.copy_in(l.as_slice())).collect();
-        let r = arena.intersect_all_into(mark, &ranges);
-        let classic = IntervalList::intersect_all(lists.iter());
-        prop_assert_eq!(arena.slice(r), classic.as_slice());
-    }
-
-    #[test]
-    fn arena_relative_complement_all_matches_arc(
-        base in arb_list(),
-        subs in proptest::collection::vec(arb_list(), 0..5)
-    ) {
-        let mut arena = IntervalArena::new();
-        let base_r = arena.copy_in(base.as_slice());
-        let sub_mark = arena.mark();
-        for l in &subs {
-            arena.copy_in(l.as_slice());
-        }
-        let r = arena.relative_complement_all_into(base_r, sub_mark);
-        let classic = IntervalList::relative_complement_all(&base, subs.iter());
-        prop_assert_eq!(arena.slice(r), classic.as_slice());
-        // The stack discipline must leave ranges below the mark untouched.
-        prop_assert_eq!(arena.slice(base_r), base.as_slice());
-    }
-
-    #[test]
-    fn arena_from_points_matches_arc(
-        inits in proptest::collection::vec(0i64..UNIVERSE, 0..8),
-        terms in proptest::collection::vec(0i64..UNIVERSE, 0..8),
-        initially in proptest::bool::ANY,
-        from in 0i64..UNIVERSE,
-    ) {
-        let classic = IntervalList::from_points(&inits, &terms, initially, from);
-        let mut arena = IntervalArena::new();
-        let mut scratch = Vec::new();
-        let (mut i2, mut t2) = (inits.clone(), terms.clone());
-        let r = arena.from_points_into(&mut i2, &mut t2, initially, from, &mut scratch);
-        prop_assert_eq!(arena.slice(r), classic.as_slice());
-    }
-
-    #[test]
-    fn arena_difference_and_after_match_arc(
-        a in arb_list(),
-        b in arb_list(),
-        t in 0i64..2 * UNIVERSE,
-    ) {
-        let mut arena = IntervalArena::new();
-        let ra = arena.copy_in(a.as_slice());
-        let rb = arena.copy_in(b.as_slice());
-        let d = arena.difference_into(ra, rb);
-        prop_assert_eq!(arena.slice(d), a.difference(&b).as_slice());
-        let af = arena.after_into(a.as_slice(), t);
-        prop_assert_eq!(arena.slice(af), a.after(t).as_slice());
-    }
-
-    #[test]
-    fn arena_materialise_reuses_equal_cached_lists(a in arb_list()) {
-        let mut arena = IntervalArena::new();
-        let r = arena.copy_in(a.as_slice());
-        let m = arena.materialise(r, &a);
-        prop_assert_eq!(m.as_slice(), a.as_slice());
     }
 }

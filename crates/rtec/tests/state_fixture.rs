@@ -7,67 +7,18 @@
 //! (so it holds unseen facts too); `parent_state_v1.expected` is what the
 //! same engine recognised over the remaining windows. Both files were
 //! written by driving this very file's `stream`/`drive` at the parent commit.
+//!
+//! The test is alone in its binary on purpose: the expected recognitions
+//! print symbols by their interning number, so no other test may intern
+//! symbols beside it.
 
-use insight_rtec::dsl::RuleSet;
+mod common;
+
+use common::{engine, STEP, WM};
 use insight_rtec::prelude::*;
-use insight_rtec::rule::CmpOp;
 
-const WM: Time = 80;
-const STEP: Time = 10;
 const SPLIT: i64 = 14;
 const WINDOWS: i64 = 30;
-
-/// Joins on a bound column, an input fluent read with its first argument
-/// bound, a derived event read by a later stratum, and inertia.
-fn ruleset() -> RuleSet {
-    let mut b = RuleSetBuilder::new();
-    b.declare_event("enter", 2).declare_event("leave", 1).declare_input_fluent("speed", 1);
-    let (d, z, t) = (b.var("D"), b.var("Z"), b.var("T"));
-    b.initiated(
-        fluent("inside", [pat(d)], val(true)),
-        t,
-        [happens(event_pat("enter", [pat(d), pat(z)]), t)],
-    );
-    let (d, t) = (b.var("D2"), b.var("T2"));
-    b.terminated(
-        fluent("inside", [pat(d)], val(true)),
-        t,
-        [happens(event_pat("leave", [pat(d)]), t)],
-    );
-    let (d, z, t1, t2) = (b.var("D3"), b.var("Z3"), b.var("T3a"), b.var("T3b"));
-    b.derived_event(
-        event_head("visit", [pat(d), pat(z)]),
-        t2,
-        [
-            happens(event_pat("enter", [pat(d), pat(z)]), t1),
-            happens(event_pat("leave", [pat(d)]), t2),
-            guard(cmp(NumExpr::sub(t2.into(), t1.into()), CmpOp::Gt, 0.0)),
-            guard(cmp(NumExpr::sub(t2.into(), t1.into()), CmpOp::Lt, 25.0)),
-        ],
-    );
-    let (d, z, v, t) = (b.var("D4"), b.var("Z4"), b.var("V4"), b.var("T4"));
-    b.derived_event(
-        event_head("rush", [pat(d)]),
-        t,
-        [
-            happens(event_pat("enter", [pat(d), pat(z)]), t),
-            holds(fluent_pat("speed", [pat(d)], pat(v)), t),
-            guard(cmp(v, CmpOp::Gt, 50.0)),
-        ],
-    );
-    let (d, z, t1, t2) = (b.var("D5"), b.var("Z5"), b.var("T5a"), b.var("T5b"));
-    b.derived_event(
-        event_head("rushedVisit", [pat(d)]),
-        t2,
-        [
-            happens(event_pat("rush", [pat(d)]), t1),
-            happens(event_pat("visit", [pat(d), pat(z)]), t2),
-            holds(fluent_pat("inside", [pat(d)], val(true)), t1),
-            guard(cmp(NumExpr::sub(t2.into(), t1.into()), CmpOp::Gt, 0.0)),
-        ],
-    );
-    b.build().unwrap()
-}
 
 /// What arrives during window `w` (arrival in `(w·STEP, (w+1)·STEP]`):
 /// punctual facts, facts late inside the overlap, facts later than the
@@ -129,10 +80,6 @@ fn drive(e: &mut Engine, from: i64, to: i64, fed: bool) -> String {
         }
     }
     out
-}
-
-fn engine() -> Engine {
-    Engine::new(ruleset(), WindowConfig::new(WM, STEP).unwrap())
 }
 
 #[test]

@@ -16,10 +16,10 @@
 //! `CONFORMANCE_SEED`, which rotates every drawn fact so that the three seed
 //! jobs of the matrix cover three disjoint families of streams.
 
-use insight_rtec::compile::ProbedEvent;
 use insight_rtec::dsl::RuleSet;
 use insight_rtec::prelude::*;
 use insight_rtec::rule::CmpOp;
+use insight_rtec::testing::ProbedEvent;
 use insight_rtec::time::{TIME_MAX, TIME_MIN};
 use proptest::prelude::*;
 

@@ -14,7 +14,7 @@
 //!
 //! and measures a window of work as the difference of two
 //! [`allocation_count`] readings (same idiom as
-//! [`DataItem::deep_copies`](crate::item::DataItem::deep_copies)). The
+//! [`deep_copies`](crate::testing::deep_copies)). The
 //! counter is process-global: multi-threaded sections attribute every
 //! thread's allocations to the window, so precise pins belong on
 //! single-threaded sections and threaded sections get budget bounds.

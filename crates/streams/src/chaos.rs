@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 /// The value a corrupted field is scrambled to (U+FFFD makes the damage
 /// obvious in dumps and reliably breaks numeric schema expectations).
-pub const CORRUPTED_VALUE: &str = "\u{fffd}chaos";
+pub(crate) const CORRUPTED_VALUE: &str = "\u{fffd}chaos";
 
 /// Injection rates and determinism seed of a [`ChaosSource`]. All rates are
 /// probabilities in `[0, 1]`; a default-constructed config injects nothing.
@@ -43,7 +43,7 @@ pub struct ChaosConfig {
     /// Maximum number of subsequent items a delayed item is held behind
     /// (at least 1 when `delay_rate > 0`).
     pub delay_max: usize,
-    /// Probability one field of the item is scrambled to [`CORRUPTED_VALUE`].
+    /// Probability one field of the item is scrambled to `CORRUPTED_VALUE`.
     pub corrupt_rate: f64,
 }
 
@@ -242,11 +242,6 @@ impl KillSwitch {
     pub fn fired(&self) -> bool {
         self.fired.load(std::sync::atomic::Ordering::SeqCst)
     }
-
-    /// Items observed across every [`KillAt`] sharing this switch.
-    pub fn seen(&self) -> u64 {
-        self.seen.load(std::sync::atomic::Ordering::SeqCst)
-    }
 }
 
 /// A [`Processor`] that panics exactly once, when the `at`-th item (1-based)
@@ -265,20 +260,10 @@ pub struct KillAt {
 }
 
 impl KillAt {
-    /// Kills on the `at`-th item (1-based); 0 disables.
-    pub fn new(at: u64) -> KillAt {
-        KillAt { at, switch: KillSwitch::new() }
-    }
-
     /// A kill sharing an external switch — hand the same switch to the
     /// processor factory so rebuilt instances know the kill already fired.
     pub fn with_switch(at: u64, switch: KillSwitch) -> KillAt {
         KillAt { at, switch }
-    }
-
-    /// Handle to the shared trigger state.
-    pub fn switch(&self) -> KillSwitch {
-        self.switch.clone()
     }
 }
 
@@ -388,8 +373,8 @@ mod tests {
 
     #[test]
     fn kill_at_fires_exactly_once_across_rebuilds() {
-        let mut k = KillAt::new(3);
-        let switch = k.switch();
+        let switch = KillSwitch::new();
+        let mut k = KillAt::with_switch(3, switch.clone());
         let mut ctx = Context::new(crate::service::ServiceRegistry::default(), "t");
         for i in 1..=2u64 {
             assert!(k.process(DataItem::new().with("n", i as i64), &mut ctx).is_ok());
@@ -406,7 +391,11 @@ mod tests {
         for i in 1..=10u64 {
             assert!(rebuilt.process(DataItem::new().with("n", i as i64), &mut ctx).is_ok());
         }
-        assert_eq!(switch.seen(), 3, "counting stopped at the kill");
+        assert_eq!(
+            switch.seen.load(std::sync::atomic::Ordering::SeqCst),
+            3,
+            "counting stopped at the kill"
+        );
     }
 
     #[test]
@@ -448,7 +437,7 @@ mod tests {
                     replicas.into_iter().map(|r| r.join().expect("replica thread")).sum()
                 });
                 assert!(switch.fired());
-                (kills, switch.seen())
+                (kills, switch.seen.load(std::sync::atomic::Ordering::SeqCst))
             })
             .collect();
         for (round, (kills, seen)) in rounds.into_iter().enumerate() {

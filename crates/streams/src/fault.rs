@@ -10,7 +10,6 @@
 //! |---|---|
 //! | [`FaultPolicy::FailFast`] | abort the process on the first fault (the pre-supervision behaviour) |
 //! | [`FaultPolicy::Skip`] | drop the faulted item and continue; more than `max_consecutive` consecutive faulted items escalates to failure |
-//! | [`FaultPolicy::Retry`] | re-run the failing processor on a pristine copy of the item up to `attempts` times with linear backoff, then fail |
 //! | [`FaultPolicy::DeadLetter`] | move the offending item plus its error context to a [`DeadLetterQueue`] for post-mortem and continue |
 //! | [`FaultPolicy::Restart`] | rebuild the processor chain from its factories, restore the latest checkpoint, replay the logged items and re-run the faulted item (see [`crate::checkpoint`]) |
 //!
@@ -20,7 +19,6 @@
 use crate::error::StreamsError;
 use crate::item::DataItem;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// What the runtime does when a processor errors or panics on an item.
 #[derive(Debug, Clone, Default)]
@@ -35,15 +33,6 @@ pub enum FaultPolicy {
         /// escalates to a process failure — a stage that faults on every
         /// item is broken, not unlucky. `usize::MAX` never escalates.
         max_consecutive: usize,
-    },
-    /// Re-invoke the failing processor with a pristine copy of the item.
-    Retry {
-        /// Additional attempts after the initial failure; when all are
-        /// exhausted the fault escalates to a process failure.
-        attempts: usize,
-        /// Sleep `backoff × attempt_number` before each re-attempt (linear
-        /// backoff; `Duration::ZERO` retries immediately).
-        backoff: Duration,
     },
     /// Preserve the offending item plus error context in a dead-letter
     /// queue and continue with the next item.
@@ -91,126 +80,48 @@ pub struct DeadLetterRecord {
     pub error: StreamsError,
 }
 
-#[derive(Debug)]
-struct DeadLetterInner {
-    records: std::collections::VecDeque<DeadLetterRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl Default for DeadLetterInner {
-    fn default() -> DeadLetterInner {
-        DeadLetterInner {
-            records: std::collections::VecDeque::new(),
-            capacity: usize::MAX,
-            dropped: 0,
-        }
-    }
-}
-
-/// A shared, *bounded* queue of [`DeadLetterRecord`]s; clones observe the
-/// same buffer (like [`crate::sink::CollectSink`]).
-///
-/// Sustained faults must not grow memory without limit, so the queue keeps at
-/// most `capacity` records: pushing into a full queue evicts the oldest
-/// record and counts it in [`DeadLetterQueue::dropped`]. The default
-/// ([`DeadLetterQueue::shared`]) capacity is effectively unbounded
-/// (`usize::MAX`), preserving the historical behaviour; long-running
-/// topologies should use [`DeadLetterQueue::bounded`].
+/// A shared queue of [`DeadLetterRecord`]s; clones observe the same buffer
+/// (like [`crate::sink::CollectSink`]).
 #[derive(Debug, Clone, Default)]
 pub struct DeadLetterQueue {
-    inner: Arc<Mutex<DeadLetterInner>>,
+    records: Arc<Mutex<Vec<DeadLetterRecord>>>,
 }
 
 impl DeadLetterQueue {
-    /// A fresh shared queue with unbounded capacity.
+    /// A fresh shared queue.
     pub fn shared() -> DeadLetterQueue {
         DeadLetterQueue::default()
     }
 
-    /// A fresh shared queue keeping at most `capacity` records (oldest
-    /// evicted first; a capacity of 0 drops everything).
-    pub fn bounded(capacity: usize) -> DeadLetterQueue {
-        let q = DeadLetterQueue::default();
-        q.inner.lock().unwrap().capacity = capacity;
-        q
-    }
-
-    /// Appends one record (called by the runtime), evicting the oldest when
-    /// the queue is at capacity.
-    pub fn push(&self, record: DeadLetterRecord) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.capacity == 0 {
-            inner.dropped += 1;
-            return;
-        }
-        while inner.records.len() >= inner.capacity {
-            inner.records.pop_front();
-            inner.dropped += 1;
-        }
-        inner.records.push_back(record);
+    /// Appends one record (called by the runtime).
+    pub(crate) fn push(&self, record: DeadLetterRecord) {
+        self.records.lock().unwrap().push(record);
     }
 
     /// Snapshot of the records accumulated so far.
     pub fn records(&self) -> Vec<DeadLetterRecord> {
-        self.inner.lock().unwrap().records.iter().cloned().collect()
+        self.records.lock().unwrap().clone()
     }
 
     /// Removes and returns every record.
     pub fn drain(&self) -> Vec<DeadLetterRecord> {
-        self.inner.lock().unwrap().records.drain(..).collect()
-    }
-
-    /// This queue's capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().unwrap().capacity
-    }
-
-    /// Records evicted (or refused) because the queue was at capacity.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
+        std::mem::take(&mut *self.records.lock().unwrap())
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().records.len()
+        self.records.lock().unwrap().len()
     }
 
     /// Whether no item was dead-lettered.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().unwrap().records.is_empty()
+        self.records.lock().unwrap().is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bounded_queue_evicts_oldest_and_counts_drops() {
-        let dl = DeadLetterQueue::bounded(2);
-        assert_eq!(dl.capacity(), 2);
-        let record = |n: i64| DeadLetterRecord {
-            process: "p".into(),
-            processor: Some(0),
-            item: Some(DataItem::new().with("n", n)),
-            seq: None,
-            error: StreamsError::ServiceError { detail: "boom".into() },
-        };
-        dl.push(record(1));
-        dl.push(record(2));
-        dl.push(record(3));
-        assert_eq!(dl.len(), 2);
-        assert_eq!(dl.dropped(), 1, "oldest record evicted");
-        let kept: Vec<i64> =
-            dl.records().iter().map(|r| r.item.as_ref().unwrap().get_i64("n").unwrap()).collect();
-        assert_eq!(kept, vec![2, 3]);
-
-        let none = DeadLetterQueue::bounded(0);
-        none.push(record(9));
-        assert!(none.is_empty());
-        assert_eq!(none.dropped(), 1, "zero capacity refuses every record");
-    }
 
     #[test]
     fn queue_snapshot_and_drain() {

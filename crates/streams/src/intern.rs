@@ -102,7 +102,7 @@ impl Key {
     ///
     /// The intern arena is append-only and **never freed**: every distinct
     /// string interned here stays allocated for the process lifetime (that is
-    /// what makes [`Key::as_str`] a `&'static` borrow). Keys are meant for
+    /// what makes `Key::as_str` a `&'static` borrow). Keys are meant for
     /// the *attribute vocabulary* — the bounded set of names appearing in
     /// item schemas. Avoid interning per-item payload strings of unbounded
     /// cardinality (e.g. ids minted by a live stream) in long-running
@@ -126,7 +126,7 @@ impl Key {
     }
 
     /// Returns the interned text, borrowed from the intern arena.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         self.0
     }
 

@@ -14,7 +14,7 @@
 //! The attributes themselves live in a *flat sorted array* rather than a
 //! tree: [`INLINE_ATTRS`] slots are stored inline (no heap node per
 //! attribute), and only items wider than that spill to a heap vector. String
-//! values use [`SmallStr`], which keeps payloads up to [`SMALL_STR_INLINE`]
+//! values use [`SmallStr`], which keeps payloads up to `SMALL_STR_INLINE`
 //! bytes inline — the Dublin vocabulary (`"bus"`, `"north"`, …) never
 //! touches the heap. A full bus or SCATS SDE therefore costs exactly one
 //! heap allocation to build (the shared `Arc` below) and zero to clone,
@@ -34,7 +34,7 @@
 //! fault-policy snapshots and the shard routing therefore share one
 //! allocation per item instead of copying the map at every hop. Every deep
 //! copy of a non-empty shared map is counted in a
-//! process-wide counter ([`DataItem::deep_copies`]) so tests can pin an
+//! process-wide counter ([`crate::testing::deep_copies`]) so tests can pin an
 //! allocation budget on a pipeline shape; detaching from the shared *empty*
 //! singleton (every fresh item starts there) is initialisation, not a deep
 //! copy, and is not counted.
@@ -47,11 +47,11 @@ use std::sync::{Arc, OnceLock};
 /// Maximum byte length a [`SmallStr`] stores inline. Chosen so the whole
 /// [`Value`] stays 32 bytes — the widest slot the numeric variants need
 /// plus the inline buffer and its length tag.
-pub const SMALL_STR_INLINE: usize = 22;
+pub(crate) const SMALL_STR_INLINE: usize = 22;
 
 /// A UTF-8 string with inline storage for short payloads.
 ///
-/// Strings of at most [`SMALL_STR_INLINE`] bytes live in the value itself;
+/// Strings of at most `SMALL_STR_INLINE` bytes live in the value itself;
 /// longer payloads fall back to a heap `Box<str>`. The Dublin SDE
 /// vocabulary (region names, SDE kinds, line labels) fits inline, so string
 /// attributes stop costing a heap allocation per item on build and clone.
@@ -66,7 +66,7 @@ enum Repr {
 
 impl SmallStr {
     /// Builds from a borrowed string; inline when it fits.
-    pub fn new(s: &str) -> SmallStr {
+    pub(crate) fn new(s: &str) -> SmallStr {
         if s.len() <= SMALL_STR_INLINE {
             let mut buf = [0u8; SMALL_STR_INLINE];
             buf[..s.len()].copy_from_slice(s.as_bytes());
@@ -77,7 +77,7 @@ impl SmallStr {
     }
 
     /// The string slice. Free for both representations.
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         match &self.0 {
             Repr::Inline { len, buf } => {
                 // The inline buffer always holds a complete `&str`'s bytes
@@ -86,24 +86,6 @@ impl SmallStr {
             }
             Repr::Heap(s) => s,
         }
-    }
-
-    /// Whether the payload is stored inline (no heap allocation).
-    pub fn is_inline(&self) -> bool {
-        matches!(self.0, Repr::Inline { .. })
-    }
-
-    /// Byte length of the string.
-    pub fn len(&self) -> usize {
-        match &self.0 {
-            Repr::Inline { len, .. } => *len as usize,
-            Repr::Heap(s) => s.len(),
-        }
-    }
-
-    /// Whether the string is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -415,8 +397,8 @@ impl Default for AttrMap {
 }
 
 /// Process-wide count of attribute-map deep copies forced by copy-on-write
-/// mutation of a shared item (see [`DataItem::deep_copies`]).
-static DEEP_COPIES: AtomicU64 = AtomicU64::new(0);
+/// mutation of a shared item (see [`crate::testing::deep_copies`]).
+pub(crate) static DEEP_COPIES: AtomicU64 = AtomicU64::new(0);
 
 /// The process-wide empty attribute map every fresh [`DataItem`] points at,
 /// so `DataItem::new()` itself never allocates.
@@ -459,7 +441,7 @@ impl Stamp {
 /// equality, JSON, `Display` or the attributes.
 #[derive(Clone)]
 pub struct DataItem {
-    attrs: Arc<AttrMap>,
+    pub(crate) attrs: Arc<AttrMap>,
     stamp: Stamp,
 }
 
@@ -495,7 +477,7 @@ impl DataItem {
 
     /// Copy-on-write access to the attribute map: exclusive maps are mutated
     /// in place, shared maps are deep-copied first (counted in
-    /// [`DataItem::deep_copies`]). Detaching from a shared *empty* map — in
+    /// [`crate::testing::deep_copies`]). Detaching from a shared *empty* map — in
     /// particular the process-wide empty singleton behind every fresh item —
     /// copies nothing, so it is initialisation rather than a deep copy and
     /// is not counted.
@@ -510,15 +492,6 @@ impl DataItem {
             DEEP_COPIES.fetch_add(1, Ordering::Relaxed);
         }
         attrs
-    }
-
-    /// Process-wide number of attribute-map deep copies performed so far:
-    /// every mutation of a *non-empty* item whose map is shared with another
-    /// live clone counts once. Monotone over the process lifetime — measure
-    /// a window of work as the difference of two readings. Exclusive-item
-    /// mutations, empty-map detaches and `clone()` itself never count.
-    pub fn deep_copies() -> u64 {
-        DEEP_COPIES.load(Ordering::Relaxed)
     }
 
     /// An item owning `attrs`: the one allocation of an item built in place.
@@ -566,11 +539,6 @@ impl DataItem {
         self.get(key).and_then(Value::as_str)
     }
 
-    /// Boolean attribute accessor.
-    pub fn get_bool(&self, key: &str) -> Option<bool> {
-        self.get(key).and_then(Value::as_bool)
-    }
-
     /// Whether the attribute exists.
     pub fn contains(&self, key: &str) -> bool {
         self.attrs.contains_key(key)
@@ -604,12 +572,6 @@ impl DataItem {
     /// Removes and returns the item's sequence stamp.
     pub(crate) fn take_stamp(&mut self) -> Stamp {
         std::mem::take(&mut self.stamp)
-    }
-
-    /// Whether the attributes fit the inline storage (no spill vector).
-    /// Diagnostic for allocation-budget tests; typical SDEs are inline.
-    pub fn is_inline(&self) -> bool {
-        self.attrs.is_inline()
     }
 
     /// Serialises the item as one JSON object line.
@@ -678,7 +640,7 @@ mod tests {
         assert_eq!(item.get_str("line"), Some("r10"));
         assert_eq!(item.get_f64("delay"), Some(400.5));
         assert_eq!(item.get_f64("bus"), Some(33009.0), "ints coerce to f64");
-        assert_eq!(item.get_bool("congested"), Some(true));
+        assert_eq!(item.get("congested"), Some(&Value::Bool(true)));
         assert_eq!(item.get("missing"), None);
         assert_eq!(item.len(), 4);
     }
@@ -724,10 +686,10 @@ mod tests {
         let a = DataItem::new().with("n", 1i64).with("s", "x");
         let mut b = a.clone();
         assert!(Arc::ptr_eq(&a.attrs, &b.attrs), "clone shares the map");
-        let before = DataItem::deep_copies();
+        let before = crate::testing::deep_copies();
         b.set("n", 2i64);
         assert!(!Arc::ptr_eq(&a.attrs, &b.attrs), "shared mutation detaches");
-        assert!(DataItem::deep_copies() > before, "the detach was counted");
+        assert!(crate::testing::deep_copies() > before, "the detach was counted");
         assert_eq!(a.get_i64("n"), Some(1), "the original is untouched");
         assert_eq!(b.get_i64("n"), Some(2));
         // Removing an absent key from a shared map stays copy-free.
@@ -740,12 +702,12 @@ mod tests {
     fn exclusive_mutation_is_not_a_deep_copy() {
         let mut item = DataItem::new().with("n", 1i64);
         // The map is exclusively owned: further mutation happens in place.
-        let before = DataItem::deep_copies();
+        let before = crate::testing::deep_copies();
         let ptr = Arc::as_ptr(&item.attrs);
         item.set("n", 2i64);
         item.set("m", 3i64);
         assert_eq!(Arc::as_ptr(&item.attrs), ptr, "exclusive mutation is in place");
-        assert_eq!(DataItem::deep_copies(), before, "no deep copy counted");
+        assert_eq!(crate::testing::deep_copies(), before, "no deep copy counted");
     }
 
     #[test]
@@ -757,16 +719,16 @@ mod tests {
         let a = DataItem::new();
         let b = DataItem::new();
         assert!(Arc::ptr_eq(&a.attrs, &b.attrs), "fresh items share the empty singleton");
-        let before = DataItem::deep_copies();
+        let before = crate::testing::deep_copies();
         let _built = DataItem::new().with("n", 1i64);
         let mut c = DataItem::new();
         c.set("m", 2i64);
-        assert_eq!(DataItem::deep_copies(), before, "empty detaches are not deep copies");
+        assert_eq!(crate::testing::deep_copies(), before, "empty detaches are not deep copies");
         // An explicitly shared empty map behaves the same.
         let empty = DataItem::new();
         let mut clone = empty.clone();
         clone.set("k", 1i64);
-        assert_eq!(DataItem::deep_copies(), before, "shared-empty mutation is not counted");
+        assert_eq!(crate::testing::deep_copies(), before, "shared-empty mutation is not counted");
         assert!(empty.is_empty() && clone.len() == 1);
     }
 
@@ -776,9 +738,9 @@ mod tests {
         for i in 0..INLINE_ATTRS {
             item.set(format!("k{i:02}"), i as i64);
         }
-        assert!(item.is_inline(), "{INLINE_ATTRS} attrs fit inline");
+        assert!(crate::testing::is_inline(&item), "{INLINE_ATTRS} attrs fit inline");
         item.set("k99", 99i64);
-        assert!(!item.is_inline(), "attr {} spills", INLINE_ATTRS + 1);
+        assert!(!crate::testing::is_inline(&item), "attr {} spills", INLINE_ATTRS + 1);
         assert_eq!(item.len(), INLINE_ATTRS + 1);
         for i in 0..INLINE_ATTRS {
             assert_eq!(item.get_i64(&format!("k{i:02}")), Some(i as i64));
@@ -798,8 +760,6 @@ mod tests {
     fn small_str_inline_boundary() {
         let fits = "x".repeat(SMALL_STR_INLINE);
         let spills = "x".repeat(SMALL_STR_INLINE + 1);
-        assert!(SmallStr::new(&fits).is_inline());
-        assert!(!SmallStr::new(&spills).is_inline());
         assert_eq!(SmallStr::new(&fits).as_str(), fits);
         assert_eq!(SmallStr::new(&spills).as_str(), spills);
         // Inline and heap forms of different strings still compare by text.

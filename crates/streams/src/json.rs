@@ -70,7 +70,7 @@ pub fn escape_into(out: &mut String, s: &str) {
 /// Appends a finite float in shortest-roundtrip form (`1.0`, not `1`);
 /// NaN/infinities have no JSON representation and are written as `null`.
 /// Formats directly into `out` — no intermediate `String`.
-pub fn float_into(out: &mut String, v: f64) {
+pub(crate) fn float_into(out: &mut String, v: f64) {
     if v.is_finite() {
         // `{:?}` is Rust's shortest round-trip form and always keeps a
         // decimal point or exponent, so floats re-parse as floats.
@@ -110,20 +110,9 @@ pub fn value_into(out: &mut String, value: &Value) {
     }
 }
 
-/// Serialises a flat attribute sequence (already in canonical key order) as
-/// one JSON object.
-pub fn object_to_string<'a, I>(attrs: I) -> String
-where
-    I: IntoIterator<Item = (&'a str, &'a Value)>,
-{
-    let mut out = String::with_capacity(64);
-    object_into(&mut out, attrs);
-    out
-}
-
 /// Appends a flat attribute sequence (already in canonical key order) as one
 /// JSON object — the reusable-buffer form of [`object_to_string`].
-pub fn object_into<'a, I>(out: &mut String, attrs: I)
+pub(crate) fn object_into<'a, I>(out: &mut String, attrs: I)
 where
     I: IntoIterator<Item = (&'a str, &'a Value)>,
 {
@@ -140,7 +129,7 @@ where
 }
 
 /// Appends one [`DataItem`] as a JSON object to `out`.
-pub fn item_into(out: &mut String, item: &DataItem) {
+pub(crate) fn item_into(out: &mut String, item: &DataItem) {
     object_into(out, item.iter());
 }
 
@@ -415,7 +404,9 @@ mod tests {
     use super::*;
 
     fn to_json(attrs: &BTreeMap<String, Value>) -> String {
-        object_to_string(attrs.iter().map(|(k, v)| (k.as_str(), v)))
+        let mut out = String::new();
+        object_into(&mut out, attrs.iter().map(|(k, v)| (k.as_str(), v)));
+        out
     }
 
     fn roundtrip(attrs: BTreeMap<String, Value>) {

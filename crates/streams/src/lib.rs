@@ -28,7 +28,12 @@
 //!   harness for robustness testing ([`chaos`]).
 //!
 //! ```
-//! use insight_streams::prelude::*;
+//! use insight_streams::item::DataItem;
+//! use insight_streams::processor::{Context, FnProcessor};
+//! use insight_streams::runtime::Runtime;
+//! use insight_streams::sink::CollectSink;
+//! use insight_streams::source::VecSource;
+//! use insight_streams::topology::{Input, Output, Topology};
 //!
 //! let mut t = Topology::new();
 //! t.add_source("numbers", VecSource::new((0..10).map(|i| {
@@ -52,6 +57,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod alloc;
 pub mod chaos;
@@ -71,20 +77,5 @@ pub mod service;
 pub mod sink;
 pub mod source;
 mod spsc;
+pub mod testing;
 pub mod topology;
-
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::checkpoint::{Checkpoint, CheckpointStore, Checkpointable, StateBlob};
-    pub use crate::error::StreamsError;
-    pub use crate::fault::{DeadLetterQueue, DeadLetterRecord, FaultPolicy};
-    pub use crate::item::{DataItem, Value};
-    pub use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-    pub use crate::processor::{Context, FnProcessor, Processor};
-    pub use crate::replay::ReplayRuntime;
-    pub use crate::runtime::Runtime;
-    pub use crate::service::{Service, ServiceRegistry};
-    pub use crate::sink::{CollectSink, CountSink, NullSink, Sink};
-    pub use crate::source::{Source, VecSource};
-    pub use crate::topology::{Input, Output, Topology};
-}

@@ -24,11 +24,6 @@ use std::time::Duration;
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.0.fetch_add(1, Relaxed);
@@ -53,13 +48,8 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
     /// Moves the level by `delta` (positive or negative).
-    pub fn add(&self, delta: i64) {
+    pub(crate) fn add(&self, delta: i64) {
         let new = self.value.fetch_add(delta, Relaxed) + delta;
         if delta > 0 {
             self.high_water.fetch_max(new, Relaxed);
@@ -78,7 +68,7 @@ impl Gauge {
     }
 
     /// Highest level ever observed.
-    pub fn high_water(&self) -> i64 {
+    pub(crate) fn high_water(&self) -> i64 {
         self.high_water.load(Relaxed)
     }
 }
@@ -113,11 +103,6 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
     /// Records one duration.
     pub fn record(&self, d: Duration) {
         self.record_ns(d.as_nanos().min(u64::MAX as u128) as u64);
@@ -134,7 +119,7 @@ impl Histogram {
     }
 
     /// A point-in-time copy of the histogram's state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count.load(Relaxed);
         let min = self.min_ns.load(Relaxed);
         let mut buckets = [0u64; HISTOGRAM_BUCKETS];
@@ -180,7 +165,7 @@ impl Default for HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Mean sample in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
+    pub(crate) fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -190,7 +175,7 @@ impl HistogramSnapshot {
 
     /// Approximate quantile (`q` in `[0, 1]`): the upper bound of the bucket
     /// holding the q-th sample, clamped to the observed max.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -209,7 +194,7 @@ impl HistogramSnapshot {
     /// Folds another histogram's samples into this one (bucket-wise sums;
     /// min/max widen). Quantiles of the merge are as approximate as the
     /// operands' — buckets align, so no extra error is introduced.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
+    pub(crate) fn merge(&mut self, other: &HistogramSnapshot) {
         if other.count == 0 {
             return;
         }
@@ -253,21 +238,17 @@ pub struct StageMetrics {
     /// Time spent on each input — the chain, routing what left it and, on a
     /// merge, its share of the ordered receive — and on each `finish` call.
     pub process_ns: Histogram,
-    /// Failed processor invocations (errors and panics; each re-attempt
-    /// under `Retry` that fails counts again).
+    /// Failed processor invocations (errors and panics).
     pub faults: Counter,
     /// The subset of `faults` that were isolated panics.
     pub panics: Counter,
-    /// Re-invocations performed by a `Retry` policy.
-    pub retries: Counter,
     /// Items dropped by a `Skip` policy.
     pub skipped: Counter,
     /// Items moved to the dead-letter queue by a `DeadLetter` policy.
     pub dead_letters: Counter,
     /// Checkpoint barriers that snapshotted at least one chain slot.
     pub checkpoints: Counter,
-    /// State restores: `Restart` recoveries plus checkpoint rollbacks
-    /// performed before a `Retry` re-invocation.
+    /// `Restart` recoveries.
     pub restores: Counter,
     /// Logged items replayed through the chain during recoveries.
     pub replayed_items: Counter,
@@ -332,7 +313,7 @@ impl MetricsRegistry {
     }
 
     /// The instruments of queue `name` (created on first use).
-    pub fn queue(&self, name: &str) -> Arc<QueueMetrics> {
+    pub(crate) fn queue(&self, name: &str) -> Arc<QueueMetrics> {
         let mut queues = self.queues.lock().unwrap();
         Arc::clone(queues.entry(name.to_string()).or_default())
     }
@@ -368,7 +349,6 @@ impl MetricsRegistry {
                             process_ns: m.process_ns.snapshot(),
                             faults: m.faults.get(),
                             panics: m.panics.get(),
-                            retries: m.retries.get(),
                             skipped: m.skipped.get(),
                             dead_letters: m.dead_letters.get(),
                             checkpoints: m.checkpoints.get(),
@@ -434,15 +414,13 @@ pub struct StageSnapshot {
     pub faults: u64,
     /// The subset of `faults` that were isolated panics.
     pub panics: u64,
-    /// Re-invocations performed by a `Retry` policy.
-    pub retries: u64,
     /// Items dropped by a `Skip` policy.
     pub skipped: u64,
     /// Items moved to the dead-letter queue.
     pub dead_letters: u64,
     /// Checkpoint barriers taken.
     pub checkpoints: u64,
-    /// State restores performed (`Restart` recoveries + `Retry` rollbacks).
+    /// `Restart` recoveries performed.
     pub restores: u64,
     /// Logged items replayed during recoveries.
     pub replayed_items: u64,
@@ -452,7 +430,7 @@ pub struct StageSnapshot {
 
 impl StageSnapshot {
     /// Folds another stage's counters and latency histogram into this one.
-    pub fn merge(&mut self, other: &StageSnapshot) {
+    pub(crate) fn merge(&mut self, other: &StageSnapshot) {
         self.items_in += other.items_in;
         self.items_out += other.items_out;
         self.held += other.held;
@@ -460,7 +438,6 @@ impl StageSnapshot {
         self.process_ns.merge(&other.process_ns);
         self.faults += other.faults;
         self.panics += other.panics;
-        self.retries += other.retries;
         self.skipped += other.skipped;
         self.dead_letters += other.dead_letters;
         self.checkpoints += other.checkpoints;
@@ -573,8 +550,8 @@ impl MetricsSnapshot {
             ));
             s.process_ns.json_into(&mut out);
             out.push_str(&format!(
-                ",\"faults\":{},\"panics\":{},\"retries\":{},\"skipped\":{},\"dead_letters\":{},\"checkpoints\":{},\"restores\":{},\"replayed_items\":{},\"recovery_ns\":{}",
-                s.faults, s.panics, s.retries, s.skipped, s.dead_letters,
+                ",\"faults\":{},\"panics\":{},\"skipped\":{},\"dead_letters\":{},\"checkpoints\":{},\"restores\":{},\"replayed_items\":{},\"recovery_ns\":{}",
+                s.faults, s.panics, s.skipped, s.dead_letters,
                 s.checkpoints, s.restores, s.replayed_items, s.recovery_ns
             ));
             out.push_str(&format!(
@@ -725,12 +702,12 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_basics() {
-        let c = Counter::new();
+        let c = Counter::default();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
 
-        let g = Gauge::new();
+        let g = Gauge::default();
         g.add(3);
         g.add(2);
         g.add(-4);
@@ -742,7 +719,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_quantiles() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         assert_eq!(h.snapshot().quantile_ns(0.5), 0, "empty histogram");
         for ns in [100, 200, 400, 800, 100_000] {
             h.record_ns(ns);
@@ -761,7 +738,7 @@ mod tests {
 
     #[test]
     fn histogram_extremes_do_not_panic() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.record_ns(0); // clamps into the first bucket
         h.record_ns(u64::MAX); // clamps into the last bucket
         h.record(Duration::from_secs(1));

@@ -126,7 +126,7 @@ pub fn shard_for(item: &DataItem, keys: &[String], shards: usize) -> usize {
 /// covered by the hints keeps the hash route. Both routes are pure
 /// functions of the key value, so `same key ⇒ same shard` holds either
 /// way.
-pub fn shard_for_hinted(
+pub(crate) fn shard_for_hinted(
     item: &DataItem,
     keys: &[String],
     hints: &[String],

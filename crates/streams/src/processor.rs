@@ -68,11 +68,6 @@ impl Context {
     pub fn services(&self) -> &ServiceRegistry {
         &self.services
     }
-
-    /// The name of the process this processor runs in.
-    pub fn process_name(&self) -> &str {
-        &self.process
-    }
 }
 
 /// A function applied to every item of a stream.
@@ -81,22 +76,20 @@ impl Context {
 ///
 /// A `process` call that fails (error or isolated panic) may already have
 /// mutated the processor's internal state — the runtime cannot roll that
-/// back. Policies that re-invoke the processor
-/// ([`Retry`](crate::fault::FaultPolicy::Retry),
-/// [`Restart`](crate::fault::FaultPolicy::Restart)) therefore interact with
-/// state as follows:
+/// back. [`Restart`](crate::fault::FaultPolicy::Restart), the policy that
+/// re-invokes the processor, therefore interacts with state as follows:
 ///
 /// * a *stateless* processor (or one whose mutations are idempotent) is
 ///   always safe to re-invoke;
 /// * a *stateful* processor should implement
 ///   [`Checkpointable`](crate::checkpoint::Checkpointable) and expose itself
-///   through [`Processor::as_checkpointable`]: `Retry` then restores the
-///   last checkpoint before each re-attempt (when one covering the current
-///   position exists), and `Restart` rebuilds the processor from its factory,
-///   restores the checkpoint and replays the logged items — so a failed
-///   attempt's partial mutations never double-apply;
-/// * a stateful processor without checkpoint support must tolerate partial
-///   application of the failed item, or use `Skip`/`DeadLetter`/`FailFast`.
+///   through [`Processor::as_checkpointable`]: `Restart` then rebuilds the
+///   processor from its factory, restores the checkpoint and replays the
+///   logged items — so a failed attempt's partial mutations never
+///   double-apply;
+/// * a stateful processor without checkpoint support comes back from its
+///   factory with only the replayed items applied, so it belongs under
+///   `Skip`/`DeadLetter`/`FailFast` instead.
 pub trait Processor: Send {
     /// Handles one item. The outputs of the call are whatever it passed to
     /// [`Context::emit`], in order, then the returned item; `Ok(None)` with
@@ -212,7 +205,7 @@ mod tests {
     use super::*;
 
     fn ctx() -> Context {
-        Context::new(ServiceRegistry::new(), "test")
+        Context::new(ServiceRegistry::default(), "test")
     }
 
     fn item() -> DataItem {
@@ -228,11 +221,5 @@ mod tests {
         });
         let it = p.process(item(), &mut ctx()).unwrap().unwrap();
         assert_eq!(it.get_i64("delay_min"), Some(2));
-    }
-
-    #[test]
-    fn context_exposes_process_name() {
-        let c = Context::new(ServiceRegistry::new(), "region-north");
-        assert_eq!(c.process_name(), "region-north");
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! The surface is the five calls a worker makes, all of them on buffers the
 //! caller keeps: [`QueueSender::send_batch`] and
-//! [`QueueSender::try_send_batch`] move items out of one,
+//! `QueueSender::try_send_batch` move items out of one,
 //! [`QueueReceiver::recv_batch`] and [`QueueReceiver::try_recv_batch`] append
 //! to one, and [`QueueSender::finish`] ends a producer. A batch of one is
 //! per-item transfer. The `try_` pair never waits: the threaded runtime's
@@ -161,7 +161,7 @@ impl QueueSender {
     /// `items`. Returns `false` (discarding everything) if the consumer is
     /// gone. A full ring costs the caller nothing, so no backpressure stall
     /// is recorded.
-    pub fn try_send_batch(&self, items: &mut Vec<DataItem>) -> bool {
+    pub(crate) fn try_send_batch(&self, items: &mut Vec<DataItem>) -> bool {
         if self.consumer_gone(items) {
             return false;
         }
@@ -368,7 +368,7 @@ pub fn queue(capacity: usize, producers: usize) -> (Vec<QueueSender>, QueueRecei
 /// Like [`queue`], recording depth/throughput/backpressure into the given
 /// instruments (typically obtained from a
 /// [`MetricsRegistry`](crate::metrics::MetricsRegistry)).
-pub fn queue_with_metrics(
+pub(crate) fn queue_with_metrics(
     capacity: usize,
     producers: usize,
     metrics: Arc<QueueMetrics>,

@@ -18,15 +18,15 @@
 //! end and drain (a `spsc::Doorbell`). Every queue consumer is a
 //! pool worker, so the replay scheduler's argument — on an acyclic topology
 //! some worker can always move — is what keeps the pool live
-//! ([`Topology::validate`] rejects a cycle through queues).
+//! (`Topology::validate` rejects a cycle through queues).
 //! End-of-stream propagates through queues as each producer closes its own
 //! ring, so the whole graph drains and terminates deterministically.
 //!
 //! Every processor invocation — `process` and `finish` alike — is
 //! *supervised*: errors and panics (`catch_unwind`) become faults governed by
 //! the process's [`FaultPolicy`] — fail the run, skip the call's output,
-//! retry the failing call, dead-letter it, or restart the chain — with
-//! outcomes counted in the process's [`StageMetrics`]. Under the default
+//! dead-letter it, or restart the chain — with outcomes counted in the
+//! process's [`StageMetrics`]. Under the default
 //! [`FaultPolicy::FailFast`] the first fault aborts its process;
 //! end-of-stream is still propagated downstream so no worker waits forever,
 //! and `run` returns the first error.
@@ -345,9 +345,8 @@ pub(crate) fn materialize(
     // the real (expanded) graph.
     crate::partition::expand_replicas(&mut topology)?;
     topology.validate()?;
-    let Topology { mut sources, queues, processes, services, dead_letters: _, checkpoint_store } =
+    let Topology { mut sources, queues, processes, services, dead_letters: _, checkpoints: store } =
         topology;
-    let store = checkpoint_store.unwrap_or_else(CheckpointStore::in_memory);
     // Processors can reach the instruments through their Context.
     if !services.contains("metrics") {
         services.register_arc("metrics", Arc::clone(metrics));
@@ -791,26 +790,27 @@ impl Worker {
             let logged = self.entry_item.take().expect("Restart keeps the entry item");
             self.replay_log.push_back(logged);
         }
-        self.maybe_checkpoint()
+        self.maybe_checkpoint();
+        Ok(())
     }
 
     /// Takes a checkpoint barrier when the cadence is due: snapshots every
     /// checkpointable chain slot at the current position and truncates the
     /// replay log — items before the snapshot are covered by the stored
     /// state and never need replaying again.
-    fn maybe_checkpoint(&mut self) -> Result<(), StreamsError> {
+    fn maybe_checkpoint(&mut self) {
         if self.checkpoint_every == 0 {
-            return Ok(());
+            return;
         }
         self.since_ckpt += 1;
         if self.since_ckpt < self.checkpoint_every {
-            return Ok(());
+            return;
         }
         let mut any = false;
         for i in 0..self.chain.len() {
             if let Some(c) = self.chain[i].as_checkpointable() {
                 let blob = c.snapshot();
-                self.store.put(&self.name, i, Checkpoint { position: self.consumed_pos, blob })?;
+                self.store.put(&self.name, i, Checkpoint { position: self.consumed_pos, blob });
                 any = true;
             }
         }
@@ -819,7 +819,6 @@ impl Worker {
             self.stage.checkpoints.inc();
         }
         self.since_ckpt = 0;
-        Ok(())
     }
 
     /// Rebuilds the whole chain from its factories, restores the latest
@@ -865,24 +864,6 @@ impl Worker {
         Ok(())
     }
 
-    /// Before a retry re-invokes a stateful processor, roll it back to its
-    /// last checkpoint — *iff* that checkpoint covers exactly the current
-    /// position (i.e. it was taken after the previous item; with
-    /// `checkpoint_every(1)` that is always true). A stale checkpoint would
-    /// silently lose the state applied since the barrier, which is worse than
-    /// retrying on the partially-applied state, so it is left alone.
-    fn restore_for_retry(&mut self, i: usize) {
-        let Some(cp) = self.store.latest(&self.name, i) else { return };
-        if cp.position != self.consumed_pos {
-            return;
-        }
-        if let Some(c) = self.chain[i].as_checkpointable() {
-            if c.restore(&cp.blob).is_ok() {
-                self.stage.restores.inc();
-            }
-        }
-    }
-
     /// Walks one call through the chain under the fault policy, depth-first
     /// (see [`drive_chain`]): `process(item)` of slot `from`, or with no
     /// item slot `from`'s `finish`. Every output of a call — what it
@@ -897,15 +878,19 @@ impl Worker {
     /// input produced so far (see [`Worker::on_fault`]).
     ///
     /// The loop is [`drive_chain`]'s, written out: a fault needs the whole
-    /// worker while the walk is under way — a retry pushes its outputs on
-    /// the stack, a restart swaps the chain out from under it and rewinds
-    /// `outs` — and a closure handed to `drive_chain` next to `&mut
-    /// self.chain` can have none of that. Both push through
-    /// [`push_outputs`], so the output order is defined once.
+    /// worker while the walk is under way — a restart swaps the chain out
+    /// from under it and rewinds `outs` — and a closure handed to
+    /// `drive_chain` next to `&mut self.chain` can have none of that. Both
+    /// push through [`push_outputs`], so the output order is defined once.
     fn run_chain(&mut self, from: usize, call: Option<DataItem>) -> Result<(), StreamsError> {
-        // Preserve the item as it entered each processor so Retry can re-run
-        // it and DeadLetter can record it; FailFast skips the clone tax.
-        let preserve = !matches!(self.policy, FaultPolicy::FailFast);
+        // Keep the call as it entered each processor only where a fault can
+        // read it: DeadLetter records it, and Restart re-runs it in the
+        // finish flush (an input re-runs from `entry_item` instead).
+        let preserve = match self.policy {
+            FaultPolicy::DeadLetter { .. } => true,
+            FaultPolicy::Restart { .. } => self.entry_item.is_none(),
+            FaultPolicy::FailFast | FaultPolicy::Skip { .. } => false,
+        };
         let mark = self.outs.len();
         debug_assert!(self.work.is_empty());
         self.work.push((from, call));
@@ -939,9 +924,10 @@ impl Worker {
 
     /// Applies the fault policy to a failed call of processor `i` during a
     /// [`Worker::run_chain`] walk. `entered` is the call as it entered that
-    /// processor: the item of a `process` call (`None` under `FailFast`,
-    /// which never needs it), `None` for `finish`. `Ok` means the walk goes
-    /// on — with whatever this pushed onto the work stack; `Err` ends it.
+    /// processor: the item of a `process` call where the policy reads it
+    /// (`DeadLetter`, and `Restart` in the finish flush), else `None`;
+    /// `None` for `finish`. `Ok` means the walk goes on — with whatever this
+    /// pushed onto the work stack; `Err` ends it.
     fn on_fault(
         &mut self,
         i: usize,
@@ -959,34 +945,6 @@ impl Worker {
                 }
                 self.stage.skipped.inc();
                 Ok(())
-            }
-            FaultPolicy::Retry { attempts, backoff } => {
-                let mut last = error;
-                for attempt in 1..=attempts {
-                    if !backoff.is_zero() {
-                        thread::sleep(backoff * attempt as u32);
-                    }
-                    self.stage.retries.inc();
-                    // Roll a checkpointable processor back to its barrier
-                    // state so the retry does not double-apply the mutations
-                    // of the failed attempt (see the `Processor` state
-                    // contract). What the failed attempt emitted is gone
-                    // already: `invoke` discards a failed call's buffer.
-                    self.restore_for_retry(i);
-                    match invoke(&mut self.chain[i], entered.clone(), &mut self.ctx, &self.name, i)
-                    {
-                        Ok(returned) => {
-                            self.consecutive_faults = 0;
-                            push_outputs(&mut self.work, i + 1, returned, &mut self.ctx);
-                            return Ok(());
-                        }
-                        Err(e) => {
-                            self.record_fault(&e);
-                            last = e;
-                        }
-                    }
-                }
-                Err(last)
             }
             FaultPolicy::DeadLetter { queue } => {
                 self.dead_letter(&queue, Some(i), entered, error);
@@ -1106,7 +1064,7 @@ fn invoke(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::item::DataItem;
+    use crate::item::{DataItem, Value};
     use crate::processor::FnProcessor;
     use crate::sink::{CollectSink, CountSink};
     use crate::source::VecSource;
@@ -1286,7 +1244,11 @@ mod tests {
         let items = sink.items();
         assert_eq!(items.len(), 3);
         let summary = items.iter().find(|i| i.contains("summary")).unwrap();
-        assert_eq!(summary.get_bool("tagged"), Some(true), "finish items traverse the rest");
+        assert_eq!(
+            summary.get("tagged"),
+            Some(&Value::Bool(true)),
+            "finish items traverse the rest"
+        );
     }
 
     #[test]

@@ -26,16 +26,6 @@ pub struct ServiceRegistry {
 }
 
 impl ServiceRegistry {
-    /// An empty registry.
-    pub fn new() -> ServiceRegistry {
-        ServiceRegistry::default()
-    }
-
-    /// Registers `service` under `name`, replacing any previous registration.
-    pub fn register<S: Service>(&self, name: &str, service: S) {
-        self.register_arc(name, Arc::new(service));
-    }
-
     /// Registers an already shared service.
     pub fn register_arc<S: Service>(&self, name: &str, service: Arc<S>) {
         self.inner.write().unwrap().insert(name.to_string(), service);
@@ -62,7 +52,7 @@ impl ServiceRegistry {
     }
 
     /// Whether a service is registered under `name`.
-    pub fn contains(&self, name: &str) -> bool {
+    pub(crate) fn contains(&self, name: &str) -> bool {
         self.inner.read().unwrap().contains_key(name)
     }
 }
@@ -86,28 +76,28 @@ mod tests {
 
     #[test]
     fn register_and_typed_get() {
-        let reg = ServiceRegistry::new();
-        reg.register("adder", Adder { offset: 10 });
+        let reg = ServiceRegistry::default();
+        reg.register_arc("adder", Arc::new(Adder { offset: 10 }));
         let svc = reg.get::<Adder>("adder").unwrap();
         assert_eq!(svc.add(5), 15);
     }
 
     #[test]
     fn missing_service() {
-        let reg = ServiceRegistry::new();
+        let reg = ServiceRegistry::default();
         assert!(reg.get::<Adder>("nope").is_err());
     }
 
     #[test]
     fn wrong_type_is_error() {
-        let reg = ServiceRegistry::new();
-        reg.register("svc", Other);
+        let reg = ServiceRegistry::default();
+        reg.register_arc("svc", Arc::new(Other));
         assert!(reg.get::<Adder>("svc").is_err());
     }
 
     #[test]
     fn shared_across_clones_and_arc_registration() {
-        let reg = ServiceRegistry::new();
+        let reg = ServiceRegistry::default();
         let reg2 = reg.clone();
         let adder = Arc::new(Adder { offset: 1 });
         reg.register_arc("adder", Arc::clone(&adder));

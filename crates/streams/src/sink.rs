@@ -77,23 +77,13 @@ impl Sink for CountSink {
     }
 }
 
-/// Discards everything.
-#[derive(Clone, Copy, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn write_item(&mut self, _item: DataItem) -> Result<(), StreamsError> {
-        Ok(())
-    }
-}
-
 /// Writes one JSON object per line to any writer.
 ///
 /// Each line is serialised into one buffer the sink keeps, then handed to
 /// the writer in one `write_all`: once the buffer has grown to the longest
 /// line, writing an item allocates nothing in the sink.
 pub struct JsonLinesSink<W: Write + Send> {
-    writer: W,
+    pub(crate) writer: W,
     line: String,
 }
 
@@ -101,11 +91,6 @@ impl<W: Write + Send> JsonLinesSink<W> {
     /// Wraps the writer.
     pub fn new(writer: W) -> JsonLinesSink<W> {
         JsonLinesSink { writer, line: String::new() }
-    }
-
-    /// Returns the inner writer (e.g. to inspect an in-memory buffer).
-    pub fn into_inner(self) -> W {
-        self.writer
     }
 }
 
@@ -150,19 +135,12 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_accepts_everything() {
-        let mut s = NullSink;
-        s.write_item(DataItem::new()).unwrap();
-        s.flush().unwrap();
-    }
-
-    #[test]
     fn json_lines_sink_roundtrip() {
         let mut sink = JsonLinesSink::new(Vec::<u8>::new());
         sink.write_item(DataItem::new().with("a", 1i64)).unwrap();
         sink.write_item(DataItem::new().with("b", "x")).unwrap();
         sink.flush().unwrap();
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text = String::from_utf8(sink.writer).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(DataItem::from_json(lines[0]).unwrap().get_i64("a"), Some(1));

@@ -18,12 +18,12 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Default queue capacity when none is given.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
 /// A shareable processor factory, retained per chain slot so the fault
 /// supervisor can rebuild a processor after a crash
 /// (see [`FaultPolicy::Restart`]).
-pub type SharedProcessorFactory = Arc<dyn Fn() -> Box<dyn Processor> + Send + Sync>;
+pub(crate) type SharedProcessorFactory = Arc<dyn Fn() -> Box<dyn Processor> + Send + Sync>;
 
 /// The input of a process.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,7 +93,7 @@ pub struct Topology {
     pub(crate) processes: Vec<ProcessDef>,
     pub(crate) services: ServiceRegistry,
     pub(crate) dead_letters: DeadLetterQueue,
-    pub(crate) checkpoint_store: Option<CheckpointStore>,
+    pub(crate) checkpoints: CheckpointStore,
 }
 
 impl Topology {
@@ -126,20 +126,6 @@ impl Topology {
         self.dead_letters.clone()
     }
 
-    /// Installs the checkpoint store workers write barriers into and recover
-    /// from (default: a fresh in-memory store per run). Keep a clone to
-    /// inspect checkpoints after the run, or pass a
-    /// [`CheckpointStore::file_backed`] store to make them durable.
-    pub fn set_checkpoint_store(&mut self, store: CheckpointStore) -> &mut Self {
-        self.checkpoint_store = Some(store);
-        self
-    }
-
-    /// The installed checkpoint store, if any.
-    pub fn checkpoint_store(&self) -> Option<CheckpointStore> {
-        self.checkpoint_store.clone()
-    }
-
     /// Starts defining a process; finish with [`ProcessBuilder::done`].
     pub fn process(&mut self, name: &str) -> ProcessBuilder<'_> {
         ProcessBuilder {
@@ -165,7 +151,7 @@ impl Topology {
 
     /// Structural validation: name uniqueness, endpoint existence,
     /// single-consumer queues, no dangling queues, no cycle through queues.
-    pub fn validate(&self) -> Result<(), StreamsError> {
+    pub(crate) fn validate(&self) -> Result<(), StreamsError> {
         // Unique process names; source/queue namespaces are maps already.
         let mut names = HashSet::new();
         for p in &self.processes {
@@ -462,7 +448,7 @@ mod tests {
     use super::*;
     use crate::item::DataItem;
     use crate::runtime::Runtime;
-    use crate::sink::NullSink;
+    use crate::sink::CountSink;
     use crate::source::VecSource;
 
     fn items(n: i64) -> VecSource {
@@ -477,7 +463,7 @@ mod tests {
         t.process("a").input(Input::Stream("in".into())).output(Output::Queue("q".into())).done();
         t.process("b")
             .input(Input::Queue("q".into()))
-            .output(Output::Sink(Box::new(NullSink)))
+            .output(Output::Sink(Box::new(CountSink::default())))
             .done();
         t.validate().unwrap();
     }

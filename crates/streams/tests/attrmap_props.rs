@@ -113,7 +113,7 @@ proptest! {
         let got: Vec<(&str, &Value)> = collected.iter().collect();
         let want: Vec<(&str, &Value)> = collect_model.iter().map(|(k, v)| (*k, v)).collect();
         prop_assert_eq!(got, want, "collect diverged from the model");
-        prop_assert_eq!(collected.is_inline(), collect_model.len() <= INLINE_ATTRS);
+        prop_assert_eq!(insight_streams::testing::is_inline(&collected), collect_model.len() <= INLINE_ATTRS);
     }
 
     /// Walking the length up across the spill boundary and back down keeps

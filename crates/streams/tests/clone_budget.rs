@@ -2,7 +2,7 @@
 //!
 //! `DataItem` payloads sit behind a copy-on-write `Arc`, so routing, the
 //! shards and the merge share payloads instead of deep-cloning them. The process-global
-//! [`DataItem::deep_copies`] counter makes that budget testable: a sharded
+//! [`deep_copies`] counter makes that budget testable: a sharded
 //! run may detach a payload a constant number of times per item (a write to
 //! a still-shared map), but the count must not scale with the replica
 //! count — that was exactly the bug where every extra shard re-cloned every
@@ -32,11 +32,13 @@
 //! reason.
 
 use insight_streams::alloc::{allocation_count, CountingAllocator};
+use insight_streams::fault::FaultPolicy;
 use insight_streams::item::{DataItem, INLINE_ATTRS};
 use insight_streams::processor::{Context, FnProcessor, Processor};
 use insight_streams::runtime::Runtime;
 use insight_streams::sink::CollectSink;
 use insight_streams::source::VecSource;
+use insight_streams::testing::{deep_copies, is_inline};
 use insight_streams::topology::{Input, Output, Topology};
 
 #[global_allocator]
@@ -83,7 +85,7 @@ fn bus_item(n: i64) -> DataItem {
 /// arrived.
 fn full_width_through_identity_stage() -> (u64, Vec<DataItem>, Vec<DataItem>) {
     let inputs: Vec<DataItem> = (0..ITEMS as i64).map(bus_item).collect();
-    assert!(inputs.iter().all(|i| i.len() == INLINE_ATTRS && i.is_inline()));
+    assert!(inputs.iter().all(|i| i.len() == INLINE_ATTRS && is_inline(i)));
     let sink = CollectSink::shared();
     let mut t = Topology::new();
     t.add_source("in", VecSource::new(inputs.clone()));
@@ -96,9 +98,29 @@ fn full_width_through_identity_stage() -> (u64, Vec<DataItem>, Vec<DataItem>) {
         })
         .output(Output::Sink(Box::new(sink.clone())))
         .done();
-    let before = DataItem::deep_copies();
+    let before = deep_copies();
     Runtime::new(t).run().unwrap();
-    (DataItem::deep_copies() - before, inputs, sink.items())
+    (deep_copies() - before, inputs, sink.items())
+}
+
+/// Runs `square_factory` in a `Skip` process and returns the deep copies
+/// counted. `Skip` never reads the item a processor faulted on, so the
+/// runtime keeps no copy of it, and the processor's write finds the map
+/// unshared.
+fn skip_stage_copies() -> u64 {
+    let sink = CollectSink::shared();
+    let mut t = Topology::new();
+    t.add_source("in", VecSource::new(items()));
+    t.process("stage")
+        .input(Input::Stream("in".into()))
+        .fault_policy(FaultPolicy::Skip { max_consecutive: 0 })
+        .processor_factory(square_factory)
+        .output(Output::Sink(Box::new(sink.clone())))
+        .done();
+    let before = deep_copies();
+    Runtime::new(t).run().unwrap();
+    assert_eq!(sink.items().len(), ITEMS, "all items arrive");
+    deep_copies() - before
 }
 
 /// Runs the canonical `P[part]` → replicas → `P[merge]` stage and returns
@@ -133,11 +155,11 @@ fn budgets_for(replicas: usize, racing: bool) -> (u64, u64) {
         .input(Input::Queue("out".into()))
         .output(Output::Sink(Box::new(sink.clone())))
         .done();
-    let copies_before = DataItem::deep_copies();
+    let copies_before = deep_copies();
     let allocs_before = allocation_count();
     Runtime::new(t).run().unwrap();
     let allocs = allocation_count() - allocs_before;
-    let copies = DataItem::deep_copies() - copies_before;
+    let copies = deep_copies() - copies_before;
     assert_eq!(sink.items().len(), ITEMS, "replicas={replicas}: all items arrive");
     (copies, allocs)
 }
@@ -151,7 +173,8 @@ fn budgets_stay_constant_in_replica_count() {
     let (copies, inputs, outputs) = full_width_through_identity_stage();
     assert_eq!(copies, 0, "the partition protocol wrote to a shared attribute map");
     assert_eq!(outputs, inputs, "the identity stage relays every item unchanged, in order");
-    assert!(outputs.iter().all(DataItem::is_inline), "a relayed bus item spilled to the heap");
+    assert!(outputs.iter().all(is_inline), "a relayed bus item spilled to the heap");
+    assert_eq!(skip_stage_copies(), 0, "a Skip process copied the items its processor writes");
 
     let (base_copies, base_allocs) = budgets_for(1, false);
     assert!(

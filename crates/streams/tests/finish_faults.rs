@@ -2,9 +2,9 @@
 //!
 //! A flush that fails goes through the same fault policy as a `process` call
 //! that fails: FailFast aborts, Skip drops the flush's output (escalating
-//! past `max_consecutive`), Retry re-invokes `finish`, DeadLetter records the
-//! slot with no item, Restart rebuilds the chain — restored and replayed, or
-//! fresh — and calls `finish` again. Every case runs under the threaded
+//! past `max_consecutive`), DeadLetter records the slot with no item,
+//! Restart rebuilds the chain — restored and replayed, or fresh — and calls
+//! `finish` again. Every case runs under the threaded
 //! runtime and under the replay scheduler, and both must agree with each
 //! other and with the pinned outcome: sink contents, run statistics, the
 //! error and the stage's supervision counters.
@@ -15,7 +15,7 @@
 use insight_streams::checkpoint::{Checkpointable, StateBlob};
 use insight_streams::error::StreamsError;
 use insight_streams::fault::{DeadLetterQueue, FaultPolicy};
-use insight_streams::item::DataItem;
+use insight_streams::item::{DataItem, Value};
 use insight_streams::metrics::MetricsRegistry;
 use insight_streams::processor::{Context, FnProcessor, Processor};
 use insight_streams::replay::ReplayRuntime;
@@ -25,7 +25,6 @@ use insight_streams::source::VecSource;
 use insight_streams::topology::{Input, Output, Topology};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn seeds() -> [u64; 3] {
     let base =
@@ -96,8 +95,8 @@ struct Outcome {
     /// The sink's items, in sink order.
     sink: Vec<SinkRow>,
     result: RunResult,
-    /// The stage's `[faults, panics, retries, dead_letters, restores]`.
-    counters: [u64; 5],
+    /// The stage's `[faults, panics, dead_letters, restores]`.
+    counters: [u64; 4],
     /// `(process, slot, item present)` per dead-letter record.
     dead: Vec<(String, Option<usize>, bool)>,
 }
@@ -165,10 +164,10 @@ fn run(policy: &FaultPolicy, fail_first: usize, panics: bool, replay: Option<u64
         sink: sink
             .items()
             .iter()
-            .map(|i| (i.get_i64("n"), i.get_i64("total"), i.get_bool("tagged")))
+            .map(|i| (i.get_i64("n"), i.get_i64("total"), i.get("tagged").and_then(Value::as_bool)))
             .collect(),
         result: describe(result),
-        counters: [stage.faults, stage.panics, stage.retries, stage.dead_letters, stage.restores],
+        counters: [stage.faults, stage.panics, stage.dead_letters, stage.restores],
         dead: dead_letters
             .drain()
             .into_iter()
@@ -209,10 +208,10 @@ fn failed(panics: bool) -> RunResult {
     })
 }
 
-/// `[faults, panics, retries, dead_letters, restores]` for `faults` faulted
-/// finish calls.
-fn counters(faults: u64, panics: bool, retries: u64, dead_letters: u64, restores: u64) -> [u64; 5] {
-    [faults, if panics { faults } else { 0 }, retries, dead_letters, restores]
+/// `[faults, panics, dead_letters, restores]` for `faults` faulted finish
+/// calls.
+fn counters(faults: u64, panics: bool, dead_letters: u64, restores: u64) -> [u64; 4] {
+    [faults, if panics { faults } else { 0 }, dead_letters, restores]
 }
 
 #[test]
@@ -222,7 +221,7 @@ fn fail_fast_and_exhausted_skip_end_the_run_after_the_data() {
             let expected = Outcome {
                 sink: data(),
                 result: failed(panics),
-                counters: counters(1, panics, 0, 0, 0),
+                counters: counters(1, panics, 0, 0),
                 dead: Vec::new(),
             };
             check(policy, 1, panics, &expected);
@@ -236,40 +235,10 @@ fn skip_drops_the_flush_output() {
         let expected = Outcome {
             sink: data(),
             result: stats(5),
-            counters: counters(1, panics, 0, 0, 0),
+            counters: counters(1, panics, 0, 0),
             dead: Vec::new(),
         };
         check(FaultPolicy::Skip { max_consecutive: 1 }, 1, panics, &expected);
-    }
-}
-
-#[test]
-fn retry_reinvokes_finish_until_it_succeeds() {
-    for panics in [false, true] {
-        let expected = Outcome {
-            sink: with_total(15),
-            result: stats(6),
-            counters: counters(2, panics, 2, 0, 0),
-            dead: Vec::new(),
-        };
-        check(FaultPolicy::Retry { attempts: 2, backoff: Duration::ZERO }, 2, panics, &expected);
-    }
-}
-
-#[test]
-fn retry_escalates_once_the_attempts_are_spent() {
-    for panics in [false, true] {
-        let expected = Outcome {
-            sink: data(),
-            result: if panics {
-                Err("panicked stage: finish panic on call 2".to_string())
-            } else {
-                failed(false)
-            },
-            counters: counters(2, panics, 1, 0, 0),
-            dead: Vec::new(),
-        };
-        check(FaultPolicy::Retry { attempts: 1, backoff: Duration::ZERO }, 2, panics, &expected);
     }
 }
 
@@ -279,7 +248,7 @@ fn dead_letter_records_the_slot_without_an_item() {
         let expected = Outcome {
             sink: data(),
             result: stats(5),
-            counters: counters(1, panics, 0, 1, 0),
+            counters: counters(1, panics, 1, 0),
             dead: vec![("stage".to_string(), Some(0), false)],
         };
         let policy = FaultPolicy::DeadLetter { queue: DeadLetterQueue::shared() };
@@ -295,7 +264,7 @@ fn restart_rebuilds_the_chain_and_calls_finish_again() {
         let expected = Outcome {
             sink: with_total(15),
             result: stats(6),
-            counters: counters(1, panics, 0, 0, 1),
+            counters: counters(1, panics, 0, 1),
             dead: Vec::new(),
         };
         check(FaultPolicy::Restart { max: 1 }, 1, panics, &expected);
@@ -312,7 +281,7 @@ fn restart_escalates_once_the_budget_is_spent() {
             } else {
                 failed(false)
             },
-            counters: counters(2, panics, 0, 0, 1),
+            counters: counters(2, panics, 0, 1),
             dead: Vec::new(),
         };
         check(FaultPolicy::Restart { max: 1 }, 2, panics, &expected);

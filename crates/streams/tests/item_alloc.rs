@@ -107,7 +107,7 @@ fn steady_state_allocations_are_pinned() {
         }
     });
     assert_eq!(allocs, 0, "a warm JsonLinesSink must not allocate, got {allocs}");
-    let written = String::from_utf8(sink.into_inner()).unwrap();
+    let written = String::from_utf8(insight_streams::testing::into_writer(sink)).unwrap();
     assert_eq!(written.lines().nth(1), Some(inputs[0].as_str()), "the sink writes the line");
 
     // Parse: one allocation per item (the Arc), zero per key/value — the

@@ -24,7 +24,8 @@ use insight_streams::sink::CollectSink;
 use insight_streams::source::VecSource;
 use insight_streams::topology::{Input, Output, Topology};
 use proptest::prelude::*;
-use std::time::Duration;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 fn seed_base() -> u64 {
     std::env::var("CONFORMANCE_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0u64) * 1000
@@ -224,18 +225,21 @@ fn dead_letter_mid_fan_out_records_the_faulted_sibling_only() {
 }
 
 #[test]
-fn retry_discards_what_the_failed_attempt_emitted() {
+fn restart_discards_what_the_failed_call_emitted() {
     // The fan-out itself fails once per item — after emitting two copies.
-    let flaky_fan = || {
-        let mut failed = std::collections::HashSet::new();
-        FnProcessor::new(move |item: DataItem, ctx: &mut Context| {
-            ctx.emit(item.clone().with("copy", 0i64));
-            ctx.emit(item.clone().with("copy", 1i64));
-            if failed.insert(item.get_i64("n").unwrap()) {
-                return Err(StreamsError::ServiceError { detail: "transient".into() });
-            }
-            Ok(Some(item.with("copy", 2i64)))
-        })
+    // Which items failed is shared, so a rebuilt fan-out does not fail again.
+    let flaky_fan = |failed: Arc<Mutex<HashSet<i64>>>| {
+        move || -> Box<dyn Processor> {
+            let failed = Arc::clone(&failed);
+            Box::new(FnProcessor::new(move |item: DataItem, ctx: &mut Context| {
+                ctx.emit(item.clone().with("copy", 0i64));
+                ctx.emit(item.clone().with("copy", 1i64));
+                if failed.lock().unwrap().insert(item.get_i64("n").unwrap()) {
+                    return Err(StreamsError::ServiceError { detail: "transient".into() });
+                }
+                Ok(Some(item.with("copy", 2i64)))
+            }))
+        }
     };
     for replay in [false, true] {
         let sink = CollectSink::shared();
@@ -243,8 +247,8 @@ fn retry_discards_what_the_failed_attempt_emitted() {
         t.add_source("in", VecSource::new(inputs(&[0, 1, 2], &[3, 3, 3])));
         t.process("stage")
             .input(Input::Stream("in".into()))
-            .fault_policy(FaultPolicy::Retry { attempts: 1, backoff: Duration::ZERO })
-            .processor(flaky_fan())
+            .fault_policy(FaultPolicy::Restart { max: 3 })
+            .processor_factory(flaky_fan(Arc::default()))
             .output(Output::Sink(Box::new(sink.clone())))
             .done();
         if replay {

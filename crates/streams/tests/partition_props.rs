@@ -18,6 +18,8 @@ use insight_streams::sink::CollectSink;
 use insight_streams::source::VecSource;
 use insight_streams::topology::{Input, Output, Topology};
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 /// `keys[i]` becomes the routing key of the `i`-th item; `n = i` makes the
 /// expected output order trivially computable.
@@ -258,19 +260,21 @@ proptest! {
         }
     }
 
-    /// `Retry` re-runs a transiently failing processor on a pristine copy:
-    /// when every item fails exactly once per replica, the retried run still
-    /// emits the complete output in order.
+    /// `Restart` re-runs a transiently failing item on a rebuilt chain:
+    /// when every item fails exactly once, each replica restarts once per
+    /// item and the run still emits the complete output in order.
     #[test]
-    fn retry_policy_recovers_transient_faults(
+    fn restart_policy_recovers_transient_faults(
         keys in proptest::collection::vec(0i64..8, 1..50),
         replicas in 1usize..=6,
     ) {
-        let transient_factory = || {
-            let mut seen = std::collections::HashSet::new();
+        // Shared by every rebuilt instance, so a restart does not re-arm it.
+        let seen = Arc::new(Mutex::new(HashSet::new()));
+        let transient_factory = move || {
+            let seen = Arc::clone(&seen);
             Box::new(FnProcessor::new(move |mut item: DataItem, _: &mut Context| {
                 let n = item.get_i64("n").unwrap();
-                if seen.insert(n) {
+                if seen.lock().unwrap().insert(n) {
                     return Err(StreamsError::ServiceError {
                         detail: format!("transient fault on n={n}"),
                     });
@@ -286,7 +290,7 @@ proptest! {
         let t = sharded_topology(
             items_from_keys(&keys),
             replicas,
-            Some(FaultPolicy::Retry { attempts: 2, backoff: std::time::Duration::ZERO }),
+            Some(FaultPolicy::Restart { max: usize::MAX }),
             transient_factory,
             &sink,
         );

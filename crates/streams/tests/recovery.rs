@@ -5,9 +5,8 @@
 //! [`FaultPolicy::Restart`] that checkpoints every `n` items and is killed
 //! mid-stream must produce output byte-identical to a kill-free run — the
 //! rebuilt chain restores the latest barrier, silently replays the logged
-//! suffix and re-runs the faulted item. `Retry` composes with checkpoints
-//! too: a stateful processor that mutated before faulting is rolled back to
-//! the pre-item snapshot, so the retry applies the item exactly once.
+//! suffix and re-runs the faulted item — so a stateful processor that
+//! mutated before faulting applies the item exactly once.
 
 use insight_streams::chaos::{KillAt, KillSwitch};
 use insight_streams::checkpoint::{Checkpointable, StateBlob};
@@ -21,7 +20,7 @@ use insight_streams::sink::CollectSink;
 use insight_streams::source::VecSource;
 use insight_streams::topology::{Input, Output, Topology};
 use std::collections::HashSet;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 /// A running prefix sum: the canonical "state the supervisor must not lose".
 /// Emits `total` (the sum including the current item) alongside each input.
@@ -257,13 +256,12 @@ fn restart_without_a_cadence_gets_the_default_and_bounds_the_log() {
 }
 
 /// A prefix sum that mutates *before* faulting — once per multiple of three —
-/// so a retry on un-rolled-back state applies the item twice. Which items
-/// have faulted is deliberately not part of the snapshot: a restore must not
-/// re-arm the fault.
-#[derive(Default)]
+/// so a re-run on un-rolled-back state applies the item twice. Which items
+/// have faulted is shared by every instance and not part of the snapshot: a
+/// rebuild and restore must not re-arm the fault.
 struct FlakySum {
     total: i64,
-    faulted: HashSet<i64>,
+    faulted: Arc<Mutex<HashSet<i64>>>,
 }
 
 impl Processor for FlakySum {
@@ -276,7 +274,7 @@ impl Processor for FlakySum {
         // State mutates first — the failure mode the checkpoint restore
         // exists to roll back.
         self.total += n;
-        if n % 3 == 0 && self.faulted.insert(n) {
+        if n % 3 == 0 && self.faulted.lock().unwrap().insert(n) {
             return Err(StreamsError::ServiceError {
                 detail: format!("transient fault after applying n={n}"),
             });
@@ -301,29 +299,30 @@ impl Checkpointable for FlakySum {
     }
 }
 
-/// Satellite regression: a stateful processor that mutates *before* faulting
-/// must not double-apply the item across a retry. With `checkpoint_every(1)`
-/// the supervisor restores the pre-item snapshot before each re-attempt.
+/// A stateful processor that mutates *before* faulting must not
+/// double-apply the item across a restart. With `checkpoint_every(1)` the
+/// supervisor restores the pre-item snapshot and replays nothing.
 #[test]
-fn retry_restores_checkpointed_state_so_items_apply_exactly_once() {
+fn restart_restores_checkpointed_state_so_items_apply_exactly_once() {
     let sink = CollectSink::shared();
     let mut t = Topology::new();
-    // Start at n=1 so a checkpoint exists before the first fault (n=3).
     t.add_source("in", VecSource::new(numbered(1..=12)));
+    let faulted = Arc::new(Mutex::new(HashSet::new()));
     t.process("sum")
         .input(Input::Stream("in".into()))
-        .processor(FlakySum::default())
+        .processor_factory(move || Box::new(FlakySum { total: 0, faulted: Arc::clone(&faulted) }))
         .checkpoint_every(1)
-        .fault_policy(FaultPolicy::Retry { attempts: 2, backoff: Duration::ZERO })
+        .fault_policy(FaultPolicy::Restart { max: 4 })
         .output(Output::Sink(Box::new(sink.clone())))
         .done();
     let rt = Runtime::new(t);
     let metrics = rt.metrics();
     rt.run().unwrap();
-    assert_eq!(totals(&sink), prefix_sums(1..=12), "a retried item must apply exactly once");
+    assert_eq!(totals(&sink), prefix_sums(1..=12), "a re-run item must apply exactly once");
     let stage = metrics.stage("sum");
-    assert_eq!(stage.retries.get(), 4, "n = 3, 6, 9, 12 each fault once");
-    assert_eq!(stage.restores.get(), 4, "each retry restored the pre-item snapshot");
+    assert_eq!(stage.faults.get(), 4, "n = 3, 6, 9, 12 each fault once");
+    assert_eq!(stage.restores.get(), 4, "each fault restored the pre-item snapshot");
+    assert_eq!(stage.replayed_items.get(), 0, "a barrier after every item leaves no log");
 }
 
 /// The same inside a sharded stage. Each shard takes its own barriers on
@@ -332,8 +331,9 @@ fn retry_restores_checkpointed_state_so_items_apply_exactly_once() {
 /// it publishes progress meanwhile — is up to the schedule: the rollback
 /// must happen either way. The replay seeds are the schedules.
 #[test]
-fn retry_rolls_back_in_a_sharded_stage_whatever_the_watermark_timing() {
+fn restart_rolls_back_in_a_sharded_stage_whatever_the_watermark_timing() {
     let build = |flaky: bool, sink: &CollectSink| {
+        let faulted = Arc::new(Mutex::new(HashSet::new()));
         let mut t = Topology::new();
         let items = (1..=40i64).map(|n| DataItem::new().with("n", n).with("key", n % 5));
         t.add_source("in", VecSource::new(items));
@@ -345,14 +345,16 @@ fn retry_rolls_back_in_a_sharded_stage_whatever_the_watermark_timing() {
             .done();
         let stage = t.process("sum").input(Input::Queue("hop".into())).replicas(2);
         let stage = if flaky {
-            stage.processor_factory(|| Box::<FlakySum>::default())
+            stage.processor_factory(move || {
+                Box::new(FlakySum { total: 0, faulted: Arc::clone(&faulted) })
+            })
         } else {
             stage.processor_factory(|| Box::<PrefixSum>::default())
         };
         stage
             .partition_by(["key"])
             .checkpoint_every(1)
-            .fault_policy(FaultPolicy::Retry { attempts: 2, backoff: Duration::ZERO })
+            .fault_policy(FaultPolicy::Restart { max: 13 })
             .output(Output::Sink(Box::new(sink.clone())))
             .done();
         t
@@ -368,12 +370,14 @@ fn retry_rolls_back_in_a_sharded_stage_whatever_the_watermark_timing() {
         let rt = ReplayRuntime::new(build(true, &sink), seed);
         let metrics = rt.metrics();
         rt.run().unwrap();
-        assert_eq!(totals(&sink), baseline, "seed={seed}: a retried item applied twice");
-        let (retries, restores): (u64, u64) = (0..2)
-            .map(|r| metrics.stage(&format!("sum[{r}]")))
-            .fold((0, 0), |(a, b), s| (a + s.retries.get(), b + s.restores.get()));
-        assert_eq!(retries, 13, "seed={seed}: every multiple of three up to 40 faults once");
-        assert_eq!(restores, 13, "seed={seed}: every retry found a position-exact checkpoint");
+        assert_eq!(totals(&sink), baseline, "seed={seed}: a re-run item applied twice");
+        let (faults, restores, replayed): (u64, u64, u64) =
+            (0..2).map(|r| metrics.stage(&format!("sum[{r}]"))).fold((0, 0, 0), |(a, b, c), s| {
+                (a + s.faults.get(), b + s.restores.get(), c + s.replayed_items.get())
+            });
+        assert_eq!(faults, 13, "seed={seed}: every multiple of three up to 40 faults once");
+        assert_eq!(restores, 13, "seed={seed}: one restart per fault");
+        assert_eq!(replayed, 0, "seed={seed}: every restart found a position-exact checkpoint");
     }
     for round in 0..8 {
         let sink = CollectSink::shared();

@@ -111,11 +111,6 @@ impl TrafficRulesConfig {
             ..TrafficRulesConfig::default()
         }
     }
-
-    /// Whether the adaptive rule-sets are active.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self.mode, RecognitionMode::SelfAdaptive(_))
-    }
 }
 
 #[cfg(test)]
@@ -127,13 +122,12 @@ mod tests {
         let c = TrafficRulesConfig::default();
         assert!((c.density_upper - 84.0).abs() < 1e-9);
         assert!((c.flow_lower - 1512.0).abs() < 1e-9);
-        assert!(c.is_adaptive());
+        assert!(matches!(c.mode, RecognitionMode::SelfAdaptive(_)));
     }
 
     #[test]
     fn mode_constructors() {
         assert_eq!(TrafficRulesConfig::static_mode().mode, RecognitionMode::Static);
-        assert!(!TrafficRulesConfig::static_mode().is_adaptive());
         let c = TrafficRulesConfig::self_adaptive(NoisyVariant::CrowdValidated);
         assert_eq!(c.mode, RecognitionMode::SelfAdaptive(NoisyVariant::CrowdValidated));
     }

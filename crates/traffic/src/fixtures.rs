@@ -35,7 +35,7 @@ pub struct RuleFixture {
 }
 
 /// A boxed builtin predicate implementation, as the engines accept it.
-pub type BuiltinImpl = Box<dyn Fn(&[Term]) -> bool + Send + Sync>;
+pub(crate) type BuiltinImpl = Box<dyn Fn(&[Term]) -> bool + Send + Sync>;
 
 /// Returns the implementation of a fixture builtin by name.
 ///
@@ -288,7 +288,7 @@ pub fn conformance_fixture() -> Result<RuleFixture, RtecError> {
 mod tests {
     use super::*;
     use insight_rtec::engine::Engine;
-    use insight_rtec::event::{Event, FluentObs};
+    use insight_rtec::event::{Event, FluentObs, Stamped};
     use insight_rtec::window::WindowConfig;
 
     fn engine_with_fixture() -> Engine {
@@ -307,7 +307,8 @@ mod tests {
     #[test]
     fn fixture_builds_and_stratifies() {
         let fx = conformance_fixture().expect("fixture builds");
-        let (sf, ev, st) = fx.rules.rule_counts();
+        let (sf, ev, st) =
+            (fx.rules.sf_rules().len(), fx.rules.ev_rules().len(), fx.rules.static_rules().len());
         assert_eq!(sf, 13);
         assert_eq!(ev, 3);
         assert_eq!(st, 3);
@@ -328,9 +329,23 @@ mod tests {
         let mut engine = engine_with_fixture();
         // Sensor 0 is in `central` (watched). Flow 80 at t=10 → congested
         // holds from t=10 (initiation is co-timed), so both spikes alert.
-        engine.add_obs(FluentObs::new("flow", [Term::int(0)], 80.0, 10)).expect("obs");
+        engine
+            .add_stamped_obs(Stamped::<FluentObs>::punctual(FluentObs::new(
+                "flow",
+                [Term::int(0)],
+                80.0,
+                10,
+            )))
+            .expect("obs");
         engine.add_event(Event::new("spike", vec![Term::int(0)], 10)).expect("event");
-        engine.add_obs(FluentObs::new("flow", [Term::int(0)], 70.0, 20)).expect("obs");
+        engine
+            .add_stamped_obs(Stamped::<FluentObs>::punctual(FluentObs::new(
+                "flow",
+                [Term::int(0)],
+                70.0,
+                20,
+            )))
+            .expect("obs");
         engine.add_event(Event::new("spike", vec![Term::int(0)], 20)).expect("event");
         let rec = engine.query(50).expect("query");
         assert!(rec.holds_at("congested", &[Term::int(0)], &Term::truth(), 20));

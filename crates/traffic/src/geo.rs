@@ -31,7 +31,7 @@ pub fn close_builtin(threshold_m: f64) -> impl Fn(&[Term]) -> bool + Send + Sync
 /// A degree of longitude shrinks with `cos(latitude)`, so δlon is sized for
 /// the latitude farthest from the equator that `close` can pair with the
 /// relation (plus a hair for rounding); past the poles it is unbounded.
-pub fn close_box(threshold_m: f64, lats: impl IntoIterator<Item = f64>) -> (f64, f64) {
+pub(crate) fn close_box(threshold_m: f64, lats: impl IntoIterator<Item = f64>) -> (f64, f64) {
     const ROUNDING: f64 = 1.0 + 1e-9;
     let d_lat = threshold_m / METRES_PER_DEG_LAT * ROUNDING;
     let extreme = lats.into_iter().fold(0.0f64, |m, lat| m.max(lat.abs())) + d_lat;

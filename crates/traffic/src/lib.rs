@@ -24,6 +24,7 @@
 //! region on its own thread, as the paper's evaluation does.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod config;
 pub mod distributed;

@@ -74,9 +74,9 @@ impl TrafficRecognizer {
     /// recognisers serving different regions (region engines, shard
     /// replicas, a replica rebuilt after a crash) share one plan. `plan` and
     /// `config` must belong together: compile `plan` from
-    /// [`build_ruleset`]`(&config)`, or take both from a recogniser built by
-    /// [`TrafficRecognizer::new`] ([`TrafficRecognizer::plan`],
-    /// [`TrafficRecognizer::config`]).
+    /// [`build_ruleset`]`(&config)`, or take it ([`TrafficRecognizer::plan`])
+    /// from a recogniser [`TrafficRecognizer::new`] built with that
+    /// `config`.
     pub fn with_plan(
         plan: Arc<CompiledPlan>,
         config: TrafficRulesConfig,
@@ -160,11 +160,6 @@ impl TrafficRecognizer {
         Ok(())
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &TrafficRulesConfig {
-        &self.config
-    }
-
     /// The compiled rule library this recogniser runs (see
     /// [`TrafficRecognizer::with_plan`]).
     pub fn plan(&self) -> &Arc<CompiledPlan> {
@@ -198,7 +193,7 @@ impl TrafficRecognizer {
     }
 
     /// Ingests a crowd answer for the intersection at `(lon, lat)`.
-    pub fn ingest_crowd(
+    pub(crate) fn ingest_crowd(
         &mut self,
         lon: f64,
         lat: f64,
@@ -223,11 +218,6 @@ impl TrafficRecognizer {
     /// Runs recognition at query time `q`.
     pub fn query(&mut self, q: Time) -> Result<TrafficRecognition, RtecError> {
         Ok(TrafficRecognition { raw: self.engine.query(q)? })
-    }
-
-    /// Buffered input items not yet expired.
-    pub fn buffered(&self) -> usize {
-        self.engine.buffered()
     }
 }
 
@@ -321,16 +311,6 @@ impl TrafficRecognition {
         self.raw.events_of(ce::DELAY_INCREASE).len()
     }
 
-    /// `disagree` events, time-sorted.
-    pub fn disagreements(&self) -> Vec<&Event> {
-        sorted_events(self.raw.events_of(ce::DISAGREE))
-    }
-
-    /// `agree` events, time-sorted.
-    pub fn agreements(&self) -> Vec<&Event> {
-        sorted_events(self.raw.events_of(ce::AGREE))
-    }
-
     /// Flow/density trend events, time-sorted.
     pub fn trend_events(&self) -> Vec<&Event> {
         let mut v = self.raw.events_of(ce::FLOW_TREND);
@@ -372,8 +352,7 @@ mod tests {
         // evidence from one of the sources.
         let evidence = result.congested_intersections().len()
             + result.bus_congestions().len()
-            + result.disagreements().len()
-            + result.agreements().len();
+            + sorted_events(result.raw.events_of(ce::DISAGREE)).len();
         assert!(evidence > 0, "no CEs recognised over a rush-hour scenario");
     }
 
@@ -393,7 +372,7 @@ mod tests {
         }
         let (_, end) = scenario.window();
         let result = rec.query(end).unwrap();
-        if result.disagreements().is_empty() {
+        if sorted_events(result.raw.events_of(ce::DISAGREE)).is_empty() {
             // The scenario happened to produce no close encounters; the
             // other tests cover the rule logic deterministically.
             return;
@@ -438,6 +417,6 @@ mod tests {
         for s in &scenario.sdes {
             rec.ingest(s).unwrap();
         }
-        assert!(rec.buffered() > 0);
+        assert!(rec.engine.buffered() > 0);
     }
 }

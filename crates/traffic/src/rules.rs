@@ -11,7 +11,7 @@
 //!
 //! plus the `close/4` builtin of [`crate::geo`] and the one-tuple relation
 //! `close_box(DLon, DLat)` holding the bounding box that builtin implies
-//! ([`crate::geo::close_box`]; [`crate::recognizer::TrafficRecognizer`] sets
+//! (`crate::geo::close_box`; [`crate::recognizer::TrafficRecognizer`] sets
 //! all three from its intersections).
 
 use crate::config::{NoisyVariant, RecognitionMode, TrafficRulesConfig};
@@ -28,7 +28,7 @@ use insight_rtec::term::Term;
 /// Names of the derived CEs and fluents.
 pub mod ce {
     /// `delayIncrease(Bus, Lon', Lat', Lon, Lat)` derived event.
-    pub const DELAY_INCREASE: &str = "delayIncrease";
+    pub(crate) const DELAY_INCREASE: &str = "delayIncrease";
     /// `scatsCongestion(Int, A, S) = true` simple fluent (rule-set 2).
     pub const SCATS_CONGESTION: &str = "scatsCongestion";
     /// `scatsIntCongestion(LonInt, LatInt) = true` statically-determined.
@@ -38,34 +38,34 @@ pub mod ce {
     /// `sourceDisagreement(LonInt, LatInt) = true` statically-determined.
     pub const SOURCE_DISAGREEMENT: &str = "sourceDisagreement";
     /// `disagree(Bus, LonInt, LatInt, Val)` derived event.
-    pub const DISAGREE: &str = "disagree";
+    pub(crate) const DISAGREE: &str = "disagree";
     /// `agree(Bus)` derived event.
-    pub const AGREE: &str = "agree";
+    pub(crate) const AGREE: &str = "agree";
     /// `noisy(Bus) = true` simple fluent (rule-set 4 or 5).
-    pub const NOISY: &str = "noisy";
+    pub(crate) const NOISY: &str = "noisy";
     /// `noisyScats(Int) = true` — SCATS reliability (omitted in the paper).
-    pub const NOISY_SCATS: &str = "noisyScats";
+    pub(crate) const NOISY_SCATS: &str = "noisyScats";
     /// `flowTrend(Int, A, S, Dir)` derived event.
-    pub const FLOW_TREND: &str = "flowTrend";
+    pub(crate) const FLOW_TREND: &str = "flowTrend";
     /// `densityTrend(Int, A, S, Dir)` derived event.
     pub const DENSITY_TREND: &str = "densityTrend";
     /// `busNearArea(Bus, Lon, Lat, Cong)` — internal: a bus emission close
     /// to an area of interest. Factors the expensive `move × gps × area ×
     /// close` join out of the `busCongestion` rules so it runs once per
     /// window instead of once per dependent rule.
-    pub const BUS_NEAR_AREA: &str = "busNearArea";
+    pub(crate) const BUS_NEAR_AREA: &str = "busNearArea";
     /// `busNearInt(Bus, LonInt, LatInt, Cong)` — internal: a bus emission
     /// close to a SCATS intersection, shared by the `disagree`/`agree`
     /// rules.
-    pub const BUS_NEAR_INT: &str = "busNearInt";
+    pub(crate) const BUS_NEAR_INT: &str = "busNearInt";
     /// `citizenCongestion(Lon, Lat) = true` — extension fluent over
     /// classified micro-blogging reports.
-    pub const CITIZEN_CONGESTION: &str = "citizenCongestion";
+    pub(crate) const CITIZEN_CONGESTION: &str = "citizenCongestion";
     /// `scatsApproachCongestion(Int, A) = true` — the approach level of the
     /// paper's "more structured intersection congestion definition that
     /// depends on approach congestion which in turn would depend on sensor
     /// congestion" (§4.3).
-    pub const SCATS_APPROACH_CONGESTION: &str = "scatsApproachCongestion";
+    pub(crate) const SCATS_APPROACH_CONGESTION: &str = "scatsApproachCongestion";
 }
 
 /// Relation names the engine must be provided with.
@@ -76,13 +76,13 @@ pub mod rel {
     pub const AREA: &str = "area";
     /// `scats_approach(Int, A)` — the instrumented approaches; only needed
     /// when `approach_congestion` is enabled.
-    pub const SCATS_APPROACH: &str = "scats_approach";
+    pub(crate) const SCATS_APPROACH: &str = "scats_approach";
     /// `scats_sensor_pair(Int, S1, S2)` — unordered sensor pairs per
     /// intersection; only needed when `intersection_congestion_n == 2`.
-    pub const SCATS_SENSOR_PAIR: &str = "scats_sensor_pair";
+    pub(crate) const SCATS_SENSOR_PAIR: &str = "scats_sensor_pair";
     /// `close_box(DLon, DLat)` — one tuple: the half-widths in degrees of the
     /// bounding box `close` implies over the location relations
-    /// ([`crate::geo::close_box`]).
+    /// (`crate::geo::close_box`).
     pub const CLOSE_BOX: &str = "close_box";
 }
 
@@ -589,7 +589,7 @@ fn trends(b: &mut RuleSetBuilder, config: &TrafficRulesConfig) {
 mod tests {
     use super::*;
     use insight_rtec::engine::Engine;
-    use insight_rtec::event::{Event, FluentObs};
+    use insight_rtec::event::{Event, FluentObs, Stamped};
     use insight_rtec::interval::Interval;
     use insight_rtec::window::WindowConfig;
 
@@ -626,7 +626,7 @@ mod tests {
             t,
         ))
         .unwrap();
-        e.add_obs(FluentObs::new(
+        e.add_stamped_obs(Stamped::<FluentObs>::punctual(FluentObs::new(
             names::GPS,
             [
                 Term::int(bus),
@@ -637,7 +637,7 @@ mod tests {
             ],
             true,
             t,
-        ))
+        )))
         .unwrap();
     }
 
@@ -658,14 +658,17 @@ mod tests {
     fn builds_both_modes() {
         let s = build_ruleset(&TrafficRulesConfig::static_mode()).unwrap();
         let a = build_ruleset(&TrafficRulesConfig::default()).unwrap();
-        let (ssf, sev, sst) = s.rule_counts();
-        let (asf, aev, ast) = a.rule_counts();
+        let (ssf, sev, sst) = (s.sf_rules().len(), s.ev_rules().len(), s.static_rules().len());
+        let (asf, aev, ast) = (a.sf_rules().len(), a.ev_rules().len(), a.static_rules().len());
         assert!(asf > ssf, "adaptive adds noisy rules");
         assert!(aev > sev, "adaptive adds disagree/agree rules");
         assert_eq!(sst, ast, "same static fluents");
         let cfg = TrafficRulesConfig { scats_reliability: true, ..Default::default() };
         let r = build_ruleset(&cfg).unwrap();
-        assert!(r.rule_counts().0 > asf, "scats reliability adds rules");
+        assert!(
+            (r.sf_rules().len(), r.ev_rules().len(), r.static_rules().len()).0 > asf,
+            "scats reliability adds rules"
+        );
     }
 
     #[test]

@@ -23,16 +23,16 @@ use insight_rtec::term::Term;
 /// Symbol names of the input SDE vocabulary.
 pub mod names {
     /// `move(Bus, Line, Operator, Delay)` event.
-    pub const MOVE: &str = "move";
+    pub(crate) const MOVE: &str = "move";
     /// `gps(Bus, Lon, Lat, Direction, Congestion)` input fluent.
-    pub const GPS: &str = "gps";
+    pub(crate) const GPS: &str = "gps";
     /// `traffic(Int, A, S, D, F)` event.
-    pub const TRAFFIC: &str = "traffic";
+    pub(crate) const TRAFFIC: &str = "traffic";
     /// `crowd(LonInt, LatInt, Val)` event from the crowdsourcing component.
-    pub const CROWD: &str = "crowd";
+    pub(crate) const CROWD: &str = "crowd";
     /// `citizenReport(User, Lon, Lat, Polarity)` — classified
     /// micro-blogging report (extension source).
-    pub const CITIZEN_REPORT: &str = "citizenReport";
+    pub(crate) const CITIZEN_REPORT: &str = "citizenReport";
 }
 
 /// Crowd answer values.
@@ -40,17 +40,17 @@ pub mod vals {
     use insight_rtec::term::Term;
 
     /// There is a congestion according to the crowd.
-    pub fn positive() -> Term {
+    pub(crate) fn positive() -> Term {
         Term::sym("positive")
     }
 
     /// No congestion according to the crowd.
-    pub fn negative() -> Term {
+    pub(crate) fn negative() -> Term {
         Term::sym("negative")
     }
 
     /// Maps a boolean congestion answer to `positive`/`negative`.
-    pub fn of_bool(congested: bool) -> Term {
+    pub(crate) fn of_bool(congested: bool) -> Term {
         if congested {
             positive()
         } else {
@@ -60,7 +60,7 @@ pub mod vals {
 }
 
 /// The `move` event of a bus record.
-pub fn move_event(r: &BusRecord, time: i64) -> Event {
+pub(crate) fn move_event(r: &BusRecord, time: i64) -> Event {
     Event::new(
         names::MOVE,
         [
@@ -74,7 +74,7 @@ pub fn move_event(r: &BusRecord, time: i64) -> Event {
 }
 
 /// The `gps` fluent observation of a bus record.
-pub fn gps_obs(r: &BusRecord, time: i64) -> FluentObs {
+pub(crate) fn gps_obs(r: &BusRecord, time: i64) -> FluentObs {
     FluentObs::new(
         names::GPS,
         [
@@ -90,7 +90,7 @@ pub fn gps_obs(r: &BusRecord, time: i64) -> FluentObs {
 }
 
 /// The `traffic` event of a SCATS record.
-pub fn traffic_event(r: &ScatsRecord, time: i64) -> Event {
+pub(crate) fn traffic_event(r: &ScatsRecord, time: i64) -> Event {
     Event::new(
         names::TRAFFIC,
         [
@@ -105,13 +105,15 @@ pub fn traffic_event(r: &ScatsRecord, time: i64) -> Event {
 }
 
 /// A `crowd(LonInt, LatInt, Val)` event.
-pub fn crowd_event(lon: f64, lat: f64, congested: bool, time: i64) -> Event {
+pub(crate) fn crowd_event(lon: f64, lat: f64, congested: bool, time: i64) -> Event {
     Event::new(names::CROWD, [Term::float(lon), Term::float(lat), vals::of_bool(congested)], time)
 }
 
 /// Classifies a citizen report's text and converts it into a
 /// `citizenReport(User, Lon, Lat, Polarity)` event; chatter yields `None`.
-pub fn citizen_report_event(report: &insight_datagen::citizens::CitizenReport) -> Option<Event> {
+pub(crate) fn citizen_report_event(
+    report: &insight_datagen::citizens::CitizenReport,
+) -> Option<Event> {
     let congested = insight_datagen::citizens::classify(&report.text)?;
     Some(Event::new(
         names::CITIZEN_REPORT,

@@ -3,7 +3,7 @@
 
 use insight_datagen::congestion::{LOWER_FLOW_THRESHOLD, UPPER_DENSITY_THRESHOLD};
 use insight_rtec::engine::Engine;
-use insight_rtec::event::Event;
+use insight_rtec::event::{Event, FluentObs, Stamped};
 use insight_rtec::interval::{Interval, IntervalList};
 use insight_rtec::term::Term;
 use insight_rtec::window::WindowConfig;
@@ -104,7 +104,7 @@ proptest! {
                 t,
             ))
             .unwrap();
-            e.add_obs(insight_rtec::event::FluentObs::new(
+            e.add_stamped_obs(Stamped::<FluentObs>::punctual(FluentObs::new(
                 "gps",
                 [
                     Term::int(7),
@@ -115,7 +115,7 @@ proptest! {
                 ],
                 true,
                 t,
-            ))
+            )))
             .unwrap();
         }
         for (i, &cong) in scats_cong.iter().enumerate() {

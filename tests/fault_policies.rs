@@ -12,7 +12,8 @@ use insight_repro::streams::source::VecSource;
 use insight_repro::streams::topology::{Input, Output, Topology};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn numbered(n: i64) -> Vec<DataItem> {
     (0..n).map(|i| DataItem::new().with("n", i)).collect()
@@ -42,10 +43,11 @@ impl Processor for FailOn {
     }
 }
 
-/// Fails the first `failures` invocations, then succeeds forever.
+/// Fails the first `failures` invocations, then succeeds forever. The call
+/// count is shared, so a chain rebuilt by `Restart` does not re-arm it.
 struct FlakyUntil {
     failures: usize,
-    calls: usize,
+    calls: Arc<AtomicUsize>,
 }
 
 impl Processor for FlakyUntil {
@@ -54,9 +56,9 @@ impl Processor for FlakyUntil {
         item: DataItem,
         _ctx: &mut Context,
     ) -> Result<Option<DataItem>, StreamsError> {
-        self.calls += 1;
-        if self.calls <= self.failures {
-            Err(StreamsError::ServiceError { detail: format!("flaky call {}", self.calls) })
+        let calls = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
+        if calls <= self.failures {
+            Err(StreamsError::ServiceError { detail: format!("flaky call {calls}") })
         } else {
             Ok(Some(item))
         }
@@ -109,18 +111,21 @@ fn skip_escalates_after_max_consecutive_faults() {
 }
 
 #[test]
-fn retry_succeeds_on_the_nth_attempt() {
-    // Two failures, then success: Retry with 2 extra attempts recovers the
-    // item; Retry with only 1 would fail the run.
-    let run = |attempts: usize| {
+fn restart_succeeds_on_the_nth_attempt() {
+    // Two failures, then success: Restart with a budget of 2 re-runs the
+    // item until it passes; a budget of 1 would fail the run.
+    let run = |max: usize| {
         let sink = CollectSink::shared();
         let mut topology = Topology::new();
         topology.add_source("in", VecSource::new(numbered(5)));
+        let calls = Arc::new(AtomicUsize::new(0));
         topology
             .process("flaky")
             .input(Input::Stream("in".into()))
-            .fault_policy(FaultPolicy::Retry { attempts, backoff: Duration::from_millis(1) })
-            .processor(FlakyUntil { failures: 2, calls: 0 })
+            .fault_policy(FaultPolicy::Restart { max })
+            .processor_factory(move || {
+                Box::new(FlakyUntil { failures: 2, calls: Arc::clone(&calls) })
+            })
             .output(Output::Sink(Box::new(sink.clone())))
             .done();
         let runtime = Runtime::new(topology);
@@ -129,14 +134,14 @@ fn retry_succeeds_on_the_nth_attempt() {
     };
 
     let (result, sink, metrics) = run(2);
-    result.expect("two retries cover two failures");
+    result.expect("two restarts cover two failures");
     assert_eq!(values(&sink), vec![0, 1, 2, 3, 4], "every item recovered, order kept");
     let stage = metrics.snapshot().stages.get("flaky").cloned().unwrap();
-    assert_eq!(stage.retries, 2, "one re-invocation per failure");
+    assert_eq!(stage.restores, 2, "one restart per failure");
     assert_eq!(stage.faults, 2);
 
     let (result, _, _) = run(1);
-    assert!(result.is_err(), "one retry cannot cover two failures");
+    assert!(result.is_err(), "one restart cannot cover two failures");
 }
 
 #[test]

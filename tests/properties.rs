@@ -91,8 +91,7 @@ proptest! {
     ) {
         let g = Graph::grid(w, h);
         let k = RegularizedLaplacian::new(alpha, beta).unwrap().covariance(&g).unwrap();
-        prop_assert!(k.is_symmetric(1e-8));
-        prop_assert!(k.cholesky().is_ok());
+        prop_assert!(insight_repro::gp::testing::is_spd(&k, 1e-8));
     }
 
     /// NearestK returns exactly the k closest workers (checked against a
