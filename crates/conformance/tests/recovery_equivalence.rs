@@ -22,6 +22,7 @@ use insight_core::testing::{gate_sources_at_scats_report, replay_recognitions_wi
 use insight_datagen::scenario::{Scenario, ScenarioConfig};
 use insight_rtec::window::WindowConfig;
 use insight_streams::chaos::KillSwitch;
+use insight_streams::checkpoint::Fields;
 use insight_streams::metrics::MetricsRegistry;
 use insight_streams::replay::ReplayRuntime;
 use insight_traffic::TrafficRulesConfig;
@@ -271,9 +272,9 @@ fn crowd_em_killed_on_a_summary_that_releases_several_emits_each_once() {
             let switch = KillSwitch::new();
             let options =
                 PipelineOptions { kill_crowd_em_at: Some((k, switch.clone())), ..supervised() };
-            let (topology, sink) =
+            let (mut topology, sink) =
                 build_pipeline_with(&scenario, rules.clone(), window, &options).expect("topology");
-            let store = insight_streams::testing::checkpoints(&topology);
+            let watch = insight_streams::testing::watch_barriers(&mut topology, "crowd-em");
             ReplayRuntime::new(topology, seed)
                 .run()
                 .unwrap_or_else(|e| panic!("seed {seed}, EM kill at {k} failed: {e}"));
@@ -284,9 +285,10 @@ fn crowd_em_killed_on_a_summary_that_releases_several_emits_each_once() {
                 "seed {seed}, EM kill at {k}: a summary was duplicated, lost or changed"
             );
             // Slot 0 is the kill injector, slot 1 the EM stage.
-            let blob = store.latest("crowd-em", 1).expect("EM barrier taken").blob;
-            assert!(blob.get_str("held").is_some(), "the gate's held summaries are state");
-            assert!(blob.get_str("pending").is_none(), "released summaries are not");
+            let bytes = watch.last_snapshot("crowd-em", 1).expect("EM barrier taken");
+            let fields = Fields::parse(&bytes).expect("the EM checkpoint parses");
+            assert!(fields.get("held").is_some(), "the gate's held summaries are state");
+            assert!(fields.get("pending").is_none(), "released summaries are not");
         }
     }
 }

@@ -38,7 +38,7 @@ use insight_datagen::scenario::Scenario;
 use insight_rtec::compile::CompiledPlan;
 use insight_rtec::window::WindowConfig;
 use insight_streams::chaos::{ChaosConfig, ChaosSource, KillAt, KillSwitch};
-use insight_streams::checkpoint::{Checkpointable, StateBlob};
+use insight_streams::checkpoint::{corrupt, Checkpointable, FieldWriter, Fields};
 use insight_streams::error::StreamsError;
 use insight_streams::fault::FaultPolicy;
 use insight_streams::item::DataItem;
@@ -337,44 +337,89 @@ fn items_from_lines(lines: &str) -> Result<Vec<DataItem>, StreamsError> {
     lines.lines().map(DataItem::from_json).collect()
 }
 
-fn corrupt(detail: String) -> StreamsError {
-    StreamsError::Io { detail: format!("corrupt checkpoint: {detail}") }
-}
+/// The query grid cursor and the per-class arrival watermarks, written in
+/// full at every barrier.
+const RTEC_CLOCK: [&str; 5] =
+    ["next_query", "last_query", "bus_watermark", "scats_watermark", "max_arrival"];
 
-/// The worker's semantic state is the engine snapshot plus the query grid
-/// cursor and the per-class arrival watermarks — a summary leaves in the
-/// call that produced it, so there is no output to carry across a barrier;
-/// the configuration (`step`, `region`) is rebuilt by the processor factory
-/// and only recorded to detect a blob restored into the wrong worker.
-impl Checkpointable for RtecProcessor {
-    fn snapshot(&mut self) -> StateBlob {
-        let mut blob = StateBlob::new();
-        blob.set("region", self.region.name());
-        blob.set("engine", self.recognizer.snapshot_state());
-        blob.set("next_query", self.next_query);
-        blob.set("last_query", self.last_query);
-        blob.set("bus_watermark", self.bus_watermark);
-        blob.set("scats_watermark", self.scats_watermark);
-        blob.set("max_arrival", self.max_arrival);
-        blob
+impl RtecProcessor {
+    fn clock(&mut self) -> [&mut i64; 5] {
+        [
+            &mut self.next_query,
+            &mut self.last_query,
+            &mut self.bus_watermark,
+            &mut self.scats_watermark,
+            &mut self.max_arrival,
+        ]
     }
 
-    fn restore(&mut self, blob: &StateBlob) -> Result<(), StreamsError> {
-        let region = blob.require_str("region")?;
-        if region != self.region.name() {
-            return Err(corrupt(format!(
-                "snapshot is for region `{region}`, worker serves `{}`",
-                self.region
-            )));
+    /// The `region` and `engine` fields, then the clock. `engine` is what
+    /// `write` appends: a full engine snapshot or a delta, or nothing — in
+    /// which case nothing is written.
+    fn write(
+        &mut self,
+        out: &mut Vec<u8>,
+        write: impl FnOnce(&mut TrafficRecognizer, &mut Vec<u8>) -> bool,
+    ) -> bool {
+        let at = out.len();
+        let mut w = FieldWriter::new(out);
+        w.str("region", self.region.name());
+        if !w.with("engine", |out| write(&mut self.recognizer, out)) {
+            out.truncate(at);
+            return false;
+        }
+        let mut w = FieldWriter::new(out);
+        for (name, v) in RTEC_CLOCK.iter().zip(self.clock()) {
+            w.i64(name, *v);
+        }
+        true
+    }
+}
+
+/// The worker's semantic state is the engine's checkpoint plus the query
+/// grid cursor and the per-class arrival watermarks — a summary leaves in
+/// the call that produced it, so there is no output to carry across a
+/// barrier. A barrier writes the engine's delta when it has one, the clock
+/// in full either way. The configuration (`step`, `region`) is rebuilt by
+/// the processor factory and only recorded to detect a checkpoint restored
+/// into the wrong worker.
+impl Checkpointable for RtecProcessor {
+    fn snapshot(&mut self, out: &mut Vec<u8>) {
+        self.write(out, |engine, out| {
+            engine.checkpoint_full(out);
+            true
+        });
+    }
+
+    fn delta(&mut self, out: &mut Vec<u8>) -> bool {
+        self.write(out, TrafficRecognizer::checkpoint_delta)
+    }
+
+    fn restore(&mut self, snapshot: &[u8], deltas: &[&[u8]]) -> Result<(), StreamsError> {
+        let parts = std::iter::once(snapshot)
+            .chain(deltas.iter().copied())
+            .map(Fields::parse)
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut engine = Vec::with_capacity(parts.len());
+        for part in &parts {
+            let region = part.str("region")?;
+            if region != self.region.name() {
+                return Err(corrupt(&format!(
+                    "checkpoint is for region `{region}`, worker serves `{}`",
+                    self.region
+                )));
+            }
+            engine.push(part.bytes("engine")?);
         }
         self.recognizer
-            .restore_state(blob.require_str("engine")?)
-            .map_err(|e| corrupt(e.to_string()))?;
-        self.next_query = blob.require_i64("next_query")?;
-        self.last_query = blob.require_i64("last_query")?;
-        self.bus_watermark = blob.require_i64("bus_watermark")?;
-        self.scats_watermark = blob.require_i64("scats_watermark")?;
-        self.max_arrival = blob.require_i64("max_arrival")?;
+            .restore_chain(engine[0], &engine[1..])
+            .map_err(|e| corrupt(&e.to_string()))?;
+        let last = parts.last().expect("the snapshot is a part");
+        let clock: Vec<i64> =
+            RTEC_CLOCK.iter().map(|name| last.i64(name)).collect::<Result<_, _>>()?;
+        for (v, read) in self.clock().into_iter().zip(clock) {
+            *v = read;
+        }
         Ok(())
     }
 }
@@ -508,44 +553,43 @@ impl Processor for MultiRegionRtecProcessor {
     }
 }
 
-/// One sub-snapshot per lazily created region worker, folded into the
-/// parent blob under `region.{name}.{field}` keys (field-by-field rather
-/// than as a nested JSON string — snapshots run on the barrier hot path,
-/// and re-escaping a serialised engine would double the cost); restore
-/// rebuilds each worker through the normal lazy path and then overlays its
-/// snapshot, so a region the replica had not seen yet simply has no entry.
+/// One field per lazily created region worker, named after its region and
+/// holding that worker's snapshot or delta. A barrier writes a delta only if
+/// every region worker has one — a region first seen since the previous
+/// barrier makes it a full snapshot. Restore rebuilds each worker through
+/// the normal lazy path and then restores its chain, so a region the
+/// replica had not seen yet simply has no field.
 impl Checkpointable for MultiRegionRtecProcessor {
-    fn snapshot(&mut self) -> StateBlob {
-        let mut blob = StateBlob::new();
-        let regions: Vec<&str> = self.states.keys().map(|r| r.name()).collect();
-        blob.set("regions", regions.join(","));
+    fn snapshot(&mut self, out: &mut Vec<u8>) {
+        let mut w = FieldWriter::new(out);
         for (region, state) in &mut self.states {
-            for (field, value) in state.snapshot().into_fields() {
-                blob.set(&format!("region.{region}.{field}"), value);
-            }
+            w.with(region.name(), |out| state.snapshot(out));
         }
-        blob
     }
 
-    fn restore(&mut self, blob: &StateBlob) -> Result<(), StreamsError> {
-        let named = blob.require_str("regions")?.to_string();
+    fn delta(&mut self, out: &mut Vec<u8>) -> bool {
+        let at = out.len();
+        let mut w = FieldWriter::new(out);
+        for (region, state) in &mut self.states {
+            if !w.with(region.name(), |out| state.delta(out)) {
+                out.truncate(at);
+                return false;
+            }
+        }
+        true
+    }
+
+    fn restore(&mut self, snapshot: &[u8], deltas: &[&[u8]]) -> Result<(), StreamsError> {
+        let base = Fields::parse(snapshot)?;
+        let deltas = deltas.iter().map(|d| Fields::parse(d)).collect::<Result<Vec<_>, _>>()?;
         self.states.clear();
-        for name in named.split(',').filter(|n| !n.is_empty()) {
+        for name in base.names() {
             let region = Region::ALL
                 .into_iter()
                 .find(|r| r.name() == name)
-                .ok_or_else(|| corrupt(format!("unknown region `{name}`")))?;
-            let prefix = format!("region.{name}.");
-            let mut sub = StateBlob::new();
-            for (key, value) in blob.iter() {
-                if let Some(field) = key.strip_prefix(&prefix) {
-                    sub.set(field, value.clone());
-                }
-            }
-            if sub.is_empty() {
-                return Err(corrupt(format!("no fields for region `{name}`")));
-            }
-            self.state_for(region)?.restore(&sub)?;
+                .ok_or_else(|| corrupt(&format!("unknown region `{name}`")))?;
+            let chain = deltas.iter().map(|d| d.bytes(name)).collect::<Result<Vec<_>, _>>()?;
+            self.state_for(region)?.restore(base.bytes(name)?, &chain)?;
         }
         Ok(())
     }
@@ -640,30 +684,30 @@ impl CanonicalGate {
     /// Watermarks and held summaries. Held entries are keyed by attributes
     /// the items themselves carry, so restoring re-derives the map keys; the
     /// declared `regions` are configuration, rebuilt by the processor factory.
-    fn snapshot_into(&self, blob: &mut StateBlob) {
+    fn snapshot_into(&self, w: &mut FieldWriter<'_>) {
         let mut watermarks: Vec<String> =
             self.watermarks.iter().map(|(r, wm)| format!("{r}={wm}")).collect();
         watermarks.sort_unstable();
-        blob.set("watermarks", watermarks.join("\n"));
-        blob.set("held", items_to_lines(self.held.values().flatten()));
+        w.str("watermarks", &watermarks.join("\n"));
+        w.str("held", &items_to_lines(self.held.values().flatten()));
     }
 
-    fn restore_from(&mut self, blob: &StateBlob) -> Result<(), StreamsError> {
+    fn restore_from(&mut self, fields: &Fields<'_>) -> Result<(), StreamsError> {
         self.watermarks.clear();
-        for line in blob.require_str("watermarks")?.lines() {
+        for line in fields.str("watermarks")?.lines() {
             let (region, wm) = line
                 .split_once('=')
-                .ok_or_else(|| corrupt(format!("bad watermark entry `{line}`")))?;
+                .ok_or_else(|| corrupt(&format!("bad watermark entry `{line}`")))?;
             let wm =
-                wm.parse::<i64>().map_err(|_| corrupt(format!("bad watermark value `{line}`")))?;
+                wm.parse::<i64>().map_err(|_| corrupt(&format!("bad watermark value `{line}`")))?;
             self.watermarks.insert(region.to_string(), wm);
         }
         self.held.clear();
-        for item in items_from_lines(blob.require_str("held")?)? {
+        for item in items_from_lines(fields.str("held")?)? {
             let (Some(region), Some(q)) =
                 (item.get_str("region").map(str::to_string), item.get_i64("query_time"))
             else {
-                return Err(corrupt("held summary lost its (query_time, region) key".into()));
+                return Err(corrupt("held summary lost its (query_time, region) key"));
             };
             self.held.entry((q, region)).or_default().push(item);
         }
@@ -880,24 +924,24 @@ impl Processor for CrowdEmProcessor {
 /// held summaries) and the task counters (`task.<name>`, reported at
 /// `finish`). A released summary leaves with the call that released it, so
 /// nothing else waits across a barrier; the task bridge's selection state
-/// never changes.
+/// never changes. The state is small, so every barrier writes it in full.
 impl Checkpointable for CrowdEmProcessor {
-    fn snapshot(&mut self) -> StateBlob {
-        let mut blob = StateBlob::new();
-        blob.set("em", self.bridge.export_em_state());
-        self.gate.snapshot_into(&mut blob);
+    fn snapshot(&mut self, out: &mut Vec<u8>) {
+        let mut w = FieldWriter::new(out);
+        w.str("em", &self.bridge.export_em_state());
+        self.gate.snapshot_into(&mut w);
         for (name, n) in TASK_COUNTERS.iter().zip(self.task_counts()) {
-            blob.set(&format!("task.{name}"), n as i64);
+            w.i64(&format!("task.{name}"), n as i64);
         }
-        blob
     }
 
-    fn restore(&mut self, blob: &StateBlob) -> Result<(), StreamsError> {
-        self.bridge.import_em_state(blob.require_str("em")?).map_err(|e| corrupt(e.to_string()))?;
-        self.gate.restore_from(blob)?;
+    fn restore(&mut self, snapshot: &[u8], _: &[&[u8]]) -> Result<(), StreamsError> {
+        let fields = Fields::parse(snapshot)?;
+        self.bridge.import_em_state(fields.str("em")?).map_err(|e| corrupt(&e.to_string()))?;
+        self.gate.restore_from(&fields)?;
         let raw = self.bridge_task_counts();
         for (i, name) in TASK_COUNTERS.iter().enumerate() {
-            let counted = blob.require_i64(&format!("task.{name}"))? as u64;
+            let counted = fields.i64(&format!("task.{name}"))? as u64;
             self.task_offset[i] = counted.wrapping_sub(raw[i]);
         }
         Ok(())

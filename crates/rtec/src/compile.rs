@@ -791,11 +791,22 @@ struct Facts {
     /// This window's admissions: staged by [`Facts::stage`], sorted and
     /// merged into `items` by the owning kind.
     delta: Vec<Fact>,
+    /// Every admission since the engine's last checkpoint, while the engine
+    /// keeps a checkpoint cursor (`None` otherwise): what a delta checkpoint
+    /// reads its seen-flag flips and its admitted new facts from. Not window
+    /// state, so not among the capacities `window_allocations` follows.
+    admitted: Option<Vec<Fact>>,
 }
 
 impl Facts {
     fn new(width: usize) -> Facts {
-        Facts { items: Vec::new(), pending: Vec::new(), rows: Rows::new(width), delta: Vec::new() }
+        Facts {
+            items: Vec::new(),
+            pending: Vec::new(),
+            rows: Rows::new(width),
+            delta: Vec::new(),
+            admitted: None,
+        }
     }
 
     /// Writes a fact's terms into a row; `seen` facts (a checkpoint's) are
@@ -817,7 +828,7 @@ impl Facts {
     /// drops what it can never see, and frees the rows of the expired head.
     /// Returns the length of that head, still in `items`.
     fn stage(&mut self, w: Slide, counts: &mut StoreCounts) -> usize {
-        let Facts { items, pending, rows, delta } = self;
+        let Facts { items, pending, rows, delta, admitted } = self;
         delta.clear();
         pending.retain(|f| {
             if f.time <= w.start {
@@ -833,6 +844,9 @@ impl Facts {
             }
         });
         counts.admitted += delta.len() as u64;
+        if let Some(log) = admitted {
+            log.extend_from_slice(delta);
+        }
         let expired = items.partition_point(|f| f.time <= w.start);
         // Last first: the list hands rows back from its end, so the next
         // facts take the head's rows in the order the head had them.
@@ -845,14 +859,34 @@ impl Facts {
         self.items.len() + self.pending.len()
     }
 
+    fn fact_ref<'a>(&'a self, seen: bool) -> impl Fn(&Fact) -> FactRef<'a> + 'a {
+        move |f: &Fact| {
+            let (seq, arrival) = self.rows.meta[f.row as usize];
+            FactRef { seq, seen, arrival, time: f.time, terms: self.rows.get(f.row) }
+        }
+    }
+
     fn refs(&self) -> impl Iterator<Item = FactRef<'_>> {
-        let fact_ref = move |seen: bool| {
-            move |f: &Fact| {
-                let (seq, arrival) = self.rows.meta[f.row as usize];
-                FactRef { seq, seen, arrival, time: f.time, terms: self.rows.get(f.row) }
-            }
-        };
-        self.items.iter().map(fact_ref(true)).chain(self.pending.iter().map(fact_ref(false)))
+        self.items
+            .iter()
+            .map(self.fact_ref(true))
+            .chain(self.pending.iter().map(self.fact_ref(false)))
+    }
+
+    /// What changed since the checkpoint cursor: the admissions logged since
+    /// then that are still in the window (`time > start`, the last query's
+    /// window start), and the pending facts numbered `cursor` or later. The
+    /// pending area is in ingestion order, so those are its suffix.
+    fn since(&self, cursor: u64, start: Time) -> impl Iterator<Item = FactRef<'_>> {
+        let log = self.admitted.as_deref().unwrap_or_default();
+        let from = self.pending.partition_point(|f| self.rows.meta[f.row as usize].0 < cursor);
+        (log.iter().filter(move |f| f.time > start).map(self.fact_ref(true)))
+            .chain(self.pending[from..].iter().map(self.fact_ref(false)))
+    }
+
+    /// Starts the admission log, or empties it.
+    fn track(&mut self) {
+        self.admitted.get_or_insert_with(Vec::new).clear();
     }
 
     fn visit_caps(&self, f: &mut impl FnMut(usize)) {
@@ -1146,6 +1180,24 @@ impl CEventStore {
         self.kinds[slot as usize].facts.refs()
     }
 
+    /// The facts of kind `slot` that changed since the checkpoint cursor
+    /// (see `Facts::since`).
+    pub(crate) fn since(
+        &self,
+        slot: SlotId,
+        cursor: u64,
+        start: Time,
+    ) -> impl Iterator<Item = FactRef<'_>> {
+        self.kinds[slot as usize].facts.since(cursor, start)
+    }
+
+    /// Starts logging the input kinds' admissions afresh.
+    pub(crate) fn track(&mut self) {
+        for &slot in &self.inputs {
+            self.kinds[slot as usize].facts.track();
+        }
+    }
+
     pub(crate) fn visit_caps(&self, f: &mut impl FnMut(usize)) {
         for k in &self.kinds {
             k.visit_caps(f);
@@ -1296,6 +1348,23 @@ impl CObsStore {
     /// Every observation of kind `slot`, admitted then pending.
     pub(crate) fn facts(&self, slot: SlotId) -> impl Iterator<Item = FactRef<'_>> {
         self.kinds[slot as usize].facts.refs()
+    }
+
+    /// See [`CEventStore::since`].
+    pub(crate) fn since(
+        &self,
+        slot: SlotId,
+        cursor: u64,
+        start: Time,
+    ) -> impl Iterator<Item = FactRef<'_>> {
+        self.kinds[slot as usize].facts.since(cursor, start)
+    }
+
+    /// See [`CEventStore::track`].
+    pub(crate) fn track(&mut self) {
+        for kind in &mut self.kinds {
+            kind.facts.track();
+        }
     }
 
     pub(crate) fn visit_caps(&self, f: &mut impl FnMut(usize)) {

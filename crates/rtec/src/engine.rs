@@ -25,10 +25,12 @@
 //! and every query runs that plan over the engine's retained slot-indexed
 //! window state (`crate::slotstate`), serially on the calling thread.
 
+mod state;
+
 use crate::compile::{
     eval_interval_expr_into, scratch_allocations, solve_domain_c, solve_frontier_c, solve_work,
-    term_time, CCtx, CEventStore, CFluentStore, CRelation, CompiledPlan, FactRef, OwnBuffers,
-    Slide, SlotId, SolveBuffers, SolveWork, StoreCounts, StratumInstr,
+    term_time, CCtx, CEventStore, CFluentStore, CRelation, CompiledPlan, OwnBuffers, Slide,
+    SolveBuffers, SolveWork, StoreCounts, StratumInstr,
 };
 use crate::dsl::RuleSet;
 use crate::error::RtecError;
@@ -41,6 +43,7 @@ use crate::stratify::HeadKind;
 use crate::term::{Symbol, Term};
 use crate::time::{Time, TIME_MAX, TIME_MIN};
 use crate::window::WindowConfig;
+use state::Cursor;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -303,6 +306,9 @@ pub struct Engine {
     pub(crate) profile: Vec<StratumProfile>,
     /// The solver's buffers, lent to whichever thread runs a query.
     scratch: SolveBuffers,
+    /// The last checkpoint barrier, while the engine writes checkpoint
+    /// deltas (see [`Engine::checkpoint_delta`]).
+    cursor: Option<Cursor>,
 }
 
 impl Engine {
@@ -340,6 +346,7 @@ impl Engine {
                 })
                 .collect(),
             scratch: SolveBuffers::default(),
+            cursor: None,
             plan,
         }
     }
@@ -619,381 +626,82 @@ impl Engine {
 
     // -- checkpoint/restore -------------------------------------------------
 
-    /// Serialises the engine's windowed recognition state into a stable,
-    /// line-based text snapshot.
+    /// A standalone full snapshot of the engine's windowed recognition
+    /// state, in the `rtec-state v2` encoding (see the `state` module docs).
     ///
     /// The snapshot captures exactly the state that inertia and windowing
-    /// carry across queries: the stored input facts in ingestion order, each
-    /// flagged with whether a query has admitted it (`1`: in its store's
-    /// window order; `0`: still pending), the last window's simple-fluent
-    /// intervals, and the query clock. The stores' orders and indexes and
-    /// the derived-event slots are not written: restore sorts the admitted
-    /// facts back in, and the next query re-derives the rest. Cached points and derivations are deliberately *excluded* —
-    /// they are a pure performance artefact, and [`Engine::restore_state`]
-    /// marks the engine dirty so the next query re-derives them in full.
+    /// carry across queries: the stored input facts with their ingestion
+    /// numbers, each flagged with whether a query has admitted it, the last
+    /// window's simple-fluent intervals, and the query clock. The stores'
+    /// orders and indexes, the derived-event slots and the cached points and
+    /// derivations are not written: restore sorts the admitted facts back in
+    /// and marks the engine dirty, so the next query re-derives the rest.
     /// Because incremental and full evaluation are output-equivalent, a
     /// restored engine answers every future query exactly like the engine
-    /// the snapshot was taken from (and like a cold engine replaying the
-    /// full input history).
+    /// the snapshot was taken from. Equal states write equal bytes.
     ///
     /// Rule sets, relations, builtins and window configuration are *not*
     /// part of the snapshot: restore into an engine rebuilt with the same
-    /// configuration.
-    pub fn snapshot_state(&self) -> String {
-        use std::fmt::Write as _;
-        // Serialisation happens on the worker's hot path (a checkpoint
-        // barrier blocks input consumption), so every line is appended in
-        // place — no per-line or per-token allocations.
-        let mut out = String::with_capacity(64 * (self.buffered() + 1));
-        out.push_str("rtec-state v1\n");
-        if let Some(t) = self.first_query {
-            let _ = writeln!(out, "first {t}");
-        }
-        if let Some(t) = self.last_query {
-            let _ = writeln!(out, "last {t}");
-        }
-        // Facts live in per-kind stores; a checkpoint lists them in
-        // ingestion order, which is also the tie order restore must rebuild.
-        let slot = |sym: Symbol| self.plan.slots.slot(sym).expect("declared input has a slot");
-        let events: Vec<_> = (self.plan.rules.input_events.keys())
-            .flat_map(|&sym| self.state.events.facts(slot(sym)).map(move |f| (sym.as_str(), f)))
-            .collect();
-        write_fact_lines(&mut out, "ev", &events);
-        let obs: Vec<_> = (self.plan.rules.input_fluents.keys())
-            .flat_map(|&sym| self.state.obs.facts(slot(sym)).map(move |f| (sym.as_str(), f)))
-            .collect();
-        write_fact_lines(&mut out, "obs", &obs);
-        // Current-generation simple-fluent outputs, straight from the
-        // tables. Sorted so identical states serialise to identical bytes
-        // whatever order the groundings entered their tables in.
-        let mut fluent_lines: Vec<String> = Vec::new();
-        for (instr, state) in self.plan.instrs.iter().zip(&self.state.strata) {
-            let StratumState::Sf(t) = state else { continue };
-            for g in t.gs.iter().filter(|g| g.data_gen == self.state.gen && !g.out.is_empty()) {
-                let args = t.key_args(g);
-                let mut line = String::with_capacity(48);
-                line.push_str("pf ");
-                state_escape_into(&mut line, instr.symbol.as_str());
-                line.push(' ');
-                term_token_into(&mut line, &g.value);
-                let _ = write!(line, " {}", args.len());
-                for a in args {
-                    line.push(' ');
-                    term_token_into(&mut line, a);
-                }
-                for iv in g.out.iter() {
-                    match iv.end() {
-                        Some(e) => {
-                            let _ = write!(line, " {}:{e}", iv.start());
-                        }
-                        None => {
-                            let _ = write!(line, " {}:inf", iv.start());
-                        }
-                    }
-                }
-                line.push('\n');
-                fluent_lines.push(line);
-            }
-        }
-        fluent_lines.sort_unstable();
-        for line in fluent_lines {
-            out.push_str(&line);
-        }
+    /// configuration. Taking a snapshot leaves the checkpoint cursor
+    /// ([`Engine::checkpoint_delta`]) where it was.
+    pub fn snapshot_state(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(24 * (self.buffered() + 1));
+        self.write_full(&mut out);
         out
     }
 
-    /// Restores state captured by [`Engine::snapshot_state`] into this
-    /// engine, replacing any stored inputs and previous-window fluents.
+    /// Restores a snapshot written by [`Engine::snapshot_state`] or
+    /// [`Engine::checkpoint_full`] — or the `rtec-state v1` text earlier
+    /// engines wrote — replacing any stored inputs and previous-window
+    /// fluents.
     ///
     /// The engine must have been built with the same rule set (input and
     /// fluent declarations are re-validated here), relations, builtins and
     /// window configuration as the snapshot's origin. On success the
     /// stores hold the snapshot's facts (admitted ones sorted in, the others
     /// pending), the retained tables only the snapshot's fluent intervals,
-    /// and the engine is marked dirty, so the next query performs a full
-    /// re-evaluation — differentially equal to what a cold engine
+    /// the engine keeps no checkpoint cursor, and the next query performs a
+    /// full re-evaluation — differentially equal to what a cold engine
     /// replaying the entire history would produce. A failed restore leaves
     /// the engine untouched.
-    pub fn restore_state(&mut self, snapshot: &str) -> Result<(), RtecError> {
-        let corrupt = |detail: String| RtecError::CorruptState { detail };
-        let mut lines = snapshot.lines();
-        match lines.next() {
-            Some("rtec-state v1") => {}
-            other => {
-                return Err(corrupt(format!("unsupported header `{}`", other.unwrap_or_default())))
-            }
-        }
-        let mut first_query = None;
-        let mut last_query = None;
-        // Cached points and derivations are not serialised: start from
-        // empty tables and stores, fill the stores with the facts and seed
-        // the tables with the fluent intervals, and force the next query to
-        // re-derive everything (output-equivalent, per the incremental
-        // contract). Line order is ingestion order.
-        let mut state = CycleState::new(&self.plan);
-        let mut ingested = 0u64;
-        let mut args: Vec<Term> = Vec::new();
-        for (ln, line) in lines.enumerate() {
-            let mut toks = line.split(' ');
-            let tag = toks.next().unwrap_or_default();
-            let bad = |what: &str| corrupt(format!("line {}: bad {what}: `{line}`", ln + 2));
-            let parse_time = |tok: Option<&str>, what: &str| -> Result<Time, RtecError> {
-                tok.and_then(|t| t.parse::<Time>().ok())
-                    .ok_or_else(|| corrupt(format!("line {}: bad {what}: `{line}`", ln + 2)))
-            };
-            match tag {
-                "first" => first_query = Some(parse_time(toks.next(), "first-query time")?),
-                "last" => last_query = Some(parse_time(toks.next(), "last-query time")?),
-                "ev" | "obs" => {
-                    let seen = match toks.next() {
-                        Some("0") => false,
-                        Some("1") => true,
-                        _ => return Err(bad("seen flag")),
-                    };
-                    let arrival = parse_time(toks.next(), "arrival time")?;
-                    let time = parse_time(toks.next(), "occurrence time")?;
-                    let name = state_unescape(toks.next().ok_or_else(|| bad("symbol"))?)
-                        .ok_or_else(|| bad("symbol"))?;
-                    let value = if tag == "obs" {
-                        Some(
-                            toks.next()
-                                .and_then(token_to_term)
-                                .ok_or_else(|| bad("fluent value"))?,
-                        )
-                    } else {
-                        None
-                    };
-                    args.clear();
-                    for t in toks {
-                        args.push(token_to_term(t).ok_or_else(|| bad("argument term"))?);
-                    }
-                    let sym = Symbol::new(&name);
-                    let meta = (ingested, arrival);
-                    ingested += 1;
-                    if let Some(value) = value {
-                        let declared = &self.plan.rules.input_fluents;
-                        let slot =
-                            self.check_declared(declared, sym, args.len(), "input fluent")?;
-                        state.obs.ingest(slot, seen, meta, time, &args, &value);
-                    } else {
-                        let declared = &self.plan.rules.input_events;
-                        let slot = self.check_declared(declared, sym, args.len(), "event")?;
-                        state.events.ingest(slot, seen, meta, time, &args);
-                    }
-                }
-                "pf" => {
-                    let name = state_unescape(toks.next().ok_or_else(|| bad("fluent name"))?)
-                        .ok_or_else(|| bad("fluent name"))?;
-                    let value =
-                        toks.next().and_then(token_to_term).ok_or_else(|| bad("fluent value"))?;
-                    let n_args: usize = toks
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("argument count"))?;
-                    let args: Vec<Term> = (0..n_args)
-                        .map(|_| {
-                            toks.next().and_then(token_to_term).ok_or_else(|| bad("argument term"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    let si = self
-                        .simple_fluent_stratum(Symbol::new(&name))
-                        .ok_or_else(|| bad("fluent name (not a simple fluent of this rule set)"))?;
-                    if !self.initiates(si, &args, &value) {
-                        return Err(bad(
-                            "fluent grounding (no rule of this rule set initiates it)",
-                        ));
-                    }
-                    let intervals: Vec<Interval> = toks
-                        .map(|pair| {
-                            let (s, e) = pair.split_once(':').ok_or_else(|| bad("interval"))?;
-                            let start = s.parse::<Time>().map_err(|_| bad("interval start"))?;
-                            match e {
-                                "inf" => Ok(Interval::open_from(start)),
-                                _ => {
-                                    let end = e.parse::<Time>().map_err(|_| bad("interval end"))?;
-                                    Interval::try_span(start, end)
-                                        .ok_or_else(|| bad("interval span"))
-                                }
-                            }
-                        })
-                        .collect::<Result<_, _>>()?;
-                    state.seed_fluent(si, &args, &value, IntervalList::from_intervals(intervals));
-                }
-                "" => {}
-                other => return Err(corrupt(format!("line {}: unknown tag `{other}`", ln + 2))),
-            }
-        }
-        state.events.admit_staged();
-        state.obs.admit_staged();
-        self.state = state;
-        self.ingested = ingested;
-        self.first_query = first_query;
-        self.last_query = last_query;
-        self.dirty_all = true;
+    pub fn restore_state(&mut self, snapshot: &[u8]) -> Result<(), RtecError> {
+        self.restore_parts(snapshot, &[])
+    }
+
+    /// A checkpoint barrier's full snapshot: appends what
+    /// [`Engine::snapshot_state`] writes to `out` and starts the checkpoint
+    /// cursor here, so the next barrier can write a delta.
+    pub fn checkpoint_full(&mut self, out: &mut Vec<u8>) {
+        self.write_full(out);
+        self.arm();
+    }
+
+    /// A checkpoint barrier's delta: appends to `out` what changed since the
+    /// previous barrier — the input facts ingested since then that the
+    /// stores still hold, in ingestion order, the older facts a query has
+    /// admitted since, the query clock and the simple-fluent intervals — and
+    /// moves the cursor here. Costs what was ingested since the previous
+    /// barrier, not the window. Returns `false`, writing nothing, when the
+    /// engine keeps no cursor (no barrier or chain restore yet): take a
+    /// full snapshot then.
+    pub fn checkpoint_delta(&mut self, out: &mut Vec<u8>) -> bool {
+        let Some(cursor) = self.cursor else { return false };
+        self.write_delta(cursor, out);
+        self.arm();
+        true
+    }
+
+    /// Restores a checkpoint chain: a full snapshot (as for
+    /// [`Engine::restore_state`]) and the deltas written after it, oldest
+    /// first. A delta that does not continue the chain — out of order,
+    /// against another base — is refused, and a failed restore leaves the
+    /// engine untouched. On success the checkpoint cursor stands at the
+    /// chain's last barrier, so the next [`Engine::checkpoint_delta`]
+    /// continues the same chain.
+    pub fn restore_chain(&mut self, base: &[u8], deltas: &[&[u8]]) -> Result<(), RtecError> {
+        self.restore_parts(base, deltas)?;
+        self.arm();
         Ok(())
-    }
-
-    /// Restore-time check of a `pf` line: whether some initiation rule of
-    /// simple-fluent stratum `si` has a head of this arity whose constant
-    /// arguments and value agree with `args` and `value`.
-    fn initiates(&self, si: usize, args: &[Term], value: &Term) -> bool {
-        let fits = |pat: &ArgPat, t: &Term| !matches!(pat, ArgPat::Const(c) if c != t);
-        self.plan.instrs[si].rules.iter().map(|&r| &self.plan.rules.sf_rules[r as usize]).any(|r| {
-            matches!(r.kind, SfKind::Initiated)
-                && r.head.args.len() == args.len()
-                && r.head.args.iter().zip(args).all(|(p, t)| fits(p, t))
-                && fits(&r.head.value, value)
-        })
-    }
-
-    /// Restore-time re-validation of one input symbol against the rule set;
-    /// its slot on success.
-    fn check_declared(
-        &self,
-        declared: &HashMap<Symbol, usize>,
-        sym: Symbol,
-        used: usize,
-        what: &str,
-    ) -> Result<SlotId, RtecError> {
-        match declared.get(&sym) {
-            Some(&arity) if arity == used => {
-                Ok(self.plan.slots.slot(sym).expect("declared input has a slot"))
-            }
-            Some(&arity) => Err(RtecError::CorruptState {
-                detail: format!(
-                    "{what} `{sym}` snapshot arity {used} does not match declared arity {arity}"
-                ),
-            }),
-            None => Err(RtecError::CorruptState {
-                detail: format!("{what} `{sym}` is not declared by this rule set"),
-            }),
-        }
-    }
-}
-
-/// Appends one `ev`/`obs` snapshot line per stored fact, in ingestion order.
-fn write_fact_lines(out: &mut String, tag: &str, facts: &[(&'static str, FactRef<'_>)]) {
-    let mut order: Vec<(u64, u32)> =
-        facts.iter().enumerate().map(|(i, (_, f))| (f.seq, i as u32)).collect();
-    order.sort_unstable();
-    for (_, i) in order {
-        let (name, f) = &facts[i as usize];
-        out.push_str(tag);
-        out.push_str(if f.seen { " 1 " } else { " 0 " });
-        push_int(out, f.arrival);
-        out.push(' ');
-        push_int(out, f.time);
-        out.push(' ');
-        state_escape_into(out, name);
-        // An observation's row holds its arguments, then its value; its
-        // line the value first.
-        let (value, args) = match f.terms.split_last() {
-            Some((value, args)) if tag == "obs" => (Some(value), args),
-            _ => (None, f.terms),
-        };
-        for a in value.into_iter().chain(args) {
-            out.push(' ');
-            term_token_into(out, a);
-        }
-        out.push('\n');
-    }
-}
-
-/// Escapes a symbol for embedding as one space-separated snapshot token.
-fn state_escape_into(out: &mut String, s: &str) {
-    if !s.bytes().any(|b| matches!(b, b'%' | b' ' | b'\t' | b'\n' | b'\r')) {
-        out.push_str(s);
-        return;
-    }
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            ' ' => out.push_str("%20"),
-            '\t' => out.push_str("%09"),
-            '\n' => out.push_str("%0A"),
-            '\r' => out.push_str("%0D"),
-            _ => out.push(c),
-        }
-    }
-}
-
-/// Inverse of [`state_escape_into`]; `None` on a malformed escape.
-fn state_unescape(s: &str) -> Option<std::borrow::Cow<'_, str>> {
-    if !s.contains('%') {
-        return Some(s.into());
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        let hi = chars.next()?.to_digit(16)?;
-        let lo = chars.next()?.to_digit(16)?;
-        out.push(char::from_u32(hi * 16 + lo)?);
-    }
-    Some(out.into())
-}
-
-/// Encodes one ground term as a typed snapshot token, appended to `out`.
-/// Floats are stored as their IEEE bit pattern so the round trip is exact.
-fn term_token_into(out: &mut String, t: &Term) {
-    match t {
-        Term::Int(v) => {
-            out.push_str("i:");
-            push_int(out, *v);
-        }
-        Term::Float(v) => {
-            out.push_str("f:");
-            let bits = v.0.to_bits();
-            for nibble in (0..16).rev() {
-                let digit = (bits >> (4 * nibble)) as u32 & 0xf;
-                out.push(char::from_digit(digit, 16).expect("a hex digit"));
-            }
-        }
-        Term::Sym(s) => {
-            out.push_str("s:");
-            state_escape_into(out, s.as_str());
-        }
-        Term::Bool(v) => out.push_str(if *v { "b:1" } else { "b:0" }),
-    }
-}
-
-/// Appends a decimal integer. A checkpoint writes two per fact and one per
-/// integer term, on a worker's hot path; `write!`'s formatter costs more
-/// than the digits do.
-fn push_int(out: &mut String, v: i64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    let mut rest = v.unsigned_abs();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
-    }
-    if v < 0 {
-        out.push('-');
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
-}
-
-/// Inverse of [`term_to_token`]; `None` on a malformed token.
-fn token_to_term(tok: &str) -> Option<Term> {
-    let (kind, rest) = tok.split_once(':')?;
-    match kind {
-        "i" => rest.parse().ok().map(Term::Int),
-        "f" => u64::from_str_radix(rest, 16).ok().map(|bits| Term::float(f64::from_bits(bits))),
-        "s" => state_unescape(rest).map(|s| Term::sym(&s)),
-        "b" => match rest {
-            "0" => Some(Term::Bool(false)),
-            "1" => Some(Term::Bool(true)),
-            _ => None,
-        },
-        _ => None,
     }
 }
 
@@ -2269,19 +1977,19 @@ mod tests {
             "rtec-state v1\nev 0 0 nope check i:1\n",
             "rtec-state v1\npf on b:1 1 s:a 5:3\n",
         ] {
-            let err = e.restore_state(bad).unwrap_err();
+            let err = e.restore_state(bad.as_bytes()).unwrap_err();
             assert!(matches!(err, RtecError::CorruptState { .. }), "accepted: {bad:?} -> {err}");
         }
         // Undeclared symbols and arity mismatches are caught even though the
         // snapshot itself is well-formed.
         let undeclared = "rtec-state v1\nev 0 0 5 ghost i:1\n";
         assert!(matches!(
-            e.restore_state(undeclared),
+            e.restore_state(undeclared.as_bytes()),
             Err(RtecError::CorruptState { detail }) if detail.contains("ghost")
         ));
         let wrong_arity = "rtec-state v1\nev 0 0 5 check i:1 i:2\n";
         assert!(matches!(
-            e.restore_state(wrong_arity),
+            e.restore_state(wrong_arity.as_bytes()),
             Err(RtecError::CorruptState { detail }) if detail.contains("arity")
         ));
         // A failed restore leaves the engine usable.

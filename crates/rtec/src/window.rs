@@ -45,6 +45,11 @@ impl WindowConfig {
     pub(crate) fn window_start(&self, q: Time) -> Time {
         q - self.wm
     }
+
+    /// [`WindowConfig::window_start`], or `None` where it overflows.
+    pub(crate) fn checked_window_start(&self, q: Time) -> Option<Time> {
+        q.checked_sub(self.wm)
+    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,13 @@
-//! A `rtec-state v1` blob written by the commit before the sliding window
-//! stores (PR 17: buffered `Vec<Seen<_>>` inputs, stores refilled per query)
-//! restores into this engine and continues identically.
+//! A `rtec-state v1` blob written by an engine from before the sliding
+//! window stores (buffered `Vec<Seen<_>>` inputs, stores refilled per query)
+//! restores into this engine and continues identically, and so does the
+//! `rtec-state v2` snapshot this engine writes of it.
 //!
-//! `fixtures/parent_state_v1.blob` is that engine's `snapshot_state()` after
-//! [`SPLIT`] windows of the stream below and the arrivals of the next one
-//! (so it holds unseen facts too); `parent_state_v1.expected` is what the
-//! same engine recognised over the remaining windows. Both files were
-//! written by driving this very file's `stream`/`drive` at the parent commit.
-//!
-//! The test is alone in its binary on purpose: the expected recognitions
-//! print symbols by their interning number, so no other test may intern
-//! symbols beside it.
+//! `fixtures/parent_state_v1.blob` is that engine's snapshot after [`SPLIT`]
+//! windows of the stream below and the arrivals of the next one (so it holds
+//! unseen facts too); `parent_state_v1.expected` is what an engine driven
+//! without interruption recognises over the remaining windows, rendered by
+//! this file's `drive` (symbols by their text).
 
 mod common;
 
@@ -69,7 +66,9 @@ fn drive(e: &mut Engine, from: i64, to: i64, fed: bool) -> String {
         let mut lines: Vec<String> = rec.derived_events.iter().map(|ev| ev.to_string()).collect();
         for name in ["inside"] {
             for g in rec.fluent_entries(name) {
-                lines.push(format!("{name}{:?}={} {:?}", g.args, g.value, g.ivs.as_slice()));
+                let args: Vec<String> = g.args.iter().map(Term::to_string).collect();
+                let args = args.join(", ");
+                lines.push(format!("{name}({args})={} {:?}", g.value, g.ivs.as_slice()));
             }
         }
         lines.sort();
@@ -90,15 +89,22 @@ fn parent_blob_restores_and_continues_identically() {
     assert!(blob.lines().any(|l| l.starts_with("obs 0 ")), "of both sorts");
     assert!(blob.lines().any(|l| l.starts_with("obs 1 ")), "and seen observations");
 
-    // The format did not move: this engine writes the parent's bytes.
     let mut uninterrupted = engine();
     drive(&mut uninterrupted, 0, SPLIT, false);
     stream(&mut uninterrupted, SPLIT);
-    assert_eq!(uninterrupted.snapshot_state(), blob);
 
+    // The v1 text restores; the v2 snapshot of the restored engine restores
+    // into a fresh one and writes the same bytes back.
     let mut restored = engine();
-    restored.restore_state(blob).unwrap();
+    restored.restore_state(blob.as_bytes()).unwrap();
     assert_eq!(restored.buffered(), uninterrupted.buffered());
+    let v2 = restored.snapshot_state();
+    assert!(v2.starts_with(b"rtec-state v2\n"));
+    let mut from_v2 = engine();
+    from_v2.restore_state(&v2).unwrap();
+    assert_eq!(from_v2.snapshot_state(), v2);
+
     assert_eq!(drive(&mut restored, SPLIT, WINDOWS, true), expected);
+    assert_eq!(drive(&mut from_v2, SPLIT, WINDOWS, true), expected);
     assert_eq!(drive(&mut uninterrupted, SPLIT, WINDOWS, true), expected);
 }

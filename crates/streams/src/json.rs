@@ -34,9 +34,7 @@ use std::fmt::Write as _;
 ///
 /// Clean runs are copied as slices rather than char by char, so a string
 /// with nothing to escape — every attribute key the feeds use — is one
-/// slice copy. Checkpoint blobs push multi-hundred-KB engine snapshots
-/// through here (twice, for nested blobs), so this is a measured hot path.
-/// Every byte that needs escaping is ASCII, so splitting the string at
+/// slice copy. Every byte that needs escaping is ASCII, so splitting the string at
 /// those byte offsets always lands on a char boundary.
 pub fn escape_into(out: &mut String, s: &str) {
     out.reserve(s.len() + 2);
@@ -136,9 +134,9 @@ pub(crate) fn item_into(out: &mut String, item: &DataItem) {
 /// Parses one JSON object of scalar values. Nested arrays/objects are
 /// rejected: data items are flat by construction.
 ///
-/// This is the owned-map form (checkpoint metadata and state blobs want a
-/// `BTreeMap` they can pick apart); the data plane parses straight into a
-/// [`DataItem`] via [`parse_item`].
+/// This is the owned-map form (for callers that want a `BTreeMap` they can
+/// pick apart); the data plane parses straight into a [`DataItem`] via
+/// [`parse_item`].
 pub fn parse_object(s: &str) -> Result<BTreeMap<String, Value>, String> {
     let mut map = BTreeMap::new();
     parse_into(s, |key, value| {

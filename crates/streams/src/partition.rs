@@ -221,6 +221,7 @@ pub(crate) fn expand_replicas(topology: &mut Topology) -> Result<(), StreamsErro
             role,
             factories: Vec::new(),
             checkpoint_every: 0,
+            watch: None,
         };
         let router = ProcessDef {
             partition_keys: std::mem::take(&mut p.partition_keys),
@@ -240,6 +241,7 @@ pub(crate) fn expand_replicas(topology: &mut Topology) -> Result<(), StreamsErro
                 fault_policy: p.fault_policy.clone(),
                 factories: p.factories.clone(),
                 checkpoint_every: p.checkpoint_every,
+                watch: p.watch.clone(),
                 ..worker(
                     &i.to_string(),
                     Input::Queue(shard_queues[i].clone()),

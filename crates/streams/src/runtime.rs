@@ -31,7 +31,7 @@
 //! end-of-stream is still propagated downstream so no worker waits forever,
 //! and `run` returns the first error.
 
-use crate::checkpoint::{Checkpoint, CheckpointStore};
+use crate::checkpoint;
 use crate::error::StreamsError;
 use crate::fault::{DeadLetterQueue, DeadLetterRecord, FaultPolicy};
 use crate::item::{DataItem, Stamp};
@@ -345,8 +345,7 @@ pub(crate) fn materialize(
     // the real (expanded) graph.
     crate::partition::expand_replicas(&mut topology)?;
     topology.validate()?;
-    let Topology { mut sources, queues, processes, services, dead_letters: _, checkpoints: store } =
-        topology;
+    let Topology { mut sources, queues, processes, services, dead_letters: _ } = topology;
     // Processors can reach the instruments through their Context.
     if !services.contains("metrics") {
         services.register_arc("metrics", Arc::clone(metrics));
@@ -419,6 +418,7 @@ pub(crate) fn materialize(
         } else {
             p.checkpoint_every
         };
+        let checkpoints = p.processors.iter().map(|_| checkpoint::Slot::default()).collect();
         workers.push(Worker {
             stage: metrics.stage(&p.name),
             ctx: Context::new(services.clone(), &p.name),
@@ -448,7 +448,8 @@ pub(crate) fn materialize(
             emitted: 0,
             factories,
             checkpoint_every,
-            store: store.clone(),
+            checkpoints,
+            watch: p.watch,
             consumed_pos: 0,
             since_ckpt: 0,
             replay_log: VecDeque::new(),
@@ -532,8 +533,11 @@ pub(crate) struct Worker {
     factories: Vec<Option<SharedProcessorFactory>>,
     /// Checkpoint barrier cadence in consumed items; 0 disables barriers.
     checkpoint_every: usize,
-    /// Shared store the barriers write to and recovery reads from.
-    store: CheckpointStore,
+    /// One checkpoint per chain slot, written by the barriers and read by
+    /// recovery (empty for a slot that is not checkpointable).
+    checkpoints: Vec<checkpoint::Slot>,
+    /// Test support: records each barrier ([`crate::testing::watch_barriers`]).
+    watch: Option<crate::testing::BarrierWatch>,
     /// Items fully applied from the input edge (the checkpoint position).
     consumed_pos: u64,
     /// Items consumed since the last barrier.
@@ -807,12 +811,15 @@ impl Worker {
             return;
         }
         let mut any = false;
-        for i in 0..self.chain.len() {
-            if let Some(c) = self.chain[i].as_checkpointable() {
-                let blob = c.snapshot();
-                self.store.put(&self.name, i, Checkpoint { position: self.consumed_pos, blob });
+        for (slot, p) in self.checkpoints.iter_mut().zip(&mut self.chain) {
+            if let Some(c) = p.as_checkpointable() {
+                slot.barrier(c);
                 any = true;
             }
+        }
+        if let Some(watch) = &self.watch {
+            let at = (self.consumed_pos, self.replay_log.len());
+            watch.record(&self.name, at, &mut self.chain, &self.checkpoints);
         }
         self.replay_log.clear();
         if any {
@@ -841,10 +848,9 @@ impl Worker {
                 }
             }
         }
-        for i in 0..self.chain.len() {
-            let Some(cp) = self.store.latest(&self.name, i) else { continue };
-            if let Some(c) = self.chain[i].as_checkpointable() {
-                c.restore(&cp.blob)?;
+        for (slot, p) in self.checkpoints.iter().zip(&mut self.chain) {
+            if let Some(c) = p.as_checkpointable() {
+                slot.restore(c)?;
             }
         }
         // `self.work` may hold the faulted walk's pending siblings.

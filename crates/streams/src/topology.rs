@@ -7,13 +7,13 @@
 //! validated topology: a thread per source-fed process, a worker pool for
 //! the rest.
 
-use crate::checkpoint::CheckpointStore;
 use crate::error::StreamsError;
 use crate::fault::{DeadLetterQueue, FaultPolicy};
 use crate::processor::Processor;
 use crate::service::ServiceRegistry;
 use crate::sink::Sink;
 use crate::source::Source;
+use crate::testing::BarrierWatch;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -83,6 +83,9 @@ pub(crate) struct ProcessDef {
     pub(crate) factories: Vec<Option<SharedProcessorFactory>>,
     /// Checkpoint cadence in consumed items; 0 disables barriers.
     pub(crate) checkpoint_every: usize,
+    /// Records the process's barriers, for tests
+    /// ([`crate::testing::watch_barriers`]).
+    pub(crate) watch: Option<BarrierWatch>,
 }
 
 /// A data-flow graph under construction.
@@ -93,7 +96,6 @@ pub struct Topology {
     pub(crate) processes: Vec<ProcessDef>,
     pub(crate) services: ServiceRegistry,
     pub(crate) dead_letters: DeadLetterQueue,
-    pub(crate) checkpoints: CheckpointStore,
 }
 
 impl Topology {
@@ -144,6 +146,7 @@ impl Topology {
                 role: Role::Plain,
                 factories: Vec::new(),
                 checkpoint_every: 0,
+                watch: None,
             },
             input_set: false,
         }
@@ -419,9 +422,9 @@ impl<'a> ProcessBuilder<'a> {
     }
 
     /// Sets the checkpoint cadence: every `n` consumed items the runtime
-    /// snapshots each [`crate::checkpoint::Checkpointable`] chain slot into
-    /// the topology's [`CheckpointStore`], together with the input-edge
-    /// position, and truncates the recovery replay log. `0` (the default)
+    /// checkpoints each [`crate::checkpoint::Checkpointable`] chain slot —
+    /// a delta on the slot's chain or a full snapshot, see
+    /// [`crate::checkpoint`] — and truncates the recovery replay log. `0` (the default)
     /// disables barriers — unless `Restart` is
     /// armed, in which case the runtime substitutes
     /// [`DEFAULT_RESTART_CADENCE`](crate::runtime::DEFAULT_RESTART_CADENCE)

@@ -12,7 +12,7 @@
 //! The replay seeds shift with `CONFORMANCE_SEED`, like the conformance
 //! suites.
 
-use insight_streams::checkpoint::{Checkpointable, StateBlob};
+use insight_streams::checkpoint::{Checkpointable, FieldWriter, Fields};
 use insight_streams::error::StreamsError;
 use insight_streams::fault::{DeadLetterQueue, FaultPolicy};
 use insight_streams::item::{DataItem, Value};
@@ -70,14 +70,12 @@ impl Processor for Summing {
 }
 
 impl Checkpointable for Summing {
-    fn snapshot(&mut self) -> StateBlob {
-        let mut blob = StateBlob::new();
-        blob.set("total", self.total);
-        blob
+    fn snapshot(&mut self, out: &mut Vec<u8>) {
+        FieldWriter::new(out).i64("total", self.total);
     }
 
-    fn restore(&mut self, blob: &StateBlob) -> Result<(), StreamsError> {
-        self.total = blob.require_i64("total")?;
+    fn restore(&mut self, snapshot: &[u8], _: &[&[u8]]) -> Result<(), StreamsError> {
+        self.total = Fields::parse(snapshot)?.i64("total")?;
         Ok(())
     }
 }

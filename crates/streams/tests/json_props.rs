@@ -8,15 +8,14 @@
 //! not silently coerced.
 //!
 //! The mutation fuzz at the end feeds damaged lines to both readers built
-//! on the scanner (`DataItem::from_json`, `StateBlob::from_json`); its
+//! on the scanner (`DataItem::from_json`, `json::parse_object`); its
 //! corpus and mutations follow `CONFORMANCE_SEED`, like the conformance
 //! suites. So do the lines with shuffled and repeated keys, which keep the
 //! parser's append-when-sorted fast path honest: whatever order a line
 //! lists its keys in, it parses to the item `set` builds.
 
-use insight_streams::checkpoint::StateBlob;
 use insight_streams::item::{DataItem, Value};
-use insight_streams::json::{escape_into, value_into};
+use insight_streams::json::{escape_into, parse_object, value_into};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng, StdRng};
@@ -282,9 +281,9 @@ fn mutated_lines_never_panic_and_accepted_ones_round_trip() {
         let bytes = mutate(&valid_line(&mut rng), &mut rng);
         let line = String::from_utf8_lossy(&bytes);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            (DataItem::from_json(&line).ok(), StateBlob::from_json(&line).ok())
+            (DataItem::from_json(&line).ok(), parse_object(&line).ok())
         }));
-        let Ok((item, blob)) = outcome else {
+        let Ok((item, object)) = outcome else {
             panic!("case {case} (seed {seed}): a reader panicked on {line:?}");
         };
         if let Some(item) = item {
@@ -293,10 +292,12 @@ fn mutated_lines_never_panic_and_accepted_ones_round_trip() {
             let back = DataItem::from_json(&json);
             assert_eq!(back.as_ref().ok(), Some(&item), "case {case}: {line:?} wrote {json:?}");
         }
-        if let Some(blob) = blob {
-            let json = blob.to_json();
-            let back = StateBlob::from_json(&json);
-            assert_eq!(back.as_ref().ok(), Some(&blob), "case {case}: {line:?} wrote {json:?}");
+        if let Some(object) = object {
+            let pairs: Vec<(&str, Value)> =
+                object.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+            let json = line_of(&pairs);
+            let back = parse_object(&json);
+            assert_eq!(back.as_ref().ok(), Some(&object), "case {case}: {line:?} wrote {json:?}");
         }
     }
     // The damage is not so heavy that every line is refused.

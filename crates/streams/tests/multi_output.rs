@@ -13,7 +13,7 @@
 //! `PROPTEST_CASES`, like the conformance suites.
 
 use insight_streams::chaos::{KillAt, KillSwitch};
-use insight_streams::checkpoint::{Checkpointable, StateBlob};
+use insight_streams::checkpoint::{Checkpointable, FieldWriter, Fields};
 use insight_streams::error::StreamsError;
 use insight_streams::fault::{DeadLetterQueue, FaultPolicy};
 use insight_streams::item::DataItem;
@@ -287,14 +287,12 @@ impl Processor for NumberedFan {
 }
 
 impl Checkpointable for NumberedFan {
-    fn snapshot(&mut self) -> StateBlob {
-        let mut blob = StateBlob::new();
-        blob.set("next", self.next);
-        blob
+    fn snapshot(&mut self, out: &mut Vec<u8>) {
+        FieldWriter::new(out).i64("next", self.next);
     }
 
-    fn restore(&mut self, blob: &StateBlob) -> Result<(), StreamsError> {
-        self.next = blob.require_i64("next")?;
+    fn restore(&mut self, snapshot: &[u8], _: &[&[u8]]) -> Result<(), StreamsError> {
+        self.next = Fields::parse(snapshot)?.i64("next")?;
         Ok(())
     }
 }

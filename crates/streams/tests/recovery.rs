@@ -9,7 +9,7 @@
 //! mutated before faulting applies the item exactly once.
 
 use insight_streams::chaos::{KillAt, KillSwitch};
-use insight_streams::checkpoint::{Checkpointable, StateBlob};
+use insight_streams::checkpoint::{Checkpointable, FieldWriter, Fields};
 use insight_streams::error::StreamsError;
 use insight_streams::fault::FaultPolicy;
 use insight_streams::item::DataItem;
@@ -46,14 +46,12 @@ impl Processor for PrefixSum {
 }
 
 impl Checkpointable for PrefixSum {
-    fn snapshot(&mut self) -> StateBlob {
-        let mut blob = StateBlob::new();
-        blob.set("total", self.total);
-        blob
+    fn snapshot(&mut self, out: &mut Vec<u8>) {
+        FieldWriter::new(out).i64("total", self.total);
     }
 
-    fn restore(&mut self, blob: &StateBlob) -> Result<(), StreamsError> {
-        self.total = blob.require_i64("total")?;
+    fn restore(&mut self, snapshot: &[u8], _: &[&[u8]]) -> Result<(), StreamsError> {
+        self.total = Fields::parse(snapshot)?.i64("total")?;
         Ok(())
     }
 }
@@ -288,13 +286,11 @@ impl Processor for FlakySum {
 }
 
 impl Checkpointable for FlakySum {
-    fn snapshot(&mut self) -> StateBlob {
-        let mut blob = StateBlob::new();
-        blob.set("total", self.total);
-        blob
+    fn snapshot(&mut self, out: &mut Vec<u8>) {
+        FieldWriter::new(out).i64("total", self.total);
     }
-    fn restore(&mut self, blob: &StateBlob) -> Result<(), StreamsError> {
-        self.total = blob.require_i64("total")?;
+    fn restore(&mut self, snapshot: &[u8], _: &[&[u8]]) -> Result<(), StreamsError> {
+        self.total = Fields::parse(snapshot)?.i64("total")?;
         Ok(())
     }
 }

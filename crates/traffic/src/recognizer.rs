@@ -166,17 +166,33 @@ impl TrafficRecognizer {
         self.engine.plan()
     }
 
-    /// Serialises the underlying engine's windowed recognition state (see
-    /// [`Engine::snapshot_state`]); restore into a recogniser rebuilt with
-    /// the same configuration and intersections.
-    pub fn snapshot_state(&self) -> String {
+    /// A standalone full snapshot of the underlying engine's windowed
+    /// recognition state (see [`Engine::snapshot_state`]); restore into a
+    /// recogniser rebuilt with the same configuration and intersections.
+    pub fn snapshot_state(&self) -> Vec<u8> {
         self.engine.snapshot_state()
     }
 
     /// Restores state captured by [`TrafficRecognizer::snapshot_state`]
     /// (see [`Engine::restore_state`]).
-    pub fn restore_state(&mut self, snapshot: &str) -> Result<(), RtecError> {
+    pub fn restore_state(&mut self, snapshot: &[u8]) -> Result<(), RtecError> {
         self.engine.restore_state(snapshot)
+    }
+
+    /// A checkpoint barrier's full snapshot (see [`Engine::checkpoint_full`]).
+    pub fn checkpoint_full(&mut self, out: &mut Vec<u8>) {
+        self.engine.checkpoint_full(out)
+    }
+
+    /// A checkpoint barrier's delta, if the engine keeps a cursor (see
+    /// [`Engine::checkpoint_delta`]).
+    pub fn checkpoint_delta(&mut self, out: &mut Vec<u8>) -> bool {
+        self.engine.checkpoint_delta(out)
+    }
+
+    /// Restores a checkpoint chain (see [`Engine::restore_chain`]).
+    pub fn restore_chain(&mut self, base: &[u8], deltas: &[&[u8]]) -> Result<(), RtecError> {
+        self.engine.restore_chain(base, deltas)
     }
 
     /// Ingests one scenario SDE (move+gps or traffic), preserving its
