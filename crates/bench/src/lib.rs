@@ -1,5 +1,4 @@
-//! Shared harness utilities for the figure-regeneration binaries and the
-//! Criterion benches.
+//! Shared harness utilities for the figure-regeneration binaries.
 //!
 //! Every binary in `src/bin/` regenerates one figure of the paper's
 //! evaluation (see DESIGN.md §4 for the experiment index); the helpers here

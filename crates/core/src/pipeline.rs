@@ -925,6 +925,12 @@ impl Processor for CrowdEmProcessor {
 /// `finish`). A released summary leaves with the call that released it, so
 /// nothing else waits across a barrier; the task bridge's selection state
 /// never changes. The state is small, so every barrier writes it in full.
+///
+/// The held summaries stay JSON lines inside their field: a summary is an
+/// arbitrary `DataItem` the gate does not interpret, and the Streams JSON
+/// codec is the one item codec that is exact and fuzzed (`json_props`);
+/// named binary fields would be a second item codec to keep exact beside
+/// it, for the few summaries a gate holds at a barrier.
 impl Checkpointable for CrowdEmProcessor {
     fn snapshot(&mut self, out: &mut Vec<u8>) {
         let mut w = FieldWriter::new(out);

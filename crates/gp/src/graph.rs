@@ -135,31 +135,6 @@ impl Graph {
         }
         Ok(dist)
     }
-
-    /// A rectangular grid graph (useful for tests and synthetic scenarios):
-    /// `w × h` vertices at integer coordinates, 4-connected.
-    pub fn grid(w: usize, h: usize) -> Graph {
-        let mut coords = Vec::with_capacity(w * h);
-        for y in 0..h {
-            for x in 0..w {
-                coords.push((x as f64, y as f64));
-            }
-        }
-        let mut g =
-            Graph { n: w * h, adjacency: vec![Vec::new(); w * h], coords, edges: Vec::new() };
-        for y in 0..h {
-            for x in 0..w {
-                let v = y * w + x;
-                if x + 1 < w {
-                    g.add_edge(v, v + 1).expect("in range");
-                }
-                if y + 1 < h {
-                    g.add_edge(v, v + w).expect("in range");
-                }
-            }
-        }
-        g
-    }
 }
 
 fn dist2(a: (f64, f64), b: (f64, f64)) -> f64 {

@@ -187,14 +187,12 @@ pub struct QueryTiming {
     pub derived_written: u64,
 }
 
-/// What one stratum has cost over every query its engine has answered
-/// ([`Engine::stratum_profile`]).
+/// The counted solver work one stratum has done over every query its
+/// engine has answered ([`Engine::stratum_profile`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StratumProfile {
     /// The head symbol the stratum derives.
     pub symbol: Symbol,
-    /// Wall time inside the stratum's evaluation (publishing excluded).
-    pub time: Duration,
     /// Counted solver work.
     pub work: SolveWork,
 }
@@ -301,8 +299,8 @@ pub struct Engine {
     /// query: every stratum must re-evaluate in full because those
     /// dependencies are outside frontier tracking.
     dirty_all: bool,
-    /// Cumulative per-stratum cost, aligned with the plan's instruction
-    /// array.
+    /// Cumulative per-stratum solver work, aligned with the plan's
+    /// instruction array.
     pub(crate) profile: Vec<StratumProfile>,
     /// The solver's buffers, lent to whichever thread runs a query.
     scratch: SolveBuffers,
@@ -339,11 +337,7 @@ impl Engine {
             profile: plan
                 .instrs
                 .iter()
-                .map(|i| StratumProfile {
-                    symbol: i.symbol,
-                    time: Duration::ZERO,
-                    work: SolveWork::default(),
-                })
+                .map(|i| StratumProfile { symbol: i.symbol, work: SolveWork::default() })
                 .collect(),
             scratch: SolveBuffers::default(),
             cursor: None,
@@ -568,11 +562,10 @@ impl Engine {
                 frontier = TIME_MIN;
             }
             let ctx = CCtx { events, obs, fluents: cfluents, relations, builtins };
-            let (stratum_started, work_before) = (Instant::now(), solve_work());
+            let work_before = solve_work();
             let out = eval_stratum(plan, instr, frontier, cycle, ctx, table);
             let mut stratum_work = solve_work() - work_before;
             stratum_work.candidates += out.expr_candidates;
-            profile.time += stratum_started.elapsed();
             profile.work += stratum_work;
             work += stratum_work;
             strata_evaluated += usize::from(out.evaluated);
@@ -651,12 +644,11 @@ impl Engine {
     }
 
     /// Restores a snapshot written by [`Engine::snapshot_state`] or
-    /// [`Engine::checkpoint_full`] — or the `rtec-state v1` text earlier
-    /// engines wrote — replacing any stored inputs and previous-window
-    /// fluents.
+    /// [`Engine::checkpoint_full`], replacing any stored inputs and
+    /// previous-window fluents.
     ///
-    /// The engine must have been built with the same rule set (input and
-    /// fluent declarations are re-validated here), relations, builtins and
+    /// The engine must have been built with the same rule set (input symbols
+    /// and fluent groundings are re-validated here), relations, builtins and
     /// window configuration as the snapshot's origin. On success the
     /// stores hold the snapshot's facts (admitted ones sorted in, the others
     /// pending), the retained tables only the snapshot's fluent intervals,
@@ -1969,29 +1961,26 @@ mod tests {
     fn restore_rejects_corrupt_and_mismatched_snapshots() {
         let window = WindowConfig::new(60, 20).unwrap();
         let mut e = Engine::new(multi_strata_ruleset(), window);
-        for bad in [
-            "",
-            "rtec-state v0\n",
-            "rtec-state v1\nwat 1 2 3\n",
-            "rtec-state v1\nev 2 0 0 check i:1\n",
-            "rtec-state v1\nev 0 0 nope check i:1\n",
-            "rtec-state v1\npf on b:1 1 s:a 5:3\n",
-        ] {
+        for bad in ["", "rtec-state v0\n", "rtec-state v2\n", "rtec-state v2\n\x07"] {
             let err = e.restore_state(bad.as_bytes()).unwrap_err();
             assert!(matches!(err, RtecError::CorruptState { .. }), "accepted: {bad:?} -> {err}");
         }
-        // Undeclared symbols and arity mismatches are caught even though the
-        // snapshot itself is well-formed.
-        let undeclared = "rtec-state v1\nev 0 0 5 ghost i:1\n";
+        // A well-formed snapshot of another rule set: an undeclared symbol is
+        // refused by name; with `check` of arity 2 the part stops decoding.
+        let foreign = |name: &str, args: Vec<Term>| {
+            let mut b = RuleSetBuilder::new();
+            b.declare_event(name, args.len());
+            let mut f = Engine::new(b.build().unwrap(), window);
+            f.add_event(Event::new(name, args, 5)).unwrap();
+            f.snapshot_state()
+        };
+        let undeclared = foreign("ghost", vec![Term::int(1)]);
         assert!(matches!(
-            e.restore_state(undeclared.as_bytes()),
+            e.restore_state(&undeclared),
             Err(RtecError::CorruptState { detail }) if detail.contains("ghost")
         ));
-        let wrong_arity = "rtec-state v1\nev 0 0 5 check i:1 i:2\n";
-        assert!(matches!(
-            e.restore_state(wrong_arity.as_bytes()),
-            Err(RtecError::CorruptState { detail }) if detail.contains("arity")
-        ));
+        let wrong_arity = foreign("check", vec![Term::int(1), Term::int(2)]);
+        assert!(matches!(e.restore_state(&wrong_arity), Err(RtecError::CorruptState { .. })));
         // A failed restore leaves the engine usable.
         feed_multi_strata(&mut e);
         assert!(e.query(60).is_ok());

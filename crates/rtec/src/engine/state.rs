@@ -39,8 +39,7 @@
 //! delta whose last query moved drops those first.
 //!
 //! Restore decodes a base and its deltas into a [`Loaded`] state, checked
-//! against the rule set, and only then replaces the engine's. The
-//! line-based `rtec-state v1` text that earlier engines wrote is still read.
+//! against the rule set, and only then replaces the engine's.
 
 use super::Engine;
 use crate::compile::{FactRef, SlotId};
@@ -51,7 +50,6 @@ use crate::rule::SfKind;
 use crate::slotstate::{CycleState, StratumState};
 use crate::term::{Symbol, Term};
 use crate::time::{Time, TIME_MAX, TIME_MIN};
-use std::collections::HashMap;
 
 const MAGIC: &[u8] = b"rtec-state v2\n";
 const FULL: u8 = 0;
@@ -545,33 +543,17 @@ struct Loaded {
     pf: Vec<Seed>,
 }
 
-impl Loaded {
-    fn new(first_query: Option<Time>, last_query: Option<Time>, ingested: u64) -> Loaded {
-        Loaded {
-            first_query,
-            last_query,
-            ingested,
-            facts: Vec::new(),
-            terms: Vec::new(),
-            pf: Vec::new(),
-        }
-    }
-}
-
 impl Engine {
-    /// Decodes a full snapshot, v2 or v1.
+    /// Decodes a full snapshot.
     fn load(&self, snapshot: &[u8]) -> Result<Loaded, RtecError> {
-        if snapshot.starts_with(MAGIC) {
-            let part = parse_part(snapshot)?;
-            if part.from.is_some() {
-                return Err(corrupt("a delta is not a snapshot to restore from"));
-            }
-            return self.load_full(part);
+        if !snapshot.starts_with(MAGIC) {
+            return Err(corrupt("unsupported header: not rtec-state v2"));
         }
-        match std::str::from_utf8(snapshot) {
-            Ok(text) => self.load_v1(text),
-            Err(_) => Err(corrupt("unsupported header: neither rtec-state v2 nor v1 text")),
+        let part = parse_part(snapshot)?;
+        if part.from.is_some() {
+            return Err(corrupt("a delta is not a snapshot to restore from"));
         }
+        self.load_full(part)
     }
 
     fn check_clock(&self, last_query: Option<Time>) -> Result<(), RtecError> {
@@ -583,7 +565,14 @@ impl Engine {
 
     fn load_full(&self, mut part: Part<'_>) -> Result<Loaded, RtecError> {
         self.check_clock(part.last_query)?;
-        let mut l = Loaded::new(part.first_query, part.last_query, part.ingested);
+        let mut l = Loaded {
+            first_query: part.first_query,
+            last_query: part.last_query,
+            ingested: part.ingested,
+            facts: Vec::new(),
+            terms: Vec::new(),
+            pf: Vec::new(),
+        };
         let kinds = self.kinds_of(&part.syms);
         let (mut seq, mut arrival, mut floats) = (0, 0, Floats::default());
         for _ in 0..part.body.count("fact")? {
@@ -788,137 +777,6 @@ impl Engine {
                 && fits(&r.head.value, value)
         })
     }
-
-    /// Decodes `rtec-state v1` text: one line per stored fact in ingestion
-    /// order, flagged seen or not, one per fluent grounding, and the clock.
-    fn load_v1(&self, snapshot: &str) -> Result<Loaded, RtecError> {
-        let mut lines = snapshot.lines();
-        match lines.next() {
-            Some("rtec-state v1") => {}
-            other => {
-                return Err(corrupt(format!("unsupported header `{}`", other.unwrap_or_default())))
-            }
-        }
-        let mut l = Loaded::new(None, None, 0);
-        for (ln, line) in lines.enumerate() {
-            let mut toks = line.split(' ');
-            let tag = toks.next().unwrap_or_default();
-            let bad = |what: &str| corrupt(format!("line {}: bad {what}: `{line}`", ln + 2));
-            let parse_time = |tok: Option<&str>, what: &str| -> Result<Time, RtecError> {
-                tok.and_then(|t| t.parse::<Time>().ok()).ok_or_else(|| bad(what))
-            };
-            match tag {
-                "first" => l.first_query = Some(parse_time(toks.next(), "first-query time")?),
-                "last" => l.last_query = Some(parse_time(toks.next(), "last-query time")?),
-                "ev" | "obs" => {
-                    let seen = match toks.next() {
-                        Some("0") => false,
-                        Some("1") => true,
-                        _ => return Err(bad("seen flag")),
-                    };
-                    let arrival = parse_time(toks.next(), "arrival time")?;
-                    let time = parse_time(toks.next(), "occurrence time")?;
-                    let name = state_unescape(toks.next().ok_or_else(|| bad("symbol"))?)
-                        .ok_or_else(|| bad("symbol"))?;
-                    let fluent = tag == "obs";
-                    // A line lists an observation's value first, its row
-                    // last.
-                    let value = match fluent {
-                        true => Some(
-                            toks.next()
-                                .and_then(token_to_term)
-                                .ok_or_else(|| bad("fluent value"))?,
-                        ),
-                        false => None,
-                    };
-                    let at = l.terms.len();
-                    for t in toks {
-                        l.terms.push(token_to_term(t).ok_or_else(|| bad("argument term"))?);
-                    }
-                    let sym = Symbol::new(&name);
-                    let used = l.terms.len() - at;
-                    let slot = match fluent {
-                        true => self.check_declared(
-                            &self.plan.rules.input_fluents,
-                            sym,
-                            used,
-                            "input fluent",
-                        )?,
-                        false => {
-                            self.check_declared(&self.plan.rules.input_events, sym, used, "event")?
-                        }
-                    };
-                    l.terms.extend(value);
-                    let (seq, len) = (l.ingested, l.terms.len() - at);
-                    l.facts.push(LoadedFact { seq, seen, fluent, slot, arrival, time, at, len });
-                    l.ingested += 1;
-                }
-                "pf" => {
-                    let name = state_unescape(toks.next().ok_or_else(|| bad("fluent name"))?)
-                        .ok_or_else(|| bad("fluent name"))?;
-                    let value =
-                        toks.next().and_then(token_to_term).ok_or_else(|| bad("fluent value"))?;
-                    let n_args: usize = toks
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("argument count"))?;
-                    let args: Vec<Term> = (0..n_args)
-                        .map(|_| {
-                            toks.next().and_then(token_to_term).ok_or_else(|| bad("argument term"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    let si = self
-                        .simple_fluent_stratum(Symbol::new(&name))
-                        .ok_or_else(|| bad("fluent name (not a simple fluent of this rule set)"))?;
-                    if !self.initiates(si, &args, &value) {
-                        return Err(bad(
-                            "fluent grounding (no rule of this rule set initiates it)",
-                        ));
-                    }
-                    let intervals: Vec<Interval> = toks
-                        .map(|pair| {
-                            let (s, e) = pair.split_once(':').ok_or_else(|| bad("interval"))?;
-                            let start = s.parse::<Time>().map_err(|_| bad("interval start"))?;
-                            match e {
-                                "inf" => Ok(Interval::open_from(start)),
-                                _ => {
-                                    let end = e.parse::<Time>().map_err(|_| bad("interval end"))?;
-                                    Interval::try_span(start, end)
-                                        .ok_or_else(|| bad("interval span"))
-                                }
-                            }
-                        })
-                        .collect::<Result<_, _>>()?;
-                    let ivs = IntervalList::from_intervals(intervals);
-                    l.pf.push(Seed { si, args, value, ivs });
-                }
-                "" => {}
-                other => return Err(corrupt(format!("line {}: unknown tag `{other}`", ln + 2))),
-            }
-        }
-        self.check_clock(l.last_query)?;
-        Ok(l)
-    }
-
-    /// Restore-time re-validation of one v1 input symbol against the rule
-    /// set; its slot on success.
-    fn check_declared(
-        &self,
-        declared: &HashMap<Symbol, usize>,
-        sym: Symbol,
-        used: usize,
-        what: &str,
-    ) -> Result<SlotId, RtecError> {
-        match declared.get(&sym) {
-            Some(&arity) if arity == used => {
-                Ok(self.plan.slots.slot(sym).expect("declared input has a slot"))
-            }
-            Some(&arity) => Err(corrupt(format!(
-                "{what} `{sym}` snapshot arity {used} does not match declared arity {arity}"
-            ))),
-            None => Err(corrupt(format!("{what} `{sym}` is not declared by this rule set"))),
-        }
-    }
 }
 
 fn read_term(
@@ -947,40 +805,4 @@ fn read_term(
         }
         _ => return Err(corrupt(format!("bad term head {head}"))),
     })
-}
-
-/// Decodes a v1 symbol token; `None` on a malformed `%` escape.
-fn state_unescape(s: &str) -> Option<std::borrow::Cow<'_, str>> {
-    if !s.contains('%') {
-        return Some(s.into());
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        let hi = chars.next()?.to_digit(16)?;
-        let lo = chars.next()?.to_digit(16)?;
-        out.push(char::from_u32(hi * 16 + lo)?);
-    }
-    Some(out.into())
-}
-
-/// Decodes a v1 typed term token (`i:`, `f:` hex bits, `s:`, `b:`); `None`
-/// when malformed.
-fn token_to_term(tok: &str) -> Option<Term> {
-    let (kind, rest) = tok.split_once(':')?;
-    match kind {
-        "i" => rest.parse().ok().map(Term::Int),
-        "f" => u64::from_str_radix(rest, 16).ok().map(|bits| Term::float(f64::from_bits(bits))),
-        "s" => state_unescape(rest).map(|s| Term::sym(&s)),
-        "b" => match rest {
-            "0" => Some(Term::Bool(false)),
-            "1" => Some(Term::Bool(true)),
-            _ => None,
-        },
-        _ => None,
-    }
 }

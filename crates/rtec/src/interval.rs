@@ -4,8 +4,9 @@
 //! for which fluent `F` continuously has value `V`. Statically-determined
 //! fluents are then defined through the interval manipulation constructs
 //! `union_all`, `intersect_all` and `relative_complement_all` (Table 1 of the
-//! paper). This module implements those constructs over normalised interval
-//! lists.
+//! paper). This module holds normalised interval lists and the arena the
+//! solver evaluates those constructs in; the whole-list versions that the
+//! property tests check are in [`crate::testing`].
 //!
 //! # Convention
 //!
@@ -27,9 +28,9 @@ use std::sync::{Arc, OnceLock};
 /// interval is ongoing (right-open to infinity).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Interval {
-    start: Time,
+    pub(crate) start: Time,
     /// Exclusive end; `TIME_MAX` encodes an ongoing interval.
-    end_raw: Time,
+    pub(crate) end_raw: Time,
 }
 
 impl Interval {
@@ -64,12 +65,6 @@ impl Interval {
     /// Whether the interval is ongoing (no known end).
     pub fn is_open(&self) -> bool {
         self.end_raw == TIME_MAX
-    }
-
-    fn intersect_raw(&self, other: &Interval) -> Option<Interval> {
-        let s = self.start.max(other.start);
-        let e = self.end_raw.min(other.end_raw);
-        (e > s).then_some(Interval { start: s, end_raw: e })
     }
 }
 
@@ -146,28 +141,6 @@ impl IntervalList {
         result
     }
 
-    /// Reconstructs maximal intervals from initiation and termination
-    /// time-points, implementing the law of inertia for simple fluents.
-    ///
-    /// `initially` states whether the fluent already holds at `from` (the
-    /// window start); if so the first interval starts at `from`. At equal
-    /// time-points terminations are processed before initiations, so a
-    /// simultaneous terminate+initiate keeps the fluent continuously true
-    /// (the intervals amalgamate) while on a non-holding fluent the
-    /// initiation wins — matching RTEC's semantics.
-    pub fn from_points(
-        inits: &[Time],
-        terms: &[Time],
-        initially: bool,
-        from: Time,
-    ) -> IntervalList {
-        let mut i = inits.to_vec();
-        let mut t = terms.to_vec();
-        let mut out: Vec<Interval> = Vec::new();
-        points_into(&mut i, &mut t, initially, from, &mut out);
-        IntervalList { items: Arc::new(out) }
-    }
-
     /// Number of maximal intervals.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -203,64 +176,6 @@ impl IntervalList {
             .is_ok()
     }
 
-    /// Set union, preserving maximality.
-    pub fn union(&self, other: &IntervalList) -> IntervalList {
-        IntervalList::from_intervals(self.items.iter().chain(other.items.iter()).copied())
-    }
-
-    /// Set intersection.
-    pub fn intersect(&self, other: &IntervalList) -> IntervalList {
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.items.len() && j < other.items.len() {
-            let (a, b) = (&self.items[i], &other.items[j]);
-            if let Some(iv) = a.intersect_raw(b) {
-                out.push(iv);
-            }
-            if a.end_raw <= b.end_raw {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        let result = IntervalList { items: Arc::new(out) };
-        debug_assert!(result.is_normalised(), "intersect broke normalisation: {result:?}");
-        result
-    }
-
-    /// Set difference `self \ other`.
-    pub fn difference(&self, other: &IntervalList) -> IntervalList {
-        let mut out = Vec::new();
-        let mut j = 0;
-        for a in self.items.iter() {
-            let mut cur = *a;
-            // Skip intervals of `other` entirely before `cur`.
-            while j < other.items.len() && other.items[j].end_raw <= cur.start {
-                j += 1;
-            }
-            let mut k = j;
-            let mut alive = true;
-            while alive && k < other.items.len() && other.items[k].start < cur.end_raw {
-                let b = &other.items[k];
-                if b.start > cur.start {
-                    out.push(Interval::span(cur.start, b.start));
-                }
-                if b.end_raw < cur.end_raw {
-                    cur = Interval { start: b.end_raw, end_raw: cur.end_raw };
-                    k += 1;
-                } else {
-                    alive = false;
-                }
-            }
-            if alive {
-                out.push(cur);
-            }
-        }
-        let result = IntervalList { items: Arc::new(out) };
-        debug_assert!(result.is_normalised(), "difference broke normalisation: {result:?}");
-        result
-    }
-
     /// Keeps only intervals that end strictly after `t` (plus ongoing ones),
     /// truncating any interval that straddles `t` to start no earlier than
     /// `t`. Used to discard history that fell out of the working memory.
@@ -284,21 +199,6 @@ impl IntervalList {
         };
         debug_assert!(result.is_normalised(), "after broke normalisation: {result:?}");
         result
-    }
-
-    /// `union_all(L, I)`: union of several interval lists (Table 1).
-    pub fn union_all<'a, I: IntoIterator<Item = &'a IntervalList>>(lists: I) -> IntervalList {
-        IntervalList::from_intervals(lists.into_iter().flat_map(|l| l.items.iter().copied()))
-    }
-
-    /// `relative_complement_all(I', L, I)`: the relative complement of `base`
-    /// with respect to every list in `lists` (Table 1) — i.e.
-    /// `base \ (l1 ∪ l2 ∪ …)`.
-    pub fn relative_complement_all<'a, I: IntoIterator<Item = &'a IntervalList>>(
-        base: &IntervalList,
-        lists: I,
-    ) -> IntervalList {
-        base.difference(&IntervalList::union_all(lists))
     }
 
     /// Checks the normalisation invariant; used by tests and debug asserts.
@@ -325,7 +225,7 @@ pub(crate) fn normalise_in_place(buf: &mut Vec<Interval>) {
     buf.truncate(w);
 }
 
-/// Core of [`IntervalList::from_points`]: sorts the init/term buffers in
+/// Core of `IntervalList::from_points`: sorts the init/term buffers in
 /// place (terminations before initiations at equal time-points, by merge
 /// order) and writes the inertia intervals into `out` (cleared first).
 pub(crate) fn points_into(

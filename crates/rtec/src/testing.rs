@@ -3,6 +3,7 @@
 
 use crate::compile::{CEventKind, CEventStore, CObsStore, CompiledPlan, PLANS_COMPILED};
 use crate::engine::{Engine, StratumProfile};
+use crate::interval::{points_into, Interval, IntervalList};
 use crate::term::{Symbol, Term};
 use crate::time::{Time, TIME_MAX};
 use std::sync::atomic::Ordering;
@@ -32,9 +33,9 @@ impl CompiledPlan {
 }
 
 impl Engine {
-    /// Cumulative evaluation time and counted solver work per stratum, in
-    /// evaluation order, over every query answered so far — where a window's
-    /// cost sits, by rule head.
+    /// Cumulative counted solver work per stratum, in evaluation order, over
+    /// every query answered so far — where a window's cost sits, by rule
+    /// head.
     pub fn stratum_profile(&self) -> &[StratumProfile] {
         &self.profile
     }
@@ -53,6 +54,101 @@ impl Engine {
     /// elements: flat once the state has sized to the working set.
     pub fn retained_capacity(&self) -> usize {
         self.state.retained_capacity()
+    }
+}
+
+/// The interval algebra over whole lists (Table 1 of the paper): the
+/// reference `tests/interval_props.rs` checks the laws of. The solver runs
+/// the same constructs on its interval arena instead.
+impl IntervalList {
+    /// Reconstructs maximal intervals from initiation and termination
+    /// time-points, implementing the law of inertia for simple fluents.
+    ///
+    /// `initially` states whether the fluent already holds at `from` (the
+    /// window start); if so the first interval starts at `from`. At equal
+    /// time-points terminations are processed before initiations, so a
+    /// simultaneous terminate+initiate keeps the fluent continuously true
+    /// (the intervals amalgamate) while on a non-holding fluent the
+    /// initiation wins — matching RTEC's semantics.
+    pub fn from_points(
+        inits: &[Time],
+        terms: &[Time],
+        initially: bool,
+        from: Time,
+    ) -> IntervalList {
+        let mut out = Vec::new();
+        points_into(&mut inits.to_vec(), &mut terms.to_vec(), initially, from, &mut out);
+        IntervalList::from_normalised(&out)
+    }
+
+    /// Set union, preserving maximality.
+    pub fn union(&self, other: &IntervalList) -> IntervalList {
+        IntervalList::union_all([self, other])
+    }
+
+    /// Set intersection.
+    pub fn intersect(&self, other: &IntervalList) -> IntervalList {
+        let (a, b) = (self.as_slice(), other.as_slice());
+        let mut out = Vec::new();
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (s, e) = (a[i].start.max(b[j].start), a[i].end_raw.min(b[j].end_raw));
+            if e > s {
+                out.push(Interval { start: s, end_raw: e });
+            }
+            if a[i].end_raw <= b[j].end_raw {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        IntervalList::from_normalised(&out)
+    }
+
+    /// Set difference `self \ other`.
+    pub fn difference(&self, other: &IntervalList) -> IntervalList {
+        let other = other.as_slice();
+        let mut out = Vec::new();
+        let mut j = 0;
+        for a in self.iter() {
+            let mut cur = *a;
+            // Skip intervals of `other` entirely before `cur`.
+            while j < other.len() && other[j].end_raw <= cur.start {
+                j += 1;
+            }
+            let mut k = j;
+            let mut alive = true;
+            while alive && k < other.len() && other[k].start < cur.end_raw {
+                let b = &other[k];
+                if b.start > cur.start {
+                    out.push(Interval::span(cur.start, b.start));
+                }
+                if b.end_raw < cur.end_raw {
+                    cur = Interval { start: b.end_raw, end_raw: cur.end_raw };
+                    k += 1;
+                } else {
+                    alive = false;
+                }
+            }
+            if alive {
+                out.push(cur);
+            }
+        }
+        IntervalList::from_normalised(&out)
+    }
+
+    /// `union_all(L, I)`: union of several interval lists.
+    pub fn union_all<'a, I: IntoIterator<Item = &'a IntervalList>>(lists: I) -> IntervalList {
+        IntervalList::from_intervals(lists.into_iter().flat_map(|l| l.iter().copied()))
+    }
+
+    /// `relative_complement_all(I', L, I)`: the relative complement of `base`
+    /// with respect to every list in `lists` — i.e. `base \ (l1 ∪ l2 ∪ …)`.
+    pub fn relative_complement_all<'a, I: IntoIterator<Item = &'a IntervalList>>(
+        base: &IntervalList,
+        lists: I,
+    ) -> IntervalList {
+        base.difference(&IntervalList::union_all(lists))
     }
 }
 

@@ -1,5 +1,5 @@
-//! The rule set and window of `fixtures/parent_state_v1.blob`, shared by
-//! the tests that restore it.
+//! The rule set and window of `fixtures/parent_state.v2`, shared by the
+//! tests that restore it.
 
 use insight_rtec::dsl::RuleSet;
 use insight_rtec::prelude::*;

@@ -28,12 +28,22 @@
 //!   harness for robustness testing ([`chaos`]).
 //!
 //! ```
+//! use insight_streams::error::StreamsError;
 //! use insight_streams::item::DataItem;
-//! use insight_streams::processor::{Context, FnProcessor};
+//! use insight_streams::processor::{Context, Processor};
 //! use insight_streams::runtime::Runtime;
 //! use insight_streams::sink::CollectSink;
 //! use insight_streams::source::VecSource;
 //! use insight_streams::topology::{Input, Output, Topology};
+//!
+//! struct KeepEven;
+//!
+//! impl Processor for KeepEven {
+//!     fn process(&mut self, item: DataItem, _: &mut Context)
+//!         -> Result<Option<DataItem>, StreamsError> {
+//!         Ok(item.get_i64("n").filter(|n| n % 2 == 0).map(|_| item.clone()))
+//!     }
+//! }
 //!
 //! let mut t = Topology::new();
 //! t.add_source("numbers", VecSource::new((0..10).map(|i| {
@@ -42,9 +52,7 @@
 //! t.add_queue("evens", 16);
 //! t.process("keep-even")
 //!     .input(Input::Stream("numbers".into()))
-//!     .processor(FnProcessor::new(|item: DataItem, _ctx: &mut Context| {
-//!         Ok(item.get_i64("n").filter(|n| n % 2 == 0).map(|_| item.clone()))
-//!     }))
+//!     .processor(KeepEven)
 //!     .output(Output::Queue("evens".into()))
 //!     .done();
 //! let collect = CollectSink::shared();

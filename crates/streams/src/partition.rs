@@ -297,7 +297,8 @@ impl Dispatch {
 mod tests {
     use super::*;
     use crate::item::Stamp;
-    use crate::processor::{Context, FnProcessor};
+    use crate::processor::Context;
+    use crate::testing::FnProcessor;
 
     #[test]
     fn shard_for_is_stable_and_covers_missing_keys() {

@@ -174,35 +174,10 @@ pub(crate) fn drive_chain(
     Ok(())
 }
 
-/// Adapts a closure into a [`Processor`].
-pub struct FnProcessor<F>(F);
-
-impl<F> FnProcessor<F>
-where
-    F: FnMut(DataItem, &mut Context) -> Result<Option<DataItem>, StreamsError> + Send,
-{
-    /// Wraps the closure.
-    pub fn new(f: F) -> FnProcessor<F> {
-        FnProcessor(f)
-    }
-}
-
-impl<F> Processor for FnProcessor<F>
-where
-    F: FnMut(DataItem, &mut Context) -> Result<Option<DataItem>, StreamsError> + Send,
-{
-    fn process(
-        &mut self,
-        item: DataItem,
-        ctx: &mut Context,
-    ) -> Result<Option<DataItem>, StreamsError> {
-        (self.0)(item, ctx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::FnProcessor;
 
     fn ctx() -> Context {
         Context::new(ServiceRegistry::default(), "test")

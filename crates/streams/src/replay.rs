@@ -96,9 +96,10 @@ mod tests {
     use super::*;
     use crate::fault::{DeadLetterQueue, FaultPolicy};
     use crate::item::DataItem;
-    use crate::processor::{Context, FnProcessor};
+    use crate::processor::Context;
     use crate::sink::{CollectSink, CountSink};
     use crate::source::VecSource;
+    use crate::testing::FnProcessor;
     use crate::topology::{Input, Output, Topology};
 
     fn numbers(n: i64) -> VecSource {

@@ -1071,9 +1071,9 @@ fn invoke(
 mod tests {
     use super::*;
     use crate::item::{DataItem, Value};
-    use crate::processor::FnProcessor;
     use crate::sink::{CollectSink, CountSink};
     use crate::source::VecSource;
+    use crate::testing::FnProcessor;
 
     fn numbers(n: i64) -> VecSource {
         VecSource::new((0..n).map(|i| DataItem::new().with("n", i)))

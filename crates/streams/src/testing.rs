@@ -1,9 +1,10 @@
-//! Test support: what tests outside this crate use to look inside a run.
-//! No pipeline calls these.
+//! Test support: what tests outside this crate use to build a run from
+//! closures and to look inside it. No pipeline calls these.
 
 use crate::checkpoint::Slot;
+use crate::error::StreamsError;
 use crate::item::{DataItem, DEEP_COPIES};
-use crate::processor::Processor;
+use crate::processor::{Context, Processor};
 use crate::sink::JsonLinesSink;
 use crate::topology::Topology;
 use std::collections::HashMap;
@@ -113,4 +114,30 @@ pub fn is_inline(item: &DataItem) -> bool {
 /// The writer a [`JsonLinesSink`] wrote to (an in-memory buffer, say).
 pub fn into_writer<W: Write + Send>(sink: JsonLinesSink<W>) -> W {
     sink.writer
+}
+
+/// Adapts a closure into a [`Processor`].
+pub struct FnProcessor<F>(F);
+
+impl<F> FnProcessor<F>
+where
+    F: FnMut(DataItem, &mut Context) -> Result<Option<DataItem>, StreamsError> + Send,
+{
+    /// Wraps the closure.
+    pub fn new(f: F) -> FnProcessor<F> {
+        FnProcessor(f)
+    }
+}
+
+impl<F> Processor for FnProcessor<F>
+where
+    F: FnMut(DataItem, &mut Context) -> Result<Option<DataItem>, StreamsError> + Send,
+{
+    fn process(
+        &mut self,
+        item: DataItem,
+        ctx: &mut Context,
+    ) -> Result<Option<DataItem>, StreamsError> {
+        (self.0)(item, ctx)
+    }
 }

@@ -7,12 +7,13 @@
 //! scheduler.
 
 use insight_streams::item::DataItem;
-use insight_streams::processor::{Context, FnProcessor};
+use insight_streams::processor::Context;
 use insight_streams::queue::queue;
 use insight_streams::replay::ReplayRuntime;
 use insight_streams::runtime::Runtime;
 use insight_streams::sink::CollectSink;
 use insight_streams::source::VecSource;
+use insight_streams::testing::FnProcessor;
 use insight_streams::topology::{Input, Output, Topology};
 use proptest::prelude::*;
 

@@ -34,11 +34,11 @@
 use insight_streams::alloc::{allocation_count, CountingAllocator};
 use insight_streams::fault::FaultPolicy;
 use insight_streams::item::{DataItem, INLINE_ATTRS};
-use insight_streams::processor::{Context, FnProcessor, Processor};
+use insight_streams::processor::{Context, Processor};
 use insight_streams::runtime::Runtime;
 use insight_streams::sink::CollectSink;
 use insight_streams::source::VecSource;
-use insight_streams::testing::{deep_copies, is_inline};
+use insight_streams::testing::{deep_copies, is_inline, FnProcessor};
 use insight_streams::topology::{Input, Output, Topology};
 
 #[global_allocator]

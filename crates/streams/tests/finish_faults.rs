@@ -17,11 +17,12 @@ use insight_streams::error::StreamsError;
 use insight_streams::fault::{DeadLetterQueue, FaultPolicy};
 use insight_streams::item::{DataItem, Value};
 use insight_streams::metrics::MetricsRegistry;
-use insight_streams::processor::{Context, FnProcessor, Processor};
+use insight_streams::processor::{Context, Processor};
 use insight_streams::replay::ReplayRuntime;
 use insight_streams::runtime::{RunStats, Runtime};
 use insight_streams::sink::CollectSink;
 use insight_streams::source::VecSource;
+use insight_streams::testing::FnProcessor;
 use insight_streams::topology::{Input, Output, Topology};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

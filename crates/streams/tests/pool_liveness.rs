@@ -19,10 +19,11 @@
 
 use insight_streams::error::StreamsError;
 use insight_streams::item::DataItem;
-use insight_streams::processor::{Context, FnProcessor, Processor};
+use insight_streams::processor::{Context, Processor};
 use insight_streams::runtime::Runtime;
 use insight_streams::sink::CollectSink;
 use insight_streams::source::{Source, VecSource};
+use insight_streams::testing::FnProcessor;
 use insight_streams::topology::{Input, Output, Topology};
 use rand::{Rng, SeedableRng, StdRng};
 use std::sync::mpsc;
